@@ -9,17 +9,19 @@ geometry and re-freeze if the minima move.
 
 import argparse
 
-from angres.layout import layout_frame_fan, layout_htilde1
+from angres.families import build_frame, build_Htilde
+from angres.layout import layout_nested
 from angres.metrics import angular_resolution, validate_drawing
 
 
-def sweep(name, layout, d_max):
+def sweep(name, build, d_max):
     floor = float("inf")
     floor_d = None
     doubles = {}
     d = 1
     while d <= d_max:
-        fam, coords = layout(d)
+        fam = build(d)
+        coords = layout_nested(fam)
         viols = validate_drawing(fam.graph, fam.embedding, coords)
         if viols:
             print(f"{name} d={d}: INVALID ({len(viols)} violations)")
@@ -41,8 +43,8 @@ def main():
     ap.add_argument("--frame-dmax", type=int, default=128)
     ap.add_argument("--htilde-dmax", type=int, default=64)
     args = ap.parse_args()
-    sweep("frame fan", layout_frame_fan, args.frame_dmax)
-    sweep("three-level assembly", layout_htilde1, args.htilde_dmax)
+    sweep("frame fan", build_frame, args.frame_dmax)
+    sweep("three-level assembly", lambda d: build_Htilde(1, d), args.htilde_dmax)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from .layout import (
     HTILDE1_RESOLUTION_FLOOR,
     LayoutConfig,
     layout_frame_fan,
-    layout_htilde1,
     layout_nested,
     layout_seed_any,
     outer_triangle_coords,

@@ -26,7 +26,7 @@ from .graphs import (
     write_embedding,
     write_graph,
 )
-from .layout import LayoutConfig, layout_frame_fan, layout_htilde1, layout_seed_any
+from .layout import LayoutConfig, layout_nested
 from .metrics import angular_resolution, read_drawing, validate_drawing, write_drawing
 from .optimize import (
     OptimizeConfig,
@@ -84,13 +84,8 @@ def _cmd_layout(args) -> int:
         f"layout: family={spec.family} c={spec.c} d={spec.d} "
         f"apex={cfg.apex_angle} ratio={cfg.ring_ratio} out={args.output}"
     )
-    if spec.family == "frame":
-        fam, coords = layout_frame_fan(spec.d, cfg)
-    elif spec.family == "htilde" and spec.c == 1:
-        fam, coords = layout_htilde1(spec.d, cfg)
-    else:
-        fam = build_family(spec)
-        coords = layout_seed_any(fam.graph, fam.embedding)
+    fam = build_family(spec)
+    coords = layout_nested(fam, cfg)
     viols = validate_drawing(fam.graph, fam.embedding, coords)
     if viols:
         print(f"layout invalid: {viols[0]}", file=sys.stderr)

@@ -14,7 +14,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class StructureError(ValueError):
@@ -127,19 +130,20 @@ def trace_faces(graph: LabeledGraph, rotation: list[list[int]]) -> list[tuple[in
             raise StructureError(f"rotation at vertex {v} does not match its incident edges")
         pos.append({u: k for k, u in enumerate(rot)})
 
+    # used[u][k] marks the directed edge from u to rotation[u][k] as traced
+    used = [[False] * len(rot) for rot in rotation]
     faces: list[tuple[int, ...]] = []
-    seen: set[tuple[int, int]] = set()
     for start_v in range(graph.n):
-        for start_u in rotation[start_v]:
-            if (start_v, start_u) in seen:
+        for start_k in range(len(rotation[start_v])):
+            if used[start_v][start_k]:
                 continue
             cycle: list[int] = []
-            u, v = start_v, start_u
-            while (u, v) not in seen:
-                seen.add((u, v))
+            u, k = start_v, start_k
+            while not used[u][k]:
+                used[u][k] = True
                 cycle.append(u)
-                rot = rotation[v]
-                u, v = v, rot[(pos[v][u] + 1) % len(rot)]
+                v = rotation[u][k]
+                u, k = v, (pos[v][u] + 1) % len(rotation[v])
             faces.append(canonical_cycle(tuple(cycle)))
     return faces
 
@@ -160,6 +164,27 @@ def face_cycle_from(rotation: list[list[int]], u: int, v: int) -> tuple[int, ...
 
 def euler_check(graph: LabeledGraph, faces: list[tuple[int, ...]]) -> bool:
     return graph.n - len(graph.edges) + len(faces) == 2
+
+
+def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
+    """(F, 3) array of the bounded faces of a triangulated embedding, one
+    counterclockwise (canonical) vertex cycle per row, in face-tracing order.
+
+    Raises StructureError unless every face is a triangle, Euler's formula
+    holds and the embedding's outer face is among the traced faces.
+    """
+    faces = trace_faces(graph, emb.rotation)
+    for f in faces:
+        if len(f) != 3:
+            raise StructureError(f"face {f} is not a triangle")
+    if not euler_check(graph, faces):
+        raise StructureError(
+            f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
+        )
+    outer = canonical_cycle(tuple(emb.outer_face))
+    if outer not in faces:
+        raise StructureError(f"outer face {outer} not found among traced faces")
+    return np.asarray([f for f in faces if f != outer], dtype=np.int64).reshape(-1, 3)
 
 
 def insert_vertex_in_face(
@@ -322,25 +347,36 @@ def write_graph(graph: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_records(text: str, arity: dict[str, int]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, tag, fields) for each record of a line-based text
+    format, skipping blank and ``#`` lines.  ``arity`` maps every known tag
+    to its minimum field count; other tags and short records raise a
+    StructureError naming the line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        tag, fields = parts[0], parts[1:]
+        if tag not in arity:
+            raise StructureError(f"line {lineno}: unknown record {tag!r}")
+        if len(fields) < arity[tag]:
+            raise StructureError(
+                f"line {lineno}: {tag!r} record needs {arity[tag]} fields, got {len(fields)}"
+            )
+        yield lineno, tag, fields
+
+
 def read_graph(text: str) -> LabeledGraph:
     graph: LabeledGraph | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "graph":
-            graph = LabeledGraph(int(parts[1]))
-        elif parts[0] == "e":
-            if graph is None:
-                raise StructureError(f"line {lineno}: edge before header")
-            graph.add_edge(int(parts[1]), int(parts[2]))
-        elif parts[0] == "l":
-            if graph is None:
-                raise StructureError(f"line {lineno}: label before header")
-            graph.labels[int(parts[1])] = parts[2]
+    for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
+        if tag == "graph":
+            graph = LabeledGraph(int(fields[0]))
+        elif graph is None:
+            raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
+        elif tag == "e":
+            graph.add_edge(int(fields[0]), int(fields[1]))
         else:
-            raise StructureError(f"line {lineno}: unknown record {parts[0]!r}")
+            graph.labels[int(fields[0])] = fields[1]
     if graph is None:
         raise StructureError("missing 'graph <V>' header")
     graph.validate()
@@ -358,17 +394,11 @@ def write_embedding(emb: Embedding) -> str:
 def read_embedding(text: str) -> Embedding:
     rot: dict[int, list[int]] = {}
     outer: tuple[int, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "rot":
-            rot[int(parts[1])] = [int(x) for x in parts[2:]]
-        elif parts[0] == "outer":
-            outer = tuple(int(x) for x in parts[1:])
+    for _, tag, fields in text_records(text, {"rot": 1, "outer": 3}):
+        if tag == "rot":
+            rot[int(fields[0])] = [int(x) for x in fields[1:]]
         else:
-            raise StructureError(f"line {lineno}: unknown record {parts[0]!r}")
+            outer = tuple(int(x) for x in fields)
     if outer is None:
         raise StructureError("missing 'outer' line")
     n = max(rot) + 1 if rot else 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Family, ParameterError, build_frame, build_Htilde
+from .families import Family, ParameterError, build_frame
 from .graphs import BuildSequence, Embedding, LabeledGraph, StructureError, verify_planar_3tree
 
 # Frozen floors for resolution * d, calibrated over d = 1..128 (frame fan,
@@ -39,24 +39,9 @@ class LayoutConfig:
 
 
 def layout_frame_fan(d: int, config: LayoutConfig | None = None) -> tuple[Family, np.ndarray]:
-    """Fan drawing of the d-frame: root at the origin, ring k on rays at
-    +- (k/d) * apex/2 around the vertical, radius ring_ratio**k.
-
-    For d = 1 the rays sit at +- apex/4 instead, so the root angle (not the
-    base angles of the triangle) is the minimum and resolution * d stays
-    level with larger d."""
-    config = config or LayoutConfig()
-    config.validate()
+    """The d-frame with its fan drawing (``layout_nested`` of ``build_frame(d)``)."""
     fam = build_frame(d)
-    coords = np.zeros((fam.graph.n, 2))
-    half = config.apex_angle / 2.0
-    for k in range(1, d + 1):
-        theta = (k / d) * half if d > 1 else half / 2.0
-        rad = config.ring_ratio ** k
-        base = math.pi / 2.0
-        coords[fam.roles.u[k - 1]] = (rad * math.cos(base + theta), rad * math.sin(base + theta))
-        coords[fam.roles.v[k - 1]] = (rad * math.cos(base - theta), rad * math.sin(base - theta))
-    return fam, coords
+    return fam, layout_nested(fam, config)
 
 
 def _fan_into_corner(
@@ -161,7 +146,11 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
     """Structural drawing of any constructed family, at any nesting depth.
 
     The top level is a fan (frame-rooted families) or an equilateral outer
-    triangle with the interior base vertex at the centroid; every glued
+    triangle with the interior base vertex at the centroid.  The fan puts the
+    root at the origin and ring k on rays at +- (k/d) * apex/2 around the
+    vertical, radius ring_ratio**k; for d = 1 the rays sit at +- apex/4
+    instead, so the root angle (not the base angles of the triangle) is the
+    minimum and resolution * d stays level with larger d.  Every glued
     frame is then fanned into its host triangle recursively.  Local scale
     shrinks by a bounded factor per nesting level, so deep families stay
     representable where a pure centroid replay would collapse to coincident
@@ -189,20 +178,6 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
     depth = 1 if fam.roles is not None else 0
     _place_subtree(fam, {i: i for i in range(fam.graph.n)}, coords, config.ring_ratio, depth)
     return coords
-
-
-def layout_htilde1(d: int, config: LayoutConfig | None = None) -> tuple[Family, np.ndarray]:
-    """Drawing of the three-level assembly at nesting depth 1.
-
-    Outer triangle equilateral with the fourth base vertex at its centroid;
-    each second-level copy puts its interior base vertex at its face
-    centroid, and each frame is drawn by the fan rule anchored at its root
-    corner with the outermost ring identified with the other two corners.
-    """
-    config = config or LayoutConfig()
-    config.validate()
-    fam = build_Htilde(1, d)
-    return fam, layout_nested(fam, config)
 
 
 def layout_seed_any(

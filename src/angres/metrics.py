@@ -1,198 +1,92 @@
 """Drawing validation, angular resolution, and frame-angle diagnostics.
 
 A drawing is an (n, 2) float array of vertex coordinates paired with a graph
-and an embedding.  Validity is combinatorial (exact-sign orientation tests,
-no epsilon); angle identities are numeric with a 1e-9 tolerance.
+and a triangulated embedding.  Validity is combinatorial (exact orientation
+signs, no epsilon); angle identities are numeric with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .families import FrameRoles
-from .graphs import Embedding, LabeledGraph, StructureError, canonical_cycle, trace_faces
+from .graphs import Embedding, LabeledGraph, StructureError, internal_triangles, text_records
 
 TOL = 1e-9
 
 
 @dataclass
 class Violation:
-    kind: str  # "crossing" | "flipped-face" | "rotation-mismatch" | "coincident"
+    kind: str  # "flipped-face" | "coincident"
     detail: str
 
 
-def signed_area(cycle: tuple[int, ...], coords: np.ndarray) -> float:
-    # Anchor at the first vertex: differences between nearby doubles are
-    # exact, so the sign stays reliable for faces far smaller than their
-    # absolute coordinates (deeply nested drawings).
-    pts = coords[list(cycle)] - coords[cycle[0]]
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+# Shewchuk's static error bound for the orientation determinant (1997,
+# "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+# Predicates"): with double rounding unit eps, a float determinant larger
+# than (3 + 16 eps) eps (|left| + |right|) has the exact determinant's sign.
+_EPS = 2.0 ** -53
+_ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+# Shewchuk's bound assumes no underflow; a product below the smallest normal
+# double may err by up to 2**-1075 in absolute terms, far below this margin.
+_UNDERFLOW_MARGIN = 1e-300
 
 
-def _segment_violations(graph: LabeledGraph, coords: np.ndarray) -> list[Violation]:
-    """Exact pairwise segment tests: non-adjacent edges must not intersect,
-    adjacent edges must meet only at their shared endpoint."""
-    edges = sorted(graph.edges)
-    m = len(edges)
-    if m == 0:
-        return []
-    E = np.asarray(edges)
-    P = coords[E[:, 0]]
-    Q = coords[E[:, 1]]
-    out: list[Violation] = []
+def orientation_signs(coords: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Exact orientation sign of each triangle (a, b, c) in the (F, 3) index
+    array ``tri``: +1 counterclockwise, -1 clockwise, 0 collinear.
 
-    def orient(ax, ay, bx, by, cx, cy):
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    def on_segment(ax, ay, bx, by, cx, cy):
-        # c collinear with a-b assumed; is c within the closed bounding box?
-        return (
-            (np.minimum(ax, bx) <= cx) & (cx <= np.maximum(ax, bx))
-            & (np.minimum(ay, by) <= cy) & (cy <= np.maximum(ay, by))
-        )
-
-    block = max(1, int(4e6 / max(m, 1)))
-    for i0 in range(0, m, block):
-        i1 = min(m, i0 + block)
-        ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(m), indexing="ij")
-        mask = jj > ii
-        # bounding-box prefilter
-        bb = (
-            (np.minimum(P[ii, 0], Q[ii, 0]) <= np.maximum(P[jj, 0], Q[jj, 0]))
-            & (np.minimum(P[jj, 0], Q[jj, 0]) <= np.maximum(P[ii, 0], Q[ii, 0]))
-            & (np.minimum(P[ii, 1], Q[ii, 1]) <= np.maximum(P[jj, 1], Q[jj, 1]))
-            & (np.minimum(P[jj, 1], Q[jj, 1]) <= np.maximum(P[ii, 1], Q[ii, 1]))
-        )
-        mask &= bb
-        ii, jj = ii[mask], jj[mask]
-        if ii.size == 0:
-            continue
-        a, b = E[ii, 0], E[ii, 1]
-        c, d = E[jj, 0], E[jj, 1]
-        ax, ay = coords[a, 0], coords[a, 1]
-        bx, by = coords[b, 0], coords[b, 1]
-        cx, cy = coords[c, 0], coords[c, 1]
-        dx, dy = coords[d, 0], coords[d, 1]
-        d1 = orient(ax, ay, bx, by, cx, cy)
-        d2 = orient(ax, ay, bx, by, dx, dy)
-        d3 = orient(cx, cy, dx, dy, ax, ay)
-        d4 = orient(cx, cy, dx, dy, bx, by)
-        shared = (a == c) | (a == d) | (b == c) | (b == d)
-        proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-            ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-        )
-        touch = (
-            ((d1 == 0) & on_segment(ax, ay, bx, by, cx, cy))
-            | ((d2 == 0) & on_segment(ax, ay, bx, by, dx, dy))
-            | ((d3 == 0) & on_segment(cx, cy, dx, dy, ax, ay))
-            | ((d4 == 0) & on_segment(cx, cy, dx, dy, bx, by))
-        )
-        bad_disjoint = ~shared & (proper | touch)
-        # adjacent pair: collinear overlap means the non-shared endpoint of one
-        # segment lies on the other segment
-        overlap = (
-            ((d1 == 0) & (c != a) & (c != b) & on_segment(ax, ay, bx, by, cx, cy))
-            | ((d2 == 0) & (d != a) & (d != b) & on_segment(ax, ay, bx, by, dx, dy))
-            | ((d3 == 0) & (a != c) & (a != d) & on_segment(cx, cy, dx, dy, ax, ay))
-            | ((d4 == 0) & (b != c) & (b != d) & on_segment(cx, cy, dx, dy, bx, by))
-        )
-        bad_shared = shared & overlap
-        for k in np.nonzero(bad_disjoint | bad_shared)[0]:
-            out.append(
-                Violation(
-                    "crossing",
-                    f"edges ({a[k]},{b[k]}) and ({c[k]},{d[k]}) intersect",
-                )
-            )
-            if len(out) >= 50:
-                return out
-    return out
+    The float determinant decides every triangle that clears Shewchuk's
+    error bound; ``fractions.Fraction`` arithmetic decides the rest.
+    """
+    coords = np.asarray(coords, dtype=float)
+    a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+        right = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+        det = left - right
+        certain = np.abs(det) > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_MARGIN
+    signs = (det > 0).astype(np.int8) - (det < 0)
+    for k in np.flatnonzero(~certain):
+        (ax, ay), (bx, by), (cx, cy) = (map(Fraction, coords[v]) for v in tri[k])
+        exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+        signs[k] = (exact > 0) - (exact < 0)
+    return signs
 
 
-def realized_rotation(graph: LabeledGraph, coords: np.ndarray) -> list[list[int]]:
-    """Clockwise neighbor order realized by the drawing at each vertex."""
-    adj = graph.adjacency()
-    rot: list[list[int]] = []
-    for v in range(graph.n):
-        nbrs = sorted(adj[v])
-        ang = [
-            math.atan2(coords[u, 1] - coords[v, 1], coords[u, 0] - coords[v, 0])
-            for u in nbrs
-        ]
-        order = sorted(range(len(nbrs)), key=lambda k: (-ang[k], nbrs[k]))
-        rot.append([nbrs[k] for k in order])
-    return rot
-
-
-def _cyclic_equal(a: list[int], b: list[int]) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    if len(a) <= 2:
-        return sorted(a) == sorted(b)
-    try:
-        k = b.index(a[0])
-    except ValueError:
-        return False
-    return a == b[k:] + b[:k]
-
-
-def validate_drawing(
-    graph: LabeledGraph,
-    emb: Embedding,
-    coords: np.ndarray,
-    check_crossings: bool | None = None,
-) -> list[Violation]:
+def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> list[Violation]:
     """Return all violations of the drawing against the embedding (empty = ok).
 
-    Checks: distinct points, pairwise segment intersections, positive signed
-    area on every internal face / negative on the outer face, and the
-    realized clockwise edge order at each vertex against the rotation system.
-    When ``check_crossings`` is None the pairwise segment test is skipped for
-    very large graphs (> 6000 edges), where face orientation plus rotation
-    agreement already certify planarity for a maximal planar graph.
+    The embedding must be a triangulation (``internal_triangles`` raises a
+    StructureError otherwise).  The drawing is valid when its points are
+    finite and distinct, the outer triangle is strictly clockwise and every
+    internal triangle is strictly counterclockwise, all by exact signs.  For
+    a triangulation these orientations prove that the straight-line drawing
+    has no crossings and realizes the rotation system (Floater, "One-to-one
+    piecewise linear mappings over triangulations", Math. Comp. 2003).
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (graph.n, 2):
         raise StructureError(f"drawing covers {coords.shape}, expected ({graph.n}, 2)")
-    out: list[Violation] = []
     if not np.all(np.isfinite(coords)):
-        out.append(Violation("coincident", "non-finite coordinates"))
-        return out
+        return [Violation("coincident", "non-finite coordinates")]
+    out: list[Violation] = []
     uniq = {(float(x), float(y)) for x, y in coords}
     if len(uniq) != graph.n:
         out.append(Violation("coincident", "two vertices share coordinates"))
 
-    faces = trace_faces(graph, emb.rotation)
-    outer = canonical_cycle(emb.outer_face)
-    outer_seen = False
-    for f in faces:
-        area = signed_area(f, coords)
-        if f == outer:
-            outer_seen = True
-            if area >= 0:
-                out.append(Violation("flipped-face", f"outer face {f} not clockwise"))
-        elif area <= 0:
-            out.append(Violation("flipped-face", f"internal face {f} not counterclockwise"))
-    if not outer_seen:
-        out.append(Violation("flipped-face", f"outer face {outer} not found among traced faces"))
-
-    real = realized_rotation(graph, coords)
-    for v in range(graph.n):
-        if not _cyclic_equal(emb.rotation[v], real[v]):
-            out.append(Violation("rotation-mismatch", f"vertex {v}: drawing order differs"))
-            if len([x for x in out if x.kind == "rotation-mismatch"]) >= 20:
-                break
-
-    if check_crossings is None:
-        check_crossings = len(graph.edges) <= 6000
-    if check_crossings:
-        out.extend(_segment_violations(graph, coords))
+    tri = internal_triangles(graph, emb)
+    outer = np.asarray([emb.outer_face], dtype=np.int64)
+    signs = orientation_signs(coords, np.concatenate([outer, tri]))
+    if signs[0] >= 0:
+        out.append(Violation("flipped-face", f"outer face {tuple(emb.outer_face)} not clockwise"))
+    for k in np.flatnonzero(signs[1:] <= 0):
+        face = tuple(int(v) for v in tri[k])
+        out.append(Violation("flipped-face", f"internal face {face} not counterclockwise"))
     return out
 
 
@@ -363,14 +257,8 @@ def write_drawing(coords: np.ndarray) -> str:
 
 def read_drawing(text: str) -> np.ndarray:
     pts: dict[int, tuple[float, float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "p":
-            raise StructureError(f"line {lineno}: unknown record {parts[0]!r}")
-        pts[int(parts[1])] = (float(parts[2]), float(parts[3]))
+    for _, _, fields in text_records(text, {"p": 3}):
+        pts[int(fields[0])] = (float(fields[1]), float(fields[2]))
     n = max(pts) + 1 if pts else 0
     if sorted(pts) != list(range(n)):
         raise StructureError("drawing lines do not cover a dense vertex range")

@@ -4,8 +4,8 @@ The optimizer maximizes a smooth soft-min of the signed corner angles of all
 internal faces (log-sum-exp with sharpness increased on a schedule), plus an
 orientation penalty driving every internal face to positive signed area.  For
 a maximal planar graph with the outer face pinned, all faces positively
-oriented implies the drawing realizes the embedding; an exact crossing check
-is still run on every candidate before it is accepted.
+oriented implies the drawing realizes the embedding, so every candidate is
+accepted only after ``validate_drawing`` proves those orientation signs.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .families import FamilySpec, build_family
-from .graphs import BuildSequence, Embedding, LabeledGraph, trace_faces, verify_planar_3tree
+from .graphs import BuildSequence, Embedding, LabeledGraph, internal_triangles, verify_planar_3tree
 from .layout import layout_nested, layout_seed_any, outer_triangle_coords
 from .metrics import angular_resolution, validate_drawing
 
@@ -84,24 +84,9 @@ class OptimizeResult:
 def _internal_corner_index(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     """(F*3, 3) array of (a, b, c) per corner: angle measured at b between
     rays b->a and b->c, over all internal (counterclockwise) face corners."""
-    faces = trace_faces(graph, emb.rotation)
-    outer = set(emb.outer_face)
-    corners = []
-    for f in faces:
-        if len(f) == 3 and set(f) == outer:
-            # the outer cycle appears once as the clockwise walk; skip it
-            if tuple(f) not in _ccw_variants(emb.outer_face):
-                continue
-        for i in range(3):
-            a, b, c = f[i - 1], f[i], f[(i + 1) % 3]
-            corners.append((a, b, c))
-    return np.asarray(corners, dtype=np.int64)
-
-
-def _ccw_variants(outer: tuple[int, int, int]) -> set[tuple[int, int, int]]:
-    a, b, c = outer
-    rev = (a, c, b)
-    return {rev, (c, b, a), (b, a, c)}
+    tri = internal_triangles(graph, emb)
+    # corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1])
+    return tri[:, [[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
 
 
 def _corner_angles(P: np.ndarray, idx: np.ndarray):
@@ -193,14 +178,6 @@ def objective_and_gradient(
 def _min_corner_angle(P, idx) -> float:
     theta = _corner_angles(P, idx)[0]
     return float(theta.min())
-
-
-def _shortest_edge(graph: LabeledGraph, coords: np.ndarray) -> float:
-    e = np.asarray(sorted(graph.edges), dtype=np.int64)
-    if e.size == 0:
-        return math.inf
-    diff = coords[e[:, 0]] - coords[e[:, 1]]
-    return float(np.hypot(diff[:, 0], diff[:, 1]).min())
 
 
 def _run_restart(start, graph, free, idx, fidx, pinned, config) -> tuple[np.ndarray, float, int]:
@@ -301,20 +278,16 @@ def maximize_resolution(
             # drawing of the embedding, diverse across restarts
             rng = np.random.default_rng([config.seed, r])
             start = layout_seed_any(graph, emb, seq, outer, rng=rng)
-        if (
-            not np.isfinite(start).all()
-            or _shortest_edge(graph, start) == 0.0
-            or validate_drawing(graph, emb, start)
-        ):
-            # degenerate or invalid start (deep replays collapse below
-            # double precision); nothing worth optimizing from
+        if validate_drawing(graph, emb, start):
+            # invalid start (deep replays collapse below double precision);
+            # nothing worth optimizing from
             traces.append(RestartTrace(r, math.inf, 0, False, math.nan))
             continue
         if free.size:
             drawing, value, iters = _run_restart(start, graph, free, idx, fidx, pinned, config)
         else:
             drawing, value, iters = pinned.copy(), 0.0, 0  # only the pinned triangle
-        valid = bool(np.isfinite(drawing).all()) and not validate_drawing(graph, emb, drawing)
+        valid = not validate_drawing(graph, emb, drawing)
         resolution = float(angular_resolution(graph, drawing).resolution) if valid else math.nan
         # a restart never reports worse than its (valid) starting drawing
         start_res = float(angular_resolution(graph, start).resolution)

@@ -26,7 +26,7 @@ from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
     layout_frame_fan,
-    layout_htilde1,
+    layout_nested,
 )
 from angres.metrics import (
     angular_resolution,
@@ -115,12 +115,13 @@ def test_criterion_2_family_structure(capsys):
 
 def test_criterion_3_layout_floors(capsys):
     notes = []
-    for name, layout, floor in (
-        ("fan", layout_frame_fan, FAN_RESOLUTION_FLOOR),
-        ("htilde1", layout_htilde1, HTILDE1_RESOLUTION_FLOOR),
+    for name, build, floor in (
+        ("fan", build_frame, FAN_RESOLUTION_FLOOR),
+        ("htilde1", lambda d: build_Htilde(1, d), HTILDE1_RESOLUTION_FLOOR),
     ):
         for d in range(1, 65):
-            fam, coords = layout(d)
+            fam = build(d)
+            coords = layout_nested(fam)
             if validate_drawing(fam.graph, fam.embedding, coords):
                 notes.append(f"{name} d={d} invalid")
                 continue
@@ -129,7 +130,8 @@ def test_criterion_3_layout_floors(capsys):
                 notes.append(f"{name} d={d} res*d={res * d:.4f}")
         scaled = {}
         for d in (1, 2, 4, 8, 16, 32, 64):
-            fam, coords = layout(d)
+            fam = build(d)
+            coords = layout_nested(fam)
             scaled[d] = angular_resolution(fam.graph, coords).resolution * d
         for d in (1, 2, 4, 8, 16, 32):
             lo, hi = sorted((scaled[d], scaled[2 * d]))

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from angres.cli import main
+from angres.families import build_Htilde
 from angres.graphs import read_embedding, read_graph
-from angres.layout import layout_frame_fan
+from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import read_drawing, write_drawing
 from angres.optimize import SweepRecord, write_sweep_csv
 
@@ -82,6 +84,36 @@ class TestLayoutMeasure:
         dp.write_text(write_drawing(bad))
         code, _, err = run(capsys, "measure", str(gp), str(dp))
         assert code == 1
+
+
+    def test_layout_deep_family_is_nested(self, tmp_path, capsys):
+        dp = tmp_path / "ht.drawing"
+        code, _, _ = run(
+            capsys, "layout", "--family", "htilde", "--c", "2", "--d", "16", "-o", str(dp)
+        )
+        assert code == 0
+        assert np.array_equal(read_drawing(dp.read_text()), layout_nested(build_Htilde(2, 16)))
+
+    @pytest.mark.parametrize(
+        "graph_text, drawing_text, emb_text",
+        [
+            ("graph 3\ne 0\n", None, None),
+            ("graph\n", None, None),
+            ("graph 3\nl 0\n", None, None),
+            (None, "p 1\n", None),
+            (None, None, "rot\n"),
+        ],
+    )
+    def test_malformed_record_one_line_error(self, tmp_path, capsys, graph_text, drawing_text,
+                                             emb_text):
+        gp, dp, ep = tmp_path / "t.graph", tmp_path / "t.drawing", tmp_path / "t.emb"
+        gp.write_text(graph_text or "graph 3\ne 0 1\ne 1 2\ne 0 2\n")
+        dp.write_text(drawing_text or "p 0 0.0 1.0\np 1 0.8 -0.5\np 2 -0.8 -0.5\n")
+        ep.write_text(emb_text or "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\n")
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert re.search(r"line \d+: ", err) and "Traceback" not in err
 
 
 class TestOptimizeCli:

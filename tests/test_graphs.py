@@ -13,6 +13,7 @@ from angres.graphs import (
     euler_check,
     face_cycle_from,
     insert_vertex_in_face,
+    internal_triangles,
     max_degree,
     read_embedding,
     read_graph,
@@ -102,6 +103,16 @@ class TestFaces:
 
     def test_canonical_cycle_rotation_invariant(self):
         assert canonical_cycle((2, 0, 1)) == canonical_cycle((0, 1, 2))
+
+    def test_internal_triangles_drop_the_outer_face(self):
+        g, emb = k4()
+        tri = internal_triangles(g, emb)
+        assert sorted(map(tuple, tri.tolist())) == [(0, 1, 3), (0, 3, 2), (1, 2, 3)]
+
+    def test_internal_triangles_need_a_traced_outer_face(self):
+        g, emb = k4()
+        with pytest.raises(StructureError):
+            internal_triangles(g, Embedding(emb.rotation, (0, 1, 2)))
 
 
 class TestInsertion:

@@ -12,7 +12,6 @@ from angres.layout import (
     HTILDE1_RESOLUTION_FLOOR,
     LayoutConfig,
     layout_frame_fan,
-    layout_htilde1,
     layout_nested,
     layout_seed_any,
     outer_triangle_coords,
@@ -63,18 +62,21 @@ class TestHtilde1:
     @given(st.integers(1, 12))
     @settings(max_examples=12, deadline=None)
     def test_valid_and_floor(self, d):
-        fam, coords = layout_htilde1(d)
+        fam = build_Htilde(1, d)
+        coords = layout_nested(fam)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
         res = angular_resolution(fam.graph, coords).resolution
         assert res * d >= HTILDE1_RESOLUTION_FLOOR
 
     def test_d2_graph_size(self):
-        fam, coords = layout_htilde1(2)
+        fam = build_Htilde(1, 2)
+        coords = layout_nested(fam)
         assert fam.graph.n == 43
         assert coords.shape == (43, 2)
 
     def test_outer_is_equilateral(self):
-        fam, coords = layout_htilde1(3)
+        fam = build_Htilde(1, 3)
+        coords = layout_nested(fam)
         o = coords[list(fam.embedding.outer_face)]
         sides = [np.linalg.norm(o[i] - o[(i + 1) % 3]) for i in range(3)]
         assert sides[0] == pytest.approx(sides[1]) == pytest.approx(sides[2])
@@ -82,16 +84,13 @@ class TestHtilde1:
     def test_factor_two_band_on_doublings(self):
         vals = {}
         for d in (2, 4, 8, 16):
-            fam, coords = layout_htilde1(d)
+            fam = build_Htilde(1, d)
+            coords = layout_nested(fam)
             vals[d] = angular_resolution(fam.graph, coords).resolution * d
         assert max(vals.values()) / min(vals.values()) < 2.0
 
 
 class TestNested:
-    def test_matches_htilde1_at_depth_one(self):
-        fam, coords = layout_htilde1(5)
-        assert np.array_equal(coords, layout_nested(fam))
-
     def test_frame_top_level_is_the_fan(self):
         fam, coords = layout_frame_fan(6)
         assert np.allclose(layout_nested(fam), coords)

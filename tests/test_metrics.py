@@ -1,23 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres.families import build_frame
+from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
-from angres.layout import LayoutConfig, layout_frame_fan
+from angres.layout import LayoutConfig, layout_frame_fan, layout_nested
 from angres.metrics import (
     angular_resolution,
     claim_quantities,
     frame_profile,
+    orientation_signs,
     read_drawing,
-    signed_area,
     telescoping_product,
     validate_drawing,
     write_drawing,
 )
+from segment_oracle import reference_valid
 
 TOL = 1e-9
 
@@ -67,6 +69,84 @@ class TestValidate:
         for d in (1, 2, 5, 9):
             fam, coords = layout_frame_fan(d)
             assert validate_drawing(fam.graph, fam.embedding, coords) == []
+
+    def test_non_triangulated_embedding_rejected(self):
+        g = LabeledGraph(4)
+        for i in range(4):
+            g.add_edge(i, (i + 1) % 4)
+        emb = Embedding([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
+        coords = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        with pytest.raises(StructureError):
+            validate_drawing(g, emb, coords)
+
+    @given(
+        st.sampled_from(["frame1", "frame2", "frame3", "frame5", "g12", "h12", "htilde12", "htilde22"]),
+        st.sampled_from(["valid", "jitter", "swap", "mirror", "collapse"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_segment_oracle(self, name, perturbation, seed):
+        fam = _ORACLE_FAMILIES[name]()
+        g, emb = fam.graph, fam.embedding
+        coords = layout_nested(fam)
+        rng = np.random.default_rng(seed)
+        edges = np.asarray(sorted(g.edges))
+        if perturbation == "jitter":
+            # up to one shortest incident edge: sometimes valid, sometimes not
+            length = np.hypot(*(coords[edges[:, 0]] - coords[edges[:, 1]]).T)
+            near = np.full(g.n, np.inf)
+            np.minimum.at(near, edges[:, 0], length)
+            np.minimum.at(near, edges[:, 1], length)
+            scale = rng.choice([0.05, 0.3, 1.0]) * near
+            coords = coords + rng.normal(0.0, 1.0, coords.shape) * scale[:, None]
+        elif perturbation == "swap":
+            i, j = rng.choice(g.n, 2, replace=False)
+            coords[[i, j]] = coords[[j, i]]
+        elif perturbation == "mirror":
+            coords[:, 0] = -coords[:, 0]
+        elif perturbation == "collapse":
+            i, j = edges[rng.integers(len(edges))]
+            coords[i] = coords[j]
+        expected = reference_valid(g, emb, coords)
+        assert (validate_drawing(g, emb, coords) == []) == expected
+        if perturbation == "valid":
+            assert expected
+
+
+_ORACLE_FAMILIES = {
+    "frame1": lambda: build_frame(1),
+    "frame2": lambda: build_frame(2),
+    "frame3": lambda: build_frame(3),
+    "frame5": lambda: build_frame(5),
+    "g12": lambda: build_G(1, 2),
+    "h12": lambda: build_H(1, 2),
+    "htilde12": lambda: build_Htilde(1, 2),
+    "htilde22": lambda: build_Htilde(2, 2),
+}
+
+
+class TestOrientationSigns:
+    def test_near_collinear_triples_match_exact_arithmetic(self):
+        # a sits within a few ulps of the line through b and c; the naive
+        # float determinant reads many of these as collinear and flips some
+        ulp = math.ulp(0.5)
+        pts = []
+        for i in range(64):
+            for j in range(64):
+                pts += [(0.5 + i * ulp, 0.5 + j * ulp), (12.0, 12.0), (24.0, 24.0)]
+        coords = np.array(pts)
+        # (b, c, a): the float determinant is then taken relative to a, the
+        # same rounding as the naive one below
+        tri = np.arange(len(pts)).reshape(-1, 3)[:, [1, 2, 0]]
+        exact, naive = [], []
+        for a, b, c in coords.reshape(-1, 3, 2):
+            (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
+            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            exact.append((det > 0) - (det < 0))
+            fdet = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            naive.append(int(np.sign(fdet)))
+        assert any(n * e < 0 for n, e in zip(naive, exact))
+        assert orientation_signs(coords, tri).tolist() == exact
 
 
 class TestAngularResolution:
@@ -149,6 +229,6 @@ class TestSerialization:
         assert np.array_equal(back, coords)
 
     def test_signed_area_orientation(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert signed_area((0, 1, 2), coords) > 0
-        assert signed_area((0, 2, 1), coords) < 0
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        tri = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 3]])
+        assert orientation_signs(coords, tri).tolist() == [1, -1, 0]
