@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -60,6 +61,11 @@ class LabeledGraph:
             adj[i].add(j)
             adj[j].add(i)
         return adj
+
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int64 array of the edges, in the order the set yields them."""
+        ends = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(ends, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.n
@@ -366,17 +372,27 @@ def text_records(text: str, arity: dict[str, int]) -> Iterator[tuple[int, str, l
         yield lineno, tag, fields
 
 
+def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
+    """``kind`` applied to each field of the record on line ``lineno``; a
+    field that does not parse raises a StructureError naming the line."""
+    try:
+        return [kind(f) for f in fields]
+    except ValueError as exc:
+        raise StructureError(f"line {lineno}: {exc}") from None
+
+
 def read_graph(text: str) -> LabeledGraph:
     graph: LabeledGraph | None = None
     for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
         if tag == "graph":
-            graph = LabeledGraph(int(fields[0]))
+            graph = LabeledGraph(*parse_numbers(lineno, fields[:1], int))
         elif graph is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":
-            graph.add_edge(int(fields[0]), int(fields[1]))
+            graph.add_edge(*parse_numbers(lineno, fields[:2], int))
         else:
-            graph.labels[int(fields[0])] = fields[1]
+            (v,) = parse_numbers(lineno, fields[:1], int)
+            graph.labels[v] = fields[1]
     if graph is None:
         raise StructureError("missing 'graph <V>' header")
     graph.validate()
@@ -394,11 +410,12 @@ def write_embedding(emb: Embedding) -> str:
 def read_embedding(text: str) -> Embedding:
     rot: dict[int, list[int]] = {}
     outer: tuple[int, ...] | None = None
-    for _, tag, fields in text_records(text, {"rot": 1, "outer": 3}):
+    for lineno, tag, fields in text_records(text, {"rot": 1, "outer": 3}):
+        vertices = parse_numbers(lineno, fields, int)
         if tag == "rot":
-            rot[int(fields[0])] = [int(x) for x in fields[1:]]
+            rot[vertices[0]] = vertices[1:]
         else:
-            outer = tuple(int(x) for x in fields)
+            outer = tuple(vertices)
     if outer is None:
         raise StructureError("missing 'outer' line")
     n = max(rot) + 1 if rot else 0

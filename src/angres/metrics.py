@@ -14,7 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from .families import FrameRoles
-from .graphs import Embedding, LabeledGraph, StructureError, internal_triangles, text_records
+from .graphs import (
+    Embedding,
+    LabeledGraph,
+    StructureError,
+    internal_triangles,
+    parse_numbers,
+    text_records,
+)
 
 TOL = 1e-9
 
@@ -72,18 +79,23 @@ def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) ->
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (graph.n, 2):
         raise StructureError(f"drawing covers {coords.shape}, expected ({graph.n}, 2)")
+    return _drawing_violations(coords, emb.outer_face, internal_triangles(graph, emb))
+
+
+def _drawing_violations(coords: np.ndarray, outer_face, tri: np.ndarray) -> list[Violation]:
+    """``validate_drawing`` for an (n, 2) float drawing whose embedding has
+    outer face ``outer_face`` and internal triangles ``tri``."""
     if not np.all(np.isfinite(coords)):
         return [Violation("coincident", "non-finite coordinates")]
     out: list[Violation] = []
     uniq = {(float(x), float(y)) for x, y in coords}
-    if len(uniq) != graph.n:
+    if len(uniq) != coords.shape[0]:
         out.append(Violation("coincident", "two vertices share coordinates"))
 
-    tri = internal_triangles(graph, emb)
-    outer = np.asarray([emb.outer_face], dtype=np.int64)
+    outer = np.asarray([outer_face], dtype=np.int64)
     signs = orientation_signs(coords, np.concatenate([outer, tri]))
     if signs[0] >= 0:
-        out.append(Violation("flipped-face", f"outer face {tuple(emb.outer_face)} not clockwise"))
+        out.append(Violation("flipped-face", f"outer face {tuple(outer_face)} not clockwise"))
     for k in np.flatnonzero(signs[1:] <= 0):
         face = tuple(int(v) for v in tri[k])
         out.append(Violation("flipped-face", f"internal face {face} not counterclockwise"))
@@ -102,42 +114,51 @@ class AngleReport:
 
 
 def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
-    """Smallest angle between two edges meeting at a vertex, over the drawing."""
+    """Smallest angle between two edges meeting at a vertex, over the drawing.
+
+    Each vertex's edges are ordered clockwise by angle (ties by neighbor);
+    the gaps run between consecutive edges, the last one wrapping around by
+    2 pi.  The witness is the last gap, in vertex then clockwise order, that
+    is smaller than every earlier gap by more than TOL, so a later gap within
+    TOL of the minimum does not take the witness over.
+    """
     coords = np.asarray(coords, dtype=float)
-    adj = graph.adjacency()
-    gaps: list[list[float]] = []
-    order: list[list[int]] = []
-    best = math.inf
+    n, m = graph.n, len(graph.edges)
+    ends = graph.edge_array()
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    deg = np.bincount(src, minlength=n)
+    vec = coords[dst] - coords[src]
+    zero = (vec == 0).all(axis=1) & (deg[src] >= 2)
+    if zero.any():
+        raise StructureError(f"zero-length edge at vertex {int(src[zero].min())}")
+    ang = np.arctan2(vec[:, 1], vec[:, 0])
+    perm = np.lexsort((dst, -ang, src))
+    src, dst, ang = src[perm], dst[perm], ang[perm]
+    start = np.concatenate([[0], np.cumsum(deg)])
+    # clockwise successor of each edge: the next one, or the vertex's first
+    last = start[1:][deg > 0] - 1
+    nxt = np.arange(1, 2 * m + 1)
+    nxt[last] = start[:-1][deg > 0]
+    diff = ang - ang[nxt]
+    diff[last] += 2.0 * math.pi
+    counted = np.repeat(deg >= 2, deg)
+    vals = diff[counted]
+    # running minimum before each gap; nan gaps never count, as in a < test
+    run = np.fmin.accumulate(np.concatenate([[math.inf], vals]))
+    record = np.flatnonzero(vals < run[:-1] - TOL)
     witness = (-1, (-1, -1))
-    for v in range(graph.n):
-        nbrs = sorted(adj[v])
-        if len(nbrs) < 2:
-            gaps.append([])
-            order.append(list(nbrs))
-            continue
-        vec = coords[nbrs] - coords[v]
-        if np.any((vec == 0).all(axis=1)):
-            raise StructureError(f"zero-length edge at vertex {v}")
-        ang = np.arctan2(vec[:, 1], vec[:, 0])
-        idx = sorted(range(len(nbrs)), key=lambda k: (-ang[k], nbrs[k]))
-        cw = [nbrs[k] for k in idx]
-        a = [ang[k] for k in idx]
-        g = []
-        for i in range(len(cw)):
-            j = (i + 1) % len(cw)
-            diff = a[i] - a[j] if j > 0 else a[i] - a[j] + 2.0 * math.pi
-            g.append(diff)
-        gaps.append(g)
-        order.append(cw)
-        for i, val in enumerate(g):
-            pair = (cw[i], cw[(i + 1) % len(cw)])
-            pair = (min(pair), max(pair))
-            if val < best - TOL:
-                best = val
-                witness = (v, pair)
-            elif val <= best + TOL:
-                best = min(best, val)
-    return AngleReport(gaps, order, best, witness)
+    if record.size:
+        k = np.flatnonzero(counted)[record[-1]]
+        pair = (int(dst[k]), int(dst[nxt[k]]))
+        witness = (int(src[k]), (min(pair), max(pair)))
+
+    flat_order = dst.tolist()
+    flat_gaps = diff.tolist()
+    bounds = start.tolist()
+    order = [flat_order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    gaps = [flat_gaps[a:b] if b - a >= 2 else [] for a, b in zip(bounds[:-1], bounds[1:])]
+    return AngleReport(gaps, order, run[-1], witness)
 
 
 @dataclass
@@ -257,8 +278,9 @@ def write_drawing(coords: np.ndarray) -> str:
 
 def read_drawing(text: str) -> np.ndarray:
     pts: dict[int, tuple[float, float]] = {}
-    for _, _, fields in text_records(text, {"p": 3}):
-        pts[int(fields[0])] = (float(fields[1]), float(fields[2]))
+    for lineno, _, fields in text_records(text, {"p": 3}):
+        (v,) = parse_numbers(lineno, fields[:1], int)
+        pts[v] = tuple(parse_numbers(lineno, fields[1:3], float))
     n = max(pts) + 1 if pts else 0
     if sorted(pts) != list(range(n)):
         raise StructureError("drawing lines do not cover a dense vertex range")

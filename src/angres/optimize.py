@@ -1,11 +1,19 @@
 """Search for maximum-angular-resolution drawings of a fixed embedding.
 
-The optimizer maximizes a smooth soft-min of the signed corner angles of all
-internal faces (log-sum-exp with sharpness increased on a schedule), plus an
-orientation penalty driving every internal face to positive signed area.  For
-a maximal planar graph with the outer face pinned, all faces positively
-oriented implies the drawing realizes the embedding, so every candidate is
-accepted only after ``validate_drawing`` proves those orientation signs.
+``maximize_resolution`` compiles its (graph, embedding) pair once: the traced
+internal faces, one flat corner index over them and the free (non-outer)
+vertices.  Every restart reuses that compiled instance.
+
+Each restart minimizes minus a soft-min of the signed corner angles of all
+internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
+capped at stage 12, over the smallest corner angle) plus an orientation
+penalty ``weight * sum(min(area, 0)**2)`` whose weight grows every stage.
+The gradient is one ``np.bincount`` scatter per coordinate over the corner
+index.  The outer triangle stays pinned.  For a triangulation whose outer
+triangle is clockwise, internal faces that are all counterclockwise prove
+that the drawing realizes the embedding, so a start or a result counts only
+after ``validate_drawing``'s exact orientation check passes on the compiled
+faces.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -20,12 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .families import FamilySpec, build_family
 from .graphs import BuildSequence, Embedding, LabeledGraph, internal_triangles, verify_planar_3tree
 from .layout import layout_nested, layout_seed_any, outer_triangle_coords
-from .metrics import angular_resolution, validate_drawing
+from .metrics import _drawing_violations, angular_resolution
 
 
 class OptimizeFailure(RuntimeError):
@@ -81,79 +88,129 @@ class OptimizeResult:
     seed: int
 
 
-def _internal_corner_index(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
-    """(F*3, 3) array of (a, b, c) per corner: angle measured at b between
-    rays b->a and b->c, over all internal (counterclockwise) face corners."""
-    tri = internal_triangles(graph, emb)
-    # corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1])
-    return tri[:, [[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
+class _Instance:
+    """One (graph, embedding) pair compiled for the restart loop.
+
+    ``corners`` is the flat corner index of length 12F over the F internal
+    faces.  Its first three 3F-slices are the a, b and c columns of the
+    internal corners (a, b, c), whose angle is measured at b from ray b->a to
+    ray b->c; corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1]).  The
+    last three F-slices are the columns of each face's corner 0, the
+    orientation penalty's vertices.  The whole array is the gradient's
+    scatter index, and ``weights`` the buffer its values are written to.
+    """
+
+    def __init__(self, graph: LabeledGraph, emb: Embedding):
+        self.n = graph.n
+        self.outer_face = emb.outer_face
+        self.tri = internal_triangles(graph, emb)
+        idx = self.tri[:, [[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
+        self.corners = np.concatenate([idx.T.ravel(), idx[::3].T.ravel()])
+        self.weights = np.empty(self.corners.size)
+        outer_set = set(emb.outer_face)
+        self.free = np.array([v for v in range(graph.n) if v not in outer_set], dtype=np.int64)
+        self.edges = graph.edge_array()
 
 
-def _corner_angles(P: np.ndarray, idx: np.ndarray):
-    """Signed corner angles and the intermediates needed for the gradient."""
-    A, B, C = P[idx[:, 0]], P[idx[:, 1]], P[idx[:, 2]]
-    e1 = A - B
-    e2 = C - B
-    g = e2[:, 0] * e1[:, 1] - e2[:, 1] * e1[:, 0]
-    h = e1[:, 0] * e2[:, 0] + e1[:, 1] * e2[:, 1]
-    theta = np.arctan2(g, h)
-    return theta, e1, e2, g, h
+def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
+    """Signed angle of every internal corner in the flat index ``corners``,
+    from the x and y coordinate arrays, with the intermediates of its
+    gradient: (theta, e1x, e1y, e2x, e2y, g, h), e1 = a - b, e2 = c - b."""
+    ia, ib, ic = corners[: 3 * (corners.size // 4)].reshape(3, -1)
+    bx, by = px[ib], py[ib]
+    e1x, e1y = px[ia] - bx, py[ia] - by
+    e2x, e2y = px[ic] - bx, py[ic] - by
+    g = e2x * e1y - e2y * e1x
+    h = e1x * e2x + e1y * e2y
+    return np.arctan2(g, h), e1x, e1y, e2x, e2y, g, h
 
 
-def _objective(x, n, free, idx, fidx, sharp, weight, pinned, origin=None, scale=None):
+def _logsumexp(a: np.ndarray):
+    """``scipy.special.logsumexp(a)`` of a non-empty 1-D float array, bit for
+    bit: scipy 1.17.1's algorithm without its array-API dispatch.  The tied
+    maxima are taken out of the sum, and a non-finite result falls back to
+    ``log(sum(exp(a)))``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        tied = a == a_max
+        m = float(np.count_nonzero(tied))
+        shifted = a - a_max
+        shifted[tied] = -np.inf - a_max  # scipy sets the ties to -inf, then shifts
+        s = np.exp(shifted).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
+def _objective(x, inst, pinned, sharp, weight, origin=None, scale=None):
     """Negative soft-min of corner angles plus orientation penalty; returns
     (value, gradient over free coordinates).
 
-    With ``origin``/``scale`` the variables are per-vertex rescaled offsets
-    (x_v = origin_v + scale_v * y_v), a diagonal preconditioner that evens
-    out the wildly different local scales of nested-replay drawings."""
+    ``pinned`` holds the (2, n) x and y rows of the drawing, whose free
+    vertices ``x`` replaces.  With ``origin``/``scale`` the variables are
+    per-vertex rescaled offsets (x_v = origin_v + scale_v * y_v, origin in
+    (2, free) rows), a diagonal preconditioner that evens out the wildly
+    different local scales of nested-replay drawings.  The gradient is one
+    ``np.bincount`` per coordinate over ``inst.corners``, which adds each
+    vertex's terms in index order."""
+    free, corners = inst.free, inst.corners
     P = pinned.copy()
     if origin is None:
-        P[free] = x.reshape(-1, 2)
+        P[0, free] = x[0::2]
+        P[1, free] = x[1::2]
     else:
-        P[free] = origin + scale[:, None] * x.reshape(-1, 2)
-    theta, e1, e2, g, h = _corner_angles(P, idx)
+        P[0, free] = origin[0] + scale * x[0::2]
+        P[1, free] = origin[1] + scale * x[1::2]
+    px, py = P
+    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners)
 
     z = -sharp * theta
-    lse = logsumexp(z)
-    softmin = -lse / sharp
+    lse = _logsumexp(z)
+    value = lse / sharp  # minus the soft-min -lse / sharp
     wgt = np.exp(z - lse)  # softmax weights, sum to 1
 
     # d(softmin)/d(theta_i) = wgt_i; objective is -softmin
     denom = np.maximum(g * g + h * h, 1e-300)  # coincident points give 0/0
     coef = wgt / denom
-    dA = np.stack([(-e2[:, 1]) * h - g * e2[:, 0], e2[:, 0] * h - g * e2[:, 1]], axis=1)
-    dC = np.stack([e1[:, 1] * h - g * e1[:, 0], (-e1[:, 0]) * h - g * e1[:, 1]], axis=1)
-    dA *= coef[:, None]
-    dC *= coef[:, None]
-    dB = -(dA + dC)
-
-    grad = np.zeros_like(P)
-    np.add.at(grad, idx[:, 0], -dA)
-    np.add.at(grad, idx[:, 1], -dB)
-    np.add.at(grad, idx[:, 2], -dC)
-    value = -softmin
 
     # orientation penalty: sum of relu(-area)^2 over internal faces
-    Fa, Fb, Fc = P[fidx[:, 0]], P[fidx[:, 1]], P[fidx[:, 2]]
-    area = 0.5 * (
-        (Fb[:, 0] - Fa[:, 0]) * (Fc[:, 1] - Fa[:, 1])
-        - (Fb[:, 1] - Fa[:, 1]) * (Fc[:, 0] - Fa[:, 0])
-    )
+    k = corners.size // 4
+    fa, fb, fc = corners[3 * k :].reshape(3, -1)
+    fax, fay, fbx, fby, fcx, fcy = px[fa], py[fa], px[fb], py[fb], px[fc], py[fc]
+    area = 0.5 * ((fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax))
     neg = np.minimum(area, 0.0)
     value += weight * float(np.sum(neg * neg))
     pc = (2.0 * weight) * neg
-    ga = np.stack([Fb[:, 1] - Fc[:, 1], Fc[:, 0] - Fb[:, 0]], axis=1) * 0.5
-    gb = np.stack([Fc[:, 1] - Fa[:, 1], Fa[:, 0] - Fc[:, 0]], axis=1) * 0.5
-    gc = np.stack([Fa[:, 1] - Fb[:, 1], Fb[:, 0] - Fa[:, 0]], axis=1) * 0.5
-    np.add.at(grad, fidx[:, 0], pc[:, None] * ga)
-    np.add.at(grad, fidx[:, 1], pc[:, None] * gb)
-    np.add.at(grad, fidx[:, 2], pc[:, None] * gc)
 
-    g_free = grad[free]
+    # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
+    # and -dC for the corners, then the penalty terms of the three face columns
+    w = inst.weights
+    wa, wb, wc = w[: 3 * k].reshape(3, -1)
+    wf = w[3 * k :].reshape(3, -1)
+    grad = []
+    for dA, dC, face_terms in (
+        ((-e2y) * h - g * e2x, e1y * h - g * e1x, (fby - fcy, fcy - fay, fay - fby)),
+        (e2x * h - g * e2y, (-e1x) * h - g * e1y, (fcx - fbx, fax - fcx, fbx - fax)),
+    ):
+        dA *= coef
+        dC *= coef
+        np.negative(dA, out=wa)
+        np.add(dA, dC, out=wb)
+        np.negative(dC, out=wc)
+        for term, out in zip(face_terms, wf):
+            term *= 0.5
+            np.multiply(pc, term, out=out)
+        grad.append(np.bincount(corners, weights=w, minlength=inst.n)[free])
+
+    out = np.empty(2 * free.size)
+    out[0::2], out[1::2] = grad
     if origin is not None:
-        g_free = scale[:, None] * g_free
-    return value, g_free.ravel()
+        out[0::2] *= scale
+        out[1::2] *= scale
+    return value, out
 
 
 def objective_and_gradient(
@@ -168,36 +225,34 @@ def objective_and_gradient(
     Exposed for finite-difference cross-checks; the gradient covers the free
     (non outer-face) vertices, flattened as (x0, y0, x1, y1, ...).
     """
-    idx = _internal_corner_index(graph, emb)
-    fidx = idx[::3]
-    free = np.array([v for v in range(graph.n) if v not in set(emb.outer_face)], dtype=np.int64)
-    x = coords[free].ravel()
-    return _objective(x, graph.n, free, idx, fidx, sharpness, penalty_weight, coords)
+    inst = _Instance(graph, emb)
+    coords = np.asarray(coords, dtype=float)
+    x = coords[inst.free].ravel()
+    return _objective(x, inst, np.array(coords.T), sharpness, penalty_weight)
 
 
-def _min_corner_angle(P, idx) -> float:
-    theta = _corner_angles(P, idx)[0]
+def _min_corner_angle(P, corners) -> float:
+    theta = _corner_angles(P[0], P[1], corners)[0]
     return float(theta.min())
 
 
-def _run_restart(start, graph, free, idx, fidx, pinned, config) -> tuple[np.ndarray, float, int]:
+def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
     """Sharpness/penalty continuation from one starting drawing.
 
     Variables are per-vertex rescaled offsets from the start (scale = the
     shortest incident edge in the starting drawing); stages keep running,
     doubling sharpness and growing the penalty, until the iteration budget
     is spent or the objective stops improving."""
-    near = np.full(graph.n, np.inf)
-    for i, j in graph.edges:
-        dist = float(np.hypot(*(start[i] - start[j])))
-        if dist < near[i]:
-            near[i] = dist
-        if dist < near[j]:
-            near[j] = dist
-    origin = start[free].copy()
+    free = inst.free
+    i, j = inst.edges.T
+    dist = np.hypot(start[i, 0] - start[j, 0], start[i, 1] - start[j, 1])
+    near = np.full(inst.n, np.inf)
+    np.minimum.at(near, i, dist)
+    np.minimum.at(near, j, dist)
+    origin = np.array(start[free].T)
     scale = np.maximum(near[free], 1e-300)
     P = pinned.copy()
-    P[free] = origin
+    P[:, free] = origin
     y = np.zeros(2 * free.size)
     iters_left = config.max_iters
     total_iters = 0
@@ -206,13 +261,13 @@ def _run_restart(start, graph, free, idx, fidx, pinned, config) -> tuple[np.ndar
     stage = 0
     stalled = 0
     while iters_left > 0 and stalled < 2:
-        span = max(abs(_min_corner_angle(P, idx)), 1e-8)
+        span = max(abs(_min_corner_angle(P, inst.corners)), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(config.stages - stage, 2), 50)
         res = minimize(
             _objective,
             y,
-            args=(pinned.shape[0], free, idx, fidx, sharp, weight, pinned, origin, scale),
+            args=(inst, pinned, sharp, weight, origin, scale),
             method="L-BFGS-B",
             jac=True,
             options={"maxiter": min(budget, iters_left), "ftol": config.tol, "gtol": 1e-14},
@@ -222,13 +277,12 @@ def _run_restart(start, graph, free, idx, fidx, pinned, config) -> tuple[np.ndar
         value = float(res.fun)
         total_iters += res.nit
         iters_left -= max(res.nit, 1)
-        P[free] = origin + scale[:, None] * y.reshape(-1, 2)
+        P[0, free] = origin[0] + scale * y[0::2]
+        P[1, free] = origin[1] + scale * y[1::2]
         weight *= config.penalty_growth
         stage += 1
         stalled = 0 if improved else stalled + 1
-    out = pinned.copy()
-    out[free] = origin + scale[:, None] * y.reshape(-1, 2)
-    return out, value, total_iters
+    return np.array(P.T), value, total_iters
 
 
 def maximize_resolution(
@@ -240,12 +294,12 @@ def maximize_resolution(
     """Best drawing over seeded restarts; deterministic given (graph, config).
 
     Restart 0 starts from the plain centroid-replay seed; any configured
-    extra seeds follow; remaining restarts add seeded jitter to the centroid
-    seed.  Restarts whose starting drawing is degenerate or invalid are
-    recorded as failed without running; a restart that does run never
-    reports worse than its starting drawing.  Only restarts whose reported
-    drawing passes validate_drawing count; ties go to the lowest restart
-    index.
+    extra seeds follow; remaining restarts replay the build sequence with
+    seeded random barycentric weights.  Restarts whose starting drawing is
+    degenerate or invalid are recorded as failed without running; a restart
+    that does run never reports worse than its starting drawing.  Only
+    restarts whose reported drawing passes validate_drawing count; ties go
+    to the lowest restart index.
     """
     config = config or OptimizeConfig()
     config.validate()
@@ -257,11 +311,8 @@ def maximize_resolution(
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
     base = layout_seed_any(graph, emb, seq, outer)
-    idx = _internal_corner_index(graph, emb)
-    fidx = idx[::3]
-    outer_set = set(emb.outer_face)
-    free = np.array([v for v in range(graph.n) if v not in outer_set], dtype=np.int64)
-    pinned = base.copy()
+    inst = _Instance(graph, emb)
+    pinned = np.array(base.T)
 
     traces: list[RestartTrace] = []
     best = None
@@ -278,16 +329,16 @@ def maximize_resolution(
             # drawing of the embedding, diverse across restarts
             rng = np.random.default_rng([config.seed, r])
             start = layout_seed_any(graph, emb, seq, outer, rng=rng)
-        if validate_drawing(graph, emb, start):
+        if _drawing_violations(start, inst.outer_face, inst.tri):
             # invalid start (deep replays collapse below double precision);
             # nothing worth optimizing from
             traces.append(RestartTrace(r, math.inf, 0, False, math.nan))
             continue
-        if free.size:
-            drawing, value, iters = _run_restart(start, graph, free, idx, fidx, pinned, config)
+        if inst.free.size:
+            drawing, value, iters = _run_restart(start, inst, pinned, config)
         else:
-            drawing, value, iters = pinned.copy(), 0.0, 0  # only the pinned triangle
-        valid = not validate_drawing(graph, emb, drawing)
+            drawing, value, iters = base.copy(), 0.0, 0  # only the pinned triangle
+        valid = not _drawing_violations(drawing, inst.outer_face, inst.tri)
         resolution = float(angular_resolution(graph, drawing).resolution) if valid else math.nan
         # a restart never reports worse than its (valid) starting drawing
         start_res = float(angular_resolution(graph, start).resolution)

@@ -102,6 +102,9 @@ class TestLayoutMeasure:
             ("graph 3\nl 0\n", None, None),
             (None, "p 1\n", None),
             (None, None, "rot\n"),
+            ("graph 3\ne 0 x\n", None, None),
+            (None, "p 1 1 z\n", None),
+            (None, None, "rot 0 1 q\n"),
         ],
     )
     def test_malformed_record_one_line_error(self, tmp_path, capsys, graph_text, drawing_text,

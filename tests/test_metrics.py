@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
-from angres.layout import LayoutConfig, layout_frame_fan, layout_nested
+from angres.graphs import verify_planar_3tree
+from angres.layout import LayoutConfig, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
     angular_resolution,
     claim_quantities,
@@ -19,6 +20,7 @@ from angres.metrics import (
     validate_drawing,
     write_drawing,
 )
+from resolution_oracle import angular_resolution as reference_resolution
 from segment_oracle import reference_valid
 
 TOL = 1e-9
@@ -123,6 +125,12 @@ _ORACLE_FAMILIES = {
     "htilde12": lambda: build_Htilde(1, 2),
     "htilde22": lambda: build_Htilde(2, 2),
 }
+_RESOLUTION_FAMILIES = {
+    **_ORACLE_FAMILIES,
+    "htilde18": lambda: build_Htilde(1, 8),
+    "htilde24": lambda: build_Htilde(2, 4),
+    "htilde32": lambda: build_Htilde(3, 2),
+}
 
 
 class TestOrientationSigns:
@@ -175,6 +183,42 @@ class TestAngularResolution:
         coords[1] = coords[0]
         with pytest.raises(StructureError):
             angular_resolution(g, coords)
+
+    @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
+    @pytest.mark.parametrize("drawing", ["nested", "centroid", "jitter"])
+    def test_matches_loop_oracle(self, name, drawing):
+        fam = _RESOLUTION_FAMILIES[name]()
+        g, emb = fam.graph, fam.embedding
+        if drawing == "centroid":
+            coords = layout_seed_any(g, emb, verify_planar_3tree(g, keep=emb.outer_face))
+        else:
+            coords = layout_nested(fam)
+        if drawing == "jitter":
+            rng = np.random.default_rng(len(name))
+            coords = coords + rng.normal(0.0, 1e-3, coords.shape)
+        assert angular_resolution(g, coords) == reference_resolution(g, coords)
+
+    @given(
+        st.integers(1, 7),
+        st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=21),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=7, max_size=7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracle_on_grid_graphs(self, n, pairs, points):
+        # grid points give collinear edges (equal angles, zero gaps), ties
+        # within TOL and zero-length edges; small n gives isolated vertices
+        g = LabeledGraph(n)
+        for i, j in pairs:
+            if i != j and max(i, j) < n:
+                g.add_edge(i, j)
+        coords = np.array(points[:n], dtype=float) * 0.1
+        try:
+            want = reference_resolution(g, coords)
+        except StructureError as exc:
+            with pytest.raises(StructureError, match=str(exc)):
+                angular_resolution(g, coords)
+        else:
+            assert angular_resolution(g, coords) == want
 
 
 class TestFrameProfile:

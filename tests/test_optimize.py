@@ -1,11 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from angres.families import FamilySpec, build_frame, build_Htilde
+import objective_oracle
+from angres.families import FamilySpec, build_frame, build_G, build_Htilde
 from angres.graphs import Embedding, LabeledGraph
-from angres.layout import layout_frame_fan
+from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import angular_resolution, validate_drawing
 from angres.optimize import (
     CSV_COLUMNS,
@@ -19,6 +22,7 @@ from angres.optimize import (
     sweep,
     write_sweep_csv,
 )
+from angres.optimize import _Instance, _logsumexp, _objective
 
 FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
@@ -66,6 +70,94 @@ class TestGradient:
                 num = (vp - vm) / (2 * h)
                 assert grad[k] == pytest.approx(num, rel=1e-5, abs=1e-9)
                 k += 1
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(name: str):
+    fam = {
+        "frame4": lambda: build_frame(4),
+        "g12": lambda: build_G(1, 2),
+        "htilde12": lambda: build_Htilde(1, 2),
+        "htilde24": lambda: build_Htilde(2, 4),
+        "htilde216": lambda: build_Htilde(2, 16),
+    }[name]()
+    return fam.graph, fam.embedding, layout_nested(fam)
+
+
+class TestObjectiveOracle:
+    """The bincount objective against the six-``np.add.at`` reference in
+    ``tests/objective_oracle.py``: value and gradient equal bit for bit."""
+
+    @pytest.mark.parametrize("name", ["frame4", "g12", "htilde12", "htilde24", "htilde216"])
+    @pytest.mark.parametrize("sharp", [5.0, 1e3, 1e7])
+    @pytest.mark.parametrize("weight", [0.0, 10.0])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_bit_identical(self, name, sharp, weight, jitter):
+        g, emb, coords = _oracle_case(name)
+        rng = np.random.default_rng(len(name))
+        idx = objective_oracle.internal_corner_index(g, emb)
+        if jitter:
+            # moves of up to a third of the shortest incident edge flip some faces
+            length = np.hypot(*(coords[idx[:, 0]] - coords[idx[:, 1]]).T)
+            near = np.full(g.n, np.inf)
+            np.minimum.at(near, idx[:, 1], length)
+            coords = coords + rng.normal(0.0, jitter, coords.shape) * near[:, None]
+        inst = _Instance(g, emb)
+        free = inst.free
+        a, b, c = (coords[idx[::3, i]] for i in range(3))
+        area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        assert (area < 0).any() == bool(jitter)  # penalty active exactly when jittered
+
+        want = objective_oracle.objective(
+            coords[free].ravel(), g.n, free, idx, idx[::3], sharp, weight, coords
+        )
+        got = objective_and_gradient(g, emb, coords, sharp, weight)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+        # the rescaled variables the restarts optimize over
+        origin = coords[free]
+        scale = rng.uniform(0.5, 2.0, free.size) * 1e-3
+        y = rng.normal(0.0, 1.0, 2 * free.size)
+        want = objective_oracle.objective(
+            y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
+        )
+        got = _objective(y, inst, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.0],
+            [1.0, 1.0, 0.0],
+            [5.0, 5.0, 5.0],
+            [-3.0, 2.5, 2.5, -1.0, 2.5],
+            [1e308, 1e308, -1e308],
+            [-np.inf, 0.0, -np.inf],
+            # non-finite results take the log(sum(exp(a))) fallback
+            [np.inf, 1.0],
+            [np.inf, np.inf, 0.0],
+            [-np.inf, -np.inf],
+            [np.nan, 1.0],
+            [1.0, -np.inf, np.nan],
+        ],
+    )
+    def test_logsumexp_matches_scipy(self, a):
+        a = np.array(a)
+        with np.errstate(over="ignore"):  # scipy's a - max(a) overflows on [1e308, -1e308]
+            want = logsumexp(a)
+        assert _bits(_logsumexp(a)) == _bits(want)
+
+    def test_logsumexp_matches_scipy_on_random_inputs(self):
+        rng = np.random.default_rng(0)
+        for size in [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 4099]:
+            for spread in [1e-3, 1.0, 1e3, 1e7]:
+                a = rng.normal(0.0, spread, size)
+                a[rng.integers(size, size=size // 3)] = a.max()  # tied maxima
+                assert _bits(_logsumexp(a)) == _bits(logsumexp(a))
 
 
 class TestMaximize:
