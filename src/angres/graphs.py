@@ -9,6 +9,13 @@ Conventions used throughout the package:
   ``next(u -> v) = (v, successor of u in rotation[v])`` traces every bounded
   face as a counterclockwise vertex cycle and the outer face as a clockwise
   cycle.
+
+Faces are traced on half-edge arrays, not per-vertex dictionaries: the
+half-edges of vertex ``v`` are numbered consecutively in rotation order, and
+one NumPy kernel (``_half_edges``) checks the rotation against the edges and
+builds the face-successor permutation ``nxt``.  ``internal_triangles`` reads
+a triangulation's faces from ``nxt`` with array operations alone;
+``trace_faces`` walks ``nxt`` for faces of any length.
 """
 
 from __future__ import annotations
@@ -119,38 +126,75 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
+def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Half-edge arrays ``(src, nxt)`` of a rotation system.
+
+    Half-edge ``h = offset[v] + k`` runs from ``v`` to ``rotation[v][k]``;
+    ``src[h]`` is ``v`` and ``nxt[h]`` is the next half-edge of its face,
+    ``offset[dst] + (position of src in rotation[dst] + 1) % deg[dst]``.  The
+    twin positions come from one sorted lookup of ``src * n + dst`` keys.
+    Raises StructureError, naming the smallest such vertex, when some
+    vertex's rotation does not list its incident edges exactly once each.
+    """
+    n = graph.n
+    if len(rotation) != n:
+        raise StructureError(f"rotation covers {len(rotation)} vertices, graph has {graph.n}")
+    deg = np.fromiter(map(len, rotation), dtype=np.int64, count=n)
+    offset = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=offset[1:])
+    total = int(offset[-1])
+    try:
+        dst = np.fromiter(itertools.chain.from_iterable(rotation), dtype=np.int64, count=total)
+    except OverflowError:
+        flat = itertools.chain.from_iterable(rotation)
+        dst = np.fromiter((u if 0 <= u < n else -1 for u in flat), dtype=np.int64, count=total)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+
+    ends = graph.edge_array()
+    bad = deg != np.bincount(ends.ravel(), minlength=n)
+    # range-check before forming keys: an entry outside 0..n-1 could
+    # otherwise alias the key of a real edge
+    in_range = (dst >= 0) & (dst < n)
+    bad[src[~in_range]] = True
+    keys = np.where(in_range, src * n + dst, -1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeated = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    bad[src[repeated]] = True
+    edge_keys = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    if edge_keys.size:  # without edges, any rotation entry fails the degree test
+        at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+        bad[src[edge_keys[at] != keys]] = True
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise StructureError(f"rotation at vertex {v} does not match its incident edges")
+
+    twin = order[np.searchsorted(sorted_keys, dst * n + src)]
+    start = offset[dst]
+    return src, start + (twin - start + 1) % deg[dst]
+
+
 def trace_faces(graph: LabeledGraph, rotation: list[list[int]]) -> list[tuple[int, ...]]:
-    """Trace all faces of a rotation system.
+    """Trace all faces of a rotation system, each as its canonical vertex
+    cycle, in the order of each face's smallest half-edge.
 
     Every directed edge lies on exactly one returned face.  Raises
     StructureError when some vertex's rotation does not match its incident
     edges.
     """
-    adj = graph.adjacency()
-    if len(rotation) != graph.n:
-        raise StructureError(f"rotation covers {len(rotation)} vertices, graph has {graph.n}")
-    pos: list[dict[int, int]] = []
-    for v in range(graph.n):
-        rot = rotation[v]
-        if sorted(rot) != sorted(adj[v]):
-            raise StructureError(f"rotation at vertex {v} does not match its incident edges")
-        pos.append({u: k for k, u in enumerate(rot)})
-
-    # used[u][k] marks the directed edge from u to rotation[u][k] as traced
-    used = [[False] * len(rot) for rot in rotation]
+    src, nxt = (a.tolist() for a in _half_edges(graph, rotation))
+    used = [False] * len(nxt)
     faces: list[tuple[int, ...]] = []
-    for start_v in range(graph.n):
-        for start_k in range(len(rotation[start_v])):
-            if used[start_v][start_k]:
-                continue
-            cycle: list[int] = []
-            u, k = start_v, start_k
-            while not used[u][k]:
-                used[u][k] = True
-                cycle.append(u)
-                v = rotation[u][k]
-                u, k = v, (pos[v][u] + 1) % len(rotation[v])
-            faces.append(canonical_cycle(tuple(cycle)))
+    for start in range(len(nxt)):
+        if used[start]:
+            continue
+        cycle: list[int] = []
+        h = start
+        while not used[h]:
+            used[h] = True
+            cycle.append(src[h])
+            h = nxt[h]
+        faces.append(canonical_cycle(tuple(cycle)))
     return faces
 
 
@@ -176,21 +220,38 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     """(F, 3) array of the bounded faces of a triangulated embedding, one
     counterclockwise (canonical) vertex cycle per row, in face-tracing order.
 
-    Raises StructureError unless every face is a triangle, Euler's formula
-    holds and the embedding's outer face is among the traced faces.
+    Works on the half-edge arrays of ``_half_edges`` without a walk: every
+    face is a triangle exactly when ``nxt`` applied three times is the
+    identity; each face is read at its smallest half-edge ``h`` as
+    ``src[h], src[nxt[h]], src[nxt[nxt[h]]]`` (so rows come in the order
+    ``trace_faces`` finds the faces) and rotated to start at its smallest
+    vertex.  Raises StructureError unless every face is a triangle, Euler's
+    formula holds and the embedding's outer face is among the traced faces.
     """
-    faces = trace_faces(graph, emb.rotation)
-    for f in faces:
-        if len(f) != 3:
-            raise StructureError(f"face {f} is not a triangle")
+    src, nxt = _half_edges(graph, emb.rotation)
+    nxt2 = nxt[nxt]
+    h = np.arange(nxt.size)
+    off = np.flatnonzero(nxt[nxt2] != h)
+    if off.size:
+        # the smallest half-edge off a triangle starts the first such face
+        first = int(off[0])
+        face = face_cycle_from(emb.rotation, int(src[first]), int(src[nxt[first]]))
+        raise StructureError(f"face {canonical_cycle(face)} is not a triangle")
+    lead = np.flatnonzero((h < nxt) & (h < nxt2))
+    verts = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
+    shift = np.argmin(verts, axis=1)[:, None] + np.arange(3)
+    faces = np.take_along_axis(verts, shift % 3, axis=1)
     if not euler_check(graph, faces):
         raise StructureError(
             f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
         )
     outer = canonical_cycle(tuple(emb.outer_face))
-    if outer not in faces:
+    hit = np.zeros(len(faces), dtype=bool)
+    if len(outer) == 3:
+        hit = (faces[:, 0] == outer[0]) & (faces[:, 1] == outer[1]) & (faces[:, 2] == outer[2])
+    if not hit.any():
         raise StructureError(f"outer face {outer} not found among traced faces")
-    return np.asarray([f for f in faces if f != outer], dtype=np.int64).reshape(-1, 3)
+    return faces[~hit]
 
 
 def insert_vertex_in_face(

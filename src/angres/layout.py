@@ -194,7 +194,16 @@ def layout_seed_any(
 
     With ``rng``, each inserted vertex instead gets random interior
     barycentric coordinates, giving a diverse family of valid drawings for
-    optimizer restarts."""
+    optimizer restarts.
+
+    One pass over the build sequence checks that every step targets a face
+    of the partial embedding and gives each inserted vertex its level, one
+    more than the deepest vertex of its triangle.  A level's vertices depend
+    only on lower levels, so each level is placed in one array operation:
+    the centroid as ``(p0 + p1 + p2) / 3.0`` (the operation order of
+    ``mean(axis=0)``), the random points as one batched product with rows of
+    one ``rng.dirichlet`` draw taken in step order.  The coordinates equal a
+    step-by-step replay bit for bit."""
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
     if set(seq.base) != set(emb.outer_face):
@@ -204,18 +213,32 @@ def layout_seed_any(
     place = {v: outer[i] for i, v in enumerate(emb.outer_face)}
     for v, p in place.items():
         coords[v] = p
+    level = dict.fromkeys(seq.base, 0)
+    levels = []
     faces: set[frozenset[int]] = {frozenset(seq.base)}
     for x, tri in seq.steps:
         fs = frozenset(tri)
         if fs not in faces:
             raise StructureError(f"replay: {tri} is not a bounded face when inserting {x}")
+        if x in level:
+            raise StructureError(f"replay: vertex {x} is already placed")
         faces.remove(fs)
-        if rng is None:
-            coords[x] = coords[list(tri)].mean(axis=0)
+        a, b, c = tri
+        level[x] = lx = 1 + max(level[a], level[b], level[c])
+        levels.append(lx)
+        faces.add(frozenset((a, b, x)))
+        faces.add(frozenset((b, c, x)))
+        faces.add(frozenset((a, c, x)))
+    xs = np.fromiter((x for x, _ in seq.steps), dtype=np.int64, count=len(seq.steps))
+    tris = np.array([tri for _, tri in seq.steps], dtype=np.int64).reshape(-1, 3)
+    # Dirichlet(3,3,3) keeps the point away from the face boundary
+    weights = None if rng is None else rng.dirichlet((3.0, 3.0, 3.0), size=len(seq.steps))
+    levels = np.asarray(levels, dtype=np.int64)
+    by_level = np.argsort(levels, kind="stable")
+    for idx in np.split(by_level, np.flatnonzero(np.diff(levels[by_level])) + 1):
+        p = coords[tris[idx]]
+        if weights is None:
+            coords[xs[idx]] = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
         else:
-            # Dirichlet(3,3,3) keeps the point away from the face boundary
-            w = rng.dirichlet((3.0, 3.0, 3.0))
-            coords[x] = w @ coords[list(tri)]
-        for pair in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            faces.add(frozenset((pair[0], pair[1], x)))
+            coords[xs[idx]] = (weights[idx][:, None, :] @ p)[:, 0]
     return coords

@@ -88,8 +88,9 @@ def _drawing_violations(coords: np.ndarray, outer_face, tri: np.ndarray) -> list
     if not np.all(np.isfinite(coords)):
         return [Violation("coincident", "non-finite coordinates")]
     out: list[Violation] = []
-    uniq = {(float(x), float(y)) for x, y in coords}
-    if len(uniq) != coords.shape[0]:
+    # equal points end up side by side; == keeps -0.0 and 0.0 together
+    ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         out.append(Violation("coincident", "two vertices share coordinates"))
 
     outer = np.asarray([outer_face], dtype=np.int64)

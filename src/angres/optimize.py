@@ -30,7 +30,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .families import FamilySpec, build_family
-from .graphs import BuildSequence, Embedding, LabeledGraph, internal_triangles, verify_planar_3tree
+from .graphs import (
+    BuildSequence,
+    Embedding,
+    LabeledGraph,
+    internal_triangles,
+    max_degree,
+    verify_planar_3tree,
+)
 from .layout import layout_nested, layout_seed_any, outer_triangle_coords
 from .metrics import _drawing_violations, angular_resolution
 
@@ -406,7 +413,6 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
             best = math.nan
             valid = 0
             result = None
-        deg = max(len(a) for a in g.adjacency()) if g.n else 0
         records.append(
             SweepRecord(
                 family=spec.family,
@@ -414,7 +420,7 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
                 d=spec.d,
                 vertices=g.n,
                 edges=len(g.edges),
-                max_degree=deg,
+                max_degree=max_degree(g),
                 best_resolution=best,
                 restarts=config.restarts,
                 valid_restarts=valid,

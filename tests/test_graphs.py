@@ -1,7 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     BuildSequence,
     Embedding,
@@ -23,6 +27,8 @@ from angres.graphs import (
     write_embedding,
     write_graph,
 )
+from face_oracle import internal_triangles as reference_triangles
+from face_oracle import trace_faces as reference_faces
 
 
 def k4():
@@ -44,8 +50,6 @@ def triangle():
 
 def random_3tree(seed, steps):
     """Grow a random planar 3-tree by repeated face insertion."""
-    import random
-
     rng = random.Random(seed)
     g, emb = triangle()
     faces = [(0, 2, 1)]  # bounded face of the bare triangle
@@ -113,6 +117,143 @@ class TestFaces:
         g, emb = k4()
         with pytest.raises(StructureError):
             internal_triangles(g, Embedding(emb.rotation, (0, 1, 2)))
+
+
+def shuffled_3tree(seed, steps):
+    """``random_3tree`` with its vertices renamed at random and each rotation
+    list and the outer face started at a random entry: the same embedding
+    with a new half-edge numbering."""
+    rng = random.Random(seed)
+    g, emb = random_3tree(seed, steps)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    shuffled = LabeledGraph(g.n, {edge(perm[i], perm[j]) for i, j in g.edges})
+    rotation = [[] for _ in range(g.n)]
+    for v, rot in enumerate(emb.rotation):
+        k = rng.randrange(len(rot))
+        rotation[perm[v]] = [perm[u] for u in rot[k:] + rot[:k]]
+    k = rng.randrange(3)
+    outer = tuple(perm[v] for v in emb.outer_face[k:] + emb.outer_face[:k])
+    return shuffled, Embedding(rotation, outer)
+
+
+def k7_on_the_torus():
+    """K7 with its triangular torus embedding: every face is a triangle but
+    V - E + F = 0."""
+    g = LabeledGraph(7, {edge(i, j) for i in range(7) for j in range(i + 1, 7)})
+    rotation = [[(v + k) % 7 for k in (1, 3, 2, 6, 4, 5)] for v in range(7)]
+    return g, Embedding(rotation, (0, 1, 3))
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns (an array as its dtype, shape and bytes), or the
+    message of the StructureError it raises."""
+    try:
+        out = fn(*args)
+    except StructureError as exc:
+        return "StructureError", str(exc)
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.shape, out.tobytes()
+    return out
+
+
+def assert_matches_loop(g, emb, rejected=False):
+    """``trace_faces`` and ``internal_triangles`` return or raise exactly what
+    the loops in face_oracle do; ``internal_triangles`` raises if and only if
+    ``rejected`` (None: either way)."""
+    assert outcome(trace_faces, g, emb.rotation) == outcome(reference_faces, g, emb.rotation)
+    got = outcome(internal_triangles, g, emb)
+    assert got == outcome(reference_triangles, g, emb)
+    if rejected is not None:
+        assert (got[0] == "StructureError") == rejected
+
+
+def with_rotation(emb, v, rot):
+    rotation = [list(r) for r in emb.rotation]
+    rotation[v] = rot
+    return Embedding(rotation, emb.outer_face)
+
+
+class TestFaceKernel:
+    """The half-edge kernel against the per-half-edge loop in face_oracle."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_random_3trees_match_the_loop(self, seed, steps):
+        assert_matches_loop(*shuffled_3tree(seed, steps))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_frame(1),
+            lambda: build_frame(7),
+            lambda: build_G(1, 3),
+            lambda: build_G(3, 2),
+            lambda: build_H(1, 2),
+            lambda: build_H(2, 3),
+            lambda: build_Htilde(1, 5),
+            lambda: build_Htilde(2, 4),
+            lambda: build_Htilde(3, 2),
+        ],
+    )
+    def test_families_match_the_loop(self, build):
+        fam = build()
+        assert_matches_loop(fam.graph, fam.embedding)
+
+    @pytest.mark.parametrize(
+        "v, rot",
+        [
+            (0, [2, 3, 6]),  # out of range: 0 * 4 + 6 is the key of 1 -> 2
+            (2, [1, 3, -1]),  # negative: 2 * 4 - 1 is the key of 1 -> 3
+            (1, [0, 3, 2**70]),  # beyond int64
+            (2, [1, 1, 0]),  # duplicated, 3 missing
+            (2, [1, 3, 0, 1]),  # duplicated on top of the full list
+            (0, [2, 1]),  # missing neighbour
+            (3, [0, 2, 1, 3]),  # a self-loop entry
+        ],
+    )
+    def test_bad_rotation_entries_match_the_loop(self, v, rot):
+        g, emb = k4()
+        assert_matches_loop(g, with_rotation(emb, v, rot), rejected=True)
+
+    def test_first_bad_vertex_is_named(self):
+        g, emb = k4()
+        emb = with_rotation(with_rotation(emb, 3, [0, 2]), 1, [0, 3, 7])
+        assert_matches_loop(g, emb, rejected=True)
+
+    def test_rotation_length_mismatch(self):
+        g, emb = k4()
+        assert_matches_loop(g, Embedding(emb.rotation[:3], emb.outer_face), rejected=True)
+
+    @given(st.integers(0, 10_000), st.integers(2, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_first_non_triangular_face_matches_the_loop(self, seed, steps):
+        # dropping edges of a triangulation merges faces into longer ones
+        g, emb = shuffled_3tree(seed, steps)
+        rng = random.Random(seed)
+        for i, j in rng.sample(sorted(g.edges), rng.randint(1, 3)):
+            g.edges.discard((i, j))
+            emb.rotation[i].remove(j)
+            emb.rotation[j].remove(i)
+        assert_matches_loop(g, emb, rejected=True)
+
+    @given(st.integers(0, 10_000), st.integers(2, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_scrambled_rotation_matches_the_loop(self, seed, steps):
+        # a shuffled rotation at one vertex mostly leaves a non-plane embedding
+        g, emb = shuffled_3tree(seed, steps)
+        rng = random.Random(seed)
+        v = rng.choice([u for u in range(g.n) if len(emb.rotation[u]) >= 4] or [0])
+        rng.shuffle(emb.rotation[v])
+        assert_matches_loop(g, emb, rejected=None)
+
+    def test_euler_failure_matches_the_loop(self):
+        assert_matches_loop(*k7_on_the_torus(), rejected=True)
+
+    @pytest.mark.parametrize("outer", [(0, 1, 2), (0, 2, 1, 3), (0, 2), (0, 2, 9), (0, 2, -1)])
+    def test_untraced_outer_face_matches_the_loop(self, outer):
+        g, emb = k4()
+        assert_matches_loop(g, Embedding(emb.rotation, outer), rejected=True)
 
 
 class TestInsertion:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres.families import ParameterError, build_G, build_frame, build_Htilde
-from angres.graphs import verify_planar_3tree
+from angres.families import ParameterError, build_G, build_H, build_frame, build_Htilde
+from angres.graphs import BuildSequence, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
@@ -17,6 +17,7 @@ from angres.layout import (
     outer_triangle_coords,
 )
 from angres.metrics import angular_resolution, validate_drawing
+from replay_oracle import layout_seed_any as reference_seed_any
 
 
 class TestConfig:
@@ -148,3 +149,73 @@ class TestSeedAny:
         coords = layout_seed_any(fam.graph, fam.embedding, outer_coords=outer)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
         np.testing.assert_allclose(coords[list(fam.embedding.outer_face)], outer)
+
+
+def replay_outcome(fn, fam, seq, rng_seed=None, outer=None):
+    """The drawing's bytes and the generator's next draw, or the message of
+    the StructureError raised."""
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    try:
+        coords = fn(fam.graph, fam.embedding, seq, outer_coords=outer, rng=rng)
+    except StructureError as exc:
+        return "StructureError", str(exc)
+    return coords.dtype, coords.shape, coords.tobytes(), rng and rng.random()
+
+
+_REPLAY_FAMILIES = {
+    "frame1": lambda: build_frame(1),
+    "frame6": lambda: build_frame(6),
+    "g23": lambda: build_G(2, 3),
+    "h22": lambda: build_H(2, 2),
+    "htilde16": lambda: build_Htilde(1, 6),
+    "htilde24": lambda: build_Htilde(2, 4),
+    "htilde32": lambda: build_Htilde(3, 2),
+}
+
+
+class TestSeedAnyKernel:
+    """The level-by-level replay against the step loop in replay_oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_REPLAY_FAMILIES))
+    def test_families_match_the_loop(self, name):
+        fam = _REPLAY_FAMILIES[name]()
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        outer = 2.5 * outer_triangle_coords()[::-1]
+        for args in ((seq,), (seq, None, outer), (None,), (seq, 7), (seq, 7, outer)):
+            assert replay_outcome(layout_seed_any, fam, *args) == replay_outcome(
+                reference_seed_any, fam, *args
+            )
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_jitter_matches_the_loop(self, seed):
+        fam = build_Htilde(2, 4)
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        for rng_seed in ([seed, 2], seed):
+            got = replay_outcome(layout_seed_any, fam, seq, rng_seed)
+            assert got == replay_outcome(reference_seed_any, fam, seq, rng_seed)
+
+    def test_invalid_steps_match_the_loop(self):
+        fam = build_Htilde(1, 3)
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        (x0, tri0), (x1, tri1) = seq.steps[:2]
+        a, b, _ = seq.base
+        bad = [
+            BuildSequence(seq.base, [(x1, tri1)] + seq.steps[2:]),  # a face not made yet
+            BuildSequence(seq.base, [(x0, tri0), (x1, tri0)] + seq.steps[2:]),  # a used face
+            BuildSequence((a, b, x0), seq.steps),  # not rooted at the outer face
+        ]
+        for s in bad:
+            for rng_seed in (None, 3):
+                want = replay_outcome(reference_seed_any, fam, s, rng_seed)
+                assert want[0] == "StructureError"
+                assert replay_outcome(layout_seed_any, fam, s, rng_seed) == want
+
+    def test_vertex_placed_twice_is_rejected(self):
+        # a level-by-level fill needs every vertex placed once; the step loop
+        # silently moved a re-inserted vertex
+        fam = build_Htilde(1, 3)
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        x0, tri0 = seq.steps[0]
+        again = BuildSequence(seq.base, [(x0, tri0), (x0, (tri0[0], tri0[1], x0))])
+        with pytest.raises(StructureError, match=f"vertex {x0} is already placed"):
+            layout_seed_any(fam.graph, fam.embedding, again)

@@ -56,6 +56,24 @@ class TestValidate:
         viols = validate_drawing(g, emb, bad)
         assert any(v.kind == "coincident" for v in viols)
 
+    @pytest.mark.parametrize(
+        "points, coincident",
+        [
+            ([(0.0, 1.0), (-0.0, 0.5), (1.0, 0.0), (-0.0, 1.0)], True),  # -0.0 == 0.0
+            ([(0.0, 1.0), (-0.0, 0.5), (1.0, 0.0), (-0.0, 2.0)], False),
+            ([(1.0, -0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 1.0)], True),
+            ([(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (2.0, 2.0)], False),
+        ],
+    )
+    def test_coincident_means_equal_as_floats(self, points, coincident):
+        g = LabeledGraph(4)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                g.add_edge(i, j)
+        emb = Embedding([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+        viols = validate_drawing(g, emb, np.array(points))
+        assert any(v.kind == "coincident" for v in viols) == coincident
+
     def test_crossing_detected(self):
         # K4 with the interior vertex dragged outside: edges must cross
         g = LabeledGraph(4)
