@@ -16,6 +16,13 @@ one NumPy kernel (``_half_edges``) checks the rotation against the edges and
 builds the face-successor permutation ``nxt``.  ``internal_triangles`` reads
 a triangulation's faces from ``nxt`` with array operations alone;
 ``trace_faces`` walks ``nxt`` for faces of any length.
+
+Build sequences of planar 3-trees are checked without a replay: a second
+kernel (``_check_build_sequence``) gives every face of the partial embedding
+an integer key from the step that made it, so finding the first step that
+does not target a face, and each step's level, takes array operations over
+all steps at once.  ``verify_planar_3tree`` and ``layout.layout_seed_any``
+both use it.
 """
 
 from __future__ import annotations
@@ -302,8 +309,10 @@ def verify_planar_3tree(
     """Verify that ``graph`` is a planar 3-tree; return its build sequence.
 
     Runs greedy simplicial elimination (remove a degree-3 vertex whose
-    neighborhood is a triangle) and then replays the reversed sequence as
-    combinatorial face insertions, which certifies planarity.  When ``keep``
+    neighborhood is a triangle, smallest vertex first) and then checks the
+    reversed sequence with the array kernel ``_check_build_sequence``: every
+    step must insert its vertex into a face of the partial embedding (the
+    bare base triangle bounds two), which certifies planarity.  When ``keep``
     is given, those three mutually adjacent vertices are never eliminated, so
     the returned sequence is rooted at that triangle.
     """
@@ -327,7 +336,7 @@ def verify_planar_3tree(
     def simplicial3(v: int) -> bool:
         if len(adj[v]) != 3 or v in protected:
             return False
-        a, b, c = sorted(adj[v])
+        a, b, c = adj[v]
         return b in adj[a] and c in adj[a] and c in adj[b]
 
     heap = [v for v in range(n) if simplicial3(v)]
@@ -359,38 +368,109 @@ def verify_planar_3tree(
     if keep is not None and set(base_vs) != protected:
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
 
-    steps = [(v, tri) for v, tri in reversed(removed)]
-    seq = BuildSequence(base_vs, steps)
-    _replay_planarity(graph, seq)
+    seq = BuildSequence(base_vs, removed[::-1])
+    _check_planarity(seq, n)
     return seq
 
 
-def _replay_planarity(graph: LabeledGraph, seq: BuildSequence) -> None:
-    """Replay a build sequence as embedding insertions; raise if some
-    insertion triangle is not a face of the partial embedding."""
-    a, b, c = seq.base
-    rotation: dict[int, list[int]] = {a: [b, c], b: [c, a], c: [a, b]}
-    # The bare triangle bounds two faces with the same vertex set.
-    faces: dict[frozenset[int], list[tuple[int, int, int]]] = {
-        frozenset(seq.base): [(a, b, c), (a, c, b)]
-    }
-    for x, tri in seq.steps:
-        fs = frozenset(tri)
-        avail = faces.get(fs)
-        if not avail:
-            raise NotPlanar3TreeError(
-                f"not planar: insertion of vertex {x} targets triangle {tri}, "
-                "which is not a face of the partial embedding"
-            )
-        p, q, r = avail.pop(0)
-        if not avail:
-            del faces[fs]
-        rotation[p].insert(rotation[p].index(r) + 1, x)
-        rotation[q].insert(rotation[q].index(p) + 1, x)
-        rotation[r].insert(rotation[r].index(q) + 1, x)
-        rotation[x] = [p, r, q]
-        for f in ((p, q, x), (q, r, x), (r, p, x)):
-            faces.setdefault(frozenset(f), []).append(f)
+_PLANARITY_ERRORS = {
+    "face": "not planar: insertion of vertex {x} targets triangle {tri}, "
+    "which is not a face of the partial embedding",
+    "range": "not a 3-tree: inserted vertex {x} is out of range for {n} vertices",
+    "placed": "not a 3-tree: vertex {x} is already placed",
+}
+
+
+def _check_planarity(seq: BuildSequence, n: int) -> None:
+    """Raise NotPlanar3TreeError at the first step of ``seq`` that does not
+    insert a new vertex into a face of the partial embedding; either side of
+    the bare base triangle is a face."""
+    check = _check_build_sequence(seq, n, base_uses=2)
+    if check.bad >= 0:
+        x, tri = seq.steps[check.bad]
+        raise NotPlanar3TreeError(_PLANARITY_ERRORS[check.reason].format(x=x, tri=tri, n=n))
+
+
+@dataclass
+class _StepCheck:
+    """A build sequence as arrays, with the first step that fails."""
+
+    xs: np.ndarray  # (S,) inserted vertices
+    tris: np.ndarray  # (S, 3) their triangles
+    level: np.ndarray  # (S,) one more than the deepest corner's level; the base is level 0
+    bad: int  # the first failing step, -1 when every step passes
+    reason: str  # "face", "range" or "placed" for the failing step, else ""
+
+
+def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCheck:
+    """Check each step of ``seq`` against the faces of the partial embedding,
+    with array operations only.
+
+    A step fails with reason "face" when its triangle is not a face at that
+    point, else "range" when it inserts a vertex outside ``0..n-1``, else
+    "placed" when it inserts a base vertex or one an earlier step inserted.
+
+    The face test is exact whenever the earlier steps pass.  Every face but
+    the base is made by the step that inserts its newest corner ``y``: it is
+    ``y`` plus two corners of ``y``'s own triangle, and it gets the key
+    ``3*y + (position of the corner of y's triangle it leaves out)``.  So a
+    triangle is a face if and only if its corners are distinct, its newest
+    corner was inserted at an earlier step, its other two corners lie on that
+    corner's triangle (or all three are the base), and no earlier step took
+    the same key.  The base may be taken ``base_uses`` times: 2 when both
+    sides of the bare triangle count, 1 for its bounded side alone.
+
+    The newest corner is one level deeper than the corners of its own
+    triangle, so a step's level is one more than the level of the step that
+    inserted its newest corner.  Those parent steps form a forest, and its
+    depths come from pointer doubling.
+    """
+    count = len(seq.steps)
+    step = np.arange(count)
+    xs = np.fromiter((x for x, _ in seq.steps), dtype=np.int64, count=count)
+    tris = np.array([tri for _, tri in seq.steps], dtype=np.int64).reshape(count, 3)
+    x_in = (xs >= 0) & (xs < n)
+    # the first step inserting each vertex: -1 for the base vertices, and
+    # ``count`` for the rest and for the sentinel n standing in for every
+    # vertex out of range
+    first = np.full(n + 1, count)
+    inserted, at = np.unique(xs[x_in], return_index=True)
+    first[inserted] = np.flatnonzero(x_in)[at]
+    first[list(seq.base)] = -1
+    first[n] = count
+    corners = np.where((tris >= 0) & (tris < n), tris, n)
+    born = first[corners]
+    newest = born.argmax(axis=1)
+    parent = born[step, newest]
+    y = corners[step, newest]
+    older = corners[step[:, None], (newest[:, None] + [1, 2]) % 3]
+    host = corners[np.where((parent >= 0) & (parent < step), parent, 0)]
+    on_host = older[:, :, None] == host[:, None, :]
+    left_out = 3 - on_host.argmax(axis=2).sum(axis=1)
+    on_base = parent == -1
+    distinct = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
+    face = distinct & (parent < step) & (on_base | on_host.any(axis=2).all(axis=1))
+    key = np.where(on_base, -1, 3 * y + left_out)
+    # a face is used up once its key has been taken as often as allowed
+    takers = np.flatnonzero(face)
+    takers = takers[np.argsort(key[takers], kind="stable")]
+    taken = key[takers]
+    group = np.ones(taken.size, dtype=bool)
+    group[1:] = taken[1:] != taken[:-1]
+    rank = np.arange(taken.size) - np.maximum.accumulate(np.where(group, np.arange(taken.size), 0))
+    face[takers[rank >= np.where(taken == -1, base_uses, 1)]] = False
+
+    fails = np.stack([~face, ~x_in, first[np.where(x_in, xs, n)] < step])
+    failing = np.flatnonzero(fails.any(axis=0))
+    bad = int(failing[0]) if failing.size else -1
+    reason = ("face", "range", "placed")[int(np.argmax(fails[:, bad]))] if bad >= 0 else ""
+
+    level = np.ones(count, dtype=np.int64)
+    up = np.where(face, parent, -1)  # a failing step starts a tree, so no cycle forms
+    while (below := np.flatnonzero(up >= 0)).size:
+        level[below] += level[up[below]]
+        up[below] = up[up[below]]
+    return _StepCheck(xs, tris, level, bad, reason)
 
 
 def replay_build(seq: BuildSequence, n: int) -> LabeledGraph:

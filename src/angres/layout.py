@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, ParameterError, build_frame
-from .graphs import BuildSequence, Embedding, LabeledGraph, StructureError, verify_planar_3tree
+from .graphs import (
+    BuildSequence,
+    Embedding,
+    LabeledGraph,
+    StructureError,
+    _check_build_sequence,
+    verify_planar_3tree,
+)
 
 # Frozen floors for resolution * d, calibrated over d = 1..128 (frame fan,
 # measured 0.4905) and d = 1..64 (three-level assembly, measured 0.005885)
@@ -180,6 +187,60 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
     return coords
 
 
+_REPLAY_ERRORS = {
+    "face": "replay: {tri} is not a bounded face when inserting {x}",
+    "range": "replay: inserted vertex {x} is out of range for {n} vertices",
+    "placed": "replay: vertex {x} is already placed",
+}
+
+
+class _ReplayPlan:
+    """A build sequence checked for replay, with its steps grouped by level.
+
+    Built once per (graph, embedding, sequence); ``place`` then draws any
+    number of centroid or jittered replays from it."""
+
+    def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence):
+        if set(seq.base) != set(emb.outer_face):
+            raise StructureError("build sequence is not rooted at the embedding's outer face")
+        check = _check_build_sequence(seq, graph.n, base_uses=1)
+        if check.bad >= 0:
+            x, tri = seq.steps[check.bad]
+            raise StructureError(_REPLAY_ERRORS[check.reason].format(x=x, tri=tri, n=graph.n))
+        placed = np.zeros(graph.n, dtype=bool)
+        placed[list(seq.base)] = True
+        placed[check.xs] = True
+        if not placed.all():
+            raise StructureError(f"replay: vertex {int(np.argmin(placed))} is never placed")
+        self.n = graph.n
+        self.outer_face = emb.outer_face
+        self.xs, self.tris = check.xs, check.tris
+        by_level = np.argsort(check.level, kind="stable")
+        self.levels = np.split(by_level, np.flatnonzero(np.diff(check.level[by_level])) + 1)
+
+    def place(
+        self, outer_coords: np.ndarray | None = None, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """The replay drawing: the outer face at ``outer_coords``, then each
+        level in one array operation, the centroid as ``(p0 + p1 + p2) / 3.0``
+        (the operation order of ``mean(axis=0)``) or, with ``rng``, one
+        batched product with rows of one ``rng.dirichlet`` draw taken in step
+        order.  The coordinates equal a step-by-step replay bit for bit."""
+        coords = np.zeros((self.n, 2))
+        outer = outer_coords if outer_coords is not None else outer_triangle_coords()
+        for i, v in enumerate(self.outer_face):
+            coords[v] = outer[i]
+        # Dirichlet(3,3,3) keeps the point away from the face boundary
+        weights = None if rng is None else rng.dirichlet((3.0, 3.0, 3.0), size=self.xs.size)
+        for idx in self.levels:
+            p = coords[self.tris[idx]]
+            if weights is None:
+                coords[self.xs[idx]] = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+            else:
+                coords[self.xs[idx]] = (weights[idx][:, None, :] @ p)[:, 0]
+        return coords
+
+
 def layout_seed_any(
     graph: LabeledGraph,
     emb: Embedding,
@@ -196,49 +257,14 @@ def layout_seed_any(
     barycentric coordinates, giving a diverse family of valid drawings for
     optimizer restarts.
 
-    One pass over the build sequence checks that every step targets a face
-    of the partial embedding and gives each inserted vertex its level, one
-    more than the deepest vertex of its triangle.  A level's vertices depend
-    only on lower levels, so each level is placed in one array operation:
-    the centroid as ``(p0 + p1 + p2) / 3.0`` (the operation order of
-    ``mean(axis=0)``), the random points as one batched product with rows of
-    one ``rng.dirichlet`` draw taken in step order.  The coordinates equal a
-    step-by-step replay bit for bit."""
+    The build sequence is checked by the array kernel
+    ``graphs._check_build_sequence``, which also gives each inserted vertex
+    its level, one more than the deepest vertex of its triangle.  Every step
+    must target a bounded face of the partial embedding, and every non-base
+    vertex must be inserted exactly once; otherwise a StructureError names
+    the first bad step or the first vertex never placed.  A level's vertices
+    depend only on lower levels, so each level is placed in one array
+    operation, bit for bit as a step-by-step replay would place them."""
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
-    if set(seq.base) != set(emb.outer_face):
-        raise StructureError("build sequence is not rooted at the embedding's outer face")
-    coords = np.zeros((graph.n, 2))
-    outer = outer_coords if outer_coords is not None else outer_triangle_coords()
-    place = {v: outer[i] for i, v in enumerate(emb.outer_face)}
-    for v, p in place.items():
-        coords[v] = p
-    level = dict.fromkeys(seq.base, 0)
-    levels = []
-    faces: set[frozenset[int]] = {frozenset(seq.base)}
-    for x, tri in seq.steps:
-        fs = frozenset(tri)
-        if fs not in faces:
-            raise StructureError(f"replay: {tri} is not a bounded face when inserting {x}")
-        if x in level:
-            raise StructureError(f"replay: vertex {x} is already placed")
-        faces.remove(fs)
-        a, b, c = tri
-        level[x] = lx = 1 + max(level[a], level[b], level[c])
-        levels.append(lx)
-        faces.add(frozenset((a, b, x)))
-        faces.add(frozenset((b, c, x)))
-        faces.add(frozenset((a, c, x)))
-    xs = np.fromiter((x for x, _ in seq.steps), dtype=np.int64, count=len(seq.steps))
-    tris = np.array([tri for _, tri in seq.steps], dtype=np.int64).reshape(-1, 3)
-    # Dirichlet(3,3,3) keeps the point away from the face boundary
-    weights = None if rng is None else rng.dirichlet((3.0, 3.0, 3.0), size=len(seq.steps))
-    levels = np.asarray(levels, dtype=np.int64)
-    by_level = np.argsort(levels, kind="stable")
-    for idx in np.split(by_level, np.flatnonzero(np.diff(levels[by_level])) + 1):
-        p = coords[tris[idx]]
-        if weights is None:
-            coords[xs[idx]] = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-        else:
-            coords[xs[idx]] = (weights[idx][:, None, :] @ p)[:, 0]
-    return coords
+    return _ReplayPlan(graph, emb, seq).place(outer_coords, rng)

@@ -2,7 +2,9 @@
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once: the traced
 internal faces, one flat corner index over them and the free (non-outer)
-vertices.  Every restart reuses that compiled instance.
+vertices.  It also checks the build sequence once and groups its steps by
+level (``layout._ReplayPlan``).  Every restart reuses both, so a centroid or
+jittered start only places vertices level by level.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -38,7 +40,7 @@ from .graphs import (
     max_degree,
     verify_planar_3tree,
 )
-from .layout import layout_nested, layout_seed_any, outer_triangle_coords
+from .layout import _ReplayPlan, layout_nested, outer_triangle_coords
 from .metrics import _drawing_violations, angular_resolution
 
 
@@ -317,7 +319,8 @@ def maximize_resolution(
     )
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
-    base = layout_seed_any(graph, emb, seq, outer)
+    replay = _ReplayPlan(graph, emb, seq)
+    base = replay.place(outer)
     inst = _Instance(graph, emb)
     pinned = np.array(base.T)
 
@@ -334,8 +337,7 @@ def maximize_resolution(
         else:
             # replay with random interior barycentric weights: a valid
             # drawing of the embedding, diverse across restarts
-            rng = np.random.default_rng([config.seed, r])
-            start = layout_seed_any(graph, emb, seq, outer, rng=rng)
+            start = replay.place(outer, np.random.default_rng([config.seed, r]))
         if _drawing_violations(start, inst.outer_face, inst.tri):
             # invalid start (deep replays collapse below double precision);
             # nothing worth optimizing from

@@ -27,8 +27,12 @@ from angres.graphs import (
     write_embedding,
     write_graph,
 )
+from angres.graphs import _check_build_sequence, _check_planarity
+from angres.layout import layout_seed_any
 from face_oracle import internal_triangles as reference_triangles
 from face_oracle import trace_faces as reference_faces
+from planarity_oracle import _replay_planarity as reference_planarity
+from replay_oracle import layout_seed_any as reference_seed_any
 
 
 def k4():
@@ -147,11 +151,11 @@ def k7_on_the_torus():
 
 def outcome(fn, *args):
     """What ``fn`` returns (an array as its dtype, shape and bytes), or the
-    message of the StructureError it raises."""
+    type and message of the StructureError it raises."""
     try:
         out = fn(*args)
     except StructureError as exc:
-        return "StructureError", str(exc)
+        return type(exc).__name__, str(exc)
     if isinstance(out, np.ndarray):
         return out.dtype, out.shape, out.tobytes()
     return out
@@ -305,6 +309,164 @@ class TestVerify3Tree:
         g.add_edge(0, 1)
         with pytest.raises(NotPlanar3TreeError):
             verify_planar_3tree(g)
+
+    def test_triangle_with_three_apexes_fails_the_face_check(self):
+        # elimination removes all three apexes, but the bare triangle has
+        # only two sides to insert them into
+        g = LabeledGraph(6)
+        for i, j in [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]:
+            g.add_edge(i, j)
+        assert len(g.edges) == 3 * 6 - 6
+        with pytest.raises(NotPlanar3TreeError) as exc:
+            verify_planar_3tree(g)
+        assert str(exc.value) == (
+            "not planar: insertion of vertex 3 targets triangle (0, 1, 2), "
+            "which is not a face of the partial embedding"
+        )
+
+
+def grown_sequence(rng, steps, base_uses):
+    """A random build sequence of ``steps`` insertions on ``steps + 3``
+    shuffled labels, each triangle's corners in random order; with
+    ``base_uses=2`` the outer side of the base triangle is a face too."""
+    labels = rng.sample(range(steps + 3), steps + 3)
+    base = tuple(labels[:3])
+    faces = [base] * base_uses
+    out = []
+    for x in labels[3:]:
+        tri = faces.pop(rng.randrange(len(faces)))
+        out.append((x, tuple(rng.sample(tri, 3))))
+        a, b, c = tri
+        faces += [(a, b, x), (b, c, x), (a, c, x)]
+    return steps + 3, BuildSequence(base, out)
+
+
+MUTATIONS = [
+    "none", "swap", "duplicate", "reinsert", "reinsert-base", "unplaced-corner",
+    "placed-corner", "repeated-corner", "corner-out-of-range", "x-out-of-range",
+    "extra-base-use", "drop", "empty",
+]
+
+
+def mutate(rng, n, seq, kind, base_uses):
+    """``seq`` with one defect of the given kind; returns (n, sequence)."""
+    steps = list(seq.steps)
+    k = rng.randrange(len(steps)) if steps else 0
+    if kind == "empty":
+        steps = []
+    elif not steps or kind == "none":
+        pass
+    elif kind == "swap":
+        j = rng.randrange(len(steps))
+        steps[k], steps[j] = steps[j], steps[k]
+    elif kind == "duplicate":
+        steps.insert(rng.randint(k + 1, len(steps)), steps[k])
+    elif kind == "reinsert":
+        steps[k] = (rng.choice([x for x, _ in steps[:k]] or seq.base), steps[k][1])
+    elif kind == "reinsert-base":
+        steps[k] = (rng.choice(seq.base), steps[k][1])
+    elif "corner" in kind:
+        x, tri = steps[k]
+        tri = list(tri)
+        i = rng.randrange(3)
+        if kind == "unplaced-corner":
+            tri[i] = rng.choice([y for y, _ in steps[k:]])
+        elif kind == "placed-corner":
+            # mostly a triangle of placed vertices that is not a face
+            tri[i] = rng.choice([y for y, _ in steps[:k]] + list(seq.base))
+        elif kind == "repeated-corner":
+            tri[i] = tri[(i + 1) % 3]
+        else:
+            tri[i] = rng.choice([n, n + 7, -1])
+        steps[k] = (x, tuple(tri))
+    elif kind == "x-out-of-range":
+        steps[k] = (rng.choice([n, n + 3, -1]), steps[k][1])
+    elif kind == "extra-base-use":
+        # fresh vertices taking the base face once more than allowed
+        extra = [(n + i, tuple(rng.sample(seq.base, 3))) for i in range(base_uses + 1)]
+        steps[k:k] = extra
+        n += len(extra)
+    elif kind == "drop":
+        del steps[k]
+    return n, BuildSequence(seq.base, steps)
+
+
+def loop_verdict(run_loop, seq, n, error, messages):
+    """What the step loop ``run_loop`` makes of ``seq``, read step by step:
+    (its own error at the first step it rejects, else the first step that
+    inserts a vertex out of range or one already placed, with ``messages``
+    in the type ``error``, else None; the vertices placed before that)."""
+    placed = set(seq.base)
+    for k, (x, tri) in enumerate(seq.steps):
+        try:
+            run_loop(BuildSequence(seq.base, seq.steps[: k + 1]))
+        except StructureError as exc:
+            return (type(exc).__name__, str(exc)), placed
+        except IndexError:
+            pass  # the replay loop writes the coordinates of x after its face check
+        if not 0 <= x < n:
+            return (error, messages["range"].format(x=x, n=n)), placed
+        if x in placed:
+            return (error, messages["placed"].format(x=x)), placed
+        placed.add(x)
+    return None, placed
+
+
+class TestSequenceKernel:
+    """The build-sequence kernel against the step loops of
+    planarity_oracle (verification) and replay_oracle (replay)."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 40), st.sampled_from(MUTATIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_verification_matches_the_loop(self, seed, steps, kind):
+        rng = random.Random(seed)
+        n, seq = mutate(rng, *grown_sequence(rng, steps, 2), kind, 2)
+        want, _ = loop_verdict(
+            lambda s: reference_planarity(LabeledGraph(n), s), seq, n, "NotPlanar3TreeError",
+            {"range": "not a 3-tree: inserted vertex {x} is out of range for {n} vertices",
+             "placed": "not a 3-tree: vertex {x} is already placed"},
+        )
+        assert outcome(_check_planarity, seq, n) == want
+        if kind == "none":
+            assert want is None
+
+    @given(st.integers(0, 10_000), st.integers(0, 40), st.sampled_from(MUTATIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_the_loop(self, seed, steps, kind):
+        rng = random.Random(seed)
+        n, seq = mutate(rng, *grown_sequence(rng, steps, 1), kind, 1)
+        g, emb = LabeledGraph(n), Embedding([], seq.base)
+        want, placed = loop_verdict(
+            lambda s: reference_seed_any(g, emb, s), seq, n, "StructureError",
+            {"range": "replay: inserted vertex {x} is out of range for {n} vertices",
+             "placed": "replay: vertex {x} is already placed"},
+        )
+        missing = sorted(set(range(n)) - placed)
+        if want is None and missing:
+            want = "StructureError", f"replay: vertex {missing[0]} is never placed"
+        for rng_seed in (None, seed):
+            rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
+            got = outcome(layout_seed_any, g, emb, seq, None, rngs[0])
+            if want is None:
+                assert got == outcome(reference_seed_any, g, emb, seq, None, rngs[1])
+                assert rng_seed is None or rngs[0].random() == rngs[1].random()
+            else:
+                assert got == want
+        if kind == "none":
+            assert want is None
+
+    @given(st.integers(0, 10_000), st.integers(0, 40), st.sampled_from([1, 2]))
+    @settings(max_examples=50, deadline=None)
+    def test_levels_match_the_loop(self, seed, steps, base_uses):
+        n, seq = grown_sequence(random.Random(seed), steps, base_uses)
+        check = _check_build_sequence(seq, n, base_uses)
+        assert (check.bad, check.reason) == (-1, "")
+        level = dict.fromkeys(seq.base, 0)
+        for x, (a, b, c) in seq.steps:
+            level[x] = 1 + max(level[a], level[b], level[c])
+        assert check.level.tolist() == [level[x] for x, _ in seq.steps]
+        assert check.xs.tolist() == [x for x, _ in seq.steps]
+        assert check.tris.tolist() == [list(tri) for _, tri in seq.steps]
 
 
 class TestSerialization:

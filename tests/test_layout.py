@@ -219,3 +219,24 @@ class TestSeedAnyKernel:
         again = BuildSequence(seq.base, [(x0, tri0), (x0, (tri0[0], tri0[1], x0))])
         with pytest.raises(StructureError, match=f"vertex {x0} is already placed"):
             layout_seed_any(fam.graph, fam.embedding, again)
+
+    @pytest.mark.parametrize("x", [-1, 43, 50])
+    def test_inserted_vertex_out_of_range_is_rejected(self, x):
+        # the step loop let -1 overwrite the last vertex and raised an
+        # IndexError for 43 and above
+        fam = build_Htilde(1, 2)
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        last, tri = seq.steps[-1]
+        bad = BuildSequence(seq.base, seq.steps[:-1] + [(x, tri)])
+        with pytest.raises(StructureError) as exc:
+            layout_seed_any(fam.graph, fam.embedding, bad)
+        assert str(exc.value) == f"replay: inserted vertex {x} is out of range for 43 vertices"
+
+    def test_vertex_never_placed_is_rejected(self):
+        # the step loop left such a vertex at the origin
+        fam = build_Htilde(1, 2)
+        seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+        short = BuildSequence(seq.base, seq.steps[:-1])
+        with pytest.raises(StructureError) as exc:
+            layout_seed_any(fam.graph, fam.embedding, short)
+        assert str(exc.value) == f"replay: vertex {seq.steps[-1][0]} is never placed"
