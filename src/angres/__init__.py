@@ -31,7 +31,6 @@ from .graphs import (
     StructureError,
     read_embedding,
     read_graph,
-    trace_faces,
     verify_planar_3tree,
     write_embedding,
     write_graph,

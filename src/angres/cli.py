@@ -14,15 +14,13 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .families import FamilySpec, ParameterError, build_family
 from .geometry import lemma_fuzz
 from .graphs import (
     StructureError,
+    parse_numbers,
     read_embedding,
     read_graph,
-    verify_planar_3tree,
     write_embedding,
     write_graph,
 )
@@ -35,16 +33,18 @@ from .optimize import (
     maximize_resolution,
     read_sweep_csv,
     sweep,
-    write_sweep_csv,
+    sweep_csv_text,
 )
 from .svg import InvalidDrawingError, export_svg
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as is (no newline translation) through a
+    temp file in the same directory, renamed over ``path`` once complete."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -113,6 +113,7 @@ def _cmd_measure(args) -> int:
         if viols:
             print(f"invalid drawing: {viols[0]}", file=sys.stderr)
             return 1
+    print(f"validated: {'yes' if emb_file else 'no'}")
     report = angular_resolution(graph, coords)
     print(f"resolution {float(report.resolution)!r}")
     return 0
@@ -139,18 +140,25 @@ def _cmd_optimize(args) -> int:
 
 
 def _parse_spec_file(path: str) -> list[FamilySpec]:
+    """One FamilySpec per ``family c d`` line ('-' or 'none' for no c);
+    ``#`` starts a comment.  A bad line raises an error naming it."""
     specs = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"spec line needs 'family c d', got {raw!r}")
+                raise StructureError(
+                    f"line {lineno}: spec line needs 'family c d', got {len(parts)} fields"
+                )
             family, c_s, d_s = parts
-            c = None if c_s in ("-", "none") else int(c_s)
-            specs.append(FamilySpec(family, c, int(d_s)))
+            c = None if c_s in ("-", "none") else parse_numbers(lineno, [c_s], int)[0]
+            (d,) = parse_numbers(lineno, [d_s], int)
+            try:
+                specs.append(FamilySpec(family, c, d))
+            except ParameterError as exc:
+                raise ParameterError(f"line {lineno}: {exc}") from None
     return specs
 
 
@@ -162,16 +170,7 @@ def _cmd_sweep(args) -> int:
     )
     specs = _parse_spec_file(args.spec)
     records = sweep(specs, cfg)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.output)) or ".",
-                               prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        write_sweep_csv(records, tmp)
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.output, sweep_csv_text(records))
     failed = sum(1 for r in records if r.valid_restarts == 0)
     print(f"{len(records)} rows ({failed} failed)")
     return 1 if failed else 0

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import (
-    Edge,
     Embedding,
     LabeledGraph,
     StructureError,
@@ -59,7 +58,6 @@ class CopyPlacement:
 
     sub: "Family"
     vmap: dict[int, int]
-    root_target: int
 
 
 @dataclass
@@ -69,7 +67,6 @@ class Family:
     roles: FrameRoles | None = None
     corners: dict[str, int] = field(default_factory=dict)
     placements: list[CopyPlacement] = field(default_factory=list)
-    spec: FamilySpec | None = None
 
 
 def build_frame(d: int) -> Family:
@@ -121,7 +118,7 @@ def build_frame(d: int) -> Family:
                 rot[u[i]] = [u[i + 1], v[i], v[i - 1], u[i - 1], w]
                 rot[v[i]] = [v[i + 1], w, v[i - 1], u[i], u[i + 1]]
     emb = Embedding(rot, (w, u[-1], v[-1]))
-    return Family(g, emb, roles=FrameRoles(w, u, v), spec=FamilySpec("frame", None, d))
+    return Family(g, emb, roles=FrameRoles(w, u, v))
 
 
 def insert_copy(
@@ -218,7 +215,7 @@ def insert_copy(
         else:
             rot.extend([[]] * (h - len(rot) + 1))
             rot[h] = mapped
-    host.placements.append(CopyPlacement(copy, dict(vmap), root_target))
+    host.placements.append(CopyPlacement(copy, dict(vmap)))
     return vmap
 
 
@@ -237,7 +234,6 @@ def build_G(c: int, d: int) -> Family:
     if c < 1 or d < 1:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     host = build_frame(d + 1)
-    host.spec = FamilySpec("g", c, d)
     if c == 1:
         return host
     sub = build_G(c - 1, d)
@@ -274,7 +270,6 @@ def build_H(c: int, d: int) -> Family:
     if c < 1 or d < 1:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     fam = _base_k4(("s1", "s2", "s3", "s4"))
-    fam.spec = FamilySpec("h", c, d)
     s1, s2, s3, s4 = 0, 1, 2, 3
     sub = build_G(c, d)
     croot = sub.roles.root
@@ -290,7 +285,6 @@ def build_Htilde(c: int, d: int) -> Family:
     if c < 1 or d < 1:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     fam = _base_k4(("t1", "t2", "t3", "t4"))
-    fam.spec = FamilySpec("htilde", c, d)
     sub = build_H(c, d)
     s1 = sub.corners["s1"]
     for face in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):

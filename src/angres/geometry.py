@@ -20,6 +20,9 @@ import numpy as np
 Point = tuple[float, float]
 
 LEMMA_CONSTANT = math.pi * math.pi / 4.0
+# Below this sub-angle, double-precision angle extraction is less accurate
+# than the 1e-9 identity tolerance, so lemma_fuzz rejects such samples.
+MIN_SUBANGLE = 1e-5
 
 
 class DegenerateInputError(ValueError):
@@ -122,14 +125,12 @@ def _batch_angle(ax, ay, bx, by, cx, cy):
     return np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
-def lemma_fuzz(n: int, seed: int, min_subangle: float = 1e-5) -> FuzzReport:
+def lemma_fuzz(n: int, seed: int) -> FuzzReport:
     """Randomized check of the bound and the sine-product identity.
 
     Samples random triangles with a uniform interior point, conditioned on
-    angle(BAC) <= pi/2, a2 >= a1, and all sub-angles >= ``min_subangle``
-    (below that, double-precision angle extraction is less accurate than the
-    1e-9 identity tolerance).  Returns counts over exactly ``n`` accepted
-    configurations.
+    angle(BAC) <= pi/2, a2 >= a1, and all sub-angles >= ``MIN_SUBANGLE``.
+    Returns counts over exactly ``n`` accepted configurations.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -158,7 +159,7 @@ def lemma_fuzz(n: int, seed: int, min_subangle: float = 1e-5) -> FuzzReport:
         ok = (
             (a1 + a2 <= math.pi / 2.0)
             & (a2 >= a1)
-            & (sub.min(axis=1) >= min_subangle)
+            & (sub.min(axis=1) >= MIN_SUBANGLE)
             & (np.abs(orientation((ax, ay), (bx, by), (cx, cy))) > 1e-9)
         )
         if not ok.any():

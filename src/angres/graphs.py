@@ -13,16 +13,16 @@ Conventions used throughout the package:
 Faces are traced on half-edge arrays, not per-vertex dictionaries: the
 half-edges of vertex ``v`` are numbered consecutively in rotation order, and
 one NumPy kernel (``_half_edges``) checks the rotation against the edges and
-builds the face-successor permutation ``nxt``.  ``internal_triangles`` reads
-a triangulation's faces from ``nxt`` with array operations alone;
-``trace_faces`` walks ``nxt`` for faces of any length.
+builds the face-successor permutation ``nxt``.  ``internal_triangles``, the
+package's one face reader, reads a triangulation's faces from ``nxt`` with
+array operations alone.
 
 Build sequences of planar 3-trees are checked without a replay: a second
 kernel (``_check_build_sequence``) gives every face of the partial embedding
 an integer key from the step that made it, so finding the first step that
 does not target a face, and each step's level, takes array operations over
-all steps at once.  ``verify_planar_3tree`` and ``layout.layout_seed_any``
-both use it.
+all steps at once.  ``verify_planar_3tree`` and the replay plan in
+``layout`` both use it.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class LabeledGraph:
             deg[j] += 1
         return deg
 
-    def label_index(self) -> dict[str, int]:
-        return {name: v for v, name in self.labels.items()}
-
     def validate(self) -> None:
         for i, j in self.edges:
             if not (0 <= i < j < self.n):
@@ -101,9 +98,6 @@ class LabeledGraph:
         names = list(self.labels.values())
         if len(names) != len(set(names)):
             raise StructureError("duplicate vertex labels")
-
-    def copy(self) -> "LabeledGraph":
-        return LabeledGraph(self.n, set(self.edges), dict(self.labels))
 
 
 def max_degree(graph: LabeledGraph) -> int:
@@ -122,9 +116,6 @@ class Embedding:
 
     rotation: list[list[int]]
     outer_face: tuple[int, ...]
-
-    def copy(self) -> "Embedding":
-        return Embedding([list(r) for r in self.rotation], self.outer_face)
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,30 +172,6 @@ def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndar
     return src, start + (twin - start + 1) % deg[dst]
 
 
-def trace_faces(graph: LabeledGraph, rotation: list[list[int]]) -> list[tuple[int, ...]]:
-    """Trace all faces of a rotation system, each as its canonical vertex
-    cycle, in the order of each face's smallest half-edge.
-
-    Every directed edge lies on exactly one returned face.  Raises
-    StructureError when some vertex's rotation does not match its incident
-    edges.
-    """
-    src, nxt = (a.tolist() for a in _half_edges(graph, rotation))
-    used = [False] * len(nxt)
-    faces: list[tuple[int, ...]] = []
-    for start in range(len(nxt)):
-        if used[start]:
-            continue
-        cycle: list[int] = []
-        h = start
-        while not used[h]:
-            used[h] = True
-            cycle.append(src[h])
-            h = nxt[h]
-        faces.append(canonical_cycle(tuple(cycle)))
-    return faces
-
-
 def face_cycle_from(rotation: list[list[int]], u: int, v: int) -> tuple[int, ...]:
     """Trace the single face containing the directed edge (u, v)."""
     cycle = [u]
@@ -230,8 +197,8 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     Works on the half-edge arrays of ``_half_edges`` without a walk: every
     face is a triangle exactly when ``nxt`` applied three times is the
     identity; each face is read at its smallest half-edge ``h`` as
-    ``src[h], src[nxt[h]], src[nxt[nxt[h]]]`` (so rows come in the order
-    ``trace_faces`` finds the faces) and rotated to start at its smallest
+    ``src[h], src[nxt[h]], src[nxt[nxt[h]]]`` (so rows come in the order of
+    each face's smallest half-edge) and rotated to start at its smallest
     vertex.  Raises StructureError unless every face is a triangle, Euler's
     formula holds and the embedding's outer face is among the traced faces.
     """
@@ -261,28 +228,6 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     return faces[~hit]
 
 
-def insert_vertex_in_face(
-    graph: LabeledGraph, rotation: list[list[int]], face: tuple[int, int, int]
-) -> int:
-    """3-tree step: add a vertex inside a triangular face, joined to its corners.
-
-    ``face`` must be the face's traced cycle (a, b, c).  Returns the new
-    vertex index.  The three new faces are traced (a, b, x), (b, c, x),
-    (c, a, x).
-    """
-    a, b, c = face
-    x = graph.n
-    graph.n += 1
-    for t in face:
-        graph.edges.add(edge(t, x))
-    # The corner of face (a,b,c) at a lies between the edges to c and to b.
-    rotation[a].insert(rotation[a].index(c) + 1, x)
-    rotation[b].insert(rotation[b].index(a) + 1, x)
-    rotation[c].insert(rotation[c].index(b) + 1, x)
-    rotation.append([a, c, b])
-    return x
-
-
 @dataclass
 class BuildSequence:
     """Certificate that a graph is a planar 3-tree.
@@ -293,14 +238,6 @@ class BuildSequence:
 
     base: tuple[int, int, int]
     steps: list[tuple[int, tuple[int, int, int]]]
-
-    def replay_edges(self) -> set[Edge]:
-        a, b, c = self.base
-        edges = {edge(a, b), edge(b, c), edge(a, c)}
-        for x, tri in self.steps:
-            for t in tri:
-                edges.add(edge(t, x))
-        return edges
 
 
 def verify_planar_3tree(
@@ -473,14 +410,6 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
     return _StepCheck(xs, tris, level, bad, reason)
 
 
-def replay_build(seq: BuildSequence, n: int) -> LabeledGraph:
-    """Reconstruct the plain graph encoded by a build sequence."""
-    g = LabeledGraph(n)
-    for e in seq.replay_edges():
-        g.edges.add(e)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Text formats
 # ---------------------------------------------------------------------------
@@ -526,7 +455,10 @@ def read_graph(text: str) -> LabeledGraph:
     graph: LabeledGraph | None = None
     for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
         if tag == "graph":
-            graph = LabeledGraph(*parse_numbers(lineno, fields[:1], int))
+            (n,) = parse_numbers(lineno, fields[:1], int)
+            if n < 0:
+                raise StructureError(f"line {lineno}: negative vertex count {n}")
+            graph = LabeledGraph(n)
         elif graph is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":

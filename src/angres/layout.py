@@ -36,7 +36,6 @@ HTILDE1_RESOLUTION_FLOOR = 0.0055
 class LayoutConfig:
     apex_angle: float = math.pi / 3.0
     ring_ratio: float = 2.0
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 < self.apex_angle < math.pi:
@@ -100,11 +99,11 @@ def _fan_into_corner(
         coords[v_ids[k - 1]] = root + rad * np.array([math.cos(tv), math.sin(tv)])
 
 
-def outer_triangle_coords(circumradius: float = 1.0) -> np.ndarray:
-    """Equilateral positions for an outer face cycle (o1, o2, o3) traced
-    clockwise: angles 90, -30, 210 degrees."""
+def outer_triangle_coords() -> np.ndarray:
+    """Equilateral positions, circumradius 1, for an outer face cycle
+    (o1, o2, o3) traced clockwise: angles 90, -30, 210 degrees."""
     angles = [math.pi / 2.0, -math.pi / 6.0, math.pi * 7.0 / 6.0]
-    return circumradius * np.array([[math.cos(a), math.sin(a)] for a in angles])
+    return np.array([[math.cos(a), math.sin(a)] for a in angles])
 
 
 def _place_subtree(
@@ -242,20 +241,14 @@ class _ReplayPlan:
 
 
 def layout_seed_any(
-    graph: LabeledGraph,
-    emb: Embedding,
-    seq: BuildSequence | None = None,
-    outer_coords: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    graph: LabeledGraph, emb: Embedding, seq: BuildSequence | None = None
 ) -> np.ndarray:
     """Centroid-replay drawing of a planar 3-tree: the base triangle is the
-    embedding's outer face, every inserted vertex goes to the centroid of its
-    containing face.  Always valid (interior insertion preserves the
-    orientation of every face it creates).
-
-    With ``rng``, each inserted vertex instead gets random interior
-    barycentric coordinates, giving a diverse family of valid drawings for
-    optimizer restarts.
+    embedding's outer face at ``outer_triangle_coords()``, every inserted
+    vertex goes to the centroid of its containing face.  Always valid in
+    exact arithmetic (interior insertion preserves the orientation of every
+    face it creates).  The optimizer's jittered restarts come from the same
+    replay plan (``_ReplayPlan.place`` with a generator).
 
     The build sequence is checked by the array kernel
     ``graphs._check_build_sequence``, which also gives each inserted vertex
@@ -267,4 +260,4 @@ def layout_seed_any(
     operation, bit for bit as a step-by-step replay would place them."""
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
-    return _ReplayPlan(graph, emb, seq).place(outer_coords, rng)
+    return _ReplayPlan(graph, emb, seq).place()

@@ -105,11 +105,9 @@ def _drawing_violations(coords: np.ndarray, outer_face, tri: np.ndarray) -> list
 
 @dataclass
 class AngleReport:
-    """Consecutive-edge angles per vertex (clockwise order), global minimum,
-    and the vertex/edge pair achieving it."""
+    """Smallest angle between consecutive edges at a vertex, and the vertex
+    and edge pair achieving it."""
 
-    gaps: list[list[float]]  # per vertex, aligned with `order`
-    order: list[list[int]]   # clockwise neighbor order used for the gaps
     resolution: float
     witness: tuple[int, tuple[int, int]]
 
@@ -153,13 +151,7 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
         k = np.flatnonzero(counted)[record[-1]]
         pair = (int(dst[k]), int(dst[nxt[k]]))
         witness = (int(src[k]), (min(pair), max(pair)))
-
-    flat_order = dst.tolist()
-    flat_gaps = diff.tolist()
-    bounds = start.tolist()
-    order = [flat_order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    gaps = [flat_gaps[a:b] if b - a >= 2 else [] for a, b in zip(bounds[:-1], bounds[1:])]
-    return AngleReport(gaps, order, run[-1], witness)
+    return AngleReport(run[-1], witness)
 
 
 @dataclass

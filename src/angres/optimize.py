@@ -9,7 +9,8 @@ jittered start only places vertices level by level.
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
 capped at stage 12, over the smallest corner angle) plus an orientation
-penalty ``weight * sum(min(area, 0)**2)`` whose weight grows every stage.
+penalty ``weight * sum(min(area, 0)**2)`` whose weight starts at
+``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.
 The gradient is one ``np.bincount`` scatter per coordinate over the corner
 index.  The outer triangle stays pinned.  For a triangulation whose outer
 triangle is clockwise, internal faces that are all counterclockwise prove
@@ -24,6 +25,7 @@ are phrased as trends and thresholds, never as equalities with an optimum.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,15 +35,23 @@ from scipy.optimize import minimize
 
 from .families import FamilySpec, build_family
 from .graphs import (
-    BuildSequence,
     Embedding,
     LabeledGraph,
     internal_triangles,
     max_degree,
     verify_planar_3tree,
 )
-from .layout import _ReplayPlan, layout_nested, outer_triangle_coords
+from .layout import _ReplayPlan, layout_nested
 from .metrics import _drawing_violations, angular_resolution
+
+# The continuation schedule of every restart: the orientation penalty's
+# weight grows PENALTY_GROWTH-fold per stage; stage s may spend
+# 1/max(STAGES - s, 2) of the iterations left (at least 50); TOL is
+# L-BFGS-B's ftol and the least drop in the objective that counts a stage
+# as progress.
+PENALTY_GROWTH = 10.0
+STAGES = 5
+TOL = 1e-8
 
 
 class OptimizeFailure(RuntimeError):
@@ -58,10 +68,6 @@ class OptimizeConfig:
     max_iters: int = 5000
     seed: int = 0
     penalty_init: float = 1.0
-    penalty_growth: float = 10.0
-    stages: int = 5
-    tol: float = 1e-8
-    outer_coords: np.ndarray | None = None  # default: equilateral, circumradius 1
     # Optional structural starting drawings tried (after the plain centroid
     # seed) before the jittered restarts; lets callers seed with a known
     # good constructive layout.
@@ -72,12 +78,8 @@ class OptimizeConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not (self.penalty_init > 0.0 and self.penalty_growth >= 1.0):
-            raise ValueError("penalty schedule must have positive init and growth >= 1")
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
+        if not (self.penalty_init > 0.0):
+            raise ValueError(f"penalty_init must be > 0, got {self.penalty_init}")
 
 
 @dataclass
@@ -94,7 +96,6 @@ class OptimizeResult:
     coords: np.ndarray
     resolution: float
     traces: list[RestartTrace]
-    seed: int
 
 
 class _Instance:
@@ -154,25 +155,21 @@ def _logsumexp(a: np.ndarray):
     return out
 
 
-def _objective(x, inst, pinned, sharp, weight, origin=None, scale=None):
+def _objective(y, inst, pinned, sharp, weight, origin, scale):
     """Negative soft-min of corner angles plus orientation penalty; returns
-    (value, gradient over free coordinates).
+    (value, gradient over the variables ``y``).
 
     ``pinned`` holds the (2, n) x and y rows of the drawing, whose free
-    vertices ``x`` replaces.  With ``origin``/``scale`` the variables are
-    per-vertex rescaled offsets (x_v = origin_v + scale_v * y_v, origin in
-    (2, free) rows), a diagonal preconditioner that evens out the wildly
-    different local scales of nested-replay drawings.  The gradient is one
-    ``np.bincount`` per coordinate over ``inst.corners``, which adds each
-    vertex's terms in index order."""
+    vertices the variables replace.  They are per-vertex rescaled offsets,
+    x_v = origin_v + scale_v * y_v with ``origin`` in (2, free) rows, a
+    diagonal preconditioner that evens out the wildly different local
+    scales of nested-replay drawings.  The gradient is one ``np.bincount``
+    per coordinate over ``inst.corners``, which adds each vertex's terms in
+    index order."""
     free, corners = inst.free, inst.corners
     P = pinned.copy()
-    if origin is None:
-        P[0, free] = x[0::2]
-        P[1, free] = x[1::2]
-    else:
-        P[0, free] = origin[0] + scale * x[0::2]
-        P[1, free] = origin[1] + scale * x[1::2]
+    P[0, free] = origin[0] + scale * y[0::2]
+    P[1, free] = origin[1] + scale * y[1::2]
     px, py = P
     theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners)
 
@@ -216,9 +213,8 @@ def _objective(x, inst, pinned, sharp, weight, origin=None, scale=None):
 
     out = np.empty(2 * free.size)
     out[0::2], out[1::2] = grad
-    if origin is not None:
-        out[0::2] *= scale
-        out[1::2] *= scale
+    out[0::2] *= scale
+    out[1::2] *= scale
     return value, out
 
 
@@ -232,12 +228,14 @@ def objective_and_gradient(
     """Smooth objective (to minimize) and its gradient at ``coords``.
 
     Exposed for finite-difference cross-checks; the gradient covers the free
-    (non outer-face) vertices, flattened as (x0, y0, x1, y1, ...).
+    (non outer-face) vertices, flattened as (x0, y0, x1, y1, ...).  It is
+    the restarts' objective at their origin, the drawing itself, with scale
+    1.
     """
     inst = _Instance(graph, emb)
-    coords = np.asarray(coords, dtype=float)
-    x = coords[inst.free].ravel()
-    return _objective(x, inst, np.array(coords.T), sharpness, penalty_weight)
+    pinned = np.array(np.asarray(coords, dtype=float).T)
+    y = np.zeros(2 * inst.free.size)
+    return _objective(y, inst, pinned, sharpness, penalty_weight, pinned[:, inst.free], 1.0)
 
 
 def _min_corner_angle(P, corners) -> float:
@@ -272,33 +270,30 @@ def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
     while iters_left > 0 and stalled < 2:
         span = max(abs(_min_corner_angle(P, inst.corners)), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
-        budget = max(iters_left // max(config.stages - stage, 2), 50)
+        budget = max(iters_left // max(STAGES - stage, 2), 50)
         res = minimize(
             _objective,
             y,
             args=(inst, pinned, sharp, weight, origin, scale),
             method="L-BFGS-B",
             jac=True,
-            options={"maxiter": min(budget, iters_left), "ftol": config.tol, "gtol": 1e-14},
+            options={"maxiter": min(budget, iters_left), "ftol": TOL, "gtol": 1e-14},
         )
         y = res.x
-        improved = float(res.fun) < value - config.tol
+        improved = float(res.fun) < value - TOL
         value = float(res.fun)
         total_iters += res.nit
         iters_left -= max(res.nit, 1)
         P[0, free] = origin[0] + scale * y[0::2]
         P[1, free] = origin[1] + scale * y[1::2]
-        weight *= config.penalty_growth
+        weight *= PENALTY_GROWTH
         stage += 1
         stalled = 0 if improved else stalled + 1
     return np.array(P.T), value, total_iters
 
 
 def maximize_resolution(
-    graph: LabeledGraph,
-    emb: Embedding,
-    config: OptimizeConfig | None = None,
-    seq: BuildSequence | None = None,
+    graph: LabeledGraph, emb: Embedding, config: OptimizeConfig | None = None
 ) -> OptimizeResult:
     """Best drawing over seeded restarts; deterministic given (graph, config).
 
@@ -312,15 +307,8 @@ def maximize_resolution(
     """
     config = config or OptimizeConfig()
     config.validate()
-    outer = (
-        np.asarray(config.outer_coords, dtype=float)
-        if config.outer_coords is not None
-        else outer_triangle_coords()
-    )
-    if seq is None:
-        seq = verify_planar_3tree(graph, keep=emb.outer_face)
-    replay = _ReplayPlan(graph, emb, seq)
-    base = replay.place(outer)
+    replay = _ReplayPlan(graph, emb, verify_planar_3tree(graph, keep=emb.outer_face))
+    base = replay.place()
     inst = _Instance(graph, emb)
     pinned = np.array(base.T)
 
@@ -337,7 +325,7 @@ def maximize_resolution(
         else:
             # replay with random interior barycentric weights: a valid
             # drawing of the embedding, diverse across restarts
-            start = replay.place(outer, np.random.default_rng([config.seed, r]))
+            start = replay.place(rng=np.random.default_rng([config.seed, r]))
         if _drawing_violations(start, inst.outer_face, inst.tri):
             # invalid start (deep replays collapse below double precision);
             # nothing worth optimizing from
@@ -358,7 +346,7 @@ def maximize_resolution(
             best, best_res = drawing, resolution
     if best is None:
         raise OptimizeFailure("no restart produced a valid drawing", traces)
-    return OptimizeResult(best, best_res, traces, config.seed)
+    return OptimizeResult(best, best_res, traces)
 
 
 @dataclass
@@ -433,26 +421,34 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
     return records
 
 
+def sweep_csv_text(records: list[SweepRecord]) -> str:
+    """The sweep CSV, one header line and one row per record, each line
+    ending in CRLF (csv's default); write it with ``newline=""``."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(CSV_COLUMNS)
+    for r in records:
+        w.writerow(
+            [
+                r.family,
+                "" if r.c is None else r.c,
+                r.d,
+                r.vertices,
+                r.edges,
+                r.max_degree,
+                repr(float(r.best_resolution)),
+                r.restarts,
+                r.valid_restarts,
+                r.seed,
+                f"{r.runtime_s:.3f}",
+            ]
+        )
+    return buf.getvalue()
+
+
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    r.family,
-                    "" if r.c is None else r.c,
-                    r.d,
-                    r.vertices,
-                    r.edges,
-                    r.max_degree,
-                    repr(float(r.best_resolution)),
-                    r.restarts,
-                    r.valid_restarts,
-                    r.seed,
-                    f"{r.runtime_s:.3f}",
-                ]
-            )
+        fh.write(sweep_csv_text(records))
 
 
 def read_sweep_csv(path: str) -> list[SweepRecord]:

@@ -8,21 +8,19 @@ from .graphs import Embedding, LabeledGraph
 from .metrics import validate_drawing
 
 
+WIDTH = 800.0
+VERTEX_RADIUS = 3.0
+
+
 class InvalidDrawingError(ValueError):
     """The drawing failed validation; rendering refused."""
 
 
-def export_svg(
-    graph: LabeledGraph,
-    emb: Embedding,
-    coords: np.ndarray,
-    width: float = 800.0,
-    vertex_radius: float = 3.0,
-    labels: bool = True,
-) -> str:
-    """SVG document: one line per edge, one circle per vertex (labeled when
-    the vertex carries a role label).  Viewport fits the drawing with a 5%
-    margin; output bytes are deterministic for identical inputs."""
+def export_svg(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> str:
+    """SVG document, ``WIDTH`` units wide: one line per edge, one circle of
+    radius ``VERTEX_RADIUS`` per vertex (labeled when the vertex carries a
+    role label).  Viewport fits the drawing with a 5% margin; output bytes
+    are deterministic for identical inputs."""
     viols = validate_drawing(graph, emb, coords)
     if viols:
         raise InvalidDrawingError(f"drawing has {len(viols)} violations: {viols[0]}")
@@ -34,7 +32,7 @@ def export_svg(
     lo = lo - margin
     hi = hi + margin
     span = hi - lo
-    s = width / float(span[0])
+    s = WIDTH / float(span[0])
     height = float(span[1]) * s
 
     def tx(p):
@@ -43,8 +41,8 @@ def export_svg(
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
-        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.1f}" '
+        f'height="{height:.1f}" viewBox="0 0 {WIDTH:.1f} {height:.1f}">',
         '<g stroke="black" stroke-width="0.8" fill="none">',
     ]
     for i, j in sorted(graph.edges):
@@ -55,9 +53,9 @@ def export_svg(
     out.append('<g fill="black" font-size="10" font-family="monospace">')
     for v in range(graph.n):
         x, y = tx(pts[v])
-        out.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{vertex_radius:.1f}"/>')
+        out.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{VERTEX_RADIUS:.1f}"/>')
         name = graph.labels.get(v)
-        if labels and name:
+        if name:
             out.append(f'<text x="{x + 4.0:.4f}" y="{y - 4.0:.4f}">{name}</text>')
     out.append("</g>")
     out.append("</svg>")

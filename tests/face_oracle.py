@@ -1,5 +1,5 @@
-"""Reference implementations of ``angres.graphs.trace_faces`` and
-``angres.graphs.internal_triangles``: the per-half-edge Python loop, used to
+"""Reference implementation of ``angres.graphs.internal_triangles``: a
+per-half-edge Python loop that traces every face (``trace_faces``), used to
 check the array kernel face for face and error for error."""
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Reference implementation of ``angres.layout.layout_seed_any``: the
-per-step replay loop, used to check the level-by-level kernel byte for byte."""
+per-step replay loop, used to check the level-by-level kernel byte for byte,
+and ``replay``, the package's kernel called the same way."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from angres.graphs import BuildSequence, Embedding, LabeledGraph, StructureError, verify_planar_3tree
-from angres.layout import outer_triangle_coords
+from angres.layout import _ReplayPlan, outer_triangle_coords
 
 
 def layout_seed_any(
@@ -48,3 +49,18 @@ def layout_seed_any(
         for pair in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
             faces.add(frozenset((pair[0], pair[1], x)))
     return coords
+
+
+def replay(
+    graph: LabeledGraph,
+    emb: Embedding,
+    seq: BuildSequence | None = None,
+    outer_coords: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """The level-by-level replay the package runs (``layout._ReplayPlan``),
+    with the signature of the loop above: ``layout_seed_any`` fixes the
+    outer coordinates and the optimizer passes only a generator."""
+    if seq is None:
+        seq = verify_planar_3tree(graph, keep=emb.outer_face)
+    return _ReplayPlan(graph, emb, seq).place(outer_coords, rng)

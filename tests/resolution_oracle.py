@@ -15,15 +15,11 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     """Smallest angle between two edges meeting at a vertex, over the drawing."""
     coords = np.asarray(coords, dtype=float)
     adj = graph.adjacency()
-    gaps: list[list[float]] = []
-    order: list[list[int]] = []
     best = math.inf
     witness = (-1, (-1, -1))
     for v in range(graph.n):
         nbrs = sorted(adj[v])
         if len(nbrs) < 2:
-            gaps.append([])
-            order.append(list(nbrs))
             continue
         vec = coords[nbrs] - coords[v]
         if np.any((vec == 0).all(axis=1)):
@@ -37,8 +33,6 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
             j = (i + 1) % len(cw)
             diff = a[i] - a[j] if j > 0 else a[i] - a[j] + 2.0 * math.pi
             g.append(diff)
-        gaps.append(g)
-        order.append(cw)
         for i, val in enumerate(g):
             pair = (cw[i], cw[(i + 1) % len(cw)])
             pair = (min(pair), max(pair))
@@ -47,4 +41,4 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
                 witness = (v, pair)
             elif val <= best + TOL:
                 best = min(best, val)
-    return AngleReport(gaps, order, best, witness)
+    return AngleReport(best, witness)

@@ -9,7 +9,7 @@ from angres.families import build_Htilde
 from angres.graphs import read_embedding, read_graph
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import read_drawing, write_drawing
-from angres.optimize import SweepRecord, write_sweep_csv
+from angres.optimize import CSV_COLUMNS
 
 
 def run(capsys, *argv):
@@ -47,6 +47,24 @@ class TestGen:
         assert code == 1
 
 
+# (graph, drawing, embedding, spec file) texts; None keeps a valid default,
+# and a spec text runs ``sweep`` instead of ``measure``
+MALFORMED = [
+    ("graph 3\ne 0\n", None, None, None),
+    ("graph\n", None, None, None),
+    ("graph 3\nl 0\n", None, None, None),
+    (None, "p 1\n", None, None),
+    (None, None, "rot\n", None),
+    ("graph 3\ne 0 x\n", None, None, None),
+    (None, "p 1 1 z\n", None, None),
+    (None, None, "rot 0 1 q\n", None),
+    ("graph -3\n", None, None, None),
+    (None, None, None, "htilde x 4\n"),
+    (None, None, None, "htilde 1\n"),
+    (None, None, None, "frame - 2\nnope 1 4\n"),
+]
+
+
 class TestLayoutMeasure:
     def test_layout_then_measure(self, tmp_path, capsys):
         gp = tmp_path / "f4.graph"
@@ -74,6 +92,22 @@ class TestLayoutMeasure:
         assert code == 0
         assert float(stdout.strip().splitlines()[-1].split()[-1]) == pytest.approx(math.pi / 3)
 
+    def test_measure_says_validated_yes_with_an_embedding(self, tmp_path, capsys):
+        gp, dp = tmp_path / "f3.graph", tmp_path / "f3.drawing"
+        assert run(capsys, "gen", "--family", "frame", "--d", "3", "-o", str(gp))[0] == 0
+        assert run(capsys, "layout", "--family", "frame", "--d", "3", "-o", str(dp))[0] == 0
+        code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-2:-1] == ["validated: yes"]
+
+    def test_measure_says_validated_no_without_an_embedding(self, tmp_path, capsys):
+        gp, dp = tmp_path / "t.graph", tmp_path / "t.drawing"
+        gp.write_text("graph 3\ne 0 1\ne 1 2\ne 0 2\n")
+        dp.write_text("p 0 0.0 1.0\np 1 0.8 -0.5\np 2 -0.8 -0.5\n")
+        code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-2:-1] == ["validated: no"]
+
     def test_measure_invalid_drawing_exit_1(self, tmp_path, capsys):
         gp = tmp_path / "f2.graph"
         dp = tmp_path / "bad.drawing"
@@ -95,25 +129,23 @@ class TestLayoutMeasure:
         assert np.array_equal(read_drawing(dp.read_text()), layout_nested(build_Htilde(2, 16)))
 
     @pytest.mark.parametrize(
-        "graph_text, drawing_text, emb_text",
-        [
-            ("graph 3\ne 0\n", None, None),
-            ("graph\n", None, None),
-            ("graph 3\nl 0\n", None, None),
-            (None, "p 1\n", None),
-            (None, None, "rot\n"),
-            ("graph 3\ne 0 x\n", None, None),
-            (None, "p 1 1 z\n", None),
-            (None, None, "rot 0 1 q\n"),
-        ],
+        "graph_text, drawing_text, emb_text, spec_text",
+        MALFORMED,
+        ids=["-".join(map(str, case[:3])) if case[3] is None else f"spec {case[3]}"
+             for case in MALFORMED],
     )
     def test_malformed_record_one_line_error(self, tmp_path, capsys, graph_text, drawing_text,
-                                             emb_text):
+                                             emb_text, spec_text):
         gp, dp, ep = tmp_path / "t.graph", tmp_path / "t.drawing", tmp_path / "t.emb"
         gp.write_text(graph_text or "graph 3\ne 0 1\ne 1 2\ne 0 2\n")
         dp.write_text(drawing_text or "p 0 0.0 1.0\np 1 0.8 -0.5\np 2 -0.8 -0.5\n")
         ep.write_text(emb_text or "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\n")
-        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        if spec_text is None:
+            code, _, err = run(capsys, "measure", str(gp), str(dp))
+        else:
+            sp = tmp_path / "t.spec"
+            sp.write_text(spec_text)
+            code, _, err = run(capsys, "sweep", "--spec", str(sp), "-o", str(tmp_path / "x.csv"))
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert re.search(r"line \d+: ", err) and "Traceback" not in err
@@ -149,6 +181,8 @@ class TestSweepFit:
         )
         assert code == 0
         assert "3 rows (0 failed)" in stdout
+        # csv's own line ends, written without newline translation
+        assert csv_path.read_bytes().startswith(",".join(CSV_COLUMNS).encode() + b"\r\n")
         code, stdout, _ = run(
             capsys, "fit", "--csv", str(csv_path), "--family", "frame"
         )

@@ -14,15 +14,15 @@ from angres.families import (
     insert_copy,
     vertex_count_G,
 )
-from angres.graphs import euler_check, max_degree, trace_faces, verify_planar_3tree
+from angres.graphs import internal_triangles, max_degree, verify_planar_3tree
 
 
 def check_structure(fam):
     g, emb = fam.graph, fam.embedding
     assert len(g.edges) == 3 * g.n - 6
-    faces = trace_faces(g, emb.rotation)
-    assert euler_check(g, faces)
-    assert all(len(f) == 3 for f in faces)
+    # raises unless every face is a triangle, V - E + F = 2 and the outer
+    # face is traced; a triangulation has 2n - 4 faces
+    assert len(internal_triangles(g, emb)) == 2 * g.n - 5
     verify_planar_3tree(g, keep=emb.outer_face)
 
 

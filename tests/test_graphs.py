@@ -16,23 +16,19 @@ from angres.graphs import (
     edge,
     euler_check,
     face_cycle_from,
-    insert_vertex_in_face,
     internal_triangles,
     max_degree,
     read_embedding,
     read_graph,
-    replay_build,
-    trace_faces,
     verify_planar_3tree,
     write_embedding,
     write_graph,
 )
 from angres.graphs import _check_build_sequence, _check_planarity
-from angres.layout import layout_seed_any
 from face_oracle import internal_triangles as reference_triangles
-from face_oracle import trace_faces as reference_faces
 from planarity_oracle import _replay_planarity as reference_planarity
 from replay_oracle import layout_seed_any as reference_seed_any
+from replay_oracle import replay
 
 
 def k4():
@@ -50,6 +46,34 @@ def triangle():
     g.add_edge(1, 2)
     g.add_edge(0, 2)
     return g, Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
+
+
+def insert_vertex_in_face(
+    graph: LabeledGraph, rotation: list[list[int]], face: tuple[int, int, int]
+) -> int:
+    """3-tree step: add a vertex inside a triangular face, joined to its corners.
+
+    ``face`` must be the face's traced cycle (a, b, c).  Returns the new
+    vertex index.  The three new faces are traced (a, b, x), (b, c, x),
+    (c, a, x).
+    """
+    a, b, c = face
+    x = graph.n
+    graph.n += 1
+    for t in face:
+        graph.edges.add(edge(t, x))
+    # The corner of face (a,b,c) at a lies between the edges to c and to b.
+    rotation[a].insert(rotation[a].index(c) + 1, x)
+    rotation[b].insert(rotation[b].index(a) + 1, x)
+    rotation[c].insert(rotation[c].index(b) + 1, x)
+    rotation.append([a, c, b])
+    return x
+
+
+def all_faces(g, emb):
+    """Every face of a triangulated embedding: the internal triangles and the
+    outer face."""
+    return [tuple(f) for f in internal_triangles(g, emb).tolist()] + [emb.outer_face]
 
 
 def random_3tree(seed, steps):
@@ -86,15 +110,13 @@ class TestLabeledGraph:
 class TestFaces:
     def test_triangle_faces(self):
         g, emb = triangle()
-        faces = trace_faces(g, emb.rotation)
-        assert len(faces) == 2
-        assert euler_check(g, faces)
+        assert internal_triangles(g, emb).tolist() == [[0, 2, 1]]
+        assert euler_check(g, all_faces(g, emb))
 
     def test_k4_faces(self):
         g, emb = k4()
-        faces = trace_faces(g, emb.rotation)
+        faces = all_faces(g, emb)
         assert len(faces) == 4
-        assert all(len(f) == 3 for f in faces)
         assert euler_check(g, faces)
 
     def test_face_cycle_from_walks_one_face(self):
@@ -106,8 +128,8 @@ class TestFaces:
         g, emb = k4()
         rot = [list(r) for r in emb.rotation]
         rot[0] = [2, 1]  # missing neighbor 3
-        with pytest.raises(StructureError):
-            trace_faces(g, rot)
+        with pytest.raises(StructureError, match="rotation at vertex 0"):
+            internal_triangles(g, Embedding(rot, emb.outer_face))
 
     def test_canonical_cycle_rotation_invariant(self):
         assert canonical_cycle((2, 0, 1)) == canonical_cycle((0, 1, 2))
@@ -162,10 +184,9 @@ def outcome(fn, *args):
 
 
 def assert_matches_loop(g, emb, rejected=False):
-    """``trace_faces`` and ``internal_triangles`` return or raise exactly what
-    the loops in face_oracle do; ``internal_triangles`` raises if and only if
-    ``rejected`` (None: either way)."""
-    assert outcome(trace_faces, g, emb.rotation) == outcome(reference_faces, g, emb.rotation)
+    """``internal_triangles`` returns or raises exactly what the loop in
+    face_oracle does, and raises if and only if ``rejected`` (None: either
+    way)."""
     got = outcome(internal_triangles, g, emb)
     assert got == outcome(reference_triangles, g, emb)
     if rejected is not None:
@@ -265,7 +286,7 @@ class TestInsertion:
         g, emb = triangle()
         x = insert_vertex_in_face(g, emb.rotation, (0, 2, 1))
         assert x == 3
-        faces = trace_faces(g, emb.rotation)
+        faces = all_faces(g, emb)
         assert len(faces) == 4
         assert euler_check(g, faces)
 
@@ -273,9 +294,8 @@ class TestInsertion:
     @settings(max_examples=30, deadline=None)
     def test_random_growth_stays_triangulated(self, seed, steps):
         g, emb = random_3tree(seed, steps)
-        faces = trace_faces(g, emb.rotation)
-        assert euler_check(g, faces)
-        assert all(len(f) == 3 for f in faces)
+        # internal_triangles raises unless every face is a triangle
+        assert euler_check(g, all_faces(g, emb))
         assert len(g.edges) == 3 * g.n - 6
 
 
@@ -291,8 +311,10 @@ class TestVerify3Tree:
         g, emb = random_3tree(seed, steps)
         seq = verify_planar_3tree(g, keep=emb.outer_face)
         assert set(seq.base) == set(emb.outer_face)
-        rebuilt = replay_build(seq, g.n)
-        assert rebuilt.edges == g.edges
+        a, b, c = seq.base
+        rebuilt = {edge(a, b), edge(b, c), edge(a, c)}
+        rebuilt |= {edge(t, x) for x, tri in seq.steps for t in tri}
+        assert rebuilt == g.edges
 
     def test_octahedron_rejected(self):
         # 4-regular maximal planar graph: no degree-3 vertex at all
@@ -446,7 +468,7 @@ class TestSequenceKernel:
             want = "StructureError", f"replay: vertex {missing[0]} is never placed"
         for rng_seed in (None, seed):
             rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
-            got = outcome(layout_seed_any, g, emb, seq, None, rngs[0])
+            got = outcome(replay, g, emb, seq, None, rngs[0])
             if want is None:
                 assert got == outcome(reference_seed_any, g, emb, seq, None, rngs[1])
                 assert rng_seed is None or rngs[0].random() == rngs[1].random()
@@ -481,6 +503,10 @@ class TestSerialization:
         back = read_embedding(write_embedding(emb))
         assert back.rotation == emb.rotation
         assert back.outer_face == emb.outer_face
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(StructureError, match="^line 2: negative vertex count -3$"):
+            read_graph("# header\ngraph -3\n")
 
     def test_bad_graph_text(self):
         with pytest.raises(StructureError):

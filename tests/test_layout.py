@@ -18,6 +18,7 @@ from angres.layout import (
 )
 from angres.metrics import angular_resolution, validate_drawing
 from replay_oracle import layout_seed_any as reference_seed_any
+from replay_oracle import replay
 
 
 class TestConfig:
@@ -140,13 +141,13 @@ class TestSeedAny:
     def test_randomized_replay_always_valid(self, seed):
         fam = build_Htilde(1, 2)
         rng = np.random.default_rng(seed)
-        coords = layout_seed_any(fam.graph, fam.embedding, rng=rng)
+        coords = replay(fam.graph, fam.embedding, rng=rng)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
 
     def test_custom_outer_coords(self):
         fam = build_frame(3)
         outer = 2.5 * outer_triangle_coords()
-        coords = layout_seed_any(fam.graph, fam.embedding, outer_coords=outer)
+        coords = replay(fam.graph, fam.embedding, outer_coords=outer)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
         np.testing.assert_allclose(coords[list(fam.embedding.outer_face)], outer)
 
@@ -182,16 +183,19 @@ class TestSeedAnyKernel:
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
         outer = 2.5 * outer_triangle_coords()[::-1]
         for args in ((seq,), (seq, None, outer), (None,), (seq, 7), (seq, 7, outer)):
-            assert replay_outcome(layout_seed_any, fam, *args) == replay_outcome(
+            assert replay_outcome(replay, fam, *args) == replay_outcome(
                 reference_seed_any, fam, *args
             )
+        for s in (seq, None):
+            want = reference_seed_any(fam.graph, fam.embedding, s)
+            assert layout_seed_any(fam.graph, fam.embedding, s).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(50))
     def test_jitter_matches_the_loop(self, seed):
         fam = build_Htilde(2, 4)
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
         for rng_seed in ([seed, 2], seed):
-            got = replay_outcome(layout_seed_any, fam, seq, rng_seed)
+            got = replay_outcome(replay, fam, seq, rng_seed)
             assert got == replay_outcome(reference_seed_any, fam, seq, rng_seed)
 
     def test_invalid_steps_match_the_loop(self):
@@ -208,7 +212,7 @@ class TestSeedAnyKernel:
             for rng_seed in (None, 3):
                 want = replay_outcome(reference_seed_any, fam, s, rng_seed)
                 assert want[0] == "StructureError"
-                assert replay_outcome(layout_seed_any, fam, s, rng_seed) == want
+                assert replay_outcome(replay, fam, s, rng_seed) == want
 
     def test_vertex_placed_twice_is_rejected(self):
         # a level-by-level fill needs every vertex placed once; the step loop

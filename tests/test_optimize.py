@@ -43,9 +43,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizeConfig(restarts=0).validate()
 
-    def test_bad_tol(self):
+    def test_bad_penalty_init(self):
         with pytest.raises(ValueError):
-            OptimizeConfig(tol=0.0).validate()
+            OptimizeConfig(penalty_init=0.0).validate()
 
 
 class TestGradient:
