@@ -103,6 +103,23 @@ def _drawing_violations(coords: np.ndarray, outer_face, tri: np.ndarray) -> list
     return out
 
 
+def _corner_resolution(coords: np.ndarray, tri: np.ndarray) -> float:
+    """``angular_resolution(...).resolution`` of an (n, 2) float drawing that
+    ``_drawing_violations`` passes, from its internal triangles ``tri``.
+
+    Each internal corner (a, b, c) gives the gap atan2(b->a) - atan2(b->c),
+    plus 2 pi where that is negative: the float expression that
+    ``angular_resolution`` evaluates for the same two consecutive edges.  On
+    a valid triangulation drawing these are all of its gaps but the three
+    outer ones, which exceed pi and never win, so no sort is needed."""
+    p = coords[tri]
+    to_a = p[:, [2, 0, 1]] - p  # corner i of face t is (t[i-1], t[i], t[i+1])
+    to_c = p[:, [1, 2, 0]] - p
+    gap = np.arctan2(to_a[..., 1], to_a[..., 0]) - np.arctan2(to_c[..., 1], to_c[..., 0])
+    gap[gap < 0] += 2.0 * math.pi
+    return float(gap.min())
+
+
 @dataclass
 class AngleReport:
     """Smallest angle between consecutive edges at a vertex, and the vertex

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
 from angres.geometry import angle_at
-from angres.graphs import verify_planar_3tree
+from angres.graphs import internal_triangles, verify_planar_3tree
 from angres.layout import LayoutConfig, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
+    _corner_resolution,
+    _drawing_violations,
     angular_resolution,
     claim_quantities,
     frame_profile,
@@ -21,8 +23,11 @@ from angres.metrics import (
     validate_drawing,
     write_drawing,
 )
+from angres.optimize import OptimizeConfig, maximize_resolution
+from replay_oracle import replay
 from resolution_oracle import angular_resolution as reference_resolution
 from segment_oracle import reference_valid
+from test_graphs import random_3tree
 
 TOL = 1e-9
 
@@ -231,6 +236,53 @@ class TestAngularResolution:
                 angular_resolution(g, coords)
         else:
             assert angular_resolution(g, coords) == want
+
+
+class TestCornerResolution:
+    """The per-corner minimum the optimizer measures restarts with equals
+    ``angular_resolution``'s resolution bit for bit on valid drawings."""
+
+    @staticmethod
+    def assert_matches(g, emb, coords):
+        tri = internal_triangles(g, emb)
+        assert _drawing_violations(coords, emb.outer_face, tri) == []
+        want = angular_resolution(g, coords).resolution
+        assert np.float64(_corner_resolution(coords, tri)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_frame(1),
+            lambda: build_frame(6),
+            lambda: build_G(1, 3),
+            lambda: build_G(2, 3),
+            lambda: build_H(1, 3),
+            lambda: build_H(2, 2),
+            lambda: build_Htilde(1, 8),
+            lambda: build_Htilde(2, 8),
+            lambda: build_Htilde(3, 2),
+        ],
+    )
+    def test_nested_drawings(self, build):
+        fam = build()
+        self.assert_matches(fam.graph, fam.embedding, layout_nested(fam))
+
+    @pytest.mark.parametrize("build", [lambda: build_frame(3), lambda: build_Htilde(1, 4)])
+    def test_optimized_drawings(self, build):
+        fam = build()
+        config = OptimizeConfig(restarts=3, max_iters=200, seed=3)
+        result = maximize_resolution(fam.graph, fam.embedding, config)
+        self.assert_matches(fam.graph, fam.embedding, result.coords)
+
+    @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_jittered_replays_of_random_3trees(self, seed, steps, draw):
+        g, emb = random_3tree(seed, steps)
+        rng = np.random.default_rng(draw)
+        coords = replay(g, emb, rng=rng)
+        coords += rng.normal(0.0, 1e-3, coords.shape)
+        assume(not _drawing_violations(coords, emb.outer_face, internal_triangles(g, emb)))
+        self.assert_matches(g, emb, coords)
 
 
 class TestFrameProfile:

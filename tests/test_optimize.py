@@ -6,9 +6,10 @@ import pytest
 from scipy.special import logsumexp
 
 import objective_oracle
+from angres import optimize
 from angres.families import FamilySpec, build_frame, build_G, build_Htilde
 from angres.graphs import Embedding, LabeledGraph
-from angres.layout import layout_frame_fan, layout_nested
+from angres.layout import layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import angular_resolution, validate_drawing
 from angres.optimize import (
     CSV_COLUMNS,
@@ -76,6 +77,21 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
+def _record_selections(monkeypatch) -> list:
+    """Record each objective call's selection of live terms as ("dense" or
+    "sparse", whether any face is flipped)."""
+    live_terms = optimize._live_terms
+    selections = []
+
+    def recorded(coef, pc, P):
+        live = live_terms(coef, pc, P)
+        selections.append(("dense" if live is None else "sparse", bool(np.count_nonzero(pc))))
+        return live
+
+    monkeypatch.setattr(optimize, "_live_terms", recorded)
+    return selections
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_case(name: str):
     fam = {
@@ -127,6 +143,61 @@ class TestObjectiveOracle:
         )
         got = _objective(y, inst, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+    @pytest.mark.parametrize("name", ["g12", "htilde24"])
+    @pytest.mark.parametrize("bad", [1e150, np.nan])
+    @pytest.mark.parametrize("sharp", [5.0, 1e7])
+    @pytest.mark.parametrize("weight", [0.0, 10.0])
+    def test_bit_identical_with_a_wide_or_nan_coordinate(self, monkeypatch, name, bad, sharp, weight):
+        # beyond 1e100 a corner's factors overflow and its dropped term would
+        # be 0 * inf = nan, not zero; a nan spreads to every weight.  Both
+        # keep every term.
+        g, emb, coords = _oracle_case(name)
+        inst = _Instance(g, emb)
+        coords = coords.copy()
+        coords[inst.free[0], 1] = bad
+        idx = objective_oracle.internal_corner_index(g, emb)
+        selections = _record_selections(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = objective_oracle.objective(
+                coords[inst.free].ravel(), g.n, inst.free, idx, idx[::3], sharp, weight, coords
+            )
+            got = objective_and_gradient(g, emb, coords, sharp, weight)
+        assert not np.isfinite(want[1]).all()
+        assert {kind for kind, _ in selections} == {"dense"}
+        if math.isnan(bad):
+            # IEEE 754 leaves a nan's sign to the operation, and the oracle's
+            # loops over strided columns and the kernel's over contiguous
+            # arrays do not agree on it: compare nans by position
+            got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+    def test_bit_identical_along_restarts(self, monkeypatch):
+        """Every objective call of two short optimizations against the
+        oracle; together they take the dense selection and the sparse one,
+        flipped faces included."""
+        objective = optimize._objective
+        selections = _record_selections(monkeypatch)
+        for d in (4, 16):
+            fam = build_Htilde(2, d)
+            g, emb = fam.graph, fam.embedding
+            idx = objective_oracle.internal_corner_index(g, emb)
+
+            def checked_objective(y, inst, pinned, sharp, weight, origin, scale):
+                got = objective(y, inst, pinned, sharp, weight, origin, scale)
+                want = objective_oracle.objective(
+                    y, g.n, inst.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
+                )
+                assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+                return got
+
+            monkeypatch.setattr(optimize, "_objective", checked_objective)
+            config = OptimizeConfig(
+                restarts=3, max_iters=60, seed=1, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
+            )
+            maximize_resolution(g, emb, config)
+        assert {kind for kind, _ in selections} == {"sparse", "dense"}
+        assert ("sparse", True) in selections  # flipped faces selected too
 
     @pytest.mark.parametrize(
         "a",
@@ -206,6 +277,19 @@ class TestMaximize:
             fam.graph, fam.embedding, OptimizeConfig(restarts=4, max_iters=400, seed=7)
         )
         assert more.resolution >= few.resolution - 1e-12
+
+    def test_traces_record_start_resolution(self):
+        fam = build_Htilde(1, 4)
+        g, emb = fam.graph, fam.embedding
+        nested = layout_nested(fam)
+        mirrored = nested * [-1.0, 1.0]  # every face flipped: discarded
+        config = OptimizeConfig(restarts=4, max_iters=100, seed=7, extra_seeds=[nested, mirrored])
+        traces = maximize_resolution(g, emb, config).traces
+        for t, start in zip(traces, [layout_seed_any(g, emb), nested]):
+            assert t.start_resolution == angular_resolution(g, start).resolution
+        assert not traces[2].valid and math.isnan(traces[2].start_resolution)
+        for t in (traces[0], traces[1], traces[3]):
+            assert t.valid and t.resolution >= t.start_resolution > 0.0
 
     def test_traces_cover_restarts(self):
         fam = build_frame(2)
