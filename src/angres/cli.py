@@ -184,6 +184,7 @@ def _cmd_lemma_fuzz(args) -> int:
         f"worst lhs/rhs {report.worst_ratio!r}, "
         f"max sine-product error {report.max_sine_product_error:.3e}"
     )
+    print(f"max angle-sum error {report.max_angle_sum_error:.3e}")
     return 0 if report.bound_holds == report.n else 1
 
 

@@ -98,6 +98,9 @@ class RestartTrace:
     valid: bool
     resolution: float  # nan when invalid
     start_resolution: float  # nan when the start was discarded
+    # one (message, nit, nfev) per L-BFGS-B stage; empty when the start was
+    # discarded or no vertex is free
+    stages: list[tuple[str, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -289,13 +292,19 @@ def _min_corner_angle(P, corners) -> float:
     return float(theta.min())
 
 
-def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
+def _run_restart(
+    start, inst, pinned, config
+) -> tuple[np.ndarray, float, int, list[tuple[str, int, int]]]:
     """Sharpness/penalty continuation from one starting drawing.
 
     Variables are per-vertex rescaled offsets from the start (scale = the
     shortest incident edge in the starting drawing); stages keep running,
     doubling sharpness and growing the penalty, until the iteration budget
-    is spent or the objective stops improving."""
+    is spent or the objective stops improving.  The stall test reads each
+    stage's ``res.fun``, but after an ``ABNORMAL`` line-search exit that is
+    the last rejected trial point, not the objective at ``res.x``; so the
+    reported objective is evaluated once more at the returned variables,
+    with the last stage's sharpness and weight."""
     free = inst.free
     # every edge of a triangulation is a side of an internal face; hypot and
     # the minimum do not depend on the side's direction or order
@@ -315,6 +324,7 @@ def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
     value = math.inf
     stage = 0
     stalled = 0
+    stages = []
     while iters_left > 0 and stalled < 2:
         span = max(abs(_min_corner_angle(P, inst.corners)), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
@@ -328,6 +338,8 @@ def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
             options={"maxiter": min(budget, iters_left), "ftol": TOL, "gtol": 1e-14},
         )
         y = res.x
+        stages.append((str(res.message), int(res.nit), int(res.nfev)))
+        final = (sharp, weight)
         improved = float(res.fun) < value - TOL
         value = float(res.fun)
         total_iters += res.nit
@@ -337,7 +349,8 @@ def _run_restart(start, inst, pinned, config) -> tuple[np.ndarray, float, int]:
         weight *= PENALTY_GROWTH
         stage += 1
         stalled = 0 if improved else stalled + 1
-    return np.array(P.T), value, total_iters
+    value = float(_objective(y, inst, pinned, *final, origin, scale)[0])
+    return np.array(P.T), value, total_iters, stages
 
 
 def maximize_resolution(
@@ -383,16 +396,16 @@ def maximize_resolution(
             traces.append(RestartTrace(r, math.inf, 0, False, math.nan, math.nan))
             continue
         if inst.free.size:
-            drawing, value, iters = _run_restart(start, inst, pinned, config)
+            drawing, value, iters, stages = _run_restart(start, inst, pinned, config)
         else:
-            drawing, value, iters = base.copy(), 0.0, 0  # only the pinned triangle
+            drawing, value, iters, stages = base.copy(), 0.0, 0, []  # only the pinned triangle
         valid = not _drawing_violations(drawing, inst.outer_face, inst.tri)
         resolution = _corner_resolution(drawing, inst.tri) if valid else math.nan
         # a restart never reports worse than its (valid) starting drawing
         start_res = _corner_resolution(start, inst.tri)
         if not valid or start_res > resolution:
             drawing, valid, resolution = start.copy(), True, start_res
-        traces.append(RestartTrace(r, value, iters, valid, resolution, start_res))
+        traces.append(RestartTrace(r, value, iters, valid, resolution, start_res, stages))
         if valid and resolution > best_res:
             best, best_res = drawing, resolution
     if best is None:

@@ -6,6 +6,7 @@ import pytest
 
 from angres.cli import main
 from angres.families import build_Htilde
+from angres.geometry import lemma_fuzz
 from angres.graphs import read_embedding, read_graph
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import read_drawing, write_drawing
@@ -204,6 +205,18 @@ class TestLemmaFuzzCli:
         code, stdout, _ = run(capsys, "lemma-fuzz", "--n", "1000", "--seed", "42")
         assert code == 0
         assert "1000/1000 hold" in stdout
+
+    def test_prints_every_report_field(self, capsys):
+        code, stdout, _ = run(capsys, "lemma-fuzz", "--n", "300", "--seed", "5")
+        report = lemma_fuzz(300, 5)
+        assert code == 0
+        assert stdout.splitlines() == [
+            "lemma-fuzz: n=300 seed=5",
+            f"{report.bound_holds}/300 hold",
+            f"worst lhs/rhs {report.worst_ratio!r}, "
+            f"max sine-product error {report.max_sine_product_error:.3e}",
+            f"max angle-sum error {report.max_angle_sum_error:.3e}",
+        ]
 
 
 class TestExportSvg:

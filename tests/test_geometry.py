@@ -14,6 +14,7 @@ from angres.geometry import (
     orientation,
     sine_product,
 )
+from fuzz_oracle import lemma_fuzz as reference_lemma_fuzz
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -114,6 +115,19 @@ class TestFuzz:
         assert report.worst_ratio <= 1.0
         assert report.max_sine_product_error < 1e-9
         assert report.max_angle_sum_error < 1e-9
+
+    @pytest.mark.parametrize(
+        "n,seed",
+        [(1, 1), (1000, 1), (65536, 2), (65537, 2), (262144, 4), (300000, 9), (100000, 20240817)],
+    )
+    def test_fuzz_matches_oracle(self, n, seed):
+        """Every report field equals the concatenating loop's, floats bit for
+        bit: the 1024-row floor, one batch, a batch boundary, several batches
+        ending in a partial one, and criterion 1's case."""
+        got, want = lemma_fuzz(n, seed), reference_lemma_fuzz(n, seed)
+        assert (got.n, got.bound_holds) == (want.n, want.bound_holds) == (n, n)
+        for name in ("worst_ratio", "max_sine_product_error", "max_angle_sum_error"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
 
     def test_fuzz_deterministic(self):
         a = lemma_fuzz(500, seed=3)

@@ -291,6 +291,45 @@ class TestMaximize:
         for t in (traces[0], traces[1], traces[3]):
             assert t.valid and t.resolution >= t.start_resolution > 0.0
 
+    def test_deep_trace_records_abnormal_stages(self):
+        """On htilde(2,16) every stage of the nested start exits ABNORMAL
+        without moving, and its res.fun is a rejected trial near pi; the
+        trace reports the objective at the returned variables instead."""
+        fam = build_Htilde(2, 16)
+        config = OptimizeConfig(
+            restarts=2, max_iters=3000, seed=42, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
+        )
+        traces = maximize_resolution(fam.graph, fam.embedding, config).traces
+        assert traces[0].stages == [] and traces[0].final_objective == math.inf
+        t = traces[1]
+        assert t.valid and t.iterations == 0 and t.stages
+        assert all(msg.startswith("ABNORMAL") and nit == 0 for msg, nit, _ in t.stages)
+        # minus a soft-min of the corner angles of the unmoved (valid) start
+        assert 0.0 < -t.final_objective <= t.resolution
+
+    def test_shallow_trace_objective_is_last_stage_value(self, monkeypatch):
+        funs = []
+        minimize = optimize.minimize
+
+        def recording_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            funs.append(float(res.fun))
+            return res
+
+        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        fam = build_Htilde(1, 4)
+        config = OptimizeConfig(
+            restarts=2, max_iters=400, seed=42, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
+        )
+        traces = maximize_resolution(fam.graph, fam.embedding, config).traces
+        for t in traces:
+            assert t.stages and not any(msg.startswith("ABNORMAL") for msg, _, _ in t.stages)
+            assert sum(nit for _, nit, _ in t.stages) == t.iterations
+            last = funs[len(t.stages) - 1]
+            del funs[: len(t.stages)]
+            assert t.final_objective.hex() == last.hex()
+        assert funs == []
+
     def test_traces_cover_restarts(self):
         fam = build_frame(2)
         result = maximize_resolution(fam.graph, fam.embedding, FAST)
