@@ -3,19 +3,24 @@
 All constructions are deterministic: equal parameters give identical vertex
 indexing, edge sets and rotations.  Copies are glued into triangular faces by
 identifying the copy's outer triangle with the face corners and splicing the
-rotation systems; the three duplicated boundary edges are merged.
+rotation systems; the three duplicated boundary edges are merged.  All copies
+of one sub-family at one level are glued by one ``glue_copies`` call, which
+maps the sub's edge array and flattened rotation through each copy's int64
+vertex map instead of walking them element by element.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graphs import (
     Embedding,
     LabeledGraph,
     StructureError,
-    edge,
     face_cycle_from,
 )
 
@@ -53,11 +58,12 @@ class FrameRoles:
 
 @dataclass
 class CopyPlacement:
-    """Record of one glued copy: the source family and the vertex map
-    (copy index -> host index, including the three identified corners)."""
+    """Record of one glued copy: the source family and the vertex map, an
+    int64 array whose entry i is the host index of copy vertex i (the three
+    outer corners map to the host face they were identified with)."""
 
     sub: "Family"
-    vmap: dict[int, int]
+    vmap: np.ndarray
 
 
 @dataclass
@@ -121,15 +127,52 @@ def build_frame(d: int) -> Family:
     return Family(g, emb, roles=FrameRoles(w, u, v))
 
 
-def insert_copy(
-    host: Family,
-    face: tuple[int, int, int],
-    root_target: int,
-    copy: Family,
-    copy_root: int,
-    mirror: bool = False,
-) -> dict[int, int]:
-    """Glue ``copy`` into a triangular face of ``host``.
+Gluing = tuple[tuple[int, int, int], int, int, bool]  # (face, root_target, copy_root, mirror)
+
+
+def _host_face(
+    rot: list[list[int]], face: tuple[int, int, int], root_target: int
+) -> tuple[int, ...]:
+    """The host face with vertex set ``face``, traced from ``root_target``."""
+    fset = set(face)
+    if len(fset) != 3:
+        raise StructureError(f"face {face} is not a triangle")
+    if root_target not in fset:
+        raise StructureError(f"root target {root_target} is not on face {face}")
+    for a in rot[root_target]:
+        if a in fset:
+            cand = face_cycle_from(rot, root_target, a)
+            if len(cand) == 3 and set(cand) == fset:
+                return cand
+    raise StructureError(f"{tuple(sorted(fset))} is not a face of the host embedding")
+
+
+def _corner_fans(sub: Family, copy_root: int, mirror: bool) -> tuple[tuple[int, int, int], list]:
+    """The copy's outer corners ``(croot, N, P)``, traced from ``copy_root``,
+    and its interior fans at them, each read clockwise from one outer
+    neighbour to the other, as copy-index arrays."""
+    outer = sub.embedding.outer_face
+    if mirror:
+        outer = tuple(reversed(outer))
+    k = outer.index(copy_root)
+    croot, N, P = outer[k:] + outer[:k]
+
+    def fan(center: int, start: int, end: int) -> np.ndarray:
+        seq = sub.embedding.rotation[center]
+        if mirror:
+            seq = seq[::-1]
+        k0 = seq.index(start)
+        lin = seq[k0:] + seq[:k0]
+        if lin[-1] != end:
+            raise StructureError("copy rotation inconsistent with its outer face")
+        return np.array(lin[1:-1], dtype=np.int64)
+
+    return (croot, N, P), [fan(croot, N, P), fan(P, croot, N), fan(N, P, croot)]
+
+
+def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
+    """Glue one copy of ``sub`` into a triangular face of ``host`` per
+    gluing ``(face, root_target, copy_root, mirror)``, in list order.
 
     The copy's outer face (a triangle through ``copy_root``) is identified
     with the host face: ``copy_root`` goes to ``root_target``, and the two
@@ -138,85 +181,72 @@ def insert_copy(
     copy (all rotations reversed) is glued instead, which swaps the two
     non-root corner identifications; this controls which copy corner's
     degree lands on which face vertex.  Duplicate boundary edges are merged;
-    all interior copy vertices get fresh host indices.  Returns the full
-    vertex map and records it on ``host.placements``.
+    the interior copy vertices get fresh host indices in copy-index order,
+    copy after copy.  Each copy's vertex map is recorded on
+    ``host.placements``.
+
+    The sub's sorted edge array and the rotation rows of its interior
+    vertices, flattened once in plain and in mirrored order, are mapped
+    through each copy's vmap.  Every host entry is then taken from one list
+    of Python ints, so all entries of a vertex share one int object.  The
+    host's edge set is updated once, in the order that inserting each
+    copy's sorted edges copy by copy gives.
     """
-    fset = set(face)
-    if len(fset) != 3:
-        raise StructureError(f"face {face} is not a triangle")
-    if root_target not in fset:
-        raise StructureError(f"root target {root_target} is not on face {face}")
-
     rot = host.embedding.rotation
-    cycle = None
-    for a in rot[root_target]:
-        if a in fset:
-            cand = face_cycle_from(rot, root_target, a)
-            if len(cand) == 3 and set(cand) == fset:
-                cycle = cand
-                break
-    if cycle is None:
-        raise StructureError(f"{tuple(sorted(fset))} is not a face of the host embedding")
-    r, A, B = cycle  # host face traced from the root
+    outer = sub.embedding.outer_face
+    on_outer = np.isin(np.arange(sub.graph.n), outer)
+    inner = np.flatnonzero(~on_outer)
+    ends = sub.graph.edge_array()
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]  # the order of sorted(edges)
+    ends = ends[~(on_outer[ends[:, 0]] & on_outer[ends[:, 1]])]
+    rows = [sub.embedding.rotation[i] for i in inner.tolist()]
+    deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    cut = np.concatenate([[0], np.cumsum(deg)])
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(cut[-1]))
+    row = np.repeat(np.arange(len(rows)), deg)
+    flat_mirrored = flat[cut[row] + cut[row + 1] - 1 - np.arange(flat.size)]  # each row reversed
+    bounds = list(zip(cut[:-1].tolist(), cut[1:].tolist()))
 
-    outer = copy.embedding.outer_face
-    if len(outer) != 3:
-        raise StructureError("copy outer face is not a triangle")
-    if copy_root not in outer:
-        raise StructureError(f"copy root {copy_root} is not on the copy's outer face")
-    crot = copy.embedding.rotation
-    if mirror:
-        outer = tuple(reversed(outer))
-        crot = [list(reversed(lst)) for lst in crot]
-    k = outer.index(copy_root)
-    croot, N, P = outer[k:] + outer[:k]
+    ids = list(range(host.graph.n))
 
-    vmap: dict[int, int] = {croot: r, P: A, N: B}
-    fresh = host.graph.n
-    for i in range(copy.graph.n):
-        if i not in vmap:
-            vmap[i] = fresh
-            fresh += 1
-    host.graph.n = fresh
+    def host_ids(vmap: np.ndarray, copy_ids: np.ndarray) -> list[int]:
+        return list(map(ids.__getitem__, vmap[copy_ids].tolist()))
 
-    boundary = {r, A, B}
-    for i, j in sorted(copy.graph.edges):
-        a, b = vmap[i], vmap[j]
-        if a in boundary and b in boundary:
-            continue  # outer-triangle edge, merged with the host face edge
-        host.graph.edges.add(edge(a, b))
+    corners: dict[tuple[int, bool], tuple] = {}
+    mapped_ends = []
+    for face, root_target, copy_root, mirror in gluings:
+        r, A, B = _host_face(rot, face, root_target)
+        if len(outer) != 3:
+            raise StructureError("copy outer face is not a triangle")
+        if copy_root not in outer:
+            raise StructureError(f"copy root {copy_root} is not on the copy's outer face")
+        if (copy_root, mirror) not in corners:
+            corners[(copy_root, mirror)] = _corner_fans(sub, copy_root, mirror)
+        (croot, N, P), fans = corners[(copy_root, mirror)]
 
-    def fan(center: int, start: int, end: int) -> list[int]:
-        seq = crot[center]
-        k0 = seq.index(start)
-        lin = seq[k0:] + seq[:k0]
-        if lin[-1] != end:
-            raise StructureError("copy rotation inconsistent with its outer face")
-        return [vmap[x] for x in lin[1:-1]]
+        fresh = host.graph.n
+        vmap = np.empty(sub.graph.n, dtype=np.int64)
+        vmap[inner] = np.arange(fresh, fresh + inner.size)
+        vmap[[croot, P, N]] = (r, A, B)
+        ids.extend(range(fresh, fresh + inner.size))
+        host.graph.n = fresh + inner.size
+        mapped_ends.append(vmap[ends])
 
-    # Interior fans at the three shared vertices, clockwise between the two
-    # boundary edges of the host face corner.
-    splices = [
-        (r, B, fan(croot, N, P)),   # corner of the face at r: between B and A
-        (A, r, fan(P, croot, N)),   # corner at A: between r and B
-        (B, A, fan(N, P, croot)),   # corner at B: between A and r
-    ]
-    for at, after, ins in splices:
-        pos = rot[at].index(after)
-        rot[at][pos + 1 : pos + 1] = ins
+        # Interior fans at the three shared vertices, clockwise between the
+        # two boundary edges of the host face corner: at r between B and A,
+        # at A between r and B, at B between A and r.
+        for at, after, fan in zip((r, A, B), (B, r, A), fans):
+            pos = rot[at].index(after)
+            rot[at][pos + 1 : pos + 1] = host_ids(vmap, fan)
+        entries = host_ids(vmap, flat_mirrored if mirror else flat)
+        rot.extend([entries[lo:hi] for lo, hi in bounds])
+        host.placements.append(CopyPlacement(sub, vmap))
 
-    for i in range(copy.graph.n):
-        h = vmap[i]
-        if h in boundary:
-            continue
-        mapped = [vmap[x] for x in crot[i]]
-        if h < len(rot):
-            rot[h] = mapped
-        else:
-            rot.extend([[]] * (h - len(rot) + 1))
-            rot[h] = mapped
-    host.placements.append(CopyPlacement(copy, dict(vmap)))
-    return vmap
+    if mapped_ends:
+        pairs = np.concatenate(mapped_ends)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1]).tolist()
+        hi = np.maximum(pairs[:, 0], pairs[:, 1]).tolist()
+        host.graph.edges.update(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
 
 def vertex_count_G(c: int, d: int) -> int:
@@ -239,12 +269,14 @@ def build_G(c: int, d: int) -> Family:
     sub = build_G(c - 1, d)
     roles = host.roles
     w, u, v = roles.root, roles.u, roles.v
+    gluings: list[Gluing] = []
     for k in range(1, d):
         # mirrored: the copy's degree-3 outer corner (not the degree-4 one)
         # lands on w, keeping deg(w) = 3d+1 instead of 4d and the composite
         # family inside its degree bound
-        insert_copy(host, (w, v[k - 1], v[k]), v[k], sub, sub.roles.root, mirror=True)
-        insert_copy(host, (v[k], u[k], v[k - 1]), u[k], sub, sub.roles.root)
+        gluings.append(((w, v[k - 1], v[k]), v[k], sub.roles.root, True))
+        gluings.append(((v[k], u[k], v[k - 1]), u[k], sub.roles.root, False))
+    glue_copies(host, sub, gluings)
     return host
 
 
@@ -273,9 +305,12 @@ def build_H(c: int, d: int) -> Family:
     s1, s2, s3, s4 = 0, 1, 2, 3
     sub = build_G(c, d)
     croot = sub.roles.root
-    insert_copy(fam, (s1, s3, s4), s3, sub, croot)
-    insert_copy(fam, (s1, s2, s4), s1, sub, croot)
-    insert_copy(fam, (s2, s3, s4), s2, sub, croot)
+    gluings = [
+        ((s1, s3, s4), s3, croot, False),
+        ((s1, s2, s4), s1, croot, False),
+        ((s2, s3, s4), s2, croot, False),
+    ]
+    glue_copies(fam, sub, gluings)
     return fam
 
 
@@ -287,8 +322,8 @@ def build_Htilde(c: int, d: int) -> Family:
     fam = _base_k4(("t1", "t2", "t3", "t4"))
     sub = build_H(c, d)
     s1 = sub.corners["s1"]
-    for face in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        insert_copy(fam, face, min(face), sub, s1)
+    faces = ((0, 1, 3), (0, 2, 3), (1, 2, 3))
+    glue_copies(fam, sub, [(face, min(face), s1, False) for face in faces])
     return fam
 
 

@@ -22,7 +22,9 @@ kernel (``_check_build_sequence``) gives every face of the partial embedding
 an integer key from the step that made it, so finding the first step that
 does not target a face, and each step's level, takes array operations over
 all steps at once.  ``verify_planar_3tree`` and the replay plan in
-``layout`` both use it.
+``layout`` both use it.  The elimination that finds the sequence runs on
+integer arrays too: CSR neighbour lists from one argsort of the edge array,
+integer degree counters and a set of int edge keys.
 """
 
 from __future__ import annotations
@@ -246,10 +248,11 @@ def verify_planar_3tree(
     """Verify that ``graph`` is a planar 3-tree; return its build sequence.
 
     Runs greedy simplicial elimination (remove a degree-3 vertex whose
-    neighborhood is a triangle, smallest vertex first) and then checks the
-    reversed sequence with the array kernel ``_check_build_sequence``: every
-    step must insert its vertex into a face of the partial embedding (the
-    bare base triangle bounds two), which certifies planarity.  When ``keep``
+    neighborhood is a triangle, smallest vertex first) on CSR neighbour
+    lists and integer degree counters, and then checks the reversed
+    sequence with the array kernel ``_check_build_sequence``: every step
+    must insert its vertex into a face of the partial embedding (the bare
+    base triangle bounds two), which certifies planarity.  When ``keep``
     is given, those three mutually adjacent vertices are never eliminated, so
     the returned sequence is rooted at that triangle.
     """
@@ -266,32 +269,39 @@ def verify_planar_3tree(
         if not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)):
             raise StructureError(f"keep triple {keep} is not a triangle")
 
-    adj = graph.adjacency()
+    # neighbour lists (CSR) from one argsort of the edge array; a vertex's
+    # live neighbours are the alive entries of its row
+    ends = graph.edge_array()
+    src = ends.T.ravel()
+    nbr = ends[:, ::-1].T.ravel()[np.argsort(src)].tolist()
+    counts = np.bincount(src, minlength=n)
+    offset = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    deg = counts.tolist()
+    edge_keys = set((ends[:, 0] * n + ends[:, 1]).tolist())  # i < j in every edge
     alive = [True] * n
     remaining = n
 
-    def simplicial3(v: int) -> bool:
-        if len(adj[v]) != 3 or v in protected:
-            return False
-        a, b, c = adj[v]
-        return b in adj[a] and c in adj[a] and c in adj[b]
-
-    heap = [v for v in range(n) if simplicial3(v)]
+    # A vertex is pushed once, when its degree is 3 at the start or drops to
+    # 3, and its triangle is tested when it is popped: while its degree stays
+    # 3 its neighbourhood, and so the test, cannot change.  So the vertices
+    # accepted, and their order, are those of a probe after every removal.
+    heap = [v for v in np.flatnonzero(counts == 3).tolist() if v not in protected]
     heapq.heapify(heap)
     removed: list[tuple[int, tuple[int, int, int]]] = []
     while remaining > 3 and heap:
         v = heapq.heappop(heap)
-        if not alive[v] or not simplicial3(v):
+        if deg[v] != 3:
             continue
-        tri = tuple(sorted(adj[v]))
-        removed.append((v, tri))
+        a, b, c = sorted(u for u in nbr[offset[v] : offset[v + 1]] if alive[u])
+        if a * n + b not in edge_keys or a * n + c not in edge_keys or b * n + c not in edge_keys:
+            continue
+        removed.append((v, (a, b, c)))
         alive[v] = False
         remaining -= 1
-        for u in adj[v]:
-            adj[u].discard(v)
-            if simplicial3(u):
+        for u in (a, b, c):
+            deg[u] -= 1
+            if deg[u] == 3 and u not in protected:
                 heapq.heappush(heap, u)
-        adj[v] = set()
     if remaining != 3:
         stuck = [v for v in range(n) if alive[v]]
         raise NotPlanar3TreeError(
@@ -455,6 +465,8 @@ def read_graph(text: str) -> LabeledGraph:
     graph: LabeledGraph | None = None
     for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
         if tag == "graph":
+            if graph is not None:
+                raise StructureError(f"line {lineno}: repeated 'graph' header")
             (n,) = parse_numbers(lineno, fields[:1], int)
             if n < 0:
                 raise StructureError(f"line {lineno}: negative vertex count {n}")
@@ -462,9 +474,19 @@ def read_graph(text: str) -> LabeledGraph:
         elif graph is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":
-            graph.add_edge(*parse_numbers(lineno, fields[:2], int))
+            i, j = parse_numbers(lineno, fields[:2], int)
+            try:
+                if i < 0 or j < 0:
+                    raise StructureError(f"bad edge ({i}, {j}) for n={graph.n}")
+                graph.add_edge(i, j)
+            except StructureError as exc:
+                raise StructureError(f"line {lineno}: {exc}") from None
         else:
             (v,) = parse_numbers(lineno, fields[:1], int)
+            if not 0 <= v < graph.n:
+                raise StructureError(f"line {lineno}: label on unknown vertex {v}")
+            if v in graph.labels:
+                raise StructureError(f"line {lineno}: repeated 'l' record for vertex {v}")
             graph.labels[v] = fields[1]
     if graph is None:
         raise StructureError("missing 'graph <V>' header")
@@ -486,8 +508,13 @@ def read_embedding(text: str) -> Embedding:
     for lineno, tag, fields in text_records(text, {"rot": 1, "outer": 3}):
         vertices = parse_numbers(lineno, fields, int)
         if tag == "rot":
-            rot[vertices[0]] = vertices[1:]
+            v = vertices[0]
+            if v in rot:
+                raise StructureError(f"line {lineno}: repeated 'rot' record for vertex {v}")
+            rot[v] = vertices[1:]
         else:
+            if outer is not None:
+                raise StructureError(f"line {lineno}: repeated 'outer' record")
             outer = tuple(vertices)
     if outer is None:
         raise StructureError("missing 'outer' line")

@@ -6,6 +6,11 @@ at the root, with geometrically growing radii per ring.  Its resolution floor
 ``resolution * d >= FAN_RESOLUTION_FLOOR`` (and the analogous floor for the
 three-level assembly) is an artifact of this layout, measured once by
 ``scripts/calibrate_fan_floor.py`` and frozen here.
+
+``layout_nested`` composes the glued copies' vertex maps as int64 arrays and
+places all rings of a frame with one array assignment per chain.  The ring
+angles and radii are the scalar ``math`` expressions of a ring-by-ring
+placement, so the coordinates equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ def layout_frame_fan(d: int, config: LayoutConfig | None = None) -> tuple[Family
 
 def _fan_into_corner(
     coords: np.ndarray,
-    u_ids: list[int],
-    v_ids: list[int],
+    u_ids: np.ndarray,
+    v_ids: np.ndarray,
     root: np.ndarray,
     corner_u: np.ndarray,
     corner_v: np.ndarray,
@@ -90,13 +95,18 @@ def _fan_into_corner(
     # inner radial ratio shrinks with d so the innermost ring stays around
     # e^-span of that (a fixed ratio would underflow double precision).
     ratio = min(ring_ratio, 1.0 + span / max(d, 1))
+    # angles and radii through math.cos/sin, rounded as libm rounds them;
+    # numpy's vectorized cos and sin may differ in the last bit
+    rows = []
     for k in range(1, d + 1):
         s = (2 * k - 1) / 2.0 * gap
-        rad = 0.5 * rho * ratio ** (k - d)
         tu = mid + s
         tv = mid - s
-        coords[u_ids[k - 1]] = root + rad * np.array([math.cos(tu), math.sin(tu)])
-        coords[v_ids[k - 1]] = root + rad * np.array([math.cos(tv), math.sin(tv)])
+        rad = 0.5 * rho * ratio ** (k - d)
+        rows.append((rad, rad, math.cos(tu), math.sin(tu), math.cos(tv), math.sin(tv)))
+    rings = np.array(rows)
+    coords[u_ids] = root + rings[:, 0:2] * rings[:, 2:4]
+    coords[v_ids] = root + rings[:, 0:2] * rings[:, 4:6]
 
 
 def outer_triangle_coords() -> np.ndarray:
@@ -108,14 +118,15 @@ def outer_triangle_coords() -> np.ndarray:
 
 def _place_subtree(
     fam: Family,
-    gmap: dict[int, int],
+    gmap: np.ndarray,
     coords: np.ndarray,
     ring_ratio: float,
     fan_depth: int = 0,
 ) -> None:
     """Recursively place the interiors of all glued copies of ``fam``.
 
-    ``gmap`` maps fam-local indices to global indices; the three shared
+    ``gmap`` maps fam-local indices to global indices (an int64 array,
+    composed with each copy's ``vmap`` as ``gmap[vmap]``); the three shared
     corner vertices of every copy are already placed when it is visited.
     ``fan_depth`` counts fan ancestors: fans nested inside other fans use a
     narrower radial span, since the per-level scale shrink (sliver-face
@@ -123,14 +134,14 @@ def _place_subtree(
     innermost features below double-precision resolvability."""
     for p in fam.placements:
         sub = p.sub
-        sm = {i: gmap[p.vmap[i]] for i in range(sub.graph.n)}
+        sm = gmap[p.vmap]
         depth = fan_depth
         if sub.roles is not None:
             roles = sub.roles
             _fan_into_corner(
                 coords,
-                [sm[x] for x in roles.u[:-1]],
-                [sm[x] for x in roles.v[:-1]],
+                sm[roles.u[:-1]],
+                sm[roles.v[:-1]],
                 coords[sm[roles.root]],
                 coords[sm[roles.u[-1]]],
                 coords[sm[roles.v[-1]]],
@@ -143,7 +154,7 @@ def _place_subtree(
             # three shared ones
             on_outer = set(sub.embedding.outer_face)
             inner = next(v for v in sub.corners.values() if v not in on_outer)
-            shared = [sm[v] for v in sub.embedding.outer_face]
+            shared = sm[list(sub.embedding.outer_face)]
             coords[sm[inner]] = coords[shared].mean(axis=0)
         _place_subtree(sub, sm, coords, ring_ratio, depth)
 
@@ -182,7 +193,7 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
         inner = next(v for v in fam.corners.values() if v not in on_outer)
         coords[inner] = coords[list(fam.embedding.outer_face)].mean(axis=0)
     depth = 1 if fam.roles is not None else 0
-    _place_subtree(fam, {i: i for i in range(fam.graph.n)}, coords, config.ring_ratio, depth)
+    _place_subtree(fam, np.arange(fam.graph.n), coords, config.ring_ratio, depth)
     return coords
 
 

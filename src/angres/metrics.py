@@ -280,16 +280,16 @@ def telescoping_product(prof: FrameProfile) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def write_drawing(coords: np.ndarray) -> str:
-    lines = []
-    for i, (x, y) in enumerate(np.asarray(coords, dtype=float)):
-        lines.append(f"p {i} {float(x)!r} {float(y)!r}")
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(coords, dtype=float).tolist()
+    return "\n".join([f"p {i} {x!r} {y!r}" for i, (x, y) in enumerate(rows)]) + "\n"
 
 
 def read_drawing(text: str) -> np.ndarray:
     pts: dict[int, tuple[float, float]] = {}
     for lineno, _, fields in text_records(text, {"p": 3}):
         (v,) = parse_numbers(lineno, fields[:1], int)
+        if v in pts:
+            raise StructureError(f"line {lineno}: repeated 'p' record for vertex {v}")
         pts[v] = tuple(parse_numbers(lineno, fields[1:3], float))
     n = max(pts) + 1 if pts else 0
     if sorted(pts) != list(range(n)):

@@ -1,0 +1,174 @@
+"""Reference implementation of the family builders: ``insert_copy`` glues
+one copy at a time, element by element through Python dicts and sets, and
+``build_G``/``build_H``/``build_Htilde`` call it once per copy.  Used to
+check the batched gluing in ``angres.families`` field for field."""
+
+from __future__ import annotations
+
+from angres.families import CopyPlacement, Family, ParameterError, _base_k4, build_frame
+from angres.graphs import StructureError, edge, face_cycle_from
+
+
+def insert_copy(
+    host: Family,
+    face: tuple[int, int, int],
+    root_target: int,
+    copy: Family,
+    copy_root: int,
+    mirror: bool = False,
+) -> dict[int, int]:
+    """Glue ``copy`` into a triangular face of ``host``.
+
+    The copy's outer face (a triangle through ``copy_root``) is identified
+    with the host face: ``copy_root`` goes to ``root_target``, and the two
+    outer corners go to the remaining face vertices in the orientation that
+    keeps the spliced rotation system planar.  With ``mirror`` the reflected
+    copy (all rotations reversed) is glued instead, which swaps the two
+    non-root corner identifications; this controls which copy corner's
+    degree lands on which face vertex.  Duplicate boundary edges are merged;
+    all interior copy vertices get fresh host indices.  Returns the full
+    vertex map and records it on ``host.placements``.
+    """
+    fset = set(face)
+    if len(fset) != 3:
+        raise StructureError(f"face {face} is not a triangle")
+    if root_target not in fset:
+        raise StructureError(f"root target {root_target} is not on face {face}")
+
+    rot = host.embedding.rotation
+    cycle = None
+    for a in rot[root_target]:
+        if a in fset:
+            cand = face_cycle_from(rot, root_target, a)
+            if len(cand) == 3 and set(cand) == fset:
+                cycle = cand
+                break
+    if cycle is None:
+        raise StructureError(f"{tuple(sorted(fset))} is not a face of the host embedding")
+    r, A, B = cycle  # host face traced from the root
+
+    outer = copy.embedding.outer_face
+    if len(outer) != 3:
+        raise StructureError("copy outer face is not a triangle")
+    if copy_root not in outer:
+        raise StructureError(f"copy root {copy_root} is not on the copy's outer face")
+    crot = copy.embedding.rotation
+    if mirror:
+        outer = tuple(reversed(outer))
+        crot = [list(reversed(lst)) for lst in crot]
+    k = outer.index(copy_root)
+    croot, N, P = outer[k:] + outer[:k]
+
+    vmap: dict[int, int] = {croot: r, P: A, N: B}
+    fresh = host.graph.n
+    for i in range(copy.graph.n):
+        if i not in vmap:
+            vmap[i] = fresh
+            fresh += 1
+    host.graph.n = fresh
+
+    boundary = {r, A, B}
+    for i, j in sorted(copy.graph.edges):
+        a, b = vmap[i], vmap[j]
+        if a in boundary and b in boundary:
+            continue  # outer-triangle edge, merged with the host face edge
+        host.graph.edges.add(edge(a, b))
+
+    def fan(center: int, start: int, end: int) -> list[int]:
+        seq = crot[center]
+        k0 = seq.index(start)
+        lin = seq[k0:] + seq[:k0]
+        if lin[-1] != end:
+            raise StructureError("copy rotation inconsistent with its outer face")
+        return [vmap[x] for x in lin[1:-1]]
+
+    # Interior fans at the three shared vertices, clockwise between the two
+    # boundary edges of the host face corner.
+    splices = [
+        (r, B, fan(croot, N, P)),   # corner of the face at r: between B and A
+        (A, r, fan(P, croot, N)),   # corner at A: between r and B
+        (B, A, fan(N, P, croot)),   # corner at B: between A and r
+    ]
+    for at, after, ins in splices:
+        pos = rot[at].index(after)
+        rot[at][pos + 1 : pos + 1] = ins
+
+    for i in range(copy.graph.n):
+        h = vmap[i]
+        if h in boundary:
+            continue
+        mapped = [vmap[x] for x in crot[i]]
+        if h < len(rot):
+            rot[h] = mapped
+        else:
+            rot.extend([[]] * (h - len(rot) + 1))
+            rot[h] = mapped
+    host.placements.append(CopyPlacement(copy, dict(vmap)))
+    return vmap
+
+
+
+def build_G(c: int, d: int) -> Family:
+    """G^(c)_d: the (d+1)-frame with, for c >= 2, copies of G^(c-1)_d glued
+    into the faces (w, v_k, v_{k+1}) rooted at v_{k+1} and
+    (v_{k+1}, u_{k+1}, v_k) rooted at u_{k+1}, for k = 1..d-1."""
+    if c < 1 or d < 1:
+        raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
+    host = build_frame(d + 1)
+    if c == 1:
+        return host
+    sub = build_G(c - 1, d)
+    roles = host.roles
+    w, u, v = roles.root, roles.u, roles.v
+    for k in range(1, d):
+        # mirrored: the copy's degree-3 outer corner (not the degree-4 one)
+        # lands on w, keeping deg(w) = 3d+1 instead of 4d and the composite
+        # family inside its degree bound
+        insert_copy(host, (w, v[k - 1], v[k]), v[k], sub, sub.roles.root, mirror=True)
+        insert_copy(host, (v[k], u[k], v[k - 1]), u[k], sub, sub.roles.root)
+    return host
+
+
+def build_H(c: int, d: int) -> Family:
+    """H^(c)_d: K4 on s1..s4 (s4 interior) with a copy of G^(c)_d in each
+    internal face, rooted so the copies' apex angles sit at s3, s1, s2."""
+    if c < 1 or d < 1:
+        raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
+    fam = _base_k4(("s1", "s2", "s3", "s4"))
+    s1, s2, s3, s4 = 0, 1, 2, 3
+    sub = build_G(c, d)
+    croot = sub.roles.root
+    insert_copy(fam, (s1, s3, s4), s3, sub, croot)
+    insert_copy(fam, (s1, s2, s4), s1, sub, croot)
+    insert_copy(fam, (s2, s3, s4), s2, sub, croot)
+    return fam
+
+
+def build_Htilde(c: int, d: int) -> Family:
+    """H~^(c)_d: K4 on t1..t4 (t4 interior) with a copy of H^(c)_d in each
+    internal face; the copy's s1 goes to the smallest-index face vertex."""
+    if c < 1 or d < 1:
+        raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
+    fam = _base_k4(("t1", "t2", "t3", "t4"))
+    sub = build_H(c, d)
+    s1 = sub.corners["s1"]
+    for face in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        insert_copy(fam, face, min(face), sub, s1)
+    return fam
+
+
+# (family, c, d) cases for the oracle comparisons: frames d = 1..8, g, h and
+# htilde over c <= 3 with small d, and the two large benchmark families
+ORACLE_CASES = (
+    [("frame", None, d) for d in range(1, 9)]
+    + [("g", c, d) for c in (1, 2, 3) for d in range(1, 6)]
+    + [(fam, c, d) for fam in ("h", "htilde") for c in (1, 2, 3) for d in (1, 2, 3)]
+    + [("htilde", 2, 32), ("htilde", 3, 8)]
+)
+
+
+def oracle_family(name: str, c: int | None, d: int) -> Family:
+    """The family as the copy-by-copy builders above make it."""
+    if name == "frame":
+        return build_frame(d)
+    return {"g": build_G, "h": build_H, "htilde": build_Htilde}[name](c, d)

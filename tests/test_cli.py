@@ -63,6 +63,12 @@ MALFORMED = [
     (None, None, None, "htilde x 4\n"),
     (None, None, None, "htilde 1\n"),
     (None, None, None, "frame - 2\nnope 1 4\n"),
+    ("graph 3\ne 0 1\ngraph 5\n", None, None, None),
+    ("graph 3\ne 0 1\ne 1 2\ne 0 2\nl 7 x\n", None, None, None),
+    ("graph 3\ne 0 5\n", None, None, None),
+    (None, "p 0 0.0 1.0\np 1 0.8 -0.5\np 1 0.0 0.0\np 2 -0.8 -0.5\n", None, None),
+    (None, None, "rot 0 1 2\nrot 1 2 0\nrot 1 0 2\nrot 2 0 1\nouter 0 1 2\n", None),
+    (None, None, "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\nouter 0 1 2\n", None),
 ]
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,12 @@ from angres.families import (
     build_H,
     build_Htilde,
     epsilon_to_c,
-    insert_copy,
+    glue_copies,
     vertex_count_G,
 )
-from angres.graphs import internal_triangles, max_degree, verify_planar_3tree
+from angres.graphs import StructureError, internal_triangles, max_degree, verify_planar_3tree
+from family_oracle import ORACLE_CASES, oracle_family
+from family_oracle import insert_copy as reference_insert_copy
 
 
 def check_structure(fam):
@@ -91,22 +94,77 @@ class TestHAndHtilde:
         assert a.embedding.rotation == b.embedding.rotation
 
 
-class TestInsertCopy:
+def assert_same_family(got, want):
+    """Equal fields, vertex maps and sub-families, and the same iteration
+    order of the edge set."""
+    assert got.graph.n == want.graph.n
+    assert got.graph.edges == want.graph.edges
+    assert list(got.graph.edges) == list(want.graph.edges)
+    assert got.graph.labels == want.graph.labels
+    assert got.embedding.rotation == want.embedding.rotation
+    assert got.embedding.outer_face == want.embedding.outer_face
+    assert got.corners == want.corners
+    assert (got.roles and vars(got.roles)) == (want.roles and vars(want.roles))
+    assert len(got.placements) == len(want.placements)
+    for p, q in zip(got.placements, want.placements):
+        assert p.vmap.dtype == np.int64
+        assert p.vmap.tolist() == [q.vmap[i] for i in range(q.sub.graph.n)]
+        assert_same_family(p.sub, q.sub)
+
+
+class TestGlueCopies:
     def test_rejects_non_face(self):
         host = build_frame(3)
         sub = build_frame(2)
-        with pytest.raises(Exception):
-            insert_copy(host, (0, 1, 6), 0, sub, sub.roles.root)
+        with pytest.raises(StructureError, match="is not a face of the host embedding"):
+            glue_copies(host, sub, [((0, 1, 6), 0, sub.roles.root, False)])
 
     def test_merges_boundary_edges(self):
         host = build_frame(2)
         n0, e0 = host.graph.n, len(host.graph.edges)
         sub = build_frame(2)
         w, u, v = host.roles.root, host.roles.u, host.roles.v
-        insert_copy(host, (w, v[0], v[1]), v[1], sub, sub.roles.root)
+        glue_copies(host, sub, [((w, v[0], v[1]), v[1], sub.roles.root, False)])
         assert host.graph.n == n0 + sub.graph.n - 3
         assert len(host.graph.edges) == e0 + len(sub.graph.edges) - 3
         check_structure(host)
+
+    @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
+    def test_matches_copy_by_copy_gluing(self, name, c, d):
+        got = build_family(FamilySpec(name, c, d))
+        assert_same_family(got, oracle_family(name, c, d))
+
+    def test_later_gluing_sees_earlier_copies(self):
+        # the second copy goes into a face of the first copy's fresh vertices
+        sub = build_frame(2)
+        host = build_frame(2)
+        want = build_frame(2)
+        first = ((host.roles.root, host.roles.v[0], host.roles.v[1]), host.roles.v[1])
+        reference_insert_copy(want, *first, sub, sub.roles.root, mirror=True)
+        face = tuple(want.embedding.rotation[want.graph.n - 1][:2]) + (want.graph.n - 1,)
+        reference_insert_copy(want, face, face[2], sub, sub.roles.root)
+        gluings = [(*first, sub.roles.root, True), (face, face[2], sub.roles.root, False)]
+        glue_copies(host, sub, gluings)
+        assert_same_family(host, want)
+        check_structure(host)
+
+    @pytest.mark.parametrize(
+        "gluing, message",
+        [
+            (((0, 0, 1), 0, 0, False), "face (0, 0, 1) is not a triangle"),
+            (((0, 1, 2), 3, 0, False), "root target 3 is not on face (0, 1, 2)"),
+            (((0, 1, 2), 0, 1, False), "copy root 1 is not on the copy's outer face"),
+        ],
+    )
+    def test_errors_match_copy_by_copy_gluing(self, gluing, message):
+        face, root_target, copy_root, mirror = gluing
+        with pytest.raises(StructureError) as want:
+            reference_insert_copy(
+                build_frame(1), face, root_target, build_frame(2), copy_root, mirror
+            )
+        with pytest.raises(StructureError) as got:
+            glue_copies(build_frame(1), build_frame(2), [gluing])
+        assert str(got.value) == str(want.value) == message
 
 
 class TestSpecAndMapping:

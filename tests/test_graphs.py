@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres.families import build_frame, build_G, build_H, build_Htilde
+from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     BuildSequence,
     Embedding,
@@ -25,7 +25,9 @@ from angres.graphs import (
     write_graph,
 )
 from angres.graphs import _check_build_sequence, _check_planarity
+from elimination_oracle import verify_planar_3tree as reference_verify
 from face_oracle import internal_triangles as reference_triangles
+from family_oracle import ORACLE_CASES
 from planarity_oracle import _replay_planarity as reference_planarity
 from replay_oracle import layout_seed_any as reference_seed_any
 from replay_oracle import replay
@@ -318,10 +320,7 @@ class TestVerify3Tree:
 
     def test_octahedron_rejected(self):
         # 4-regular maximal planar graph: no degree-3 vertex at all
-        g = LabeledGraph(6)
-        for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
-                     (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)]:
-            g.add_edge(i, j)
+        g = octahedron()
         assert len(g.edges) == 3 * 6 - 6
         with pytest.raises(NotPlanar3TreeError):
             verify_planar_3tree(g)
@@ -345,6 +344,77 @@ class TestVerify3Tree:
             "not planar: insertion of vertex 3 targets triangle (0, 1, 2), "
             "which is not a face of the partial embedding"
         )
+
+
+def octahedron():
+    """The 4-regular maximal planar graph on 6 vertices: no degree-3 vertex."""
+    g = LabeledGraph(6)
+    for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
+                 (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)]:
+        g.add_edge(i, j)
+    return g
+
+
+def verify_outcome(fn, graph, keep=None):
+    """The repr of the build sequence ``fn`` returns (so int types count),
+    or the type and message of the StructureError it raises."""
+    try:
+        return repr(fn(graph, keep))
+    except StructureError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestEliminationAgainstOracle:
+    """The elimination on index arrays against the set-based loop in
+    elimination_oracle: the same sequence, step order included, and the
+    same errors."""
+
+    @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
+    def test_families(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        for keep in (None, fam.embedding.outer_face):
+            got = verify_outcome(verify_planar_3tree, fam.graph, keep)
+            assert got == verify_outcome(reference_verify, fam.graph, keep)
+            assert got.startswith("BuildSequence(")
+
+    @given(st.integers(0, 10_000), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_random_3trees(self, seed, steps):
+        g, emb = shuffled_3tree(seed, steps)
+        inner = internal_triangles(g, emb)[random.Random(seed).randrange(2 * g.n - 5)]
+        for keep in (None, emb.outer_face, tuple(inner.tolist())):
+            got = verify_outcome(verify_planar_3tree, g, keep)
+            assert got == verify_outcome(reference_verify, g, keep)
+
+    def test_errors(self):
+        stuck = octahedron()  # plus a degree-3 vertex in the face (0, 1, 2)
+        stuck.n = 7
+        for t in (0, 1, 2):
+            stuck.add_edge(t, 6)
+        loose = octahedron()  # plus a degree-3 vertex whose neighbours 0, 5 are apart
+        loose.n = 7
+        for t in (0, 1, 5):
+            loose.add_edge(t, 6)
+        apexes = LabeledGraph(6)
+        for i, j in [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]:
+            apexes.add_edge(i, j)
+        short = LabeledGraph(4)
+        short.add_edge(0, 1)
+        cases = [
+            (octahedron(), None, "elimination stuck with 6"),
+            (stuck, None, "elimination stuck with 6"),
+            (loose, None, "elimination stuck with 7"),
+            (short, None, "E=1"),
+            (apexes, None, "not planar"),
+            (k4()[0], (0, 1, 2), None),
+            (octahedron(), (0, 1, 5), "keep triple (0, 1, 5) is not a triangle"),
+            (LabeledGraph(2), None, "need at least 3 vertices"),
+        ]
+        for graph, keep, message in cases:
+            got = verify_outcome(verify_planar_3tree, graph, keep)
+            assert got == verify_outcome(reference_verify, graph, keep)
+            if message is not None:
+                assert message in got[1]
 
 
 def grown_sequence(rng, steps, base_uses):
@@ -511,3 +581,34 @@ class TestSerialization:
     def test_bad_graph_text(self):
         with pytest.raises(StructureError):
             read_graph("graph 3\nq 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph 3\ne 0 1\ngraph 5\n", "line 3: repeated 'graph' header"),
+            ("graph 3\nl 7 x\n", "line 2: label on unknown vertex 7"),
+            ("graph 3\nl -1 x\n", "line 2: label on unknown vertex -1"),
+            ("graph 3\nl 0 a\nl 0 b\n", "line 3: repeated 'l' record for vertex 0"),
+            ("graph 3\ne 0 5\n", "line 2: edge (0, 5) exceeds vertex count 3"),
+            ("graph 3\ne 1 1\n", "line 2: self-loop at vertex 1"),
+            ("graph 3\ne -1 2\n", "line 2: bad edge (-1, 2) for n=3"),
+        ],
+    )
+    def test_bad_graph_record_names_its_line(self, text, message):
+        with pytest.raises(StructureError) as exc:
+            read_graph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rot 0 1 2\nrot 1 2 0\nrot 0 2 1\nrot 2 0 1\nouter 0 1 2\n",
+             "line 3: repeated 'rot' record for vertex 0"),
+            ("rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\nouter 0 2 1\n",
+             "line 5: repeated 'outer' record"),
+        ],
+    )
+    def test_repeated_embedding_record_rejected(self, text, message):
+        with pytest.raises(StructureError) as exc:
+            read_embedding(text)
+        assert str(exc.value) == message

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres.families import ParameterError, build_G, build_H, build_frame, build_Htilde
+from angres.families import (
+    FamilySpec,
+    ParameterError,
+    build_family,
+    build_frame,
+    build_G,
+    build_H,
+    build_Htilde,
+)
 from angres.graphs import BuildSequence, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
@@ -17,6 +25,8 @@ from angres.layout import (
     outer_triangle_coords,
 )
 from angres.metrics import angular_resolution, validate_drawing
+import nested_oracle
+from family_oracle import ORACLE_CASES, oracle_family
 from replay_oracle import layout_seed_any as reference_seed_any
 from replay_oracle import replay
 
@@ -244,3 +254,16 @@ class TestSeedAnyKernel:
         with pytest.raises(StructureError) as exc:
             layout_seed_any(fam.graph, fam.embedding, short)
         assert str(exc.value) == f"replay: vertex {seq.steps[-1][0]} is never placed"
+
+
+class TestNestedAgainstOracle:
+    """Nested drawings against the dict-composing, ring-by-ring placement
+    in nested_oracle, drawn on the copy-by-copy families."""
+
+    @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
+    def test_same_bytes(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        ref = oracle_family(name, c, d)
+        for config in (None, LayoutConfig(apex_angle=math.pi / 4, ring_ratio=3.0)):
+            got = layout_nested(fam, config)
+            assert got.tobytes() == nested_oracle.layout_nested(ref, config).tobytes()

@@ -334,6 +334,35 @@ class TestSerialization:
         back = read_drawing(write_drawing(coords))
         assert np.array_equal(back, coords)
 
+    @staticmethod
+    def row_by_row(coords):
+        """The drawing formatter that iterated numpy rows."""
+        lines = []
+        for i, (x, y) in enumerate(np.asarray(coords, dtype=float)):
+            lines.append(f"p {i} {float(x)!r} {float(y)!r}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.zeros((0, 2)),
+            np.array([[-0.0, 5e-324], [1e300, -1e-300], [0.1, -2.5], [np.pi, 1.0 / 3.0]]),
+            layout_nested(build_Htilde(2, 3)),
+            layout_nested(build_G(2, 4)),
+        ],
+        ids=["empty", "special", "htilde23", "g24"],
+    )
+    def test_drawing_text_matches_row_by_row(self, coords):
+        assert write_drawing(coords) == self.row_by_row(coords)
+
+    def test_empty_drawing_text(self):
+        assert write_drawing(np.zeros((0, 2))) == "\n"
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(StructureError) as exc:
+            read_drawing("p 0 0.0 1.0\np 1 0.8 -0.5\np 1 0.0 0.0\np 2 -0.8 -0.5\n")
+        assert str(exc.value) == "line 3: repeated 'p' record for vertex 1"
+
     def test_signed_area_orientation(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         tri = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 3]])
