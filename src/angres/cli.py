@@ -25,7 +25,7 @@ from .graphs import (
     write_graph,
 )
 from .layout import LayoutConfig, layout_nested
-from .metrics import angular_resolution, read_drawing, validate_drawing, write_drawing
+from .metrics import Triangulation, angular_resolution, read_drawing, write_drawing
 from .optimize import (
     OptimizeConfig,
     OptimizeFailure,
@@ -86,7 +86,8 @@ def _cmd_layout(args) -> int:
     )
     fam = build_family(spec)
     coords = layout_nested(fam, cfg)
-    viols = validate_drawing(fam.graph, fam.embedding, coords)
+    mesh = Triangulation(fam.graph, fam.embedding)
+    viols = mesh.violations(coords)
     if viols:
         print(f"layout invalid: {viols[0]}", file=sys.stderr)
         return 1
@@ -94,8 +95,7 @@ def _cmd_layout(args) -> int:
     if args.graph_out:
         _atomic_write(args.graph_out, write_graph(fam.graph))
         _atomic_write(_emb_path(args.graph_out), write_embedding(fam.embedding))
-    res = angular_resolution(fam.graph, coords).resolution
-    print(f"resolution {float(res)!r}")
+    print(f"resolution {mesh.resolution(coords)!r}")
     return 0
 
 
@@ -109,13 +109,16 @@ def _cmd_measure(args) -> int:
     if emb_file:
         with open(emb_file) as fh:
             emb = read_embedding(fh.read())
-        viols = validate_drawing(graph, emb, coords)
+        mesh = Triangulation(graph, emb)
+        viols = mesh.violations(coords)
         if viols:
             print(f"invalid drawing: {viols[0]}", file=sys.stderr)
             return 1
+        resolution = mesh.resolution(coords)
+    else:
+        resolution = float(angular_resolution(graph, coords).resolution)
     print(f"validated: {'yes' if emb_file else 'no'}")
-    report = angular_resolution(graph, coords)
-    print(f"resolution {float(report.resolution)!r}")
+    print(f"resolution {resolution!r}")
     return 0
 
 

@@ -123,15 +123,22 @@ def _place_subtree(
     ring_ratio: float,
     fan_depth: int = 0,
 ) -> None:
-    """Recursively place the interiors of all glued copies of ``fam``.
+    """Place the interior of ``fam``, whose outer face is already placed, and
+    recursively the interiors of all its glued copies.
 
     ``gmap`` maps fam-local indices to global indices (an int64 array,
     composed with each copy's ``vmap`` as ``gmap[vmap]``); the three shared
     corner vertices of every copy are already placed when it is visited.
+    A family without frame roles is a base K4 with copies glued in: its
+    interior corner goes to the centroid of its three outer ones.
     ``fan_depth`` counts fan ancestors: fans nested inside other fans use a
     narrower radial span, since the per-level scale shrink (sliver-face
     thinness times the radial span) compounds and would otherwise push the
     innermost features below double-precision resolvability."""
+    if fam.roles is None:
+        outer = list(fam.embedding.outer_face)
+        inner = next(v for v in fam.corners.values() if v not in outer)
+        coords[gmap[inner]] = coords[gmap[outer]].mean(axis=0)
     for p in fam.placements:
         sub = p.sub
         sm = gmap[p.vmap]
@@ -149,13 +156,6 @@ def _place_subtree(
                 span=6.0 if fan_depth == 0 else (3.0 if fan_depth == 1 else 2.0),
             )
             depth = fan_depth + 1
-        else:
-            # base-4 copy: the interior corner goes to the centroid of the
-            # three shared ones
-            on_outer = set(sub.embedding.outer_face)
-            inner = next(v for v in sub.corners.values() if v not in on_outer)
-            shared = sm[list(sub.embedding.outer_face)]
-            coords[sm[inner]] = coords[shared].mean(axis=0)
         _place_subtree(sub, sm, coords, ring_ratio, depth)
 
 
@@ -189,9 +189,6 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
         outer = outer_triangle_coords()
         for pos, vid in zip(outer, fam.embedding.outer_face):
             coords[vid] = pos
-        on_outer = set(fam.embedding.outer_face)
-        inner = next(v for v in fam.corners.values() if v not in on_outer)
-        coords[inner] = coords[list(fam.embedding.outer_face)].mean(axis=0)
     depth = 1 if fam.roles is not None else 0
     _place_subtree(fam, np.arange(fam.graph.n), coords, config.ring_ratio, depth)
     return coords

@@ -1,8 +1,12 @@
 """Drawing validation, angular resolution, and frame-angle diagnostics.
 
 A drawing is an (n, 2) float array of vertex coordinates paired with a graph
-and a triangulated embedding.  Validity is combinatorial (exact orientation
-signs, no epsilon); angle identities are numeric with a 1e-9 tolerance.
+and a triangulated embedding, compiled once into a ``Triangulation``.  Its
+``violations`` (exact orientation signs, no epsilon) and ``resolution`` (the
+smallest internal corner, on a valid drawing the smallest angle between
+consecutive edges) read the same faces, and the optimizer reads the same
+corners.  ``angular_resolution``'s sorted edge walk measures drawings
+without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -65,59 +69,91 @@ def orientation_signs(coords: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _drawing_array(coords, n: int) -> np.ndarray:
+    """``coords`` as a float array; a StructureError unless it is (n, 2)."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (n, 2):
+        raise StructureError(f"drawing covers {coords.shape}, expected ({n}, 2)")
+    return coords
+
+
+class Triangulation:
+    """A triangulated (graph, embedding) pair compiled once, to validate and
+    measure any number of its drawings.
+
+    ``faces`` holds the F internal faces of ``internal_triangles``, ``free``
+    the vertices off the outer face, ascending.  ``corners`` is the flat
+    corner index of length 12F: its first three 3F-slices are the a, b and c
+    columns of the internal corners (a, b, c), angle at b from ray b->a to
+    ray b->c, corner 3t + i being corner i of face t; its last three
+    F-slices are the columns of each face's corner 0, the optimizer's
+    orientation-penalty vertices."""
+
+    def __init__(self, graph: LabeledGraph, emb: Embedding):
+        self.n = graph.n
+        self.outer_face = emb.outer_face
+        self.faces = internal_triangles(graph, emb)
+        f = len(self.faces)
+        self.corners = np.empty(12 * f, dtype=np.int64)
+        abc = self.corners[: 9 * f].reshape(3, f, 3)
+        # corner i of face t is (t[i-1], t[i], t[i+1])
+        for column, perm in zip(abc, ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
+            column[:] = self.faces[:, perm]
+        self.corners[9 * f :].reshape(3, f)[:] = abc[:, :, 0]
+        off_outer = np.ones(graph.n, dtype=bool)
+        off_outer[list(emb.outer_face)] = False
+        self.free = np.flatnonzero(off_outer)
+
+    def violations(self, coords: np.ndarray) -> list[Violation]:
+        """``validate_drawing`` of an (n, 2) drawing of this pair."""
+        coords = _drawing_array(coords, self.n)
+        if not np.all(np.isfinite(coords)):
+            return [Violation("coincident", "non-finite coordinates")]
+        out: list[Violation] = []
+        # equal points end up side by side; == keeps -0.0 and 0.0 together
+        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            out.append(Violation("coincident", "two vertices share coordinates"))
+
+        outer = np.asarray([self.outer_face], dtype=np.int64)
+        signs = orientation_signs(coords, np.concatenate([outer, self.faces]))
+        if signs[0] >= 0:
+            face = tuple(self.outer_face)
+            out.append(Violation("flipped-face", f"outer face {face} not clockwise"))
+        for k in np.flatnonzero(signs[1:] <= 0):
+            face = tuple(int(v) for v in self.faces[k])
+            out.append(Violation("flipped-face", f"internal face {face} not counterclockwise"))
+        return out
+
+    def resolution(self, coords: np.ndarray) -> float:
+        """``angular_resolution(graph, coords).resolution``, bit for bit, of
+        a float drawing that ``violations`` passes.  Each internal corner
+        (a, b, c) gives the gap atan2(b->a) - atan2(b->c), plus 2 pi where
+        that is negative: ``angular_resolution``'s float expression for the
+        same two consecutive edges.  These are all gaps of a valid drawing
+        but the three outer ones, which exceed pi, so no sort is needed."""
+        a, b, c = self.corners[: 3 * self.corners.size // 4].reshape(3, -1)
+        to_a = coords[a] - coords[b]
+        to_c = coords[c] - coords[b]
+        gap = np.arctan2(to_a[:, 1], to_a[:, 0]) - np.arctan2(to_c[:, 1], to_c[:, 0])
+        gap[gap < 0] += 2.0 * math.pi
+        return float(gap.min())
+
+
 def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> list[Violation]:
     """Return all violations of the drawing against the embedding (empty = ok).
 
-    The embedding must be a triangulation (``internal_triangles`` raises a
-    StructureError otherwise).  The drawing is valid when its points are
-    finite and distinct, the outer triangle is strictly clockwise and every
-    internal triangle is strictly counterclockwise, all by exact signs.  For
-    a triangulation these orientations prove that the straight-line drawing
-    has no crossings and realizes the rotation system (Floater, "One-to-one
-    piecewise linear mappings over triangulations", Math. Comp. 2003).
+    The drawing must be (n, 2) and the embedding a triangulation (both raise
+    a StructureError otherwise, in that order).  The drawing is valid when
+    its points are finite and distinct, the outer triangle is strictly
+    clockwise and every internal triangle is strictly counterclockwise, all
+    by exact signs.  For a triangulation these orientations prove that the
+    straight-line drawing has no crossings and realizes the rotation system
+    (Floater, "One-to-one piecewise linear mappings over triangulations",
+    Math. Comp. 2003).
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (graph.n, 2):
-        raise StructureError(f"drawing covers {coords.shape}, expected ({graph.n}, 2)")
-    return _drawing_violations(coords, emb.outer_face, internal_triangles(graph, emb))
-
-
-def _drawing_violations(coords: np.ndarray, outer_face, tri: np.ndarray) -> list[Violation]:
-    """``validate_drawing`` for an (n, 2) float drawing whose embedding has
-    outer face ``outer_face`` and internal triangles ``tri``."""
-    if not np.all(np.isfinite(coords)):
-        return [Violation("coincident", "non-finite coordinates")]
-    out: list[Violation] = []
-    # equal points end up side by side; == keeps -0.0 and 0.0 together
-    ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-        out.append(Violation("coincident", "two vertices share coordinates"))
-
-    outer = np.asarray([outer_face], dtype=np.int64)
-    signs = orientation_signs(coords, np.concatenate([outer, tri]))
-    if signs[0] >= 0:
-        out.append(Violation("flipped-face", f"outer face {tuple(outer_face)} not clockwise"))
-    for k in np.flatnonzero(signs[1:] <= 0):
-        face = tuple(int(v) for v in tri[k])
-        out.append(Violation("flipped-face", f"internal face {face} not counterclockwise"))
-    return out
-
-
-def _corner_resolution(coords: np.ndarray, tri: np.ndarray) -> float:
-    """``angular_resolution(...).resolution`` of an (n, 2) float drawing that
-    ``_drawing_violations`` passes, from its internal triangles ``tri``.
-
-    Each internal corner (a, b, c) gives the gap atan2(b->a) - atan2(b->c),
-    plus 2 pi where that is negative: the float expression that
-    ``angular_resolution`` evaluates for the same two consecutive edges.  On
-    a valid triangulation drawing these are all of its gaps but the three
-    outer ones, which exceed pi and never win, so no sort is needed."""
-    p = coords[tri]
-    to_a = p[:, [2, 0, 1]] - p  # corner i of face t is (t[i-1], t[i], t[i+1])
-    to_c = p[:, [1, 2, 0]] - p
-    gap = np.arctan2(to_a[..., 1], to_a[..., 0]) - np.arctan2(to_c[..., 1], to_c[..., 0])
-    gap[gap < 0] += 2.0 * math.pi
-    return float(gap.min())
+    coords = _drawing_array(coords, graph.n)
+    return Triangulation(graph, emb).violations(coords)
 
 
 @dataclass
@@ -136,9 +172,10 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     the gaps run between consecutive edges, the last one wrapping around by
     2 pi.  The witness is the last gap, in vertex then clockwise order, that
     is smaller than every earlier gap by more than TOL, so a later gap within
-    TOL of the minimum does not take the witness over.
+    TOL of the minimum does not take the witness over.  The drawing must be
+    (n, 2); ``Triangulation.resolution`` measures validated ones.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = _drawing_array(coords, graph.n)
     n, m = graph.n, len(graph.edges)
     ends = graph.edge_array()
     src = np.concatenate([ends[:, 0], ends[:, 1]])

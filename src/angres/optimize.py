@@ -1,10 +1,11 @@
 """Search for maximum-angular-resolution drawings of a fixed embedding.
 
-``maximize_resolution`` compiles its (graph, embedding) pair once: the traced
-internal faces, one flat corner index over them and the free (non-outer)
-vertices.  It also checks the build sequence once and groups its steps by
-level (``layout._ReplayPlan``).  Every restart reuses both, so a centroid or
-jittered start only places vertices level by level.
+``maximize_resolution`` compiles its (graph, embedding) pair once into a
+``metrics.Triangulation``: the internal faces, one flat corner index over
+them and the free (non-outer) vertices.  It also checks the build sequence
+once and groups its steps by level (``layout._ReplayPlan``).  Every restart
+reuses both, so a centroid or jittered start only places vertices level by
+level.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -23,8 +24,9 @@ quarter or more of the corners are live, all terms are scattered.
 The outer triangle stays pinned.  For a triangulation whose outer triangle
 is clockwise, internal faces that are all counterclockwise prove that the
 drawing realizes the embedding, so a start or a result counts only after
-``validate_drawing``'s exact orientation check passes on the compiled
-faces.
+the compiled ``Triangulation.violations`` (``validate_drawing``'s exact
+orientation check) passes, and is then measured by
+``Triangulation.resolution`` on the same corners.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -36,7 +38,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -45,12 +47,13 @@ from .families import FamilySpec, build_family
 from .graphs import (
     Embedding,
     LabeledGraph,
-    internal_triangles,
+    StructureError,
     max_degree,
+    parse_numbers,
     verify_planar_3tree,
 )
 from .layout import _ReplayPlan, layout_nested
-from .metrics import _corner_resolution, _drawing_violations
+from .metrics import Triangulation
 
 # The continuation schedule of every restart: the orientation penalty's
 # weight grows PENALTY_GROWTH-fold per stage; stage s may spend
@@ -110,28 +113,6 @@ class OptimizeResult:
     traces: list[RestartTrace]
 
 
-class _Instance:
-    """One (graph, embedding) pair compiled for the restart loop.
-
-    ``corners`` is the flat corner index of length 12F over the F internal
-    faces.  Its first three 3F-slices are the a, b and c columns of the
-    internal corners (a, b, c), whose angle is measured at b from ray b->a to
-    ray b->c; corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1]).  The
-    last three F-slices are the columns of each face's corner 0, the
-    orientation penalty's vertices.  The whole array is the gradient's
-    scatter index when every term is live.
-    """
-
-    def __init__(self, graph: LabeledGraph, emb: Embedding):
-        self.n = graph.n
-        self.outer_face = emb.outer_face
-        self.tri = internal_triangles(graph, emb)
-        idx = self.tri[:, [[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
-        self.corners = np.concatenate([idx.T.ravel(), idx[::3].T.ravel()])
-        outer_set = set(emb.outer_face)
-        self.free = np.array([v for v in range(graph.n) if v not in outer_set], dtype=np.int64)
-
-
 def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
     """Signed angle of every internal corner in the flat index ``corners``,
     from the x and y coordinate arrays, with the intermediates of its
@@ -177,7 +158,7 @@ def _live_terms(coef: np.ndarray, pc: np.ndarray, P: np.ndarray):
     return np.flatnonzero(coef), np.flatnonzero(pc)
 
 
-def _objective(y, inst, pinned, sharp, weight, origin, scale):
+def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     """Negative soft-min of corner angles plus orientation penalty; returns
     (value, gradient over the variables ``y``).
 
@@ -200,7 +181,7 @@ def _objective(y, inst, pinned, sharp, weight, origin, scale):
         coordinate within 1e100 the factors stay below 4e301);
       * a quarter or more of the corners are live, where selecting them
         costs more than the scatter it saves."""
-    free, corners = inst.free, inst.corners
+    free, corners = mesh.free, mesh.corners
     P = pinned.copy()
     P[0, free] = origin[0] + scale * y[0::2]
     P[1, free] = origin[1] + scale * y[1::2]
@@ -258,7 +239,7 @@ def _objective(y, inst, pinned, sharp, weight, origin, scale):
         for term, out in zip(face_terms, wf):
             term *= 0.5
             np.multiply(pc, term, out=out)
-        grad.append(np.bincount(index, weights=w, minlength=inst.n)[free])
+        grad.append(np.bincount(index, weights=w, minlength=mesh.n)[free])
 
     out = np.empty(2 * free.size)
     out[0::2], out[1::2] = grad
@@ -281,19 +262,14 @@ def objective_and_gradient(
     the restarts' objective at their origin, the drawing itself, with scale
     1.
     """
-    inst = _Instance(graph, emb)
+    mesh = Triangulation(graph, emb)
     pinned = np.array(np.asarray(coords, dtype=float).T)
-    y = np.zeros(2 * inst.free.size)
-    return _objective(y, inst, pinned, sharpness, penalty_weight, pinned[:, inst.free], 1.0)
-
-
-def _min_corner_angle(P, corners) -> float:
-    theta = _corner_angles(P[0], P[1], corners)[0]
-    return float(theta.min())
+    y = np.zeros(2 * mesh.free.size)
+    return _objective(y, mesh, pinned, sharpness, penalty_weight, pinned[:, mesh.free], 1.0)
 
 
 def _run_restart(
-    start, inst, pinned, config
+    start, mesh, pinned, config
 ) -> tuple[np.ndarray, float, int, list[tuple[str, int, int]]]:
     """Sharpness/penalty continuation from one starting drawing.
 
@@ -305,12 +281,12 @@ def _run_restart(
     the last rejected trial point, not the objective at ``res.x``; so the
     reported objective is evaluated once more at the returned variables,
     with the last stage's sharpness and weight."""
-    free = inst.free
-    # every edge of a triangulation is a side of an internal face; hypot and
-    # the minimum do not depend on the side's direction or order
-    i, j = inst.tri.ravel(), inst.tri[:, [1, 2, 0]].ravel()
+    free = mesh.free
+    # every edge of a triangulation is a side (a, b) of an internal corner;
+    # hypot and the minimum do not depend on the side's direction or order
+    i, j = mesh.corners[: 6 * (mesh.corners.size // 12)].reshape(2, -1)
     dist = np.hypot(start[i, 0] - start[j, 0], start[i, 1] - start[j, 1])
-    near = np.full(inst.n, np.inf)
+    near = np.full(mesh.n, np.inf)
     np.minimum.at(near, i, dist)
     np.minimum.at(near, j, dist)
     origin = np.array(start[free].T)
@@ -326,13 +302,13 @@ def _run_restart(
     stalled = 0
     stages = []
     while iters_left > 0 and stalled < 2:
-        span = max(abs(_min_corner_angle(P, inst.corners)), 1e-8)
+        span = max(abs(float(_corner_angles(P[0], P[1], mesh.corners)[0].min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         res = minimize(
             _objective,
             y,
-            args=(inst, pinned, sharp, weight, origin, scale),
+            args=(mesh, pinned, sharp, weight, origin, scale),
             method="L-BFGS-B",
             jac=True,
             options={"maxiter": min(budget, iters_left), "ftol": TOL, "gtol": 1e-14},
@@ -349,7 +325,7 @@ def _run_restart(
         weight *= PENALTY_GROWTH
         stage += 1
         stalled = 0 if improved else stalled + 1
-    value = float(_objective(y, inst, pinned, *final, origin, scale)[0])
+    value = float(_objective(y, mesh, pinned, *final, origin, scale)[0])
     return np.array(P.T), value, total_iters, stages
 
 
@@ -363,17 +339,18 @@ def maximize_resolution(
     seeded random barycentric weights.  Restarts whose starting drawing is
     degenerate or invalid are recorded as failed without running; a restart
     that does run never reports worse than its starting drawing.  Only
-    restarts whose reported drawing passes validate_drawing count; ties go
-    to the lowest restart index.  Each valid start and valid result is
-    measured per corner of the compiled faces (``_corner_resolution``),
-    which gives ``angular_resolution``'s value bit for bit without its
-    edge walk and sort; each trace records its start's resolution.
+    restarts whose reported drawing passes validate_drawing's check count;
+    ties go to the lowest restart index.  The pair is compiled once into a
+    ``Triangulation``, which validates every start and result and measures
+    each valid one per corner (``Triangulation.resolution``, equal to
+    ``angular_resolution``'s value bit for bit without its edge walk and
+    sort); each trace records its start's resolution.
     """
     config = config or OptimizeConfig()
     config.validate()
     replay = _ReplayPlan(graph, emb, verify_planar_3tree(graph, keep=emb.outer_face))
     base = replay.place()
-    inst = _Instance(graph, emb)
+    mesh = Triangulation(graph, emb)
     pinned = np.array(base.T)
 
     traces: list[RestartTrace] = []
@@ -390,19 +367,19 @@ def maximize_resolution(
             # replay with random interior barycentric weights: a valid
             # drawing of the embedding, diverse across restarts
             start = replay.place(rng=np.random.default_rng([config.seed, r]))
-        if _drawing_violations(start, inst.outer_face, inst.tri):
+        if mesh.violations(start):
             # invalid start (deep replays collapse below double precision);
             # nothing worth optimizing from
             traces.append(RestartTrace(r, math.inf, 0, False, math.nan, math.nan))
             continue
-        if inst.free.size:
-            drawing, value, iters, stages = _run_restart(start, inst, pinned, config)
+        if mesh.free.size:
+            drawing, value, iters, stages = _run_restart(start, mesh, pinned, config)
         else:
             drawing, value, iters, stages = base.copy(), 0.0, 0, []  # only the pinned triangle
-        valid = not _drawing_violations(drawing, inst.outer_face, inst.tri)
-        resolution = _corner_resolution(drawing, inst.tri) if valid else math.nan
+        valid = not mesh.violations(drawing)
+        resolution = mesh.resolution(drawing) if valid else math.nan
         # a restart never reports worse than its (valid) starting drawing
-        start_res = _corner_resolution(start, inst.tri)
+        start_res = mesh.resolution(start)
         if not valid or start_res > resolution:
             drawing, valid, resolution = start.copy(), True, start_res
         traces.append(RestartTrace(r, value, iters, valid, resolution, start_res, stages))
@@ -428,19 +405,7 @@ class SweepRecord:
     runtime_s: float
 
 
-CSV_COLUMNS = [
-    "family",
-    "c",
-    "d",
-    "vertices",
-    "edges",
-    "max_degree",
-    "best_resolution",
-    "restarts",
-    "valid_restarts",
-    "seed",
-    "runtime_s",
-]
+CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 
 def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list[SweepRecord]:
@@ -492,21 +457,10 @@ def sweep_csv_text(records: list[SweepRecord]) -> str:
     w = csv.writer(buf)
     w.writerow(CSV_COLUMNS)
     for r in records:
-        w.writerow(
-            [
-                r.family,
-                "" if r.c is None else r.c,
-                r.d,
-                r.vertices,
-                r.edges,
-                r.max_degree,
-                repr(float(r.best_resolution)),
-                r.restarts,
-                r.valid_restarts,
-                r.seed,
-                f"{r.runtime_s:.3f}",
-            ]
-        )
+        row = {name: getattr(r, name) for name in CSV_COLUMNS}  # csv writes None as ""
+        row["best_resolution"] = repr(float(r.best_resolution))
+        row["runtime_s"] = f"{r.runtime_s:.3f}"
+        w.writerow(row.values())
     return buf.getvalue()
 
 
@@ -515,25 +469,31 @@ def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
         fh.write(sweep_csv_text(records))
 
 
+def _csv_value(lineno: int, text: str, kind: str):
+    """One CSV field as the SweepRecord field type ``kind`` names."""
+    if kind == "int | None" and not text:
+        return None
+    (value,) = parse_numbers(lineno, [text], {"str": str, "float": float}.get(kind, int))
+    return value
+
+
 def read_sweep_csv(path: str) -> list[SweepRecord]:
+    """The records of a sweep CSV whose header names every column of
+    ``CSV_COLUMNS``, in any order.  A missing column or a row that does not
+    parse raises a one-line StructureError, starting ``line N:`` for a row."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                SweepRecord(
-                    family=row["family"],
-                    c=int(row["c"]) if row["c"] else None,
-                    d=int(row["d"]),
-                    vertices=int(row["vertices"]),
-                    edges=int(row["edges"]),
-                    max_degree=int(row["max_degree"]),
-                    best_resolution=float(row["best_resolution"]),
-                    restarts=int(row["restarts"]),
-                    valid_restarts=int(row["valid_restarts"]),
-                    seed=int(row["seed"]),
-                    runtime_s=float(row["runtime_s"]),
-                )
-            )
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        missing = [name for name in CSV_COLUMNS if name not in header]
+        if missing:
+            raise StructureError(f"sweep CSV has no {missing[0]!r} column")
+        at = [(f.name, header.index(f.name), f.type) for f in fields(SweepRecord)]
+        for row in filter(None, rows):
+            lineno = rows.line_num
+            if len(row) != len(header):
+                raise StructureError(f"line {lineno}: {len(row)} fields, expected {len(header)}")
+            out.append(SweepRecord(**{f: _csv_value(lineno, row[i], t) for f, i, t in at}))
     return out
 
 

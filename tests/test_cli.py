@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from angres.cli import main
-from angres.families import build_Htilde
+from angres.families import FamilySpec, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
 from angres.graphs import read_embedding, read_graph
 from angres.layout import layout_frame_fan, layout_nested
-from angres.metrics import read_drawing, write_drawing
-from angres.optimize import CSV_COLUMNS
+from angres.metrics import Triangulation, angular_resolution, read_drawing, write_drawing
+from angres.optimize import CSV_COLUMNS, SweepRecord, sweep_csv_text
 
 
 def run(capsys, *argv):
@@ -70,6 +70,18 @@ MALFORMED = [
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 1 0 2\nrot 2 0 1\nouter 0 1 2\n", None),
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\nouter 0 1 2\n", None),
 ]
+
+
+# drawings of the default triangle with too few or too many points, each
+# measured with and without its embedding
+WRONG_SIZE = [
+    ("p 0 0.0 1.0\np 1 0.8 -0.5\n", (2, 2)),
+    ("p 0 0.0 1.0\np 1 0.8 -0.5\np 2 -0.8 -0.5\np 3 0.0 0.0\n", (4, 2)),
+]
+
+# layout/measure cases (family, c, d): a bare triangle (one internal face),
+# a frame, and two glued families
+SWITCHED = [("frame", None, 1), ("frame", None, 6), ("g", 2, 3), ("htilde", 2, 4)]
 
 
 class TestLayoutMeasure:
@@ -157,6 +169,51 @@ class TestLayoutMeasure:
         assert len(err.strip().splitlines()) == 1
         assert re.search(r"line \d+: ", err) and "Traceback" not in err
 
+    @pytest.mark.parametrize("drawing_text, shape", WRONG_SIZE, ids=["short", "long"])
+    @pytest.mark.parametrize("with_emb", [True, False], ids=["emb", "no-emb"])
+    def test_wrong_size_drawing_one_line_error(self, tmp_path, capsys, drawing_text, shape,
+                                               with_emb):
+        gp, dp = tmp_path / "t.graph", tmp_path / "t.drawing"
+        gp.write_text("graph 3\ne 0 1\ne 1 2\ne 0 2\n")
+        dp.write_text(drawing_text)
+        if with_emb:
+            (tmp_path / "t.emb").write_text("rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\n")
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert err.splitlines() == [f"error: drawing covers {shape}, expected (3, 2)"]
+
+    @pytest.mark.parametrize("family, c, d", SWITCHED)
+    def test_layout_and_measure_print_the_edge_walk_value(self, tmp_path, capsys, family, c, d):
+        # both validate and measure through the compiled pair; the value is
+        # the sorted edge walk's to the last bit
+        fam = build_family(FamilySpec(family, c, d))
+        flags = ["--family", family, "--d", str(d)] + ([] if c is None else ["--c", str(c)])
+        gp, dp = tmp_path / "f.graph", tmp_path / "f.drawing"
+        code, stdout, _ = run(capsys, "layout", *flags, "-o", str(dp), "--graph-out", str(gp))
+        assert code == 0
+        want = f"resolution {float(angular_resolution(fam.graph, layout_nested(fam)).resolution)!r}"
+        assert stdout.splitlines()[-1] == want
+        code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-2:] == ["validated: yes", want]
+
+    def test_measure_without_embedding_walks_the_edges(self, tmp_path, capsys):
+        # a mirrored (invalid) drawing, where the corner minimum and the
+        # edge walk differ
+        fam, coords = layout_frame_fan(2)
+        bad = coords * [-1.0, 1.0]
+        mesh = Triangulation(fam.graph, fam.embedding)
+        assert mesh.violations(bad)
+        walk = float(angular_resolution(fam.graph, bad).resolution)
+        assert mesh.resolution(bad) != walk
+        gp, dp = tmp_path / "f2.graph", tmp_path / "f2.drawing"
+        assert run(capsys, "gen", "--family", "frame", "--d", "2", "-o", str(gp))[0] == 0
+        (tmp_path / "f2.emb").unlink()
+        dp.write_text(write_drawing(bad))
+        code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-2:] == ["validated: no", f"resolution {walk!r}"]
+
 
 class TestOptimizeCli:
     def test_optimize_frame(self, tmp_path, capsys):
@@ -196,6 +253,25 @@ class TestSweepFit:
         assert code == 0
         slope, intercept, r2 = map(float, stdout.strip().splitlines()[-1].split())
         assert slope < 0  # resolution decays with d
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace(",d,", ",depth,", 1), "sweep CSV has no 'd' column"),
+            (lambda t: t.replace(",4,", ",", 1), "line 2: 10 fields, expected 11"),
+            (lambda t: t.replace(",4,", ",four,", 1),
+             "line 2: invalid literal for int() with base 10: 'four'"),
+        ],
+        ids=["missing-column", "short-row", "not-a-number"],
+    )
+    def test_fit_malformed_csv_one_line_error(self, tmp_path, capsys, edit, message):
+        rows = [SweepRecord("frame", None, d, 2 * d + 1, 6 * d - 3, 2 * d, 1.0 / d, 2, 2, 1, 0.5)
+                for d in (2, 3, 4)]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(edit(sweep_csv_text(rows)), newline="")
+        code, _, err = run(capsys, "fit", "--csv", str(csv_path), "--family", "frame")
+        assert code == 1
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_bad_spec_line(self, tmp_path, capsys):
         spec = tmp_path / "specs.txt"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,7 @@ from angres.geometry import angle_at
 from angres.graphs import internal_triangles, verify_planar_3tree
 from angres.layout import LayoutConfig, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
-    _corner_resolution,
-    _drawing_violations,
+    Triangulation,
     angular_resolution,
     claim_quantities,
     frame_profile,
@@ -24,6 +24,7 @@ from angres.metrics import (
     write_drawing,
 )
 from angres.optimize import OptimizeConfig, maximize_resolution
+from objective_oracle import internal_corner_index
 from replay_oracle import replay
 from resolution_oracle import angular_resolution as reference_resolution
 from segment_oracle import reference_valid
@@ -95,6 +96,28 @@ class TestValidate:
         for d in (1, 2, 5, 9):
             fam, coords = layout_frame_fan(d)
             assert validate_drawing(fam.graph, fam.embedding, coords) == []
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_wrong_size_drawing_rejected(self, rows):
+        # one shape check for validation, the compiled pair and the edge walk
+        g, emb, coords = triangle_drawing()
+        coords = np.resize(coords, (rows, 2))
+        message = re.escape(f"drawing covers ({rows}, 2), expected (3, 2)")
+        for check in (
+            lambda: validate_drawing(g, emb, coords),
+            lambda: Triangulation(g, emb).violations(coords),
+            lambda: angular_resolution(g, coords),
+        ):
+            with pytest.raises(StructureError, match=message):
+                check()
+
+    def test_shape_checked_before_faces(self):
+        g = LabeledGraph(4)
+        for i in range(4):
+            g.add_edge(i, (i + 1) % 4)
+        emb = Embedding([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
+        with pytest.raises(StructureError, match="drawing covers"):
+            validate_drawing(g, emb, np.zeros((3, 2)))
 
     def test_non_triangulated_embedding_rejected(self):
         g = LabeledGraph(4)
@@ -238,16 +261,32 @@ class TestAngularResolution:
             assert angular_resolution(g, coords) == want
 
 
+class TestTriangulation:
+    @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
+    def test_compiled_arrays(self, name):
+        # the faces in face-tracing order, the corners in the objective
+        # oracle's order and the off-outer vertices ascending
+        fam = _RESOLUTION_FAMILIES[name]()
+        g, emb = fam.graph, fam.embedding
+        mesh = Triangulation(g, emb)
+        idx = internal_corner_index(g, emb)
+        assert np.array_equal(mesh.faces, internal_triangles(g, emb))
+        assert np.array_equal(mesh.corners, np.concatenate([idx.T.ravel(), idx[::3].T.ravel()]))
+        assert mesh.free.dtype == np.int64
+        assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
+
+
 class TestCornerResolution:
-    """The per-corner minimum the optimizer measures restarts with equals
-    ``angular_resolution``'s resolution bit for bit on valid drawings."""
+    """``Triangulation.resolution``, the per-corner minimum that measures
+    every validated drawing, equals ``angular_resolution``'s resolution bit
+    for bit on valid drawings."""
 
     @staticmethod
     def assert_matches(g, emb, coords):
-        tri = internal_triangles(g, emb)
-        assert _drawing_violations(coords, emb.outer_face, tri) == []
+        mesh = Triangulation(g, emb)
+        assert mesh.violations(coords) == []
         want = angular_resolution(g, coords).resolution
-        assert np.float64(_corner_resolution(coords, tri)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(mesh.resolution(coords)).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize(
         "build",
@@ -281,7 +320,7 @@ class TestCornerResolution:
         rng = np.random.default_rng(draw)
         coords = replay(g, emb, rng=rng)
         coords += rng.normal(0.0, 1e-3, coords.shape)
-        assume(not _drawing_violations(coords, emb.outer_face, internal_triangles(g, emb)))
+        assume(not Triangulation(g, emb).violations(coords))
         self.assert_matches(g, emb, coords)
 
 

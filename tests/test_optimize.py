@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import math
 
 import numpy as np
@@ -8,9 +10,9 @@ from scipy.special import logsumexp
 import objective_oracle
 from angres import optimize
 from angres.families import FamilySpec, build_frame, build_G, build_Htilde
-from angres.graphs import Embedding, LabeledGraph
+from angres.graphs import Embedding, LabeledGraph, StructureError
 from angres.layout import layout_frame_fan, layout_nested, layout_seed_any
-from angres.metrics import angular_resolution, validate_drawing
+from angres.metrics import Triangulation, angular_resolution, validate_drawing
 from angres.optimize import (
     CSV_COLUMNS,
     ExponentFit,
@@ -21,9 +23,10 @@ from angres.optimize import (
     objective_and_gradient,
     read_sweep_csv,
     sweep,
+    sweep_csv_text,
     write_sweep_csv,
 )
-from angres.optimize import _Instance, _logsumexp, _objective
+from angres.optimize import _logsumexp, _objective
 
 FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
@@ -122,8 +125,8 @@ class TestObjectiveOracle:
             near = np.full(g.n, np.inf)
             np.minimum.at(near, idx[:, 1], length)
             coords = coords + rng.normal(0.0, jitter, coords.shape) * near[:, None]
-        inst = _Instance(g, emb)
-        free = inst.free
+        mesh = Triangulation(g, emb)
+        free = mesh.free
         a, b, c = (coords[idx[::3, i]] for i in range(3))
         area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
         assert (area < 0).any() == bool(jitter)  # penalty active exactly when jittered
@@ -141,7 +144,7 @@ class TestObjectiveOracle:
         want = objective_oracle.objective(
             y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
         )
-        got = _objective(y, inst, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
+        got = _objective(y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
     @pytest.mark.parametrize("name", ["g12", "htilde24"])
@@ -153,14 +156,14 @@ class TestObjectiveOracle:
         # be 0 * inf = nan, not zero; a nan spreads to every weight.  Both
         # keep every term.
         g, emb, coords = _oracle_case(name)
-        inst = _Instance(g, emb)
+        mesh = Triangulation(g, emb)
         coords = coords.copy()
-        coords[inst.free[0], 1] = bad
+        coords[mesh.free[0], 1] = bad
         idx = objective_oracle.internal_corner_index(g, emb)
         selections = _record_selections(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             want = objective_oracle.objective(
-                coords[inst.free].ravel(), g.n, inst.free, idx, idx[::3], sharp, weight, coords
+                coords[mesh.free].ravel(), g.n, mesh.free, idx, idx[::3], sharp, weight, coords
             )
             got = objective_and_gradient(g, emb, coords, sharp, weight)
         assert not np.isfinite(want[1]).all()
@@ -183,10 +186,10 @@ class TestObjectiveOracle:
             g, emb = fam.graph, fam.embedding
             idx = objective_oracle.internal_corner_index(g, emb)
 
-            def checked_objective(y, inst, pinned, sharp, weight, origin, scale):
-                got = objective(y, inst, pinned, sharp, weight, origin, scale)
+            def checked_objective(y, mesh, pinned, sharp, weight, origin, scale):
+                got = objective(y, mesh, pinned, sharp, weight, origin, scale)
                 want = objective_oracle.objective(
-                    y, g.n, inst.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
+                    y, g.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
                 )
                 assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
                 return got
@@ -364,6 +367,64 @@ class TestSweep:
             return "\n".join(rows)
 
         assert strip_runtime(pa) == strip_runtime(pb)
+
+
+# a row without c, a numpy resolution and a failed (nan) row
+CSV_RECORDS = [
+    SweepRecord("frame", None, 2, 5, 9, 4, 0.5, 2, 2, 1, 0.0125),
+    SweepRecord("htilde", 2, 4, 511, 1527, 12, np.float64(0.1) * 3, 16, 16, 42, 12.3456),
+    SweepRecord("htilde", 3, 8, 30391, 91167, 24, math.nan, 3, 0, 7, 99.9995),
+]
+
+
+def csv_column_by_column(records) -> str:
+    """The sweep CSV writer that listed every column by hand."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["family", "c", "d", "vertices", "edges", "max_degree", "best_resolution",
+                "restarts", "valid_restarts", "seed", "runtime_s"])
+    for r in records:
+        w.writerow([r.family, "" if r.c is None else r.c, r.d, r.vertices, r.edges, r.max_degree,
+                    repr(float(r.best_resolution)), r.restarts, r.valid_restarts, r.seed,
+                    f"{r.runtime_s:.3f}"])
+    return buf.getvalue()
+
+
+class TestSweepCsv:
+    def test_text_matches_column_by_column_writer(self):
+        assert sweep_csv_text(CSV_RECORDS) == csv_column_by_column(CSV_RECORDS)
+        assert sweep_csv_text([]) == csv_column_by_column([])
+
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_sweep_csv(CSV_RECORDS, str(path))
+        back = read_sweep_csv(str(path))
+        assert [r.c for r in back] == [None, 2, 3]
+        assert repr(back) == repr(
+            [SweepRecord(**{**r.__dict__, "best_resolution": float(r.best_resolution),
+                            "runtime_s": round(r.runtime_s, 3)}) for r in CSV_RECORDS]
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace(",d,", ",depth,", 1), "sweep CSV has no 'd' column"),
+            (lambda t: "", "sweep CSV has no 'family' column"),
+            (lambda t: t.replace(",12,", ",", 1), "line 3: 10 fields, expected 11"),
+            (lambda t: t.replace(",12,", ",12,0,", 1), "line 3: 12 fields, expected 11"),
+            (lambda t: t.replace(",30391,", ",3e4,", 1),
+             "line 4: invalid literal for int() with base 10: '3e4'"),
+            (lambda t: t.replace(",0.5,", ",half,", 1),
+             "line 2: could not convert string to float: 'half'"),
+        ],
+        ids=["missing-column", "empty", "short-row", "long-row", "bad-int", "bad-float"],
+    )
+    def test_malformed_csv_one_line_error(self, tmp_path, edit, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(edit(sweep_csv_text(CSV_RECORDS)), newline="")
+        with pytest.raises(StructureError) as exc:
+            read_sweep_csv(str(path))
+        assert str(exc.value) == message
 
 
 class TestFit:
