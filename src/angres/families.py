@@ -1,12 +1,15 @@
 """Construction of the nested-frame graph families and the eps -> c mapping.
 
 All constructions are deterministic: equal parameters give identical vertex
-indexing, edge sets and rotations.  Copies are glued into triangular faces by
-identifying the copy's outer triangle with the face corners and splicing the
-rotation systems; the three duplicated boundary edges are merged.  All copies
-of one sub-family at one level are glued by one ``glue_copies`` call, which
-maps the sub's edge array and flattened rotation through each copy's int64
-vertex map instead of walking them element by element.
+indexing, edge sets and rotations.  Every builder writes the rotation system
+alone and reads the edge set off it (``graphs.rotation_edges``): the edges of
+a plane graph are exactly the neighbour pairs of its rotation.  Copies are
+glued into triangular faces by identifying the copy's outer triangle with the
+face corners and splicing the rotation systems, so the three boundary edges
+the copy shares with the face are not duplicated.  All copies of one
+sub-family at one level are glued by one ``glue_copies`` call, which maps the
+sub's flattened rotation through each copy's int64 vertex map instead of
+walking it element by element.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .graphs import (
     LabeledGraph,
     StructureError,
     face_cycle_from,
+    rotation_edges,
 )
 
 
@@ -78,51 +82,29 @@ class Family:
 def build_frame(d: int) -> Family:
     """The d-frame graph: root w plus chains u_1..u_d, v_1..v_d.
 
-    Besides the base triangle and, per ring k >= 2, the edges
-    w u_k, w v_k, u_k v_k, u_k u_{k-1}, u_k v_{k-1}, the construction also
-    carries the ring edges v_k v_{k-1}, so that every bounded face is a
+    Its rotation (clockwise, the nested fan drawing's) is one ring formula,
+    read with the ring indices outside 1..d dropped:
+    rot[w] = u_d .. u_1 v_1 .. v_d,
+    rot[u_k] = u_{k+1} v_k v_{k-1} u_{k-1} w and
+    rot[v_k] = v_{k+1} w v_{k-1} u_k u_{k+1}.  Besides the base triangle and,
+    per ring k >= 2, the edges w u_k, w v_k, u_k v_k, u_k u_{k-1}, u_k v_{k-1},
+    it carries the ring edges v_k v_{k-1}, so every bounded face is a
     triangle and the graph is maximal planar with maximum degree exactly 2d.
+    The edges are read off the rotation.
     """
     if d < 1:
         raise ParameterError(f"frame needs d >= 1, got {d}")
     w = 0
     u = [2 * k - 1 for k in range(1, d + 1)]
     v = [2 * k for k in range(1, d + 1)]
-    g = LabeledGraph(2 * d + 1)
-    g.labels[w] = "w"
+    U, V = [None, *u, None], [None, *v, None]  # ring k at index k, none at 0 and d+1
+    rot = [list(reversed(u)) + v]
+    labels = {w: "w"}
     for k in range(1, d + 1):
-        g.labels[u[k - 1]] = f"u{k}"
-        g.labels[v[k - 1]] = f"v{k}"
-    g.add_edge(w, u[0])
-    g.add_edge(w, v[0])
-    g.add_edge(u[0], v[0])
-    for k in range(2, d + 1):
-        uk, vk, up, vp = u[k - 1], v[k - 1], u[k - 2], v[k - 2]
-        g.add_edge(w, uk)
-        g.add_edge(w, vk)
-        g.add_edge(uk, vk)
-        g.add_edge(uk, up)
-        g.add_edge(uk, vp)
-        g.add_edge(vk, vp)
-
-    # Canonical rotations of the nested fan drawing (clockwise order).
-    rot: list[list[int]] = [[] for _ in range(g.n)]
-    rot[w] = list(reversed(u)) + v
-    if d == 1:
-        rot[u[0]] = [v[0], w]
-        rot[v[0]] = [w, u[0]]
-    else:
-        for k in range(1, d + 1):
-            i = k - 1
-            if k == 1:
-                rot[u[i]] = [u[1], v[0], w]
-                rot[v[i]] = [v[1], w, u[0], u[1]]
-            elif k == d:
-                rot[u[i]] = [v[i], v[i - 1], u[i - 1], w]
-                rot[v[i]] = [w, v[i - 1], u[i]]
-            else:
-                rot[u[i]] = [u[i + 1], v[i], v[i - 1], u[i - 1], w]
-                rot[v[i]] = [v[i + 1], w, v[i - 1], u[i], u[i + 1]]
+        rot.append([x for x in (U[k + 1], V[k], V[k - 1], U[k - 1], w) if x is not None])
+        rot.append([x for x in (V[k + 1], w, V[k - 1], U[k], U[k + 1]) if x is not None])
+        labels[U[k]], labels[V[k]] = f"u{k}", f"v{k}"
+    g = LabeledGraph(2 * d + 1, rotation_edges(rot), labels)
     emb = Embedding(rot, (w, u[-1], v[-1]))
     return Family(g, emb, roles=FrameRoles(w, u, v))
 
@@ -180,25 +162,21 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     keeps the spliced rotation system planar.  With ``mirror`` the reflected
     copy (all rotations reversed) is glued instead, which swaps the two
     non-root corner identifications; this controls which copy corner's
-    degree lands on which face vertex.  Duplicate boundary edges are merged;
-    the interior copy vertices get fresh host indices in copy-index order,
-    copy after copy.  Each copy's vertex map is recorded on
+    degree lands on which face vertex.  The copy's outer edges are the host
+    face's; the interior copy vertices get fresh host indices in copy-index
+    order, copy after copy.  Each copy's vertex map is recorded on
     ``host.placements``.
 
-    The sub's sorted edge array and the rotation rows of its interior
-    vertices, flattened once in plain and in mirrored order, are mapped
-    through each copy's vmap.  Every host entry is then taken from one list
-    of Python ints, so all entries of a vertex share one int object.  The
-    host's edge set is updated once, in the order that inserting each
-    copy's sorted edges copy by copy gives.
+    The rotation rows of the sub's interior vertices, flattened once in
+    plain and in mirrored order, are mapped through each copy's vmap.  Every
+    host entry is then taken from one list of Python ints, so all entries of
+    a vertex share one int object.  The host's edge set is read off the
+    spliced rotation once, after the last copy, and its tuples reuse those
+    int objects.
     """
     rot = host.embedding.rotation
     outer = sub.embedding.outer_face
-    on_outer = np.isin(np.arange(sub.graph.n), outer)
-    inner = np.flatnonzero(~on_outer)
-    ends = sub.graph.edge_array()
-    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]  # the order of sorted(edges)
-    ends = ends[~(on_outer[ends[:, 0]] & on_outer[ends[:, 1]])]
+    inner = np.flatnonzero(~np.isin(np.arange(sub.graph.n), outer))
     rows = [sub.embedding.rotation[i] for i in inner.tolist()]
     deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     cut = np.concatenate([[0], np.cumsum(deg)])
@@ -213,7 +191,6 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
         return list(map(ids.__getitem__, vmap[copy_ids].tolist()))
 
     corners: dict[tuple[int, bool], tuple] = {}
-    mapped_ends = []
     for face, root_target, copy_root, mirror in gluings:
         r, A, B = _host_face(rot, face, root_target)
         if len(outer) != 3:
@@ -230,7 +207,6 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
         vmap[[croot, P, N]] = (r, A, B)
         ids.extend(range(fresh, fresh + inner.size))
         host.graph.n = fresh + inner.size
-        mapped_ends.append(vmap[ends])
 
         # Interior fans at the three shared vertices, clockwise between the
         # two boundary edges of the host face corner: at r between B and A,
@@ -241,12 +217,7 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
         entries = host_ids(vmap, flat_mirrored if mirror else flat)
         rot.extend([entries[lo:hi] for lo, hi in bounds])
         host.placements.append(CopyPlacement(sub, vmap))
-
-    if mapped_ends:
-        pairs = np.concatenate(mapped_ends)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1]).tolist()
-        hi = np.maximum(pairs[:, 0], pairs[:, 1]).tolist()
-        host.graph.edges.update(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
+    host.graph.edges = rotation_edges(rot)
 
 
 def vertex_count_G(c: int, d: int) -> int:
@@ -283,15 +254,9 @@ def build_G(c: int, d: int) -> Family:
 def _base_k4(names: tuple[str, str, str, str]) -> Family:
     """K4 with corners named, the fourth vertex interior, outer face
     (n1, n3, n2) in clockwise trace order."""
-    g = LabeledGraph(4)
-    for v, name in enumerate(names):
-        g.labels[v] = name
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g.add_edge(i, j)
     rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
-    emb = Embedding(rot, (0, 2, 1))
-    fam = Family(g, emb)
+    g = LabeledGraph(4, rotation_edges(rot), dict(enumerate(names)))
+    fam = Family(g, Embedding(rot, (0, 2, 1)))
     fam.corners = {name: v for v, name in enumerate(names)}
     return fam
 

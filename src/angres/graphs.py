@@ -10,6 +10,10 @@ Conventions used throughout the package:
   face as a counterclockwise vertex cycle and the outer face as a clockwise
   cycle.
 
+The edges of a plane graph are exactly the neighbour pairs of its rotation
+system, so the family builders write rotations alone and read each edge set
+off one with ``rotation_edges``.
+
 Faces are traced on half-edge arrays, not per-vertex dictionaries: the
 half-edges of vertex ``v`` are numbered consecutively in rotation order, and
 one NumPy kernel (``_half_edges``) checks the rotation against the edges and
@@ -124,6 +128,29 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate a cyclic sequence so its smallest element comes first."""
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
+
+
+def rotation_edges(rotation: list[list[int]]) -> set[Edge]:
+    """The edge set of a rotation system over vertices ``0 .. len(rotation)-1``:
+    each pair ``(v, u)`` with ``v < u`` and ``u`` in ``rotation[v]``.
+
+    Both ends of every tuple are int objects taken from the rotation's own
+    entries (a vertex no row lists gets a new int), so the edge set holds
+    no ints beyond those its rotation already holds."""
+    n = len(rotation)
+    flat = list(itertools.chain.from_iterable(rotation))
+    deg = np.fromiter(map(len, rotation), dtype=np.int64, count=n)
+    dst = np.array(flat, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    smaller = src < dst
+    # one entry of flat per vertex, to stand in for it as the smaller end
+    at = np.full(n, -1, dtype=np.int64)
+    at[dst] = np.arange(dst.size)
+    missing = np.flatnonzero(at < 0)
+    at[missing] = np.arange(dst.size, dst.size + missing.size)
+    flat.extend(missing.tolist())
+    lo = map(flat.__getitem__, at[src[smaller]].tolist())
+    return set(zip(lo, itertools.compress(flat, smaller.tolist())))
 
 
 def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +292,8 @@ def verify_planar_3tree(
         )
     protected = set(keep) if keep is not None else set()
     if keep is not None:
-        a, b, c = keep
-        if not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)):
+        pairs = itertools.combinations(keep, 2)
+        if len(keep) != 3 or not all(graph.has_edge(a, b) for a, b in pairs):
             raise StructureError(f"keep triple {keep} is not a triangle")
 
     # neighbour lists (CSR) from one argsort of the edge array; a vertex's

@@ -11,6 +11,7 @@ without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,24 +83,25 @@ class Triangulation:
     measure any number of its drawings.
 
     ``faces`` holds the F internal faces of ``internal_triangles``, ``free``
-    the vertices off the outer face, ascending.  ``corners`` is the flat
-    corner index of length 12F: its first three 3F-slices are the a, b and c
-    columns of the internal corners (a, b, c), angle at b from ray b->a to
-    ray b->c, corner 3t + i being corner i of face t; its last three
-    F-slices are the columns of each face's corner 0, the optimizer's
-    orientation-penalty vertices."""
+    the vertices off the outer face, ascending.  ``corners`` is the (4, 3F)
+    corner index: rows 0-2 are the a, b and c columns of the internal
+    corners (a, b, c), angle at b from ray b->a to ray b->c, corner 3t + i
+    being corner i of face t; row 3 holds, in three F-long runs, the a, b
+    and c columns of each face's corner 0, the optimizer's
+    orientation-penalty vertices.  Its ``ravel()``, a view, is the
+    optimizer's full scatter index."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.n = graph.n
         self.outer_face = emb.outer_face
         self.faces = internal_triangles(graph, emb)
         f = len(self.faces)
-        self.corners = np.empty(12 * f, dtype=np.int64)
-        abc = self.corners[: 9 * f].reshape(3, f, 3)
+        self.corners = np.empty((4, 3 * f), dtype=np.int64)
+        abc = self.corners[:3].reshape(3, f, 3)
         # corner i of face t is (t[i-1], t[i], t[i+1])
         for column, perm in zip(abc, ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
             column[:] = self.faces[:, perm]
-        self.corners[9 * f :].reshape(3, f)[:] = abc[:, :, 0]
+        self.corners[3].reshape(3, f)[:] = abc[:, :, 0]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
         self.free = np.flatnonzero(off_outer)
@@ -132,7 +134,7 @@ class Triangulation:
         that is negative: ``angular_resolution``'s float expression for the
         same two consecutive edges.  These are all gaps of a valid drawing
         but the three outer ones, which exceed pi, so no sort is needed."""
-        a, b, c = self.corners[: 3 * self.corners.size // 4].reshape(3, -1)
+        a, b, c = self.corners[:3]
         to_a = coords[a] - coords[b]
         to_c = coords[c] - coords[b]
         gap = np.arctan2(to_a[:, 1], to_a[:, 0]) - np.arctan2(to_c[:, 1], to_c[:, 0])
@@ -173,9 +175,13 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     2 pi.  The witness is the last gap, in vertex then clockwise order, that
     is smaller than every earlier gap by more than TOL, so a later gap within
     TOL of the minimum does not take the witness over.  The drawing must be
-    (n, 2); ``Triangulation.resolution`` measures validated ones.
+    (n, 2) and finite, else a StructureError names the shape or the first
+    non-finite vertex; ``Triangulation.resolution`` measures validated ones.
     """
     coords = _drawing_array(coords, graph.n)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise StructureError(f"non-finite coordinates at vertex {int(np.argmin(finite))}")
     n, m = graph.n, len(graph.edges)
     ends = graph.edge_array()
     src = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -197,8 +203,8 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     diff[last] += 2.0 * math.pi
     counted = np.repeat(deg >= 2, deg)
     vals = diff[counted]
-    # running minimum before each gap; nan gaps never count, as in a < test
-    run = np.fmin.accumulate(np.concatenate([[math.inf], vals]))
+    # running minimum before each gap; finite coordinates give finite gaps
+    run = np.minimum.accumulate(np.concatenate([[math.inf], vals]))
     record = np.flatnonzero(vals < run[:-1] - TOL)
     witness = (-1, (-1, -1))
     if record.size:
@@ -225,54 +231,32 @@ class FrameProfile:
     apex_total: float  # composite angle(u_d w v_d)
 
 
-def _root_gaps(roles: FrameRoles, coords: np.ndarray) -> tuple[list[float], list[int]]:
-    """Consecutive-edge gaps at the frame root in canonical rotation order
-    u_d .. u_1 v_1 .. v_d; entry i is the angle between edges i and i+1."""
-    w = roles.root
-    seq = list(reversed(roles.u)) + list(roles.v)
-    vec = coords[seq] - coords[w]
-    ang = np.arctan2(vec[:, 1], vec[:, 0])
-    gaps = []
-    for i in range(len(seq) - 1):
-        diff = (ang[i] - ang[i + 1]) % (2.0 * math.pi)
-        gaps.append(float(diff))
-    return gaps, seq
-
-
 def frame_profile(roles: FrameRoles, coords: np.ndarray) -> FrameProfile:
     """Fan-angle diagnostics at the root of a frame drawing.
 
     Composite angles are sums of consecutive rotation gaps at w (additive by
-    construction), not chord angles.  The drawing must be valid; gaps are
-    taken in the canonical rotation order.
+    construction), not chord angles, taken as running sums from the root
+    outward.  The drawing must be valid; gaps are taken in the canonical
+    rotation order u_d .. u_1 v_1 .. v_d.
     """
     if roles is None:
         raise StructureError("frame_profile needs frame roles")
     d = len(roles.u)
-    gaps, _ = _root_gaps(roles, coords)
-    # gap index: 0..d-2 between u_d..u_1, d-1 between u_1 and v_1,
-    # d-1+i between v_i and v_{i+1} (i = 1..d-1 at positions d..2d-2)
-    def vgap(i: int) -> float:  # angle(v_i w v_{i+1})
-        return gaps[d - 1 + i]
-
-    def ugap(k: int) -> float:  # angle(u_{k+1} w u_k)
-        return gaps[d - 1 - k]
-
-    alpha1: dict[int, float] = {}
-    alpha2: dict[int, float] = {}
-    alpha3: dict[int, float] = {}
-    r: dict[int, float] = {}
-    for k in range(2, d + 1):
-        alpha1[k] = vgap(k - 1)
-        alpha3[k] = sum(vgap(i) for i in range(1, k - 1))
-        # u_k around through u_{k-1}..u_1 and v_1..v_{k-1}
-        alpha2[k] = sum(ugap(j) for j in range(1, k)) + gaps[d - 1] + sum(
-            vgap(i) for i in range(1, k - 1)
-        )
-        r[k] = alpha3[k] / alpha1[k] if alpha1[k] != 0.0 else math.inf
-    apex_v = sum(vgap(i) for i in range(1, d))
-    apex_total = sum(gaps)
-    return FrameProfile(alpha1, alpha2, alpha3, r, apex_v, apex_total)
+    vec = coords[list(reversed(roles.u)) + list(roles.v)] - coords[roles.root]
+    ang = np.arctan2(vec[:, 1], vec[:, 0])
+    gaps = np.mod(ang[:-1] - ang[1:], 2.0 * math.pi).tolist()
+    # vgaps[i-1] = angle(v_i w v_{i+1}); usum[k] = angle(u_{k+1} w u_1) and
+    # vsum[k] = angle(v_1 w v_{k+1}), each summed from the root outward
+    vgaps = gaps[d:]
+    usum = list(itertools.accumulate(reversed(gaps[: d - 1]), initial=0.0))
+    vsum = list(itertools.accumulate(vgaps, initial=0.0))
+    rings = range(2, d + 1)
+    alpha1 = {k: vgaps[k - 2] for k in rings}
+    alpha3 = {k: vsum[k - 2] for k in rings}
+    # u_k around through u_{k-1}..u_1 and v_1..v_{k-1}
+    alpha2 = {k: usum[k - 1] + gaps[d - 1] + vsum[k - 2] for k in rings}
+    r = {k: alpha3[k] / alpha1[k] if alpha1[k] != 0.0 else math.inf for k in rings}
+    return FrameProfile(alpha1, alpha2, alpha3, r, vsum[-1], sum(gaps))
 
 
 @dataclass

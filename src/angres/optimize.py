@@ -1,11 +1,11 @@
 """Search for maximum-angular-resolution drawings of a fixed embedding.
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
-``metrics.Triangulation``: the internal faces, one flat corner index over
-them and the free (non-outer) vertices.  It also checks the build sequence
-once and groups its steps by level (``layout._ReplayPlan``).  Every restart
-reuses both, so a centroid or jittered start only places vertices level by
-level.
+``metrics.Triangulation``: the internal faces, one corner index over them
+(named rows) and the free (non-outer) vertices.  It also checks the build
+sequence once and groups its steps by level (``layout._ReplayPlan``).  Every
+restart reuses both, so a centroid or jittered start only places vertices
+level by level.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -114,11 +114,11 @@ class OptimizeResult:
 
 
 def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
-    """Signed angle of every internal corner in the flat index ``corners``,
+    """Signed angle of every internal corner in the (4, 3F) index ``corners``,
     from the x and y coordinate arrays, with the intermediates of its
     gradient: (theta, bx, by, e1x, e1y, e2x, e2y, g, h), b the corner's
     vertex, e1 = a - b, e2 = c - b."""
-    ia, ib, ic = corners[: 3 * (corners.size // 4)].reshape(3, -1)
+    ia, ib, ic = corners[:3]
     bx, by = px[ib], py[ib]
     e1x, e1y = px[ia] - bx, py[ia] - by
     e2x, e2y = px[ic] - bx, py[ic] - by
@@ -210,13 +210,11 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     # live faces' three columns
     live = _live_terms(coef, pc, P)
     if live is None:
-        index = corners
+        index = corners.ravel()
     else:
         corner_live, face_live = live
-        k = coef.size
         index = np.concatenate(
-            [corners[: 3 * k].reshape(3, -1)[:, corner_live].ravel(),
-             corners[3 * k :].reshape(3, -1)[:, face_live].ravel()]
+            [corners[:3, corner_live].ravel(), corners[3].reshape(3, -1)[:, face_live].ravel()]
         )
         coef, e1x, e1y, e2x, e2y, g, h = (v[corner_live] for v in (coef, e1x, e1y, e2x, e2y, g, h))
         pc, fax, fay, fbx, fby, fcx, fcy = (v[face_live] for v in (pc, fax, fay, fbx, fby, fcx, fcy))
@@ -284,7 +282,7 @@ def _run_restart(
     free = mesh.free
     # every edge of a triangulation is a side (a, b) of an internal corner;
     # hypot and the minimum do not depend on the side's direction or order
-    i, j = mesh.corners[: 6 * (mesh.corners.size // 12)].reshape(2, -1)
+    i, j = mesh.corners[:2]
     dist = np.hypot(start[i, 0] - start[j, 0], start[i, 1] - start[j, 1])
     near = np.full(mesh.n, np.inf)
     np.minimum.at(near, i, dist)
@@ -348,9 +346,9 @@ def maximize_resolution(
     """
     config = config or OptimizeConfig()
     config.validate()
+    mesh = Triangulation(graph, emb)
     replay = _ReplayPlan(graph, emb, verify_planar_3tree(graph, keep=emb.outer_face))
     base = replay.place()
-    mesh = Triangulation(graph, emb)
     pinned = np.array(base.T)
 
     traces: list[RestartTrace] = []

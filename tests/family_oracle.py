@@ -1,12 +1,82 @@
-"""Reference implementation of the family builders: ``insert_copy`` glues
-one copy at a time, element by element through Python dicts and sets, and
-``build_G``/``build_H``/``build_Htilde`` call it once per copy.  Used to
-check the batched gluing in ``angres.families`` field for field."""
+"""Reference implementation of the family builders: ``build_frame`` and
+``_base_k4`` add their edges one by one beside their rotations, ``insert_copy``
+glues one copy at a time, element by element through Python dicts and sets,
+and ``build_G``/``build_H``/``build_Htilde`` call it once per copy.  Used to
+check ``angres.families``, which reads every edge set off its rotation and
+glues all copies of a sub-family at once, field for field."""
 
 from __future__ import annotations
 
-from angres.families import CopyPlacement, Family, ParameterError, _base_k4, build_frame
-from angres.graphs import StructureError, edge, face_cycle_from
+from angres.families import CopyPlacement, Family, FrameRoles, ParameterError
+from angres.graphs import Embedding, LabeledGraph, StructureError, edge, face_cycle_from
+
+
+def build_frame(d: int) -> Family:
+    """The d-frame graph: root w plus chains u_1..u_d, v_1..v_d.
+
+    Besides the base triangle and, per ring k >= 2, the edges
+    w u_k, w v_k, u_k v_k, u_k u_{k-1}, u_k v_{k-1}, the construction also
+    carries the ring edges v_k v_{k-1}, so that every bounded face is a
+    triangle and the graph is maximal planar with maximum degree exactly 2d.
+    """
+    if d < 1:
+        raise ParameterError(f"frame needs d >= 1, got {d}")
+    w = 0
+    u = [2 * k - 1 for k in range(1, d + 1)]
+    v = [2 * k for k in range(1, d + 1)]
+    g = LabeledGraph(2 * d + 1)
+    g.labels[w] = "w"
+    for k in range(1, d + 1):
+        g.labels[u[k - 1]] = f"u{k}"
+        g.labels[v[k - 1]] = f"v{k}"
+    g.add_edge(w, u[0])
+    g.add_edge(w, v[0])
+    g.add_edge(u[0], v[0])
+    for k in range(2, d + 1):
+        uk, vk, up, vp = u[k - 1], v[k - 1], u[k - 2], v[k - 2]
+        g.add_edge(w, uk)
+        g.add_edge(w, vk)
+        g.add_edge(uk, vk)
+        g.add_edge(uk, up)
+        g.add_edge(uk, vp)
+        g.add_edge(vk, vp)
+
+    # Canonical rotations of the nested fan drawing (clockwise order).
+    rot: list[list[int]] = [[] for _ in range(g.n)]
+    rot[w] = list(reversed(u)) + v
+    if d == 1:
+        rot[u[0]] = [v[0], w]
+        rot[v[0]] = [w, u[0]]
+    else:
+        for k in range(1, d + 1):
+            i = k - 1
+            if k == 1:
+                rot[u[i]] = [u[1], v[0], w]
+                rot[v[i]] = [v[1], w, u[0], u[1]]
+            elif k == d:
+                rot[u[i]] = [v[i], v[i - 1], u[i - 1], w]
+                rot[v[i]] = [w, v[i - 1], u[i]]
+            else:
+                rot[u[i]] = [u[i + 1], v[i], v[i - 1], u[i - 1], w]
+                rot[v[i]] = [v[i + 1], w, v[i - 1], u[i], u[i + 1]]
+    emb = Embedding(rot, (w, u[-1], v[-1]))
+    return Family(g, emb, roles=FrameRoles(w, u, v))
+
+
+def _base_k4(names: tuple[str, str, str, str]) -> Family:
+    """K4 with corners named, the fourth vertex interior, outer face
+    (n1, n3, n2) in clockwise trace order."""
+    g = LabeledGraph(4)
+    for v, name in enumerate(names):
+        g.labels[v] = name
+    for i in range(4):
+        for j in range(i + 1, 4):
+            g.add_edge(i, j)
+    rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
+    emb = Embedding(rot, (0, 2, 1))
+    fam = Family(g, emb)
+    fam.corners = {name: v for v, name in enumerate(names)}
+    return fam
 
 
 def insert_copy(
@@ -157,10 +227,10 @@ def build_Htilde(c: int, d: int) -> Family:
     return fam
 
 
-# (family, c, d) cases for the oracle comparisons: frames d = 1..8, g, h and
+# (family, c, d) cases for the oracle comparisons: frames d = 1..24, g, h and
 # htilde over c <= 3 with small d, and the two large benchmark families
 ORACLE_CASES = (
-    [("frame", None, d) for d in range(1, 9)]
+    [("frame", None, d) for d in range(1, 25)]
     + [("g", c, d) for c in (1, 2, 3) for d in range(1, 6)]
     + [(fam, c, d) for fam in ("h", "htilde") for c in (1, 2, 3) for d in (1, 2, 3)]
     + [("htilde", 2, 32), ("htilde", 3, 8)]

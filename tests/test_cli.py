@@ -182,6 +182,19 @@ class TestLayoutMeasure:
         assert code == 1
         assert err.splitlines() == [f"error: drawing covers {shape}, expected (3, 2)"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_drawing_without_embedding_one_line_error(self, tmp_path, capsys, value):
+        gp, dp = tmp_path / "f3.graph", tmp_path / "f3.drawing"
+        assert run(capsys, "gen", "--family", "frame", "--d", "3", "-o", str(gp))[0] == 0
+        (tmp_path / "f3.emb").unlink()
+        _, coords = layout_frame_fan(3)
+        coords[3, 0] = float(value)
+        dp.write_text(write_drawing(coords))
+        assert f"p 3 {value} " in dp.read_text()
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert err.splitlines() == ["error: non-finite coordinates at vertex 3"]
+
     @pytest.mark.parametrize("family, c, d", SWITCHED)
     def test_layout_and_measure_print_the_edge_walk_value(self, tmp_path, capsys, family, c, d):
         # both validate and measure through the compiled pair; the value is
@@ -230,6 +243,16 @@ class TestOptimizeCli:
         assert "seed=5" in stdout  # resolved config echoed
         coords = read_drawing(dp.read_text())
         assert coords.shape == (5, 2)
+
+    def test_outer_record_not_a_triangle(self, tmp_path, capsys):
+        gp, ep = tmp_path / "f3.graph", tmp_path / "f3.emb"
+        assert run(capsys, "gen", "--family", "frame", "--d", "3", "-o", str(gp))[0] == 0
+        ep.write_text(ep.read_text().replace("outer 0 5 6", "outer 0 5 6 1"))
+        code, _, err = run(capsys, "optimize", str(gp), str(ep), "-o", str(tmp_path / "x"))
+        assert code == 1
+        assert err.splitlines() == [
+            "optimize failed: outer face (0, 5, 6, 1) not found among traced faces"
+        ]
 
 
 class TestSweepFit:

@@ -15,7 +15,16 @@ from angres.families import (
     glue_copies,
     vertex_count_G,
 )
-from angres.graphs import StructureError, internal_triangles, max_degree, verify_planar_3tree
+from angres.graphs import (
+    StructureError,
+    internal_triangles,
+    max_degree,
+    verify_planar_3tree,
+    write_graph,
+)
+from angres.layout import layout_nested
+from angres.metrics import Triangulation, angular_resolution
+from angres.svg import export_svg
 from family_oracle import ORACLE_CASES, oracle_family
 from family_oracle import insert_copy as reference_insert_copy
 
@@ -95,11 +104,10 @@ class TestHAndHtilde:
 
 
 def assert_same_family(got, want):
-    """Equal fields, vertex maps and sub-families, and the same iteration
-    order of the edge set."""
+    """Equal fields, vertex maps and sub-families.  The edge sets are equal
+    as sets; their iteration order may differ (see TestEdgeOrder)."""
     assert got.graph.n == want.graph.n
     assert got.graph.edges == want.graph.edges
-    assert list(got.graph.edges) == list(want.graph.edges)
     assert got.graph.labels == want.graph.labels
     assert got.embedding.rotation == want.embedding.rotation
     assert got.embedding.outer_face == want.embedding.outer_face
@@ -165,6 +173,35 @@ class TestGlueCopies:
         with pytest.raises(StructureError) as got:
             glue_copies(build_frame(1), build_frame(2), [gluing])
         assert str(got.value) == str(want.value) == message
+
+
+class TestEdgeOrder:
+    """The package reads each edge set off the rotation, so its set iterates
+    in another order than the oracle's, which inserts edges copy by copy.
+    Nothing downstream reads that order."""
+
+    @pytest.mark.parametrize("name, c, d", [("g", 2, 4), ("htilde", 2, 3)])
+    def test_outputs_do_not_depend_on_edge_order(self, name, c, d):
+        got = build_family(FamilySpec(name, c, d))
+        want = oracle_family(name, c, d)
+        assert got.graph.edges == want.graph.edges
+        assert list(got.graph.edges) != list(want.graph.edges)
+        emb = got.embedding
+        coords = layout_nested(got)
+        for keep in (None, emb.outer_face):
+            a = verify_planar_3tree(got.graph, keep=keep)
+            b = verify_planar_3tree(want.graph, keep=keep)
+            assert (a.base, a.steps) == (b.base, b.steps)
+        assert np.array_equal(internal_triangles(got.graph, emb), internal_triangles(want.graph, emb))
+        assert np.array_equal(
+            Triangulation(got.graph, emb).corners, Triangulation(want.graph, emb).corners
+        )
+        a = angular_resolution(got.graph, coords)
+        b = angular_resolution(want.graph, coords)
+        assert (a.resolution.hex(), a.witness) == (b.resolution.hex(), b.witness)
+        assert max_degree(got.graph) == max_degree(want.graph)
+        assert write_graph(got.graph) == write_graph(want.graph)
+        assert export_svg(got.graph, emb, coords) == export_svg(want.graph, emb, coords)
 
 
 class TestSpecAndMapping:

@@ -20,6 +20,7 @@ from angres.graphs import (
     max_degree,
     read_embedding,
     read_graph,
+    rotation_edges,
     verify_planar_3tree,
     write_embedding,
     write_graph,
@@ -107,6 +108,29 @@ class TestLabeledGraph:
         g = LabeledGraph(2)
         with pytest.raises(StructureError):
             g.add_edge(0, 5)
+
+
+class TestRotationEdges:
+    def test_k4_and_empty(self):
+        g, emb = k4()
+        assert rotation_edges(emb.rotation) == g.edges
+        assert rotation_edges([]) == set() == rotation_edges([[], []])
+
+    def test_ends_are_the_rotation_entries(self):
+        # vertices beyond the small-int cache, each listed by one int object
+        big = [1000 + v for v in range(4)]
+        rotation = [[big[2], big[3], big[1]], [big[0], big[3], big[2]],
+                    [big[1], big[3], big[0]], [big[0], big[2], big[1]]]
+        rotation = [[] for _ in range(1000)] + rotation
+        listed = {x: x for row in rotation for x in row}
+        edges = rotation_edges(rotation)
+        assert len(edges) == 6
+        assert all(v is listed[v] and u is listed[u] for v, u in edges)
+
+    def test_vertex_no_row_lists(self):
+        # each pair comes from the row of its smaller end; vertex 0 is in no
+        # row, so it needs its own int
+        assert rotation_edges([[1, 2], [], [1]]) == {(0, 1), (0, 2)}
 
 
 class TestFaces:

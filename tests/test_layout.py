@@ -14,7 +14,7 @@ from angres.families import (
     build_H,
     build_Htilde,
 )
-from angres.graphs import BuildSequence, StructureError, verify_planar_3tree
+from angres.graphs import BuildSequence, Embedding, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
@@ -153,6 +153,14 @@ class TestSeedAny:
         rng = np.random.default_rng(seed)
         coords = replay(fam.graph, fam.embedding, rng=rng)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
+
+    def test_outer_face_not_three_vertices(self):
+        # the build sequence is rooted at the outer face, which must be a
+        # triangle; a longer cycle fails with a StructureError, not an unpack
+        fam = build_frame(3)
+        emb = Embedding(fam.embedding.rotation, (0, 5, 6, 1))
+        with pytest.raises(StructureError, match=r"^keep triple \(0, 5, 6, 1\) is not a triangle$"):
+            layout_seed_any(fam.graph, emb)
 
     def test_custom_outer_coords(self):
         fam = build_frame(3)

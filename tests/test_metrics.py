@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from angres.metrics import (
     write_drawing,
 )
 from angres.optimize import OptimizeConfig, maximize_resolution
+from frame_profile_oracle import frame_profile as reference_frame_profile
 from objective_oracle import internal_corner_index
 from replay_oracle import replay
 from resolution_oracle import angular_resolution as reference_resolution
@@ -224,6 +226,16 @@ class TestAngularResolution:
         with pytest.raises(StructureError):
             angular_resolution(g, coords)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_raise(self, value):
+        # a nan gap would be skipped by the running minimum and an inf one
+        # would give -0.0, so the walk refuses such drawings outright
+        fam, coords = layout_frame_fan(3)
+        coords[3, 0] = value
+        coords[5, 1] = value
+        with pytest.raises(StructureError, match=r"^non-finite coordinates at vertex 3$"):
+            angular_resolution(fam.graph, coords)
+
     @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
     @pytest.mark.parametrize("drawing", ["nested", "centroid", "jitter"])
     def test_matches_loop_oracle(self, name, drawing):
@@ -271,7 +283,8 @@ class TestTriangulation:
         mesh = Triangulation(g, emb)
         idx = internal_corner_index(g, emb)
         assert np.array_equal(mesh.faces, internal_triangles(g, emb))
-        assert np.array_equal(mesh.corners, np.concatenate([idx.T.ravel(), idx[::3].T.ravel()]))
+        want = np.concatenate([idx.T.ravel(), idx[::3].T.ravel()])
+        assert mesh.corners.shape == (4, len(idx)) and np.array_equal(mesh.corners.ravel(), want)
         assert mesh.free.dtype == np.int64
         assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
 
@@ -348,6 +361,39 @@ class TestFrameProfile:
             )
         lhs, rhs = telescoping_product(prof)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_matches_generator_sum_oracle(self):
+        # fan, jittered and optimized frames, d = 1..32, field for field.
+        # Up to Python 3.11 sum() adds floats left to right, as the running
+        # sums do, so every field is equal bit for bit; from 3.12 on sum()
+        # compensates its rounding, and the oracle's last bits may differ.
+        def same(x, y):
+            if sys.version_info < (3, 12):
+                return float(x).hex() == float(y).hex()
+            return x == pytest.approx(y, rel=1e-12, abs=1e-15)
+
+        drawings = []
+        for d in range(1, 33):
+            fam, coords = layout_frame_fan(d)
+            drawings.append((fam.roles, coords))
+            for seed in range(4):
+                rng = np.random.default_rng([d, seed])
+                scale = np.abs(coords).max(axis=1, keepdims=True)
+                drawings.append((fam.roles, coords + rng.normal(0.0, 0.01, coords.shape) * scale))
+        for d in range(1, 9):
+            fam = build_frame(d)
+            cfg = OptimizeConfig(restarts=1, max_iters=100)
+            result = maximize_resolution(fam.graph, fam.embedding, cfg)
+            drawings.append((fam.roles, result.coords))
+        for roles, coords in drawings:
+            got = frame_profile(roles, coords)
+            want = reference_frame_profile(roles, coords)
+            for name in ("alpha1", "alpha2", "alpha3", "r"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert list(a) == list(b)
+                assert all(same(a[k], b[k]) for k in a), name
+            assert same(got.apex_v, want.apex_v)
+            assert same(got.apex_total, want.apex_total)
 
     def test_fan_profile_values(self):
         d = 6
