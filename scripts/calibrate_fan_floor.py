@@ -11,7 +11,7 @@ import argparse
 
 from angres.families import build_frame, build_Htilde
 from angres.layout import layout_nested
-from angres.metrics import angular_resolution, validate_drawing
+from angres.metrics import Triangulation
 
 
 def sweep(name, build, d_max):
@@ -22,10 +22,11 @@ def sweep(name, build, d_max):
     while d <= d_max:
         fam = build(d)
         coords = layout_nested(fam)
-        viols = validate_drawing(fam.graph, fam.embedding, coords)
+        mesh = Triangulation(fam.graph, fam.embedding)
+        viols = mesh.violations(coords)
         if viols:
             print(f"{name} d={d}: INVALID ({len(viols)} violations)")
-        scaled = angular_resolution(fam.graph, coords).resolution * d
+        scaled = mesh.resolution(coords) * d
         if scaled < floor:
             floor, floor_d = scaled, d
         if d & (d - 1) == 0:

@@ -1,15 +1,15 @@
 """Construction of the nested-frame graph families and the eps -> c mapping.
 
 All constructions are deterministic: equal parameters give identical vertex
-indexing, edge sets and rotations.  Every builder writes the rotation system
-alone and reads the edge set off it (``graphs.rotation_edges``): the edges of
-a plane graph are exactly the neighbour pairs of its rotation.  Copies are
-glued into triangular faces by identifying the copy's outer triangle with the
-face corners and splicing the rotation systems, so the three boundary edges
-the copy shares with the face are not duplicated.  All copies of one
-sub-family at one level are glued by one ``glue_copies`` call, which maps the
-sub's flattened rotation through each copy's int64 vertex map instead of
-walking it element by element.
+indexing, edge arrays and rotations.  Every builder writes the rotation
+system alone and reads the edge array off it (``graphs.rotation_edges``):
+the edges of a plane graph are exactly the neighbour pairs of its rotation.
+Copies are glued into triangular faces by identifying the copy's outer
+triangle with the face corners and splicing the rotation systems, so the
+three boundary edges the copy shares with the face are not duplicated.
+All copies of one sub-family at one level are glued by one ``glue_copies``
+call, which maps the sub's flattened rotation through each copy's int64
+vertex map instead of walking it element by element.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
 
     The rotation rows of the sub's interior vertices, flattened once in
     plain and in mirrored order, are mapped through each copy's vmap.  Every
-    host entry is then taken from one list of Python ints, so all entries of
-    a vertex share one int object.  The host's edge set is read off the
-    spliced rotation once, after the last copy, and its tuples reuse those
-    int objects.
+    host entry is then taken from one list of Python ints, so all rotation
+    entries of a vertex share one int object.  The host's edge array is read
+    off the spliced rotation once, after the last copy.
     """
     rot = host.embedding.rotation
     outer = sub.embedding.outer_face

@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * vertices are dense integer indices ``0 .. n-1``;
-* edges are unordered pairs stored as ``(i, j)`` with ``i < j``;
+* a graph's edges are the rows ``(i, j)``, ``i < j``, of a sorted (m, 2)
+  int64 array without repeats; ``LabeledGraph`` builds it from any pairs;
 * a rotation system lists, for every vertex, its neighbors in *clockwise*
   order.  With clockwise rotations the face walk
   ``next(u -> v) = (v, successor of u in rotation[v])`` traces every bounded
@@ -11,8 +12,8 @@ Conventions used throughout the package:
   cycle.
 
 The edges of a plane graph are exactly the neighbour pairs of its rotation
-system, so the family builders write rotations alone and read each edge set
-off one with ``rotation_edges``.
+system, so the family builders write rotations alone and read each edge
+array off one with ``rotation_edges``.
 
 Faces are traced on half-edge arrays, not per-vertex dictionaries: the
 half-edges of vertex ``v`` are numbered consecutively in rotation order, and
@@ -49,55 +50,54 @@ class NotPlanar3TreeError(StructureError):
     """The graph failed planar 3-tree verification."""
 
 
-Edge = tuple[int, int]
-
-
-def edge(i: int, j: int) -> Edge:
+def _pair_error(i: int, j: int, n: int) -> str:
+    """Why the pair ``(i, j)`` is not an edge of a simple graph on ``n``
+    vertices: a negative end, a self-loop or an end of ``n`` or more."""
+    if i < 0 or j < 0:
+        return f"bad edge ({i}, {j}) for n={n}"
     if i == j:
-        raise StructureError(f"self-loop at vertex {i}")
-    return (i, j) if i < j else (j, i)
+        return f"self-loop at vertex {i}"
+    return f"edge ({min(i, j)}, {max(i, j)}) exceeds vertex count {n}"
 
 
-@dataclass
+def _canonical_edges(pairs, n: int) -> np.ndarray:
+    """The edges ``pairs`` name (any iterable of pairs or an (m, 2) array, in
+    any order and orientation, repeats allowed) as the sorted (m, 2) int64
+    array of rows ``(i, j)``, ``i < j``, without repeats.  Raises a
+    StructureError for the first pair that is not an edge on ``n`` vertices."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    bad = (lo < 0) | (lo == hi) | (hi >= n)
+    if bad.any():
+        raise StructureError(_pair_error(*ends[np.argmax(bad)].tolist(), n))
+    keys = np.sort(lo * n + hi)
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # every key is positive
+    return np.stack(np.divmod(keys, max(n, 1)), axis=1)
+
+
+@dataclass(eq=False)
 class LabeledGraph:
-    """Simple undirected graph with optional role labels on vertices."""
+    """Simple undirected graph with optional role labels on vertices.  The
+    constructor stores any ``edges`` pairs in the package's edge format (see
+    the module docstring).  ``==`` is identity, as ``edges`` is an array."""
 
     n: int
-    edges: set[Edge] = field(default_factory=set)
+    edges: np.ndarray = ()
     labels: dict[int, str] = field(default_factory=dict)
 
-    def add_edge(self, i: int, j: int) -> None:
-        e = edge(i, j)
-        if e[1] >= self.n:
-            raise StructureError(f"edge {e} exceeds vertex count {self.n}")
-        self.edges.add(e)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return edge(i, j) in self.edges
+    def __post_init__(self):
+        self.edges = _canonical_edges(self.edges, self.n)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             adj[i].add(j)
             adj[j].add(i)
         return adj
 
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) int64 array of the edges, in the order the set yields them."""
-        ends = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(ends, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def validate(self) -> None:
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise StructureError(f"bad edge ({i}, {j}) for n={self.n}")
         for v in self.labels:
             if not 0 <= v < self.n:
                 raise StructureError(f"label on unknown vertex {v}")
@@ -107,9 +107,7 @@ class LabeledGraph:
 
 
 def max_degree(graph: LabeledGraph) -> int:
-    if not graph.edges:
-        return 0
-    return max(graph.degree_sequence())
+    return int(np.bincount(graph.edges.ravel(), minlength=graph.n).max(initial=0))
 
 
 @dataclass
@@ -130,27 +128,16 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-def rotation_edges(rotation: list[list[int]]) -> set[Edge]:
-    """The edge set of a rotation system over vertices ``0 .. len(rotation)-1``:
-    each pair ``(v, u)`` with ``v < u`` and ``u`` in ``rotation[v]``.
-
-    Both ends of every tuple are int objects taken from the rotation's own
-    entries (a vertex no row lists gets a new int), so the edge set holds
-    no ints beyond those its rotation already holds."""
+def rotation_edges(rotation: list[list[int]]) -> np.ndarray:
+    """The edges of a rotation system over vertices ``0 .. len(rotation)-1``,
+    in the package's edge format: each pair ``(v, u)`` with ``v < u`` and
+    ``u`` in ``rotation[v]``, read as one sort of ``v * n + u`` keys.  An
+    entry of ``n`` or more raises a StructureError."""
     n = len(rotation)
-    flat = list(itertools.chain.from_iterable(rotation))
     deg = np.fromiter(map(len, rotation), dtype=np.int64, count=n)
-    dst = np.array(flat, dtype=np.int64)
+    dst = np.fromiter(itertools.chain.from_iterable(rotation), dtype=np.int64, count=int(deg.sum()))
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    smaller = src < dst
-    # one entry of flat per vertex, to stand in for it as the smaller end
-    at = np.full(n, -1, dtype=np.int64)
-    at[dst] = np.arange(dst.size)
-    missing = np.flatnonzero(at < 0)
-    at[missing] = np.arange(dst.size, dst.size + missing.size)
-    flat.extend(missing.tolist())
-    lo = map(flat.__getitem__, at[src[smaller]].tolist())
-    return set(zip(lo, itertools.compress(flat, smaller.tolist())))
+    return _canonical_edges(np.stack([src, dst], axis=1)[src < dst], n)
 
 
 def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +164,7 @@ def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndar
         dst = np.fromiter((u if 0 <= u < n else -1 for u in flat), dtype=np.int64, count=total)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
 
-    ends = graph.edge_array()
+    ends = graph.edges
     bad = deg != np.bincount(ends.ravel(), minlength=n)
     # range-check before forming keys: an entry outside 0..n-1 could
     # otherwise alias the key of a real edge
@@ -290,21 +277,24 @@ def verify_planar_3tree(
         raise NotPlanar3TreeError(
             f"not a 3-tree: E={len(graph.edges)} but a 3-tree on {n} vertices has {3 * n - 6}"
         )
+    ends = graph.edges
+    edge_keys = set((ends[:, 0] * n + ends[:, 1]).tolist())  # i < j in every edge
+
+    def is_triangle(tri: tuple[int, ...]) -> bool:
+        a, b, c = sorted(tri) if len(tri) == 3 else (0, 0, 0)
+        return 0 <= a < b < c < n and {a * n + b, a * n + c, b * n + c} <= edge_keys
+
     protected = set(keep) if keep is not None else set()
-    if keep is not None:
-        pairs = itertools.combinations(keep, 2)
-        if len(keep) != 3 or not all(graph.has_edge(a, b) for a, b in pairs):
-            raise StructureError(f"keep triple {keep} is not a triangle")
+    if keep is not None and not is_triangle(keep):
+        raise StructureError(f"keep triple {keep} is not a triangle")
 
     # neighbour lists (CSR) from one argsort of the edge array; a vertex's
     # live neighbours are the alive entries of its row
-    ends = graph.edge_array()
     src = ends.T.ravel()
     nbr = ends[:, ::-1].T.ravel()[np.argsort(src)].tolist()
     counts = np.bincount(src, minlength=n)
     offset = np.concatenate([[0], np.cumsum(counts)]).tolist()
     deg = counts.tolist()
-    edge_keys = set((ends[:, 0] * n + ends[:, 1]).tolist())  # i < j in every edge
     alive = [True] * n
     remaining = n
 
@@ -336,8 +326,7 @@ def verify_planar_3tree(
             f"(first few: {stuck[:8]})"
         )
     base_vs = tuple(v for v in range(n) if alive[v])
-    a, b, c = base_vs
-    if not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)):
+    if not is_triangle(base_vs):
         raise NotPlanar3TreeError(f"not a 3-tree: final three vertices {base_vs} are not a triangle")
     if keep is not None and set(base_vs) != protected:
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
@@ -452,11 +441,8 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
 # ---------------------------------------------------------------------------
 
 def write_graph(graph: LabeledGraph) -> str:
-    lines = [f"graph {graph.n}"]
-    for i, j in sorted(graph.edges):
-        lines.append(f"e {i} {j}")
-    for v in sorted(graph.labels):
-        lines.append(f"l {v} {graph.labels[v]}")
+    lines = [f"graph {graph.n}"] + [f"e {i} {j}" for i, j in graph.edges.tolist()]
+    lines += [f"l {v} {graph.labels[v]}" for v in sorted(graph.labels)]
     return "\n".join(lines) + "\n"
 
 
@@ -489,34 +475,39 @@ def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
 
 
 def read_graph(text: str) -> LabeledGraph:
-    graph: LabeledGraph | None = None
+    """The graph of a ``graph``/``e``/``l`` text.  Each bad record, a
+    repeated ``e`` record in either orientation among them, raises a
+    StructureError naming its line."""
+    n: int | None = None
+    pairs: set[tuple[int, int]] = set()
+    labels: dict[int, str] = {}
     for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
         if tag == "graph":
-            if graph is not None:
+            if n is not None:
                 raise StructureError(f"line {lineno}: repeated 'graph' header")
             (n,) = parse_numbers(lineno, fields[:1], int)
             if n < 0:
                 raise StructureError(f"line {lineno}: negative vertex count {n}")
-            graph = LabeledGraph(n)
-        elif graph is None:
+        elif n is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":
             i, j = parse_numbers(lineno, fields[:2], int)
-            try:
-                if i < 0 or j < 0:
-                    raise StructureError(f"bad edge ({i}, {j}) for n={graph.n}")
-                graph.add_edge(i, j)
-            except StructureError as exc:
-                raise StructureError(f"line {lineno}: {exc}") from None
+            pair = (i, j) if i < j else (j, i)
+            if pair[0] < 0 or i == j or pair[1] >= n:
+                raise StructureError(f"line {lineno}: {_pair_error(i, j, n)}")
+            if pair in pairs:
+                raise StructureError(f"line {lineno}: repeated 'e' record for edge {pair}")
+            pairs.add(pair)
         else:
             (v,) = parse_numbers(lineno, fields[:1], int)
-            if not 0 <= v < graph.n:
+            if not 0 <= v < n:
                 raise StructureError(f"line {lineno}: label on unknown vertex {v}")
-            if v in graph.labels:
+            if v in labels:
                 raise StructureError(f"line {lineno}: repeated 'l' record for vertex {v}")
-            graph.labels[v] = fields[1]
-    if graph is None:
+            labels[v] = fields[1]
+    if n is None:
         raise StructureError("missing 'graph <V>' header")
+    graph = LabeledGraph(n, pairs, labels)
     graph.validate()
     return graph
 

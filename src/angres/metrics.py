@@ -33,8 +33,11 @@ TOL = 1e-9
 
 @dataclass
 class Violation:
-    kind: str  # "flipped-face" | "coincident"
+    kind: str  # "non-finite" | "coincident" | "flipped-face"
     detail: str
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.detail}"
 
 
 # Shewchuk's static error bound for the orientation determinant (1997,
@@ -78,6 +81,12 @@ def _drawing_array(coords, n: int) -> np.ndarray:
     return coords
 
 
+def _non_finite(coords: np.ndarray) -> str:
+    """A message naming the first vertex with a non-finite coordinate, or ""."""
+    finite = np.isfinite(coords).all(axis=1)
+    return "" if finite.all() else f"non-finite coordinates at vertex {int(np.argmin(finite))}"
+
+
 class Triangulation:
     """A triangulated (graph, embedding) pair compiled once, to validate and
     measure any number of its drawings.
@@ -109,8 +118,8 @@ class Triangulation:
     def violations(self, coords: np.ndarray) -> list[Violation]:
         """``validate_drawing`` of an (n, 2) drawing of this pair."""
         coords = _drawing_array(coords, self.n)
-        if not np.all(np.isfinite(coords)):
-            return [Violation("coincident", "non-finite coordinates")]
+        if non_finite := _non_finite(coords):
+            return [Violation("non-finite", non_finite)]
         out: list[Violation] = []
         # equal points end up side by side; == keeps -0.0 and 0.0 together
         ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
@@ -179,11 +188,10 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     non-finite vertex; ``Triangulation.resolution`` measures validated ones.
     """
     coords = _drawing_array(coords, graph.n)
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        raise StructureError(f"non-finite coordinates at vertex {int(np.argmin(finite))}")
+    if non_finite := _non_finite(coords):
+        raise StructureError(non_finite)
     n, m = graph.n, len(graph.edges)
-    ends = graph.edge_array()
+    ends = graph.edges
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     deg = np.bincount(src, minlength=n)

@@ -45,7 +45,7 @@ def export_svg(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> str:
         f'height="{height:.1f}" viewBox="0 0 {WIDTH:.1f} {height:.1f}">',
         '<g stroke="black" stroke-width="0.8" fill="none">',
     ]
-    for i, j in sorted(graph.edges):
+    for i, j in graph.edges.tolist():
         x1, y1 = tx(pts[i])
         x2, y2 = tx(pts[j])
         out.append(f'<line x1="{x1:.4f}" y1="{y1:.4f}" x2="{x2:.4f}" y2="{y2:.4f}"/>')

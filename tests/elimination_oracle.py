@@ -37,10 +37,15 @@ def verify_planar_3tree(
         raise NotPlanar3TreeError(
             f"not a 3-tree: E={len(graph.edges)} but a 3-tree on {n} vertices has {3 * n - 6}"
         )
+    edge_set = set(map(tuple, graph.edges.tolist()))
+
+    def has_edge(i: int, j: int) -> bool:
+        return (min(i, j), max(i, j)) in edge_set
+
     protected = set(keep) if keep is not None else set()
     if keep is not None:
         a, b, c = keep
-        if not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)):
+        if not (has_edge(a, b) and has_edge(b, c) and has_edge(a, c)):
             raise StructureError(f"keep triple {keep} is not a triangle")
 
     adj = graph.adjacency()
@@ -77,7 +82,7 @@ def verify_planar_3tree(
         )
     base_vs = tuple(v for v in range(n) if alive[v])
     a, b, c = base_vs
-    if not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)):
+    if not (has_edge(a, b) and has_edge(b, c) and has_edge(a, c)):
         raise NotPlanar3TreeError(f"not a 3-tree: final three vertices {base_vs} are not a triangle")
     if keep is not None and set(base_vs) != protected:
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")

@@ -2,13 +2,50 @@
 ``_base_k4`` add their edges one by one beside their rotations, ``insert_copy``
 glues one copy at a time, element by element through Python dicts and sets,
 and ``build_G``/``build_H``/``build_Htilde`` call it once per copy.  Used to
-check ``angres.families``, which reads every edge set off its rotation and
-glues all copies of a sub-family at once, field for field."""
+check ``angres.families``, which reads every edge array off its rotation and
+glues all copies of a sub-family at once, field for field.
+
+The builders keep each edge set as a Python set of tuples in a ``SetGraph``;
+``with_arrays`` turns a finished family into ``LabeledGraph`` arrays."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from angres.families import CopyPlacement, Family, FrameRoles, ParameterError
-from angres.graphs import Embedding, LabeledGraph, StructureError, edge, face_cycle_from
+from angres.graphs import Embedding, LabeledGraph, StructureError, face_cycle_from
+
+
+def edge(i: int, j: int) -> tuple[int, int]:
+    if i == j:
+        raise StructureError(f"self-loop at vertex {i}")
+    return (i, j) if i < j else (j, i)
+
+
+@dataclass
+class SetGraph:
+    """A graph under construction: its edges as a set of ``(i, j)`` tuples,
+    ``i < j``."""
+
+    n: int
+    edges: set[tuple[int, int]] = field(default_factory=set)
+    labels: dict[int, str] = field(default_factory=dict)
+
+    def add_edge(self, i: int, j: int) -> None:
+        e = edge(i, j)
+        if e[1] >= self.n:
+            raise StructureError(f"edge {e} exceeds vertex count {self.n}")
+        self.edges.add(e)
+
+
+def with_arrays(fam: Family) -> Family:
+    """``fam``, with the SetGraph of it and of every sub-family it placed
+    replaced by the LabeledGraph of the same edges and labels."""
+    if isinstance(fam.graph, SetGraph):
+        fam.graph = LabeledGraph(fam.graph.n, fam.graph.edges, fam.graph.labels)
+    for placement in fam.placements:
+        with_arrays(placement.sub)
+    return fam
 
 
 def build_frame(d: int) -> Family:
@@ -24,7 +61,7 @@ def build_frame(d: int) -> Family:
     w = 0
     u = [2 * k - 1 for k in range(1, d + 1)]
     v = [2 * k for k in range(1, d + 1)]
-    g = LabeledGraph(2 * d + 1)
+    g = SetGraph(2 * d + 1)
     g.labels[w] = "w"
     for k in range(1, d + 1):
         g.labels[u[k - 1]] = f"u{k}"
@@ -66,7 +103,7 @@ def build_frame(d: int) -> Family:
 def _base_k4(names: tuple[str, str, str, str]) -> Family:
     """K4 with corners named, the fourth vertex interior, outer face
     (n1, n3, n2) in clockwise trace order."""
-    g = LabeledGraph(4)
+    g = SetGraph(4)
     for v, name in enumerate(names):
         g.labels[v] = name
     for i in range(4):
@@ -240,5 +277,5 @@ ORACLE_CASES = (
 def oracle_family(name: str, c: int | None, d: int) -> Family:
     """The family as the copy-by-copy builders above make it."""
     if name == "frame":
-        return build_frame(d)
-    return {"g": build_G, "h": build_H, "htilde": build_Htilde}[name](c, d)
+        return with_arrays(build_frame(d))
+    return with_arrays({"g": build_G, "h": build_H, "htilde": build_Htilde}[name](c, d))

@@ -21,11 +21,10 @@ from angres.metrics import Violation
 def _segment_violations(graph: LabeledGraph, coords: np.ndarray) -> list[Violation]:
     """Pairwise segment tests: non-adjacent edges must not intersect,
     adjacent edges must meet only at their shared endpoint."""
-    edges = sorted(graph.edges)
-    m = len(edges)
+    E = graph.edges
+    m = len(E)
     if m == 0:
         return []
-    E = np.asarray(edges)
     P = coords[E[:, 0]]
     Q = coords[E[:, 1]]
     out: list[Violation] = []

@@ -30,7 +30,7 @@ class TestGen:
         from angres.families import build_frame
 
         fam = build_frame(3)
-        assert g.edges == fam.graph.edges
+        assert np.array_equal(g.edges, fam.graph.edges)
         assert emb.rotation == fam.embedding.rotation
 
     def test_usage_error_exit_2(self, capsys):
@@ -66,6 +66,7 @@ MALFORMED = [
     ("graph 3\ne 0 1\ngraph 5\n", None, None, None),
     ("graph 3\ne 0 1\ne 1 2\ne 0 2\nl 7 x\n", None, None, None),
     ("graph 3\ne 0 5\n", None, None, None),
+    ("graph 3\ne 0 1\ne 1 2\ne 0 2\ne 1 0\n", None, None, None),
     (None, "p 0 0.0 1.0\np 1 0.8 -0.5\np 1 0.0 0.0\np 2 -0.8 -0.5\n", None, None),
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 1 0 2\nrot 2 0 1\nouter 0 1 2\n", None),
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\nouter 0 1 2\n", None),
@@ -194,6 +195,28 @@ class TestLayoutMeasure:
         code, _, err = run(capsys, "measure", str(gp), str(dp))
         assert code == 1
         assert err.splitlines() == ["error: non-finite coordinates at vertex 3"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_drawing_with_embedding_one_line_error(self, tmp_path, capsys, value):
+        gp, dp = tmp_path / "f3.graph", tmp_path / "f3.drawing"
+        assert run(capsys, "gen", "--family", "frame", "--d", "3", "-o", str(gp))[0] == 0
+        _, coords = layout_frame_fan(3)
+        coords[3, 0] = float(value)
+        coords[5, 1] = float(value)
+        dp.write_text(write_drawing(coords))
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert err.splitlines() == [
+            "invalid drawing: non-finite: non-finite coordinates at vertex 3"
+        ]
+        sp = tmp_path / "f3.svg"
+        code, _, err = run(capsys, "export-svg", str(gp), str(tmp_path / "f3.emb"), str(dp),
+                           "-o", str(sp))
+        assert code == 1 and not sp.exists()
+        assert err.splitlines() == [
+            "refusing to render: drawing has 1 violations: "
+            "non-finite: non-finite coordinates at vertex 3"
+        ]
 
     @pytest.mark.parametrize("family, c, d", SWITCHED)
     def test_layout_and_measure_print_the_edge_walk_value(self, tmp_path, capsys, family, c, d):

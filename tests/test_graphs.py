@@ -13,7 +13,6 @@ from angres.graphs import (
     NotPlanar3TreeError,
     StructureError,
     canonical_cycle,
-    edge,
     euler_check,
     face_cycle_from,
     internal_triangles,
@@ -35,19 +34,13 @@ from replay_oracle import replay
 
 
 def k4():
-    g = LabeledGraph(4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g.add_edge(i, j)
+    g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
     return g, Embedding(rot, (0, 2, 1))
 
 
 def triangle():
-    g = LabeledGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
+    g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
     return g, Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
 
 
@@ -62,9 +55,8 @@ def insert_vertex_in_face(
     """
     a, b, c = face
     x = graph.n
-    graph.n += 1
-    for t in face:
-        graph.edges.add(edge(t, x))
+    grown = LabeledGraph(x + 1, np.vstack([graph.edges, [(t, x) for t in face]]))
+    graph.n, graph.edges = grown.n, grown.edges
     # The corner of face (a,b,c) at a lies between the edges to c and to b.
     rotation[a].insert(rotation[a].index(c) + 1, x)
     rotation[b].insert(rotation[b].index(a) + 1, x)
@@ -94,43 +86,77 @@ def random_3tree(seed, steps):
 
 class TestLabeledGraph:
     def test_edge_normalizes(self):
-        assert edge(3, 1) == (1, 3)
+        assert LabeledGraph(4, [(3, 1)]).edges.tolist() == [[1, 3]]
         with pytest.raises(StructureError):
-            edge(2, 2)
+            LabeledGraph(4, [(2, 2)])
 
     def test_degree_and_validate(self):
         g, _ = k4()
-        assert g.degree_sequence() == [3, 3, 3, 3]
         assert max_degree(g) == 3
+        assert max_degree(LabeledGraph(3)) == max_degree(LabeledGraph(0)) == 0
         g.validate()
 
     def test_out_of_range_edge(self):
-        g = LabeledGraph(2)
         with pytest.raises(StructureError):
-            g.add_edge(0, 5)
+            LabeledGraph(2, [(0, 5)])
+
+
+class TestEdgeFormat:
+    """Any pairs become the one edge format: the sorted (m, 2) int64 array
+    of rows (i, j), i < j, without repeats."""
+
+    def test_any_pairs_give_the_canonical_array(self):
+        g = build_Htilde(1, 3).graph
+        pairs = [tuple(p) for p in g.edges.tolist()]
+        want = np.array(sorted(pairs), dtype=np.int64)
+        rng = random.Random(7)
+        shuffled = rng.sample(pairs, len(pairs))
+        flipped = [(j, i) for i, j in shuffled]
+        repeated = shuffled + flipped + rng.sample(pairs, 10)
+        for given_pairs in (shuffled, flipped, repeated, set(flipped), np.array(repeated),
+                            iter(flipped)):
+            edges = LabeledGraph(g.n, given_pairs).edges
+            assert edges.dtype == np.int64 and edges.shape == want.shape
+            assert np.array_equal(edges, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_empty_graph(self, n):
+        for pairs in ((), [], set(), np.empty((0, 2), dtype=np.int64)):
+            edges = LabeledGraph(n, pairs).edges
+            assert edges.shape == (0, 2) and edges.dtype == np.int64
+        assert LabeledGraph(n).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((2, 2), "self-loop at vertex 2"),
+            ((-1, 2), "bad edge (-1, 2) for n=4"),
+            ((2, -3), "bad edge (2, -3) for n=4"),
+            ((1, 4), "edge (1, 4) exceeds vertex count 4"),
+            ((9, 0), "edge (0, 9) exceeds vertex count 4"),
+        ],
+    )
+    def test_bad_pair_rejected(self, pair, message):
+        for pairs in ([(0, 1), pair, (1, 2)], np.array([(0, 1), pair])):
+            with pytest.raises(StructureError) as exc:
+                LabeledGraph(4, pairs)
+            assert str(exc.value) == message
 
 
 class TestRotationEdges:
     def test_k4_and_empty(self):
         g, emb = k4()
-        assert rotation_edges(emb.rotation) == g.edges
-        assert rotation_edges([]) == set() == rotation_edges([[], []])
-
-    def test_ends_are_the_rotation_entries(self):
-        # vertices beyond the small-int cache, each listed by one int object
-        big = [1000 + v for v in range(4)]
-        rotation = [[big[2], big[3], big[1]], [big[0], big[3], big[2]],
-                    [big[1], big[3], big[0]], [big[0], big[2], big[1]]]
-        rotation = [[] for _ in range(1000)] + rotation
-        listed = {x: x for row in rotation for x in row}
-        edges = rotation_edges(rotation)
-        assert len(edges) == 6
-        assert all(v is listed[v] and u is listed[u] for v, u in edges)
+        edges = rotation_edges(emb.rotation)
+        assert edges.dtype == np.int64 and np.array_equal(edges, g.edges)
+        assert rotation_edges([]).shape == (0, 2) == rotation_edges([[], []]).shape
 
     def test_vertex_no_row_lists(self):
-        # each pair comes from the row of its smaller end; vertex 0 is in no
-        # row, so it needs its own int
-        assert rotation_edges([[1, 2], [], [1]]) == {(0, 1), (0, 2)}
+        # each pair comes from the row of its smaller end; vertex 0 is in no row
+        assert rotation_edges([[1, 2], [], [1]]).tolist() == [[0, 1], [0, 2]]
+
+    def test_entry_out_of_range_rejected(self):
+        with pytest.raises(StructureError, match=r"^edge \(0, 5\) exceeds vertex count 2$"):
+            rotation_edges([[5], []])
 
 
 class TestFaces:
@@ -179,7 +205,7 @@ def shuffled_3tree(seed, steps):
     g, emb = random_3tree(seed, steps)
     perm = list(range(g.n))
     rng.shuffle(perm)
-    shuffled = LabeledGraph(g.n, {edge(perm[i], perm[j]) for i, j in g.edges})
+    shuffled = LabeledGraph(g.n, [(perm[i], perm[j]) for i, j in g.edges.tolist()])
     rotation = [[] for _ in range(g.n)]
     for v, rot in enumerate(emb.rotation):
         k = rng.randrange(len(rot))
@@ -192,7 +218,7 @@ def shuffled_3tree(seed, steps):
 def k7_on_the_torus():
     """K7 with its triangular torus embedding: every face is a triangle but
     V - E + F = 0."""
-    g = LabeledGraph(7, {edge(i, j) for i in range(7) for j in range(i + 1, 7)})
+    g = LabeledGraph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
     rotation = [[(v + k) % 7 for k in (1, 3, 2, 6, 4, 5)] for v in range(7)]
     return g, Embedding(rotation, (0, 1, 3))
 
@@ -282,10 +308,11 @@ class TestFaceKernel:
         # dropping edges of a triangulation merges faces into longer ones
         g, emb = shuffled_3tree(seed, steps)
         rng = random.Random(seed)
-        for i, j in rng.sample(sorted(g.edges), rng.randint(1, 3)):
-            g.edges.discard((i, j))
+        dropped = rng.sample(range(len(g.edges)), rng.randint(1, 3))
+        for i, j in g.edges[dropped].tolist():
             emb.rotation[i].remove(j)
             emb.rotation[j].remove(i)
+        g = LabeledGraph(g.n, np.delete(g.edges, dropped, axis=0))
         assert_matches_loop(g, emb, rejected=True)
 
     @given(st.integers(0, 10_000), st.integers(2, 30))
@@ -338,9 +365,8 @@ class TestVerify3Tree:
         seq = verify_planar_3tree(g, keep=emb.outer_face)
         assert set(seq.base) == set(emb.outer_face)
         a, b, c = seq.base
-        rebuilt = {edge(a, b), edge(b, c), edge(a, c)}
-        rebuilt |= {edge(t, x) for x, tri in seq.steps for t in tri}
-        assert rebuilt == g.edges
+        rebuilt = [(a, b), (b, c), (a, c)] + [(t, x) for x, tri in seq.steps for t in tri]
+        assert np.array_equal(LabeledGraph(g.n, rebuilt).edges, g.edges)
 
     def test_octahedron_rejected(self):
         # 4-regular maximal planar graph: no degree-3 vertex at all
@@ -350,17 +376,16 @@ class TestVerify3Tree:
             verify_planar_3tree(g)
 
     def test_wrong_edge_count_rejected(self):
-        g = LabeledGraph(4)
-        g.add_edge(0, 1)
+        g = LabeledGraph(4, [(0, 1)])
         with pytest.raises(NotPlanar3TreeError):
             verify_planar_3tree(g)
 
     def test_triangle_with_three_apexes_fails_the_face_check(self):
         # elimination removes all three apexes, but the bare triangle has
         # only two sides to insert them into
-        g = LabeledGraph(6)
-        for i, j in [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]:
-            g.add_edge(i, j)
+        g = LabeledGraph(
+            6, [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]
+        )
         assert len(g.edges) == 3 * 6 - 6
         with pytest.raises(NotPlanar3TreeError) as exc:
             verify_planar_3tree(g)
@@ -372,11 +397,8 @@ class TestVerify3Tree:
 
 def octahedron():
     """The 4-regular maximal planar graph on 6 vertices: no degree-3 vertex."""
-    g = LabeledGraph(6)
-    for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
-                 (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)]:
-        g.add_edge(i, j)
-    return g
+    return LabeledGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
+                            (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)])
 
 
 def verify_outcome(fn, graph, keep=None):
@@ -411,19 +433,15 @@ class TestEliminationAgainstOracle:
             assert got == verify_outcome(reference_verify, g, keep)
 
     def test_errors(self):
-        stuck = octahedron()  # plus a degree-3 vertex in the face (0, 1, 2)
-        stuck.n = 7
-        for t in (0, 1, 2):
-            stuck.add_edge(t, 6)
-        loose = octahedron()  # plus a degree-3 vertex whose neighbours 0, 5 are apart
-        loose.n = 7
-        for t in (0, 1, 5):
-            loose.add_edge(t, 6)
-        apexes = LabeledGraph(6)
-        for i, j in [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]:
-            apexes.add_edge(i, j)
-        short = LabeledGraph(4)
-        short.add_edge(0, 1)
+        octahedron_edges = octahedron().edges.tolist()
+        # plus a degree-3 vertex in the face (0, 1, 2)
+        stuck = LabeledGraph(7, octahedron_edges + [(t, 6) for t in (0, 1, 2)])
+        # plus a degree-3 vertex whose neighbours 0, 5 are apart
+        loose = LabeledGraph(7, octahedron_edges + [(t, 6) for t in (0, 1, 5)])
+        apexes = LabeledGraph(
+            6, [(0, 1), (1, 2), (0, 2)] + [(t, x) for x in (3, 4, 5) for t in (0, 1, 2)]
+        )
+        short = LabeledGraph(4, [(0, 1)])
         cases = [
             (octahedron(), None, "elimination stuck with 6"),
             (stuck, None, "elimination stuck with 6"),
@@ -432,6 +450,7 @@ class TestEliminationAgainstOracle:
             (apexes, None, "not planar"),
             (k4()[0], (0, 1, 2), None),
             (octahedron(), (0, 1, 5), "keep triple (0, 1, 5) is not a triangle"),
+            (k4()[0], (0, 0, 1), "keep triple (0, 0, 1) is not a triangle"),
             (LabeledGraph(2), None, "need at least 3 vertices"),
         ]
         for graph, keep, message in cases:
@@ -590,7 +609,7 @@ class TestSerialization:
         g, _ = k4()
         g.labels[0] = "root"
         back = read_graph(write_graph(g))
-        assert back.n == g.n and back.edges == g.edges and back.labels == g.labels
+        assert back.n == g.n and np.array_equal(back.edges, g.edges) and back.labels == g.labels
 
     def test_embedding_roundtrip(self):
         _, emb = k4()
@@ -616,6 +635,10 @@ class TestSerialization:
             ("graph 3\ne 0 5\n", "line 2: edge (0, 5) exceeds vertex count 3"),
             ("graph 3\ne 1 1\n", "line 2: self-loop at vertex 1"),
             ("graph 3\ne -1 2\n", "line 2: bad edge (-1, 2) for n=3"),
+            ("graph 3\ne 0 1\ne 1 2\ne 0 1\n", "line 4: repeated 'e' record for edge (0, 1)"),
+            ("graph 3\ne 0 1\ne 1 0\n", "line 3: repeated 'e' record for edge (0, 1)"),
+            ("graph 3\ne 2 1\ne 0 2\ne 1 2\ne 2 1\n",
+             "line 4: repeated 'e' record for edge (1, 2)"),
         ],
     )
     def test_bad_graph_record_names_its_line(self, text, message):

@@ -32,10 +32,7 @@ FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
 
 def triangle():
-    g = LabeledGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
+    g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
     return g, Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
 
 
@@ -242,10 +239,7 @@ class TestMaximize:
 
     def test_k4_bounds(self):
         fam = build_Htilde(1, 1)  # contains K4-level structure; use plain K4 instead
-        g = LabeledGraph(4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                g.add_edge(i, j)
+        g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         emb = Embedding([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
         result = maximize_resolution(g, emb, FAST)
         assert result.resolution <= 2 * math.pi / 3 + 1e-9
