@@ -8,25 +8,19 @@ Copies are glued into triangular faces by identifying the copy's outer
 triangle with the face corners and splicing the rotation systems, so the
 three boundary edges the copy shares with the face are not duplicated.
 All copies of one sub-family at one level are glued by one ``glue_copies``
-call, which maps the sub's flattened rotation through each copy's int64
-vertex map instead of walking it element by element.
+call, into faces of the host as it stands before the call, through the
+copies' int64 vertex maps.  Rotations are never copied entry by entry:
+the copies' fans and rows go into the host's CSR arrays in one pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (
-    Embedding,
-    LabeledGraph,
-    StructureError,
-    face_cycle_from,
-    rotation_edges,
-)
+from .graphs import Embedding, LabeledGraph, StructureError, face_cycle_from, rotation_edges
 
 
 class ParameterError(ValueError):
@@ -104,28 +98,27 @@ def build_frame(d: int) -> Family:
         rot.append([x for x in (U[k + 1], V[k], V[k - 1], U[k - 1], w) if x is not None])
         rot.append([x for x in (V[k + 1], w, V[k - 1], U[k], U[k + 1]) if x is not None])
         labels[U[k]], labels[V[k]] = f"u{k}", f"v{k}"
-    g = LabeledGraph(2 * d + 1, rotation_edges(rot), labels)
-    emb = Embedding(rot, (w, u[-1], v[-1]))
+    emb = Embedding.from_rows(rot, (w, u[-1], v[-1]))
+    g = LabeledGraph(2 * d + 1, rotation_edges(emb), labels)
     return Family(g, emb, roles=FrameRoles(w, u, v))
 
 
 Gluing = tuple[tuple[int, int, int], int, int, bool]  # (face, root_target, copy_root, mirror)
 
 
-def _host_face(
-    rot: list[list[int]], face: tuple[int, int, int], root_target: int
-) -> tuple[int, ...]:
+def _host_face(emb: Embedding, face: tuple[int, int, int], root_target: int) -> tuple[int, ...]:
     """The host face with vertex set ``face``, traced from ``root_target``."""
     fset = set(face)
     if len(fset) != 3:
         raise StructureError(f"face {face} is not a triangle")
     if root_target not in fset:
         raise StructureError(f"root target {root_target} is not on face {face}")
-    for a in rot[root_target]:
-        if a in fset:
-            cand = face_cycle_from(rot, root_target, a)
-            if len(cand) == 3 and set(cand) == fset:
-                return cand
+    if 0 <= root_target < len(emb.offset) - 1:
+        for a in emb.row(root_target).tolist():
+            if a in fset:
+                cand = face_cycle_from(emb, root_target, a)
+                if len(cand) == 3 and set(cand) == fset:
+                    return cand
     raise StructureError(f"{tuple(sorted(fset))} is not a face of the host embedding")
 
 
@@ -133,28 +126,22 @@ def _corner_fans(sub: Family, copy_root: int, mirror: bool) -> tuple[tuple[int, 
     """The copy's outer corners ``(croot, N, P)``, traced from ``copy_root``,
     and its interior fans at them, each read clockwise from one outer
     neighbour to the other, as copy-index arrays."""
-    outer = sub.embedding.outer_face
-    if mirror:
-        outer = tuple(reversed(outer))
+    outer = sub.embedding.outer_face[::-1] if mirror else sub.embedding.outer_face
     k = outer.index(copy_root)
     croot, N, P = outer[k:] + outer[:k]
-
-    def fan(center: int, start: int, end: int) -> np.ndarray:
-        seq = sub.embedding.rotation[center]
-        if mirror:
-            seq = seq[::-1]
-        k0 = seq.index(start)
-        lin = seq[k0:] + seq[:k0]
-        if lin[-1] != end:
+    fans = []
+    for center, start, end in ((croot, N, P), (P, croot, N), (N, P, croot)):
+        seq = sub.embedding.row(center)[:: -1 if mirror else 1]
+        lin = np.roll(seq, -int(np.argmax(seq == start)))
+        if lin[0] != start or lin[-1] != end:
             raise StructureError("copy rotation inconsistent with its outer face")
-        return np.array(lin[1:-1], dtype=np.int64)
-
-    return (croot, N, P), [fan(croot, N, P), fan(P, croot, N), fan(N, P, croot)]
+        fans.append(lin[1:-1])
+    return (croot, N, P), fans
 
 
 def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     """Glue one copy of ``sub`` into a triangular face of ``host`` per
-    gluing ``(face, root_target, copy_root, mirror)``, in list order.
+    gluing ``(face, root_target, copy_root, mirror)``.
 
     The copy's outer face (a triangle through ``copy_root``) is identified
     with the host face: ``copy_root`` goes to ``root_target``, and the two
@@ -164,59 +151,57 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     non-root corner identifications; this controls which copy corner's
     degree lands on which face vertex.  The copy's outer edges are the host
     face's; the interior copy vertices get fresh host indices in copy-index
-    order, copy after copy.  Each copy's vertex map is recorded on
-    ``host.placements``.
+    order, copy after copy.  Each copy's vertex map, a row of one
+    ``(copies, sub.n)`` matrix, is recorded on ``host.placements``.
 
-    The rotation rows of the sub's interior vertices, flattened once in
-    plain and in mirrored order, are mapped through each copy's vmap.  Every
-    host entry is then taken from one list of Python ints, so all rotation
-    entries of a vertex share one int object.  The host's edge array is read
-    off the spliced rotation once, after the last copy.
+    Each face must be a face of the host before the call, a different one
+    per gluing; all are checked before the host changes.  One ``np.insert``
+    puts all corner fans into the host's ``nbr``, and the copies' interior
+    rows are appended as one gather through the vertex maps.
     """
-    rot = host.embedding.rotation
-    outer = sub.embedding.outer_face
-    inner = np.flatnonzero(~np.isin(np.arange(sub.graph.n), outer))
-    rows = [sub.embedding.rotation[i] for i in inner.tolist()]
-    deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    cut = np.concatenate([[0], np.cumsum(deg)])
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(cut[-1]))
-    row = np.repeat(np.arange(len(rows)), deg)
-    flat_mirrored = flat[cut[row] + cut[row + 1] - 1 - np.arange(flat.size)]  # each row reversed
-    bounds = list(zip(cut[:-1].tolist(), cut[1:].tolist()))
-
-    ids = list(range(host.graph.n))
-
-    def host_ids(vmap: np.ndarray, copy_ids: np.ndarray) -> list[int]:
-        return list(map(ids.__getitem__, vmap[copy_ids].tolist()))
-
-    corners: dict[tuple[int, bool], tuple] = {}
-    for face, root_target, copy_root, mirror in gluings:
-        r, A, B = _host_face(rot, face, root_target)
+    emb, outer = host.embedding, sub.embedding.outer_face
+    n0, copies = host.graph.n, len(gluings)
+    interior = np.ones(sub.graph.n, dtype=bool)
+    interior[list(outer)] = False
+    inner = np.flatnonzero(interior)
+    vmaps = np.empty((copies, sub.graph.n), dtype=np.int64)
+    vmaps[:, inner] = n0 + inner.size * np.arange(copies)[:, None] + np.arange(inner.size)
+    seen, fan_pos, fans = set(), [], []
+    for vmap, (face, root_target, copy_root, mirror) in zip(vmaps, gluings):
+        r, A, B = _host_face(emb, face, root_target)
+        if frozenset((r, A, B)) in seen:
+            raise StructureError(f"{tuple(sorted(face))} is not a face of the host embedding")
+        seen.add(frozenset((r, A, B)))
         if len(outer) != 3:
             raise StructureError("copy outer face is not a triangle")
         if copy_root not in outer:
             raise StructureError(f"copy root {copy_root} is not on the copy's outer face")
-        if (copy_root, mirror) not in corners:
-            corners[(copy_root, mirror)] = _corner_fans(sub, copy_root, mirror)
-        (croot, N, P), fans = corners[(copy_root, mirror)]
-
-        fresh = host.graph.n
-        vmap = np.empty(sub.graph.n, dtype=np.int64)
-        vmap[inner] = np.arange(fresh, fresh + inner.size)
+        (croot, N, P), corner_fans = _corner_fans(sub, copy_root, mirror)
         vmap[[croot, P, N]] = (r, A, B)
-        ids.extend(range(fresh, fresh + inner.size))
-        host.graph.n = fresh + inner.size
-
         # Interior fans at the three shared vertices, clockwise between the
         # two boundary edges of the host face corner: at r between B and A,
         # at A between r and B, at B between A and r.
-        for at, after, fan in zip((r, A, B), (B, r, A), fans):
-            pos = rot[at].index(after)
-            rot[at][pos + 1 : pos + 1] = host_ids(vmap, fan)
-        entries = host_ids(vmap, flat_mirrored if mirror else flat)
-        rot.extend([entries[lo:hi] for lo, hi in bounds])
-        host.placements.append(CopyPlacement(sub, vmap))
-    host.graph.edges = rotation_edges(rot)
+        for at, after, fan in zip((r, A, B), (B, r, A), corner_fans):
+            fan_pos.append(emb.offset[at] + int(np.argmax(emb.row(at) == after)) + 1)
+            fans.append(vmap[fan])
+
+    at = np.repeat(np.array(fan_pos, dtype=np.int64), [fan.size for fan in fans])
+    spliced = np.insert(emb.nbr, at, np.concatenate(fans or [at]))
+    # the sub's interior rows, plain or each reversed, through each vmap
+    sub_off, sub_nbr = sub.embedding.offset, sub.embedding.nbr
+    row_of = np.repeat(np.arange(sub.graph.n), np.diff(sub_off))
+    flipped = sub_nbr[sub_off[row_of] + sub_off[row_of + 1] - 1 - np.arange(sub_nbr.size)]
+    mirrors = np.array([mirror for *_, mirror in gluings], dtype=bool)[:, None]
+    rows = np.where(mirrors, flipped[interior[row_of]], sub_nbr[interior[row_of]])
+
+    # an entry inserted before old index p, offset[v] < p <= offset[v + 1], joins row v
+    grown = np.bincount(np.searchsorted(emb.offset, at) - 1, minlength=n0)
+    deg = np.concatenate([np.diff(emb.offset) + grown, np.tile(np.diff(sub_off)[inner], copies)])
+    emb.offset = np.concatenate([[0], np.cumsum(deg)])
+    emb.nbr = np.concatenate([spliced, np.take_along_axis(vmaps, rows, axis=1).ravel()])
+    host.graph.n = n0 + copies * inner.size
+    host.placements.extend(CopyPlacement(sub, vmap) for vmap in vmaps)
+    host.graph.edges = rotation_edges(emb)
 
 
 def vertex_count_G(c: int, d: int) -> int:
@@ -253,9 +238,8 @@ def build_G(c: int, d: int) -> Family:
 def _base_k4(names: tuple[str, str, str, str]) -> Family:
     """K4 with corners named, the fourth vertex interior, outer face
     (n1, n3, n2) in clockwise trace order."""
-    rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
-    g = LabeledGraph(4, rotation_edges(rot), dict(enumerate(names)))
-    fam = Family(g, Embedding(rot, (0, 2, 1)))
+    emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+    fam = Family(LabeledGraph(4, rotation_edges(emb), dict(enumerate(names))), emb)
     fam.corners = {name: v for v, name in enumerate(names)}
     return fam
 

@@ -6,21 +6,21 @@ Conventions used throughout the package:
 * a graph's edges are the rows ``(i, j)``, ``i < j``, of a sorted (m, 2)
   int64 array without repeats; ``LabeledGraph`` builds it from any pairs;
 * a rotation system lists, for every vertex, its neighbors in *clockwise*
-  order.  With clockwise rotations the face walk
-  ``next(u -> v) = (v, successor of u in rotation[v])`` traces every bounded
-  face as a counterclockwise vertex cycle and the outer face as a clockwise
+  order, stored as two int64 CSR arrays: vertex ``v``'s row is
+  ``nbr[offset[v]:offset[v+1]]``, and half-edge ``offset[v] + k`` runs from
+  ``v`` to ``nbr[offset[v] + k]``.  With clockwise rotations the face walk
+  ``next(u -> v) = (v, successor of u in row v)`` traces every bounded face
+  as a counterclockwise vertex cycle and the outer face as a clockwise
   cycle.
 
 The edges of a plane graph are exactly the neighbour pairs of its rotation
 system, so the family builders write rotations alone and read each edge
 array off one with ``rotation_edges``.
 
-Faces are traced on half-edge arrays, not per-vertex dictionaries: the
-half-edges of vertex ``v`` are numbered consecutively in rotation order, and
-one NumPy kernel (``_half_edges``) checks the rotation against the edges and
-builds the face-successor permutation ``nxt``.  ``internal_triangles``, the
-package's one face reader, reads a triangulation's faces from ``nxt`` with
-array operations alone.
+One NumPy kernel (``_half_edges``) checks the rotation against the edges
+and builds the face-successor permutation ``nxt`` over the half-edges;
+``internal_triangles``, the package's one face reader, reads a
+triangulation's faces from ``nxt`` with array operations alone.
 
 Build sequences of planar 3-trees are checked without a replay: a second
 kernel (``_check_build_sequence``) gives every face of the partial embedding
@@ -88,6 +88,8 @@ class LabeledGraph:
     labels: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise StructureError(f"negative vertex count {self.n}")
         self.edges = _canonical_edges(self.edges, self.n)
 
     def adjacency(self) -> list[set[int]]:
@@ -110,16 +112,32 @@ def max_degree(graph: LabeledGraph) -> int:
     return int(np.bincount(graph.edges.ravel(), minlength=graph.n).max(initial=0))
 
 
-@dataclass
+@dataclass(eq=False)
 class Embedding:
-    """Rotation system (clockwise neighbor order per vertex) + outer face.
+    """Rotation system in the package's CSR format (``offset`` (n+1,) and
+    ``nbr`` (2m,), both int64) + outer face, the face walk's clockwise vertex
+    cycle.  ``==`` is identity, as the rotation is arrays."""
 
-    ``outer_face`` is the outer face's vertex cycle as produced by the face
-    walk, i.e. in clockwise order.
-    """
-
-    rotation: list[list[int]]
+    offset: np.ndarray
+    nbr: np.ndarray
     outer_face: tuple[int, ...]
+
+    @classmethod
+    def from_rows(cls, rows: list[list[int]], outer_face: tuple[int, ...]) -> Embedding:
+        """The embedding whose vertex ``v`` has the clockwise row ``rows[v]``.
+        An entry beyond int64 is stored as -1: out of range either way, it
+        fails the same check against the edges."""
+        offset = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+        flat = [u for row in rows for u in row]
+        try:
+            nbr = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            nbr = np.array([u if 0 <= u < len(rows) else -1 for u in flat], dtype=np.int64)
+        return cls(offset, nbr, outer_face)
+
+    def row(self, v: int) -> np.ndarray:
+        """Vertex ``v``'s clockwise neighbours, a view into ``nbr``."""
+        return self.nbr[self.offset[v] : self.offset[v + 1]]
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,40 +146,31 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-def rotation_edges(rotation: list[list[int]]) -> np.ndarray:
-    """The edges of a rotation system over vertices ``0 .. len(rotation)-1``,
-    in the package's edge format: each pair ``(v, u)`` with ``v < u`` and
-    ``u`` in ``rotation[v]``, read as one sort of ``v * n + u`` keys.  An
-    entry of ``n`` or more raises a StructureError."""
-    n = len(rotation)
-    deg = np.fromiter(map(len, rotation), dtype=np.int64, count=n)
-    dst = np.fromiter(itertools.chain.from_iterable(rotation), dtype=np.int64, count=int(deg.sum()))
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    return _canonical_edges(np.stack([src, dst], axis=1)[src < dst], n)
+def rotation_edges(emb: Embedding) -> np.ndarray:
+    """The edges of a rotation system over vertices ``0 .. n-1``, in the
+    package's edge format: each pair ``(v, u)`` with ``v < u`` and ``u`` in
+    row ``v``, read as one sort of ``v * n + u`` keys.  An entry of ``n`` or
+    more raises a StructureError."""
+    n = len(emb.offset) - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(emb.offset))
+    return _canonical_edges(np.stack([src, emb.nbr], axis=1)[src < emb.nbr], n)
 
 
-def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
     """Half-edge arrays ``(src, nxt)`` of a rotation system.
 
-    Half-edge ``h = offset[v] + k`` runs from ``v`` to ``rotation[v][k]``;
+    Half-edge ``h = offset[v] + k`` runs from ``v`` to ``dst[h] = nbr[h]``;
     ``src[h]`` is ``v`` and ``nxt[h]`` is the next half-edge of its face,
-    ``offset[dst] + (position of src in rotation[dst] + 1) % deg[dst]``.  The
+    ``offset[dst] + (position of src in row dst + 1) % deg[dst]``.  The
     twin positions come from one sorted lookup of ``src * n + dst`` keys.
     Raises StructureError, naming the smallest such vertex, when some
     vertex's rotation does not list its incident edges exactly once each.
     """
     n = graph.n
-    if len(rotation) != n:
-        raise StructureError(f"rotation covers {len(rotation)} vertices, graph has {graph.n}")
-    deg = np.fromiter(map(len, rotation), dtype=np.int64, count=n)
-    offset = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=offset[1:])
-    total = int(offset[-1])
-    try:
-        dst = np.fromiter(itertools.chain.from_iterable(rotation), dtype=np.int64, count=total)
-    except OverflowError:
-        flat = itertools.chain.from_iterable(rotation)
-        dst = np.fromiter((u if 0 <= u < n else -1 for u in flat), dtype=np.int64, count=total)
+    offset, dst = emb.offset, emb.nbr
+    if len(offset) - 1 != n:
+        raise StructureError(f"rotation covers {len(offset) - 1} vertices, graph has {n}")
+    deg = np.diff(offset)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
 
     ends = graph.edges
@@ -188,12 +197,12 @@ def _half_edges(graph: LabeledGraph, rotation: list[list[int]]) -> tuple[np.ndar
     return src, start + (twin - start + 1) % deg[dst]
 
 
-def face_cycle_from(rotation: list[list[int]], u: int, v: int) -> tuple[int, ...]:
+def face_cycle_from(emb: Embedding, u: int, v: int) -> tuple[int, ...]:
     """Trace the single face containing the directed edge (u, v)."""
     cycle = [u]
     a, b = u, v
     while True:
-        rot = rotation[b]
+        rot = emb.row(b).tolist()
         k = rot.index(a)
         a, b = b, rot[(k + 1) % len(rot)]
         if (a, b) == (u, v):
@@ -218,14 +227,14 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     vertex.  Raises StructureError unless every face is a triangle, Euler's
     formula holds and the embedding's outer face is among the traced faces.
     """
-    src, nxt = _half_edges(graph, emb.rotation)
+    src, nxt = _half_edges(graph, emb)
     nxt2 = nxt[nxt]
     h = np.arange(nxt.size)
     off = np.flatnonzero(nxt[nxt2] != h)
     if off.size:
         # the smallest half-edge off a triangle starts the first such face
         first = int(off[0])
-        face = face_cycle_from(emb.rotation, int(src[first]), int(src[nxt[first]]))
+        face = face_cycle_from(emb, int(src[first]), int(src[nxt[first]]))
         raise StructureError(f"face {canonical_cycle(face)} is not a triangle")
     lead = np.flatnonzero((h < nxt) & (h < nxt2))
     verts = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
@@ -446,11 +455,13 @@ def write_graph(graph: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def text_records(text: str, arity: dict[str, int]) -> Iterator[tuple[int, str, list[str]]]:
+def text_records(
+    text: str, arity: dict[str, int], exact: bool = True
+) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, tag, fields) for each record of a line-based text
     format, skipping blank and ``#`` lines.  ``arity`` maps every known tag
-    to its minimum field count; other tags and short records raise a
-    StructureError naming the line."""
+    to its field count, a minimum unless ``exact``; other tags and records
+    with a wrong field count raise a StructureError naming the line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -458,7 +469,7 @@ def text_records(text: str, arity: dict[str, int]) -> Iterator[tuple[int, str, l
         tag, fields = parts[0], parts[1:]
         if tag not in arity:
             raise StructureError(f"line {lineno}: unknown record {tag!r}")
-        if len(fields) < arity[tag]:
+        if len(fields) < arity[tag] or (exact and len(fields) > arity[tag]):
             raise StructureError(
                 f"line {lineno}: {tag!r} record needs {arity[tag]} fields, got {len(fields)}"
             )
@@ -485,13 +496,13 @@ def read_graph(text: str) -> LabeledGraph:
         if tag == "graph":
             if n is not None:
                 raise StructureError(f"line {lineno}: repeated 'graph' header")
-            (n,) = parse_numbers(lineno, fields[:1], int)
+            (n,) = parse_numbers(lineno, fields, int)
             if n < 0:
                 raise StructureError(f"line {lineno}: negative vertex count {n}")
         elif n is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":
-            i, j = parse_numbers(lineno, fields[:2], int)
+            i, j = parse_numbers(lineno, fields, int)
             pair = (i, j) if i < j else (j, i)
             if pair[0] < 0 or i == j or pair[1] >= n:
                 raise StructureError(f"line {lineno}: {_pair_error(i, j, n)}")
@@ -513,9 +524,8 @@ def read_graph(text: str) -> LabeledGraph:
 
 
 def write_embedding(emb: Embedding) -> str:
-    lines = []
-    for v, rot in enumerate(emb.rotation):
-        lines.append("rot " + str(v) + " " + " ".join(str(u) for u in rot))
+    words, cut = list(map(str, emb.nbr.tolist())), emb.offset.tolist()
+    lines = [f"rot {v} " + " ".join(words[cut[v] : cut[v + 1]]) for v in range(len(cut) - 1)]
     lines.append("outer " + " ".join(str(v) for v in emb.outer_face))
     return "\n".join(lines) + "\n"
 
@@ -523,7 +533,7 @@ def write_embedding(emb: Embedding) -> str:
 def read_embedding(text: str) -> Embedding:
     rot: dict[int, list[int]] = {}
     outer: tuple[int, ...] | None = None
-    for lineno, tag, fields in text_records(text, {"rot": 1, "outer": 3}):
+    for lineno, tag, fields in text_records(text, {"rot": 1, "outer": 3}, exact=False):
         vertices = parse_numbers(lineno, fields, int)
         if tag == "rot":
             v = vertices[0]
@@ -539,4 +549,4 @@ def read_embedding(text: str) -> Embedding:
     n = max(rot) + 1 if rot else 0
     if sorted(rot) != list(range(n)):
         raise StructureError("rotation lines do not cover a dense vertex range")
-    return Embedding([rot[v] for v in range(n)], outer)
+    return Embedding.from_rows([rot[v] for v in range(n)], outer)

@@ -11,6 +11,7 @@ without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,28 +93,32 @@ class Triangulation:
     measure any number of its drawings.
 
     ``faces`` holds the F internal faces of ``internal_triangles``, ``free``
-    the vertices off the outer face, ascending.  ``corners`` is the (4, 3F)
-    corner index: rows 0-2 are the a, b and c columns of the internal
-    corners (a, b, c), angle at b from ray b->a to ray b->c, corner 3t + i
-    being corner i of face t; row 3 holds, in three F-long runs, the a, b
-    and c columns of each face's corner 0, the optimizer's
-    orientation-penalty vertices.  Its ``ravel()``, a view, is the
-    optimizer's full scatter index."""
+    the vertices off the outer face, ascending.  ``corners``, built on first
+    read (validation never reads it), is the (4, 3F) corner index: rows 0-2
+    are the a, b and c columns of the internal corners (a, b, c), angle at b
+    from ray b->a to ray b->c, corner 3t + i being corner i of face t; row 3
+    holds, in three F-long runs, the a, b and c columns of each face's
+    corner 0, the optimizer's orientation-penalty vertices.  Its
+    ``ravel()``, a view, is the optimizer's full scatter index."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.n = graph.n
         self.outer_face = emb.outer_face
         self.faces = internal_triangles(graph, emb)
-        f = len(self.faces)
-        self.corners = np.empty((4, 3 * f), dtype=np.int64)
-        abc = self.corners[:3].reshape(3, f, 3)
-        # corner i of face t is (t[i-1], t[i], t[i+1])
-        for column, perm in zip(abc, ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
-            column[:] = self.faces[:, perm]
-        self.corners[3].reshape(3, f)[:] = abc[:, :, 0]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
         self.free = np.flatnonzero(off_outer)
+
+    @functools.cached_property
+    def corners(self) -> np.ndarray:
+        f = len(self.faces)
+        corners = np.empty((4, 3 * f), dtype=np.int64)
+        abc = corners[:3].reshape(3, f, 3)
+        # corner i of face t is (t[i-1], t[i], t[i+1])
+        for column, perm in zip(abc, ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
+            column[:] = self.faces[:, perm]
+        corners[3].reshape(3, f)[:] = abc[:, :, 0]
+        return corners
 
     def violations(self, coords: np.ndarray) -> list[Violation]:
         """``validate_drawing`` of an (n, 2) drawing of this pair."""
@@ -319,7 +324,7 @@ def read_drawing(text: str) -> np.ndarray:
         (v,) = parse_numbers(lineno, fields[:1], int)
         if v in pts:
             raise StructureError(f"line {lineno}: repeated 'p' record for vertex {v}")
-        pts[v] = tuple(parse_numbers(lineno, fields[1:3], float))
+        pts[v] = tuple(parse_numbers(lineno, fields[1:], float))
     n = max(pts) + 1 if pts else 0
     if sorted(pts) != list(range(n)):
         raise StructureError("drawing lines do not cover a dense vertex range")

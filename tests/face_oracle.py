@@ -1,12 +1,19 @@
 """Reference implementation of ``angres.graphs.internal_triangles``: a
 per-half-edge Python loop that traces every face (``trace_faces``), used to
-check the array kernel face for face and error for error."""
+check the array kernel face for face and error for error.  ``rotation_rows``
+reads an embedding's CSR rotation back as one Python list per vertex, the
+form the loops here and in the other oracles index."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from angres.graphs import Embedding, LabeledGraph, StructureError, canonical_cycle, euler_check
+
+
+def rotation_rows(emb: Embedding) -> list[list[int]]:
+    """Each vertex's clockwise row of ``emb``, as a list of Python ints."""
+    return [emb.row(v).tolist() for v in range(len(emb.offset) - 1)]
 
 
 def trace_faces(graph: LabeledGraph, rotation: list[list[int]]) -> list[tuple[int, ...]]:
@@ -51,7 +58,7 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     Raises StructureError unless every face is a triangle, Euler's formula
     holds and the embedding's outer face is among the traced faces.
     """
-    faces = trace_faces(graph, emb.rotation)
+    faces = trace_faces(graph, rotation_rows(emb))
     for f in faces:
         if len(f) != 3:
             raise StructureError(f"face {f} is not a triangle")

@@ -5,15 +5,17 @@ and ``build_G``/``build_H``/``build_Htilde`` call it once per copy.  Used to
 check ``angres.families``, which reads every edge array off its rotation and
 glues all copies of a sub-family at once, field for field.
 
-The builders keep each edge set as a Python set of tuples in a ``SetGraph``;
-``with_arrays`` turns a finished family into ``LabeledGraph`` arrays."""
+The builders keep each edge set as a Python set of tuples in a ``SetGraph``
+and each rotation as one Python list per vertex in a ``ListEmbedding``;
+``with_arrays`` turns a finished family into ``LabeledGraph`` and
+``Embedding`` arrays."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from angres.families import CopyPlacement, Family, FrameRoles, ParameterError
-from angres.graphs import Embedding, LabeledGraph, StructureError, face_cycle_from
+from angres.graphs import Embedding, LabeledGraph, StructureError
 
 
 def edge(i: int, j: int) -> tuple[int, int]:
@@ -38,11 +40,36 @@ class SetGraph:
         self.edges.add(e)
 
 
+@dataclass
+class ListEmbedding:
+    """An embedding under construction: one clockwise list per vertex."""
+
+    rotation: list[list[int]]
+    outer_face: tuple[int, ...]
+
+
+def face_cycle_from(rotation: list[list[int]], u: int, v: int) -> tuple[int, ...]:
+    """Trace the single face containing the directed edge (u, v)."""
+    cycle = [u]
+    a, b = u, v
+    while True:
+        rot = rotation[b]
+        k = rot.index(a)
+        a, b = b, rot[(k + 1) % len(rot)]
+        if (a, b) == (u, v):
+            break
+        cycle.append(a)
+    return tuple(cycle)
+
+
 def with_arrays(fam: Family) -> Family:
-    """``fam``, with the SetGraph of it and of every sub-family it placed
-    replaced by the LabeledGraph of the same edges and labels."""
+    """``fam``, with the SetGraph and ListEmbedding of it and of every
+    sub-family it placed replaced by the LabeledGraph of the same edges and
+    labels and the Embedding of the same rotation."""
     if isinstance(fam.graph, SetGraph):
         fam.graph = LabeledGraph(fam.graph.n, fam.graph.edges, fam.graph.labels)
+    if isinstance(fam.embedding, ListEmbedding):
+        fam.embedding = Embedding.from_rows(fam.embedding.rotation, fam.embedding.outer_face)
     for placement in fam.placements:
         with_arrays(placement.sub)
     return fam
@@ -96,7 +123,7 @@ def build_frame(d: int) -> Family:
             else:
                 rot[u[i]] = [u[i + 1], v[i], v[i - 1], u[i - 1], w]
                 rot[v[i]] = [v[i + 1], w, v[i - 1], u[i], u[i + 1]]
-    emb = Embedding(rot, (w, u[-1], v[-1]))
+    emb = ListEmbedding(rot, (w, u[-1], v[-1]))
     return Family(g, emb, roles=FrameRoles(w, u, v))
 
 
@@ -110,7 +137,7 @@ def _base_k4(names: tuple[str, str, str, str]) -> Family:
         for j in range(i + 1, 4):
             g.add_edge(i, j)
     rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
-    emb = Embedding(rot, (0, 2, 1))
+    emb = ListEmbedding(rot, (0, 2, 1))
     fam = Family(g, emb)
     fam.corners = {name: v for v, name in enumerate(names)}
     return fam
@@ -274,8 +301,23 @@ ORACLE_CASES = (
 )
 
 
-def oracle_family(name: str, c: int | None, d: int) -> Family:
-    """The family as the copy-by-copy builders above make it."""
+def list_family(name: str, c: int | None, d: int) -> Family:
+    """The family as the copy-by-copy builders above make it, with its
+    SetGraph and ListEmbedding."""
     if name == "frame":
-        return with_arrays(build_frame(d))
-    return with_arrays({"g": build_G, "h": build_H, "htilde": build_Htilde}[name](c, d))
+        return build_frame(d)
+    return {"g": build_G, "h": build_H, "htilde": build_Htilde}[name](c, d)
+
+
+def oracle_family(name: str, c: int | None, d: int) -> Family:
+    """``list_family`` with its graphs and embeddings as arrays."""
+    return with_arrays(list_family(name, c, d))
+
+
+def embedding_text(emb: ListEmbedding) -> str:
+    """The embedding text format, written row by row from the lists."""
+    lines = []
+    for v, rot in enumerate(emb.rotation):
+        lines.append("rot " + str(v) + " " + " ".join(str(u) for u in rot))
+    lines.append("outer " + " ".join(str(v) for v in emb.outer_face))
+    return "\n".join(lines) + "\n"

@@ -107,7 +107,7 @@ def _drawn_rotation_matches(graph: LabeledGraph, emb: Embedding, coords: np.ndar
             nbrs,
             key=lambda u: -math.atan2(coords[u, 1] - coords[v, 1], coords[u, 0] - coords[v, 0]),
         )
-        rot = emb.rotation[v]
+        rot = emb.row(v).tolist()
         if len(drawn) > 2:
             k = rot.index(drawn[0])
             if drawn != rot[k:] + rot[:k]:

@@ -31,7 +31,8 @@ class TestGen:
 
         fam = build_frame(3)
         assert np.array_equal(g.edges, fam.graph.edges)
-        assert emb.rotation == fam.embedding.rotation
+        assert np.array_equal(emb.offset, fam.embedding.offset)
+        assert np.array_equal(emb.nbr, fam.embedding.nbr)
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "frame", "--d", "3")
@@ -70,6 +71,10 @@ MALFORMED = [
     (None, "p 0 0.0 1.0\np 1 0.8 -0.5\np 1 0.0 0.0\np 2 -0.8 -0.5\n", None, None),
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 1 0 2\nrot 2 0 1\nouter 0 1 2\n", None),
     (None, None, "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 0 1 2\nouter 0 1 2\n", None),
+    ("graph 3 9\ne 0 1\ne 1 2\ne 0 2\n", None, None, None),
+    ("graph 3\ne 0 1 2\ne 1 2\ne 0 2\n", None, None, None),
+    ("graph 3\ne 0 1\ne 1 2\ne 0 2\nl 0 a b\n", None, None, None),
+    (None, "p 0 1.0 2.0 7.5\np 1 0.8 -0.5\np 2 -0.8 -0.5\n", None, None),
 ]
 
 

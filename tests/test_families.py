@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,13 @@ from angres.graphs import (
     internal_triangles,
     max_degree,
     verify_planar_3tree,
+    write_embedding,
     write_graph,
 )
 from angres.layout import layout_nested
 from angres.metrics import Triangulation, angular_resolution
 from angres.svg import export_svg
-from family_oracle import ORACLE_CASES, oracle_family, with_arrays
+from family_oracle import ORACLE_CASES, embedding_text, list_family, oracle_family, with_arrays
 from family_oracle import build_frame as reference_frame
 from family_oracle import insert_copy as reference_insert_copy
 
@@ -101,7 +104,8 @@ class TestHAndHtilde:
         a = build_Htilde(2, 3)
         b = build_Htilde(2, 3)
         assert np.array_equal(a.graph.edges, b.graph.edges)
-        assert a.embedding.rotation == b.embedding.rotation
+        assert np.array_equal(a.embedding.offset, b.embedding.offset)
+        assert np.array_equal(a.embedding.nbr, b.embedding.nbr)
 
 
 def assert_same_family(got, want):
@@ -110,7 +114,9 @@ def assert_same_family(got, want):
     assert got.graph.edges.dtype == np.int64
     assert np.array_equal(got.graph.edges, want.graph.edges)
     assert got.graph.labels == want.graph.labels
-    assert got.embedding.rotation == want.embedding.rotation
+    for name in ("offset", "nbr"):
+        got_array, want_array = getattr(got.embedding, name), getattr(want.embedding, name)
+        assert got_array.dtype == np.int64 and np.array_equal(got_array, want_array)
     assert got.embedding.outer_face == want.embedding.outer_face
     assert got.corners == want.corners
     assert (got.roles and vars(got.roles)) == (want.roles and vars(want.roles))
@@ -141,10 +147,13 @@ class TestGlueCopies:
     @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
     def test_matches_copy_by_copy_gluing(self, name, c, d):
         got = build_family(FamilySpec(name, c, d))
-        assert_same_family(got, oracle_family(name, c, d))
+        want = list_family(name, c, d)
+        # the embedding text, from the arrays and from the oracle's lists
+        assert write_embedding(got.embedding) == embedding_text(want.embedding)
+        assert_same_family(got, with_arrays(want))
 
     def test_later_gluing_sees_earlier_copies(self):
-        # the second copy goes into a face of the first copy's fresh vertices
+        # the second call glues into a face of the first call's fresh vertices
         sub = build_frame(2)
         host = build_frame(2)
         want, reference_sub = reference_frame(2), reference_frame(2)
@@ -153,10 +162,48 @@ class TestGlueCopies:
         face = tuple(want.embedding.rotation[want.graph.n - 1][:2]) + (want.graph.n - 1,)
         reference_insert_copy(want, face, face[2], reference_sub, reference_sub.roles.root)
         with_arrays(want)
-        gluings = [(*first, sub.roles.root, True), (face, face[2], sub.roles.root, False)]
-        glue_copies(host, sub, gluings)
+        glue_copies(host, sub, [(*first, sub.roles.root, True)])
+        glue_copies(host, sub, [(face, face[2], sub.roles.root, False)])
         assert_same_family(host, want)
         check_structure(host)
+
+    @staticmethod
+    def failing_gluings(host, sub):
+        """Gluing lists of frame(2) copies into ``host``, a frame(2) with or
+        without earlier copies, that fail only at their second gluing: the
+        same face twice, and a face the first copy makes."""
+        root, (v0, v1) = host.roles.root, host.roles.v
+        first = ((root, v0, v1), v1, sub.roles.root, True)
+        n = host.graph.n  # the first copy's interior vertices become n and n + 1
+        return [[first, first], [first, ((v1, n, n + 1), n, sub.roles.root, False)]]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["face-twice", "face-of-earlier-copy"])
+    def test_gluing_into_a_face_made_in_the_same_call_is_rejected(self, case):
+        sub = build_frame(2)
+        first, second = self.failing_gluings(build_frame(2), sub)[case]
+        # one call per gluing: the first always works, and the second only
+        # when it targets a face the first copy made
+        host = build_frame(2)
+        glue_copies(host, sub, [first])
+        if case == 1:
+            glue_copies(host, sub, [second])
+            check_structure(host)
+        message = f"{tuple(sorted(second[0]))} is not a face of the host embedding"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            glue_copies(build_frame(2), sub, [first, second])
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["face-twice", "face-of-earlier-copy"])
+    def test_failing_gluing_leaves_the_host_untouched(self, case):
+        host, sub = build_frame(2), build_frame(2)
+        glue_copies(host, sub, [((0, 1, 2), 0, sub.roles.root, False)])
+        n, offset, nbr = host.graph.n, host.embedding.offset.copy(), host.embedding.nbr.copy()
+        edges, placements = host.graph.edges.copy(), list(host.placements)
+        with pytest.raises(StructureError, match="is not a face of the host embedding"):
+            glue_copies(host, sub, self.failing_gluings(host, sub)[case])
+        assert host.graph.n == n and host.placements == placements
+        assert np.array_equal(host.embedding.offset, offset)
+        assert np.array_equal(host.embedding.nbr, nbr)
+        assert np.array_equal(host.graph.edges, edges)
 
     @pytest.mark.parametrize(
         "gluing, message",
@@ -170,7 +217,7 @@ class TestGlueCopies:
         face, root_target, copy_root, mirror = gluing
         with pytest.raises(StructureError) as want:
             reference_insert_copy(
-                build_frame(1), face, root_target, build_frame(2), copy_root, mirror
+                reference_frame(1), face, root_target, reference_frame(2), copy_root, mirror
             )
         with pytest.raises(StructureError) as got:
             glue_copies(build_frame(1), build_frame(2), [gluing])

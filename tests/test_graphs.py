@@ -27,6 +27,7 @@ from angres.graphs import (
 from angres.graphs import _check_build_sequence, _check_planarity
 from elimination_oracle import verify_planar_3tree as reference_verify
 from face_oracle import internal_triangles as reference_triangles
+from face_oracle import rotation_rows
 from family_oracle import ORACLE_CASES
 from planarity_oracle import _replay_planarity as reference_planarity
 from replay_oracle import layout_seed_any as reference_seed_any
@@ -36,12 +37,12 @@ from replay_oracle import replay
 def k4():
     g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
-    return g, Embedding(rot, (0, 2, 1))
+    return g, Embedding.from_rows(rot, (0, 2, 1))
 
 
 def triangle():
     g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
-    return g, Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
+    return g, Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
 
 
 def insert_vertex_in_face(
@@ -75,13 +76,14 @@ def random_3tree(seed, steps):
     """Grow a random planar 3-tree by repeated face insertion."""
     rng = random.Random(seed)
     g, emb = triangle()
+    rotation = rotation_rows(emb)
     faces = [(0, 2, 1)]  # bounded face of the bare triangle
     for _ in range(steps):
         tri = rng.choice(faces)
         faces.remove(tri)
-        x = insert_vertex_in_face(g, emb.rotation, tri)
+        x = insert_vertex_in_face(g, rotation, tri)
         faces.extend([(tri[0], tri[1], x), (tri[1], tri[2], x), (tri[2], tri[0], x)])
-    return g, emb
+    return g, Embedding.from_rows(rotation, emb.outer_face)
 
 
 class TestLabeledGraph:
@@ -99,6 +101,10 @@ class TestLabeledGraph:
     def test_out_of_range_edge(self):
         with pytest.raises(StructureError):
             LabeledGraph(2, [(0, 5)])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(StructureError, match="^negative vertex count -2$"):
+            LabeledGraph(-2)
 
 
 class TestEdgeFormat:
@@ -146,17 +152,49 @@ class TestEdgeFormat:
 class TestRotationEdges:
     def test_k4_and_empty(self):
         g, emb = k4()
-        edges = rotation_edges(emb.rotation)
+        edges = rotation_edges(emb)
         assert edges.dtype == np.int64 and np.array_equal(edges, g.edges)
-        assert rotation_edges([]).shape == (0, 2) == rotation_edges([[], []]).shape
+        empty = [Embedding.from_rows(rows, ()) for rows in ([], [[], []])]
+        assert rotation_edges(empty[0]).shape == (0, 2) == rotation_edges(empty[1]).shape
 
     def test_vertex_no_row_lists(self):
         # each pair comes from the row of its smaller end; vertex 0 is in no row
-        assert rotation_edges([[1, 2], [], [1]]).tolist() == [[0, 1], [0, 2]]
+        emb = Embedding.from_rows([[1, 2], [], [1]], ())
+        assert rotation_edges(emb).tolist() == [[0, 1], [0, 2]]
 
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(StructureError, match=r"^edge \(0, 5\) exceeds vertex count 2$"):
-            rotation_edges([[5], []])
+            rotation_edges(Embedding.from_rows([[5], []], ()))
+
+
+class TestEmbeddingFormat:
+    """Rotation rows become the CSR arrays ``offset`` and ``nbr`` in
+    ``Embedding.from_rows`` alone."""
+
+    @pytest.mark.parametrize(
+        "rows", [[], [[]], [[1, 2], [], [0]], [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]]
+    )
+    def test_from_rows_round_trips(self, rows):
+        emb = Embedding.from_rows(rows, (0, 2, 1))
+        assert emb.offset.dtype == emb.nbr.dtype == np.int64
+        assert emb.offset.tolist() == [sum(map(len, rows[:v])) for v in range(len(rows) + 1)]
+        assert [emb.row(v).tolist() for v in range(len(rows))] == rows
+        assert emb.outer_face == (0, 2, 1)
+
+    def test_empty_row_text(self):
+        emb = Embedding.from_rows([[], [0]], (0, 1))
+        assert write_embedding(emb) == "rot 0 \nrot 1 0\nouter 0 1\n"
+
+    def test_entry_beyond_int64_fails_the_edge_check(self):
+        g, emb = k4()
+        message = "^rotation at vertex 1 does not match its incident edges$"
+        bad = with_rotation(emb, 1, [0, 3, 2**70])
+        assert bad.nbr[bad.offset[1] + 2] == -1
+        with pytest.raises(StructureError, match=message):
+            internal_triangles(g, bad)
+        text = write_embedding(emb).replace("rot 1 0 3 2", f"rot 1 0 3 {2**70}")
+        with pytest.raises(StructureError, match=message):
+            internal_triangles(g, read_embedding(text))
 
 
 class TestFaces:
@@ -173,15 +211,15 @@ class TestFaces:
 
     def test_face_cycle_from_walks_one_face(self):
         _, emb = k4()
-        cyc = face_cycle_from(emb.rotation, 0, 1)
+        cyc = face_cycle_from(emb, 0, 1)
         assert len(cyc) == 3 and 0 in cyc and 1 in cyc
 
     def test_rotation_mismatch_rejected(self):
         g, emb = k4()
-        rot = [list(r) for r in emb.rotation]
+        rot = rotation_rows(emb)
         rot[0] = [2, 1]  # missing neighbor 3
         with pytest.raises(StructureError, match="rotation at vertex 0"):
-            internal_triangles(g, Embedding(rot, emb.outer_face))
+            internal_triangles(g, Embedding.from_rows(rot, emb.outer_face))
 
     def test_canonical_cycle_rotation_invariant(self):
         assert canonical_cycle((2, 0, 1)) == canonical_cycle((0, 1, 2))
@@ -194,7 +232,7 @@ class TestFaces:
     def test_internal_triangles_need_a_traced_outer_face(self):
         g, emb = k4()
         with pytest.raises(StructureError):
-            internal_triangles(g, Embedding(emb.rotation, (0, 1, 2)))
+            internal_triangles(g, Embedding(emb.offset, emb.nbr, (0, 1, 2)))
 
 
 def shuffled_3tree(seed, steps):
@@ -207,12 +245,12 @@ def shuffled_3tree(seed, steps):
     rng.shuffle(perm)
     shuffled = LabeledGraph(g.n, [(perm[i], perm[j]) for i, j in g.edges.tolist()])
     rotation = [[] for _ in range(g.n)]
-    for v, rot in enumerate(emb.rotation):
+    for v, rot in enumerate(rotation_rows(emb)):
         k = rng.randrange(len(rot))
         rotation[perm[v]] = [perm[u] for u in rot[k:] + rot[:k]]
     k = rng.randrange(3)
     outer = tuple(perm[v] for v in emb.outer_face[k:] + emb.outer_face[:k])
-    return shuffled, Embedding(rotation, outer)
+    return shuffled, Embedding.from_rows(rotation, outer)
 
 
 def k7_on_the_torus():
@@ -220,7 +258,7 @@ def k7_on_the_torus():
     V - E + F = 0."""
     g = LabeledGraph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
     rotation = [[(v + k) % 7 for k in (1, 3, 2, 6, 4, 5)] for v in range(7)]
-    return g, Embedding(rotation, (0, 1, 3))
+    return g, Embedding.from_rows(rotation, (0, 1, 3))
 
 
 def outcome(fn, *args):
@@ -246,9 +284,9 @@ def assert_matches_loop(g, emb, rejected=False):
 
 
 def with_rotation(emb, v, rot):
-    rotation = [list(r) for r in emb.rotation]
+    rotation = rotation_rows(emb)
     rotation[v] = rot
-    return Embedding(rotation, emb.outer_face)
+    return Embedding.from_rows(rotation, emb.outer_face)
 
 
 class TestFaceKernel:
@@ -300,7 +338,8 @@ class TestFaceKernel:
 
     def test_rotation_length_mismatch(self):
         g, emb = k4()
-        assert_matches_loop(g, Embedding(emb.rotation[:3], emb.outer_face), rejected=True)
+        rows = rotation_rows(emb)[:3]
+        assert_matches_loop(g, Embedding.from_rows(rows, emb.outer_face), rejected=True)
 
     @given(st.integers(0, 10_000), st.integers(2, 30))
     @settings(max_examples=30, deadline=None)
@@ -309,11 +348,12 @@ class TestFaceKernel:
         g, emb = shuffled_3tree(seed, steps)
         rng = random.Random(seed)
         dropped = rng.sample(range(len(g.edges)), rng.randint(1, 3))
+        rotation = rotation_rows(emb)
         for i, j in g.edges[dropped].tolist():
-            emb.rotation[i].remove(j)
-            emb.rotation[j].remove(i)
+            rotation[i].remove(j)
+            rotation[j].remove(i)
         g = LabeledGraph(g.n, np.delete(g.edges, dropped, axis=0))
-        assert_matches_loop(g, emb, rejected=True)
+        assert_matches_loop(g, Embedding.from_rows(rotation, emb.outer_face), rejected=True)
 
     @given(st.integers(0, 10_000), st.integers(2, 30))
     @settings(max_examples=30, deadline=None)
@@ -321,9 +361,10 @@ class TestFaceKernel:
         # a shuffled rotation at one vertex mostly leaves a non-plane embedding
         g, emb = shuffled_3tree(seed, steps)
         rng = random.Random(seed)
-        v = rng.choice([u for u in range(g.n) if len(emb.rotation[u]) >= 4] or [0])
-        rng.shuffle(emb.rotation[v])
-        assert_matches_loop(g, emb, rejected=None)
+        rotation = rotation_rows(emb)
+        v = rng.choice([u for u in range(g.n) if len(rotation[u]) >= 4] or [0])
+        rng.shuffle(rotation[v])
+        assert_matches_loop(g, Embedding.from_rows(rotation, emb.outer_face), rejected=None)
 
     def test_euler_failure_matches_the_loop(self):
         assert_matches_loop(*k7_on_the_torus(), rejected=True)
@@ -331,15 +372,16 @@ class TestFaceKernel:
     @pytest.mark.parametrize("outer", [(0, 1, 2), (0, 2, 1, 3), (0, 2), (0, 2, 9), (0, 2, -1)])
     def test_untraced_outer_face_matches_the_loop(self, outer):
         g, emb = k4()
-        assert_matches_loop(g, Embedding(emb.rotation, outer), rejected=True)
+        assert_matches_loop(g, Embedding(emb.offset, emb.nbr, outer), rejected=True)
 
 
 class TestInsertion:
     def test_insert_updates_faces(self):
         g, emb = triangle()
-        x = insert_vertex_in_face(g, emb.rotation, (0, 2, 1))
+        rotation = rotation_rows(emb)
+        x = insert_vertex_in_face(g, rotation, (0, 2, 1))
         assert x == 3
-        faces = all_faces(g, emb)
+        faces = all_faces(g, Embedding.from_rows(rotation, emb.outer_face))
         assert len(faces) == 4
         assert euler_check(g, faces)
 
@@ -570,7 +612,7 @@ class TestSequenceKernel:
     def test_replay_matches_the_loop(self, seed, steps, kind):
         rng = random.Random(seed)
         n, seq = mutate(rng, *grown_sequence(rng, steps, 1), kind, 1)
-        g, emb = LabeledGraph(n), Embedding([], seq.base)
+        g, emb = LabeledGraph(n), Embedding.from_rows([], seq.base)
         want, placed = loop_verdict(
             lambda s: reference_seed_any(g, emb, s), seq, n, "StructureError",
             {"range": "replay: inserted vertex {x} is out of range for {n} vertices",
@@ -612,10 +654,10 @@ class TestSerialization:
         assert back.n == g.n and np.array_equal(back.edges, g.edges) and back.labels == g.labels
 
     def test_embedding_roundtrip(self):
-        _, emb = k4()
-        back = read_embedding(write_embedding(emb))
-        assert back.rotation == emb.rotation
-        assert back.outer_face == emb.outer_face
+        for emb in (k4()[1], build_frame(5).embedding, build_Htilde(2, 3).embedding):
+            back = read_embedding(write_embedding(emb))
+            assert np.array_equal(back.offset, emb.offset) and np.array_equal(back.nbr, emb.nbr)
+            assert back.outer_face == emb.outer_face
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(StructureError, match="^line 2: negative vertex count -3$"):
@@ -639,6 +681,9 @@ class TestSerialization:
             ("graph 3\ne 0 1\ne 1 0\n", "line 3: repeated 'e' record for edge (0, 1)"),
             ("graph 3\ne 2 1\ne 0 2\ne 1 2\ne 2 1\n",
              "line 4: repeated 'e' record for edge (1, 2)"),
+            ("graph 3 9\ne 0 1\ne 1 2\ne 0 2\n", "line 1: 'graph' record needs 1 fields, got 2"),
+            ("graph 3\ne 0 1 2\ne 1 2\ne 0 2\n", "line 2: 'e' record needs 2 fields, got 3"),
+            ("graph 3\nl 0 a b\n", "line 2: 'l' record needs 2 fields, got 3"),
         ],
     )
     def test_bad_graph_record_names_its_line(self, text, message):

@@ -158,7 +158,7 @@ class TestSeedAny:
         # the build sequence is rooted at the outer face, which must be a
         # triangle; a longer cycle fails with a StructureError, not an unpack
         fam = build_frame(3)
-        emb = Embedding(fam.embedding.rotation, (0, 5, 6, 1))
+        emb = Embedding(fam.embedding.offset, fam.embedding.nbr, (0, 5, 6, 1))
         with pytest.raises(StructureError, match=r"^keep triple \(0, 5, 6, 1\) is not a triangle$"):
             layout_seed_any(fam.graph, emb)
 

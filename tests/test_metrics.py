@@ -38,7 +38,7 @@ TOL = 1e-9
 
 def triangle_drawing():
     g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
-    emb = Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
+    emb = Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
     coords = np.array([[0.0, 1.0], [math.sqrt(3) / 2, -0.5], [-math.sqrt(3) / 2, -0.5]])
     return g, emb, coords
 
@@ -74,14 +74,14 @@ class TestValidate:
     )
     def test_coincident_means_equal_as_floats(self, points, coincident):
         g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        emb = Embedding([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+        emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
         viols = validate_drawing(g, emb, np.array(points))
         assert any(v.kind == "coincident" for v in viols) == coincident
 
     def test_crossing_detected(self):
         # K4 with the interior vertex dragged outside: edges must cross
         g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        emb = Embedding([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+        emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
         coords = np.array([[0.0, 1.0], [0.87, -0.5], [-0.87, -0.5], [0.0, 5.0]])
         viols = validate_drawing(g, emb, coords)
         assert viols
@@ -116,13 +116,13 @@ class TestValidate:
 
     def test_shape_checked_before_faces(self):
         g = LabeledGraph(4, [(i, (i + 1) % 4) for i in range(4)])
-        emb = Embedding([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
+        emb = Embedding.from_rows([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
         with pytest.raises(StructureError, match="drawing covers"):
             validate_drawing(g, emb, np.zeros((3, 2)))
 
     def test_non_triangulated_embedding_rejected(self):
         g = LabeledGraph(4, [(i, (i + 1) % 4) for i in range(4)])
-        emb = Embedding([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
+        emb = Embedding.from_rows([[3, 1], [0, 2], [1, 3], [2, 0]], (0, 1, 2, 3))
         coords = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
         with pytest.raises(StructureError):
             validate_drawing(g, emb, coords)
@@ -283,6 +283,13 @@ class TestTriangulation:
         assert mesh.free.dtype == np.int64
         assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
 
+    def test_validation_leaves_the_corner_index_unbuilt(self):
+        fam = build_Htilde(1, 2)
+        mesh = Triangulation(fam.graph, fam.embedding)
+        assert mesh.violations(layout_nested(fam)) == []
+        assert "corners" not in mesh.__dict__
+        assert mesh.corners is mesh.corners  # built once, on first read
+
 
 class TestCornerResolution:
     """``Triangulation.resolution``, the per-corner minimum that measures
@@ -442,6 +449,11 @@ class TestSerialization:
         with pytest.raises(StructureError) as exc:
             read_drawing("p 0 0.0 1.0\np 1 0.8 -0.5\np 1 0.0 0.0\np 2 -0.8 -0.5\n")
         assert str(exc.value) == "line 3: repeated 'p' record for vertex 1"
+
+    def test_extra_point_field_rejected(self):
+        with pytest.raises(StructureError) as exc:
+            read_drawing("p 0 1.0 2.0 7.5\n")
+        assert str(exc.value) == "line 1: 'p' record needs 3 fields, got 4"
 
     def test_signed_area_orientation(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])

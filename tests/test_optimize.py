@@ -33,7 +33,7 @@ FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
 def triangle():
     g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
-    return g, Embedding([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
+    return g, Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
 
 
 class TestConfig:
@@ -240,7 +240,7 @@ class TestMaximize:
     def test_k4_bounds(self):
         fam = build_Htilde(1, 1)  # contains K4-level structure; use plain K4 instead
         g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        emb = Embedding([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+        emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
         result = maximize_resolution(g, emb, FAST)
         assert result.resolution <= 2 * math.pi / 3 + 1e-9
         assert result.resolution >= math.pi / 6 - 1e-6  # centroid seed value
