@@ -30,13 +30,16 @@ all steps at once.  ``verify_planar_3tree`` and the replay plan in
 ``layout`` both use it.  The elimination that finds the sequence runs on
 integer arrays too: CSR neighbour lists from one argsort of the edge array,
 integer degree counters and a set of int edge keys.
+
+The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
+``metrics``) are read by one array tokenizer, ``Records``: each check runs
+over all records at once, and the earliest failing line is reported.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,31 +452,156 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
 # Text formats
 # ---------------------------------------------------------------------------
 
+# The code points str.split() splits at (those of str.isspace) and those at
+# which str.splitlines() ends a line; it reads "\r\n" as one line end.
+_SPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_BREAK = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+# the class of each code point up to the last space, and of the one after it,
+# which stands for every later one: 0 in a token, 1 a space, 2 a line break
+_CLASS = np.zeros(ord(_SPACE[-1]) + 2, dtype=np.uint8)
+_CLASS[[ord(c) for c in _SPACE]] = 1
+_CLASS[[ord(c) for c in _BREAK]] = 2
+
+
+class Records:
+    """The records of a line-based text format as arrays, and the first
+    fault found in them.
+
+    A record is the whitespace-separated tokens of one line, a tag and then
+    its fields; blank lines and lines whose first token starts with ``#``
+    hold none.  ``text.split()`` gives every token, and one pass over the
+    code points gives each token's line.  A reader runs each check over all
+    records at once and reports the records that fail it with ``fault``, in
+    the order a line-by-line reader checks one record; ``raise_first`` then
+    raises the fault that reader would meet first: the one on the earliest
+    line, and of one line's faults the one reported first.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = np.array(text.split(), dtype=object)
+        if text.isascii():
+            codes = np.frombuffer(text.encode(), dtype=np.uint8)
+        else:  # a code point past the table reads as the table's last
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+            codes = np.minimum(codes, _CLASS.size - 1)
+        kind = _CLASS[codes]
+        space = kind > 0
+        begins = np.flatnonzero(~space & np.insert(space[:-1], 0, True))  # each token's
+        breaks = np.flatnonzero(kind == 2)
+        crlf = (np.diff(breaks) == 1) & (codes[breaks[:-1]] == 13) & (codes[breaks[1:]] == 10)
+        breaks = np.delete(breaks, np.flatnonzero(crlf) + 1)
+        # line i + 1 holds tokens cut[i] .. cut[i + 1] - 1
+        cut = np.concatenate([[0], np.searchsorted(begins, breaks), [begins.size]])
+        lines = np.flatnonzero(np.diff(cut))
+        heads = cut[lines]
+        kept = codes[begins[heads]] != ord("#")
+        self.start = heads[kept]  # each record's tag, an index into ``tokens``
+        self.size = (cut[lines + 1] - heads - 1)[kept]  # its field count
+        self.line = (lines + 1)[kept]  # its line number, ascending
+        self.tag = self.tokens[self.start]
+        self._first = None  # (line, message, k) of the first fault reported
+
+    def select(self, arity: dict[str, int], exact: bool = True) -> dict[str, np.ndarray]:
+        """For each tag of ``arity``, the indices of its records with
+        ``arity[tag]`` fields, or at least that many unless ``exact``.
+        Reports each record with another tag or field count."""
+        tags = list(arity)
+        which = np.full(self.tag.size, len(tags))
+        for i, tag in enumerate(tags):
+            which[self.tag == tag] = i
+        need = np.array([*arity.values(), 0])[which]
+        fits = (self.size == need) if exact else (self.size >= need)
+        self.fault(self.line, which == len(tags), lambda k: f"unknown record {self.tag[k]!r}")
+        self.fault(
+            self.line,
+            ~fits,
+            lambda k: f"{self.tag[k]!r} record needs {need[k]} fields, got {self.size[k]}",
+        )
+        return {tag: np.flatnonzero(fits & (which == i)) for i, tag in enumerate(tags)}
+
+    def fields(self, which: np.ndarray, columns: list[int] | None = None):
+        """The fields of the records ``which``, record by record, as an
+        object array: those at ``columns`` (0 is the first field), or all;
+        and the line of each."""
+        if columns is None:
+            size = self.size[which]
+            ends = np.cumsum(size)
+            at = np.arange(ends[-1] if ends.size else 0)
+            at += np.repeat(self.start[which] + 1 - (ends - size), size)
+        else:
+            size = np.full(which.size, len(columns))
+            at = (self.start[which][:, None] + 1 + np.array(columns, dtype=np.int64)).ravel()
+        return self.tokens[at], np.repeat(self.line[which], size)
+
+    def numbers(self, tokens: np.ndarray, lines: np.ndarray, kind: type) -> np.ndarray:
+        """``tokens``, on ``lines``, as ``kind`` (int or float) in an int64
+        or float64 array; an int beyond int64 reads as -1.  Reports each
+        token that does not parse, worded by the error of ``kind``; it
+        reads as 0.  Only a column that fails to convert whole is parsed
+        again token by token, to find those tokens."""
+        dtype = np.int64 if kind is int else np.float64
+        try:
+            return tokens.astype(dtype)
+        except (ValueError, OverflowError):
+            pass
+        values = np.zeros(tokens.size, dtype=dtype)
+        why: dict[int, str] = {}
+        for k, token in enumerate(tokens.tolist()):
+            try:
+                value = kind(token)
+            except ValueError as exc:
+                why[k] = str(exc)
+            else:
+                values[k] = value if kind is float or -(2**63) <= value < 2**63 else -1
+        bad = np.zeros(tokens.size, dtype=bool)
+        bad[list(why)] = True
+        self.fault(lines, bad, why.__getitem__)
+        return values
+
+    def fault(self, lines: np.ndarray, bad: np.ndarray, message) -> None:
+        """Report the records or fields on ``lines`` (ascending) that
+        ``bad`` flags; ``message(k)`` words the fault of the k-th."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            if self._first is None or lines[k] < self._first[0]:
+                self._first = (int(lines[k]), message, k)
+
+    def repeated(self, lines: np.ndarray, keys: np.ndarray, message) -> None:
+        """Report each record on ``lines`` whose key (a row of ``keys``,
+        or one entry) equals an earlier record's."""
+        if keys.ndim == 1:
+            keys = keys[:, None]
+        order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in line order
+        later = order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1)]
+        bad = np.zeros(lines.size, dtype=bool)
+        bad[later] = True
+        self.fault(lines, bad, message)
+
+    def raise_first(self) -> None:
+        """Raise the first fault reported as a StructureError naming its line."""
+        if self._first is not None:
+            line, message, k = self._first
+            raise StructureError(f"line {line}: {message(k)}")
+
+    @staticmethod
+    def by_vertex(vertices: np.ndarray, missing: str) -> np.ndarray:
+        """Where each vertex ``0 .. len(vertices) - 1`` is in ``vertices``,
+        distinct non-negative ints; raises a StructureError of ``missing``
+        and the first vertex not there, when one is not."""
+        at = np.full(vertices.size + 1, -1)
+        at[np.minimum(vertices, vertices.size)] = np.arange(vertices.size)
+        if (at[:-1] < 0).any():
+            raise StructureError(f"{missing} for vertex {int(np.argmax(at[:-1] < 0))}")
+        return at[:-1]
+
+
 def write_graph(graph: LabeledGraph) -> str:
-    lines = [f"graph {graph.n}"] + [f"e {i} {j}" for i, j in graph.edges.tolist()]
-    lines += [f"l {v} {graph.labels[v]}" for v in sorted(graph.labels)]
-    return "\n".join(lines) + "\n"
-
-
-def text_records(
-    text: str, arity: dict[str, int], exact: bool = True
-) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, tag, fields) for each record of a line-based text
-    format, skipping blank and ``#`` lines.  ``arity`` maps every known tag
-    to its field count, a minimum unless ``exact``; other tags and records
-    with a wrong field count raise a StructureError naming the line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        tag, fields = parts[0], parts[1:]
-        if tag not in arity:
-            raise StructureError(f"line {lineno}: unknown record {tag!r}")
-        if len(fields) < arity[tag] or (exact and len(fields) > arity[tag]):
-            raise StructureError(
-                f"line {lineno}: {tag!r} record needs {arity[tag]} fields, got {len(fields)}"
-            )
-        yield lineno, tag, fields
+    edges = "e %d %d\n" * len(graph.edges) % tuple(graph.edges.ravel().tolist())
+    labels = "".join(f"l {v} {graph.labels[v]}\n" for v in sorted(graph.labels))
+    return f"graph {graph.n}\n" + edges + labels
 
 
 def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
@@ -485,68 +613,89 @@ def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
         raise StructureError(f"line {lineno}: {exc}") from None
 
 
+def _count_error(count: int) -> str:
+    return f"negative vertex count {count}" if count < 0 else f"vertex count {count} beyond int64"
+
+
 def read_graph(text: str) -> LabeledGraph:
     """The graph of a ``graph``/``e``/``l`` text.  Each bad record, a
     repeated ``e`` record in either orientation among them, raises a
-    StructureError naming its line."""
-    n: int | None = None
-    pairs: set[tuple[int, int]] = set()
-    labels: dict[int, str] = {}
-    for lineno, tag, fields in text_records(text, {"graph": 1, "e": 2, "l": 2}):
-        if tag == "graph":
-            if n is not None:
-                raise StructureError(f"line {lineno}: repeated 'graph' header")
-            (n,) = parse_numbers(lineno, fields, int)
-            if n < 0:
-                raise StructureError(f"line {lineno}: negative vertex count {n}")
-        elif n is None:
-            raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
-        elif tag == "e":
-            i, j = parse_numbers(lineno, fields, int)
-            pair = (i, j) if i < j else (j, i)
-            if pair[0] < 0 or i == j or pair[1] >= n:
-                raise StructureError(f"line {lineno}: {_pair_error(i, j, n)}")
-            if pair in pairs:
-                raise StructureError(f"line {lineno}: repeated 'e' record for edge {pair}")
-            pairs.add(pair)
-        else:
-            (v,) = parse_numbers(lineno, fields[:1], int)
-            if not 0 <= v < n:
-                raise StructureError(f"line {lineno}: label on unknown vertex {v}")
-            if v in labels:
-                raise StructureError(f"line {lineno}: repeated 'l' record for vertex {v}")
-            labels[v] = fields[1]
-    if n is None:
+    StructureError naming its line; of several, the earliest line's."""
+    rec = Records(text)
+    picked = rec.select({"graph": 1, "e": 2, "l": 2})
+    heads = np.flatnonzero(rec.tag == "graph")
+    first = heads[0] if heads.size else rec.tag.size
+    rec.fault(rec.line[heads], np.arange(heads.size) > 0, lambda k: "repeated 'graph' header")
+    counts, lines = rec.fields(heads[:1][rec.size[heads[:1]] == 1], [0])
+    count = rec.numbers(counts, lines, int)
+    rec.fault(lines, count < 0, lambda k: _count_error(int(counts[k])))
+    n = max(int(count[0]), 0) if count.size else 0
+    rec.fault(
+        rec.line[:first],
+        np.ones(first, dtype=bool),
+        lambda k: f"{rec.tag[k]!r} record before the 'graph' header",
+    )
+
+    ends, lines = rec.fields(picked["e"])
+    i, j = rec.numbers(ends, lines, int).reshape(-1, 2).T
+    lines = lines[::2]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    rec.fault(
+        lines,
+        (lo < 0) | (lo == hi) | (hi >= n),
+        lambda k: _pair_error(int(ends[2 * k]), int(ends[2 * k + 1]), n),
+    )
+    pairs = np.stack([lo, hi], axis=1)
+    rec.repeated(lines, pairs, lambda k: f"repeated 'e' record for edge ({lo[k]}, {hi[k]})")
+
+    labeled, lines = rec.fields(picked["l"], [0])
+    v = rec.numbers(labeled, lines, int)
+    rec.fault(lines, (v < 0) | (v >= n), lambda k: f"label on unknown vertex {int(labeled[k])}")
+    rec.repeated(lines, v, lambda k: f"repeated 'l' record for vertex {v[k]}")
+    rec.raise_first()
+    if not heads.size:
         raise StructureError("missing 'graph <V>' header")
-    graph = LabeledGraph(n, pairs, labels)
+    names = rec.fields(picked["l"], [1])[0]
+    graph = LabeledGraph(n, pairs, dict(zip(v.tolist(), names.tolist())))
     graph.validate()
     return graph
 
 
 def write_embedding(emb: Embedding) -> str:
-    words, cut = list(map(str, emb.nbr.tolist())), emb.offset.tolist()
-    lines = [f"rot {v} " + " ".join(words[cut[v] : cut[v + 1]]) for v in range(len(cut) - 1)]
-    lines.append("outer " + " ".join(str(v) for v in emb.outer_face))
-    return "\n".join(lines) + "\n"
+    deg = np.diff(emb.offset).tolist()
+    rows = {k: "rot %d " + " ".join(["%d"] * k) + "\n" for k in set(deg)}
+    # each vertex, then its row
+    words = np.insert(emb.nbr, emb.offset[:-1], np.arange(len(deg)))
+    text = "".join(map(rows.__getitem__, deg)) % tuple(words.tolist())
+    return text + "outer " + " ".join(str(v) for v in emb.outer_face) + "\n"
 
 
 def read_embedding(text: str) -> Embedding:
-    rot: dict[int, list[int]] = {}
-    outer: tuple[int, ...] | None = None
-    for lineno, tag, fields in text_records(text, {"rot": 1, "outer": 3}, exact=False):
-        vertices = parse_numbers(lineno, fields, int)
-        if tag == "rot":
-            v = vertices[0]
-            if v in rot:
-                raise StructureError(f"line {lineno}: repeated 'rot' record for vertex {v}")
-            rot[v] = vertices[1:]
-        else:
-            if outer is not None:
-                raise StructureError(f"line {lineno}: repeated 'outer' record")
-            outer = tuple(vertices)
-    if outer is None:
+    """The embedding of a ``rot``/``outer`` text.  Each bad record raises a
+    StructureError naming its line; of several, the earliest line's.  An
+    entry beyond int64 reads as -1, so it fails the check against the
+    edges."""
+    rec = Records(text)
+    picked = rec.select({"rot": 1, "outer": 3}, exact=False)
+    rows, outers = picked["rot"], picked["outer"]
+    tokens, lines = rec.fields(rows)
+    entries = rec.numbers(tokens, lines, int)
+    rec.numbers(*rec.fields(outers), int)
+    size = rec.size[rows]
+    head = np.cumsum(size) - size  # each row's vertex, an index into entries
+    v = entries[head]
+    lines = rec.line[rows]
+    rec.fault(
+        lines, v < 0, lambda k: f"'rot' record for vertex {int(tokens[head[k]])} out of range"
+    )
+    rec.repeated(lines, v, lambda k: f"repeated 'rot' record for vertex {v[k]}")
+    rec.fault(rec.line[outers], np.arange(outers.size) > 0, lambda k: "repeated 'outer' record")
+    rec.raise_first()
+    if not outers.size:
         raise StructureError("missing 'outer' line")
-    n = max(rot) + 1 if rot else 0
-    if sorted(rot) != list(range(n)):
-        raise StructureError("rotation lines do not cover a dense vertex range")
-    return Embedding.from_rows([rot[v] for v in range(n)], outer)
+    at = rec.by_vertex(v, "embedding has no 'rot' record")
+    count = size[at] - 1
+    offset = np.zeros(v.size + 1, dtype=np.int64)
+    np.cumsum(count, out=offset[1:])
+    nbr = entries[np.repeat(head[at] + 1 - offset[:-1], count) + np.arange(offset[-1])]
+    return Embedding(offset, nbr, tuple(int(u) for u in rec.fields(outers[:1])[0]))

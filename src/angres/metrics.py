@@ -23,10 +23,9 @@ from .families import FrameRoles
 from .graphs import (
     Embedding,
     LabeledGraph,
+    Records,
     StructureError,
     internal_triangles,
-    parse_numbers,
-    text_records,
 )
 
 TOL = 1e-9
@@ -319,13 +318,16 @@ def write_drawing(coords: np.ndarray) -> str:
 
 
 def read_drawing(text: str) -> np.ndarray:
-    pts: dict[int, tuple[float, float]] = {}
-    for lineno, _, fields in text_records(text, {"p": 3}):
-        (v,) = parse_numbers(lineno, fields[:1], int)
-        if v in pts:
-            raise StructureError(f"line {lineno}: repeated 'p' record for vertex {v}")
-        pts[v] = tuple(parse_numbers(lineno, fields[1:], float))
-    n = max(pts) + 1 if pts else 0
-    if sorted(pts) != list(range(n)):
-        raise StructureError("drawing lines do not cover a dense vertex range")
-    return np.array([pts[i] for i in range(n)], dtype=float)
+    """The (n, 2) coordinates of a ``p`` text, row ``v`` from vertex ``v``'s
+    record.  Each bad record raises a StructureError naming its line; of
+    several, the earliest line's.  A drawing that skips a vertex raises one
+    naming the first vertex skipped."""
+    rec = Records(text)
+    points = rec.select({"p": 3})["p"]
+    tokens, lines = rec.fields(points, [0])
+    v = rec.numbers(tokens, lines, int)
+    rec.fault(lines, v < 0, lambda k: f"'p' record for vertex {int(tokens[k])} out of range")
+    rec.repeated(lines, v, lambda k: f"repeated 'p' record for vertex {v[k]}")
+    xy = rec.numbers(*rec.fields(points, [1, 2]), float).reshape(-1, 2)
+    rec.raise_first()
+    return xy[rec.by_vertex(v, "drawing has no 'p' record")]

@@ -199,9 +199,10 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
 
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
     # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, so its
-    # penalty vertices (t2, t0, t1) are strided views of the b column
+    # penalty vertices (t2, t0, t1) are strided views of the b column, and
+    # twice its area is the g of corner 2, (t1, t2, t0), term for term
     fax, fay, fbx, fby, fcx, fcy = bx[2::3], by[2::3], bx[0::3], by[0::3], bx[1::3], by[1::3]
-    area = 0.5 * ((fbx - fax) * (fcy - fay) - (fby - fay) * (fcx - fax))
+    area = 0.5 * g[2::3]
     neg = np.minimum(area, 0.0)
     value += weight * float(np.sum(neg * neg))
     pc = (2.0 * weight) * neg

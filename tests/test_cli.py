@@ -75,6 +75,8 @@ MALFORMED = [
     ("graph 3\ne 0 1 2\ne 1 2\ne 0 2\n", None, None, None),
     ("graph 3\ne 0 1\ne 1 2\ne 0 2\nl 0 a b\n", None, None, None),
     (None, "p 0 1.0 2.0 7.5\np 1 0.8 -0.5\np 2 -0.8 -0.5\n", None, None),
+    (None, "p 0 0.0 1.0\np -1 0.8 -0.5\np 2 -0.8 -0.5\n", None, None),
+    (None, None, f"rot 0 1 2\nrot {2**70} 2 0\nrot 2 0 1\nouter 0 1 2\n", None),
 ]
 
 
