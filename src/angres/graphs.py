@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* vertices are dense integer indices ``0 .. n-1``;
+* vertices are dense integer indices ``0 .. n-1``, with ``n`` at most
+  ``MAX_VERTICES``, so that edge keys ``v * n + u`` fit int64;
 * a graph's edges are the rows ``(i, j)``, ``i < j``, of a sorted (m, 2)
   int64 array without repeats; ``LabeledGraph`` builds it from any pairs;
 * a rotation system lists, for every vertex, its neighbors in *clockwise*
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +53,11 @@ class StructureError(ValueError):
 
 class NotPlanar3TreeError(StructureError):
     """The graph failed planar 3-tree verification."""
+
+
+# The most vertices a graph may have: every edge and half-edge key
+# v * n + u, with v and u below n, is then below n * n and fits int64.
+MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
 def _pair_error(i: int, j: int, n: int) -> str:
@@ -91,8 +98,8 @@ class LabeledGraph:
     labels: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise StructureError(f"negative vertex count {self.n}")
+        if not 0 <= self.n <= MAX_VERTICES:
+            raise StructureError(_count_error(self.n))
         self.edges = _canonical_edges(self.edges, self.n)
 
     def adjacency(self) -> list[set[int]]:
@@ -614,7 +621,13 @@ def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
 
 
 def _count_error(count: int) -> str:
-    return f"negative vertex count {count}" if count < 0 else f"vertex count {count} beyond int64"
+    """Why ``count`` is not a vertex count: it is negative, beyond int64, or
+    beyond ``MAX_VERTICES``."""
+    if count < 0:
+        return f"negative vertex count {count}"
+    if count >= 2**63:
+        return f"vertex count {count} beyond int64"
+    return f"vertex count {count} exceeds {MAX_VERTICES}: edge keys would overflow int64"
 
 
 def read_graph(text: str) -> LabeledGraph:
@@ -628,7 +641,7 @@ def read_graph(text: str) -> LabeledGraph:
     rec.fault(rec.line[heads], np.arange(heads.size) > 0, lambda k: "repeated 'graph' header")
     counts, lines = rec.fields(heads[:1][rec.size[heads[:1]] == 1], [0])
     count = rec.numbers(counts, lines, int)
-    rec.fault(lines, count < 0, lambda k: _count_error(int(counts[k])))
+    rec.fault(lines, (count < 0) | (count > MAX_VERTICES), lambda k: _count_error(int(counts[k])))
     n = max(int(count[0]), 0) if count.size else 0
     rec.fault(
         rec.line[:first],

@@ -21,6 +21,11 @@ by adding one, so the gradient is bit for bit the scatter over all corners.
 That holds while every coordinate is finite and within 1e100 in magnitude
 (beyond it a factor may overflow, and 0 * inf is nan); otherwise, or when a
 quarter or more of the corners are live, all terms are scattered.
+Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
+reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
+``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
+memo, counts and messages, so every stage ends at the same point bit for
+bit, without the wrapper's copies and checks on every evaluation.
 The outer triangle stays pinned.  For a triangulation whose outer triangle
 is clockwise, internal faces that are all counterclockwise prove that the
 drawing realizes the embedding, so a start or a result counts only after
@@ -41,7 +46,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult as LbfgsbResult
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .families import FamilySpec, build_family
 from .graphs import (
@@ -63,6 +70,12 @@ from .metrics import Triangulation
 PENALTY_GROWTH = 10.0
 STAGES = 5
 TOL = 1e-8
+
+
+def _quiet():
+    """The floating-point state the objective runs in: overflow, division
+    by zero and invalid operations give inf or nan without a warning."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class OptimizeFailure(RuntimeError):
@@ -116,34 +129,39 @@ class OptimizeResult:
 def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
     """Signed angle of every internal corner in the (4, 3F) index ``corners``,
     from the x and y coordinate arrays, with the intermediates of its
-    gradient: (theta, bx, by, e1x, e1y, e2x, e2y, g, h), b the corner's
-    vertex, e1 = a - b, e2 = c - b."""
+    gradient: (theta, e1x, e1y, e2x, e2y, g, h), b the corner's vertex,
+    e1 = a - b, e2 = c - b."""
     ia, ib, ic = corners[:3]
     bx, by = px[ib], py[ib]
     e1x, e1y = px[ia] - bx, py[ia] - by
     e2x, e2y = px[ic] - bx, py[ic] - by
     g = e2x * e1y - e2y * e1x
     h = e1x * e2x + e1y * e2y
-    return np.arctan2(g, h), bx, by, e1x, e1y, e2x, e2y, g, h
+    return np.arctan2(g, h), e1x, e1y, e2x, e2y, g, h
 
 
 def _logsumexp(a: np.ndarray):
     """``scipy.special.logsumexp(a)`` of a non-empty 1-D float array, bit for
     bit: scipy 1.17.1's algorithm without its array-API dispatch.  The tied
     maxima are taken out of the sum, and a non-finite result falls back to
-    ``log(sum(exp(a)))``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        tied = a == a_max
-        m = float(np.count_nonzero(tied))
-        shifted = a - a_max
-        shifted[tied] = -np.inf - a_max  # scipy sets the ties to -inf, then shifts
-        s = np.exp(shifted).sum()
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
+    ``log(sum(exp(a)))``.  It runs in ``_quiet``'s state."""
+    with _quiet():
+        return _lse(a)
+
+
+def _lse(a: np.ndarray):
+    """``_logsumexp`` in the caller's floating-point state."""
+    a_max = a.max()
+    tied = a == a_max
+    m = float(np.count_nonzero(tied))
+    shifted = a - a_max
+    shifted[tied] = -np.inf - a_max  # scipy sets the ties to -inf, then shifts
+    s = np.exp(shifted).sum()
+    if s != 0:
+        s = s / m
+    out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out):
+        out = np.log(np.exp(a).sum())
     return out
 
 
@@ -160,7 +178,8 @@ def _live_terms(coef: np.ndarray, pc: np.ndarray, P: np.ndarray):
 
 def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     """Negative soft-min of corner angles plus orientation penalty; returns
-    (value, gradient over the variables ``y``).
+    (value, gradient over the variables ``y``).  Callers run it in
+    ``_quiet``'s floating-point state.
 
     ``pinned`` holds the (2, n) x and y rows of the drawing, whose free
     vertices the variables replace.  They are per-vertex rescaled offsets,
@@ -186,10 +205,10 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     P[0, free] = origin[0] + scale * y[0::2]
     P[1, free] = origin[1] + scale * y[1::2]
     px, py = P
-    theta, bx, by, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners)
+    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners)
 
     z = -sharp * theta
-    lse = _logsumexp(z)
+    lse = _lse(z)
     value = lse / sharp  # minus the soft-min -lse / sharp
     wgt = np.exp(z - lse)  # softmax weights, sum to 1
 
@@ -198,10 +217,14 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     coef = wgt / denom
 
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
-    # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, so its
-    # penalty vertices (t2, t0, t1) are strided views of the b column, and
-    # twice its area is the g of corner 2, (t1, t2, t0), term for term
-    fax, fay, fbx, fby, fcx, fcy = bx[2::3], by[2::3], bx[0::3], by[0::3], bx[1::3], by[1::3]
+    # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, and
+    # its penalty vertices are (t2, t0, t1).  Twice its area is the g of
+    # corner 2, (t1, t2, t0), term for term, and the coordinate differences
+    # of its gradient are the same subtractions as the corners' e1y and e2x:
+    # y(t0) - y(t1), y(t1) - y(t2) and y(t2) - y(t0) are e1y at corners 1, 2
+    # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
+    # corners 0, 1 and 2
+    fy, fx = e1y.reshape(-1, 3), e2x.reshape(-1, 3)
     area = 0.5 * g[2::3]
     neg = np.minimum(area, 0.0)
     value += weight * float(np.sum(neg * neg))
@@ -218,32 +241,27 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
             [corners[:3, corner_live].ravel(), corners[3].reshape(3, -1)[:, face_live].ravel()]
         )
         coef, e1x, e1y, e2x, e2y, g, h = (v[corner_live] for v in (coef, e1x, e1y, e2x, e2y, g, h))
-        pc, fax, fay, fbx, fby, fcx, fcy = (v[face_live] for v in (pc, fax, fay, fbx, fby, fcx, fcy))
+        pc, fy, fx = pc[face_live], fy[face_live], fx[face_live]
     w = np.empty(index.size)
 
     # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
     # and -dC for the corners, then the penalty terms of the three face columns
     wa, wb, wc = w[: 3 * coef.size].reshape(3, -1)
     wf = w[3 * coef.size :].reshape(3, -1)
-    grad = []
-    for dA, dC, face_terms in (
-        ((-e2y) * h - g * e2x, e1y * h - g * e1x, (fby - fcy, fcy - fay, fay - fby)),
-        (e2x * h - g * e2y, (-e1x) * h - g * e1y, (fcx - fbx, fax - fcx, fbx - fax)),
+    out = np.empty(2 * free.size)
+    for dA, dC, face_terms, packed in (
+        ((-e2y) * h - g * e2x, e1y * h - g * e1x, (fy[:, 1], fy[:, 2], fy[:, 0]), out[0::2]),
+        (e2x * h - g * e2y, (-e1x) * h - g * e1y, (fx[:, 0], fx[:, 1], fx[:, 2]), out[1::2]),
     ):
         dA *= coef
         dC *= coef
         np.negative(dA, out=wa)
         np.add(dA, dC, out=wb)
         np.negative(dC, out=wc)
-        for term, out in zip(face_terms, wf):
-            term *= 0.5
-            np.multiply(pc, term, out=out)
-        grad.append(np.bincount(index, weights=w, minlength=mesh.n)[free])
-
-    out = np.empty(2 * free.size)
-    out[0::2], out[1::2] = grad
-    out[0::2] *= scale
-    out[1::2] *= scale
+        for term, wt in zip(face_terms, wf):
+            np.multiply(term, 0.5, out=wt)
+            wt *= pc
+        np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], scale, out=packed)
     return value, out
 
 
@@ -264,7 +282,60 @@ def objective_and_gradient(
     mesh = Triangulation(graph, emb)
     pinned = np.array(np.asarray(coords, dtype=float).T)
     y = np.zeros(2 * mesh.free.size)
-    return _objective(y, mesh, pinned, sharpness, penalty_weight, pinned[:, mesh.free], 1.0)
+    with _quiet():
+        return _objective(y, mesh, pinned, sharpness, penalty_weight, pinned[:, mesh.free], 1.0)
+
+
+def minimize(fun, x0, args, maxiter):
+    """Minimize ``fun(x, *args)``, which returns the value and its gradient,
+    from ``x0`` by L-BFGS-B without bounds: scipy 1.17.1's
+    ``minimize(fun, x0, args, method="L-BFGS-B", jac=True, options={"maxiter":
+    maxiter, "ftol": TOL, "gtol": 1e-14})`` bit for bit, with the loop of
+    ``_minimize_lbfgsb`` around the reverse-communication routine ``setulb``
+    run here.  Its other settings are scipy's defaults: 10 corrections, 15000
+    evaluations and 20 line-search steps.
+
+    Like scipy, it evaluates ``fun`` at ``x0`` first, then only where
+    ``setulb`` asks for an ``x`` that differs from the last one evaluated;
+    it counts an iteration at each new iterate and stops at ``maxiter`` of
+    them, or once more than 15000 evaluations were made.  Unlike scipy it
+    hands ``fun`` the live iterate, which ``fun`` must neither change nor
+    keep, and copies nothing else per evaluation.  The result's ``fun`` is
+    the last value evaluated: after an ``ABNORMAL`` exit, that of a rejected
+    trial point, not of ``x``."""
+    m, maxfun, maxls = 10, 15000, 20
+    x = np.array(x0, dtype=np.float64).ravel()
+    n = x.size
+    fx, gx = fun(x, *args)
+    last = x.copy()
+    nfev, nit = 1, 0
+    # setulb reads f and g only where it asked for them
+    f, g = np.array(0.0), np.zeros(n)
+    low, up, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = TOL / np.finfo(float).eps
+    while True:
+        setulb(m, x, low, up, nbd, f, g, factr, 1e-14, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if not np.array_equal(x, last):
+                fx, gx = fun(x, *args)
+                last[:] = x
+                nfev += 1
+            f, g = fx, gx
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT
+            elif nfev > maxfun:
+                task[:] = 5, 502  # STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT
+        else:
+            break
+    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    return LbfgsbResult(x=x, fun=f, nit=nit, nfev=nfev, message=message)
 
 
 def _run_restart(
@@ -304,14 +375,10 @@ def _run_restart(
         span = max(abs(float(_corner_angles(P[0], P[1], mesh.corners)[0].min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
-        res = minimize(
-            _objective,
-            y,
-            args=(mesh, pinned, sharp, weight, origin, scale),
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": min(budget, iters_left), "ftol": TOL, "gtol": 1e-14},
-        )
+        with _quiet():
+            res = minimize(
+                _objective, y, (mesh, pinned, sharp, weight, origin, scale), min(budget, iters_left)
+            )
         y = res.x
         stages.append((str(res.message), int(res.nit), int(res.nfev)))
         final = (sharp, weight)
@@ -324,7 +391,8 @@ def _run_restart(
         weight *= PENALTY_GROWTH
         stage += 1
         stalled = 0 if improved else stalled + 1
-    value = float(_objective(y, mesh, pinned, *final, origin, scale)[0])
+    with _quiet():
+        value = float(_objective(y, mesh, pinned, *final, origin, scale)[0])
     return np.array(P.T), value, total_iters, stages
 
 

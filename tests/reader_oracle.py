@@ -7,9 +7,10 @@ This is the straightforward form: one ``str.splitlines`` and one
 ``str.split`` per line, and one loop over the records that checks each in
 turn, so the first bad line raises and its first failing check words the
 error.  Besides a record's tag, field count, numbers and repeats, it
-rejects a vertex count beyond int64 and a ``p`` or ``rot`` record for a
-negative vertex or one beyond int64, naming the line, and it names the
-first vertex that a drawing or an embedding has no record for.
+rejects a vertex count beyond int64 or ``MAX_VERTICES`` and a ``p`` or
+``rot`` record for a negative vertex or one beyond int64, naming the line,
+and it names the first vertex that a drawing or an embedding has no record
+for.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from angres.graphs import Embedding, LabeledGraph, StructureError, _pair_error, parse_numbers
+from angres.graphs import (
+    MAX_VERTICES,
+    Embedding,
+    LabeledGraph,
+    StructureError,
+    _pair_error,
+    parse_numbers,
+)
 
 INT64_END = 2**63
 
@@ -64,6 +72,11 @@ def read_graph(text: str) -> LabeledGraph:
                 raise StructureError(f"line {lineno}: negative vertex count {n}")
             if n >= INT64_END:
                 raise StructureError(f"line {lineno}: vertex count {n} beyond int64")
+            if n > MAX_VERTICES:
+                raise StructureError(
+                    f"line {lineno}: vertex count {n} exceeds {MAX_VERTICES}: "
+                    "edge keys would overflow int64"
+                )
         elif n is None:
             raise StructureError(f"line {lineno}: {tag!r} record before the 'graph' header")
         elif tag == "e":

@@ -77,6 +77,7 @@ MALFORMED = [
     (None, "p 0 1.0 2.0 7.5\np 1 0.8 -0.5\np 2 -0.8 -0.5\n", None, None),
     (None, "p 0 0.0 1.0\np -1 0.8 -0.5\np 2 -0.8 -0.5\n", None, None),
     (None, None, f"rot 0 1 2\nrot {2**70} 2 0\nrot 2 0 1\nouter 0 1 2\n", None),
+    ("graph 4000000000\ne 3999999998 3999999999\ne 0 1\n", None, None, None),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
+    MAX_VERTICES,
     BuildSequence,
     Embedding,
     LabeledGraph,
@@ -105,6 +106,18 @@ class TestLabeledGraph:
     def test_negative_vertex_count(self):
         with pytest.raises(StructureError, match="^negative vertex count -2$"):
             LabeledGraph(-2)
+
+    def test_vertex_count_whose_edge_keys_overflow(self):
+        # up to MAX_VERTICES every edge key v * n + u fits int64, so the
+        # edge of the two highest vertices is kept; one more vertex, or a
+        # count whose keys wrap (once the edge was silently dropped), is
+        # rejected
+        n = MAX_VERTICES
+        assert LabeledGraph(n, [(n - 1, n - 2), (0, 1)]).edges.tolist() == [[0, 1], [n - 2, n - 1]]
+        with pytest.raises(StructureError, match=f"^vertex count {n + 1} exceeds {n}: "):
+            LabeledGraph(n + 1, [(n, n - 1), (0, 1)])
+        with pytest.raises(StructureError, match="^line 1: vertex count 4000000000 exceeds "):
+            read_graph("graph 4000000000\ne 3999999998 3999999999\ne 0 1\n")
 
 
 class TestEdgeFormat:

@@ -339,14 +339,23 @@ class TestCornerResolution:
         self.assert_matches(g, emb, coords)
 
 
+def _jittered_fan(d: int, seed: int):
+    """The frame fan of depth ``d`` with every point but the root moved by
+    1% of its largest coordinate, at random."""
+    fam, coords = layout_frame_fan(d)
+    rng = np.random.default_rng(seed)
+    jit = coords + rng.normal(0.0, 0.01, coords.shape) * np.abs(coords).max(axis=1, keepdims=True)
+    jit[fam.roles.root] = coords[fam.roles.root]
+    return fam, jit
+
+
 class TestFrameProfile:
     @given(st.integers(2, 12), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_additivity_and_telescoping_on_jittered_fans(self, d, seed):
-        fam, coords = layout_frame_fan(d)
-        rng = np.random.default_rng(seed)
-        jit = coords + rng.normal(0.0, 0.01, coords.shape) * np.abs(coords).max(axis=1, keepdims=True)
-        jit[fam.roles.root] = coords[fam.roles.root]
+        fam, jit = _jittered_fan(d, seed)
+        # frame_profile measures valid drawings only
+        assume(not validate_drawing(fam.graph, fam.embedding, jit))
         prof = frame_profile(fam.roles, jit)
         # additivity: the composite gap sums agree with directly measured
         # chord angles (all composites stay below pi at this apex angle)
@@ -363,6 +372,15 @@ class TestFrameProfile:
             )
         lhs, rhs = telescoping_product(prof)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_jitter_can_flip_a_face(self):
+        # the case the test above must skip: a flipped face turns the gap
+        # alpha1[6] the other way round the root, to nearly 2 pi
+        fam, jit = _jittered_fan(10, 324)
+        assert validate_drawing(fam.graph, fam.embedding, jit) == [
+            Violation("flipped-face", "internal face (0, 12, 10) not counterclockwise")
+        ]
+        assert frame_profile(fam.roles, jit).alpha1[6] > 6.28
 
     def test_matches_generator_sum_oracle(self):
         # fan, jittered and optimized frames, d = 1..32, field for field.

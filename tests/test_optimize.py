@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import lbfgsb_oracle
 import objective_oracle
 from angres import optimize
 from angres.families import FamilySpec, build_frame, build_G, build_Htilde
@@ -229,6 +230,69 @@ class TestObjectiveOracle:
                 a = rng.normal(0.0, spread, size)
                 a[rng.integers(size, size=size // 3)] = a.max()  # tied maxima
                 assert _bits(_logsumexp(a)) == _bits(logsumexp(a))
+
+
+class TestMinimize:
+    """``optimize.minimize`` against scipy's L-BFGS-B wrapper in
+    ``tests/lbfgsb_oracle.py``: the same point to the byte, the same value
+    bits, iteration and evaluation counts and message."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert float(got.fun).hex() == float(want.fun).hex()
+        assert (got.nit, got.nfev, got.message) == (want.nit, want.nfev, want.message)
+
+    @pytest.mark.parametrize(
+        "maxiter, message",
+        [
+            (3, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+            (15000, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        ],
+    )
+    def test_quadratic(self, maxiter, message):
+        a, c = np.linspace(1.0, 50.0, 12), np.sin(np.arange(12.0))
+
+        def fun(x, a, c):
+            r = x - c
+            return 0.5 * float(np.sum(a * r * r)), a * r
+
+        x0 = np.zeros(12)
+        got = optimize.minimize(fun, x0, (a, c), maxiter)
+        self.assert_same(got, lbfgsb_oracle.minimize(fun, x0, (a, c), maxiter))
+        assert got.message == message and not x0.any()
+
+    @pytest.mark.parametrize(
+        "c, d, max_iters, nested, message, nit",
+        [
+            (1, 4, 100, False, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", 50),
+            (1, 2, 400, False, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", None),
+            # the nested seed of htilde(2,16): every line search fails at once
+            (2, 16, 3000, True, "ABNORMAL: ", 0),
+        ],
+    )
+    def test_restart_stages(self, monkeypatch, c, d, max_iters, nested, message, nit):
+        drive = optimize.minimize
+        stages = []
+
+        def checked(fun, x0, args, maxiter):
+            got = drive(fun, x0, args, maxiter)
+            self.assert_same(got, lbfgsb_oracle.minimize(fun, x0, args, maxiter))
+            stages.append((got.message, got.nit))
+            return got
+
+        monkeypatch.setattr(optimize, "minimize", checked)
+        fam = build_Htilde(c, d)
+        config = OptimizeConfig(
+            restarts=1 + nested,
+            max_iters=max_iters,
+            seed=42,
+            penalty_init=10.0,
+            extra_seeds=[layout_nested(fam)] if nested else [],
+        )
+        maximize_resolution(fam.graph, fam.embedding, config)
+        nits = [n for m, n in stages if m == message]
+        assert nits and (nit is None or nit in nits)
 
 
 class TestMaximize:
