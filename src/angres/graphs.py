@@ -23,14 +23,14 @@ and builds the face-successor permutation ``nxt`` over the half-edges;
 ``internal_triangles``, the package's one face reader, reads a
 triangulation's faces from ``nxt`` with array operations alone.
 
-Build sequences of planar 3-trees are checked without a replay: a second
-kernel (``_check_build_sequence``) gives every face of the partial embedding
-an integer key from the step that made it, so finding the first step that
-does not target a face, and each step's level, takes array operations over
-all steps at once.  ``verify_planar_3tree`` and the replay plan in
-``layout`` both use it.  The elimination that finds the sequence runs on
-integer arrays too: CSR neighbour lists from one argsort of the edge array,
-integer degree counters and a set of int edge keys.
+A planar 3-tree's build sequence is a base triangle and two int64 arrays,
+inserted vertices ``xs`` (S,) and their triangles ``tris`` (S, 3), written
+once by the elimination (CSR neighbour lists, integer degree counters, int
+edge keys) and read as they are.  A second kernel (``_check_build_sequence``)
+checks it without a replay: it gives every face of the partial embedding an
+integer key from the step that made it, so finding the first step that does
+not target a face, and each step's level, takes array operations over all
+steps at once.  ``verify_planar_3tree`` and ``layout``'s replay plan use it.
 
 The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
 ``metrics``) are read by one array tokenizer, ``Records``: each check runs
@@ -244,8 +244,8 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     if off.size:
         # the smallest half-edge off a triangle starts the first such face
         first = int(off[0])
-        face = face_cycle_from(emb, int(src[first]), int(src[nxt[first]]))
-        raise StructureError(f"face {canonical_cycle(face)} is not a triangle")
+        face = canonical_cycle(face_cycle_from(emb, int(src[first]), int(src[nxt[first]])))
+        raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
     lead = np.flatnonzero((h < nxt) & (h < nxt2))
     verts = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
     shift = np.argmin(verts, axis=1)[:, None] + np.arange(3)
@@ -263,16 +263,16 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     return faces[~hit]
 
 
-@dataclass
+@dataclass(eq=False)
 class BuildSequence:
-    """Certificate that a graph is a planar 3-tree.
-
-    ``base`` is the initial triangle; ``steps`` lists, in insertion order,
-    each added vertex with the face triangle it was joined to.
+    """Certificate that a graph is a planar 3-tree: from the triangle
+    ``base``, step ``k`` joins vertex ``xs[k]`` to the face ``tris[k]``, in
+    int64 arrays (S,) and (S, 3).  ``==`` is identity, as the steps are arrays.
     """
 
     base: tuple[int, int, int]
-    steps: list[tuple[int, tuple[int, int, int]]]
+    xs: np.ndarray
+    tris: np.ndarray
 
 
 def verify_planar_3tree(
@@ -281,14 +281,21 @@ def verify_planar_3tree(
     """Verify that ``graph`` is a planar 3-tree; return its build sequence.
 
     Runs greedy simplicial elimination (remove a degree-3 vertex whose
-    neighborhood is a triangle, smallest vertex first) on CSR neighbour
-    lists and integer degree counters, and then checks the reversed
-    sequence with the array kernel ``_check_build_sequence``: every step
-    must insert its vertex into a face of the partial embedding (the bare
-    base triangle bounds two), which certifies planarity.  When ``keep``
-    is given, those three mutually adjacent vertices are never eliminated, so
-    the returned sequence is rooted at that triangle.
+    neighborhood is a triangle, smallest vertex first) and then checks the
+    reversed sequence with the array kernel ``_check_build_sequence``: every
+    step must insert its vertex into a face of the partial embedding (the
+    bare base triangle bounds two), which certifies planarity.  When
+    ``keep`` is given, those three mutually adjacent vertices are never
+    eliminated, so the returned sequence is rooted at that triangle.
     """
+    seq = _eliminate(graph, keep)
+    _check_planarity(seq, graph.n)
+    return seq
+
+
+def _eliminate(graph: LabeledGraph, keep: tuple[int, int, int] | None) -> BuildSequence:
+    """``verify_planar_3tree``'s elimination, on CSR neighbour lists and
+    integer degree counters: its build sequence, with faces not checked yet."""
     n = graph.n
     if n < 3:
         raise NotPlanar3TreeError(f"need at least 3 vertices, got {n}")
@@ -323,7 +330,7 @@ def verify_planar_3tree(
     # accepted, and their order, are those of a probe after every removal.
     heap = [v for v in np.flatnonzero(counts == 3).tolist() if v not in protected]
     heapq.heapify(heap)
-    removed: list[tuple[int, tuple[int, int, int]]] = []
+    removed: list[int] = []  # each removed vertex, then its sorted triangle
     while remaining > 3 and heap:
         v = heapq.heappop(heap)
         if deg[v] != 3:
@@ -331,7 +338,7 @@ def verify_planar_3tree(
         a, b, c = sorted(u for u in nbr[offset[v] : offset[v + 1]] if alive[u])
         if a * n + b not in edge_keys or a * n + c not in edge_keys or b * n + c not in edge_keys:
             continue
-        removed.append((v, (a, b, c)))
+        removed += v, a, b, c
         alive[v] = False
         remaining -= 1
         for u in (a, b, c):
@@ -350,9 +357,8 @@ def verify_planar_3tree(
     if keep is not None and set(base_vs) != protected:
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
 
-    seq = BuildSequence(base_vs, removed[::-1])
-    _check_planarity(seq, n)
-    return seq
+    steps = np.array(removed, dtype=np.int64).reshape(-1, 4)[::-1]
+    return BuildSequence(base_vs, steps[:, 0].copy(), steps[:, 1:].copy())
 
 
 _PLANARITY_ERRORS = {
@@ -369,16 +375,14 @@ def _check_planarity(seq: BuildSequence, n: int) -> None:
     the bare base triangle is a face."""
     check = _check_build_sequence(seq, n, base_uses=2)
     if check.bad >= 0:
-        x, tri = seq.steps[check.bad]
+        x, tri = int(seq.xs[check.bad]), tuple(seq.tris[check.bad].tolist())
         raise NotPlanar3TreeError(_PLANARITY_ERRORS[check.reason].format(x=x, tri=tri, n=n))
 
 
 @dataclass
 class _StepCheck:
-    """A build sequence as arrays, with the first step that fails."""
+    """The level of each step of a build sequence, and the first that fails."""
 
-    xs: np.ndarray  # (S,) inserted vertices
-    tris: np.ndarray  # (S, 3) their triangles
     level: np.ndarray  # (S,) one more than the deepest corner's level; the base is level 0
     bad: int  # the first failing step, -1 when every step passes
     reason: str  # "face", "range" or "placed" for the failing step, else ""
@@ -386,7 +390,7 @@ class _StepCheck:
 
 def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCheck:
     """Check each step of ``seq`` against the faces of the partial embedding,
-    with array operations only.
+    with array operations only, on the sequence's own arrays.
 
     A step fails with reason "face" when its triangle is not a face at that
     point, else "range" when it inserts a vertex outside ``0..n-1``, else
@@ -407,10 +411,9 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
     inserted its newest corner.  Those parent steps form a forest, and its
     depths come from pointer doubling.
     """
-    count = len(seq.steps)
+    xs, tris = seq.xs, seq.tris
+    count = xs.size
     step = np.arange(count)
-    xs = np.fromiter((x for x, _ in seq.steps), dtype=np.int64, count=count)
-    tris = np.array([tri for _, tri in seq.steps], dtype=np.int64).reshape(count, 3)
     x_in = (xs >= 0) & (xs < n)
     # the first step inserting each vertex: -1 for the base vertices, and
     # ``count`` for the rest and for the sentinel n standing in for every
@@ -452,7 +455,7 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
     while (below := np.flatnonzero(up >= 0)).size:
         level[below] += level[up[below]]
         up[below] = up[up[below]]
-    return _StepCheck(xs, tris, level, bad, reason)
+    return _StepCheck(level, bad, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -204,24 +204,24 @@ _REPLAY_ERRORS = {
 class _ReplayPlan:
     """A build sequence checked for replay, with its steps grouped by level.
 
-    Built once per (graph, embedding, sequence); ``place`` then draws any
-    number of centroid or jittered replays from it."""
+    Built once per (graph, embedding, sequence), on the sequence's own
+    arrays; ``place`` then draws any number of centroid or jittered replays."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence):
         if set(seq.base) != set(emb.outer_face):
             raise StructureError("build sequence is not rooted at the embedding's outer face")
         check = _check_build_sequence(seq, graph.n, base_uses=1)
         if check.bad >= 0:
-            x, tri = seq.steps[check.bad]
+            x, tri = int(seq.xs[check.bad]), tuple(seq.tris[check.bad].tolist())
             raise StructureError(_REPLAY_ERRORS[check.reason].format(x=x, tri=tri, n=graph.n))
         placed = np.zeros(graph.n, dtype=bool)
         placed[list(seq.base)] = True
-        placed[check.xs] = True
+        placed[seq.xs] = True
         if not placed.all():
             raise StructureError(f"replay: vertex {int(np.argmin(placed))} is never placed")
         self.n = graph.n
         self.outer_face = emb.outer_face
-        self.xs, self.tris = check.xs, check.tris
+        self.xs, self.tris = seq.xs, seq.tris
         by_level = np.argsort(check.level, kind="stable")
         self.levels = np.split(by_level, np.flatnonzero(np.diff(check.level[by_level])) + 1)
 
@@ -258,14 +258,14 @@ def layout_seed_any(
     face it creates).  The optimizer's jittered restarts come from the same
     replay plan (``_ReplayPlan.place`` with a generator).
 
-    The build sequence is checked by the array kernel
-    ``graphs._check_build_sequence``, which also gives each inserted vertex
-    its level, one more than the deepest vertex of its triangle.  Every step
-    must target a bounded face of the partial embedding, and every non-base
-    vertex must be inserted exactly once; otherwise a StructureError names
-    the first bad step or the first vertex never placed.  A level's vertices
-    depend only on lower levels, so each level is placed in one array
-    operation, bit for bit as a step-by-step replay would place them."""
+    The array kernel ``graphs._check_build_sequence`` checks the sequence's
+    own ``xs`` and ``tris`` and gives each inserted vertex its level, one
+    more than the deepest vertex of its triangle.  Every step must target a
+    bounded face of the partial embedding, and every non-base vertex must be
+    inserted exactly once; otherwise a StructureError names the first bad
+    step or the first vertex never placed.  A level's vertices depend only
+    on lower levels, so each level is placed in one array operation, bit for
+    bit as a step-by-step replay would place them."""
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
     return _ReplayPlan(graph, emb, seq).place()

@@ -43,7 +43,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import OptimizeResult as LbfgsbResult
@@ -55,9 +55,9 @@ from .graphs import (
     Embedding,
     LabeledGraph,
     StructureError,
+    _eliminate,
     max_degree,
     parse_numbers,
-    verify_planar_3tree,
 )
 from .layout import _ReplayPlan, layout_nested
 from .metrics import Triangulation
@@ -140,17 +140,12 @@ def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
     return np.arctan2(g, h), e1x, e1y, e2x, e2y, g, h
 
 
-def _logsumexp(a: np.ndarray):
+def _lse(a: np.ndarray):
     """``scipy.special.logsumexp(a)`` of a non-empty 1-D float array, bit for
     bit: scipy 1.17.1's algorithm without its array-API dispatch.  The tied
     maxima are taken out of the sum, and a non-finite result falls back to
-    ``log(sum(exp(a)))``.  It runs in ``_quiet``'s state."""
-    with _quiet():
-        return _lse(a)
-
-
-def _lse(a: np.ndarray):
-    """``_logsumexp`` in the caller's floating-point state."""
+    ``log(sum(exp(a)))``.  It runs in the caller's floating-point state,
+    ``_quiet``'s in the objective."""
     a_max = a.max()
     tied = a == a_max
     m = float(np.count_nonzero(tied))
@@ -416,7 +411,8 @@ def maximize_resolution(
     config = config or OptimizeConfig()
     config.validate()
     mesh = Triangulation(graph, emb)
-    replay = _ReplayPlan(graph, emb, verify_planar_3tree(graph, keep=emb.outer_face))
+    # the mesh proves the pair a plane triangulation: the replay plan's check suffices
+    replay = _ReplayPlan(graph, emb, _eliminate(graph, emb.outer_face))
     base = replay.place()
     pinned = np.array(base.T)
 
@@ -489,16 +485,14 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
         t0 = time.perf_counter()
         fam = build_family(spec)
         g, emb = fam.graph, fam.embedding
-        row_cfg = OptimizeConfig(**{**config.__dict__})
-        row_cfg.extra_seeds = list(config.extra_seeds) + [layout_nested(fam)]
+        row_cfg = replace(config, extra_seeds=list(config.extra_seeds) + [layout_nested(fam)])
         try:
             result = maximize_resolution(g, emb, row_cfg)
             best = result.resolution
             valid = sum(1 for t in result.traces if t.valid)
-        except OptimizeFailure as exc:
+        except OptimizeFailure:
             best = math.nan
             valid = 0
-            result = None
         records.append(
             SweepRecord(
                 family=spec.family,
@@ -573,7 +567,7 @@ class ExponentFit:
 
 def fit_exponent(records: list[SweepRecord], family: str, c: int | None) -> ExponentFit:
     """Least-squares fit of log(best resolution) against log(d) over the
-    records matching (family, c)."""
+    records matching (family, c), which must hold at least 2 distinct d."""
     pts = [
         r
         for r in records
@@ -581,8 +575,10 @@ def fit_exponent(records: list[SweepRecord], family: str, c: int | None) -> Expo
     ]
     if len(pts) < 3:
         raise ValueError(f"need >= 3 records for {family} c={c}, got {len(pts)}")
-    if any(r.best_resolution <= 0 for r in pts):
-        raise ValueError("all resolutions must be positive for a log-log fit")
+    if len({r.d for r in pts}) < 2:
+        raise ValueError(f"need >= 2 distinct d for {family} c={c}, got d={pts[0].d} only")
+    if not all(0 < r.best_resolution < math.inf for r in pts):
+        raise ValueError("all resolutions must be positive and finite for a log-log fit")
     x = np.log([r.d for r in pts])
     y = np.log([r.best_resolution for r in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -15,6 +15,7 @@ from angres.graphs import (
     StructureError,
     _check_planarity,
 )
+from planarity_oracle import sequence
 
 
 def verify_planar_3tree(
@@ -87,6 +88,6 @@ def verify_planar_3tree(
     if keep is not None and set(base_vs) != protected:
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
 
-    seq = BuildSequence(base_vs, removed[::-1])
+    seq = sequence(base_vs, removed[::-1])
     _check_planarity(seq, n)
     return seq

@@ -61,7 +61,7 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     faces = trace_faces(graph, rotation_rows(emb))
     for f in faces:
         if len(f) != 3:
-            raise StructureError(f"face {f} is not a triangle")
+            raise StructureError(f"face of length {len(f)} starting {f[:3]} is not a triangle")
     if not euler_check(graph, faces):
         raise StructureError(
             f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"

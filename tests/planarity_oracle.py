@@ -1,11 +1,28 @@
 """Reference implementation of the face check in
 ``angres.graphs.verify_planar_3tree``: the per-step replay that inserts each
 vertex into a rotation system and keeps the faces in a dictionary, used to
-check the array kernel ``graphs._check_build_sequence`` verdict for verdict."""
+check the array kernel ``graphs._check_build_sequence`` verdict for verdict;
+and the tests' helpers that write a build sequence and read its steps."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from angres.graphs import BuildSequence, LabeledGraph, NotPlanar3TreeError
+
+
+def sequence(base, steps) -> BuildSequence:
+    """The build sequence that inserts each ``(x, tri)`` of ``steps`` in turn
+    from the triangle ``base``, in the package's int64 arrays; the one way
+    the tests write a sequence by hand."""
+    xs = np.array([x for x, _ in steps], dtype=np.int64)
+    tris = np.array([tri for _, tri in steps], dtype=np.int64).reshape(-1, 3)
+    return BuildSequence(tuple(base), xs, tris)
+
+
+def step_list(seq: BuildSequence) -> list[tuple[int, tuple[int, int, int]]]:
+    """The steps of ``seq`` as ``(x, tri)`` pairs of Python ints."""
+    return list(zip(seq.xs.tolist(), map(tuple, seq.tris.tolist())))
 
 
 def _replay_planarity(graph: LabeledGraph, seq: BuildSequence) -> None:
@@ -17,7 +34,7 @@ def _replay_planarity(graph: LabeledGraph, seq: BuildSequence) -> None:
     faces: dict[frozenset[int], list[tuple[int, int, int]]] = {
         frozenset(seq.base): [(a, b, c), (a, c, b)]
     }
-    for x, tri in seq.steps:
+    for x, tri in step_list(seq):
         fs = frozenset(tri)
         avail = faces.get(fs)
         if not avail:

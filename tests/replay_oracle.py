@@ -8,6 +8,7 @@ import numpy as np
 
 from angres.graphs import BuildSequence, Embedding, LabeledGraph, StructureError, verify_planar_3tree
 from angres.layout import _ReplayPlan, outer_triangle_coords
+from planarity_oracle import step_list
 
 
 def layout_seed_any(
@@ -35,7 +36,7 @@ def layout_seed_any(
     for v, p in place.items():
         coords[v] = p
     faces: set[frozenset[int]] = {frozenset(seq.base)}
-    for x, tri in seq.steps:
+    for x, tri in step_list(seq):
         fs = frozenset(tri)
         if fs not in faces:
             raise StructureError(f"replay: {tri} is not a bounded face when inserting {x}")

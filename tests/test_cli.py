@@ -1,16 +1,23 @@
+import contextlib
+import io
 import math
+import os
 import re
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from angres.cli import main
-from angres.families import FamilySpec, build_family, build_Htilde
+from angres.cli import _parse_spec_file, main
+from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
-from angres.graphs import read_embedding, read_graph
+from angres.graphs import StructureError, read_embedding, read_graph
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import Triangulation, angular_resolution, read_drawing, write_drawing
-from angres.optimize import CSV_COLUMNS, SweepRecord, sweep_csv_text
+from angres.optimize import CSV_COLUMNS, SweepRecord, read_sweep_csv, sweep_csv_text
 
 
 def run(capsys, *argv):
@@ -334,6 +341,168 @@ class TestSweepFit:
             capsys, "sweep", "--spec", str(spec), "-o", str(tmp_path / "x.csv")
         )
         assert code == 1
+
+
+def _fails(kind):
+    """Whether a token does not parse as ``kind`` (int or float)."""
+
+    def check(token: str) -> bool:
+        try:
+            kind(token)
+        except ValueError:
+            return True
+        return False
+
+    return check
+
+
+def _spec_fails(family, c, d) -> bool:
+    try:
+        FamilySpec(family, c, d)
+    except ParameterError:
+        return True
+    return False
+
+
+# Malformed spec files and sweep CSVs, generated so that parsing always
+# fails: well-formed lines, then one bad line, then any text.  A token holds
+# no whitespace, no '#' (a spec comment) and no CSV syntax, and may be any
+# other printable character: int() reads some non-ASCII digits.
+TOKEN = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters='#,"'),
+    min_size=1,
+    max_size=6,
+)
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+SPEC_GAP = st.sampled_from([" ", "\t", "  ", "\x0c", "\x85", "\u2028", "\u3000"])
+GOOD_SPEC_LINE = st.one_of(
+    st.just(""),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")).map(
+        lambda t: "#" + t
+    ),
+    st.tuples(st.sampled_from(["g", "h", "htilde"]), st.integers(1, 9), st.integers(1, 64)).map(
+        lambda t: "%s %d %d # ok" % t
+    ),
+    st.integers(1, 64).map(lambda d: f"frame none {d}"),
+)
+
+
+@st.composite
+def bad_spec_line(draw) -> str:
+    """A spec line with the wrong field count, a c or d that is no int, or
+    a family, c and d that FamilySpec rejects."""
+    kind = draw(st.sampled_from(["fields", "c", "d", "spec"]))
+    if kind == "fields":
+        parts = draw(st.lists(TOKEN, min_size=1, max_size=6).filter(lambda p: len(p) != 3))
+    elif kind == "c":
+        bad_c = TOKEN.filter(lambda t: t not in ("-", "none") and _fails(int)(t))
+        parts = [draw(TOKEN), draw(bad_c), draw(TOKEN)]
+    elif kind == "d":
+        good_c = st.sampled_from(["-", "none", "3"])
+        parts = [draw(TOKEN), draw(good_c), draw(TOKEN.filter(_fails(int)))]
+    else:
+        family, c, d = draw(
+            st.tuples(
+                st.sampled_from(["frame", "g", "h", "htilde"]) | TOKEN,
+                st.none() | st.integers(-2, 3),
+                st.integers(-2, 3),
+            ).filter(lambda spec: _spec_fails(*spec))
+        )
+        parts = [family, "-" if c is None else str(c), str(d)]
+    gaps = draw(st.lists(SPEC_GAP, min_size=len(parts) + 1, max_size=len(parts) + 1))
+    return gaps[0] + "".join(p + g for p, g in zip(parts, gaps[1:])) + draw(
+        st.sampled_from(["", "#", "# note"])
+    )
+
+
+# a malformed spec file's text, and the line of its fault
+SPEC_TEXT = st.tuples(
+    st.lists(GOOD_SPEC_LINE, max_size=4), bad_spec_line(), ANY_TEXT,
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda t: (t[3].join(t[0] + [t[1]]) + t[3] + t[2], len(t[0]) + 1))
+
+
+ROW = st.builds(
+    SweepRecord, TOKEN, st.none() | st.integers(1, 9), st.integers(1, 64),
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 99), st.floats(),
+    st.integers(1, 16), st.integers(0, 16), st.integers(0, 2**31), st.floats(0, 100),
+)
+CSV_KINDS = [f.type for f in fields(SweepRecord)]  # "str", "int | None", "int" or "float"
+
+
+@st.composite
+def bad_csv_text(draw):
+    """A malformed sweep CSV's text, and the line of its fault (None for a
+    missing column): a header without one column, or a row with the wrong
+    field count or a field that is no number of its column's type."""
+    lines = sweep_csv_text(draw(st.lists(ROW, min_size=1, max_size=4))).split("\r\n")
+    kind = draw(st.sampled_from(["column", "count", "number"]))
+    at = draw(st.integers(1, len(lines) - 2)) if kind != "column" else 0
+    cells = lines[at].split(",")
+    if kind == "column":
+        cells[draw(st.integers(0, 10))] = draw(TOKEN.filter(lambda t: t not in CSV_COLUMNS))
+    elif kind == "count":
+        size = draw(st.integers(1, 14).filter(lambda k: k != 11))
+        cells = (cells + draw(st.lists(TOKEN, min_size=3, max_size=3)))[:size]
+    else:
+        j = draw(st.integers(1, 10))
+        cells[j] = draw(TOKEN.filter(_fails(float if CSV_KINDS[j] == "float" else int)))
+    lines[at] = ",".join(cells)
+    return "\r\n".join(lines) + draw(ANY_TEXT), at + 1 if at else None
+
+
+def _written(directory: str, name: str, text: str) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _main(*argv):
+    """main's exit code and stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue().splitlines()
+
+
+class TestMalformedInputFuzz:
+    """Every malformed spec file or sweep CSV raises one one-line error, at
+    its first bad line; the CLI exits 1 with that line alone on stderr.  No
+    generated input parses, so no optimizer run starts."""
+
+    @given(SPEC_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_spec_file(self, case):
+        text, line = case
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises((StructureError, ParameterError)) as exc:
+                _parse_spec_file(_written(tmp, "t.spec", text))
+        assert str(exc.value).startswith(f"line {line}: ")
+        assert len(str(exc.value).splitlines()) == 1
+
+    @given(bad_csv_text())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_csv(self, case):
+        text, line = case
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(StructureError) as exc:
+                read_sweep_csv(_written(tmp, "t.csv", text))
+        want = f"line {line}: " if line else "sweep CSV has no "
+        assert str(exc.value).startswith(want)
+        assert len(str(exc.value).splitlines()) == 1
+
+    @given(SPEC_TEXT, bad_csv_text())
+    @settings(max_examples=10, deadline=None)
+    def test_sweep_and_fit_exit_1_with_one_stderr_line(self, spec_case, csv_case):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = _written(tmp, "t.spec", spec_case[0])
+            out = os.path.join(tmp, "out.csv")
+            code, err = _main("sweep", "--spec", spec, "--restarts", "1", "-o", out)
+            assert (code, len(err)) == (1, 1) and err[0].startswith("error: line ")
+            assert not os.path.exists(out)
+            code, err = _main("fit", "--csv", _written(tmp, "t.csv", csv_case[0]), "--family", "g")
+            assert (code, len(err)) == (1, 1) and err[0].startswith("error: ")
 
 
 class TestLemmaFuzzCli:

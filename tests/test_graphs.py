@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     MAX_VERTICES,
-    BuildSequence,
     Embedding,
     LabeledGraph,
     NotPlanar3TreeError,
@@ -31,6 +30,7 @@ from face_oracle import internal_triangles as reference_triangles
 from face_oracle import rotation_rows
 from family_oracle import ORACLE_CASES
 from planarity_oracle import _replay_planarity as reference_planarity
+from planarity_oracle import sequence, step_list
 from replay_oracle import layout_seed_any as reference_seed_any
 from replay_oracle import replay
 
@@ -379,6 +379,20 @@ class TestFaceKernel:
         rng.shuffle(rotation[v])
         assert_matches_loop(g, Embedding.from_rows(rotation, emb.outer_face), rejected=None)
 
+    def test_long_face_is_named_in_one_short_line(self):
+        # shuffled rotation rows make faces of hundreds of vertices; the error
+        # names the first by its length and its first three vertices
+        fam = build_Htilde(2, 4)
+        rows = rotation_rows(fam.embedding)
+        rng = random.Random(0)
+        for v in rng.sample(range(len(rows)), 200):
+            rng.shuffle(rows[v])
+        emb = Embedding.from_rows(rows, fam.embedding.outer_face)
+        assert_matches_loop(fam.graph, emb, rejected=True)
+        with pytest.raises(StructureError) as exc:
+            internal_triangles(fam.graph, emb)
+        assert str(exc.value) == "face of length 186 starting (0, 67, 4) is not a triangle"
+
     def test_euler_failure_matches_the_loop(self):
         assert_matches_loop(*k7_on_the_torus(), rejected=True)
 
@@ -411,7 +425,7 @@ class TestVerify3Tree:
     def test_k4_verifies(self):
         g, _ = k4()
         seq = verify_planar_3tree(g)
-        assert len(seq.steps) == 1
+        assert (seq.xs.shape, seq.tris.shape) == ((1,), (1, 3))
 
     @given(st.integers(0, 10_000), st.integers(0, 50))
     @settings(max_examples=30, deadline=None)
@@ -420,7 +434,8 @@ class TestVerify3Tree:
         seq = verify_planar_3tree(g, keep=emb.outer_face)
         assert set(seq.base) == set(emb.outer_face)
         a, b, c = seq.base
-        rebuilt = [(a, b), (b, c), (a, c)] + [(t, x) for x, tri in seq.steps for t in tri]
+        joins = np.stack([np.repeat(seq.xs, 3), seq.tris.ravel()], axis=1)
+        rebuilt = np.vstack([[(a, b), (b, c), (a, c)], joins])
         assert np.array_equal(LabeledGraph(g.n, rebuilt).edges, g.edges)
 
     def test_octahedron_rejected(self):
@@ -457,12 +472,15 @@ def octahedron():
 
 
 def verify_outcome(fn, graph, keep=None):
-    """The repr of the build sequence ``fn`` returns (so int types count),
-    or the type and message of the StructureError it raises."""
+    """The build sequence ``fn`` returns, as the repr of its base (so int
+    types count) and its arrays' dtypes, shapes and bytes; or the type and
+    message of the StructureError it raises."""
     try:
-        return repr(fn(graph, keep))
+        seq = fn(graph, keep)
     except StructureError as exc:
         return type(exc).__name__, str(exc)
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (seq.xs, seq.tris)]
+    return type(seq).__name__, repr(seq.base), *arrays
 
 
 class TestEliminationAgainstOracle:
@@ -476,7 +494,7 @@ class TestEliminationAgainstOracle:
         for keep in (None, fam.embedding.outer_face):
             got = verify_outcome(verify_planar_3tree, fam.graph, keep)
             assert got == verify_outcome(reference_verify, fam.graph, keep)
-            assert got.startswith("BuildSequence(")
+            assert got[0] == "BuildSequence"
 
     @given(st.integers(0, 10_000), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
@@ -528,7 +546,7 @@ def grown_sequence(rng, steps, base_uses):
         out.append((x, tuple(rng.sample(tri, 3))))
         a, b, c = tri
         faces += [(a, b, x), (b, c, x), (a, c, x)]
-    return steps + 3, BuildSequence(base, out)
+    return steps + 3, sequence(base, out)
 
 
 MUTATIONS = [
@@ -540,7 +558,7 @@ MUTATIONS = [
 
 def mutate(rng, n, seq, kind, base_uses):
     """``seq`` with one defect of the given kind; returns (n, sequence)."""
-    steps = list(seq.steps)
+    steps = step_list(seq)
     k = rng.randrange(len(steps)) if steps else 0
     if kind == "empty":
         steps = []
@@ -578,7 +596,7 @@ def mutate(rng, n, seq, kind, base_uses):
         n += len(extra)
     elif kind == "drop":
         del steps[k]
-    return n, BuildSequence(seq.base, steps)
+    return n, sequence(seq.base, steps)
 
 
 def loop_verdict(run_loop, seq, n, error, messages):
@@ -587,9 +605,10 @@ def loop_verdict(run_loop, seq, n, error, messages):
     inserts a vertex out of range or one already placed, with ``messages``
     in the type ``error``, else None; the vertices placed before that)."""
     placed = set(seq.base)
-    for k, (x, tri) in enumerate(seq.steps):
+    done = step_list(seq)
+    for k, (x, tri) in enumerate(done):
         try:
-            run_loop(BuildSequence(seq.base, seq.steps[: k + 1]))
+            run_loop(sequence(seq.base, done[: k + 1]))
         except StructureError as exc:
             return (type(exc).__name__, str(exc)), placed
         except IndexError:
@@ -652,11 +671,9 @@ class TestSequenceKernel:
         check = _check_build_sequence(seq, n, base_uses)
         assert (check.bad, check.reason) == (-1, "")
         level = dict.fromkeys(seq.base, 0)
-        for x, (a, b, c) in seq.steps:
+        for x, (a, b, c) in step_list(seq):
             level[x] = 1 + max(level[a], level[b], level[c])
-        assert check.level.tolist() == [level[x] for x, _ in seq.steps]
-        assert check.xs.tolist() == [x for x, _ in seq.steps]
-        assert check.tris.tolist() == [list(tri) for _, tri in seq.steps]
+        assert check.level.tolist() == [level[x] for x in seq.xs.tolist()]
 
 
 class TestSerialization:

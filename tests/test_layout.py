@@ -14,7 +14,7 @@ from angres.families import (
     build_H,
     build_Htilde,
 )
-from angres.graphs import BuildSequence, Embedding, StructureError, verify_planar_3tree
+from angres.graphs import Embedding, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
@@ -27,6 +27,7 @@ from angres.layout import (
 from angres.metrics import angular_resolution, validate_drawing
 import nested_oracle
 from family_oracle import ORACLE_CASES, oracle_family
+from planarity_oracle import sequence, step_list
 from replay_oracle import layout_seed_any as reference_seed_any
 from replay_oracle import replay
 
@@ -219,12 +220,13 @@ class TestSeedAnyKernel:
     def test_invalid_steps_match_the_loop(self):
         fam = build_Htilde(1, 3)
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
-        (x0, tri0), (x1, tri1) = seq.steps[:2]
+        steps = step_list(seq)
+        (x0, tri0), (x1, tri1) = steps[:2]
         a, b, _ = seq.base
         bad = [
-            BuildSequence(seq.base, [(x1, tri1)] + seq.steps[2:]),  # a face not made yet
-            BuildSequence(seq.base, [(x0, tri0), (x1, tri0)] + seq.steps[2:]),  # a used face
-            BuildSequence((a, b, x0), seq.steps),  # not rooted at the outer face
+            sequence(seq.base, [(x1, tri1)] + steps[2:]),  # a face not made yet
+            sequence(seq.base, [(x0, tri0), (x1, tri0)] + steps[2:]),  # a used face
+            sequence((a, b, x0), steps),  # not rooted at the outer face
         ]
         for s in bad:
             for rng_seed in (None, 3):
@@ -237,8 +239,8 @@ class TestSeedAnyKernel:
         # silently moved a re-inserted vertex
         fam = build_Htilde(1, 3)
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
-        x0, tri0 = seq.steps[0]
-        again = BuildSequence(seq.base, [(x0, tri0), (x0, (tri0[0], tri0[1], x0))])
+        x0, tri0 = step_list(seq)[0]
+        again = sequence(seq.base, [(x0, tri0), (x0, (tri0[0], tri0[1], x0))])
         with pytest.raises(StructureError, match=f"vertex {x0} is already placed"):
             layout_seed_any(fam.graph, fam.embedding, again)
 
@@ -248,8 +250,8 @@ class TestSeedAnyKernel:
         # IndexError for 43 and above
         fam = build_Htilde(1, 2)
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
-        last, tri = seq.steps[-1]
-        bad = BuildSequence(seq.base, seq.steps[:-1] + [(x, tri)])
+        steps = step_list(seq)
+        bad = sequence(seq.base, steps[:-1] + [(x, steps[-1][1])])
         with pytest.raises(StructureError) as exc:
             layout_seed_any(fam.graph, fam.embedding, bad)
         assert str(exc.value) == f"replay: inserted vertex {x} is out of range for 43 vertices"
@@ -258,10 +260,10 @@ class TestSeedAnyKernel:
         # the step loop left such a vertex at the origin
         fam = build_Htilde(1, 2)
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
-        short = BuildSequence(seq.base, seq.steps[:-1])
+        short = sequence(seq.base, step_list(seq)[:-1])
         with pytest.raises(StructureError) as exc:
             layout_seed_any(fam.graph, fam.embedding, short)
-        assert str(exc.value) == f"replay: vertex {seq.steps[-1][0]} is never placed"
+        assert str(exc.value) == f"replay: vertex {seq.xs[-1]} is never placed"
 
 
 class TestNestedAgainstOracle:

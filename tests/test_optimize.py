@@ -9,9 +9,9 @@ from scipy.special import logsumexp
 
 import lbfgsb_oracle
 import objective_oracle
-from angres import optimize
+from angres import graphs, layout, optimize
 from angres.families import FamilySpec, build_frame, build_G, build_Htilde
-from angres.graphs import Embedding, LabeledGraph, StructureError
+from angres.graphs import Embedding, LabeledGraph, NotPlanar3TreeError, StructureError
 from angres.layout import layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import Triangulation, angular_resolution, validate_drawing
 from angres.optimize import (
@@ -27,7 +27,7 @@ from angres.optimize import (
     sweep_csv_text,
     write_sweep_csv,
 )
-from angres.optimize import _logsumexp, _objective
+from angres.optimize import _lse, _objective, _quiet
 
 FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
@@ -221,7 +221,9 @@ class TestObjectiveOracle:
         a = np.array(a)
         with np.errstate(over="ignore"):  # scipy's a - max(a) overflows on [1e308, -1e308]
             want = logsumexp(a)
-        assert _bits(_logsumexp(a)) == _bits(want)
+        with _quiet():
+            got = _lse(a)
+        assert _bits(got) == _bits(want)
 
     def test_logsumexp_matches_scipy_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -229,7 +231,9 @@ class TestObjectiveOracle:
             for spread in [1e-3, 1.0, 1e3, 1e7]:
                 a = rng.normal(0.0, spread, size)
                 a[rng.integers(size, size=size // 3)] = a.max()  # tied maxima
-                assert _bits(_logsumexp(a)) == _bits(logsumexp(a))
+                with _quiet():
+                    got = _lse(a)
+                assert _bits(got) == _bits(logsumexp(a))
 
 
 class TestMinimize:
@@ -351,6 +355,35 @@ class TestMaximize:
         assert not traces[2].valid and math.isnan(traces[2].start_resolution)
         for t in (traces[0], traces[1], traces[3]):
             assert t.valid and t.resolution >= t.start_resolution > 0.0
+
+    def test_checks_the_build_sequence_once(self, monkeypatch):
+        # the compiled Triangulation proves the pair a plane triangulation,
+        # so the elimination's sequence goes straight to the replay plan,
+        # whose bounded-face check (base_uses=1) is the only one
+        calls = []
+        check = graphs._check_build_sequence
+
+        def counted(seq, n, base_uses):
+            calls.append(base_uses)
+            return check(seq, n, base_uses)
+
+        for module in (graphs, layout):
+            monkeypatch.setattr(module, "_check_build_sequence", counted)
+        fam = build_Htilde(1, 2)
+        maximize_resolution(fam.graph, fam.embedding, OptimizeConfig(restarts=2, max_iters=10))
+        assert calls == [1]
+
+    def test_triangulation_that_is_no_3tree_fails_as_verification(self):
+        g = LabeledGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1),
+                             (1, 5), (2, 5), (3, 5), (4, 5)])  # the octahedron
+        rows = [[2, 3, 4, 1], [0, 4, 5, 2], [1, 5, 3, 0], [4, 0, 2, 5], [0, 3, 5, 1], [4, 3, 2, 1]]
+        emb = Embedding.from_rows(rows, (0, 2, 1))
+        assert Triangulation(g, emb).faces.shape == (7, 3)
+        with pytest.raises(NotPlanar3TreeError) as want:
+            graphs.verify_planar_3tree(g, keep=emb.outer_face)
+        with pytest.raises(NotPlanar3TreeError) as got:
+            maximize_resolution(g, emb, FAST)
+        assert str(got.value) == str(want.value)
 
     def test_deep_trace_records_abnormal_stages(self):
         """On htilde(2,16) every stage of the nested start exits ABNORMAL
@@ -503,6 +536,17 @@ class TestFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_exponent(self._records(lambda d: 1.0 / d, ds=(2, 4)), "htilde", 2)
+        # three rows at one d leave the slope undetermined
+        with pytest.raises(ValueError) as exc:
+            fit_exponent(self._records(lambda d: 1.0 / d, ds=(4, 4, 4)), "htilde", 2)
+        assert str(exc.value) == "need >= 2 distinct d for htilde c=2, got d=4 only"
+
+    def test_non_positive_or_infinite_resolution(self):
+        for bad in (0.0, -0.5, math.inf):
+            records = self._records(lambda d: bad if d == 4 else 1.0 / d)
+            with pytest.raises(ValueError) as exc:
+                fit_exponent(records, "htilde", 2)
+            assert str(exc.value) == "all resolutions must be positive and finite for a log-log fit"
 
     def test_filter_mismatch(self):
         with pytest.raises(ValueError):
