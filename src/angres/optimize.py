@@ -25,7 +25,9 @@ Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
 memo, counts and messages, so every stage ends at the same point bit for
-bit, without the wrapper's copies and checks on every evaluation.
+bit, without the wrapper's copies and checks on every evaluation.  Only
+scipy's compiled ``_lbfgsb`` extension is loaded, by itself: importing
+``scipy.optimize`` for it took 0.56 of the 0.63 s of ``import angres``.
 The outer triangle stays pinned.  For a triangulation whose outer triangle
 is clockwise, internal faces that are all counterclockwise prove that the
 drawing realizes the embedding, so a start or a result counts only after
@@ -40,27 +42,59 @@ are phrased as trends and thresholds, never as equalities with an optimum.
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
 import io
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import OptimizeResult as LbfgsbResult
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .families import FamilySpec, build_family
-from .graphs import (
-    Embedding,
-    LabeledGraph,
-    StructureError,
-    _eliminate,
-    max_degree,
-    parse_numbers,
-)
+from .graphs import Embedding, LabeledGraph, StructureError, _eliminate, max_degree, parse_numbers
 from .layout import _ReplayPlan, layout_nested
 from .metrics import Triangulation
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B extension, loaded alone (see the module
+    docstring) under its own name, so a later ``import scipy.optimize``
+    reuses it."""
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = (scipy_spec and scipy_spec.submodule_search_locations) or []
+    folders = [os.path.join(root, "optimize") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec(name, folders)
+    if spec is None:
+        raise ImportError("angres.optimize needs scipy>=1.15 for its compiled setulb")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+setulb = _load_lbfgsb().setulb
+# scipy 1.17.1's names of setulb's task codes, from scipy.optimize._lbfgsb_py
+status_messages = {
+    0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE", 5: "STOP", 6: "WARNING",
+    7: "ERROR", 8: "ABNORMAL",
+}
+task_messages = {
+    0: "", 301: "", 302: "", 401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH", 501: "CPU EXCEEDING THE TIME LIMIT",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT", 505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX", 603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED", 701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0",
+    704: "GTOL < 0", 705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX",
+    708: "STPMIN < 0", 709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0",
+    712: "N <= 0", 713: "INVALID NBD",
+}
 
 # The continuation schedule of every restart: the orientation penalty's
 # weight grows PENALTY_GROWTH-fold per stage; stage s may spend
@@ -117,6 +151,17 @@ class RestartTrace:
     # one (message, nit, nfev) per L-BFGS-B stage; empty when the start was
     # discarded or no vertex is free
     stages: list[tuple[str, int, int]] = field(default_factory=list)
+
+
+@dataclass
+class LbfgsbResult:
+    """What ``minimize`` returns: scipy's ``OptimizeResult`` fields it uses."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    message: str
 
 
 @dataclass
@@ -295,9 +340,10 @@ def minimize(fun, x0, args, maxiter):
     it counts an iteration at each new iterate and stops at ``maxiter`` of
     them, or once more than 15000 evaluations were made.  Unlike scipy it
     hands ``fun`` the live iterate, which ``fun`` must neither change nor
-    keep, and copies nothing else per evaluation.  The result's ``fun`` is
-    the last value evaluated: after an ``ABNORMAL`` exit, that of a rejected
-    trial point, not of ``x``."""
+    keep, and copies nothing else per evaluation.  It returns the local
+    ``LbfgsbResult``, as ``scipy.optimize`` is never imported (see the
+    module docstring).  The result's ``fun`` is the last value evaluated:
+    after an ``ABNORMAL`` exit, that of a rejected trial point, not of ``x``."""
     m, maxfun, maxls = 10, 15000, 20
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size
@@ -545,16 +591,19 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
     out = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, [])
-        missing = [name for name in CSV_COLUMNS if name not in header]
-        if missing:
-            raise StructureError(f"sweep CSV has no {missing[0]!r} column")
-        at = [(f.name, header.index(f.name), f.type) for f in fields(SweepRecord)]
-        for row in filter(None, rows):
-            lineno = rows.line_num
-            if len(row) != len(header):
-                raise StructureError(f"line {lineno}: {len(row)} fields, expected {len(header)}")
-            out.append(SweepRecord(**{f: _csv_value(lineno, row[i], t) for f, i, t in at}))
+        try:
+            header = next(rows, [])
+            missing = [name for name in CSV_COLUMNS if name not in header]
+            if missing:
+                raise StructureError(f"sweep CSV has no {missing[0]!r} column")
+            at = [(f.name, header.index(f.name), f.type) for f in fields(SweepRecord)]
+            for row in filter(None, rows):
+                n = rows.line_num
+                if len(row) != len(header):
+                    raise StructureError(f"line {n}: {len(row)} fields, expected {len(header)}")
+                out.append(SweepRecord(**{f: _csv_value(n, row[i], t) for f, i, t in at}))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise StructureError(f"line {rows.line_num}: {exc}") from None
     return out
 
 

@@ -322,8 +322,10 @@ class TestSweepFit:
             (lambda t: t.replace(",4,", ",", 1), "line 2: 10 fields, expected 11"),
             (lambda t: t.replace(",4,", ",four,", 1),
              "line 2: invalid literal for int() with base 10: 'four'"),
+            (lambda t: t + "x" * 200_000 + "\r\n",
+             "line 5: field larger than field limit (131072)"),
         ],
-        ids=["missing-column", "short-row", "not-a-number"],
+        ids=["missing-column", "short-row", "not-a-number", "huge-field"],
     )
     def test_fit_malformed_csv_one_line_error(self, tmp_path, capsys, edit, message):
         rows = [SweepRecord("frame", None, d, 2 * d + 1, 6 * d - 3, 2 * d, 1.0 / d, 2, 2, 1, 0.5)

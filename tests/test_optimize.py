@@ -2,6 +2,9 @@ import csv
 import functools
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +301,51 @@ class TestMinimize:
         nits = [n for m, n in stages if m == message]
         assert nits and (nit is None or nit in nits)
 
+    def test_message_tables_match_scipy(self):
+        # every stop code, not just the three the stages above reach: a scipy
+        # release that renames one fails here, not in RestartTrace.stages
+        from scipy.optimize import _lbfgsb_py
+
+        assert optimize.status_messages == _lbfgsb_py.status_messages
+        assert optimize.task_messages == _lbfgsb_py.task_messages
+
+
+# Each runs in a fresh interpreter, since this one has imported scipy.optimize
+# through the oracles.  ``out`` is a scratch directory.
+SHARED_LBFGSB = """
+import numpy as np
+lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
+assert angres.optimize.setulb is lbfgsb.setulb
+assert scipy.optimize._lbfgsb_py._lbfgsb is lbfgsb
+res = scipy.optimize.minimize(lambda x: (x @ x, 2 * x), np.ones(3), jac=True, method="L-BFGS-B")
+assert res.success and np.abs(res.x).max() < 1e-6, res
+"""
+COLD_START = {
+    "no-scipy-optimize": """
+import angres, angres.cli
+from angres import cli
+assert cli.main(["gen", "--family", "htilde", "--c", "1", "--d", "2",
+                 "-o", os.path.join(out, "h.graph")]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+assert loaded == ["scipy.optimize._lbfgsb"], loaded
+""",
+    "angres-first": "import angres.optimize, scipy.optimize\n" + SHARED_LBFGSB,
+    "scipy-first": "import scipy.optimize, angres.optimize\n" + SHARED_LBFGSB,
+}
+
+
+@pytest.mark.parametrize("script", COLD_START.values(), ids=COLD_START.keys())
+def test_cold_start_loads_only_lbfgsb(tmp_path, script):
+    """``angres`` loads scipy's compiled L-BFGS-B extension without
+    ``scipy.optimize``, and shares it with a ``scipy.optimize`` imported
+    before or after."""
+    src = os.path.dirname(os.path.dirname(optimize.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"import os, sys\nout = {str(tmp_path)!r}\n" + script
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
 
 class TestMaximize:
     def test_triangle_optimum(self):
@@ -507,8 +555,11 @@ class TestSweepCsv:
              "line 4: invalid literal for int() with base 10: '3e4'"),
             (lambda t: t.replace(",0.5,", ",half,", 1),
              "line 2: could not convert string to float: 'half'"),
+            (lambda t: t + "x" * 200_000 + "\r\n",
+             "line 5: field larger than field limit (131072)"),
         ],
-        ids=["missing-column", "empty", "short-row", "long-row", "bad-int", "bad-float"],
+        ids=["missing-column", "empty", "short-row", "long-row", "bad-int", "bad-float",
+             "huge-field"],
     )
     def test_malformed_csv_one_line_error(self, tmp_path, edit, message):
         path = tmp_path / "bad.csv"
