@@ -38,7 +38,6 @@ from .graphs import (
 from .layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
-    LayoutConfig,
     layout_frame_fan,
     layout_nested,
     layout_seed_any,

@@ -24,7 +24,7 @@ from .graphs import (
     write_embedding,
     write_graph,
 )
-from .layout import LayoutConfig, layout_nested
+from .layout import layout_nested
 from .metrics import Triangulation, angular_resolution, read_drawing, write_drawing
 from .optimize import (
     OptimizeConfig,
@@ -53,6 +53,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _read(path: str, reader):
+    """``reader`` applied to the text of the file at ``path``."""
+    with open(path) as fh:
+        return reader(fh.read())
+
+
 def _emb_path(graph_path: str) -> str:
     stem, _ = os.path.splitext(graph_path)
     return stem + ".emb"
@@ -67,6 +73,10 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, c, args.d)
 
 
+def _config_from_args(args) -> OptimizeConfig:
+    return OptimizeConfig(restarts=args.restarts, seed=args.seed, max_iters=args.max_iter)
+
+
 def _cmd_gen(args) -> int:
     spec = _spec_from_args(args)
     print(f"gen: family={spec.family} c={spec.c} d={spec.d} out={args.output}")
@@ -78,38 +88,27 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_layout(args) -> int:
-    cfg = LayoutConfig(apex_angle=args.apex, ring_ratio=args.ratio)
     spec = _spec_from_args(args)
-    print(
-        f"layout: family={spec.family} c={spec.c} d={spec.d} "
-        f"apex={cfg.apex_angle} ratio={cfg.ring_ratio} out={args.output}"
-    )
+    print(f"layout: family={spec.family} c={spec.c} d={spec.d} out={args.output}")
     fam = build_family(spec)
-    coords = layout_nested(fam, cfg)
+    coords = layout_nested(fam)
     mesh = Triangulation(fam.graph, fam.embedding)
     viols = mesh.violations(coords)
     if viols:
         print(f"layout invalid: {viols[0]}", file=sys.stderr)
         return 1
     _atomic_write(args.output, write_drawing(coords))
-    if args.graph_out:
-        _atomic_write(args.graph_out, write_graph(fam.graph))
-        _atomic_write(_emb_path(args.graph_out), write_embedding(fam.embedding))
     print(f"resolution {mesh.resolution(coords)!r}")
     return 0
 
 
 def _cmd_measure(args) -> int:
     print(f"measure: graph={args.graph} drawing={args.drawing}")
-    with open(args.graph) as fh:
-        graph = read_graph(fh.read())
-    with open(args.drawing) as fh:
-        coords = read_drawing(fh.read())
+    graph = _read(args.graph, read_graph)
+    coords = _read(args.drawing, read_drawing)
     emb_file = args.emb or (_emb_path(args.graph) if os.path.exists(_emb_path(args.graph)) else None)
     if emb_file:
-        with open(emb_file) as fh:
-            emb = read_embedding(fh.read())
-        mesh = Triangulation(graph, emb)
+        mesh = Triangulation(graph, _read(emb_file, read_embedding))
         viols = mesh.violations(coords)
         if viols:
             print(f"invalid drawing: {viols[0]}", file=sys.stderr)
@@ -123,15 +122,13 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = OptimizeConfig(restarts=args.restarts, seed=args.seed, max_iters=args.max_iter)
+    cfg = _config_from_args(args)
     print(
         f"optimize: graph={args.graph} emb={args.embedding} restarts={cfg.restarts} "
         f"seed={cfg.seed} max_iters={cfg.max_iters} out={args.output}"
     )
-    with open(args.graph) as fh:
-        graph = read_graph(fh.read())
-    with open(args.embedding) as fh:
-        emb = read_embedding(fh.read())
+    graph = _read(args.graph, read_graph)
+    emb = _read(args.embedding, read_embedding)
     try:
         result = maximize_resolution(graph, emb, cfg)
     except (OptimizeFailure, StructureError) as exc:
@@ -166,7 +163,7 @@ def _parse_spec_file(path: str) -> list[FamilySpec]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = OptimizeConfig(restarts=args.restarts, seed=args.seed, max_iters=args.max_iter)
+    cfg = _config_from_args(args)
     print(
         f"sweep: spec={args.spec} restarts={cfg.restarts} seed={cfg.seed} "
         f"max_iters={cfg.max_iters} out={args.output}"
@@ -201,12 +198,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_export_svg(args) -> int:
     print(f"export-svg: graph={args.graph} emb={args.embedding} drawing={args.drawing}")
-    with open(args.graph) as fh:
-        graph = read_graph(fh.read())
-    with open(args.embedding) as fh:
-        emb = read_embedding(fh.read())
-    with open(args.drawing) as fh:
-        coords = read_drawing(fh.read())
+    graph = _read(args.graph, read_graph)
+    emb = _read(args.embedding, read_embedding)
+    coords = _read(args.drawing, read_drawing)
     try:
         doc = export_svg(graph, emb, coords)
     except InvalidDrawingError as exc:
@@ -223,6 +217,13 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
 
 
+def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
+    defaults = OptimizeConfig()
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iters)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="angres", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -234,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layout", help="constructive drawing of a family")
     _add_family_flags(p)
-    p.add_argument("--apex", type=float, default=LayoutConfig().apex_angle)
-    p.add_argument("--ratio", type=float, default=LayoutConfig().ring_ratio)
-    p.add_argument("--graph-out", default=None, help="also write graph + embedding files")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_layout)
 
@@ -249,17 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize resolution for a fixed embedding")
     p.add_argument("graph")
     p.add_argument("embedding")
-    p.add_argument("--restarts", type=int, default=OptimizeConfig().restarts)
-    p.add_argument("--seed", type=int, default=OptimizeConfig().seed)
-    p.add_argument("--max-iter", type=int, default=OptimizeConfig().max_iters)
+    _add_optimizer_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="optimize a list of family specs into a CSV")
     p.add_argument("--spec", required=True, help="file of lines: family c d ('-' for no c)")
-    p.add_argument("--restarts", type=int, default=OptimizeConfig().restarts)
-    p.add_argument("--seed", type=int, default=OptimizeConfig().seed)
-    p.add_argument("--max-iter", type=int, default=OptimizeConfig().max_iters)
+    _add_optimizer_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -215,11 +215,12 @@ def vertex_count_G(c: int, d: int) -> int:
 def build_G(c: int, d: int) -> Family:
     """G^(c)_d: the (d+1)-frame with, for c >= 2, copies of G^(c-1)_d glued
     into the faces (w, v_k, v_{k+1}) rooted at v_{k+1} and
-    (v_{k+1}, u_{k+1}, v_k) rooted at u_{k+1}, for k = 1..d-1."""
+    (v_{k+1}, u_{k+1}, v_k) rooted at u_{k+1}, for k = 1..d-1.  With d = 1
+    there are no such faces, so G^(c)_1 is the 2-frame for every c."""
     if c < 1 or d < 1:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     host = build_frame(d + 1)
-    if c == 1:
+    if c == 1 or d == 1:
         return host
     sub = build_G(c - 1, d)
     roles = host.roles

@@ -2,10 +2,12 @@
 and a centroid-replay seed drawing for any planar 3-tree.
 
 The fan rule spreads the two chains of a frame over equal angular increments
-at the root, with geometrically growing radii per ring.  Its resolution floor
-``resolution * d >= FAN_RESOLUTION_FLOOR`` (and the analogous floor for the
-three-level assembly) is an artifact of this layout, measured once by
-``scripts/calibrate_fan_floor.py`` and frozen here.
+of ``APEX_ANGLE`` at the root, ring k at radius ``RING_RATIO**k``.  The
+geometry is fixed: its resolution floor ``resolution * d >=
+FAN_RESOLUTION_FLOOR`` (and the analogous floor for the three-level
+assembly) is an artifact of this layout, measured once by
+``scripts/calibrate_fan_floor.py`` and frozen here, so the floors hold for
+every drawing the package makes.
 
 ``layout_nested`` composes the glued copies' vertex maps as int64 arrays and
 places all rings of a frame with one array assignment per chain.  The ring
@@ -16,11 +18,10 @@ placement, so the coordinates equal it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Family, ParameterError, build_frame
+from .families import Family, build_frame
 from .graphs import (
     BuildSequence,
     Embedding,
@@ -30,29 +31,21 @@ from .graphs import (
     verify_planar_3tree,
 )
 
-# Frozen floors for resolution * d, calibrated over d = 1..128 (frame fan,
-# measured 0.4905) and d = 1..64 (three-level assembly, measured 0.005885)
-# with the default config; see scripts/calibrate_fan_floor.py.
+# The fan's root angle and the radius ratio between its rings.
+APEX_ANGLE = math.pi / 3.0
+RING_RATIO = 2.0
+
+# Frozen floors for resolution * d at this geometry, calibrated over
+# d = 1..128 (frame fan, measured 0.4905) and d = 1..64 (three-level
+# assembly, measured 0.005885); see scripts/calibrate_fan_floor.py.
 FAN_RESOLUTION_FLOOR = 0.45
 HTILDE1_RESOLUTION_FLOOR = 0.0055
 
 
-@dataclass
-class LayoutConfig:
-    apex_angle: float = math.pi / 3.0
-    ring_ratio: float = 2.0
-
-    def validate(self) -> None:
-        if not 0.0 < self.apex_angle < math.pi:
-            raise ParameterError(f"apex_angle must be in (0, pi), got {self.apex_angle}")
-        if not self.ring_ratio > 1.0:
-            raise ParameterError(f"ring_ratio must be > 1, got {self.ring_ratio}")
-
-
-def layout_frame_fan(d: int, config: LayoutConfig | None = None) -> tuple[Family, np.ndarray]:
+def layout_frame_fan(d: int) -> tuple[Family, np.ndarray]:
     """The d-frame with its fan drawing (``layout_nested`` of ``build_frame(d)``)."""
     fam = build_frame(d)
-    return fam, layout_nested(fam, config)
+    return fam, layout_nested(fam)
 
 
 def _fan_into_corner(
@@ -62,8 +55,7 @@ def _fan_into_corner(
     root: np.ndarray,
     corner_u: np.ndarray,
     corner_v: np.ndarray,
-    ring_ratio: float,
-    span: float = 6.0,
+    span: float,
 ) -> None:
     """Place the interior rings of a (d+1)-frame whose root sits at ``root``
     and whose outermost ring coincides with the triangle corners.
@@ -94,7 +86,7 @@ def _fan_into_corner(
     # Ring d keeps a fixed fraction of the corner scale for every d; the
     # inner radial ratio shrinks with d so the innermost ring stays around
     # e^-span of that (a fixed ratio would underflow double precision).
-    ratio = min(ring_ratio, 1.0 + span / max(d, 1))
+    ratio = min(RING_RATIO, 1.0 + span / max(d, 1))
     # angles and radii through math.cos/sin, rounded as libm rounds them;
     # numpy's vectorized cos and sin may differ in the last bit
     rows = []
@@ -116,13 +108,7 @@ def outer_triangle_coords() -> np.ndarray:
     return np.array([[math.cos(a), math.sin(a)] for a in angles])
 
 
-def _place_subtree(
-    fam: Family,
-    gmap: np.ndarray,
-    coords: np.ndarray,
-    ring_ratio: float,
-    fan_depth: int = 0,
-) -> None:
+def _place_subtree(fam: Family, gmap: np.ndarray, coords: np.ndarray, fan_depth: int) -> None:
     """Place the interior of ``fam``, whose outer face is already placed, and
     recursively the interiors of all its glued copies.
 
@@ -152,45 +138,40 @@ def _place_subtree(
                 coords[sm[roles.root]],
                 coords[sm[roles.u[-1]]],
                 coords[sm[roles.v[-1]]],
-                ring_ratio,
                 span=6.0 if fan_depth == 0 else (3.0 if fan_depth == 1 else 2.0),
             )
             depth = fan_depth + 1
-        _place_subtree(sub, sm, coords, ring_ratio, depth)
+        _place_subtree(sub, sm, coords, depth)
 
 
-def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray:
+def layout_nested(fam: Family) -> np.ndarray:
     """Structural drawing of any constructed family, at any nesting depth.
 
     The top level is a fan (frame-rooted families) or an equilateral outer
     triangle with the interior base vertex at the centroid.  The fan puts the
-    root at the origin and ring k on rays at +- (k/d) * apex/2 around the
-    vertical, radius ring_ratio**k; for d = 1 the rays sit at +- apex/4
-    instead, so the root angle (not the base angles of the triangle) is the
-    minimum and resolution * d stays level with larger d.  Every glued
-    frame is then fanned into its host triangle recursively.  Local scale
-    shrinks by a bounded factor per nesting level, so deep families stay
-    representable where a pure centroid replay would collapse to coincident
-    points."""
-    config = config or LayoutConfig()
-    config.validate()
+    root at the origin and ring k on rays at +- (k/d) * APEX_ANGLE/2 around
+    the vertical, radius RING_RATIO**k; for d = 1 the rays sit at
+    +- APEX_ANGLE/4 instead, so the root angle (not the base angles of the
+    triangle) is the minimum and resolution * d stays level with larger d.
+    Every glued frame is then fanned into its host triangle recursively.
+    Local scale shrinks by a bounded factor per nesting level, so deep
+    families stay representable where a pure centroid replay would collapse
+    to coincident points.  The frozen floors hold for every such drawing."""
     coords = np.zeros((fam.graph.n, 2))
     if fam.roles is not None:
         roles = fam.roles
         d = len(roles.u)
-        half = config.apex_angle / 2.0
+        half = APEX_ANGLE / 2.0
         for k in range(1, d + 1):
             theta = (k / d) * half if d > 1 else half / 2.0
-            rad = config.ring_ratio ** k
+            rad = RING_RATIO ** k
             base = math.pi / 2.0
             coords[roles.u[k - 1]] = (rad * math.cos(base + theta), rad * math.sin(base + theta))
             coords[roles.v[k - 1]] = (rad * math.cos(base - theta), rad * math.sin(base - theta))
     else:
-        outer = outer_triangle_coords()
-        for pos, vid in zip(outer, fam.embedding.outer_face):
-            coords[vid] = pos
+        coords[list(fam.embedding.outer_face)] = outer_triangle_coords()
     depth = 1 if fam.roles is not None else 0
-    _place_subtree(fam, np.arange(fam.graph.n), coords, config.ring_ratio, depth)
+    _place_subtree(fam, np.arange(fam.graph.n), coords, depth)
     return coords
 
 
@@ -225,18 +206,15 @@ class _ReplayPlan:
         by_level = np.argsort(check.level, kind="stable")
         self.levels = np.split(by_level, np.flatnonzero(np.diff(check.level[by_level])) + 1)
 
-    def place(
-        self, outer_coords: np.ndarray | None = None, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """The replay drawing: the outer face at ``outer_coords``, then each
-        level in one array operation, the centroid as ``(p0 + p1 + p2) / 3.0``
-        (the operation order of ``mean(axis=0)``) or, with ``rng``, one
-        batched product with rows of one ``rng.dirichlet`` draw taken in step
-        order.  The coordinates equal a step-by-step replay bit for bit."""
+    def place(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """The replay drawing: the outer face at ``outer_triangle_coords()``,
+        then each level in one array operation, the centroid as
+        ``(p0 + p1 + p2) / 3.0`` (the operation order of ``mean(axis=0)``)
+        or, with ``rng``, one batched product with rows of one
+        ``rng.dirichlet`` draw taken in step order.  The coordinates equal a
+        step-by-step replay bit for bit."""
         coords = np.zeros((self.n, 2))
-        outer = outer_coords if outer_coords is not None else outer_triangle_coords()
-        for i, v in enumerate(self.outer_face):
-            coords[v] = outer[i]
+        coords[list(self.outer_face)] = outer_triangle_coords()
         # Dirichlet(3,3,3) keeps the point away from the face boundary
         weights = None if rng is None else rng.dirichlet((3.0, 3.0, 3.0), size=self.xs.size)
         for idx in self.levels:

@@ -33,7 +33,7 @@ TOL = 1e-9
 
 @dataclass
 class Violation:
-    kind: str  # "non-finite" | "coincident" | "flipped-face"
+    kind: str  # "non-finite" | "flipped-face"
     detail: str
 
     def __str__(self) -> str:
@@ -125,11 +125,6 @@ class Triangulation:
         if non_finite := _non_finite(coords):
             return [Violation("non-finite", non_finite)]
         out: list[Violation] = []
-        # equal points end up side by side; == keeps -0.0 and 0.0 together
-        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            out.append(Violation("coincident", "two vertices share coordinates"))
-
         outer = np.asarray([self.outer_face], dtype=np.int64)
         signs = orientation_signs(coords, np.concatenate([outer, self.faces]))
         if signs[0] >= 0:
@@ -160,12 +155,13 @@ def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) ->
 
     The drawing must be (n, 2) and the embedding a triangulation (both raise
     a StructureError otherwise, in that order).  The drawing is valid when
-    its points are finite and distinct, the outer triangle is strictly
-    clockwise and every internal triangle is strictly counterclockwise, all
-    by exact signs.  For a triangulation these orientations prove that the
-    straight-line drawing has no crossings and realizes the rotation system
-    (Floater, "One-to-one piecewise linear mappings over triangulations",
-    Math. Comp. 2003).
+    its points are finite, the outer triangle is strictly clockwise and
+    every internal triangle is strictly counterclockwise, all by exact
+    signs.  For a triangulation these orientations prove that the
+    straight-line drawing is one-to-one, so no two vertices coincide, has no
+    crossings and realizes the rotation system (Floater, "One-to-one
+    piecewise linear mappings over triangulations", Math. Comp. 2003): a
+    drawing with two equal points always has a flipped face.
     """
     coords = _drawing_array(coords, graph.n)
     return Triangulation(graph, emb).violations(coords)

@@ -13,14 +13,9 @@ capped at stage 12, over the smallest corner angle) plus an orientation
 penalty ``weight * sum(min(area, 0)**2)`` whose weight starts at
 ``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.
 The gradient is one ``np.bincount`` scatter per coordinate over the live
-terms only: the corners with a nonzero soft-min weight and the faces with a
-nonzero penalty, in index order.  On htilde(2,16) and (3,8) a median 0.3-0.4%
-of the corners are live.  Every term left out is exactly +0.0 or -0.0, and
-a bincount sum, which starts at +0.0 and never becomes -0.0, is unchanged
-by adding one, so the gradient is bit for bit the scatter over all corners.
-That holds while every coordinate is finite and within 1e100 in magnitude
-(beyond it a factor may overflow, and 0 * inf is nan); otherwise, or when a
-quarter or more of the corners are live, all terms are scattered.
+terms only, bit for bit the scatter over all of them (``_objective`` says
+why, and when it scatters all); on htilde(2,16) and (3,8) a median
+0.3-0.4% of the corners are live.
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,

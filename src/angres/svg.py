@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 from .graphs import Embedding, LabeledGraph
@@ -19,8 +21,9 @@ class InvalidDrawingError(ValueError):
 def export_svg(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> str:
     """SVG document, ``WIDTH`` units wide: one line per edge, one circle of
     radius ``VERTEX_RADIUS`` per vertex (labeled when the vertex carries a
-    role label).  Viewport fits the drawing with a 5% margin; output bytes
-    are deterministic for identical inputs."""
+    role label, with ``&``, ``<`` and ``>`` escaped).  Viewport fits the
+    drawing with a 5% margin; output bytes are deterministic for identical
+    inputs."""
     viols = validate_drawing(graph, emb, coords)
     if viols:
         raise InvalidDrawingError(f"drawing has {len(viols)} violations: {viols[0]}")
@@ -56,7 +59,8 @@ def export_svg(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> str:
         out.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{VERTEX_RADIUS:.1f}"/>')
         name = graph.labels.get(v)
         if name:
-            out.append(f'<text x="{x + 4.0:.4f}" y="{y - 4.0:.4f}">{name}</text>')
+            text = html.escape(name, quote=False)
+            out.append(f'<text x="{x + 4.0:.4f}" y="{y - 4.0:.4f}">{text}</text>')
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -9,7 +9,11 @@ import math
 import numpy as np
 
 from angres.families import Family
-from angres.layout import LayoutConfig, outer_triangle_coords
+from angres.layout import outer_triangle_coords
+
+# the fan geometry, spelled here so that the oracle pins it
+APEX_ANGLE = math.pi / 3.0
+RING_RATIO = 2.0
 
 
 def _fan_into_corner(
@@ -19,8 +23,7 @@ def _fan_into_corner(
     root: np.ndarray,
     corner_u: np.ndarray,
     corner_v: np.ndarray,
-    ring_ratio: float,
-    span: float = 6.0,
+    span: float,
 ) -> None:
     """Place the interior rings of a (d+1)-frame whose root sits at ``root``
     and whose outermost ring coincides with the triangle corners.
@@ -51,7 +54,7 @@ def _fan_into_corner(
     # Ring d keeps a fixed fraction of the corner scale for every d; the
     # inner radial ratio shrinks with d so the innermost ring stays around
     # e^-span of that (a fixed ratio would underflow double precision).
-    ratio = min(ring_ratio, 1.0 + span / max(d, 1))
+    ratio = min(RING_RATIO, 1.0 + span / max(d, 1))
     for k in range(1, d + 1):
         s = (2 * k - 1) / 2.0 * gap
         rad = 0.5 * rho * ratio ** (k - d)
@@ -65,8 +68,7 @@ def _place_subtree(
     fam: Family,
     gmap: dict[int, int],
     coords: np.ndarray,
-    ring_ratio: float,
-    fan_depth: int = 0,
+    fan_depth: int,
 ) -> None:
     """Recursively place the interiors of all glued copies of ``fam``.
 
@@ -89,7 +91,6 @@ def _place_subtree(
                 coords[sm[roles.root]],
                 coords[sm[roles.u[-1]]],
                 coords[sm[roles.v[-1]]],
-                ring_ratio,
                 span=6.0 if fan_depth == 0 else (3.0 if fan_depth == 1 else 2.0),
             )
             depth = fan_depth + 1
@@ -100,32 +101,30 @@ def _place_subtree(
             inner = next(v for v in sub.corners.values() if v not in on_outer)
             shared = [sm[v] for v in sub.embedding.outer_face]
             coords[sm[inner]] = coords[shared].mean(axis=0)
-        _place_subtree(sub, sm, coords, ring_ratio, depth)
+        _place_subtree(sub, sm, coords, depth)
 
 
-def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray:
+def layout_nested(fam: Family) -> np.ndarray:
     """Structural drawing of any constructed family, at any nesting depth.
 
     The top level is a fan (frame-rooted families) or an equilateral outer
     triangle with the interior base vertex at the centroid.  The fan puts the
-    root at the origin and ring k on rays at +- (k/d) * apex/2 around the
-    vertical, radius ring_ratio**k; for d = 1 the rays sit at +- apex/4
-    instead, so the root angle (not the base angles of the triangle) is the
-    minimum and resolution * d stays level with larger d.  Every glued
-    frame is then fanned into its host triangle recursively.  Local scale
-    shrinks by a bounded factor per nesting level, so deep families stay
-    representable where a pure centroid replay would collapse to coincident
-    points."""
-    config = config or LayoutConfig()
-    config.validate()
+    root at the origin and ring k on rays at +- (k/d) * APEX_ANGLE/2 around
+    the vertical, radius RING_RATIO**k; for d = 1 the rays sit at
+    +- APEX_ANGLE/4 instead, so the root angle (not the base angles of the
+    triangle) is the minimum and resolution * d stays level with larger d.
+    Every glued frame is then fanned into its host triangle recursively.
+    Local scale shrinks by a bounded factor per nesting level, so deep
+    families stay representable where a pure centroid replay would collapse
+    to coincident points."""
     coords = np.zeros((fam.graph.n, 2))
     if fam.roles is not None:
         roles = fam.roles
         d = len(roles.u)
-        half = config.apex_angle / 2.0
+        half = APEX_ANGLE / 2.0
         for k in range(1, d + 1):
             theta = (k / d) * half if d > 1 else half / 2.0
-            rad = config.ring_ratio ** k
+            rad = RING_RATIO ** k
             base = math.pi / 2.0
             coords[roles.u[k - 1]] = (rad * math.cos(base + theta), rad * math.sin(base + theta))
             coords[roles.v[k - 1]] = (rad * math.cos(base - theta), rad * math.sin(base - theta))
@@ -137,5 +136,5 @@ def layout_nested(fam: Family, config: LayoutConfig | None = None) -> np.ndarray
         inner = next(v for v in fam.corners.values() if v not in on_outer)
         coords[inner] = coords[list(fam.embedding.outer_face)].mean(axis=0)
     depth = 1 if fam.roles is not None else 0
-    _place_subtree(fam, {i: i for i in range(fam.graph.n)}, coords, config.ring_ratio, depth)
+    _place_subtree(fam, {i: i for i in range(fam.graph.n)}, coords, depth)
     return coords

@@ -15,7 +15,6 @@ def layout_seed_any(
     graph: LabeledGraph,
     emb: Embedding,
     seq: BuildSequence | None = None,
-    outer_coords: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Centroid-replay drawing of a planar 3-tree: the base triangle is the
@@ -31,7 +30,7 @@ def layout_seed_any(
     if set(seq.base) != set(emb.outer_face):
         raise StructureError("build sequence is not rooted at the embedding's outer face")
     coords = np.zeros((graph.n, 2))
-    outer = outer_coords if outer_coords is not None else outer_triangle_coords()
+    outer = outer_triangle_coords()
     place = {v: outer[i] for i, v in enumerate(emb.outer_face)}
     for v, p in place.items():
         coords[v] = p
@@ -56,12 +55,10 @@ def replay(
     graph: LabeledGraph,
     emb: Embedding,
     seq: BuildSequence | None = None,
-    outer_coords: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """The level-by-level replay the package runs (``layout._ReplayPlan``),
-    with the signature of the loop above: ``layout_seed_any`` fixes the
-    outer coordinates and the optimizer passes only a generator."""
+    with the signature of the loop above."""
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
-    return _ReplayPlan(graph, emb, seq).place(outer_coords, rng)
+    return _ReplayPlan(graph, emb, seq).place(rng)

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from angres.graphs import StructureError, read_embedding, read_graph
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import Triangulation, angular_resolution, read_drawing, write_drawing
 from angres.optimize import CSV_COLUMNS, SweepRecord, read_sweep_csv, sweep_csv_text
+from angres.svg import export_svg
 
 
 def run(capsys, *argv):
@@ -48,6 +50,16 @@ class TestGen:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "frame", "--d", "3", "--zap", "-o", "x")
         assert code == 2
+
+    def test_deep_c_with_d1(self, tmp_path, capsys):
+        # G^(c)_1 glues no copy, so a large c must not recurse c levels
+        out = tmp_path / "h.graph"
+        code, stdout, _ = run(
+            capsys, "gen", "--family", "htilde", "--c", "5000", "--d", "1", "-o", str(out)
+        )
+        assert code == 0
+        want = build_Htilde(1, 1)
+        assert f"wrote {want.graph.n} vertices, {len(want.graph.edges)} edges" in stdout
 
     def test_missing_c_is_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -154,6 +166,12 @@ class TestLayoutMeasure:
         code, _, err = run(capsys, "measure", str(gp), str(dp))
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [["--apex", "0.1"], ["--ratio", "3"], ["--graph-out", "x"]])
+    def test_no_geometry_or_graph_flags(self, tmp_path, capsys, flag):
+        # the fan geometry is fixed, and ``gen`` writes the graph files
+        dp = tmp_path / "f.drawing"
+        code, _, _ = run(capsys, "layout", "--family", "frame", "--d", "8", *flag, "-o", str(dp))
+        assert code == 2 and not dp.exists()
 
     def test_layout_deep_family_is_nested(self, tmp_path, capsys):
         dp = tmp_path / "ht.drawing"
@@ -240,7 +258,8 @@ class TestLayoutMeasure:
         fam = build_family(FamilySpec(family, c, d))
         flags = ["--family", family, "--d", str(d)] + ([] if c is None else ["--c", str(c)])
         gp, dp = tmp_path / "f.graph", tmp_path / "f.drawing"
-        code, stdout, _ = run(capsys, "layout", *flags, "-o", str(dp), "--graph-out", str(gp))
+        assert run(capsys, "gen", *flags, "-o", str(gp))[0] == 0
+        code, stdout, _ = run(capsys, "layout", *flags, "-o", str(dp))
         assert code == 0
         want = f"resolution {float(angular_resolution(fam.graph, layout_nested(fam)).resolution)!r}"
         assert stdout.splitlines()[-1] == want
@@ -552,6 +571,14 @@ class TestExportSvg:
             str(tmp_path / "x.svg")
         )
         assert code == 1
+
+    def test_label_is_escaped(self):
+        fam, coords = layout_frame_fan(2)
+        (w,) = [v for v, name in fam.graph.labels.items() if name == "w"]
+        fam.graph.labels[w] = "a&b<c"
+        doc = export_svg(fam.graph, fam.embedding, coords)
+        texts = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}text")
+        assert "a&b<c" in [t.text for t in texts]
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         gp = tmp_path / "f3.graph"

@@ -80,6 +80,20 @@ class TestG:
         fam = build_G(1, 4)
         assert fam.graph.n == 2 * 5 + 1  # the (d+1)-frame
 
+    def test_d1_is_frame_without_recursion(self):
+        # d = 1 glues no copy, so any c gives G^(1)_1 without recursing c
+        # levels (c = 5000 would exceed Python's recursion limit)
+        got, want = build_G(5000, 1), build_G(1, 1)
+        assert got.graph.n == want.graph.n == vertex_count_G(5000, 1)
+        for a, b in ((got.graph.edges, want.graph.edges),
+                     (got.embedding.offset, want.embedding.offset),
+                     (got.embedding.nbr, want.embedding.nbr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.embedding.outer_face == want.embedding.outer_face
+        assert got.graph.labels == want.graph.labels
+        assert got.roles == want.roles
+        assert got.placements == want.placements == []
+
 
 class TestHAndHtilde:
     @given(st.integers(1, 2), st.integers(1, 6))

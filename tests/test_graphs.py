@@ -655,9 +655,9 @@ class TestSequenceKernel:
             want = "StructureError", f"replay: vertex {missing[0]} is never placed"
         for rng_seed in (None, seed):
             rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in "ab"]
-            got = outcome(replay, g, emb, seq, None, rngs[0])
+            got = outcome(replay, g, emb, seq, rngs[0])
             if want is None:
-                assert got == outcome(reference_seed_any, g, emb, seq, None, rngs[1])
+                assert got == outcome(reference_seed_any, g, emb, seq, rngs[1])
                 assert rng_seed is None or rngs[0].random() == rngs[1].random()
             else:
                 assert got == want

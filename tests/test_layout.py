@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from angres.families import (
     FamilySpec,
-    ParameterError,
     build_family,
     build_frame,
     build_G,
@@ -18,11 +17,9 @@ from angres.graphs import Embedding, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
-    LayoutConfig,
     layout_frame_fan,
     layout_nested,
     layout_seed_any,
-    outer_triangle_coords,
 )
 from angres.metrics import angular_resolution, validate_drawing
 import nested_oracle
@@ -30,19 +27,6 @@ from family_oracle import ORACLE_CASES, oracle_family
 from planarity_oracle import sequence, step_list
 from replay_oracle import layout_seed_any as reference_seed_any
 from replay_oracle import replay
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        LayoutConfig().validate()
-
-    def test_bad_apex(self):
-        with pytest.raises(ParameterError):
-            LayoutConfig(apex_angle=4.0).validate()
-
-    def test_bad_ratio(self):
-        with pytest.raises(ParameterError):
-            LayoutConfig(ring_ratio=0.9).validate()
 
 
 class TestFrameFan:
@@ -60,10 +44,6 @@ class TestFrameFan:
             fam, coords = layout_frame_fan(d)
             res = angular_resolution(fam.graph, coords).resolution
             assert res <= 2 * math.pi / (2 * d)
-
-    def test_custom_config(self):
-        fam, coords = layout_frame_fan(4, LayoutConfig(apex_angle=math.pi / 4, ring_ratio=3.0))
-        assert validate_drawing(fam.graph, fam.embedding, coords) == []
 
     def test_deterministic(self):
         _, a = layout_frame_fan(6)
@@ -163,20 +143,13 @@ class TestSeedAny:
         with pytest.raises(StructureError, match=r"^keep triple \(0, 5, 6, 1\) is not a triangle$"):
             layout_seed_any(fam.graph, emb)
 
-    def test_custom_outer_coords(self):
-        fam = build_frame(3)
-        outer = 2.5 * outer_triangle_coords()
-        coords = replay(fam.graph, fam.embedding, outer_coords=outer)
-        assert validate_drawing(fam.graph, fam.embedding, coords) == []
-        np.testing.assert_allclose(coords[list(fam.embedding.outer_face)], outer)
 
-
-def replay_outcome(fn, fam, seq, rng_seed=None, outer=None):
+def replay_outcome(fn, fam, seq, rng_seed=None):
     """The drawing's bytes and the generator's next draw, or the message of
     the StructureError raised."""
     rng = None if rng_seed is None else np.random.default_rng(rng_seed)
     try:
-        coords = fn(fam.graph, fam.embedding, seq, outer_coords=outer, rng=rng)
+        coords = fn(fam.graph, fam.embedding, seq, rng=rng)
     except StructureError as exc:
         return "StructureError", str(exc)
     return coords.dtype, coords.shape, coords.tobytes(), rng and rng.random()
@@ -200,8 +173,7 @@ class TestSeedAnyKernel:
     def test_families_match_the_loop(self, name):
         fam = _REPLAY_FAMILIES[name]()
         seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
-        outer = 2.5 * outer_triangle_coords()[::-1]
-        for args in ((seq,), (seq, None, outer), (None,), (seq, 7), (seq, 7, outer)):
+        for args in ((seq,), (None,), (seq, 7)):
             assert replay_outcome(replay, fam, *args) == replay_outcome(
                 reference_seed_any, fam, *args
             )
@@ -274,6 +246,4 @@ class TestNestedAgainstOracle:
     def test_same_bytes(self, name, c, d):
         fam = build_family(FamilySpec(name, c, d))
         ref = oracle_family(name, c, d)
-        for config in (None, LayoutConfig(apex_angle=math.pi / 4, ring_ratio=3.0)):
-            got = layout_nested(fam, config)
-            assert got.tobytes() == nested_oracle.layout_nested(ref, config).tobytes()
+        assert layout_nested(fam).tobytes() == nested_oracle.layout_nested(ref).tobytes()

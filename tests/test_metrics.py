@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -5,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
 from angres.geometry import angle_at
 from angres.graphs import internal_triangles, verify_planar_3tree
-from angres.layout import LayoutConfig, layout_frame_fan, layout_nested, layout_seed_any
+from angres.layout import APEX_ANGLE, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
     Triangulation,
     Violation,
@@ -43,6 +44,39 @@ def triangle_drawing():
     return g, emb, coords
 
 
+def k4():
+    g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+    return g, emb
+
+
+@functools.lru_cache(maxsize=None)
+def _family_and_sequence(name):
+    fam = _ORACLE_FAMILIES[name]()
+    return fam, verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+
+
+@st.composite
+def coincident_drawings(draw):
+    """A nested, centroid or jittered drawing of a small family with one
+    vertex moved onto another, whose zero coordinates may take the other
+    sign."""
+    fam, seq = _family_and_sequence(draw(st.sampled_from(sorted(_ORACLE_FAMILIES))))
+    kind = draw(st.sampled_from(["nested", "centroid", "jitter"]))
+    if kind == "nested":
+        coords = layout_nested(fam)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) if kind == "jitter" else None
+        coords = replay(fam.graph, fam.embedding, seq, rng=rng)
+    i = draw(st.integers(0, fam.graph.n - 1))
+    j = draw(st.integers(0, fam.graph.n - 2))
+    j += j >= i
+    coords[i] = coords[j]
+    if draw(st.booleans()):
+        coords[i] = np.where(coords[i] == 0.0, -coords[i], coords[i])
+    return fam.graph, fam.embedding, coords
+
+
 class TestValidate:
     def test_equilateral_triangle_valid(self):
         g, emb, coords = triangle_drawing()
@@ -61,27 +95,25 @@ class TestValidate:
         bad = coords.copy()
         bad[1] = bad[0]
         viols = validate_drawing(g, emb, bad)
-        assert any(v.kind == "coincident" for v in viols)
+        assert viols and any(v.kind == "flipped-face" for v in viols)
 
-    @pytest.mark.parametrize(
-        "points, coincident",
-        [
-            ([(0.0, 1.0), (-0.0, 0.5), (1.0, 0.0), (-0.0, 1.0)], True),  # -0.0 == 0.0
-            ([(0.0, 1.0), (-0.0, 0.5), (1.0, 0.0), (-0.0, 2.0)], False),
-            ([(1.0, -0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 1.0)], True),
-            ([(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (2.0, 2.0)], False),
-        ],
-    )
-    def test_coincident_means_equal_as_floats(self, points, coincident):
-        g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
-        viols = validate_drawing(g, emb, np.array(points))
-        assert any(v.kind == "coincident" for v in viols) == coincident
+    @given(coincident_drawings())
+    @example((*k4(), np.array([(0.0, 1.0), (-0.0, 0.5), (1.0, 0.0), (-0.0, 1.0)])))
+    @example((*k4(), np.array([(1.0, -0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 1.0)])))
+    @settings(max_examples=200, deadline=None)
+    def test_coincident_points_flip_a_face(self, case):
+        # strictly counterclockwise internal faces inside a strictly
+        # clockwise outer triangle make a drawing one-to-one (Floater 2003),
+        # so the orientation signs alone reject two equal points, -0.0 and
+        # 0.0 being equal
+        graph, emb, coords = case
+        assert (coords[:, None] == coords[None]).all(axis=2).sum() > graph.n
+        viols = validate_drawing(graph, emb, coords)
+        assert any(v.kind == "flipped-face" for v in viols)
 
     def test_crossing_detected(self):
         # K4 with the interior vertex dragged outside: edges must cross
-        g = LabeledGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
+        g, emb = k4()
         coords = np.array([[0.0, 1.0], [0.87, -0.5], [-0.87, -0.5], [0.0, 5.0]])
         viols = validate_drawing(g, emb, coords)
         assert viols
@@ -418,12 +450,11 @@ class TestFrameProfile:
     def test_fan_profile_values(self):
         d = 6
         fam, coords = layout_frame_fan(d)
-        cfg = LayoutConfig()
         prof = frame_profile(fam.roles, coords)
         # uniform fan: each v-gap is apex/(2d)
         for k in range(2, d + 1):
-            assert prof.alpha1[k] == pytest.approx(cfg.apex_angle / (2 * d))
-        assert prof.apex_total == pytest.approx(cfg.apex_angle)
+            assert prof.alpha1[k] == pytest.approx(APEX_ANGLE / (2 * d))
+        assert prof.apex_total == pytest.approx(APEX_ANGLE)
 
     def test_claim_bound_on_fans(self):
         for d in (2, 4, 6, 8, 12):
