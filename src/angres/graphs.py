@@ -142,7 +142,7 @@ class Embedding:
         try:
             nbr = np.array(flat, dtype=np.int64)
         except OverflowError:
-            nbr = np.array([u if 0 <= u < len(rows) else -1 for u in flat], dtype=np.int64)
+            nbr = np.array([u if -(2**63) <= u < 2**63 else -1 for u in flat], dtype=np.int64)
         return cls(offset, nbr, outer_face)
 
     def row(self, v: int) -> np.ndarray:

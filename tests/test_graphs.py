@@ -194,6 +194,12 @@ class TestEmbeddingFormat:
         assert [emb.row(v).tolist() for v in range(len(rows))] == rows
         assert emb.outer_face == (0, 2, 1)
 
+    @pytest.mark.parametrize("big", [2**70, -(2**70)])
+    def test_only_entries_beyond_int64_read_as_minus_one(self, big):
+        # an entry within int64 but out of range is kept as written
+        emb = Embedding.from_rows([[big, 1, 4], [7, -5, 0]], (0, 1))
+        assert emb.nbr.tolist() == [-1, 1, 4, 7, -5, 0]
+
     def test_empty_row_text(self):
         emb = Embedding.from_rows([[], [0]], (0, 1))
         assert write_embedding(emb) == "rot 0 \nrot 1 0\nouter 0 1\n"

@@ -99,6 +99,7 @@ class TestReaderParity:
     @example(("graph", "e 0 1\ngraph 3\n"))
     @example(("emb", f"rot {2**70} 1\nouter 0 1 2\n"))
     @example(("emb", "rot 1 0\nrot 2 0\nouter 0 1 2\n"))
+    @example(("emb", f"rot 0 {2**70} 1 4\nrot 1 0\nouter 0 1 2\n"))
     @example(("drawing", "p 0 0 0\np -1 0 z\n"))
     @example(("drawing", "p 0 0 0\np 2 0 0\n"))
     @example(("drawing", ""))
@@ -136,6 +137,11 @@ class TestReaderParity:
         with pytest.raises(StructureError) as exc:
             read(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("read", READERS["emb"])
+    def test_only_entries_beyond_int64_read_as_minus_one(self, read):
+        emb = read(f"rot 0 {2**70} 1 4\nrot 1 -5 {-(2**70)}\nouter 0 1 2\n")
+        assert emb.nbr.tolist() == [-1, 1, 4, -5, -1]
 
     def test_large_family_arrays_match(self):
         fam = build_Htilde(2, 8)
