@@ -65,12 +65,9 @@ def _emb_path(graph_path: str) -> str:
 
 
 def _spec_from_args(args) -> FamilySpec:
-    c = args.c
-    if args.family == "frame":
-        c = None
-    elif c is None:
+    if args.family != "frame" and args.c is None:
         raise ParameterError(f"family {args.family!r} requires --c")
-    return FamilySpec(args.family, c, args.d)
+    return FamilySpec(args.family, args.c, args.d)
 
 
 def _config_from_args(args) -> OptimizeConfig:

@@ -30,7 +30,8 @@ edge keys) and read as they are.  A second kernel (``_check_build_sequence``)
 checks it without a replay: it gives every face of the partial embedding an
 integer key from the step that made it, so finding the first step that does
 not target a face, and each step's level, takes array operations over all
-steps at once.  ``verify_planar_3tree`` and ``layout``'s replay plan use it.
+steps at once.  ``verify_planar_3tree`` and ``layout``'s replay plan use it,
+each passing the messages and the error type it raises at the first bad step.
 
 The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
 ``metrics``) are read by one array tokenizer, ``Records``: each check runs
@@ -42,6 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +89,11 @@ def _canonical_edges(pairs, n: int) -> np.ndarray:
     return np.stack(np.divmod(keys, max(n, 1)), axis=1)
 
 
+# the code points no label may hold: XML 1.0 allows none of them in a
+# document but tab, LF and CR, and those split a label's token in ``.graph``
+_NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 @dataclass(eq=False)
 class LabeledGraph:
     """Simple undirected graph with optional role labels on vertices.  The
@@ -110,9 +117,14 @@ class LabeledGraph:
         return adj
 
     def validate(self) -> None:
-        for v in self.labels:
+        for v, name in self.labels.items():
             if not 0 <= v < self.n:
                 raise StructureError(f"label on unknown vertex {v}")
+            if bad := _NOT_XML.search(name):
+                raise StructureError(
+                    f"label on vertex {v} holds U+{ord(bad.group()):04X}, "
+                    "a control, surrogate or noncharacter code point"
+                )
         names = list(self.labels.values())
         if len(names) != len(set(names)):
             raise StructureError("duplicate vertex labels")
@@ -289,7 +301,7 @@ def verify_planar_3tree(
     eliminated, so the returned sequence is rooted at that triangle.
     """
     seq = _eliminate(graph, keep)
-    _check_planarity(seq, graph.n)
+    _check_build_sequence(seq, graph.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
     return seq
 
 
@@ -369,32 +381,18 @@ _PLANARITY_ERRORS = {
 }
 
 
-def _check_planarity(seq: BuildSequence, n: int) -> None:
-    """Raise NotPlanar3TreeError at the first step of ``seq`` that does not
-    insert a new vertex into a face of the partial embedding; either side of
-    the bare base triangle is a face."""
-    check = _check_build_sequence(seq, n, base_uses=2)
-    if check.bad >= 0:
-        x, tri = int(seq.xs[check.bad]), tuple(seq.tris[check.bad].tolist())
-        raise NotPlanar3TreeError(_PLANARITY_ERRORS[check.reason].format(x=x, tri=tri, n=n))
-
-
-@dataclass
-class _StepCheck:
-    """The level of each step of a build sequence, and the first that fails."""
-
-    level: np.ndarray  # (S,) one more than the deepest corner's level; the base is level 0
-    bad: int  # the first failing step, -1 when every step passes
-    reason: str  # "face", "range" or "placed" for the failing step, else ""
-
-
-def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCheck:
+def _check_build_sequence(
+    seq: BuildSequence, n: int, base_uses: int, errors: dict[str, str], error: type[StructureError]
+) -> np.ndarray:
     """Check each step of ``seq`` against the faces of the partial embedding,
-    with array operations only, on the sequence's own arrays.
+    with array operations only, on the sequence's own arrays; return each
+    step's level (S,), one more than the deepest corner's (the base is 0).
 
     A step fails with reason "face" when its triangle is not a face at that
     point, else "range" when it inserts a vertex outside ``0..n-1``, else
     "placed" when it inserts a base vertex or one an earlier step inserted.
+    The first failing step raises ``error`` with the message
+    ``errors[reason]``, formatted with the step's ``x`` and ``tri`` and ``n``.
 
     The face test is exact whenever the earlier steps pass.  Every face but
     the base is made by the step that inserts its newest corner ``y``: it is
@@ -447,15 +445,18 @@ def _check_build_sequence(seq: BuildSequence, n: int, base_uses: int) -> _StepCh
 
     fails = np.stack([~face, ~x_in, first[np.where(x_in, xs, n)] < step])
     failing = np.flatnonzero(fails.any(axis=0))
-    bad = int(failing[0]) if failing.size else -1
-    reason = ("face", "range", "placed")[int(np.argmax(fails[:, bad]))] if bad >= 0 else ""
+    if failing.size:
+        bad = int(failing[0])
+        reason = ("face", "range", "placed")[int(np.argmax(fails[:, bad]))]
+        x, tri = int(xs[bad]), tuple(tris[bad].tolist())
+        raise error(errors[reason].format(x=x, tri=tri, n=n))
 
+    # every step passed, so each parent is -1 or an earlier step
     level = np.ones(count, dtype=np.int64)
-    up = np.where(face, parent, -1)  # a failing step starts a tree, so no cycle forms
-    while (below := np.flatnonzero(up >= 0)).size:
-        level[below] += level[up[below]]
-        up[below] = up[up[below]]
-    return _StepCheck(level, bad, reason)
+    while (below := np.flatnonzero(parent >= 0)).size:
+        level[below] += level[parent[below]]
+        parent[below] = parent[parent[below]]
+    return level
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .graphs import (
     LabeledGraph,
     StructureError,
     _check_build_sequence,
-    verify_planar_3tree,
+    _eliminate,
 )
 
 # The fan's root angle and the radius ratio between its rings.
@@ -186,15 +186,16 @@ class _ReplayPlan:
     """A build sequence checked for replay, with its steps grouped by level.
 
     Built once per (graph, embedding, sequence), on the sequence's own
-    arrays; ``place`` then draws any number of centroid or jittered replays."""
+    arrays; without ``seq``, on the elimination's sequence rooted at the
+    embedding's outer face.  ``place`` then draws any number of centroid or
+    jittered replays."""
 
-    def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence):
+    def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence | None = None):
+        if seq is None:
+            seq = _eliminate(graph, emb.outer_face)
         if set(seq.base) != set(emb.outer_face):
             raise StructureError("build sequence is not rooted at the embedding's outer face")
-        check = _check_build_sequence(seq, graph.n, base_uses=1)
-        if check.bad >= 0:
-            x, tri = int(seq.xs[check.bad]), tuple(seq.tris[check.bad].tolist())
-            raise StructureError(_REPLAY_ERRORS[check.reason].format(x=x, tri=tri, n=graph.n))
+        level = _check_build_sequence(seq, graph.n, 1, _REPLAY_ERRORS, StructureError)
         placed = np.zeros(graph.n, dtype=bool)
         placed[list(seq.base)] = True
         placed[seq.xs] = True
@@ -203,8 +204,8 @@ class _ReplayPlan:
         self.n = graph.n
         self.outer_face = emb.outer_face
         self.xs, self.tris = seq.xs, seq.tris
-        by_level = np.argsort(check.level, kind="stable")
-        self.levels = np.split(by_level, np.flatnonzero(np.diff(check.level[by_level])) + 1)
+        by_level = np.argsort(level, kind="stable")
+        self.levels = np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1)
 
     def place(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """The replay drawing: the outer face at ``outer_triangle_coords()``,
@@ -229,21 +230,11 @@ class _ReplayPlan:
 def layout_seed_any(
     graph: LabeledGraph, emb: Embedding, seq: BuildSequence | None = None
 ) -> np.ndarray:
-    """Centroid-replay drawing of a planar 3-tree: the base triangle is the
-    embedding's outer face at ``outer_triangle_coords()``, every inserted
-    vertex goes to the centroid of its containing face.  Always valid in
-    exact arithmetic (interior insertion preserves the orientation of every
-    face it creates).  The optimizer's jittered restarts come from the same
-    replay plan (``_ReplayPlan.place`` with a generator).
-
-    The array kernel ``graphs._check_build_sequence`` checks the sequence's
-    own ``xs`` and ``tris`` and gives each inserted vertex its level, one
-    more than the deepest vertex of its triangle.  Every step must target a
-    bounded face of the partial embedding, and every non-base vertex must be
-    inserted exactly once; otherwise a StructureError names the first bad
-    step or the first vertex never placed.  A level's vertices depend only
-    on lower levels, so each level is placed in one array operation, bit for
-    bit as a step-by-step replay would place them."""
-    if seq is None:
-        seq = verify_planar_3tree(graph, keep=emb.outer_face)
+    """Centroid-replay drawing of a planar 3-tree: the embedding's outer face
+    at ``outer_triangle_coords()``, then each vertex of ``seq`` (by default
+    the elimination's sequence rooted at that face) at the centroid of its
+    triangle.  Raises StructureError when the graph is no 3-tree, or at the
+    first step that ``graphs._check_build_sequence`` rejects (its triangle
+    is not a bounded face, or its vertex is out of range or already placed),
+    or for a vertex never placed."""
     return _ReplayPlan(graph, emb, seq).place()

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .families import FamilySpec, build_family
-from .graphs import Embedding, LabeledGraph, StructureError, _eliminate, max_degree, parse_numbers
+from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
 from .layout import _ReplayPlan, layout_nested
 from .metrics import Triangulation
 
@@ -452,8 +452,7 @@ def maximize_resolution(
     config = config or OptimizeConfig()
     config.validate()
     mesh = Triangulation(graph, emb)
-    # the mesh proves the pair a plane triangulation: the replay plan's check suffices
-    replay = _ReplayPlan(graph, emb, _eliminate(graph, emb.outer_face))
+    replay = _ReplayPlan(graph, emb)
     base = replay.place()
     pinned = np.array(base.T)
 
@@ -517,7 +516,9 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
 
     A per-row optimizer failure is recorded as a row with nan resolution and
     zero valid restarts; the sweep continues.  The constructive nested
-    drawing of each family joins its restart pool as an extra seed.
+    drawing of each family follows ``config.extra_seeds`` as one more extra
+    seed, so it is restart ``1 + len(config.extra_seeds)``: with no more
+    restarts than that it is built but never tried.
     """
     config = config or OptimizeConfig()
     config.validate()
@@ -611,7 +612,8 @@ class ExponentFit:
 
 def fit_exponent(records: list[SweepRecord], family: str, c: int | None) -> ExponentFit:
     """Least-squares fit of log(best resolution) against log(d) over the
-    records matching (family, c), which must hold at least 2 distinct d."""
+    records matching (family, c) whose resolution is not nan; there must be
+    at least 3 of them, with at least 2 distinct d."""
     pts = [
         r
         for r in records

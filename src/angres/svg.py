@@ -21,9 +21,10 @@ class InvalidDrawingError(ValueError):
 def export_svg(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> str:
     """SVG document, ``WIDTH`` units wide: one line per edge, one circle of
     radius ``VERTEX_RADIUS`` per vertex (labeled when the vertex carries a
-    role label, with ``&``, ``<`` and ``>`` escaped).  Viewport fits the
-    drawing with a 5% margin; output bytes are deterministic for identical
-    inputs."""
+    role label, with ``&``, ``<`` and ``>`` escaped; ``graph.validate()``
+    rejects a label XML cannot hold).  Viewport fits the drawing with a 5%
+    margin; output bytes are deterministic for identical inputs."""
+    graph.validate()
     viols = validate_drawing(graph, emb, coords)
     if viols:
         raise InvalidDrawingError(f"drawing has {len(viols)} violations: {viols[0]}")

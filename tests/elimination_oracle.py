@@ -13,7 +13,8 @@ from angres.graphs import (
     LabeledGraph,
     NotPlanar3TreeError,
     StructureError,
-    _check_planarity,
+    _check_build_sequence,
+    _PLANARITY_ERRORS,
 )
 from planarity_oracle import sequence
 
@@ -89,5 +90,5 @@ def verify_planar_3tree(
         raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
 
     seq = sequence(base_vs, removed[::-1])
-    _check_planarity(seq, n)
+    _check_build_sequence(seq, n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
     return seq

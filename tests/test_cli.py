@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from angres.cli import _parse_spec_file, main
 from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
-from angres.graphs import StructureError, read_embedding, read_graph
+from angres.graphs import (
+    StructureError,
+    read_embedding,
+    read_graph,
+    write_embedding,
+    write_graph,
+)
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import Triangulation, angular_resolution, read_drawing, write_drawing
 from angres.optimize import CSV_COLUMNS, SweepRecord, read_sweep_csv, sweep_csv_text
@@ -66,6 +72,16 @@ class TestGen:
             capsys, "gen", "--family", "htilde", "--d", "2", "-o", str(tmp_path / "x.graph")
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["gen", "layout"])
+    def test_frame_with_c_is_error(self, tmp_path, capsys, command):
+        # rejected as the spec line "frame 3 2" is, not run with c dropped
+        out = tmp_path / "x.out"
+        code, _, err = run(
+            capsys, command, "--family", "frame", "--c", "3", "--d", "2", "-o", str(out)
+        )
+        assert (code, err) == (1, "error: frame takes no c parameter\n")
+        assert not out.exists()
 
 
 # (graph, drawing, embedding, spec file) texts; None keeps a valid default,
@@ -579,6 +595,42 @@ class TestExportSvg:
         doc = export_svg(fam.graph, fam.embedding, coords)
         texts = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}text")
         assert "a&b<c" in [t.text for t in texts]
+
+    @pytest.mark.parametrize("label", ["a\x01b", "a\x1bb", "a\ufffeb", "a\uffffb"])
+    def test_label_xml_cannot_hold_is_rejected(self, tmp_path, capsys, label):
+        fam, coords = layout_frame_fan(2)
+        (w,) = [v for v, name in fam.graph.labels.items() if name == "w"]
+        fam.graph.labels[w] = label
+        want = (
+            f"label on vertex {w} holds U+{ord(label[1]):04X}, "
+            "a control, surrogate or noncharacter code point"
+        )
+        with pytest.raises(StructureError) as exc:
+            export_svg(fam.graph, fam.embedding, coords)
+        assert str(exc.value) == want
+        gp = tmp_path / "f2.graph"
+        gp.write_text(write_graph(fam.graph))
+        with pytest.raises(StructureError) as exc:
+            read_graph(gp.read_text())
+        assert str(exc.value) == want
+        dp = tmp_path / "f2.drawing"
+        dp.write_text(write_drawing(coords))
+        ep = tmp_path / "f2.emb"
+        ep.write_text(write_embedding(fam.embedding))
+        code, _, err = run(
+            capsys, "export-svg", str(gp), str(ep), str(dp), "-o", str(tmp_path / "x.svg")
+        )
+        assert (code, err) == (1, f"error: {want}\n")
+
+    @pytest.mark.parametrize("label", ["a\x7fb", "\u03b1\u03b2"])
+    def test_label_xml_holds_is_kept(self, label):
+        fam, coords = layout_frame_fan(2)
+        (w,) = [v for v, name in fam.graph.labels.items() if name == "w"]
+        fam.graph.labels[w] = label
+        assert read_graph(write_graph(fam.graph)).labels[w] == label
+        doc = export_svg(fam.graph, fam.embedding, coords)
+        texts = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}text")
+        assert label in [t.text for t in texts]
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         gp = tmp_path / "f3.graph"

@@ -24,7 +24,7 @@ from angres.graphs import (
     write_embedding,
     write_graph,
 )
-from angres.graphs import _check_build_sequence, _check_planarity
+from angres.graphs import _PLANARITY_ERRORS, _check_build_sequence
 from elimination_oracle import verify_planar_3tree as reference_verify
 from face_oracle import internal_triangles as reference_triangles
 from face_oracle import rotation_rows
@@ -641,7 +641,8 @@ class TestSequenceKernel:
             {"range": "not a 3-tree: inserted vertex {x} is out of range for {n} vertices",
              "placed": "not a 3-tree: vertex {x} is already placed"},
         )
-        assert outcome(_check_planarity, seq, n) == want
+        got = outcome(_check_build_sequence, seq, n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
+        assert got[1] == (len(seq.xs),) if want is None else got == want
         if kind == "none":
             assert want is None
 
@@ -674,12 +675,11 @@ class TestSequenceKernel:
     @settings(max_examples=50, deadline=None)
     def test_levels_match_the_loop(self, seed, steps, base_uses):
         n, seq = grown_sequence(random.Random(seed), steps, base_uses)
-        check = _check_build_sequence(seq, n, base_uses)
-        assert (check.bad, check.reason) == (-1, "")
+        got = _check_build_sequence(seq, n, base_uses, _PLANARITY_ERRORS, NotPlanar3TreeError)
         level = dict.fromkeys(seq.base, 0)
         for x, (a, b, c) in step_list(seq):
             level[x] = 1 + max(level[a], level[b], level[c])
-        assert check.level.tolist() == [level[x] for x in seq.xs.tolist()]
+        assert got.tolist() == [level[x] for x in seq.xs.tolist()]
 
 
 class TestSerialization:

@@ -13,7 +13,7 @@ from angres.families import (
     build_H,
     build_Htilde,
 )
-from angres.graphs import Embedding, StructureError, verify_planar_3tree
+from angres.graphs import Embedding, LabeledGraph, StructureError, verify_planar_3tree
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
@@ -142,6 +142,19 @@ class TestSeedAny:
         emb = Embedding(fam.embedding.offset, fam.embedding.nbr, (0, 5, 6, 1))
         with pytest.raises(StructureError, match=r"^keep triple \(0, 5, 6, 1\) is not a triangle$"):
             layout_seed_any(fam.graph, emb)
+
+    def test_no_planar_3tree_fails_in_the_replay(self):
+        # K3 with 3, 4 and 5 each joined to all of it: a 3-tree, not planar;
+        # without a sequence the one check is the replay's bounded-face check
+        edges = [(0, 1), (0, 2), (1, 2)] + [(x, a) for x in (3, 4, 5) for a in range(3)]
+        g = LabeledGraph(6, edges)
+        emb = Embedding.from_rows([[] for _ in range(6)], (0, 1, 2))
+        with pytest.raises(StructureError) as exc:
+            layout_seed_any(g, emb)
+        assert (type(exc.value), str(exc.value)) == (
+            StructureError,
+            "replay: (0, 1, 2) is not a bounded face when inserting 4",
+        )
 
 
 def replay_outcome(fn, fam, seq, rng_seed=None):

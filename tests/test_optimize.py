@@ -411,15 +411,19 @@ class TestMaximize:
         calls = []
         check = graphs._check_build_sequence
 
-        def counted(seq, n, base_uses):
+        def counted(seq, n, base_uses, errors, error):
             calls.append(base_uses)
-            return check(seq, n, base_uses)
+            return check(seq, n, base_uses, errors, error)
 
         for module in (graphs, layout):
             monkeypatch.setattr(module, "_check_build_sequence", counted)
         fam = build_Htilde(1, 2)
         maximize_resolution(fam.graph, fam.embedding, OptimizeConfig(restarts=2, max_iters=10))
         assert calls == [1]
+        # so does a seed drawing without a sequence: the elimination's goes
+        # straight to the replay plan
+        layout_seed_any(fam.graph, fam.embedding)
+        assert calls == [1, 1]
 
     def test_triangulation_that_is_no_3tree_fails_as_verification(self):
         g = LabeledGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1),
