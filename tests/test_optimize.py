@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.special import logsumexp
 import lbfgsb_oracle
 import objective_oracle
 from angres import graphs, layout, optimize
-from angres.families import FamilySpec, build_frame, build_G, build_Htilde
+from angres.families import FamilySpec, build_family, build_frame, build_G, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, NotPlanar3TreeError, StructureError
 from angres.layout import layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import Triangulation, angular_resolution, validate_drawing
@@ -87,10 +88,10 @@ def _record_selections(monkeypatch) -> list:
     live_terms = optimize._live_terms
     selections = []
 
-    def recorded(coef, pc, P):
-        live = live_terms(coef, pc, P)
+    def recorded(x, lse, g, h, pc, P):
+        coef, live = live_terms(x, lse, g, h, pc, P)
         selections.append(("dense" if live is None else "sparse", bool(np.count_nonzero(pc))))
-        return live
+        return coef, live
 
     monkeypatch.setattr(optimize, "_live_terms", recorded)
     return selections
@@ -148,14 +149,47 @@ class TestObjectiveOracle:
         got = _objective(y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
-    @pytest.mark.parametrize("name", ["g12", "htilde24"])
-    @pytest.mark.parametrize("bad", [1e150, np.nan])
+    @pytest.mark.parametrize("stage", [3, 8, 12])
+    @pytest.mark.parametrize("weight", [0.0, 10.0])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_bit_identical_where_most_weights_underflow(self, monkeypatch, stage, weight, jitter):
+        # the nested drawing of htilde(2,16) at the sharpness of a restart's
+        # stage 3 and later: the softmax weights of more than 99% of the
+        # corners are exactly 0, and exp is taken on the others only
+        g, emb, coords = _oracle_case("htilde216")
+        mesh = Triangulation(g, emb)
+        ia, ib = mesh.corners[:2]
+        theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners)[0]
+        sharp = 4.0 * 2.0**stage / abs(float(theta.min()))  # as the restart sets it
+        if jitter:
+            # moves of up to a third of the shortest incident edge flip faces
+            length = np.hypot(*(coords[ia] - coords[ib]).T)
+            near = np.full(g.n, np.inf)
+            np.minimum.at(near, ib, length)
+            noise = np.random.default_rng(stage).normal(0.0, jitter, coords.shape)
+            coords = coords + noise * near[:, None]
+            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners)[0]
+        assert (theta[2::3] < 0).any() == bool(jitter)
+        x = -sharp * theta - logsumexp(-sharp * theta)
+        assert np.count_nonzero(x < -745.1332191019412) > 0.99 * x.size
+        idx = objective_oracle.internal_corner_index(g, emb)
+        selections = _record_selections(monkeypatch)
+        want = objective_oracle.objective(
+            coords[mesh.free].ravel(), g.n, mesh.free, idx, idx[::3], sharp, weight, coords
+        )
+        got = objective_and_gradient(g, emb, coords, sharp, weight)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        assert selections == [("sparse", bool(jitter and weight))]
+
+    @pytest.mark.parametrize("name", ["g12", "htilde24", "htilde216"])
+    @pytest.mark.parametrize("bad", [1e150, 1e200, np.nan])
     @pytest.mark.parametrize("sharp", [5.0, 1e7])
     @pytest.mark.parametrize("weight", [0.0, 10.0])
     def test_bit_identical_with_a_wide_or_nan_coordinate(self, monkeypatch, name, bad, sharp, weight):
         # beyond 1e100 a corner's factors overflow and its dropped term would
-        # be 0 * inf = nan, not zero; a nan spreads to every weight.  Both
-        # keep every term.
+        # be 0 * inf = nan, not zero; a nan spreads to every weight and makes
+        # the soft-min nan.  Both keep every term, and a nan soft-min takes
+        # exp on every corner.
         g, emb, coords = _oracle_case(name)
         mesh = Triangulation(g, emb)
         coords = coords.copy()
@@ -182,6 +216,7 @@ class TestObjectiveOracle:
         flipped faces included."""
         objective = optimize._objective
         selections = _record_selections(monkeypatch)
+        calls = []
         for d in (4, 16):
             fam = build_Htilde(2, d)
             g, emb = fam.graph, fam.embedding
@@ -193,6 +228,7 @@ class TestObjectiveOracle:
                     y, g.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
                 )
                 assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+                calls.append(sharp)
                 return got
 
             monkeypatch.setattr(optimize, "_objective", checked_objective)
@@ -200,6 +236,7 @@ class TestObjectiveOracle:
                 restarts=3, max_iters=60, seed=1, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
             )
             maximize_resolution(g, emb, config)
+        assert len(selections) == len(calls)  # one selection per objective call
         assert {kind for kind, _ in selections} == {"sparse", "dense"}
         assert ("sparse", True) in selections  # flipped faces selected too
 
@@ -218,6 +255,17 @@ class TestObjectiveOracle:
             [-np.inf, -np.inf],
             [np.nan, 1.0],
             [1.0, -np.inf, np.nan],
+            # exp's underflow edge: 5e-324 just above -745.1332191019412, 0
+            # from there down, a subnormal at -708.5
+            [0.0, -745.1332191019411],
+            [0.0, -745.1332191019412],
+            [0.0, -746.0],
+            [0.0, -708.5],
+            [0.0, -745.1332191019411, -745.1332191019411, -746.0, -708.5],
+            # one live lane among thousands whose exp underflows
+            np.r_[np.full(2000, -1000.0), 0.0, -3.0, np.full(2000, -800.0)],
+            # tied maxima, everything else underflowing
+            np.r_[5.0, np.full(3000, -900.0), 5.0, np.full(1000, -741.0), 5.0],
         ],
     )
     def test_logsumexp_matches_scipy(self, a):
@@ -510,6 +558,37 @@ class TestSweep:
             return "\n".join(rows)
 
         assert strip_runtime(pa) == strip_runtime(pb)
+
+    def test_nested_seed_built_only_when_a_restart_tries_it(self, monkeypatch):
+        # the nested drawing is restart 1 + len(extra_seeds); one restart
+        # never reaches it, so it is not built, and every row is what
+        # maximize_resolution gives with it appended and never tried: on
+        # htilde(2,16) the centroid replay collapses and the row fails
+        built = []
+
+        def counted(fam):
+            built.append(fam.graph.n)
+            return layout_nested(fam)
+
+        monkeypatch.setattr(optimize, "layout_nested", counted)
+        specs = [FamilySpec("htilde", 1, 2), FamilySpec("htilde", 2, 16)]
+        config = OptimizeConfig(restarts=1, max_iters=50, seed=42)
+        records = sweep(specs, config)
+        assert built == []
+        for spec, record in zip(specs, records):
+            fam = build_family(spec)
+            row_cfg = replace(config, extra_seeds=[layout_nested(fam)])
+            try:
+                traces = maximize_resolution(fam.graph, fam.embedding, row_cfg).traces
+            except optimize.OptimizeFailure as failure:
+                traces = failure.traces
+            best = max((t.resolution for t in traces if t.valid), default=math.nan)
+            assert _bits(record.best_resolution) == _bits(best)
+            assert record.valid_restarts == sum(t.valid for t in traces)
+        assert math.isnan(records[1].best_resolution) and records[1].valid_restarts == 0
+        # a second restart tries it, so it is built, once per row
+        sweep(specs[:1], replace(config, restarts=2))
+        assert built == [records[0].vertices]
 
 
 # a row without c, a numpy resolution and a failed (nan) row
