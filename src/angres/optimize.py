@@ -12,17 +12,18 @@ internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
 capped at stage 12, over the smallest corner angle) plus an orientation
 penalty ``weight * sum(min(area, 0)**2)`` whose weight starts at
 ``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.
-The soft-min takes ``exp`` only on the corners where it can be nonzero,
-those at or above ``EXP_FLOOR`` = -746: below -745.1332191019412 ``exp``
-is exactly +0.0, and numpy's ``exp`` takes a slow path on every lane that
-underflows.  The gradient is one ``np.bincount`` scatter per coordinate
-over the live terms only.  Both are bit for bit the computation over every
-corner (``_lse``, ``_live_terms`` and ``_objective`` say why, and when
-every corner is taken).  Over the restarts of a sweep at seed 42, a median
-180 of htilde(2,16)'s 53,595 corners (0.34%, at most 315) and 735 of
-htilde(3,8)'s 182,331 (0.40%, at most 1,218) are live per objective call;
-``exp`` over all 53,595 took a median 199 us a call, selecting the live
-corners and taking it on them 18 us (2-core x86-64 machine, numpy 2.4.6).
+The soft-min's weights and their gradient factors are computed only on the
+corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
+-746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
+``exp`` takes a slow path on every lane that underflows.  The gradient is
+one ``np.bincount`` scatter per coordinate over the live terms only.  Both
+are bit for bit the computation over every corner (``_lse`` and
+``_objective`` say why, and when every term is scattered).  Over the
+restarts of a sweep at seed 42, a median 180 of htilde(2,16)'s 53,595
+corners (0.34%, at most 315) and 735 of htilde(3,8)'s 182,331 (0.40%, at
+most 1,218) are live per objective call.  On htilde(2,16) ``exp`` over
+every corner took a median 239 us a call, and selecting the live corners
+and taking it on them 24 us (2-core x86-64 machine, numpy 2.4.6).
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
@@ -109,7 +110,7 @@ TOL = 1e-8
 
 # exp(x) is exactly +0.0 below -745.1332191019412, where its value is under
 # half the least subnormal, 5e-324; the soft-min takes exp only on lanes
-# x >= EXP_FLOOR and holds +0.0 on the others.
+# not below EXP_FLOOR and holds +0.0 on the others.
 EXP_FLOOR = -746.0
 
 
@@ -199,22 +200,20 @@ def _lse(a: np.ndarray):
     ``log(sum(exp(a)))``.  It runs in the caller's floating-point state,
     ``_quiet``'s in the objective.
 
-    With a finite maximum no lane is nan, and ``exp`` of the shifted array
-    is taken only on the lanes at or above ``EXP_FLOOR``, skipping numpy's
-    slow path on the lanes that underflow.  The others hold +0.0 in place,
-    ``exp``'s exact value there, so the pairwise sum adds the same array in
-    the same order."""
+    ``exp`` of the shifted array is taken only on the lanes at or above
+    ``EXP_FLOOR`` that are not tied maxima (a tie's shifted value is
+    exactly 0), skipping numpy's slow path on the lanes that underflow.
+    The others hold +0.0 in place, ``exp``'s exact value there and scipy's
+    at its ties, set to -inf, so the pairwise sum adds the same array in
+    the same order.  With a finite maximum no lane is nan.  A non-finite
+    one (a nan, or an infinite lane) makes every shifted lane nan or -inf,
+    and the result is then not finite here nor in scipy, though the two
+    sums may differ, so both take the fallback."""
     a_max = a.max()
     tied = a == a_max
     m = float(np.count_nonzero(tied))
     shifted = a - a_max
-    if math.isfinite(a_max):
-        # no lane is nan, and the ties, whose shifted value is exactly 0,
-        # are the lanes scipy sets to -inf
-        e = np.exp(shifted, out=np.zeros(a.size), where=(shifted >= EXP_FLOOR) ^ tied)
-    else:
-        shifted[tied] = -np.inf - a_max  # scipy sets the ties to -inf, then shifts
-        e = np.exp(shifted)
+    e = np.exp(shifted, out=np.zeros(a.size), where=(shifted >= EXP_FLOOR) ^ tied)
     s = e.sum()
     if s != 0:
         s = s / m
@@ -224,40 +223,17 @@ def _lse(a: np.ndarray):
     return out
 
 
-def _live_terms(x, lse, g, h, pc, P):
-    """The soft-min gradient's factor ``coef = wgt / denom`` per corner,
-    with the softmax weight ``wgt = exp(x)`` and ``denom = max(g*g + h*h,
-    1e-300)`` (coincident points give 0/0), and the terms the scatter must
-    add: the corners with nonzero ``coef`` and the faces with nonzero ``pc``.
-
-    Returns ``(coef, (corner_live, face_live))``, the two index arrays in
-    order and ``coef`` of the live corners only; or ``(coef, None)``, with
-    ``coef`` of every corner, to add every term: when a quarter or more of
-    the corners are live, where selecting them costs more than the scatter
-    it saves, or when a coordinate in ``P`` is non-finite or beyond 1e100
-    in magnitude.
-
-    With ``lse`` finite no corner angle is nan, so neither is any lane of
-    ``x`` nor any ``denom``, and ``exp``, ``denom`` and ``coef`` run only on
-    the lanes at or above ``EXP_FLOOR``.  Below it ``wgt`` is exactly +0.0,
-    and so is ``coef``, as ``denom`` is positive: the ``coef`` of every
-    corner is the same array, bit for bit.  A non-finite ``lse`` (a nan
-    corner angle) keeps every lane."""
-    size = x.size
-    on = np.flatnonzero(x >= EXP_FLOOR) if math.isfinite(lse) else np.arange(size)
-    if on.size < size:
-        x, g, h = x[on], g[on], h[on]
-    coef = np.exp(x) / np.maximum(g * g + h * h, 1e-300)
-    if 4 * np.count_nonzero(coef) >= size or not np.abs(P).max() <= 1e100:
-        if on.size < size:
-            every = np.zeros(size)
-            every[on] = coef
-            coef = every
-        return coef, None
-    kept = np.flatnonzero(coef)
-    # pc != 0 selects what flatnonzero(pc) does, nan included, at a tenth of
-    # its cost on 50k floats
-    return coef[kept], (on[kept], np.flatnonzero(pc != 0))
+def _live_terms(coef: np.ndarray, pc: np.ndarray, P: np.ndarray):
+    """The corners with nonzero (or nan) ``coef`` and the faces with nonzero
+    ``pc``, as index arrays in order, whose gradient terms are the only ones
+    the scatter must add; or None, to add every term, when a quarter or more
+    of the corners are live or a coordinate in ``P`` is non-finite or
+    beyond 1e100 in magnitude."""
+    if 4 * np.count_nonzero(coef) >= coef.size or not np.abs(P).max() <= 1e100:
+        return None
+    # a != 0 selects what flatnonzero(a) does, nan included, at a fraction
+    # of its cost: 21 against 188 us on htilde(2,16)'s 53,595 corners
+    return np.flatnonzero(coef != 0), np.flatnonzero(pc != 0)
 
 
 def _objective(y, mesh, pinned, sharp, weight, origin, scale):
@@ -272,21 +248,22 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     scales of nested-replay drawings.
 
     The softmax weights ``wgt = exp(z - lse)`` and the factors ``coef =
-    wgt / denom`` are computed only on the corners where ``z - lse >=
-    EXP_FLOOR``; every other weight underflows to exactly +0.0, and so does
-    its ``coef`` (``_live_terms`` says why, and when every corner is
-    computed).  On deep rows more than 99% of the corners underflow, and
-    numpy's ``exp`` is about twenty times slower on such lanes than on
-    others: 63 against 3.2 us on 3,000 lanes at -1000 and at -1.
+    wgt / denom`` are computed only on the corners where ``z - lse`` is not
+    below ``EXP_FLOOR``, nan included (a nan angle makes every lane nan).
+    Every other weight is +0.0, ``exp``'s exact value there, and so is its
+    ``coef``, as ``denom`` is positive: ``coef`` is the same array bit for
+    bit.  On deep rows more than 99% of the corners underflow, and numpy's
+    ``exp`` is about twenty times slower on such lanes than on others: 63
+    against 3.2 us on 3,000 lanes at -1000 and at -1.
 
     The gradient is one ``np.bincount`` per coordinate over the live terms
-    only: the corners whose ``coef`` is nonzero and the faces whose penalty
-    factor ``pc`` is nonzero, each in index order.  Every term left out is
-    ``coef`` or ``pc`` times a finite factor, so it is exactly +0.0 or
-    -0.0.  A bincount sum starts at +0.0 and can never become -0.0, so
-    adding a signed zero changes no bit, and the gradient equals the
-    scatter over all corners bit for bit.  Two cases scatter every term,
-    with no selection and no copy:
+    only: the corners whose ``coef = wgt / denom`` is nonzero and the faces
+    whose penalty factor ``pc`` is nonzero, each in index order.  Every
+    term left out is ``coef`` or ``pc`` times a finite factor, so it is
+    exactly +0.0 or -0.0.  A bincount sum starts at +0.0 and can never
+    become -0.0, so adding a signed zero changes no bit, and the gradient
+    equals the scatter over all corners bit for bit.  Two cases scatter
+    every term, with no selection and no copy:
       * a coordinate is non-finite or beyond 1e100 in magnitude: a factor
         may then overflow, and ``0 * inf`` is nan, not zero (with every
         coordinate within 1e100 the factors stay below 4e301);
@@ -303,6 +280,17 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     lse = _lse(z)
     value = lse / sharp  # minus the soft-min -lse / sharp
 
+    # d(softmin)/d(theta_i) = wgt_i, the softmax weight exp(z_i - lse); the
+    # weights sum to 1, and the objective is -softmin.  coef = wgt / denom
+    # is taken on the corners whose weight can be nonzero, nan included,
+    # and is +0.0 on the others; denom = max(g*g + h*h, 1e-300), as
+    # coincident points give 0/0
+    x = z - lse
+    on = np.flatnonzero(~(x < EXP_FLOOR))
+    g_on, h_on = g[on], h[on]
+    coef = np.zeros(x.size)
+    coef[on] = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
+
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
     # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, and
     # its penalty vertices are (t2, t0, t1).  Twice its area is the g of
@@ -317,10 +305,9 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     value += weight * float(np.sum(neg * neg))
     pc = (2.0 * weight) * neg
 
-    # d(softmin)/d(theta_i) is the softmax weight exp(z_i - lse); the
-    # objective is -softmin.  The scatter index: the live corners' a, b and
-    # c columns, then the live faces' three columns
-    coef, live = _live_terms(z - lse, lse, g, h, pc, P)
+    # the scatter index: the live corners' a, b and c columns, then the
+    # live faces' three columns
+    live = _live_terms(coef, pc, P)
     if live is None:
         index = corners.ravel()
     else:
@@ -328,27 +315,27 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
         index = np.concatenate(
             [corners[:3, corner_live].ravel(), corners[3].reshape(3, -1)[:, face_live].ravel()]
         )
-        e1x, e1y, e2x, e2y, g, h = (v[corner_live] for v in (e1x, e1y, e2x, e2y, g, h))
+        coef, e1x, e1y, e2x, e2y, g, h = (v[corner_live] for v in (coef, e1x, e1y, e2x, e2y, g, h))
         pc, fy, fx = pc[face_live], fy[face_live], fx[face_live]
     w = np.empty(index.size)
 
     # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
-    # and -dC for the corners, then the penalty terms of the three face
-    # columns, from their coordinate differences as (3, faces) rows
+    # and -dC for the corners, then the penalty terms of the three face columns
     wa, wb, wc = w[: 3 * coef.size].reshape(3, -1)
     wf = w[3 * coef.size :].reshape(3, -1)
     out = np.empty(2 * free.size)
     for dA, dC, face_terms, packed in (
-        ((-e2y) * h - g * e2x, e1y * h - g * e1x, fy.T[[1, 2, 0]], out[0::2]),
-        (e2x * h - g * e2y, (-e1x) * h - g * e1y, fx.T, out[1::2]),
+        ((-e2y) * h - g * e2x, e1y * h - g * e1x, (fy[:, 1], fy[:, 2], fy[:, 0]), out[0::2]),
+        (e2x * h - g * e2y, (-e1x) * h - g * e1y, (fx[:, 0], fx[:, 1], fx[:, 2]), out[1::2]),
     ):
         dA *= coef
         dC *= coef
         np.negative(dA, out=wa)
         np.add(dA, dC, out=wb)
         np.negative(dC, out=wc)
-        np.multiply(face_terms, 0.5, out=wf)
-        wf *= pc
+        for term, wt in zip(face_terms, wf):
+            np.multiply(term, 0.5, out=wt)
+            wt *= pc
         np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], scale, out=packed)
     return value, out
 
