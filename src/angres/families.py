@@ -160,6 +160,8 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     rows are appended as one gather through the vertex maps.
     """
     emb, outer = host.embedding, sub.embedding.outer_face
+    if len(outer) != 3:
+        raise StructureError("copy outer face is not a triangle")
     n0, copies = host.graph.n, len(gluings)
     interior = np.ones(sub.graph.n, dtype=bool)
     interior[list(outer)] = False
@@ -172,8 +174,6 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
         if frozenset((r, A, B)) in seen:
             raise StructureError(f"{tuple(sorted(face))} is not a face of the host embedding")
         seen.add(frozenset((r, A, B)))
-        if len(outer) != 3:
-            raise StructureError("copy outer face is not a triangle")
         if copy_root not in outer:
             raise StructureError(f"copy root {copy_root} is not on the copy's outer face")
         (croot, N, P), corner_fans = _corner_fans(sub, copy_root, mirror)

@@ -366,8 +366,6 @@ def _eliminate(graph: LabeledGraph, keep: tuple[int, int, int] | None) -> BuildS
     base_vs = tuple(v for v in range(n) if alive[v])
     if not is_triangle(base_vs):
         raise NotPlanar3TreeError(f"not a 3-tree: final three vertices {base_vs} are not a triangle")
-    if keep is not None and set(base_vs) != protected:
-        raise NotPlanar3TreeError(f"elimination ended at {base_vs}, expected {keep}")
 
     steps = np.array(removed, dtype=np.int64).reshape(-1, 4)[::-1]
     return BuildSequence(base_vs, steps[:, 0].copy(), steps[:, 1:].copy())

@@ -31,12 +31,12 @@ memo, counts and messages, so every stage ends at the same point bit for
 bit, without the wrapper's copies and checks on every evaluation.  Only
 scipy's compiled ``_lbfgsb`` extension is loaded, by itself: importing
 ``scipy.optimize`` for it took 0.56 of the 0.63 s of ``import angres``.
-The outer triangle stays pinned.  For a triangulation whose outer triangle
-is clockwise, internal faces that are all counterclockwise prove that the
-drawing realizes the embedding, so a start or a result counts only after
-the compiled ``Triangulation.violations`` (``validate_drawing``'s exact
-orientation check) passes, and is then measured by
-``Triangulation.resolution`` on the same corners.
+Each restart keeps its own start's outer triangle.  For a triangulation
+whose outer triangle is clockwise, internal faces that are all
+counterclockwise prove that the drawing realizes the embedding, so a start
+or a result counts only after the compiled ``Triangulation.violations``
+(``validate_drawing``'s exact orientation check) passes, and is then
+measured by ``Triangulation.resolution`` on the same corners.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -152,13 +152,19 @@ class OptimizeConfig:
 class RestartTrace:
     index: int
     final_objective: float
-    iterations: int
-    valid: bool
-    resolution: float  # nan when invalid
+    resolution: float  # nan when the start was discarded
     start_resolution: float  # nan when the start was discarded
     # one (message, nit, nfev) per L-BFGS-B stage; empty when the start was
     # discarded or no vertex is free
     stages: list[tuple[str, int, int]] = field(default_factory=list)
+
+    @property
+    def valid(self) -> bool:  # every restart that ran reports a drawing
+        return not math.isnan(self.resolution)
+
+    @property
+    def iterations(self) -> int:
+        return sum(nit for _, nit, _ in self.stages)
 
 
 @dataclass
@@ -414,10 +420,9 @@ def minimize(fun, x0, args, maxiter):
     return LbfgsbResult(x=x, fun=f, nit=nit, nfev=nfev, message=message)
 
 
-def _run_restart(
-    start, mesh, pinned, config
-) -> tuple[np.ndarray, float, int, list[tuple[str, int, int]]]:
-    """Sharpness/penalty continuation from one starting drawing.
+def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str, int, int]]]:
+    """Sharpness/penalty continuation from one starting drawing, its outer
+    triangle pinned.
 
     Variables are per-vertex rescaled offsets from the start (scale = the
     shortest incident edge in the starting drawing); stages keep running,
@@ -435,13 +440,12 @@ def _run_restart(
     near = np.full(mesh.n, np.inf)
     np.minimum.at(near, i, dist)
     np.minimum.at(near, j, dist)
-    origin = np.array(start[free].T)
+    pinned = np.array(start.T)
+    origin = pinned[:, free]
     scale = np.maximum(near[free], 1e-300)
     P = pinned.copy()
-    P[:, free] = origin
     y = np.zeros(2 * free.size)
     iters_left = config.max_iters
-    total_iters = 0
     weight = config.penalty_init
     value = math.inf
     stage = 0
@@ -460,7 +464,6 @@ def _run_restart(
         final = (sharp, weight)
         improved = float(res.fun) < value - TOL
         value = float(res.fun)
-        total_iters += res.nit
         iters_left -= max(res.nit, 1)
         P[0, free] = origin[0] + scale * y[0::2]
         P[1, free] = origin[1] + scale * y[1::2]
@@ -469,7 +472,7 @@ def _run_restart(
         stalled = 0 if improved else stalled + 1
     with _quiet():
         value = float(_objective(y, mesh, pinned, *final, origin, scale)[0])
-    return np.array(P.T), value, total_iters, stages
+    return np.array(P.T), value, stages
 
 
 def maximize_resolution(
@@ -479,7 +482,8 @@ def maximize_resolution(
 
     Restart 0 starts from the plain centroid-replay seed; any configured
     extra seeds follow; remaining restarts replay the build sequence with
-    seeded random barycentric weights.  Restarts whose starting drawing is
+    seeded random barycentric weights.  Each restart optimizes its own
+    start, outer triangle included.  Restarts whose starting drawing is
     degenerate or invalid are recorded as failed without running; a restart
     that does run never reports worse than its starting drawing.  Only
     restarts whose reported drawing passes validate_drawing's check count;
@@ -494,11 +498,9 @@ def maximize_resolution(
     mesh = Triangulation(graph, emb)
     replay = _ReplayPlan(graph, emb)
     base = replay.place()
-    pinned = np.array(base.T)
 
     traces: list[RestartTrace] = []
-    best = None
-    best_res = -1.0
+    best, best_res = None, -1.0
     for r in range(config.restarts):
         if r == 0:
             start = base
@@ -513,20 +515,19 @@ def maximize_resolution(
         if mesh.violations(start):
             # invalid start (deep replays collapse below double precision);
             # nothing worth optimizing from
-            traces.append(RestartTrace(r, math.inf, 0, False, math.nan, math.nan))
+            traces.append(RestartTrace(r, math.inf, math.nan, math.nan))
             continue
         if mesh.free.size:
-            drawing, value, iters, stages = _run_restart(start, mesh, pinned, config)
+            drawing, value, stages = _run_restart(start, mesh, config)
         else:
-            drawing, value, iters, stages = base.copy(), 0.0, 0, []  # only the pinned triangle
-        valid = not mesh.violations(drawing)
-        resolution = mesh.resolution(drawing) if valid else math.nan
+            drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
+        resolution = -math.inf if mesh.violations(drawing) else mesh.resolution(drawing)
         # a restart never reports worse than its (valid) starting drawing
         start_res = mesh.resolution(start)
-        if not valid or start_res > resolution:
-            drawing, valid, resolution = start.copy(), True, start_res
-        traces.append(RestartTrace(r, value, iters, valid, resolution, start_res, stages))
-        if valid and resolution > best_res:
+        if start_res > resolution:
+            drawing, resolution = start.copy(), start_res
+        traces.append(RestartTrace(r, value, resolution, start_res, stages))
+        if resolution > best_res:
             best, best_res = drawing, resolution
     if best is None:
         raise OptimizeFailure("no restart produced a valid drawing", traces)
@@ -571,11 +572,9 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
         row_cfg = replace(config, extra_seeds=list(config.extra_seeds) + nested)
         try:
             result = maximize_resolution(g, emb, row_cfg)
-            best = result.resolution
-            valid = sum(1 for t in result.traces if t.valid)
+            best, valid = result.resolution, sum(t.valid for t in result.traces)
         except OptimizeFailure:
-            best = math.nan
-            valid = 0
+            best, valid = math.nan, 0
         records.append(
             SweepRecord(
                 family=spec.family,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres.cli import _parse_spec_file, main
+from angres.cli import _atomic_write, _parse_spec_file, main
 from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
 from angres.graphs import (
@@ -32,6 +32,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write fails midway; the
+    # target keeps its old text and the temp file is gone
+    out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError, match=r"can't encode character '\\ud800'"):
+        _atomic_write(str(out), "new\ud800\n")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert out.read_text() == "old\n"
 
 
 class TestGen:

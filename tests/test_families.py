@@ -76,6 +76,12 @@ class TestG:
         check_structure(fam)
         assert max_degree(fam.graph) <= 4 * d + 13
 
+    @pytest.mark.parametrize("build", [build_G, build_H, build_Htilde])
+    @pytest.mark.parametrize("c, d", [(0, 2), (2, 0)])
+    def test_bad_c_or_d(self, build, c, d):
+        with pytest.raises(ParameterError, match=f"^need c >= 1 and d >= 1, got c={c}, d={d}$"):
+            build(c, d)
+
     def test_c1_is_frame(self):
         fam = build_G(1, 4)
         assert fam.graph.n == 2 * 5 + 1  # the (d+1)-frame

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from angres.geometry import (
     LEMMA_CONSTANT,
     DegenerateInputError,
+    LemmaAngles,
     angle_at,
     lemma_angles,
     lemma_bound_check,
@@ -51,6 +52,11 @@ class TestLemmaAngles:
         ang = lemma_angles(A, B, C, D)
         for val in (ang.a1, ang.a2, ang.b1, ang.b2, ang.c1, ang.c2):
             assert val == pytest.approx(math.pi / 6)
+
+    def test_zero_sub_angle_has_no_sine_product(self):
+        ang = LemmaAngles(0.0, math.pi / 3, math.pi / 6, math.pi / 6, math.pi / 6, math.pi / 6)
+        with pytest.raises(DegenerateInputError, match="^sine_product: zero sine in sub-angle$"):
+            sine_product(ang)
 
     def test_outside_point_rejected(self):
         A, B, C = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)

@@ -103,6 +103,18 @@ class TestLabeledGraph:
         with pytest.raises(StructureError):
             LabeledGraph(2, [(0, 5)])
 
+    def test_label_on_unknown_vertex(self):
+        with pytest.raises(StructureError, match="^label on unknown vertex 5$"):
+            LabeledGraph(3, [], {0: "a", 5: "b"}).validate()
+
+    def test_duplicate_labels(self):
+        with pytest.raises(StructureError, match="^duplicate vertex labels$"):
+            LabeledGraph(3, [], {0: "a", 2: "a"}).validate()
+
+    def test_reader_needs_a_header(self):
+        with pytest.raises(StructureError, match="^missing 'graph <V>' header$"):
+            read_graph("# only a comment\n")
+
     def test_negative_vertex_count(self):
         with pytest.raises(StructureError, match="^negative vertex count -2$"):
             LabeledGraph(-2)

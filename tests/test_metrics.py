@@ -456,6 +456,16 @@ class TestFrameProfile:
             assert prof.alpha1[k] == pytest.approx(APEX_ANGLE / (2 * d))
         assert prof.apex_total == pytest.approx(APEX_ANGLE)
 
+    def test_needs_frame_roles(self):
+        _, coords = layout_frame_fan(2)
+        with pytest.raises(StructureError, match="^frame_profile needs frame roles$"):
+            frame_profile(None, coords)
+
+    def test_claim_needs_two_rings(self):
+        _, coords = layout_frame_fan(1)
+        with pytest.raises(StructureError, match="^claim_quantities needs d >= 2$"):
+            claim_quantities(build_frame(1).roles, coords)
+
     def test_claim_bound_on_fans(self):
         for d in (2, 4, 6, 8, 12):
             fam, coords = layout_frame_fan(d)

@@ -53,6 +53,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizeConfig(penalty_init=0.0).validate()
 
+    def test_bad_max_iters(self):
+        with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
+            OptimizeConfig(max_iters=0).validate()
+
+    def test_extra_seed_of_wrong_shape(self):
+        g, emb = triangle()
+        config = OptimizeConfig(restarts=2, max_iters=10, extra_seeds=[np.zeros((4, 2))])
+        with pytest.raises(ValueError, match=r"^extra seed 0 has shape \(4, 2\), want \(3, 2\)$"):
+            maximize_resolution(g, emb, config)
+
 
 class TestGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -431,6 +441,23 @@ class TestMaximize:
         assert not traces[2].valid and math.isnan(traces[2].start_resolution)
         for t in (traces[0], traces[1], traces[3]):
             assert t.valid and t.resolution >= t.start_resolution > 0.0
+
+    def test_restart_optimizes_its_own_start(self):
+        """The nested drawing of G(2,8) places the outer triangle elsewhere
+        than the centroid replay; its restart optimizes that drawing, outer
+        triangle included, and so improves on it."""
+        fam = build_G(2, 8)
+        nested = layout_nested(fam)
+        outer = list(fam.embedding.outer_face)
+        assert not np.array_equal(nested[outer], layout_seed_any(fam.graph, fam.embedding)[outer])
+        config = OptimizeConfig(restarts=2, max_iters=300, seed=42, extra_seeds=[nested])
+        result = maximize_resolution(fam.graph, fam.embedding, config)
+        t = result.traces[1]
+        assert t.start_resolution == angular_resolution(fam.graph, nested).resolution
+        assert t.resolution > t.start_resolution
+        assert result.resolution == t.resolution
+        assert np.array_equal(result.coords[outer], nested[outer])
+        assert validate_drawing(fam.graph, fam.embedding, result.coords) == []
 
     def test_checks_the_build_sequence_once(self, monkeypatch):
         # the compiled Triangulation proves the pair a plane triangulation,
