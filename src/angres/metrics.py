@@ -4,9 +4,10 @@ A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``resolution`` (the
 smallest internal corner, on a valid drawing the smallest angle between
-consecutive edges) read the same faces, and the optimizer reads the same
-corners.  ``angular_resolution``'s sorted edge walk measures drawings
-without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
+consecutive edges) read the same faces, and ``corners`` is the one corner
+index of every per-corner computation.  ``angular_resolution``'s sorted
+edge walk measures drawings without an embedding.  Angle identities are
+numeric with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -93,12 +94,11 @@ class Triangulation:
 
     ``faces`` holds the F internal faces of ``internal_triangles``, ``free``
     the vertices off the outer face, ascending.  ``corners``, built on first
-    read (validation never reads it), is the (4, 3F) corner index: rows 0-2
-    are the a, b and c columns of the internal corners (a, b, c), angle at b
-    from ray b->a to ray b->c, corner 3t + i being corner i of face t; row 3
-    holds, in three F-long runs, the a, b and c columns of each face's
-    corner 0, the optimizer's orientation-penalty vertices.  Its
-    ``ravel()``, a view, is the optimizer's full scatter index."""
+    read (validation never reads it), is the (3, 3F) corner index: the a, b
+    and c columns of the internal corners (a, b, c), angle at b from ray
+    b->a to ray b->c, corner 3t + i being corner i of face t, which is
+    (t[i-1], t[i], t[i+1]).  Its view ``corners[:, 0::3]``, each face's
+    corner 0 (t[2], t[0], t[1]), lists every face once in its own order."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.n = graph.n
@@ -111,12 +111,9 @@ class Triangulation:
     @functools.cached_property
     def corners(self) -> np.ndarray:
         f = len(self.faces)
-        corners = np.empty((4, 3 * f), dtype=np.int64)
-        abc = corners[:3].reshape(3, f, 3)
-        # corner i of face t is (t[i-1], t[i], t[i+1])
-        for column, perm in zip(abc, ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
+        corners = np.empty((3, 3 * f), dtype=np.int64)
+        for column, perm in zip(corners.reshape(3, f, 3), ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
             column[:] = self.faces[:, perm]
-        corners[3].reshape(3, f)[:] = abc[:, :, 0]
         return corners
 
     def violations(self, coords: np.ndarray) -> list[Violation]:
@@ -142,7 +139,7 @@ class Triangulation:
         that is negative: ``angular_resolution``'s float expression for the
         same two consecutive edges.  These are all gaps of a valid drawing
         but the three outer ones, which exceed pi, so no sort is needed."""
-        a, b, c = self.corners[:3]
+        a, b, c = self.corners
         to_a = coords[a] - coords[b]
         to_c = coords[c] - coords[b]
         gap = np.arctan2(to_a[:, 1], to_a[:, 0]) - np.arctan2(to_c[:, 1], to_c[:, 0])

@@ -1,8 +1,8 @@
 """Search for maximum-angular-resolution drawings of a fixed embedding.
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
-``metrics.Triangulation``: the internal faces, one corner index over them
-(named rows) and the free (non-outer) vertices.  It also checks the build
+``metrics.Triangulation``: the internal faces, one (3, 3F) corner index
+over them and the free (non-outer) vertices.  It also checks the build
 sequence once and groups its steps by level (``layout._ReplayPlan``).  Every
 restart reuses both, so a centroid or jittered start only places vertices
 level by level.
@@ -16,14 +16,19 @@ The soft-min's weights and their gradient factors are computed only on the
 corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
 -746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
 ``exp`` takes a slow path on every lane that underflows.  The gradient is
-one ``np.bincount`` scatter per coordinate over the live terms only.  Both
-are bit for bit the computation over every corner (``_lse`` and
-``_objective`` say why, and when every term is scattered).  Over the
-restarts of a sweep at seed 42, a median 180 of htilde(2,16)'s 53,595
-corners (0.34%, at most 315) and 735 of htilde(3,8)'s 182,331 (0.40%, at
-most 1,218) are live per objective call.  On htilde(2,16) ``exp`` over
-every corner took a median 239 us a call, and selecting the live corners
-and taking it on them 24 us (2-core x86-64 machine, numpy 2.4.6).
+one ``np.bincount`` scatter per coordinate over the live terms only, each
+kind selected once: those corners, and the faces whose penalty factor is
+nonzero, at their corner-0 columns ``corners[:, 0::3]``, so a drawing
+with no flipped face scatters no face term.  Every corner is scattered,
+its factor zero-filled, when a quarter or more are live, and every corner
+and face when a coordinate is non-finite or beyond 1e100 in magnitude.
+Both are bit for bit the computation over every term (``_lse`` and
+``_objective`` say why).  Over the restarts of a sweep at seed 42, a
+median 180 of htilde(2,16)'s 53,595 corners (0.34%, at most 315) and 735
+of htilde(3,8)'s 182,331 (0.40%, at most 1,218) are live per objective
+call.  On htilde(2,16) ``exp`` over every corner took a median 239 us a
+call, and selecting the live corners and taking it on them 24 us (2-core
+x86-64 machine, numpy 2.4.6).
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
@@ -186,11 +191,11 @@ class OptimizeResult:
 
 
 def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
-    """Signed angle of every internal corner in the (4, 3F) index ``corners``,
+    """Signed angle of every internal corner in the (3, 3F) index ``corners``,
     from the x and y coordinate arrays, with the intermediates of its
     gradient: (theta, e1x, e1y, e2x, e2y, g, h), b the corner's vertex,
     e1 = a - b, e2 = c - b."""
-    ia, ib, ic = corners[:3]
+    ia, ib, ic = corners
     bx, by = px[ib], py[ib]
     e1x, e1y = px[ia] - bx, py[ia] - by
     e2x, e2y = px[ic] - bx, py[ic] - by
@@ -229,19 +234,6 @@ def _lse(a: np.ndarray):
     return out
 
 
-def _live_terms(coef: np.ndarray, pc: np.ndarray, P: np.ndarray):
-    """The corners with nonzero (or nan) ``coef`` and the faces with nonzero
-    ``pc``, as index arrays in order, whose gradient terms are the only ones
-    the scatter must add; or None, to add every term, when a quarter or more
-    of the corners are live or a coordinate in ``P`` is non-finite or
-    beyond 1e100 in magnitude."""
-    if 4 * np.count_nonzero(coef) >= coef.size or not np.abs(P).max() <= 1e100:
-        return None
-    # a != 0 selects what flatnonzero(a) does, nan included, at a fraction
-    # of its cost: 21 against 188 us on htilde(2,16)'s 53,595 corners
-    return np.flatnonzero(coef != 0), np.flatnonzero(pc != 0)
-
-
 def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     """Negative soft-min of corner angles plus orientation penalty; returns
     (value, gradient over the variables ``y``).  Callers run it in
@@ -254,27 +246,30 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     scales of nested-replay drawings.
 
     The softmax weights ``wgt = exp(z - lse)`` and the factors ``coef =
-    wgt / denom`` are computed only on the corners where ``z - lse`` is not
-    below ``EXP_FLOOR``, nan included (a nan angle makes every lane nan).
-    Every other weight is +0.0, ``exp``'s exact value there, and so is its
-    ``coef``, as ``denom`` is positive: ``coef`` is the same array bit for
-    bit.  On deep rows more than 99% of the corners underflow, and numpy's
-    ``exp`` is about twenty times slower on such lanes than on others: 63
-    against 3.2 us on 3,000 lanes at -1000 and at -1.
+    wgt / denom`` are computed only on the corners ``on``, where ``z - lse``
+    is not below ``EXP_FLOOR``, nan included (a nan angle makes every lane
+    nan).  Every other weight is +0.0, ``exp``'s exact value there, and so
+    is its ``coef``, as ``denom`` is positive.  On deep rows more than 99%
+    of the corners underflow, and numpy's ``exp`` is about twenty times
+    slower on such lanes than on others: 63 against 3.2 us on 3,000 lanes
+    at -1000 and at -1.
 
     The gradient is one ``np.bincount`` per coordinate over the live terms
-    only: the corners whose ``coef = wgt / denom`` is nonzero and the faces
-    whose penalty factor ``pc`` is nonzero, each in index order.  Every
-    term left out is ``coef`` or ``pc`` times a finite factor, so it is
-    exactly +0.0 or -0.0.  A bincount sum starts at +0.0 and can never
-    become -0.0, so adding a signed zero changes no bit, and the gradient
-    equals the scatter over all corners bit for bit.  Two cases scatter
-    every term, with no selection and no copy:
-      * a coordinate is non-finite or beyond 1e100 in magnitude: a factor
-        may then overflow, and ``0 * inf`` is nan, not zero (with every
-        coordinate within 1e100 the factors stay below 4e301);
-      * a quarter or more of the corners are live, where selecting them
-        costs more than the scatter it saves."""
+    only, each kind selected once: the corners in ``on``, a superset of
+    those with nonzero ``coef``, and the faces whose penalty factor ``pc``
+    is nonzero (or nan), each in index order.  Every term left out is
+    ``coef`` or ``pc`` times a finite factor, so it is exactly +0.0 or
+    -0.0.  A bincount sum starts at +0.0 and can never become -0.0, so
+    adding a signed zero changes no bit, and the gradient equals the
+    scatter over every term bit for bit.  Every corner is scattered,
+    through the view ``corners.ravel()`` with ``coef`` zero-filled, when a
+    quarter or more of the corners are live, where gathering them costs
+    more than the scatter it saves, or when a coordinate is non-finite or
+    beyond 1e100 in magnitude.  A factor may then overflow, and ``0 * inf``
+    is nan, not zero (with every coordinate within 1e100 the factors stay
+    below 4e301), so every face is kept too.  A face term is the penalty
+    gradient at the face's corner 0, columns ``corners[:, 0::3]``; with no
+    flipped face none is scattered."""
     free, corners = mesh.free, mesh.corners
     P = pinned.copy()
     P[0, free] = origin[0] + scale * y[0::2]
@@ -288,14 +283,12 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
 
     # d(softmin)/d(theta_i) = wgt_i, the softmax weight exp(z_i - lse); the
     # weights sum to 1, and the objective is -softmin.  coef = wgt / denom
-    # is taken on the corners whose weight can be nonzero, nan included,
-    # and is +0.0 on the others; denom = max(g*g + h*h, 1e-300), as
-    # coincident points give 0/0
+    # is taken on the corners whose weight can be nonzero, nan included;
+    # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0
     x = z - lse
-    on = np.flatnonzero(~(x < EXP_FLOOR))
+    on = (~(x < EXP_FLOOR)).nonzero()[0]
     g_on, h_on = g[on], h[on]
-    coef = np.zeros(x.size)
-    coef[on] = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
+    coef = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
 
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
     # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, and
@@ -305,24 +298,27 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     # y(t0) - y(t1), y(t1) - y(t2) and y(t2) - y(t0) are e1y at corners 1, 2
     # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
     # corners 0, 1 and 2
-    fy, fx = e1y.reshape(-1, 3), e2x.reshape(-1, 3)
     area = 0.5 * g[2::3]
     neg = np.minimum(area, 0.0)
     value += weight * float(np.sum(neg * neg))
     pc = (2.0 * weight) * neg
 
-    # the scatter index: the live corners' a, b and c columns, then the
-    # live faces' three columns
-    live = _live_terms(coef, pc, P)
-    if live is None:
+    # the scatter index: the a, b and c columns of every corner, coef
+    # zero-filled, or of the live ones, then those of the selected faces'
+    # corner 0, their penalty vertices
+    wide = not np.abs(P).max() <= 1e100
+    faces = np.arange(pc.size) if wide else (pc != 0).nonzero()[0]
+    pc, fy, fx = pc[faces], e1y.reshape(-1, 3)[faces], e2x.reshape(-1, 3)[faces]
+    if wide or 4 * on.size >= x.size:
         index = corners.ravel()
+        coef, live = np.zeros(x.size), coef
+        coef[on] = live
     else:
-        corner_live, face_live = live
-        index = np.concatenate(
-            [corners[:3, corner_live].ravel(), corners[3].reshape(3, -1)[:, face_live].ravel()]
-        )
-        coef, e1x, e1y, e2x, e2y, g, h = (v[corner_live] for v in (coef, e1x, e1y, e2x, e2y, g, h))
-        pc, fy, fx = pc[face_live], fy[face_live], fx[face_live]
+        index = corners[:, on].ravel()
+        e1x, e1y, e2x, e2y = (v[on] for v in (e1x, e1y, e2x, e2y))
+        g, h = g_on, h_on
+    if faces.size:
+        index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
     w = np.empty(index.size)
 
     # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
@@ -331,17 +327,17 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     wf = w[3 * coef.size :].reshape(3, -1)
     out = np.empty(2 * free.size)
     for dA, dC, face_terms, packed in (
-        ((-e2y) * h - g * e2x, e1y * h - g * e1x, (fy[:, 1], fy[:, 2], fy[:, 0]), out[0::2]),
-        (e2x * h - g * e2y, (-e1x) * h - g * e1y, (fx[:, 0], fx[:, 1], fx[:, 2]), out[1::2]),
+        ((-e2y) * h - g * e2x, e1y * h - g * e1x, fy.T[[1, 2, 0]], out[0::2]),
+        (e2x * h - g * e2y, (-e1x) * h - g * e1y, fx.T, out[1::2]),
     ):
         dA *= coef
         dC *= coef
         np.negative(dA, out=wa)
         np.add(dA, dC, out=wb)
         np.negative(dC, out=wc)
-        for term, wt in zip(face_terms, wf):
-            np.multiply(term, 0.5, out=wt)
-            wt *= pc
+        if faces.size:
+            np.multiply(face_terms, 0.5, out=wf)
+            wf *= pc
         np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], scale, out=packed)
     return value, out
 

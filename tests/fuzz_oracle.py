@@ -36,7 +36,7 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
         # a bounded batch keeps peak memory flat; one 4n-row batch is about
         # 1 GB at n = 1e6
         m = min(max(4 * (n - total), 1024), 1 << 18)
-        P = rng.random((m, 8))
+        P = rng.random((m, 6))
         ax, ay, bx, by, cx, cy = P[:, 0], P[:, 1], P[:, 2], P[:, 3], P[:, 4], P[:, 5]
         w = rng.dirichlet((1.0, 1.0, 1.0), size=m)
         dx = w[:, 0] * ax + w[:, 1] * bx + w[:, 2] * cx

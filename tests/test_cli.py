@@ -16,6 +16,8 @@ from angres.cli import _atomic_write, _parse_spec_file, main
 from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
 from angres.graphs import (
+    Embedding,
+    LabeledGraph,
     StructureError,
     read_embedding,
     read_graph,
@@ -327,6 +329,18 @@ class TestOptimizeCli:
         assert "seed=5" in stdout  # resolved config echoed
         coords = read_drawing(dp.read_text())
         assert coords.shape == (5, 2)
+
+    def test_no_free_vertex(self, tmp_path, capsys):
+        # K3 is its own outer face, and every restart reports its start
+        g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
+        emb = Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 2, 1))
+        gp, ep, dp = tmp_path / "k3.graph", tmp_path / "k3.emb", tmp_path / "k3.opt"
+        gp.write_text(write_graph(g))
+        ep.write_text(write_embedding(emb))
+        code, stdout, _ = run(capsys, "optimize", str(gp), str(ep), "--restarts", "3", "-o", str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-1] == "resolution 1.0471975511965974"
+        assert read_drawing(dp.read_text()).shape == (3, 2)
 
     def test_outer_record_not_a_triangle(self, tmp_path, capsys):
         gp, ep = tmp_path / "f3.graph", tmp_path / "f3.emb"

@@ -310,8 +310,9 @@ class TestTriangulation:
         mesh = Triangulation(g, emb)
         idx = internal_corner_index(g, emb)
         assert np.array_equal(mesh.faces, internal_triangles(g, emb))
-        want = np.concatenate([idx.T.ravel(), idx[::3].T.ravel()])
-        assert mesh.corners.shape == (4, len(idx)) and np.array_equal(mesh.corners.ravel(), want)
+        assert mesh.corners.shape == (3, len(idx)) and np.array_equal(mesh.corners, idx.T)
+        # each face's corner 0, the oracle's penalty vertices
+        assert np.array_equal(mesh.corners[:, 0::3], idx[::3].T)
         assert mesh.free.dtype == np.int64
         assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
 

@@ -92,19 +92,46 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
-def _record_selections(monkeypatch) -> list:
-    """Record each objective call's selection of live terms as ("dense" or
-    "sparse", whether any face is flipped)."""
-    live_terms = optimize._live_terms
-    selections = []
+def _record_scatters(monkeypatch) -> list:
+    """Record the index of every ``np.bincount`` scatter in ``optimize``: two
+    per objective call, one per coordinate."""
+    indices = []
 
-    def recorded(coef, pc, P):
-        live = live_terms(coef, pc, P)
-        selections.append(("dense" if live is None else "sparse", bool(np.count_nonzero(pc))))
-        return live
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(optimize, "_live_terms", recorded)
-    return selections
+        @staticmethod
+        def bincount(index, **kwargs):
+            indices.append(index)
+            return np.bincount(index, **kwargs)
+
+    monkeypatch.setattr(optimize, "np", Numpy())
+    return indices
+
+
+def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
+    """The terms an objective call's scatter ``index`` holds, as ("dense" or
+    "sparse", whether it holds face terms), checking its layout: the a, b
+    and c columns of every corner, the view ``corners.ravel()`` when no face
+    term follows, or of fewer corners; then corner 0's columns of the faces
+    whose penalty factor is nonzero in the oracle's arithmetic at the (n, 2)
+    drawing ``P``, or of every face when a coordinate is beyond 1e100 or not
+    finite."""
+    if np.abs(P).max() <= 1e100:
+        g = objective_oracle.corner_angles(P, idx)[3]
+        faces = np.flatnonzero((2.0 * weight) * np.minimum(0.5 * g[2::3], 0.0) != 0)
+    else:
+        faces = np.arange(len(idx) // 3)
+    face_index = corners[:, 0::3][:, faces].ravel()
+    corner_index = index[: index.size - face_index.size]
+    assert np.array_equal(index[corner_index.size :], face_index)
+    if corner_index.size < corners.size:
+        assert corner_index.size % 3 == 0
+        return "sparse", bool(faces.size)
+    assert np.array_equal(corner_index, corners.ravel())
+    assert faces.size or not index.flags.owndata  # a view, not a copy
+    return "dense", bool(faces.size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,18 +175,23 @@ class TestObjectiveOracle:
         area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
         assert (area < 0).any() == bool(jitter)  # penalty active exactly when jittered
 
-        selections = _record_selections(monkeypatch)
+        scatters = _record_scatters(monkeypatch)
         want = objective_oracle.objective(
             coords[free].ravel(), g.n, free, idx, idx[::3], sharp, weight, coords
         )
         got = objective_and_gradient(g, emb, coords, sharp, weight)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        assert len(scatters) == 2 and scatters[0] is scatters[1]
+        selection = _selection(scatters[0], mesh.corners, coords, idx, weight)
+        if sharp == 5.0:
+            # no corner angle is near enough to pi for its weight to underflow
+            assert selection == ("dense", bool(jitter and weight))
         if name == "htilde216" and staged:
             # at stage 3 and later the softmax weights of more than 99% of
             # the corners are exactly 0, and exp is taken on the others only
             z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners)[0]
             assert np.count_nonzero(z - logsumexp(z) < -745.1332191019412) > 0.99 * z.size
-            assert selections == [("sparse", bool(jitter and weight))]
+            assert selection == ("sparse", bool(jitter and weight))
 
         # the rescaled variables the restarts optimize over
         origin = coords[free]
@@ -185,14 +217,15 @@ class TestObjectiveOracle:
         coords = coords.copy()
         coords[mesh.free[0], 1] = bad
         idx = objective_oracle.internal_corner_index(g, emb)
-        selections = _record_selections(monkeypatch)
+        scatters = _record_scatters(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             want = objective_oracle.objective(
                 coords[mesh.free].ravel(), g.n, mesh.free, idx, idx[::3], sharp, weight, coords
             )
             got = objective_and_gradient(g, emb, coords, sharp, weight)
         assert not np.isfinite(want[1]).all()
-        assert {kind for kind, _ in selections} == {"dense"}
+        # every corner and every face, whatever the weight
+        assert _selection(scatters[-1], mesh.corners, coords, idx, weight) == ("dense", True)
         if math.isnan(bad):
             # IEEE 754 leaves a nan's sign to the operation, and the oracle's
             # loops over strided columns and the kernel's over contiguous
@@ -205,8 +238,8 @@ class TestObjectiveOracle:
         oracle; together they take the dense selection and the sparse one,
         flipped faces included."""
         objective = optimize._objective
-        selections = _record_selections(monkeypatch)
-        calls = []
+        scatters = _record_scatters(monkeypatch)
+        selections = []
         for d in (4, 16):
             fam = build_Htilde(2, d)
             g, emb = fam.graph, fam.embedding
@@ -218,7 +251,10 @@ class TestObjectiveOracle:
                     y, g.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
                 )
                 assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
-                calls.append(sharp)
+                assert scatters[-1] is scatters[-2]  # one index per call
+                P = pinned.T.copy()
+                P[mesh.free] = origin.T + scale[:, None] * y.reshape(-1, 2)
+                selections.append(_selection(scatters[-1], mesh.corners, P, idx, weight))
                 return got
 
             monkeypatch.setattr(optimize, "_objective", checked_objective)
@@ -226,7 +262,7 @@ class TestObjectiveOracle:
                 restarts=3, max_iters=60, seed=1, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
             )
             maximize_resolution(g, emb, config)
-        assert len(selections) == len(calls)  # one selection per objective call
+        assert len(scatters) == 2 * len(selections)  # one index per call
         assert {kind for kind, _ in selections} == {"sparse", "dense"}
         assert ("sparse", True) in selections  # flipped faces selected too
 
@@ -390,6 +426,18 @@ class TestMaximize:
         g, emb = triangle()
         result = maximize_resolution(g, emb, OptimizeConfig(restarts=2, max_iters=50))
         assert result.resolution == pytest.approx(math.pi / 3, abs=1e-3)
+
+    def test_no_free_vertex(self):
+        # K3 is its own outer face: every restart reports its start as is,
+        # with no L-BFGS-B stage run
+        g, _ = triangle()
+        emb = Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 2, 1))
+        result = maximize_resolution(g, emb, OptimizeConfig(restarts=3))
+        assert result.resolution == 1.0471975511965974
+        assert len(result.traces) == 3
+        for trace in result.traces:
+            assert trace.resolution == trace.start_resolution == 1.0471975511965974
+            assert trace.stages == [] and trace.final_objective == 0.0
 
     def test_k4_bounds(self):
         fam = build_Htilde(1, 1)  # contains K4-level structure; use plain K4 instead
