@@ -149,6 +149,8 @@ class OptimizeConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.penalty_init > 0.0):
             raise ValueError(f"penalty_init must be > 0, got {self.penalty_init}")
 

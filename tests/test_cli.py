@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angres import optimize
 from angres.cli import _atomic_write, _parse_spec_file, main
 from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
@@ -396,6 +397,22 @@ class TestSweepFit:
         assert code == 1
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("restarts", ["2", "3"])
+    def test_sweep_negative_seed(self, tmp_path, capsys, monkeypatch, restarts):
+        # rejected before any row is built, whether or not a jittered
+        # restart would use the seed
+        monkeypatch.setattr(optimize, "build_family", lambda spec: pytest.fail("row built"))
+        spec = tmp_path / "specs.txt"
+        spec.write_text("frame - 2\n")
+        csv_path = tmp_path / "out.csv"
+        code, _, err = run(
+            capsys, "sweep", "--spec", str(spec), "--restarts", restarts, "--seed", "-1",
+            "-o", str(csv_path),
+        )
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not csv_path.exists()
+
     def test_bad_spec_line(self, tmp_path, capsys):
         spec = tmp_path / "specs.txt"
         spec.write_text("frame 2\n")
@@ -572,6 +589,11 @@ class TestLemmaFuzzCli:
         code, stdout, _ = run(capsys, "lemma-fuzz", "--n", "1000", "--seed", "42")
         assert code == 0
         assert "1000/1000 hold" in stdout
+
+    def test_negative_seed(self, capsys):
+        code, _, err = run(capsys, "lemma-fuzz", "--n", "1000", "--seed", "-1")
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
 
     def test_prints_every_report_field(self, capsys):
         code, stdout, _ = run(capsys, "lemma-fuzz", "--n", "300", "--seed", "5")

@@ -1,9 +1,13 @@
+import functools
 import math
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angres import geometry
 from angres.geometry import (
     LEMMA_CONSTANT,
     DegenerateInputError,
@@ -16,6 +20,8 @@ from angres.geometry import (
     sine_product,
 )
 from fuzz_oracle import lemma_fuzz as reference_lemma_fuzz
+
+_oracle_report = functools.lru_cache(maxsize=None)(reference_lemma_fuzz)
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -57,6 +63,20 @@ class TestLemmaAngles:
         ang = LemmaAngles(0.0, math.pi / 3, math.pi / 6, math.pi / 6, math.pi / 6, math.pi / 6)
         with pytest.raises(DegenerateInputError, match="^sine_product: zero sine in sub-angle$"):
             sine_product(ang)
+
+    def test_underflowed_sub_angle_has_no_bound_check(self):
+        # D passes the strict-interior test, but atan2 underflows to 0.0
+        ang = lemma_angles((0.0, 0.0), (1e10, 0.0), (0.0, 1e10), (1e-320, 1e9))
+        assert (ang.a2, ang.c1) == (0.0, 0.0)
+        with pytest.raises(DegenerateInputError, match="^lemma_bound_check: zero sub-angle$"):
+            lemma_bound_check(ang)
+
+    @pytest.mark.parametrize("name", ["a2", "b1", "c1"])
+    def test_zero_divisor_sub_angle_has_no_bound_check(self, name):
+        ang = LemmaAngles(*[math.pi / 6] * 6)
+        setattr(ang, name, 0.0)
+        with pytest.raises(DegenerateInputError, match="^lemma_bound_check: zero sub-angle$"):
+            lemma_bound_check(ang)
 
     def test_outside_point_rejected(self):
         A, B, C = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
@@ -135,6 +155,60 @@ class TestFuzz:
         for name in ("worst_ratio", "max_sine_product_error", "max_angle_sum_error"):
             assert getattr(got, name).hex() == getattr(want, name).hex(), name
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [4096, 3000])
+    @pytest.mark.parametrize("n", [1, 1000, "chunk-1", "chunk+1", 65537, 262145, 300000])
+    def test_fuzz_matches_oracle_chunked(self, monkeypatch, workers, chunk, n):
+        """The report does not depend on the chunk size or the worker count:
+        4096 rows divide the 2^18-row batch and 3000 do not; n = chunk +- 1
+        ends in a partial chunk, 65537 in a cut batch, 262145 and 300000
+        run several batches."""
+        if isinstance(n, str):
+            n = chunk + int(n[len("chunk"):])
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+        got, want = lemma_fuzz(n, 11), _oracle_report(n, 11)
+        assert (got.n, got.bound_holds) == (want.n, want.bound_holds) == (n, n)
+        for name in ("worst_ratio", "max_sine_product_error", "max_angle_sum_error"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+
+    def test_fuzz_chunks_run_in_callers_context(self, monkeypatch):
+        seen = []
+
+        def record(P, w):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+            return evaluate(P, w)
+
+        evaluate = geometry._fuzz_rows
+        monkeypatch.setattr(geometry, "_fuzz_rows", record)
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1024)
+        monkeypatch.setattr(geometry, "_worker_count", lambda: 2)
+        with np.errstate(over="raise"):
+            lemma_fuzz(1000, 3)
+        assert len(seen) == 4  # 4000 rows in chunks of 1024
+        assert seen == [(False, "raise")] * 4
+
+    def test_fuzz_joins_its_threads(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1024)
+        monkeypatch.setattr(geometry, "_worker_count", lambda: 3)
+        before = threading.active_count()
+        assert lemma_fuzz(5000, 4).n == 5000
+        assert threading.active_count() == before
+
+        calls = []
+
+        def fail_third(P, w):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("chunk failed")
+            return evaluate(P, w)
+
+        evaluate = geometry._fuzz_rows
+        monkeypatch.setattr(geometry, "_fuzz_rows", fail_third)
+        with pytest.raises(RuntimeError, match="^chunk failed$"):
+            lemma_fuzz(5000, 4)
+        assert threading.active_count() == before
+
     def test_fuzz_deterministic(self):
         a = lemma_fuzz(500, seed=3)
         b = lemma_fuzz(500, seed=3)
@@ -143,6 +217,10 @@ class TestFuzz:
     def test_fuzz_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lemma_fuzz(0, seed=1)
+
+    def test_fuzz_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            lemma_fuzz(10, seed=-1)
 
     def test_constant_value(self):
         assert LEMMA_CONSTANT == pytest.approx(math.pi**2 / 4)

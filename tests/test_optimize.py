@@ -57,6 +57,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
             OptimizeConfig(max_iters=0).validate()
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            OptimizeConfig(restarts=2, seed=-1).validate()
+
     def test_extra_seed_of_wrong_shape(self):
         g, emb = triangle()
         config = OptimizeConfig(restarts=2, max_iters=10, extra_seeds=[np.zeros((4, 2))])
