@@ -43,12 +43,26 @@ or a result counts only after the compiled ``Triangulation.violations``
 (``validate_drawing``'s exact orientation check) passes, and is then
 measured by ``Triangulation.resolution`` on the same corners.
 
+The restarts are independent: each has its own start, its own
+``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
+splits them over W = min(cores, restarts) worker shares, restart r in share
+r mod W; the calling process runs share 0 and a forked child each other
+share, and the (drawing, trace) pairs are merged in restart order, so the
+result is bit for bit the same for any W.  While restarts run, every
+OpenBLAS the process has loaded is held at one thread: left at the core
+count, its threads spin on every ``setulb`` call and, against the workers,
+made a forked sweep several times slower than a serial one.  Every restart
+runs in the calling process where ``os.fork`` is missing, scipy's OpenBLAS
+cannot be held (no ``/proc/self/maps``, or another BLAS), or another
+thread runs, since forking a threaded process can deadlock the child.
+
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.machinery
 import importlib.util
@@ -62,6 +76,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .families import FamilySpec, build_family
+from .geometry import _worker_count
 from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
 from .layout import _ReplayPlan, layout_nested
 from .metrics import Triangulation
@@ -473,6 +488,163 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     return np.array(P.T), value, stages
 
 
+def _restart(r, mesh, replay, base, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
+    """Restart ``r``: its reported drawing (None when its start was
+    discarded) and its trace."""
+    if r == 0:
+        start = base
+    elif r - 1 < len(seeds):
+        start = seeds[r - 1]
+    else:
+        # replay with random interior barycentric weights: a valid
+        # drawing of the embedding, diverse across restarts
+        start = replay.place(rng=np.random.default_rng([config.seed, r]))
+    if mesh.violations(start):
+        # invalid start (deep replays collapse below double precision);
+        # nothing worth optimizing from
+        return None, RestartTrace(r, math.inf, math.nan, math.nan)
+    if mesh.free.size:
+        drawing, value, stages = _run_restart(start, mesh, config)
+    else:
+        drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
+    resolution = -math.inf if mesh.violations(drawing) else mesh.resolution(drawing)
+    # a restart never reports worse than its (valid) starting drawing
+    start_res = mesh.resolution(start)
+    if start_res > resolution:
+        drawing, resolution = start.copy(), start_res
+    return drawing, RestartTrace(r, value, resolution, start_res, stages)
+
+
+def _run_share(share, args):
+    """``_restart`` of each restart in ``share``, in order, up to the first
+    that raises: (its (drawing, trace) pairs, None or (index, exception))."""
+    pairs = []
+    for r in share:
+        try:
+            pairs.append(_restart(r, *args))
+        except Exception as exc:
+            return pairs, (r, exc)
+    return pairs, None
+
+
+def _fork_share(share, args):
+    """Run ``share`` in a forked child; returns its pid and the read end of
+    the pipe that carries its pickled ``_run_share`` result."""
+    import pickle
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's stack, whatever is raised
+        status = 1
+        try:
+            os.close(read)
+            pairs, failure = _run_share(share, args)
+            if failure is not None:
+                import traceback
+
+                r, exc = failure
+                if hasattr(exc, "add_note"):  # the child's traceback, shown with the parent's
+                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # sent as a RuntimeError that names it
+                    failure = r, RuntimeError(f"restart {r} raised {type(exc).__name__}: {exc}")
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump((pairs, failure), fh, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _collect(pid, fh, share):
+    """The ``_run_share`` result a forked child sent, once it has exited."""
+    import pickle
+
+    data = fh.read()
+    fh.close()
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"the worker of restarts {list(share)} exited with code {code}")
+    return pickle.loads(data)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set, lp64) for every OpenBLAS mapped into this process: its
+    thread-count functions, and whether it is an LP64 build, the kind
+    scipy's ``_lbfgsb`` links.  Found through ``/proc/self/maps`` and opened
+    with ``RTLD_NOLOAD``, so nothing is loaded; empty where either is
+    missing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {p[5].strip() for p in (line.split(maxsplit=5) for line in fh) if len(p) == 6}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (OSError, AttributeError):  # gone, or no RTLD_NOLOAD on this platform
+            continue
+        # the scipy-openblas wheels' names (numpy's ILP64 one ends in 64_), then OpenBLAS's own
+        for prefix, suffix in (("scipy_openblas", ""), ("scipy_openblas", "64_"),
+                               ("openblas", ""), ("openblas", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put, suffix == ""))
+                break
+    return controls
+
+
+def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartTrace]]:
+    """``_restart(r, *args)`` for r in 0..restarts-1, in restart order, over
+    W = min(cores, restarts) worker shares: restart r goes to share r mod W.
+    The calling process runs share 0 and a forked child each other share.
+    If restarts raise, the one with the lowest index re-raises here, with
+    its type and message.  Every OpenBLAS in the process is held at one
+    thread while restarts run."""
+    import signal
+    import threading
+
+    workers = min(_worker_count(), restarts)
+    controls = _openblas_thread_controls()
+    threads = [get() for get, _, _ in controls]
+    children = []  # (pid, read end, share) of each child not yet reaped
+    try:
+        for _, put, _ in controls:
+            put(1)
+        held = any(lp64 for _, _, lp64 in controls)
+        if not (held and hasattr(os, "fork") and threading.active_count() == 1):
+            workers = 1
+        shares = [range(k, restarts, workers) for k in range(workers)]
+        for share in shares[1:]:
+            children.append((*_fork_share(share, args), share))
+        results = [_run_share(shares[0], args)]
+        while children:
+            results.append(_collect(*children[0]))
+            del children[0]
+    finally:
+        for pid, fh, _ in children:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            fh.close()
+        for (_, put, _), n in zip(controls, threads):
+            put(n)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted((pair for pairs, _ in results for pair in pairs), key=lambda p: p[1].index)
+
+
 def maximize_resolution(
     graph: LabeledGraph, emb: Embedding, config: OptimizeConfig | None = None
 ) -> OptimizeResult:
@@ -480,53 +652,46 @@ def maximize_resolution(
 
     Restart 0 starts from the plain centroid-replay seed; any configured
     extra seeds follow; remaining restarts replay the build sequence with
-    seeded random barycentric weights.  Each restart optimizes its own
-    start, outer triangle included.  Restarts whose starting drawing is
-    degenerate or invalid are recorded as failed without running; a restart
-    that does run never reports worse than its starting drawing.  Only
-    restarts whose reported drawing passes validate_drawing's check count;
-    ties go to the lowest restart index.  The pair is compiled once into a
+    seeded random barycentric weights.  Every extra seed's shape is checked
+    before any restart runs.  Each restart optimizes its own start, outer
+    triangle included.  Restarts whose starting drawing is degenerate or
+    invalid are recorded as failed without running; a restart that does run
+    never reports worse than its starting drawing.  Only restarts whose
+    reported drawing passes validate_drawing's check count; ties go to the
+    lowest restart index.  The pair is compiled once into a
     ``Triangulation``, which validates every start and result and measures
     each valid one per corner (``Triangulation.resolution``, equal to
     ``angular_resolution``'s value bit for bit without its edge walk and
     sort); each trace records its start's resolution.
+
+    The restarts run in W = min(cores, restarts) worker shares, restart r
+    in share r mod W: share 0 in the calling process and each other in a
+    forked child, which pickles its (drawing, trace) pairs back through a
+    pipe.  They are merged in restart order, so the result is bit for bit
+    the same for any W.  While they run, every OpenBLAS the process has
+    loaded is held at one thread and restored after.  All run in the
+    calling process where ``os.fork`` is missing, scipy's OpenBLAS could
+    not be held, or another thread runs (see the module docstring).  An
+    exception in a restart re-raises here with its type and message, that
+    of the lowest restart index where several fail; no child outlives the
+    call.
     """
     config = config or OptimizeConfig()
     config.validate()
     mesh = Triangulation(graph, emb)
     replay = _ReplayPlan(graph, emb)
     base = replay.place()
+    seeds = [np.asarray(seed, dtype=float) for seed in config.extra_seeds]
+    for k, seed in enumerate(seeds):
+        if seed.shape != base.shape:
+            raise ValueError(f"extra seed {k} has shape {seed.shape}, want {base.shape}")
 
-    traces: list[RestartTrace] = []
+    runs = _run_restarts(config.restarts, (mesh, replay, base, seeds, config))
     best, best_res = None, -1.0
-    for r in range(config.restarts):
-        if r == 0:
-            start = base
-        elif r - 1 < len(config.extra_seeds):
-            start = np.asarray(config.extra_seeds[r - 1], dtype=float)
-            if start.shape != base.shape:
-                raise ValueError(f"extra seed {r - 1} has shape {start.shape}, want {base.shape}")
-        else:
-            # replay with random interior barycentric weights: a valid
-            # drawing of the embedding, diverse across restarts
-            start = replay.place(rng=np.random.default_rng([config.seed, r]))
-        if mesh.violations(start):
-            # invalid start (deep replays collapse below double precision);
-            # nothing worth optimizing from
-            traces.append(RestartTrace(r, math.inf, math.nan, math.nan))
-            continue
-        if mesh.free.size:
-            drawing, value, stages = _run_restart(start, mesh, config)
-        else:
-            drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
-        resolution = -math.inf if mesh.violations(drawing) else mesh.resolution(drawing)
-        # a restart never reports worse than its (valid) starting drawing
-        start_res = mesh.resolution(start)
-        if start_res > resolution:
-            drawing, resolution = start.copy(), start_res
-        traces.append(RestartTrace(r, value, resolution, start_res, stages))
-        if resolution > best_res:
-            best, best_res = drawing, resolution
+    for drawing, trace in runs:
+        if trace.resolution > best_res:  # nan, a discarded start, never is
+            best, best_res = drawing, trace.resolution
+    traces = [trace for _, trace in runs]
     if best is None:
         raise OptimizeFailure("no restart produced a valid drawing", traces)
     return OptimizeResult(best, best_res, traces)

@@ -67,6 +67,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^extra seed 0 has shape \(4, 2\), want \(3, 2\)$"):
             maximize_resolution(g, emb, config)
 
+    def test_extra_seed_shapes_checked_before_any_restart(self, monkeypatch):
+        # seed 1 is malformed: neither restart 0 nor seed 0 (restart 1) runs
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 1)
+        ran = []
+        run = optimize._run_restart
+        monkeypatch.setattr(optimize, "_run_restart", lambda *args: ran.append(1) or run(*args))
+        fam = build_frame(2)
+        nested = layout_nested(fam)
+        config = OptimizeConfig(restarts=4, max_iters=10, extra_seeds=[nested, nested[:-1]])
+        n = fam.graph.n
+        want = rf"^extra seed 1 has shape \({n - 1}, 2\), want \({n}, 2\)$"
+        with pytest.raises(ValueError, match=want):
+            maximize_resolution(fam.graph, fam.embedding, config)
+        assert ran == []
+
 
 class TestGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -241,6 +256,7 @@ class TestObjectiveOracle:
         """Every objective call of two short optimizations against the
         oracle; together they take the dense selection and the sparse one,
         flipped faces included."""
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 1)  # every restart in this process
         objective = optimize._objective
         scatters = _record_scatters(monkeypatch)
         selections = []
@@ -357,6 +373,7 @@ class TestMinimize:
         ],
     )
     def test_restart_stages(self, monkeypatch, c, d, max_iters, nested, message, nit):
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 1)  # every restart in this process
         drive = optimize.minimize
         stages = []
 
@@ -561,6 +578,7 @@ class TestMaximize:
         assert 0.0 < -t.final_objective <= t.resolution
 
     def test_shallow_trace_objective_is_last_stage_value(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 1)  # every restart in this process
         funs = []
         minimize = optimize.minimize
 
@@ -587,6 +605,172 @@ class TestMaximize:
         fam = build_frame(2)
         result = maximize_resolution(fam.graph, fam.embedding, FAST)
         assert [t.index for t in result.traces] == list(range(FAST.restarts))
+
+
+def _worker_case(name: str):
+    """(graph, embedding, extra seeds) of a worker-count case."""
+    if name == "k3":  # no free vertex
+        g, _ = triangle()
+        return g, Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 2, 1)), []
+    fam = {"htilde12": lambda: build_Htilde(1, 2), "htilde24": lambda: build_Htilde(2, 4),
+           "htilde216": lambda: build_Htilde(2, 16), "g28": lambda: build_G(2, 8)}[name]()
+    return fam.graph, fam.embedding, [layout_nested(fam)]
+
+
+def _result_bytes(result) -> tuple:
+    """Everything an ``OptimizeResult`` or ``OptimizeFailure`` reports, floats by ``hex``."""
+    traces = [
+        (t.index, float(t.final_objective).hex(), float(t.resolution).hex(),
+         float(t.start_resolution).hex(), t.stages)
+        for t in result.traces
+    ]
+    if isinstance(result, optimize.OptimizeFailure):
+        return str(result), traces
+    return result.coords.tobytes(), float(result.resolution).hex(), traces
+
+
+def _blas_threads() -> list[int]:
+    return [get() for get, _, _ in optimize._openblas_thread_controls()]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """Restarts split over worker shares, share 0 in this process and the
+    others in forked children."""
+
+    @pytest.mark.parametrize(
+        "name, restarts",
+        [("htilde12", 1), ("htilde12", 5), ("htilde24", 16), ("htilde216", 16),
+         ("htilde216", 1), ("g28", 2), ("k3", 5)],
+    )
+    def test_result_does_not_depend_on_the_worker_count(self, monkeypatch, name, restarts):
+        # htilde(2,16) discards its collapsed replay starts, and with one
+        # restart, only the centroid's, fails
+        g, emb, seeds = _worker_case(name)
+        config = OptimizeConfig(restarts=restarts, max_iters=200, seed=42, penalty_init=10.0,
+                                extra_seeds=seeds)
+        blas = _blas_threads()
+        seen = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(optimize, "_worker_count", lambda: workers)
+            try:
+                seen.append(_result_bytes(maximize_resolution(g, emb, config)))
+            except optimize.OptimizeFailure as failure:
+                seen.append(_result_bytes(failure))
+            _assert_no_child()
+            assert _blas_threads() == blas
+        assert seen[0] == seen[1] == seen[2]
+        assert [t[0] for t in seen[0][-1]] == list(range(restarts))
+        assert (name, restarts) != ("htilde216", 1) or isinstance(seen[0][0], str)
+
+    @staticmethod
+    def _failing(monkeypatch, fail):
+        """Make ``_restart`` call ``fail(r)`` first, and run 6 restarts of
+        frame(2) on 3 workers: shares (0, 3), (1, 4) and (2, 5)."""
+        restart = optimize._restart
+
+        def failing(r, *args):
+            fail(r)
+            return restart(r, *args)
+
+        monkeypatch.setattr(optimize, "_restart", failing)
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 3)
+        fam = build_frame(2)
+        return lambda: maximize_resolution(fam.graph, fam.embedding,
+                                           OptimizeConfig(restarts=6, max_iters=20))
+
+    @pytest.mark.parametrize("bad, first", [({2, 4}, 2), ({3, 4}, 3), ({4, 5}, 4), ({1, 3}, 1),
+                                            ({0}, 0), ({5}, 5)])
+    def test_lowest_failing_restart_raises(self, monkeypatch, bad, first):
+        def fail(r):
+            if r in bad:
+                raise (LookupError if r % 2 else ArithmeticError)(f"restart {r} failed")
+
+        run = self._failing(monkeypatch, fail)
+        blas = _blas_threads()
+        with pytest.raises(Exception) as info:
+            run()
+        assert type(info.value) is (LookupError if first % 2 else ArithmeticError)
+        assert str(info.value) == f"restart {first} failed"
+        _assert_no_child()
+        assert _blas_threads() == blas
+
+    def test_unpicklable_exception_in_a_child(self, monkeypatch):
+        def fail(r):
+            if r == 1:  # OptimizeFailure takes its traces as a second argument
+                raise optimize.OptimizeFailure("no", [])
+
+        with pytest.raises(RuntimeError, match="^restart 1 raised OptimizeFailure: no$"):
+            self._failing(monkeypatch, fail)()
+        _assert_no_child()
+
+    def test_child_that_dies_without_a_result(self, monkeypatch):
+        def fail(r):
+            if r == 4:
+                os._exit(3)
+
+        want = r"^the worker of restarts \[1, 4\] exited with code 3$"
+        with pytest.raises(RuntimeError, match=want):
+            self._failing(monkeypatch, fail)()
+        _assert_no_child()
+
+    def test_interrupt_kills_the_children(self, monkeypatch):
+        import time
+
+        def fail(r):
+            if r == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # in a child, until killed
+
+        run = self._failing(monkeypatch, fail)
+        blas = _blas_threads()
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run()
+        assert time.perf_counter() - t0 < 30
+        _assert_no_child()
+        assert _blas_threads() == blas
+
+    @pytest.mark.parametrize("why", ["no fork", "no openblas", "a thread"])
+    def test_fallback_runs_every_restart_here(self, monkeypatch, why):
+        import threading
+
+        here, blas = [], []
+        restart = optimize._restart
+
+        def recorded(r, *args):
+            here.append(r)  # a forked child's list is its own
+            blas.append(_blas_threads())
+            return restart(r, *args)
+
+        monkeypatch.setattr(optimize, "_restart", recorded)
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 3)
+        fam = build_frame(2)
+        config = OptimizeConfig(restarts=5, max_iters=20)
+        maximize_resolution(fam.graph, fam.embedding, config)
+        assert here == [0, 3]
+        assert blas[0] and all(set(threads) == {1} for threads in blas)  # held while restarts run
+        here.clear()
+        if why == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif why == "no openblas":
+            monkeypatch.setattr(optimize, "_openblas_thread_controls", lambda: [])
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        if why == "a thread":
+            thread.start()
+        try:
+            maximize_resolution(fam.graph, fam.embedding, config)
+        finally:
+            stop.set()
+            if why == "a thread":
+                thread.join(10)
+                assert not thread.is_alive()
+        assert here == [0, 1, 2, 3, 4]
 
 
 class TestSweep:
