@@ -202,9 +202,11 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
         raise ValueError("n must be positive")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
-    workers = _worker_count()
-    pool = None
+    pool = ThreadPoolExecutor(_worker_count())
     holds = 0
     worst = []
     sp_err = []
@@ -218,19 +220,10 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
             P = rng.random((m, 6))
             w = rng.dirichlet((1.0, 1.0, 1.0), size=m)
             chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, m, _CHUNK_ROWS)]
-            if len(chunks) == 1 or workers == 1:
-                parts = [_fuzz_rows(P[s], w[s]) for s in chunks]
-            else:
-                import contextvars
-                from concurrent.futures import ThreadPoolExecutor
-
-                if pool is None:
-                    pool = ThreadPoolExecutor(workers)
-                futures = [
-                    pool.submit(contextvars.copy_context().run, _fuzz_rows, P[s], w[s])
-                    for s in chunks
-                ]
-                parts = [f.result() for f in futures]
+            futures = [
+                pool.submit(contextvars.copy_context().run, _fuzz_rows, P[s], w[s]) for s in chunks
+            ]
+            parts = [f.result() for f in futures]
             hold, ratio, sp, sums = (np.concatenate(col)[: n - total] for col in zip(*parts))
             if hold.size == 0:
                 continue
@@ -239,9 +232,8 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
             sp_err.append(sp.max())
             sum_err.append(sums.max())
             total += hold.size
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    finally:  # joins the workers, so a later fork sees one thread
+        pool.shutdown(cancel_futures=True)
     return FuzzReport(
         n=total,
         bound_holds=holds,

@@ -19,10 +19,9 @@ corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
 one ``np.bincount`` scatter per coordinate over the live terms only, each
 kind selected once: those corners, and the faces whose penalty factor is
 nonzero, at their corner-0 columns ``corners[:, 0::3]``, so a drawing
-with no flipped face scatters no face term.  Every corner is scattered,
-its factor zero-filled, when a quarter or more are live, and every corner
-and face when a coordinate is non-finite or beyond 1e100 in magnitude.
-Both are bit for bit the computation over every term (``_lse`` and
+with no flipped face scatters no face term.  Every corner and face is
+scattered when a coordinate is non-finite or beyond 1e100 in magnitude.
+This is bit for bit the computation over every term (``_lse`` and
 ``_objective`` say why).  Over the restarts of a sweep at seed 42, a
 median 180 of htilde(2,16)'s 53,595 corners (0.34%, at most 315) and 735
 of htilde(3,8)'s 182,331 (0.40%, at most 1,218) are live per objective
@@ -48,13 +47,15 @@ The restarts are independent: each has its own start, its own
 splits them over W = min(cores, restarts) worker shares, restart r in share
 r mod W; the calling process runs share 0 and a forked child each other
 share, and the (drawing, trace) pairs are merged in restart order, so the
-result is bit for bit the same for any W.  While restarts run, every
-OpenBLAS the process has loaded is held at one thread: left at the core
-count, its threads spin on every ``setulb`` call and, against the workers,
-made a forked sweep several times slower than a serial one.  Every restart
-runs in the calling process where ``os.fork`` is missing, scipy's OpenBLAS
-cannot be held (no ``/proc/self/maps``, or another BLAS), or another
-thread runs, since forking a threaded process can deadlock the child.
+result is bit for bit the same for any W.  While restarts run, the
+OpenBLAS that ``setulb``'s extension links is held at one thread, found
+through that extension's own handle; other BLAS libraries are untouched.
+Left at the core count, its threads spin on every ``setulb`` call and,
+against the workers, made a forked sweep several times slower than a
+serial one.  Forking is for Linux only: every restart runs in the calling
+process elsewhere, where ``os.fork`` is missing, where ``setulb``'s
+OpenBLAS cannot be held, or while another thread runs, since forking a
+threaded process can deadlock the child.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -100,7 +101,8 @@ def _load_lbfgsb():
     return module
 
 
-setulb = _load_lbfgsb().setulb
+_lbfgsb = _load_lbfgsb()
+setulb = _lbfgsb.setulb
 # scipy 1.17.1's names of setulb's task codes, from scipy.optimize._lbfgsb_py
 status_messages = {
     0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE", 5: "STOP", 6: "WARNING",
@@ -166,8 +168,8 @@ class OptimizeConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.penalty_init > 0.0):
-            raise ValueError(f"penalty_init must be > 0, got {self.penalty_init}")
+        if not (0.0 < self.penalty_init < math.inf):
+            raise ValueError(f"penalty_init must be finite and > 0, got {self.penalty_init}")
 
 
 @dataclass
@@ -278,15 +280,13 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     ``coef`` or ``pc`` times a finite factor, so it is exactly +0.0 or
     -0.0.  A bincount sum starts at +0.0 and can never become -0.0, so
     adding a signed zero changes no bit, and the gradient equals the
-    scatter over every term bit for bit.  Every corner is scattered,
-    through the view ``corners.ravel()`` with ``coef`` zero-filled, when a
-    quarter or more of the corners are live, where gathering them costs
-    more than the scatter it saves, or when a coordinate is non-finite or
-    beyond 1e100 in magnitude.  A factor may then overflow, and ``0 * inf``
+    scatter over every term bit for bit.  When a coordinate is non-finite
+    or beyond 1e100 in magnitude, a factor may overflow, and ``0 * inf``
     is nan, not zero (with every coordinate within 1e100 the factors stay
-    below 4e301), so every face is kept too.  A face term is the penalty
-    gradient at the face's corner 0, columns ``corners[:, 0::3]``; with no
-    flipped face none is scattered."""
+    below 4e301), so ``on`` is then every corner, whose ``exp`` is +0.0
+    wherever it underflows, and every face is kept too.  A face term is
+    the penalty gradient at the face's corner 0, columns
+    ``corners[:, 0::3]``; with no flipped face none is scattered."""
     free, corners = mesh.free, mesh.corners
     P = pinned.copy()
     P[0, free] = origin[0] + scale * y[0::2]
@@ -301,9 +301,11 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     # d(softmin)/d(theta_i) = wgt_i, the softmax weight exp(z_i - lse); the
     # weights sum to 1, and the objective is -softmin.  coef = wgt / denom
     # is taken on the corners whose weight can be nonzero, nan included;
-    # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0
+    # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0.  Every
+    # corner and face is kept when a coordinate is non-finite or beyond 1e100
     x = z - lse
-    on = (~(x < EXP_FLOOR)).nonzero()[0]
+    wide = not np.abs(P).max() <= 1e100
+    on = np.arange(x.size) if wide else (~(x < EXP_FLOOR)).nonzero()[0]
     g_on, h_on = g[on], h[on]
     coef = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
 
@@ -320,20 +322,13 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     value += weight * float(np.sum(neg * neg))
     pc = (2.0 * weight) * neg
 
-    # the scatter index: the a, b and c columns of every corner, coef
-    # zero-filled, or of the live ones, then those of the selected faces'
-    # corner 0, their penalty vertices
-    wide = not np.abs(P).max() <= 1e100
+    # the scatter index: the a, b and c columns of the live corners, then
+    # those of the selected faces' corner 0, their penalty vertices
     faces = np.arange(pc.size) if wide else (pc != 0).nonzero()[0]
     pc, fy, fx = pc[faces], e1y.reshape(-1, 3)[faces], e2x.reshape(-1, 3)[faces]
-    if wide or 4 * on.size >= x.size:
-        index = corners.ravel()
-        coef, live = np.zeros(x.size), coef
-        coef[on] = live
-    else:
-        index = corners[:, on].ravel()
-        e1x, e1y, e2x, e2y = (v[on] for v in (e1x, e1y, e2x, e2y))
-        g, h = g_on, h_on
+    index = corners[:, on].ravel()
+    e1x, e1y, e2x, e2y = (v[on] for v in (e1x, e1y, e2x, e2y))
+    g, h = g_on, h_on
     if faces.size:
         index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
     w = np.empty(index.size)
@@ -572,57 +567,46 @@ def _collect(pid, fh, share):
     return pickle.loads(data)
 
 
-def _openblas_thread_controls() -> list:
-    """(get, set, lp64) for every OpenBLAS mapped into this process: its
-    thread-count functions, and whether it is an LP64 build, the kind
-    scipy's ``_lbfgsb`` links.  Found through ``/proc/self/maps`` and opened
-    with ``RTLD_NOLOAD``, so nothing is loaded; empty where either is
-    missing."""
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS that ``setulb``'s
+    extension links, or None where it is not found.  ``dlsym`` on the
+    extension's own handle, opened with ``RTLD_NOLOAD``, searches its
+    dependencies, so nothing is loaded and no other BLAS is touched."""
     import ctypes
 
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {p[5].strip() for p in (line.split(maxsplit=5) for line in fh) if len(p) == 6}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except (OSError, AttributeError):  # gone, or no RTLD_NOLOAD on this platform
-            continue
-        # the scipy-openblas wheels' names (numpy's ILP64 one ends in 64_), then OpenBLAS's own
-        for prefix, suffix in (("scipy_openblas", ""), ("scipy_openblas", "64_"),
-                               ("openblas", ""), ("openblas", "64_")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put, suffix == ""))
-                break
-    return controls
+        lib = ctypes.CDLL(_lbfgsb.__file__, mode=os.RTLD_NOLOAD)
+    except (OSError, AttributeError):  # not loaded from a file, or no RTLD_NOLOAD here
+        return None
+    for prefix in ("scipy_openblas", "openblas"):  # the scipy-openblas wheels' names, then OpenBLAS's
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartTrace]]:
     """``_restart(r, *args)`` for r in 0..restarts-1, in restart order, over
     W = min(cores, restarts) worker shares: restart r goes to share r mod W.
-    The calling process runs share 0 and a forked child each other share.
-    If restarts raise, the one with the lowest index re-raises here, with
-    its type and message.  Every OpenBLAS in the process is held at one
-    thread while restarts run."""
+    The calling process runs share 0 and a forked child each other share,
+    on Linux only.  If restarts raise, the one with the lowest index
+    re-raises here, with its type and message.  ``setulb``'s OpenBLAS is
+    held at one thread while restarts run."""
     import signal
     import threading
 
     workers = min(_worker_count(), restarts)
-    controls = _openblas_thread_controls()
-    threads = [get() for get, _, _ in controls]
+    control = _blas_thread_control()
+    threads = control[0]() if control else None
     children = []  # (pid, read end, share) of each child not yet reaped
     try:
-        for _, put, _ in controls:
-            put(1)
-        held = any(lp64 for _, _, lp64 in controls)
-        if not (held and hasattr(os, "fork") and threading.active_count() == 1):
+        if control:
+            control[1](1)
+        forks = sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1
+        if not (control and forks):
             workers = 1
         shares = [range(k, restarts, workers) for k in range(workers)]
         for share in shares[1:]:
@@ -637,8 +621,8 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             fh.close()
-        for (_, put, _), n in zip(controls, threads):
-            put(n)
+        if control:
+            control[1](threads)
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -668,13 +652,13 @@ def maximize_resolution(
     in share r mod W: share 0 in the calling process and each other in a
     forked child, which pickles its (drawing, trace) pairs back through a
     pipe.  They are merged in restart order, so the result is bit for bit
-    the same for any W.  While they run, every OpenBLAS the process has
-    loaded is held at one thread and restored after.  All run in the
-    calling process where ``os.fork`` is missing, scipy's OpenBLAS could
-    not be held, or another thread runs (see the module docstring).  An
-    exception in a restart re-raises here with its type and message, that
-    of the lowest restart index where several fail; no child outlives the
-    call.
+    the same for any W.  While they run, ``setulb``'s own OpenBLAS is held
+    at one thread and restored after; other BLAS libraries are untouched.
+    All run in the calling process off Linux, where ``os.fork`` is missing,
+    where ``setulb``'s OpenBLAS cannot be held, or while another thread
+    runs (see the module docstring).  An exception in a restart re-raises
+    here with its type and message, that of the lowest restart index where
+    several fail; no child outlives the call.
     """
     config = config or OptimizeConfig()
     config.validate()

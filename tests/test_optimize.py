@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizeConfig(penalty_init=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_penalty_init(self, value):
+        # an infinite weight makes every stage a 0-iteration ABNORMAL with a
+        # nan objective, and the call would return the starting drawing
+        with pytest.raises(ValueError, match=f"^penalty_init must be finite and > 0, got {value}$"):
+            OptimizeConfig(penalty_init=value).validate()
+
     def test_bad_max_iters(self):
         with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
             OptimizeConfig(max_iters=0).validate()
@@ -132,11 +139,10 @@ def _record_scatters(monkeypatch) -> list:
 def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
     """The terms an objective call's scatter ``index`` holds, as ("dense" or
     "sparse", whether it holds face terms), checking its layout: the a, b
-    and c columns of every corner, the view ``corners.ravel()`` when no face
-    term follows, or of fewer corners; then corner 0's columns of the faces
-    whose penalty factor is nonzero in the oracle's arithmetic at the (n, 2)
-    drawing ``P``, or of every face when a coordinate is beyond 1e100 or not
-    finite."""
+    and c columns of every corner, or of fewer corners; then corner 0's
+    columns of the faces whose penalty factor is nonzero in the oracle's
+    arithmetic at the (n, 2) drawing ``P``, or of every face when a
+    coordinate is beyond 1e100 or not finite."""
     if np.abs(P).max() <= 1e100:
         g = objective_oracle.corner_angles(P, idx)[3]
         faces = np.flatnonzero((2.0 * weight) * np.minimum(0.5 * g[2::3], 0.0) != 0)
@@ -149,7 +155,6 @@ def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
         assert corner_index.size % 3 == 0
         return "sparse", bool(faces.size)
     assert np.array_equal(corner_index, corners.ravel())
-    assert faces.size or not index.flags.owndata  # a view, not a copy
     return "dense", bool(faces.size)
 
 
@@ -254,8 +259,7 @@ class TestObjectiveOracle:
 
     def test_bit_identical_along_restarts(self, monkeypatch):
         """Every objective call of two short optimizations against the
-        oracle; together they take the dense selection and the sparse one,
-        flipped faces included."""
+        oracle, sparse selections with flipped faces among them."""
         monkeypatch.setattr(optimize, "_worker_count", lambda: 1)  # every restart in this process
         objective = optimize._objective
         scatters = _record_scatters(monkeypatch)
@@ -283,7 +287,6 @@ class TestObjectiveOracle:
             )
             maximize_resolution(g, emb, config)
         assert len(scatters) == 2 * len(selections)  # one index per call
-        assert {kind for kind, _ in selections} == {"sparse", "dense"}
         assert ("sparse", True) in selections  # flipped faces selected too
 
     @pytest.mark.parametrize(
@@ -629,8 +632,12 @@ def _result_bytes(result) -> tuple:
     return result.coords.tobytes(), float(result.resolution).hex(), traces
 
 
-def _blas_threads() -> list[int]:
-    return [get() for get, _, _ in optimize._openblas_thread_controls()]
+_SETULB_BLAS = optimize._blas_thread_control()  # looked up once, before any test patches it
+
+
+def _blas_threads() -> int:
+    """The thread count of ``setulb``'s OpenBLAS."""
+    return _SETULB_BLAS[0]()
 
 
 def _assert_no_child():
@@ -735,7 +742,25 @@ class TestWorkers:
         _assert_no_child()
         assert _blas_threads() == blas
 
-    @pytest.mark.parametrize("why", ["no fork", "no openblas", "a thread"])
+    def test_forks_with_blas_already_at_one_thread(self, monkeypatch):
+        # as under OPENBLAS_NUM_THREADS=1, which perfbench/run.py sets
+        get, put = _SETULB_BLAS
+        threads = get()
+        here = []
+        restart = optimize._restart
+        monkeypatch.setattr(optimize, "_restart", lambda r, *args: here.append(r) or restart(r, *args))
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 3)
+        fam = build_frame(2)
+        put(1)
+        try:
+            maximize_resolution(fam.graph, fam.embedding, OptimizeConfig(restarts=5, max_iters=20))
+            assert get() == 1
+        finally:
+            put(threads)
+        assert here == [0, 3]  # restarts 1, 4 and 2 ran in forked children
+        _assert_no_child()
+
+    @pytest.mark.parametrize("why", ["no fork", "no openblas", "a thread", "not linux"])
     def test_fallback_runs_every_restart_here(self, monkeypatch, why):
         import threading
 
@@ -753,12 +778,14 @@ class TestWorkers:
         config = OptimizeConfig(restarts=5, max_iters=20)
         maximize_resolution(fam.graph, fam.embedding, config)
         assert here == [0, 3]
-        assert blas[0] and all(set(threads) == {1} for threads in blas)  # held while restarts run
+        assert blas and all(threads == 1 for threads in blas)  # held while restarts run
         here.clear()
         if why == "no fork":
             monkeypatch.delattr(os, "fork")
         elif why == "no openblas":
-            monkeypatch.setattr(optimize, "_openblas_thread_controls", lambda: [])
+            monkeypatch.setattr(optimize, "_blas_thread_control", lambda: None)
+        elif why == "not linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(60,))
         if why == "a thread":
