@@ -75,6 +75,9 @@ def _config_from_args(args) -> OptimizeConfig:
 
 
 def _cmd_gen(args) -> int:
+    if _emb_path(args.output) == args.output:  # the embedding would overwrite the graph
+        print(f"error: -o {args.output} is where gen writes the embedding", file=sys.stderr)
+        return 2
     spec = _spec_from_args(args)
     print(f"gen: family={spec.family} c={spec.c} d={spec.d} out={args.output}")
     fam = build_family(spec)

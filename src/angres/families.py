@@ -69,7 +69,6 @@ class Family:
     graph: LabeledGraph
     embedding: Embedding
     roles: FrameRoles | None = None
-    corners: dict[str, int] = field(default_factory=dict)
     placements: list[CopyPlacement] = field(default_factory=list)
 
 
@@ -240,9 +239,7 @@ def _base_k4(names: tuple[str, str, str, str]) -> Family:
     """K4 with corners named, the fourth vertex interior, outer face
     (n1, n3, n2) in clockwise trace order."""
     emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
-    fam = Family(LabeledGraph(4, rotation_edges(emb), dict(enumerate(names))), emb)
-    fam.corners = {name: v for v, name in enumerate(names)}
-    return fam
+    return Family(LabeledGraph(4, rotation_edges(emb), dict(enumerate(names))), emb)
 
 
 def build_H(c: int, d: int) -> Family:
@@ -270,7 +267,7 @@ def build_Htilde(c: int, d: int) -> Family:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     fam = _base_k4(("t1", "t2", "t3", "t4"))
     sub = build_H(c, d)
-    s1 = sub.corners["s1"]
+    s1 = next(v for v, name in sub.graph.labels.items() if name == "s1")
     faces = ((0, 1, 3), (0, 2, 3), (1, 2, 3))
     glue_copies(fam, sub, [(face, min(face), s1, False) for face in faces])
     return fam

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .families import Family, build_frame
+from .families import Family, ParameterError, build_frame
 from .graphs import (
     BuildSequence,
     Embedding,
@@ -34,6 +34,8 @@ from .graphs import (
 # The fan's root angle and the radius ratio between its rings.
 APEX_ANGLE = math.pi / 3.0
 RING_RATIO = 2.0
+# The most rings a top fan may have: RING_RATIO**k overflows a double past it.
+MAX_FAN_RINGS = 1023
 
 # Frozen floors for resolution * d at this geometry, calibrated over
 # d = 1..128 (frame fan, measured 0.4905) and d = 1..64 (three-level
@@ -116,14 +118,14 @@ def _place_subtree(fam: Family, gmap: np.ndarray, coords: np.ndarray, fan_depth:
     composed with each copy's ``vmap`` as ``gmap[vmap]``); the three shared
     corner vertices of every copy are already placed when it is visited.
     A family without frame roles is a base K4 with copies glued in: its
-    interior corner goes to the centroid of its three outer ones.
+    interior labeled vertex goes to the centroid of its three outer ones.
     ``fan_depth`` counts fan ancestors: fans nested inside other fans use a
     narrower radial span, since the per-level scale shrink (sliver-face
     thinness times the radial span) compounds and would otherwise push the
     innermost features below double-precision resolvability."""
     if fam.roles is None:
         outer = list(fam.embedding.outer_face)
-        inner = next(v for v in fam.corners.values() if v not in outer)
+        inner = next(v for v in fam.graph.labels if v not in outer)
         coords[gmap[inner]] = coords[gmap[outer]].mean(axis=0)
     for p in fam.placements:
         sub = p.sub
@@ -156,11 +158,15 @@ def layout_nested(fam: Family) -> np.ndarray:
     Every glued frame is then fanned into its host triangle recursively.
     Local scale shrinks by a bounded factor per nesting level, so deep
     families stay representable where a pure centroid replay would collapse
-    to coincident points.  The frozen floors hold for every such drawing."""
+    to coincident points.  The frozen floors hold for every such drawing.
+    A top fan of more than ``MAX_FAN_RINGS`` rings raises ParameterError."""
     coords = np.zeros((fam.graph.n, 2))
     if fam.roles is not None:
         roles = fam.roles
         d = len(roles.u)
+        if d > MAX_FAN_RINGS:
+            raise ParameterError(f"fan layout needs a top frame of d <= {MAX_FAN_RINGS} rings, "
+                                 f"got d={d}: its radius RING_RATIO**d overflows")
         half = APEX_ANGLE / 2.0
         for k in range(1, d + 1):
             theta = (k / d) * half if d > 1 else half / 2.0

@@ -127,9 +127,8 @@ class Triangulation:
         if signs[0] >= 0:
             face = tuple(self.outer_face)
             out.append(Violation("flipped-face", f"outer face {face} not clockwise"))
-        for k in np.flatnonzero(signs[1:] <= 0):
-            face = tuple(int(v) for v in self.faces[k])
-            out.append(Violation("flipped-face", f"internal face {face} not counterclockwise"))
+        for face in self.faces[signs[1:] <= 0].tolist():
+            out.append(Violation("flipped-face", f"internal face {tuple(face)} not counterclockwise"))
         return out
 
     def resolution(self, coords: np.ndarray) -> float:

@@ -47,15 +47,17 @@ The restarts are independent: each has its own start, its own
 splits them over W = min(cores, restarts) worker shares, restart r in share
 r mod W; the calling process runs share 0 and a forked child each other
 share, and the (drawing, trace) pairs are merged in restart order, so the
-result is bit for bit the same for any W.  While restarts run, the
-OpenBLAS that ``setulb``'s extension links is held at one thread, found
-through that extension's own handle; other BLAS libraries are untouched.
-Left at the core count, its threads spin on every ``setulb`` call and,
-against the workers, made a forked sweep several times slower than a
-serial one.  Forking is for Linux only: every restart runs in the calling
-process elsewhere, where ``os.fork`` is missing, where ``setulb``'s
-OpenBLAS cannot be held, or while another thread runs, since forking a
-threaded process can deadlock the child.
+result is bit for bit the same for any W.  No exception crosses a pipe: the
+lowest restart that raised, in any share, runs again in the calling
+process and raises there.  While restarts run, the OpenBLAS that
+``setulb``'s extension links is held at one thread, found through that
+extension's own handle; other BLAS libraries are untouched.  Left at the
+core count, its threads spin on every ``setulb`` call and, against the
+workers, made a forked sweep several times slower than a serial one.
+Forking is for Linux only: every restart runs in the calling process
+elsewhere, where ``os.fork`` is missing, where ``setulb``'s OpenBLAS cannot
+be held, or while another thread runs, since forking a threaded process
+can deadlock the child.
 
 Best-found values are lower bounds on the true optimum; downstream checks
 are phrased as trends and thresholds, never as equalities with an optimum.
@@ -70,7 +72,10 @@ import importlib.util
 import io
 import math
 import os
+import pickle
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -512,41 +517,28 @@ def _restart(r, mesh, replay, base, seeds, config) -> tuple[np.ndarray | None, R
 
 def _run_share(share, args):
     """``_restart`` of each restart in ``share``, in order, up to the first
-    that raises: (its (drawing, trace) pairs, None or (index, exception))."""
+    that raises: (the (drawing, trace) pairs, None or that restart's index).
+    The exception itself is dropped (see ``_run_restarts``)."""
     pairs = []
     for r in share:
         try:
             pairs.append(_restart(r, *args))
-        except Exception as exc:
-            return pairs, (r, exc)
+        except Exception:
+            return pairs, r
     return pairs, None
 
 
 def _fork_share(share, args):
     """Run ``share`` in a forked child; returns its pid and the read end of
     the pipe that carries its pickled ``_run_share`` result."""
-    import pickle
-
     read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:
-        # the child never returns into the caller's stack, whatever is raised
+    if pid == 0:  # the child never returns into the caller's stack, whatever is raised
         status = 1
         try:
             os.close(read)
-            pairs, failure = _run_share(share, args)
-            if failure is not None:
-                import traceback
-
-                r, exc = failure
-                if hasattr(exc, "add_note"):  # the child's traceback, shown with the parent's
-                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:  # sent as a RuntimeError that names it
-                    failure = r, RuntimeError(f"restart {r} raised {type(exc).__name__}: {exc}")
             with os.fdopen(write, "wb") as fh:
-                pickle.dump((pairs, failure), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_run_share(share, args), fh, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -556,8 +548,6 @@ def _fork_share(share, args):
 
 def _collect(pid, fh, share):
     """The ``_run_share`` result a forked child sent, once it has exited."""
-    import pickle
-
     data = fh.read()
     fh.close()
     _, status = os.waitpid(pid, 0)
@@ -592,12 +582,11 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
     """``_restart(r, *args)`` for r in 0..restarts-1, in restart order, over
     W = min(cores, restarts) worker shares: restart r goes to share r mod W.
     The calling process runs share 0 and a forked child each other share,
-    on Linux only.  If restarts raise, the one with the lowest index
-    re-raises here, with its type and message.  ``setulb``'s OpenBLAS is
-    held at one thread while restarts run."""
-    import signal
-    import threading
-
+    on Linux only; ``setulb``'s OpenBLAS is held at one thread meanwhile.
+    A pipe carries only a share's pairs and its first failing restart.  As
+    a restart is a pure function of its index and ``args``, the lowest
+    failing one then runs again here, children reaped and threads restored,
+    and raises its own exception; if not, a RuntimeError names it."""
     workers = min(_worker_count(), restarts)
     control = _blas_thread_control()
     threads = control[0]() if control else None
@@ -623,9 +612,10 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
             fh.close()
         if control:
             control[1](threads)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    failed = [r for _, r in results if r is not None]
+    if failed:
+        _restart(min(failed), *args)
+        raise RuntimeError(f"restart {min(failed)} raised in its worker but not when run again")
     return sorted((pair for pairs, _ in results for pair in pairs), key=lambda p: p[1].index)
 
 
@@ -656,9 +646,9 @@ def maximize_resolution(
     at one thread and restored after; other BLAS libraries are untouched.
     All run in the calling process off Linux, where ``os.fork`` is missing,
     where ``setulb``'s OpenBLAS cannot be held, or while another thread
-    runs (see the module docstring).  An exception in a restart re-raises
-    here with its type and message, that of the lowest restart index where
-    several fail; no child outlives the call.
+    runs (see the module docstring).  Where restarts raise, the lowest
+    failing one runs again in the calling process and raises its own
+    exception; no child outlives the call.
     """
     config = config or OptimizeConfig()
     config.validate()

@@ -138,9 +138,7 @@ def _base_k4(names: tuple[str, str, str, str]) -> Family:
             g.add_edge(i, j)
     rot = [[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]]
     emb = ListEmbedding(rot, (0, 2, 1))
-    fam = Family(g, emb)
-    fam.corners = {name: v for v, name in enumerate(names)}
-    return fam
+    return Family(g, emb)
 
 
 def insert_copy(
@@ -285,7 +283,7 @@ def build_Htilde(c: int, d: int) -> Family:
         raise ParameterError(f"need c >= 1 and d >= 1, got c={c}, d={d}")
     fam = _base_k4(("t1", "t2", "t3", "t4"))
     sub = build_H(c, d)
-    s1 = sub.corners["s1"]
+    s1 = next(v for v, name in sub.graph.labels.items() if name == "s1")
     for face in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
         insert_copy(fam, face, min(face), sub, s1)
     return fam

@@ -98,7 +98,7 @@ def _place_subtree(
             # base-4 copy: the interior corner goes to the centroid of the
             # three shared ones
             on_outer = set(sub.embedding.outer_face)
-            inner = next(v for v in sub.corners.values() if v not in on_outer)
+            inner = next(v for v in sub.graph.labels if v not in on_outer)
             shared = [sm[v] for v in sub.embedding.outer_face]
             coords[sm[inner]] = coords[shared].mean(axis=0)
         _place_subtree(sub, sm, coords, depth)
@@ -133,7 +133,7 @@ def layout_nested(fam: Family) -> np.ndarray:
         for pos, vid in zip(outer, fam.embedding.outer_face):
             coords[vid] = pos
         on_outer = set(fam.embedding.outer_face)
-        inner = next(v for v in fam.corners.values() if v not in on_outer)
+        inner = next(v for v in fam.graph.labels if v not in on_outer)
         coords[inner] = coords[list(fam.embedding.outer_face)].mean(axis=0)
     depth = 1 if fam.roles is not None else 0
     _place_subtree(fam, {i: i for i in range(fam.graph.n)}, coords, depth)

@@ -81,6 +81,14 @@ class TestGen:
         want = build_Htilde(1, 1)
         assert f"wrote {want.graph.n} vertices, {len(want.graph.edges)} edges" in stdout
 
+    def test_output_named_like_its_embedding_is_refused(self, tmp_path, capsys):
+        # gen writes NAME.graph's embedding to NAME.emb, over a NAME.emb graph
+        out = tmp_path / "x.emb"
+        code, stdout, err = run(capsys, "gen", "--family", "frame", "--d", "2", "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: -o {out} is where gen writes the embedding\n"
+        assert os.listdir(tmp_path) == []
+
     def test_missing_c_is_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--family", "htilde", "--d", "2", "-o", str(tmp_path / "x.graph")
@@ -202,6 +210,14 @@ class TestLayoutMeasure:
         dp = tmp_path / "f.drawing"
         code, _, _ = run(capsys, "layout", "--family", "frame", "--d", "8", *flag, "-o", str(dp))
         assert code == 2 and not dp.exists()
+
+    def test_layout_past_double_range_one_line_error(self, tmp_path, capsys):
+        dp = tmp_path / "f.drawing"
+        code, _, err = run(capsys, "layout", "--family", "frame", "--d", "1100", "-o", str(dp))
+        assert code == 1
+        assert err.splitlines() == ["error: fan layout needs a top frame of d <= 1023 rings, "
+                                    "got d=1100: its radius RING_RATIO**d overflows"]
+        assert not dp.exists()
 
     def test_layout_deep_family_is_nested(self, tmp_path, capsys):
         dp = tmp_path / "ht.drawing"
@@ -411,6 +427,18 @@ class TestSweepFit:
         )
         assert code == 1
         assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not csv_path.exists()
+
+    def test_sweep_past_double_range_one_line_error(self, tmp_path, capsys):
+        # the row's nested seed is laid out before any restart runs
+        spec = tmp_path / "specs.txt"
+        spec.write_text("frame - 1024\n")
+        csv_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, "sweep", "--spec", str(spec), "--restarts", "2",
+                           "-o", str(csv_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: fan layout needs a top frame of d <= 1023 rings, got d=1024")
         assert not csv_path.exists()
 
     def test_bad_spec_line(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from angres.families import (
     FamilySpec,
+    ParameterError,
     build_family,
     build_frame,
     build_G,
@@ -17,11 +18,12 @@ from angres.graphs import Embedding, LabeledGraph, StructureError, verify_planar
 from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
+    MAX_FAN_RINGS,
     layout_frame_fan,
     layout_nested,
     layout_seed_any,
 )
-from angres.metrics import angular_resolution, validate_drawing
+from angres.metrics import Triangulation, angular_resolution, validate_drawing
 import nested_oracle
 from family_oracle import ORACLE_CASES, oracle_family
 from planarity_oracle import sequence, step_list
@@ -49,6 +51,23 @@ class TestFrameFan:
         _, a = layout_frame_fan(6)
         _, b = layout_frame_fan(6)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fam", [build_frame(MAX_FAN_RINGS), build_G(1, MAX_FAN_RINGS - 1)])
+    def test_widest_top_fan_is_valid(self, fam):
+        # 2.0**1023 is the largest power of two a double holds
+        coords = layout_nested(fam)
+        assert np.isfinite(coords).all()
+        assert Triangulation(fam.graph, fam.embedding).violations(coords) == []
+
+    @pytest.mark.parametrize("fam", [build_frame(MAX_FAN_RINGS + 1), build_frame(1100),
+                                     build_G(1, MAX_FAN_RINGS)])
+    def test_top_fan_past_double_range_is_refused(self, fam):
+        d = len(fam.roles.u)
+        want = f"^fan layout needs a top frame of d <= 1023 rings, got d={d}: "
+        with pytest.raises(ParameterError, match=want):
+            layout_nested(fam)
+        with pytest.raises(ParameterError, match=want):
+            layout_frame_fan(d)
 
 
 class TestHtilde1:

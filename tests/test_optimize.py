@@ -706,14 +706,31 @@ class TestWorkers:
         _assert_no_child()
         assert _blas_threads() == blas
 
-    def test_unpicklable_exception_in_a_child(self, monkeypatch):
+    def test_unpicklable_exception_keeps_its_type(self, monkeypatch):
         def fail(r):
             if r == 1:  # OptimizeFailure takes its traces as a second argument
                 raise optimize.OptimizeFailure("no", [])
 
-        with pytest.raises(RuntimeError, match="^restart 1 raised OptimizeFailure: no$"):
+        with pytest.raises(optimize.OptimizeFailure, match="^no$") as info:
             self._failing(monkeypatch, fail)()
+        assert info.value.traces == []
+        assert not hasattr(info.value, "__notes__")
         _assert_no_child()
+
+    def test_restart_that_raises_only_in_its_worker(self, monkeypatch):
+        here = os.getpid()
+
+        def fail(r):
+            if r == 4 and os.getpid() != here:
+                raise LookupError("only in the child")
+
+        run = self._failing(monkeypatch, fail)
+        blas = _blas_threads()
+        want = "^restart 4 raised in its worker but not when run again$"
+        with pytest.raises(RuntimeError, match=want):
+            run()
+        _assert_no_child()
+        assert _blas_threads() == blas
 
     def test_child_that_dies_without_a_result(self, monkeypatch):
         def fail(r):
