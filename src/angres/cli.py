@@ -24,7 +24,7 @@ from .graphs import (
     write_embedding,
     write_graph,
 )
-from .layout import layout_nested
+from .layout import check_fan_spec, layout_nested
 from .metrics import Triangulation, angular_resolution, read_drawing, write_drawing
 from .optimize import (
     OptimizeConfig,
@@ -90,6 +90,7 @@ def _cmd_gen(args) -> int:
 def _cmd_layout(args) -> int:
     spec = _spec_from_args(args)
     print(f"layout: family={spec.family} c={spec.c} d={spec.d} out={args.output}")
+    check_fan_spec(spec)
     fam = build_family(spec)
     coords = layout_nested(fam)
     mesh = Triangulation(fam.graph, fam.embedding)

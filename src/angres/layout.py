@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .families import Family, ParameterError, build_frame
+from .families import Family, FamilySpec, ParameterError, build_frame
 from .graphs import (
     BuildSequence,
     Embedding,
@@ -42,6 +42,23 @@ MAX_FAN_RINGS = 1023
 # assembly, measured 0.005885); see scripts/calibrate_fan_floor.py.
 FAN_RESOLUTION_FLOOR = 0.45
 HTILDE1_RESOLUTION_FLOOR = 0.0055
+
+
+def _check_fan_rings(d: int) -> None:
+    """Refuse a top fan of ``d`` rings whose outer radius would overflow."""
+    if d > MAX_FAN_RINGS:
+        raise ParameterError(f"fan layout needs a top frame of d <= {MAX_FAN_RINGS} rings, "
+                             f"got d={d}: its radius RING_RATIO**d overflows")
+
+
+def check_fan_spec(spec: FamilySpec) -> None:
+    """Raise the ParameterError ``layout_nested`` would raise on
+    ``build_family(spec)``, from the spec alone, so that a refused layout
+    costs no build: the top fan has d rings for ``frame``, d + 1 for ``g``
+    (its (d+1)-frame), and none for ``h`` and ``htilde``."""
+    rings = {"frame": spec.d, "g": spec.d + 1}.get(spec.family)
+    if rings is not None:
+        _check_fan_rings(rings)
 
 
 def layout_frame_fan(d: int) -> tuple[Family, np.ndarray]:
@@ -164,9 +181,7 @@ def layout_nested(fam: Family) -> np.ndarray:
     if fam.roles is not None:
         roles = fam.roles
         d = len(roles.u)
-        if d > MAX_FAN_RINGS:
-            raise ParameterError(f"fan layout needs a top frame of d <= {MAX_FAN_RINGS} rings, "
-                                 f"got d={d}: its radius RING_RATIO**d overflows")
+        _check_fan_rings(d)
         half = APEX_ANGLE / 2.0
         for k in range(1, d + 1):
             theta = (k / d) * half if d > 1 else half / 2.0

@@ -42,6 +42,22 @@ or a result counts only after the compiled ``Triangulation.violations``
 (``validate_drawing``'s exact orientation check) passes, and is then
 measured by ``Triangulation.resolution`` on the same corners.
 
+Each restart owns one ``_Workspace``, allocated once from the mesh's
+vertex, free-vertex and corner counts and handed to every objective call
+through ``minimize``'s ``args``.  A call writes each full-size temporary
+there with ``out=``: the drawing's rows, the gathered corner columns, the
+angles, the soft-min's shifted lanes, ``exp`` values and masks, and the
+face penalty's rows, each by the ufunc that would have allocated it, so
+every value is bit for bit the same.  Per call, only the gradient handed
+back to ``minimize``, the bincount sums and the arrays of the live corners
+and flipped faces are allocated.  Allocated and freed per call, the
+full-size temporaries (about fifteen of 1.46 MB each on htilde(3,8)) went
+back to the kernel between calls, as glibc trims its heap, and were
+faulted in again: htilde(3,8)'s nested restart made about 63k minor page
+faults in 0.23 s, and makes 3.8k-5.0k in 0.17-0.18 s with its workspace,
+whose 14.5 MiB take about 3.7k to touch once (``ru_minflt`` around
+``_restart`` in a fresh process, 2-core x86-64 machine, numpy 2.4.6).
+
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
 splits them over W = min(cores, restarts) worker shares, restart r in share
@@ -84,7 +100,7 @@ import numpy as np
 from .families import FamilySpec, build_family
 from .geometry import _worker_count
 from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
-from .layout import _ReplayPlan, layout_nested
+from .layout import _ReplayPlan, check_fan_spec, layout_nested
 from .metrics import Triangulation
 
 
@@ -214,21 +230,49 @@ class OptimizeResult:
     traces: list[RestartTrace]
 
 
-def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray):
+class _Workspace:
+    """The full-size temporaries of one restart's objective calls, allocated
+    once and overwritten by each call (see the module docstring): the (2, n)
+    rows of the drawing, a free-vertex row, the (3, 3F) x and y columns
+    gathered at the corners, the corner angles, the soft-min's shifted
+    lanes, ``exp`` values and two masks, and the (2, F) face rows."""
+
+    def __init__(self, n: int, free: int, corners: int):
+        self.P = np.empty((2, n))
+        self.free_row = np.empty(free)
+        self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
+        self.theta, self.shifted, self.exp = (np.empty(corners) for _ in range(3))
+        self.tied, self.live = np.empty(corners, bool), np.empty(corners, bool)
+        self.face = np.empty((2, corners // 3))
+
+    @classmethod
+    def of(cls, mesh: Triangulation) -> "_Workspace":
+        return cls(mesh.n, mesh.free.size, mesh.corners.shape[1])
+
+
+def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray, work: _Workspace):
     """Signed angle of every internal corner in the (3, 3F) index ``corners``,
     from the x and y coordinate arrays, with the intermediates of its
     gradient: (theta, e1x, e1y, e2x, e2y, g, h), b the corner's vertex,
-    e1 = a - b, e2 = c - b."""
-    ia, ib, ic = corners
-    bx, by = px[ib], py[ib]
-    e1x, e1y = px[ia] - bx, py[ia] - by
-    e2x, e2y = px[ic] - bx, py[ic] - by
-    g = e2x * e1y - e2y * e1x
-    h = e1x * e2x + e1y * e2y
-    return np.arctan2(g, h), e1x, e1y, e2x, e2y, g, h
+    e1 = a - b, e2 = c - b.
+
+    All seven are views of ``work``, valid until its next use.  Each
+    coordinate's a, b and c columns are gathered by one ``np.take`` into
+    ``work.x`` or ``work.y`` (``mode="wrap"``, a no-op on a valid index,
+    writes ``out`` directly where ``"raise"`` buffers it); e1 and e2
+    overwrite the a and c rows, g and h the b rows, and theta goes to
+    ``work.theta``, each by the ufunc of the allocating form, so every
+    value is the same bit for bit."""
+    ax, bx, cx = np.take(px, corners, out=work.x, mode="wrap")
+    ay, by, cy = np.take(py, corners, out=work.y, mode="wrap")
+    e1x, e1y = np.subtract(ax, bx, out=ax), np.subtract(ay, by, out=ay)
+    e2x, e2y = np.subtract(cx, bx, out=cx), np.subtract(cy, by, out=cy)
+    g = np.subtract(np.multiply(e2x, e1y, out=bx), np.multiply(e2y, e1x, out=by), out=bx)
+    h = np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=work.theta), out=by)
+    return np.arctan2(g, h, out=work.theta), e1x, e1y, e2x, e2y, g, h
 
 
-def _lse(a: np.ndarray):
+def _lse(a: np.ndarray, work: _Workspace):
     """``scipy.special.logsumexp(a)`` of a non-empty 1-D float array, bit for
     bit: scipy 1.17.1's algorithm without its array-API dispatch.  The tied
     maxima are taken out of the sum, and a non-finite result falls back to
@@ -243,12 +287,20 @@ def _lse(a: np.ndarray):
     the same order.  With a finite maximum no lane is nan.  A non-finite
     one (a nan, or an infinite lane) makes every shifted lane nan or -inf,
     and the result is then not finite here nor in scipy, though the two
-    sums may differ, so both take the fallback."""
+    sums may differ, so both take the fallback.
+
+    The shifted lanes, their ``exp`` values and both masks are written to
+    ``work``'s corner rows, whose length must be ``a.size``; ``a`` may be
+    ``work.theta``, which is only read.  The fallback, reached only on
+    non-finite input, allocates."""
     a_max = a.max()
-    tied = a == a_max
+    tied = np.equal(a, a_max, out=work.tied)
     m = float(np.count_nonzero(tied))
-    shifted = a - a_max
-    e = np.exp(shifted, out=np.zeros(a.size), where=(shifted >= EXP_FLOOR) ^ tied)
+    shifted = np.subtract(a, a_max, out=work.shifted)
+    live = np.bitwise_xor(np.greater_equal(shifted, EXP_FLOOR, out=work.live), tied, out=work.live)
+    e = work.exp
+    e.fill(0.0)
+    np.exp(shifted, out=e, where=live)
     s = e.sum()
     if s != 0:
         s = s / m
@@ -258,7 +310,7 @@ def _lse(a: np.ndarray):
     return out
 
 
-def _objective(y, mesh, pinned, sharp, weight, origin, scale):
+def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     """Negative soft-min of corner angles plus orientation penalty; returns
     (value, gradient over the variables ``y``).  Callers run it in
     ``_quiet``'s floating-point state.
@@ -291,16 +343,28 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     below 4e301), so ``on`` is then every corner, whose ``exp`` is +0.0
     wherever it underflows, and every face is kept too.  A face term is
     the penalty gradient at the face's corner 0, columns
-    ``corners[:, 0::3]``; with no flipped face none is scattered."""
-    free, corners = mesh.free, mesh.corners
-    P = pinned.copy()
-    P[0, free] = origin[0] + scale * y[0::2]
-    P[1, free] = origin[1] + scale * y[1::2]
-    px, py = P
-    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners)
+    ``corners[:, 0::3]``; with no flipped face none is scattered.
 
-    z = -sharp * theta
-    lse = _lse(z)
+    Every full-size temporary, per vertex, corner or face, is a view of
+    ``work``, a ``_Workspace`` of this mesh's sizes owned by the caller
+    (one per restart in ``_run_restart``), written with ``out=`` by the
+    ufunc of the allocating form; the angles' row then holds ``z`` and
+    ``z - lse`` in place.  A call reads nothing in ``work`` that it did not
+    write, so calls on one workspace are independent.  It allocates only
+    the arrays of the live corners and flipped faces (every corner and
+    face when ``wide``), the bincount sums and the gradient it returns,
+    which the caller may keep: ``minimize`` holds it across ``setulb``
+    calls.  The module docstring gives the page faults this saves."""
+    free, corners = mesh.free, mesh.corners
+    P, row = work.P, work.free_row
+    np.copyto(P, pinned)
+    P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
+    P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
+    px, py = P
+    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners, work)
+
+    z = np.multiply(-sharp, theta, out=theta)
+    lse = _lse(z, work)
     value = lse / sharp  # minus the soft-min -lse / sharp
 
     # d(softmin)/d(theta_i) = wgt_i, the softmax weight exp(z_i - lse); the
@@ -308,9 +372,12 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     # is taken on the corners whose weight can be nonzero, nan included;
     # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0.  Every
     # corner and face is kept when a coordinate is non-finite or beyond 1e100
-    x = z - lse
-    wide = not np.abs(P).max() <= 1e100
-    on = np.arange(x.size) if wide else (~(x < EXP_FLOOR)).nonzero()[0]
+    x = np.subtract(z, lse, out=z)
+    wide = not (P.max() <= 1e100 and P.min() >= -1e100)  # a nan fails both
+    if wide:
+        on = np.arange(x.size)
+    else:
+        on = np.invert(np.less(x, EXP_FLOOR, out=work.live), out=work.live).nonzero()[0]
     g_on, h_on = g[on], h[on]
     coef = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
 
@@ -322,16 +389,17 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale):
     # y(t0) - y(t1), y(t1) - y(t2) and y(t2) - y(t0) are e1y at corners 1, 2
     # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
     # corners 0, 1 and 2
-    area = 0.5 * g[2::3]
-    neg = np.minimum(area, 0.0)
-    value += weight * float(np.sum(neg * neg))
-    pc = (2.0 * weight) * neg
+    area, square = work.face
+    neg = np.minimum(np.multiply(0.5, g[2::3], out=area), 0.0, out=area)
+    value += weight * float(np.sum(np.multiply(neg, neg, out=square)))
+    pc = np.multiply(2.0 * weight, neg, out=square)
 
     # the scatter index: the a, b and c columns of the live corners, then
-    # those of the selected faces' corner 0, their penalty vertices
-    faces = np.arange(pc.size) if wide else (pc != 0).nonzero()[0]
+    # those of the selected faces' corner 0, their penalty vertices; a
+    # float's nonzero() is its != 0 test, true on nan
+    faces = np.arange(pc.size) if wide else pc.nonzero()[0]
     pc, fy, fx = pc[faces], e1y.reshape(-1, 3)[faces], e2x.reshape(-1, 3)[faces]
-    index = corners[:, on].ravel()
+    index = np.take(corners, on, axis=1).ravel()
     e1x, e1y, e2x, e2y = (v[on] for v in (e1x, e1y, e2x, e2y))
     g, h = g_on, h_on
     if faces.size:
@@ -376,8 +444,9 @@ def objective_and_gradient(
     mesh = Triangulation(graph, emb)
     pinned = np.array(np.asarray(coords, dtype=float).T)
     y = np.zeros(2 * mesh.free.size)
+    origin, work = pinned[:, mesh.free], _Workspace.of(mesh)
     with _quiet():
-        return _objective(y, mesh, pinned, sharpness, penalty_weight, pinned[:, mesh.free], 1.0)
+        return _objective(y, mesh, pinned, sharpness, penalty_weight, origin, 1.0, work)
 
 
 def minimize(fun, x0, args, maxiter):
@@ -458,6 +527,7 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     scale = np.maximum(near[free], 1e-300)
     P = pinned.copy()
     y = np.zeros(2 * free.size)
+    work = _Workspace.of(mesh)
     iters_left = config.max_iters
     weight = config.penalty_init
     value = math.inf
@@ -465,13 +535,12 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     stalled = 0
     stages = []
     while iters_left > 0 and stalled < 2:
-        span = max(abs(float(_corner_angles(P[0], P[1], mesh.corners)[0].min())), 1e-8)
+        span = max(abs(float(_corner_angles(P[0], P[1], mesh.corners, work)[0].min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         with _quiet():
-            res = minimize(
-                _objective, y, (mesh, pinned, sharp, weight, origin, scale), min(budget, iters_left)
-            )
+            args = (mesh, pinned, sharp, weight, origin, scale, work)
+            res = minimize(_objective, y, args, min(budget, iters_left))
         y = res.x
         stages.append((str(res.message), int(res.nit), int(res.nfev)))
         final = (sharp, weight)
@@ -484,7 +553,7 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
         stage += 1
         stalled = 0 if improved else stalled + 1
     with _quiet():
-        value = float(_objective(y, mesh, pinned, *final, origin, scale)[0])
+        value = float(_objective(y, mesh, pinned, *final, origin, scale, work)[0])
     return np.array(P.T), value, stages
 
 
@@ -696,16 +765,22 @@ def sweep(specs: list[FamilySpec], config: OptimizeConfig | None = None) -> list
     zero valid restarts; the sweep continues.  The constructive nested
     drawing of each family follows ``config.extra_seeds`` as one more extra
     seed, so it is restart ``1 + len(config.extra_seeds)``: with no more
-    restarts than that it is neither built nor tried.
+    restarts than that it is neither built nor tried.  Where it is, every
+    row whose nested drawing ``layout_nested`` would refuse is refused with
+    its ParameterError before any row is built.
     """
     config = config or OptimizeConfig()
     config.validate()
+    nests = config.restarts > 1 + len(config.extra_seeds)
+    if nests:
+        for spec in specs:
+            check_fan_spec(spec)
     records = []
     for spec in specs:
         t0 = time.perf_counter()
         fam = build_family(spec)
         g, emb = fam.graph, fam.embedding
-        nested = [layout_nested(fam)] if config.restarts > 1 + len(config.extra_seeds) else []
+        nested = [layout_nested(fam)] if nests else []
         row_cfg = replace(config, extra_seeds=list(config.extra_seeds) + nested)
         try:
             result = maximize_resolution(g, emb, row_cfg)

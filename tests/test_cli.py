@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres import optimize
+from angres import cli, optimize
 from angres.cli import _atomic_write, _parse_spec_file, main
 from angres.families import FamilySpec, ParameterError, build_family, build_Htilde
 from angres.geometry import lemma_fuzz
@@ -217,6 +217,31 @@ class TestLayoutMeasure:
         assert code == 1
         assert err.splitlines() == ["error: fan layout needs a top frame of d <= 1023 rings, "
                                     "got d=1100: its radius RING_RATIO**d overflows"]
+        assert not dp.exists()
+
+    @pytest.mark.parametrize("family,c,d,rings", [("frame", None, 1024, 1024), ("g", 2, 1023, 1024),
+                                                  ("frame", None, 1023, None), ("g", 2, 1022, None)])
+    def test_layout_refused_before_build(self, tmp_path, capsys, monkeypatch, family, c, d, rings):
+        # the top fan's ring count comes from the spec: d for frame, d + 1 for g;
+        # a spec that passes goes on to build_family
+        class Built(Exception):
+            pass
+
+        def build(spec):
+            raise Built
+
+        monkeypatch.setattr(cli, "build_family", build)
+        dp = tmp_path / "f.drawing"
+        argv = ["layout", "--family", family, "--d", str(d), "-o", str(dp)]
+        argv += [] if c is None else ["--c", str(c)]
+        if rings is None:
+            with pytest.raises(Built):
+                main(argv)
+            return
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.splitlines() == ["error: fan layout needs a top frame of d <= 1023 rings, "
+                                    f"got d={rings}: its radius RING_RATIO**d overflows"]
         assert not dp.exists()
 
     def test_layout_deep_family_is_nested(self, tmp_path, capsys):
@@ -439,6 +464,35 @@ class TestSweepFit:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error: fan layout needs a top frame of d <= 1023 rings, got d=1024")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("line,restarts,refused", [
+        ("frame - 1024", 2, True), ("g 2 1023", 2, True), ("frame - 1023", 2, False),
+        ("g 2 1022", 2, False), ("g 2 1023", 1, False),
+    ])
+    def test_sweep_refused_before_build(self, tmp_path, capsys, monkeypatch, line, restarts,
+                                        refused):
+        # with 2 restarts restart 1 is the nested drawing, and every row is
+        # checked before the first is built; with 1 no nested drawing is made
+        class Built(Exception):
+            pass
+
+        def build(spec):
+            raise Built
+
+        monkeypatch.setattr(optimize, "build_family", build)
+        spec = tmp_path / "specs.txt"
+        spec.write_text(f"htilde 1 2\n{line}\n")
+        csv_path = tmp_path / "out.csv"
+        argv = ["sweep", "--spec", str(spec), "--restarts", str(restarts), "-o", str(csv_path)]
+        if not refused:
+            with pytest.raises(Built):
+                main(argv)
+            return
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.splitlines() == ["error: fan layout needs a top frame of d <= 1023 rings, "
+                                    "got d=1024: its radius RING_RATIO**d overflows"]
         assert not csv_path.exists()
 
     def test_bad_spec_line(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from angres.layout import (
     FAN_RESOLUTION_FLOOR,
     HTILDE1_RESOLUTION_FLOOR,
     MAX_FAN_RINGS,
+    check_fan_spec,
     layout_frame_fan,
     layout_nested,
     layout_seed_any,
@@ -68,6 +70,36 @@ class TestFrameFan:
             layout_nested(fam)
         with pytest.raises(ParameterError, match=want):
             layout_frame_fan(d)
+
+    @pytest.mark.parametrize("spec", [FamilySpec("frame", None, MAX_FAN_RINGS),
+                                      FamilySpec("frame", None, MAX_FAN_RINGS + 1),
+                                      FamilySpec("g", 1, MAX_FAN_RINGS - 1),
+                                      FamilySpec("g", 1, MAX_FAN_RINGS)])
+    def test_spec_check_agrees_with_layout(self, spec):
+        # the spec-level check refuses exactly the specs whose layout_nested
+        # refuses, with the same message
+        try:
+            layout_nested(build_family(spec))
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=f"^{re.escape(str(exc))}$"):
+                check_fan_spec(spec)
+        else:
+            check_fan_spec(spec)
+
+    @pytest.mark.parametrize("spec,rings", [
+        (FamilySpec("g", 2, MAX_FAN_RINGS), MAX_FAN_RINGS + 1),
+        (FamilySpec("g", 5, 4000), 4001),
+        (FamilySpec("g", 2, MAX_FAN_RINGS - 1), None),
+        (FamilySpec("h", 2, 5000), None),
+        (FamilySpec("htilde", 3, 5000), None),
+    ])
+    def test_spec_check_builds_nothing(self, spec, rings):
+        # h and htilde have no top fan; g's top frame has d + 1 rings
+        if rings is None:
+            check_fan_spec(spec)
+        else:
+            with pytest.raises(ParameterError, match=f"got d={rings}: "):
+                check_fan_spec(spec)
 
 
 class TestHtilde1:

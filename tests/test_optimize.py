@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from angres.optimize import (
     sweep_csv_text,
     write_sweep_csv,
 )
-from angres.optimize import _lse, _objective, _quiet
+from angres.optimize import _lse, _objective, _quiet, _Workspace
 
 FAST = OptimizeConfig(restarts=4, max_iters=400, seed=7)
 
@@ -183,11 +184,12 @@ class TestObjectiveOracle:
         rng = np.random.default_rng(len(name))
         idx = objective_oracle.internal_corner_index(g, emb)
         mesh = Triangulation(g, emb)
+        work = _Workspace.of(mesh)
         free = mesh.free
         staged = isinstance(sharp, str)
         if staged:
             # a restart's sharpness at that stage, over the drawing's smallest corner angle
-            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners)[0]
+            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners, work)[0]
             sharp = 4.0 * 2.0 ** int(sharp.split()[1]) / abs(float(theta.min()))
         if jitter:
             # moves of up to a third of the shortest incident edge flip some faces
@@ -213,7 +215,7 @@ class TestObjectiveOracle:
         if name == "htilde216" and staged:
             # at stage 3 and later the softmax weights of more than 99% of
             # the corners are exactly 0, and exp is taken on the others only
-            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners)[0]
+            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners, work)[0]
             assert np.count_nonzero(z - logsumexp(z) < -745.1332191019412) > 0.99 * z.size
             assert selection == ("sparse", bool(jitter and weight))
 
@@ -224,7 +226,7 @@ class TestObjectiveOracle:
         want = objective_oracle.objective(
             y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
         )
-        got = _objective(y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale)
+        got = _objective(y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale, work)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
     @pytest.mark.parametrize("name", ["g12", "htilde24", "htilde216"])
@@ -257,6 +259,96 @@ class TestObjectiveOracle:
             got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
+    @staticmethod
+    def _scaled_call(name, work, sharp, weight, seed, bad=None):
+        """The (value, gradient) of one ``_objective`` call on ``work`` at a
+        random point of the rescaled variables of case ``name``, checked
+        against the oracle bit for bit; ``bad`` replaces the first free
+        vertex's y coordinate."""
+        g, emb, coords = _oracle_case(name)
+        mesh = Triangulation(g, emb)
+        free = mesh.free
+        idx = objective_oracle.internal_corner_index(g, emb)
+        rng = np.random.default_rng(seed)
+        origin = coords[free].copy()
+        if bad is not None:
+            origin[0, 1] = bad
+        scale = rng.uniform(0.5, 2.0, free.size) * 1e-3
+        y = rng.normal(0.0, 1.0, 2 * free.size)
+        if bad is not None:
+            y[1] = 0.0  # origin + scale * 0.0 is origin, nan and 1e150 included
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = objective_oracle.objective(
+                y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
+            )
+        with _quiet():
+            got = _objective(
+                y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale, work
+            )
+        if bad is not None and math.isnan(bad):  # nans by position, as above
+            got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        return got
+
+    @staticmethod
+    def _workspace(name):
+        g, emb, _ = _oracle_case(name)
+        return _Workspace.of(Triangulation(g, emb))
+
+    def test_workspaces_of_two_meshes_alternate(self):
+        # a restart owns its workspace: calls on two meshes of different
+        # sizes, interleaved, each match the oracle
+        works = {name: self._workspace(name) for name in ("htilde24", "htilde216")}
+        for seed in range(3):
+            for name, work in works.items():
+                for sharp in (5.0, 1e7):
+                    self._scaled_call(name, work, sharp, 10.0, seed)
+
+    def test_workspace_reused_across_sharpness_and_weight(self):
+        # one workspace through a continuation's changing sharpness and
+        # weight; each gradient is the caller's, untouched by later calls
+        work = self._workspace("htilde216")
+        kept = []
+        for k, (sharp, weight) in enumerate([(5.0, 0.0), (1e3, 10.0), (1e7, 100.0), (5.0, 10.0),
+                                             (1e7, 0.0), (1e3, 1e4)]):
+            grad = self._scaled_call("htilde216", work, sharp, weight, k)[1]
+            kept.append((grad, grad.copy()))
+        assert all(_bits(grad) == _bits(copy) for grad, copy in kept)
+
+    @pytest.mark.parametrize("bad", [1e150, -1e150, np.nan])
+    def test_workspace_after_a_wide_or_nan_call(self, bad):
+        # a call that keeps every term leaves nothing the next call reads
+        work = self._workspace("htilde216")
+        for sharp, weight in [(5.0, 10.0), (1e7, 10.0)]:
+            grad = self._scaled_call("htilde216", work, sharp, weight, 0, bad)[1]
+            copy = grad.copy()
+            self._scaled_call("htilde216", work, sharp, weight, 1)
+            assert _bits(grad) == _bits(copy)
+
+    def test_objective_call_allocates_no_full_size_array(self):
+        """A second call on one workspace, at htilde(2,16)'s nested drawing
+        and a restart's stage-0 sharpness, allocates under four arrays of
+        3F floats at its peak (the gradient, the bincount sums and the
+        live-corner arrays); with its temporaries allocated per call it
+        peaked at 10.7."""
+        g, emb, coords = _oracle_case("htilde216")
+        mesh = Triangulation(g, emb)
+        work = _Workspace.of(mesh)
+        pinned = np.array(coords.T)
+        theta = optimize._corner_angles(pinned[0], pinned[1], mesh.corners, work)[0]
+        span = abs(float(theta.min()))
+        args = (mesh, pinned, 4.0 / span, 10.0, pinned[:, mesh.free], np.ones(mesh.free.size), work)
+        y = np.zeros(2 * mesh.free.size)
+        with _quiet():
+            _objective(y, *args)
+            tracemalloc.start()
+            try:
+                _objective(y, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 8 * mesh.corners.shape[1]
+
     def test_bit_identical_along_restarts(self, monkeypatch):
         """Every objective call of two short optimizations against the
         oracle, sparse selections with flipped faces among them."""
@@ -269,8 +361,8 @@ class TestObjectiveOracle:
             g, emb = fam.graph, fam.embedding
             idx = objective_oracle.internal_corner_index(g, emb)
 
-            def checked_objective(y, mesh, pinned, sharp, weight, origin, scale):
-                got = objective(y, mesh, pinned, sharp, weight, origin, scale)
+            def checked_objective(y, mesh, pinned, sharp, weight, origin, scale, work):
+                got = objective(y, mesh, pinned, sharp, weight, origin, scale, work)
                 want = objective_oracle.objective(
                     y, g.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
                 )
@@ -322,7 +414,7 @@ class TestObjectiveOracle:
         with np.errstate(over="ignore"):  # scipy's a - max(a) overflows on [1e308, -1e308]
             want = logsumexp(a)
         with _quiet():
-            got = _lse(a)
+            got = _lse(a, _Workspace(0, 0, a.size))
         assert _bits(got) == _bits(want)
 
     def test_logsumexp_matches_scipy_on_random_inputs(self):
@@ -332,7 +424,7 @@ class TestObjectiveOracle:
                 a = rng.normal(0.0, spread, size)
                 a[rng.integers(size, size=size // 3)] = a.max()  # tied maxima
                 with _quiet():
-                    got = _lse(a)
+                    got = _lse(a, _Workspace(0, 0, a.size))
                 assert _bits(got) == _bits(logsumexp(a))
 
 
