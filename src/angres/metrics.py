@@ -2,12 +2,12 @@
 
 A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
-``violations`` (exact orientation signs, no epsilon) and ``resolution`` (the
-smallest internal corner, on a valid drawing the smallest angle between
-consecutive edges) read the same faces, and ``corners`` is the one corner
-index of every per-corner computation.  ``angular_resolution``'s sorted
-edge walk measures drawings without an embedding.  Angle identities are
-numeric with a 1e-9 tolerance.
+``violations`` (exact orientation signs, no epsilon), ``valid`` (their
+verdict without the list) and ``resolution`` (the smallest internal corner,
+on a valid drawing the smallest angle between consecutive edges) read the
+same faces, and ``corners`` is the one corner index of every per-corner
+computation.  ``angular_resolution``'s sorted edge walk measures drawings
+without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -60,18 +60,31 @@ def orientation_signs(coords: np.ndarray, tri: np.ndarray) -> np.ndarray:
     error bound; ``fractions.Fraction`` arithmetic decides the rest.
     """
     coords = np.asarray(coords, dtype=float)
+    det, certain = _float_orientations(coords, tri)
+    signs = (det > 0).astype(np.int8) - (det < 0)
+    for k in np.flatnonzero(~certain):
+        signs[k] = _exact_sign(coords, tri[k])
+    return signs
+
+
+def _float_orientations(coords: np.ndarray, tri: np.ndarray):
+    """The float orientation determinant of each triangle of ``tri`` and
+    whether it clears Shewchuk's bound, so that its sign is exact."""
     a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
         left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
         right = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
         det = left - right
         certain = np.abs(det) > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_MARGIN
-    signs = (det > 0).astype(np.int8) - (det < 0)
-    for k in np.flatnonzero(~certain):
-        (ax, ay), (bx, by), (cx, cy) = (map(Fraction, coords[v]) for v in tri[k])
-        exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-        signs[k] = (exact > 0) - (exact < 0)
-    return signs
+    return det, certain
+
+
+def _exact_sign(coords: np.ndarray, t) -> int:
+    """The orientation sign of the finite triangle ``t`` by ``Fraction``
+    arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, coords[v]) for v in t)
+    exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (exact > 0) - (exact < 0)
 
 
 def _drawing_array(coords, n: int) -> np.ndarray:
@@ -130,6 +143,24 @@ class Triangulation:
         for face in self.faces[signs[1:] <= 0].tolist():
             out.append(Violation("flipped-face", f"internal face {tuple(face)} not counterclockwise"))
         return out
+
+    def valid(self, coords: np.ndarray) -> bool:
+        """``not self.violations(coords)`` without building the list.  False
+        at a non-finite coordinate, and at once when some face's float
+        orientation is wrong beyond Shewchuk's bound (``orientation_signs``'s
+        test); only when none is are the faces within the bound decided by
+        exact arithmetic, up to the first wrong one.  A collapsed replay has
+        thousands of flipped faces, nearly all beyond the bound."""
+        coords = _drawing_array(coords, self.n)
+        if not np.isfinite(coords).all():
+            return False
+        # the outer triangle reversed: every face is counterclockwise when valid
+        outer = np.asarray([self.outer_face[::-1]], dtype=np.int64)
+        tri = np.concatenate([outer, self.faces])
+        det, certain = _float_orientations(coords, tri)
+        if (certain & (det < 0)).any():
+            return False
+        return all(_exact_sign(coords, t) > 0 for t in tri[~certain])
 
     def resolution(self, coords: np.ndarray) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of

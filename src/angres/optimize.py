@@ -2,10 +2,14 @@
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
 ``metrics.Triangulation``: the internal faces, one (3, 3F) corner index
-over them and the free (non-outer) vertices.  It also checks the build
-sequence once and groups its steps by level (``layout._ReplayPlan``).  Every
-restart reuses both, so a centroid or jittered start only places vertices
-level by level.
+over them and the free (non-outer) vertices.  Each process that runs
+restarts checks the build sequence and groups its steps by level
+(``layout._ReplayPlan``) at most once, when its first restart from a replay
+needs the plan: restart 0's centroid or a jittered start, which then only
+places vertices level by level.  A restart from an extra seed needs none.
+The calling process, whose share holds restart 0, builds its plan right
+after forking the workers (see below), so their restarts start at once, and
+a graph that is no 3-tree still raises from ``maximize_resolution`` at once.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -38,9 +42,10 @@ scipy's compiled ``_lbfgsb`` extension is loaded, by itself: importing
 Each restart keeps its own start's outer triangle.  For a triangulation
 whose outer triangle is clockwise, internal faces that are all
 counterclockwise prove that the drawing realizes the embedding, so a start
-or a result counts only after the compiled ``Triangulation.violations``
-(``validate_drawing``'s exact orientation check) passes, and is then
-measured by ``Triangulation.resolution`` on the same corners.
+or a result counts only after the compiled ``Triangulation.valid``
+(``validate_drawing``'s exact orientation verdict, without its list of
+violations) passes, and is then measured by ``Triangulation.resolution`` on
+the same corners.
 
 Each restart owns one ``_Workspace``, allocated once from the mesh's
 vertex, free-vertex and corner counts and handed to every objective call
@@ -83,6 +88,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import importlib.machinery
 import importlib.util
 import io
@@ -557,18 +563,19 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     return np.array(P.T), value, stages
 
 
-def _restart(r, mesh, replay, base, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
+def _restart(r, mesh, replay, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
     """Restart ``r``: its reported drawing (None when its start was
-    discarded) and its trace."""
+    discarded) and its trace.  ``replay()`` returns the replay plan, built
+    on its first call in this process."""
     if r == 0:
-        start = base
+        start = replay().place()
     elif r - 1 < len(seeds):
         start = seeds[r - 1]
     else:
         # replay with random interior barycentric weights: a valid
         # drawing of the embedding, diverse across restarts
-        start = replay.place(rng=np.random.default_rng([config.seed, r]))
-    if mesh.violations(start):
+        start = replay().place(rng=np.random.default_rng([config.seed, r]))
+    if not mesh.valid(start):
         # invalid start (deep replays collapse below double precision);
         # nothing worth optimizing from
         return None, RestartTrace(r, math.inf, math.nan, math.nan)
@@ -576,7 +583,7 @@ def _restart(r, mesh, replay, base, seeds, config) -> tuple[np.ndarray | None, R
         drawing, value, stages = _run_restart(start, mesh, config)
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
-    resolution = -math.inf if mesh.violations(drawing) else mesh.resolution(drawing)
+    resolution = mesh.resolution(drawing) if mesh.valid(drawing) else -math.inf
     # a restart never reports worse than its (valid) starting drawing
     start_res = mesh.resolution(start)
     if start_res > resolution:
@@ -652,6 +659,9 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
     W = min(cores, restarts) worker shares: restart r goes to share r mod W.
     The calling process runs share 0 and a forked child each other share,
     on Linux only; ``setulb``'s OpenBLAS is held at one thread meanwhile.
+    ``args[1]`` builds the replay plan (see ``maximize_resolution``): the
+    calling process calls it once the children are forked, outside any
+    share, so that its error raises here at once.
     A pipe carries only a share's pairs and its first failing restart.  As
     a restart is a pure function of its index and ``args``, the lowest
     failing one then runs again here, children reaped and threads restored,
@@ -669,6 +679,7 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
         shares = [range(k, restarts, workers) for k in range(workers)]
         for share in shares[1:]:
             children.append((*_fork_share(share, args), share))
+        args[1]()  # the replay plan of restart 0, always in share 0
         results = [_run_share(shares[0], args)]
         while children:
             results.append(_collect(*children[0]))
@@ -696,15 +707,19 @@ def maximize_resolution(
     Restart 0 starts from the plain centroid-replay seed; any configured
     extra seeds follow; remaining restarts replay the build sequence with
     seeded random barycentric weights.  Every extra seed's shape is checked
-    before any restart runs.  Each restart optimizes its own start, outer
-    triangle included.  Restarts whose starting drawing is degenerate or
-    invalid are recorded as failed without running; a restart that does run
-    never reports worse than its starting drawing.  Only restarts whose
-    reported drawing passes validate_drawing's check count; ties go to the
-    lowest restart index.  The pair is compiled once into a
-    ``Triangulation``, which validates every start and result and measures
-    each valid one per corner (``Triangulation.resolution``, equal to
-    ``angular_resolution``'s value bit for bit without its edge walk and
+    before any restart runs.  Only the replays need the build sequence's
+    ``_ReplayPlan``: each process that runs restarts builds it at most once,
+    on first need, and the calling process right after forking its workers,
+    so a graph that is no 3-tree raises its NotPlanar3TreeError at once.
+    Each restart optimizes its own start, outer triangle included.
+    Restarts whose starting drawing is degenerate or invalid are recorded
+    as failed without running; a restart that does run never reports worse
+    than its starting drawing.  Only restarts whose reported drawing passes
+    validate_drawing's check count; ties go to the lowest restart index.
+    The pair is compiled once into a ``Triangulation``, whose ``valid``
+    gives that check's verdict on every start and result, and which
+    measures each valid one per corner (``Triangulation.resolution``, equal
+    to ``angular_resolution``'s value bit for bit without its edge walk and
     sort); each trace records its start's resolution.
 
     The restarts run in W = min(cores, restarts) worker shares, restart r
@@ -722,14 +737,12 @@ def maximize_resolution(
     config = config or OptimizeConfig()
     config.validate()
     mesh = Triangulation(graph, emb)
-    replay = _ReplayPlan(graph, emb)
-    base = replay.place()
     seeds = [np.asarray(seed, dtype=float) for seed in config.extra_seeds]
     for k, seed in enumerate(seeds):
-        if seed.shape != base.shape:
-            raise ValueError(f"extra seed {k} has shape {seed.shape}, want {base.shape}")
-
-    runs = _run_restarts(config.restarts, (mesh, replay, base, seeds, config))
+        if seed.shape != (graph.n, 2):
+            raise ValueError(f"extra seed {k} has shape {seed.shape}, want {(graph.n, 2)}")
+    replay = functools.cache(functools.partial(_ReplayPlan, graph, emb))
+    runs = _run_restarts(config.restarts, (mesh, replay, seeds, config))
     best, best_res = None, -1.0
     for drawing, trace in runs:
         if trace.resolution > best_res:  # nan, a discarded start, never is

@@ -300,7 +300,63 @@ class TestAngularResolution:
             assert angular_resolution(g, coords) == want
 
 
+@st.composite
+def perturbed_drawings(draw):
+    """(graph, embedding, drawing): a nested or jittered drawing of a small
+    family, as it is, fuzzed, with a vertex put on the midpoint of its
+    face's far side (collinear), a few ulps off it (near-degenerate) or on
+    another vertex (coincident), with a non-finite coordinate, or moved by
+    a power of two that rounds its small faces away."""
+    fam, seq = _family_and_sequence(draw(st.sampled_from(sorted(_ORACLE_FAMILIES))))
+    g, emb = fam.graph, fam.embedding
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = layout_nested(fam) if draw(st.booleans()) else replay(g, emb, seq, rng=rng)
+    kind = draw(st.sampled_from(
+        ["as is", "fuzzed", "collinear", "near-degenerate", "coincident", "non-finite", "offset"]
+    ))
+    faces = internal_triangles(g, emb)
+    a, b, c = faces[rng.integers(len(faces))]
+    if kind == "fuzzed":
+        edges = g.edges
+        length = np.hypot(*(coords[edges[:, 0]] - coords[edges[:, 1]]).T)
+        near = np.full(g.n, np.inf)
+        np.minimum.at(near, edges[:, 0], length)
+        np.minimum.at(near, edges[:, 1], length)
+        scale = draw(st.sampled_from([1e-3, 0.1, 0.5])) * near
+        coords = coords + rng.normal(0.0, 1.0, coords.shape) * scale[:, None]
+    elif kind in ("collinear", "near-degenerate"):
+        coords[a] = (coords[b] + coords[c]) / 2.0
+        if kind == "near-degenerate":
+            coords[a] += np.spacing(coords[a]) * rng.integers(-4, 5, 2)
+    elif kind == "coincident":
+        coords[a] = coords[b]
+    elif kind == "non-finite":
+        coords[a, rng.integers(2)] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "offset":
+        coords = coords + 2.0 ** draw(st.sampled_from([20, 40, 52]))
+    return g, emb, coords
+
+
 class TestTriangulation:
+    @given(perturbed_drawings())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_is_the_verdict_of_violations(self, case):
+        g, emb, coords = case
+        mesh = Triangulation(g, emb)
+        assert mesh.valid(coords) is (not mesh.violations(coords))
+
+    def test_valid_rejects_the_collapsed_replays_of_a_deep_row(self):
+        # the starts the optimizer discards: thousands of flipped faces
+        fam = build_Htilde(2, 16)
+        g, emb = fam.graph, fam.embedding
+        mesh = Triangulation(g, emb)
+        seq = verify_planar_3tree(g, keep=emb.outer_face)
+        for rng in (None, *(np.random.default_rng([42, r]) for r in range(2, 5))):
+            coords = replay(g, emb, seq, rng=rng)
+            assert len(mesh.violations(coords)) > 100
+            assert mesh.valid(coords) is False
+        assert mesh.valid(layout_nested(fam)) is True
+
     @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
     def test_compiled_arrays(self, name):
         # the faces in face-tracing order, the corners in the objective

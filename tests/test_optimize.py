@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -644,7 +645,7 @@ class TestMaximize:
         layout_seed_any(fam.graph, fam.embedding)
         assert calls == [1, 1]
 
-    def test_triangulation_that_is_no_3tree_fails_as_verification(self):
+    def test_triangulation_that_is_no_3tree_fails_as_verification(self, monkeypatch):
         g = LabeledGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1),
                              (1, 5), (2, 5), (3, 5), (4, 5)])  # the octahedron
         rows = [[2, 3, 4, 1], [0, 4, 5, 2], [1, 5, 3, 0], [4, 0, 2, 5], [0, 3, 5, 1], [4, 3, 2, 1]]
@@ -652,9 +653,25 @@ class TestMaximize:
         assert Triangulation(g, emb).faces.shape == (7, 3)
         with pytest.raises(NotPlanar3TreeError) as want:
             graphs.verify_planar_3tree(g, keep=emb.outer_face)
-        with pytest.raises(NotPlanar3TreeError) as got:
-            maximize_resolution(g, emb, FAST)
-        assert str(got.value) == str(want.value)
+        # the calling process raises while building its replay plan, and
+        # waits for no child: a forked restart would sleep until killed
+        here, restart = os.getpid(), optimize._restart
+
+        def slow_in_a_child(r, *args):
+            if os.getpid() != here:
+                time.sleep(60)
+            return restart(r, *args)
+
+        monkeypatch.setattr(optimize, "_restart", slow_in_a_child)
+        config = replace(FAST, extra_seeds=[np.zeros((6, 2))])
+        for workers in (1, 2):
+            monkeypatch.setattr(optimize, "_worker_count", lambda: workers)
+            t0 = time.perf_counter()
+            with pytest.raises(NotPlanar3TreeError) as got:
+                maximize_resolution(g, emb, config)
+            assert time.perf_counter() - t0 < 30
+            assert str(got.value) == str(want.value)
+            _assert_no_child()
 
     def test_deep_trace_records_abnormal_stages(self):
         """On htilde(2,16) every stage of the nested start exits ABNORMAL
@@ -835,8 +852,6 @@ class TestWorkers:
         _assert_no_child()
 
     def test_interrupt_kills_the_children(self, monkeypatch):
-        import time
-
         def fail(r):
             if r == 0:
                 raise KeyboardInterrupt
@@ -868,6 +883,38 @@ class TestWorkers:
             put(threads)
         assert here == [0, 3]  # restarts 1, 4 and 2 ran in forked children
         _assert_no_child()
+
+    @pytest.mark.parametrize("restarts, seeded", [(2, True), (4, False)])
+    def test_each_process_builds_the_replay_plan_it_needs_once(
+        self, monkeypatch, tmp_path, restarts, seeded
+    ):
+        # 2 workers: restart 1 (the extra seed, if any) and 3 in a child;
+        # only restarts from a replay (0 and the jittered ones) need the plan
+        log = tmp_path / "plans"
+        plan = optimize._ReplayPlan
+
+        def logged(*args):
+            with open(log, "a") as fh:  # a forked child appends to the same file
+                fh.write(f"{os.getpid()}\n")
+            return plan(*args)
+
+        monkeypatch.setattr(optimize, "_ReplayPlan", logged)
+        fam = build_frame(2)
+        config = OptimizeConfig(restarts=restarts, max_iters=20, seed=42,
+                                extra_seeds=[layout_nested(fam)] if seeded else [])
+        seen = []
+        for workers in (1, 2):
+            monkeypatch.setattr(optimize, "_worker_count", lambda: workers)
+            seen.append(_result_bytes(maximize_resolution(fam.graph, fam.embedding, config)))
+            _assert_no_child()
+            pids = log.read_text().split()
+            log.unlink()
+            here = str(os.getpid())
+            if workers == 1 or seeded:
+                assert pids == [here]
+            else:
+                assert here in pids and len(pids) == len(set(pids)) == 2
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("why", ["no fork", "no openblas", "a thread", "not linux"])
     def test_fallback_runs_every_restart_here(self, monkeypatch, why):
