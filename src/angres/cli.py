@@ -40,16 +40,20 @@ from .svg import InvalidDrawingError, export_svg
 
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` as is (no newline translation) through a
-    temp file in the same directory, renamed over ``path`` once complete."""
+    temp file in the same directory, renamed over ``path`` once complete.
+    An OSError names ``path``, not the temp file's random name."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -20,18 +20,20 @@ The soft-min's weights and their gradient factors are computed only on the
 corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
 -746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
 ``exp`` takes a slow path on every lane that underflows.  The gradient is
-one ``np.bincount`` scatter per coordinate over the live terms only, each
-kind selected once: those corners, and the faces whose penalty factor is
-nonzero, at their corner-0 columns ``corners[:, 0::3]``, so a drawing
-with no flipped face scatters no face term.  Every corner and face is
-scattered when a coordinate is non-finite or beyond 1e100 in magnitude.
-This is bit for bit the computation over every term (``_lse`` and
-``_objective`` say why).  Over the restarts of a sweep at seed 42, a
-median 180 of htilde(2,16)'s 53,595 corners (0.34%, at most 315) and 735
-of htilde(3,8)'s 182,331 (0.40%, at most 1,218) are live per objective
-call.  On htilde(2,16) ``exp`` over every corner took a median 239 us a
-call, and selecting the live corners and taking it on them 24 us (2-core
-x86-64 machine, numpy 2.4.6).
+one ``np.bincount`` scatter per coordinate over the live terms only: those
+corners, whose columns one ``np.take`` per coordinate reads, and the faces
+whose penalty factor is nonzero, at their corner-0 columns.  The penalty
+pass runs only when some face's area is below zero or nan, or when every
+corner and face is scattered, as a coordinate is non-finite or beyond
+1e100 in magnitude.  This is bit for bit the computation over every term
+(``_lse`` and ``_objective`` say why).  At seed 42 a median 0.34% of
+htilde(2,16)'s 53,595 corners and 0.40% of htilde(3,8)'s 182,331 are live
+per call, and on htilde(2,16) ``exp`` over every corner took 239 us
+against 24 us on the live ones.  Below a few thousand corners a call is
+mostly fixed NumPy-call cost: the skipped penalty pass and the two takes
+cut it from 52.8 to 47.1 us on htilde(1,2), 87.0 to 79.5 us on
+htilde(1,16) and 113.7 to 104.2 us on htilde(2,4) (best of 3x5 over 300
+calls recorded at seed 42; 2-core x86-64 machine, numpy 2.4.6).
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
@@ -50,18 +52,15 @@ the same corners.
 Each restart owns one ``_Workspace``, allocated once from the mesh's
 vertex, free-vertex and corner counts and handed to every objective call
 through ``minimize``'s ``args``.  A call writes each full-size temporary
-there with ``out=``: the drawing's rows, the gathered corner columns, the
-angles, the soft-min's shifted lanes, ``exp`` values and masks, and the
-face penalty's rows, each by the ufunc that would have allocated it, so
-every value is bit for bit the same.  Per call, only the gradient handed
-back to ``minimize``, the bincount sums and the arrays of the live corners
-and flipped faces are allocated.  Allocated and freed per call, the
-full-size temporaries (about fifteen of 1.46 MB each on htilde(3,8)) went
-back to the kernel between calls, as glibc trims its heap, and were
-faulted in again: htilde(3,8)'s nested restart made about 63k minor page
-faults in 0.23 s, and makes 3.8k-5.0k in 0.17-0.18 s with its workspace,
-whose 14.5 MiB take about 3.7k to touch once (``ru_minflt`` around
-``_restart`` in a fresh process, 2-core x86-64 machine, numpy 2.4.6).
+there with ``out=``, by the ufunc that would have allocated it, so every
+value is bit for bit the same; per call only the gradient, the bincount
+sums and the arrays of the live corners and flipped faces are allocated.
+Allocated per call, the full-size temporaries (about fifteen of 1.46 MB
+each on htilde(3,8)) went back to the kernel between calls, as glibc trims
+its heap, and were faulted in again: htilde(3,8)'s nested restart made
+about 63k minor page faults in 0.23 s, and makes 3.8k-5.0k in 0.17-0.18 s
+with its workspace (``ru_minflt`` around ``_restart`` in a fresh process,
+same machine).
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -311,7 +310,7 @@ def _lse(a: np.ndarray, work: _Workspace):
     if s != 0:
         s = s / m
     out = np.log1p(s) + np.log(m) + a_max
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         out = np.log(np.exp(a).sum())
     return out
 
@@ -332,9 +331,7 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     is not below ``EXP_FLOOR``, nan included (a nan angle makes every lane
     nan).  Every other weight is +0.0, ``exp``'s exact value there, and so
     is its ``coef``, as ``denom`` is positive.  On deep rows more than 99%
-    of the corners underflow, and numpy's ``exp`` is about twenty times
-    slower on such lanes than on others: 63 against 3.2 us on 3,000 lanes
-    at -1000 and at -1.
+    of the corners underflow, where numpy's ``exp`` is twenty times slower.
 
     The gradient is one ``np.bincount`` per coordinate over the live terms
     only, each kind selected once: the corners in ``on``, a superset of
@@ -349,7 +346,12 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     below 4e301), so ``on`` is then every corner, whose ``exp`` is +0.0
     wherever it underflows, and every face is kept too.  A face term is
     the penalty gradient at the face's corner 0, columns
-    ``corners[:, 0::3]``; with no flipped face none is scattered.
+    ``corners[:, 0::3]``.  With no area below zero, nan failing that test,
+    every face's square and ``pc`` is a signed zero (nan if ``2 * weight``
+    overflows), so unless ``wide`` the penalty pass is skipped, about nine
+    NumPy calls, and the value gains ``weight * 0.0``, what their sum gave.
+    The live corners' columns are two ``np.take``s of ``work.x`` and
+    ``work.y``, left by ``_corner_angles`` as (e1x, g, e2x), (e1y, h, e2y).
 
     Every full-size temporary, per vertex, corner or face, is a view of
     ``work``, a ``_Workspace`` of this mesh's sizes owned by the caller
@@ -366,8 +368,7 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     np.copyto(P, pinned)
     P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
     P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
-    px, py = P
-    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(px, py, corners, work)
+    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(*P, corners, work)
 
     z = np.multiply(-sharp, theta, out=theta)
     lse = _lse(z, work)
@@ -380,12 +381,11 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     # corner and face is kept when a coordinate is non-finite or beyond 1e100
     x = np.subtract(z, lse, out=z)
     wide = not (P.max() <= 1e100 and P.min() >= -1e100)  # a nan fails both
-    if wide:
-        on = np.arange(x.size)
-    else:
-        on = np.invert(np.less(x, EXP_FLOOR, out=work.live), out=work.live).nonzero()[0]
-    g_on, h_on = g[on], h[on]
-    coef = np.exp(x[on]) / np.maximum(g_on * g_on + h_on * h_on, 1e-300)
+    below = np.less(x, EXP_FLOOR, out=work.live)
+    on = np.arange(x.size) if wide else np.invert(below, out=below).nonzero()[0]
+    # the scatter index: the a, b and c columns of the live corners, then
+    # those of the selected faces' corner 0, their penalty vertices
+    index = np.take(corners, on, axis=1).ravel()
 
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
     # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, and
@@ -394,39 +394,39 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     # of its gradient are the same subtractions as the corners' e1y and e2x:
     # y(t0) - y(t1), y(t1) - y(t2) and y(t2) - y(t0) are e1y at corners 1, 2
     # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
-    # corners 0, 1 and 2
-    area, square = work.face
-    neg = np.minimum(np.multiply(0.5, g[2::3], out=area), 0.0, out=area)
-    value += weight * float(np.sum(np.multiply(neg, neg, out=square)))
-    pc = np.multiply(2.0 * weight, neg, out=square)
-
-    # the scatter index: the a, b and c columns of the live corners, then
-    # those of the selected faces' corner 0, their penalty vertices; a
-    # float's nonzero() is its != 0 test, true on nan
-    faces = np.arange(pc.size) if wide else pc.nonzero()[0]
-    pc, fy, fx = pc[faces], e1y.reshape(-1, 3)[faces], e2x.reshape(-1, 3)[faces]
-    index = np.take(corners, on, axis=1).ravel()
-    e1x, e1y, e2x, e2y = (v[on] for v in (e1x, e1y, e2x, e2y))
-    g, h = g_on, h_on
-    if faces.size:
-        index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
-    w = np.empty(index.size)
+    # corners 0, 1 and 2.  A float's nonzero() is its != 0 test, true on nan
+    fy = fx = None  # the selected faces' columns of the x and y gradient, if any
+    if wide or not (math.isfinite(2.0 * weight) and g[2::3].min() >= 0.0):
+        area, square = work.face
+        neg = np.minimum(np.multiply(0.5, g[2::3], out=area), 0.0, out=area)
+        value += weight * float(np.sum(np.multiply(neg, neg, out=square)))
+        pc = np.multiply(2.0 * weight, neg, out=square)
+        faces = np.arange(pc.size) if wide else pc.nonzero()[0]
+        if faces.size:
+            fy, fx = e1y.reshape(-1, 3)[faces].T[[1, 2, 0]], e2x.reshape(-1, 3)[faces].T
+            pc = pc[faces]
+            index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
+    else:
+        value += weight * 0.0  # the sum of squares is +0.0
+    (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
+    coef = np.exp(x[on]) / np.maximum(g * g + h * h, 1e-300)
 
     # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
     # and -dC for the corners, then the penalty terms of the three face columns
-    wa, wb, wc = w[: 3 * coef.size].reshape(3, -1)
-    wf = w[3 * coef.size :].reshape(3, -1)
+    w = np.empty(index.size)
+    wa, wb, wc = w[: 3 * on.size].reshape(3, -1)
+    wf = w[3 * on.size :].reshape(3, -1)
     out = np.empty(2 * free.size)
     for dA, dC, face_terms, packed in (
-        ((-e2y) * h - g * e2x, e1y * h - g * e1x, fy.T[[1, 2, 0]], out[0::2]),
-        (e2x * h - g * e2y, (-e1x) * h - g * e1y, fx.T, out[1::2]),
+        ((-e2y) * h - g * e2x, e1y * h - g * e1x, fy, out[0::2]),
+        (e2x * h - g * e2y, (-e1x) * h - g * e1y, fx, out[1::2]),
     ):
         dA *= coef
         dC *= coef
         np.negative(dA, out=wa)
         np.add(dA, dC, out=wb)
         np.negative(dC, out=wc)
-        if faces.size:
+        if face_terms is not None:
             np.multiply(face_terms, 0.5, out=wf)
             wf *= pc
         np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], scale, out=packed)
@@ -491,7 +491,7 @@ def minimize(fun, x0, args, maxiter):
         setulb(m, x, low, up, nbd, f, g, factr, 1e-14, wa, iwa, task, lsave, isave, dsave,
                maxls, ln_task)
         if task[0] == 3:  # FG: the value and gradient at x
-            if not np.array_equal(x, last):
+            if not (x == last).all():  # np.array_equal's test, without its checks
                 fx, gx = fun(x, *args)
                 last[:] = x
                 nfev += 1

@@ -48,6 +48,19 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
     assert out.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("target", ["missing_dir/x.drawing", "a_dir"])
+def test_failed_output_names_the_given_path(tmp_path, capsys, target):
+    # the output's folder is missing, or the output is a folder: the one
+    # error line names the path given, not the temp file, and leaves no file
+    (tmp_path / "a_dir").mkdir()
+    out = str(tmp_path / target)
+    code, _, err = run(capsys, "layout", "--family", "frame", "--d", "3", "-o", out)
+    assert code == 1
+    assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n") and err.count("\n") == 1
+    assert ".tmp-" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a_dir"] and os.listdir(tmp_path / "a_dir") == []
+
+
 class TestGen:
     def test_frame_counts_and_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "f3.graph"

@@ -260,6 +260,41 @@ class TestObjectiveOracle:
             got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
+    @pytest.mark.parametrize("case", ["zero area", "nan", "weight overflow"])
+    @pytest.mark.parametrize("sharp", [5.0, 1e7])
+    def test_bit_identical_at_zero_area_faces(self, monkeypatch, case, sharp):
+        # htilde(1,2)'s nested drawing with a degree-3 vertex moved onto each
+        # of its neighbours: two faces of area +0.0 or -0.0 and none below,
+        # so no face is selected and the penalty pass is skipped.  A nan
+        # coordinate, or a weight whose double overflows (inf * 0.0 is nan),
+        # selects every face
+        g, emb, coords = _oracle_case("htilde12")
+        mesh = Triangulation(g, emb)
+        idx = objective_oracle.internal_corner_index(g, emb)
+        leaf = next(v for v in mesh.free[::-1] if np.count_nonzero(idx[:, 1] == v) == 3)
+        weight = 1e308 if case == "weight overflow" else 10.0
+        zero_signs = set()
+        for u in idx[idx[:, 1] == leaf][:, 0]:
+            P = coords.copy()
+            P[leaf] = P[u]
+            area = objective_oracle.corner_angles(P, idx)[3][2::3]
+            assert (area >= 0).all() and np.count_nonzero(area == 0) == 2
+            zero_signs |= set(np.signbit(area[area == 0]))
+            if case == "nan":
+                P[mesh.free[0], 0] = np.nan
+            scatters = _record_scatters(monkeypatch)
+            with np.errstate(invalid="ignore"):
+                want = objective_oracle.objective(
+                    P[mesh.free].ravel(), g.n, mesh.free, idx, idx[::3], sharp, weight, P
+                )
+                got = objective_and_gradient(g, emb, P, sharp, weight)
+                faces = _selection(scatters[-1], mesh.corners, P, idx, weight)[1]
+            assert faces == (case != "zero area")
+            if case != "zero area":  # nans by position, as above
+                got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        assert zero_signs == {False, True}
+
     @staticmethod
     def _scaled_call(name, work, sharp, weight, seed, bad=None):
         """The (value, gradient) of one ``_objective`` call on ``work`` at a
@@ -351,14 +386,16 @@ class TestObjectiveOracle:
         assert peak < 4 * 8 * mesh.corners.shape[1]
 
     def test_bit_identical_along_restarts(self, monkeypatch):
-        """Every objective call of two short optimizations against the
-        oracle, sparse selections with flipped faces among them."""
+        """Every objective call of three short optimizations against the
+        oracle, sparse selections with flipped faces among them.  On
+        htilde(1,16), calls with no flipped face, which skip the penalty
+        pass, and calls with one both occur."""
         monkeypatch.setattr(optimize, "_worker_count", lambda: 1)  # every restart in this process
         objective = optimize._objective
         scatters = _record_scatters(monkeypatch)
-        selections = []
-        for d in (4, 16):
-            fam = build_Htilde(2, d)
+        selections = {}
+        for c, d in ((1, 16), (2, 4), (2, 16)):
+            fam = build_Htilde(c, d)
             g, emb = fam.graph, fam.embedding
             idx = objective_oracle.internal_corner_index(g, emb)
 
@@ -371,7 +408,8 @@ class TestObjectiveOracle:
                 assert scatters[-1] is scatters[-2]  # one index per call
                 P = pinned.T.copy()
                 P[mesh.free] = origin.T + scale[:, None] * y.reshape(-1, 2)
-                selections.append(_selection(scatters[-1], mesh.corners, P, idx, weight))
+                selection = _selection(scatters[-1], mesh.corners, P, idx, weight)
+                selections.setdefault((c, d), []).append(selection)
                 return got
 
             monkeypatch.setattr(optimize, "_objective", checked_objective)
@@ -379,8 +417,9 @@ class TestObjectiveOracle:
                 restarts=3, max_iters=60, seed=1, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
             )
             maximize_resolution(g, emb, config)
-        assert len(scatters) == 2 * len(selections)  # one index per call
-        assert ("sparse", True) in selections  # flipped faces selected too
+        assert len(scatters) == 2 * sum(map(len, selections.values()))  # one index per call
+        assert {face for _, face in selections[1, 16]} == {False, True}  # both penalty paths
+        assert ("sparse", True) in selections[2, 4] + selections[2, 16]  # flipped faces selected too
 
     @pytest.mark.parametrize(
         "a",
