@@ -2,12 +2,15 @@
 
 A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
-``violations`` (exact orientation signs, no epsilon), ``valid`` (their
-verdict without the list) and ``resolution`` (the smallest internal corner,
-on a valid drawing the smallest angle between consecutive edges) read the
-same faces, and ``corners`` is the one corner index of every per-corner
-computation.  ``angular_resolution``'s sorted edge walk measures drawings
-without an embedding.  Angle identities are numeric with a 1e-9 tolerance.
+``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
+verdict, stopping at the first flipped face) read one array of oriented
+faces through one generator.  Its ``sides`` is the one gather of corner
+sides, read by ``resolution`` (the smallest internal corner, on a valid
+drawing the smallest angle between consecutive edges) and by the
+optimizer's angles and scales, and its ``replay`` is the plan every replay
+seed is placed from.  ``angular_resolution``'s sorted edge walk measures
+drawings without an embedding.  Angle identities are numeric with a 1e-9
+tolerance.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .graphs import (
     StructureError,
     internal_triangles,
 )
+from .layout import _ReplayPlan
 
 TOL = 1e-9
 
@@ -50,21 +54,6 @@ _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 # Shewchuk's bound assumes no underflow; a product below the smallest normal
 # double may err by up to 2**-1075 in absolute terms, far below this margin.
 _UNDERFLOW_MARGIN = 1e-300
-
-
-def orientation_signs(coords: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Exact orientation sign of each triangle (a, b, c) in the (F, 3) index
-    array ``tri``: +1 counterclockwise, -1 clockwise, 0 collinear.
-
-    The float determinant decides every triangle that clears Shewchuk's
-    error bound; ``fractions.Fraction`` arithmetic decides the rest.
-    """
-    coords = np.asarray(coords, dtype=float)
-    det, certain = _float_orientations(coords, tri)
-    signs = (det > 0).astype(np.int8) - (det < 0)
-    for k in np.flatnonzero(~certain):
-        signs[k] = _exact_sign(coords, tri[k])
-    return signs
 
 
 def _float_orientations(coords: np.ndarray, tri: np.ndarray):
@@ -102,21 +91,26 @@ def _non_finite(coords: np.ndarray) -> str:
 
 
 class Triangulation:
-    """A triangulated (graph, embedding) pair compiled once, to validate and
-    measure any number of its drawings.
+    """A triangulated (graph, embedding) pair compiled once, to validate,
+    measure and seed any number of its drawings.
 
-    ``faces`` holds the F internal faces of ``internal_triangles``, ``free``
-    the vertices off the outer face, ascending.  ``corners``, built on first
+    ``oriented`` holds the outer face reversed, then the F internal faces of
+    ``internal_triangles``, so that every row is counterclockwise in a valid
+    drawing; ``faces`` is its view of the internal ones.  ``free`` lists the
+    vertices off the outer face, ascending.  ``corners``, built on first
     read (validation never reads it), is the (3, 3F) corner index: the a, b
     and c columns of the internal corners (a, b, c), angle at b from ray
     b->a to ray b->c, corner 3t + i being corner i of face t, which is
     (t[i-1], t[i], t[i+1]).  Its view ``corners[:, 0::3]``, each face's
-    corner 0 (t[2], t[0], t[1]), lists every face once in its own order."""
+    corner 0 (t[2], t[0], t[1]), lists every face once in its own order.
+    ``replay``, built on first read in each process, is the replay plan."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
+        self.graph, self.emb = graph, emb
         self.n = graph.n
-        self.outer_face = emb.outer_face
-        self.faces = internal_triangles(graph, emb)
+        outer = np.asarray([emb.outer_face[::-1]], dtype=np.int64)
+        self.oriented = np.concatenate([outer, internal_triangles(graph, emb)])
+        self.faces = self.oriented[1:]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
         self.free = np.flatnonzero(off_outer)
@@ -129,38 +123,59 @@ class Triangulation:
             column[:] = self.faces[:, perm]
         return corners
 
+    @functools.cached_property
+    def replay(self) -> _ReplayPlan:
+        """The elimination's build sequence rooted at the outer face, checked
+        and grouped by level (``layout._ReplayPlan``); reading it raises the
+        sequence's error when the graph is no planar 3-tree.  A forked
+        process that reads it first builds its own."""
+        return _ReplayPlan(self.graph, self.emb)
+
+    def _flipped(self, coords: np.ndarray):
+        """The row of ``oriented`` of each face that is not counterclockwise
+        in the finite drawing ``coords``, in row order.  The float
+        determinant decides every face that clears Shewchuk's error bound;
+        ``fractions.Fraction`` arithmetic decides the rest, collinear
+        counting as flipped."""
+        det, certain = _float_orientations(coords, self.oriented)
+        for k in np.flatnonzero(~certain | (det < 0)):
+            if certain[k] or _exact_sign(coords, self.oriented[k]) <= 0:
+                yield int(k)
+
     def violations(self, coords: np.ndarray) -> list[Violation]:
         """``validate_drawing`` of an (n, 2) drawing of this pair."""
         coords = _drawing_array(coords, self.n)
         if non_finite := _non_finite(coords):
             return [Violation("non-finite", non_finite)]
         out: list[Violation] = []
-        outer = np.asarray([self.outer_face], dtype=np.int64)
-        signs = orientation_signs(coords, np.concatenate([outer, self.faces]))
-        if signs[0] >= 0:
-            face = tuple(self.outer_face)
-            out.append(Violation("flipped-face", f"outer face {face} not clockwise"))
-        for face in self.faces[signs[1:] <= 0].tolist():
-            out.append(Violation("flipped-face", f"internal face {tuple(face)} not counterclockwise"))
+        for k in self._flipped(coords):
+            if k == 0:
+                detail = f"outer face {tuple(self.emb.outer_face)} not clockwise"
+            else:
+                detail = f"internal face {tuple(self.oriented[k].tolist())} not counterclockwise"
+            out.append(Violation("flipped-face", detail))
         return out
 
     def valid(self, coords: np.ndarray) -> bool:
-        """``not self.violations(coords)`` without building the list.  False
-        at a non-finite coordinate, and at once when some face's float
-        orientation is wrong beyond Shewchuk's bound (``orientation_signs``'s
-        test); only when none is are the faces within the bound decided by
-        exact arithmetic, up to the first wrong one.  A collapsed replay has
-        thousands of flipped faces, nearly all beyond the bound."""
+        """``not self.violations(coords)``, stopping at the first flipped
+        face without building the list."""
         coords = _drawing_array(coords, self.n)
-        if not np.isfinite(coords).all():
-            return False
-        # the outer triangle reversed: every face is counterclockwise when valid
-        outer = np.asarray([self.outer_face[::-1]], dtype=np.int64)
-        tri = np.concatenate([outer, self.faces])
-        det, certain = _float_orientations(coords, tri)
-        if (certain & (det < 0)).any():
-            return False
-        return all(_exact_sign(coords, t) > 0 for t in tri[~certain])
+        return bool(np.isfinite(coords).all()) and next(self._flipped(coords), None) is None
+
+    def sides(self, px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """Write the sides of every internal corner (a, b, c), from the x and
+        y coordinate arrays ``px`` and ``py``, into the (3, 3F) float arrays
+        ``x`` and ``y``, and return their rows (e1, b, e2), e1 = a - b and
+        e2 = c - b, as views: ((e1x, bx, e2x), (e1y, by, e2y)).  Each
+        coordinate's a, b and c columns are gathered by one ``np.take``
+        (``mode="wrap"``, a no-op on a valid index, writes ``out`` directly
+        where ``"raise"`` buffers it), and e1 and e2 overwrite the a and c
+        rows, so every value is the subtraction of the gathered points."""
+        rows = []
+        for p, out in ((px, x), (py, y)):
+            a, b, c = np.take(p, self.corners, out=out, mode="wrap")
+            rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
+        return rows
 
     def resolution(self, coords: np.ndarray) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of
@@ -169,10 +184,9 @@ class Triangulation:
         that is negative: ``angular_resolution``'s float expression for the
         same two consecutive edges.  These are all gaps of a valid drawing
         but the three outer ones, which exceed pi, so no sort is needed."""
-        a, b, c = self.corners
-        to_a = coords[a] - coords[b]
-        to_c = coords[c] - coords[b]
-        gap = np.arctan2(to_a[:, 1], to_a[:, 0]) - np.arctan2(to_c[:, 1], to_c[:, 0])
+        x, y = np.empty(self.corners.shape), np.empty(self.corners.shape)
+        (e1x, _, e2x), (e1y, _, e2y) = self.sides(coords[:, 0], coords[:, 1], x, y)
+        gap = np.arctan2(e1y, e1x) - np.arctan2(e2y, e2x)
         gap[gap < 0] += 2.0 * math.pi
         return float(gap.min())
 

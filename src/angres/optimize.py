@@ -1,12 +1,13 @@
 """Search for maximum-angular-resolution drawings of a fixed embedding.
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
-``metrics.Triangulation``: the internal faces, one (3, 3F) corner index
-over them and the free (non-outer) vertices.  Each process that runs
-restarts checks the build sequence and groups its steps by level
-(``layout._ReplayPlan``) at most once, when its first restart from a replay
-needs the plan: restart 0's centroid or a jittered start, which then only
-places vertices level by level.  A restart from an extra seed needs none.
+``metrics.Triangulation``: the oriented faces, one (3, 3F) corner index
+over them, the free (non-outer) vertices, the one gather of corner sides
+(``Triangulation.sides``) that the objective's angles, each restart's
+scales and every measurement read, and the replay plan
+(``Triangulation.replay``).  Each process that runs restarts builds that
+plan at most once, when its first restart from a replay needs it: restart
+0's centroid or a jittered start.  A restart from an extra seed needs none.
 The calling process, whose share holds restart 0, builds its plan right
 after forking the workers (see below), so their restarts start at once, and
 a graph that is no 3-tree still raises from ``maximize_resolution`` at once.
@@ -26,21 +27,14 @@ whose penalty factor is nonzero, at their corner-0 columns.  The penalty
 pass runs only when some face's area is below zero or nan, or when every
 corner and face is scattered, as a coordinate is non-finite or beyond
 1e100 in magnitude.  This is bit for bit the computation over every term
-(``_lse`` and ``_objective`` say why).  At seed 42 a median 0.34% of
-htilde(2,16)'s 53,595 corners and 0.40% of htilde(3,8)'s 182,331 are live
-per call, and on htilde(2,16) ``exp`` over every corner took 239 us
-against 24 us on the live ones.  Below a few thousand corners a call is
-mostly fixed NumPy-call cost: the skipped penalty pass and the two takes
-cut it from 52.8 to 47.1 us on htilde(1,2), 87.0 to 79.5 us on
-htilde(1,16) and 113.7 to 104.2 us on htilde(2,4) (best of 3x5 over 300
-calls recorded at seed 42; 2-core x86-64 machine, numpy 2.4.6).
+(``_lse`` and ``_objective`` say why).
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
 memo, counts and messages, so every stage ends at the same point bit for
 bit, without the wrapper's copies and checks on every evaluation.  Only
-scipy's compiled ``_lbfgsb`` extension is loaded, by itself: importing
-``scipy.optimize`` for it took 0.56 of the 0.63 s of ``import angres``.
+scipy's compiled ``_lbfgsb`` extension is loaded, by itself, as importing
+``scipy.optimize`` for it would be most of ``import angres``.
 Each restart keeps its own start's outer triangle.  For a triangulation
 whose outer triangle is clockwise, internal faces that are all
 counterclockwise prove that the drawing realizes the embedding, so a start
@@ -55,12 +49,8 @@ through ``minimize``'s ``args``.  A call writes each full-size temporary
 there with ``out=``, by the ufunc that would have allocated it, so every
 value is bit for bit the same; per call only the gradient, the bincount
 sums and the arrays of the live corners and flipped faces are allocated.
-Allocated per call, the full-size temporaries (about fifteen of 1.46 MB
-each on htilde(3,8)) went back to the kernel between calls, as glibc trims
-its heap, and were faulted in again: htilde(3,8)'s nested restart made
-about 63k minor page faults in 0.23 s, and makes 3.8k-5.0k in 0.17-0.18 s
-with its workspace (``ru_minflt`` around ``_restart`` in a fresh process,
-same machine).
+Allocated per call, the full-size temporaries went back to the kernel
+between calls, as glibc trims its heap, and were faulted in again.
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -87,7 +77,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import importlib.machinery
 import importlib.util
 import io
@@ -105,7 +94,7 @@ import numpy as np
 from .families import FamilySpec, build_family
 from .geometry import _worker_count
 from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
-from .layout import _ReplayPlan, check_fan_spec, layout_nested
+from .layout import check_fan_spec, layout_nested
 from .metrics import Triangulation
 
 
@@ -255,23 +244,17 @@ class _Workspace:
         return cls(mesh.n, mesh.free.size, mesh.corners.shape[1])
 
 
-def _corner_angles(px: np.ndarray, py: np.ndarray, corners: np.ndarray, work: _Workspace):
-    """Signed angle of every internal corner in the (3, 3F) index ``corners``,
-    from the x and y coordinate arrays, with the intermediates of its
-    gradient: (theta, e1x, e1y, e2x, e2y, g, h), b the corner's vertex,
-    e1 = a - b, e2 = c - b.
+def _corner_angles(px: np.ndarray, py: np.ndarray, mesh: Triangulation, work: _Workspace):
+    """Signed angle of every internal corner (a, b, c) of ``mesh``, from the
+    x and y coordinate arrays, with the intermediates of its gradient:
+    (theta, e1x, e1y, e2x, e2y, g, h), e1 = a - b, e2 = c - b.
 
-    All seven are views of ``work``, valid until its next use.  Each
-    coordinate's a, b and c columns are gathered by one ``np.take`` into
-    ``work.x`` or ``work.y`` (``mode="wrap"``, a no-op on a valid index,
-    writes ``out`` directly where ``"raise"`` buffers it); e1 and e2
-    overwrite the a and c rows, g and h the b rows, and theta goes to
-    ``work.theta``, each by the ufunc of the allocating form, so every
-    value is the same bit for bit."""
-    ax, bx, cx = np.take(px, corners, out=work.x, mode="wrap")
-    ay, by, cy = np.take(py, corners, out=work.y, mode="wrap")
-    e1x, e1y = np.subtract(ax, bx, out=ax), np.subtract(ay, by, out=ay)
-    e2x, e2y = np.subtract(cx, bx, out=cx), np.subtract(cy, by, out=cy)
+    All seven are views of ``work``, valid until its next use.
+    ``mesh.sides`` writes the rows (e1, b, e2) of ``work.x`` and ``work.y``;
+    g and h overwrite the b rows, and theta goes to ``work.theta``, each by
+    the ufunc of the allocating form, so every value is the same bit for
+    bit."""
+    (e1x, bx, e2x), (e1y, by, e2y) = mesh.sides(px, py, work.x, work.y)
     g = np.subtract(np.multiply(e2x, e1y, out=bx), np.multiply(e2y, e1x, out=by), out=bx)
     h = np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=work.theta), out=by)
     return np.arctan2(g, h, out=work.theta), e1x, e1y, e2x, e2y, g, h
@@ -362,13 +345,13 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     the arrays of the live corners and flipped faces (every corner and
     face when ``wide``), the bincount sums and the gradient it returns,
     which the caller may keep: ``minimize`` holds it across ``setulb``
-    calls.  The module docstring gives the page faults this saves."""
+    calls.  The module docstring says what that saves."""
     free, corners = mesh.free, mesh.corners
     P, row = work.P, work.free_row
     np.copyto(P, pinned)
     P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
     P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
-    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(*P, corners, work)
+    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(*P, mesh, work)
 
     z = np.multiply(-sharp, theta, out=theta)
     lse = _lse(z, work)
@@ -521,19 +504,20 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     reported objective is evaluated once more at the returned variables,
     with the last stage's sharpness and weight."""
     free = mesh.free
+    pinned = np.array(start.T)
+    work = _Workspace.of(mesh)
     # every edge of a triangulation is a side (a, b) of an internal corner;
     # hypot and the minimum do not depend on the side's direction or order
-    i, j = mesh.corners[:2]
-    dist = np.hypot(start[i, 0] - start[j, 0], start[i, 1] - start[j, 1])
+    (e1x, _, _), (e1y, _, _) = mesh.sides(*pinned, work.x, work.y)
+    dist = np.hypot(e1x, e1y)
     near = np.full(mesh.n, np.inf)
+    i, j = mesh.corners[:2]
     np.minimum.at(near, i, dist)
     np.minimum.at(near, j, dist)
-    pinned = np.array(start.T)
     origin = pinned[:, free]
     scale = np.maximum(near[free], 1e-300)
     P = pinned.copy()
     y = np.zeros(2 * free.size)
-    work = _Workspace.of(mesh)
     iters_left = config.max_iters
     weight = config.penalty_init
     value = math.inf
@@ -541,7 +525,7 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     stalled = 0
     stages = []
     while iters_left > 0 and stalled < 2:
-        span = max(abs(float(_corner_angles(P[0], P[1], mesh.corners, work)[0].min())), 1e-8)
+        span = max(abs(float(_corner_angles(*P, mesh, work)[0].min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         with _quiet():
@@ -563,18 +547,17 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     return np.array(P.T), value, stages
 
 
-def _restart(r, mesh, replay, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
+def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
     """Restart ``r``: its reported drawing (None when its start was
-    discarded) and its trace.  ``replay()`` returns the replay plan, built
-    on its first call in this process."""
+    discarded) and its trace."""
     if r == 0:
-        start = replay().place()
+        start = mesh.replay.place()
     elif r - 1 < len(seeds):
         start = seeds[r - 1]
     else:
         # replay with random interior barycentric weights: a valid
         # drawing of the embedding, diverse across restarts
-        start = replay().place(rng=np.random.default_rng([config.seed, r]))
+        start = mesh.replay.place(rng=np.random.default_rng([config.seed, r]))
     if not mesh.valid(start):
         # invalid start (deep replays collapse below double precision);
         # nothing worth optimizing from
@@ -654,19 +637,20 @@ def _blas_thread_control():
     return None
 
 
-def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartTrace]]:
-    """``_restart(r, *args)`` for r in 0..restarts-1, in restart order, over
-    W = min(cores, restarts) worker shares: restart r goes to share r mod W.
-    The calling process runs share 0 and a forked child each other share,
-    on Linux only; ``setulb``'s OpenBLAS is held at one thread meanwhile.
-    ``args[1]`` builds the replay plan (see ``maximize_resolution``): the
-    calling process calls it once the children are forked, outside any
-    share, so that its error raises here at once.
+def _run_restarts(mesh, seeds, config) -> list[tuple[np.ndarray | None, RestartTrace]]:
+    """``_restart(r, mesh, seeds, config)`` for r in 0..restarts-1, in
+    restart order, over W = min(cores, restarts) worker shares: restart r
+    goes to share r mod W.  The calling process runs share 0 and a forked
+    child each other share, on Linux only; ``setulb``'s OpenBLAS is held at
+    one thread meanwhile.  The calling process reads ``mesh.replay`` once
+    the children are forked, outside any share, so that a graph that is no
+    3-tree raises here at once.
     A pipe carries only a share's pairs and its first failing restart.  As
-    a restart is a pure function of its index and ``args``, the lowest
+    a restart is a pure function of its index and arguments, the lowest
     failing one then runs again here, children reaped and threads restored,
     and raises its own exception; if not, a RuntimeError names it."""
-    workers = min(_worker_count(), restarts)
+    args = (mesh, seeds, config)
+    workers = min(_worker_count(), config.restarts)
     control = _blas_thread_control()
     threads = control[0]() if control else None
     children = []  # (pid, read end, share) of each child not yet reaped
@@ -676,10 +660,10 @@ def _run_restarts(restarts: int, args) -> list[tuple[np.ndarray | None, RestartT
         forks = sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1
         if not (control and forks):
             workers = 1
-        shares = [range(k, restarts, workers) for k in range(workers)]
+        shares = [range(k, config.restarts, workers) for k in range(workers)]
         for share in shares[1:]:
             children.append((*_fork_share(share, args), share))
-        args[1]()  # the replay plan of restart 0, always in share 0
+        mesh.replay  # the replay plan of restart 0, always in share 0
         results = [_run_share(shares[0], args)]
         while children:
             results.append(_collect(*children[0]))
@@ -707,10 +691,11 @@ def maximize_resolution(
     Restart 0 starts from the plain centroid-replay seed; any configured
     extra seeds follow; remaining restarts replay the build sequence with
     seeded random barycentric weights.  Every extra seed's shape is checked
-    before any restart runs.  Only the replays need the build sequence's
-    ``_ReplayPlan``: each process that runs restarts builds it at most once,
-    on first need, and the calling process right after forking its workers,
-    so a graph that is no 3-tree raises its NotPlanar3TreeError at once.
+    before any restart runs.  Only the replays need the mesh's
+    ``Triangulation.replay`` plan: each process that runs restarts builds it
+    at most once, on first need, and the calling process right after forking
+    its workers, so a graph that is no 3-tree raises its
+    NotPlanar3TreeError at once.
     Each restart optimizes its own start, outer triangle included.
     Restarts whose starting drawing is degenerate or invalid are recorded
     as failed without running; a restart that does run never reports worse
@@ -741,8 +726,7 @@ def maximize_resolution(
     for k, seed in enumerate(seeds):
         if seed.shape != (graph.n, 2):
             raise ValueError(f"extra seed {k} has shape {seed.shape}, want {(graph.n, 2)}")
-    replay = functools.cache(functools.partial(_ReplayPlan, graph, emb))
-    runs = _run_restarts(config.restarts, (mesh, replay, seeds, config))
+    runs = _run_restarts(mesh, seeds, config)
     best, best_res = None, -1.0
     for drawing, trace in runs:
         if trace.resolution > best_res:  # nan, a discarded start, never is

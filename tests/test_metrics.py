@@ -20,7 +20,6 @@ from angres.metrics import (
     angular_resolution,
     claim_quantities,
     frame_profile,
-    orientation_signs,
     read_drawing,
     telescoping_product,
     validate_drawing,
@@ -42,6 +41,19 @@ def triangle_drawing():
     emb = Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 1, 2))
     coords = np.array([[0.0, 1.0], [math.sqrt(3) / 2, -0.5], [-math.sqrt(3) / 2, -0.5]])
     return g, emb, coords
+
+
+def k3_drawings(points, rows):
+    """A Triangulation of K3, its outer face clockwise, and for each row of
+    three indices into ``points`` the drawing that puts those points on its
+    one internal face, in the face's order: the drawing is valid exactly
+    when that triangle is counterclockwise, and then its reversal, the outer
+    face, is clockwise."""
+    g, emb, _ = triangle_drawing()
+    mesh = Triangulation(g, emb)
+    drawings = np.empty((len(rows), 3, 2))
+    drawings[:, mesh.faces[0]] = np.asarray(points)[np.asarray(rows)]
+    return mesh, drawings
 
 
 def k4():
@@ -221,18 +233,21 @@ class TestOrientationSigns:
             for j in range(64):
                 pts += [(0.5 + i * ulp, 0.5 + j * ulp), (12.0, 12.0), (24.0, 24.0)]
         coords = np.array(pts)
-        # (b, c, a): the float determinant is then taken relative to a, the
-        # same rounding as the naive one below
+        # (b, c, a): the internal face's float determinant is then taken
+        # relative to a, the same rounding as the naive one below
         tri = np.arange(len(pts)).reshape(-1, 3)[:, [1, 2, 0]]
-        exact, naive = [], []
-        for a, b, c in coords.reshape(-1, 3, 2):
+        mesh, drawings = k3_drawings(coords, tri)
+        exact, naive, got = [], [], []
+        for (a, b, c), drawing in zip(coords.reshape(-1, 3, 2), drawings):
             (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
             det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             exact.append((det > 0) - (det < 0))
             fdet = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             naive.append(int(np.sign(fdet)))
+            got.append((mesh.valid(drawing), [v.kind for v in mesh.violations(drawing)]))
         assert any(n * e < 0 for n, e in zip(naive, exact))
-        assert orientation_signs(coords, tri).tolist() == exact
+        # collinear counts as flipped, for the internal face and the outer one
+        assert got == [(e > 0, [] if e > 0 else ["flipped-face"] * 2) for e in exact]
 
 
 class TestAngularResolution:
@@ -375,9 +390,13 @@ class TestTriangulation:
     def test_validation_leaves_the_corner_index_unbuilt(self):
         fam = build_Htilde(1, 2)
         mesh = Triangulation(fam.graph, fam.embedding)
-        assert mesh.violations(layout_nested(fam)) == []
+        coords = layout_nested(fam)
+        assert mesh.violations(coords) == [] and mesh.valid(coords) is True
         assert "corners" not in mesh.__dict__
         assert mesh.corners is mesh.corners  # built once, on first read
+        assert mesh.resolution(coords) > 0.0
+        assert "replay" not in mesh.__dict__  # no check or measurement builds the plan
+        assert mesh.replay is mesh.replay
 
 
 class TestCornerResolution:
@@ -404,6 +423,8 @@ class TestCornerResolution:
             lambda: build_Htilde(1, 8),
             lambda: build_Htilde(2, 8),
             lambda: build_Htilde(3, 2),
+            # the deep row whose nested start and result every sweep measures
+            lambda: build_Htilde(2, 16),
         ],
     )
     def test_nested_drawings(self, build):
@@ -572,6 +593,8 @@ class TestSerialization:
         assert str(exc.value) == "line 1: 'p' record needs 3 fields, got 4"
 
     def test_signed_area_orientation(self):
+        # counterclockwise, clockwise and collinear
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        tri = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 3]])
-        assert orientation_signs(coords, tri).tolist() == [1, -1, 0]
+        mesh, drawings = k3_drawings(coords, [[0, 1, 2], [0, 2, 1], [0, 1, 3]])
+        assert [mesh.valid(d) for d in drawings] == [True, False, False]
+        assert [len(mesh.violations(d)) for d in drawings] == [0, 2, 2]

@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 import lbfgsb_oracle
 import objective_oracle
-from angres import graphs, layout, optimize
+from angres import graphs, layout, metrics, optimize
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, NotPlanar3TreeError, StructureError
 from angres.layout import layout_frame_fan, layout_nested, layout_seed_any
@@ -190,7 +190,7 @@ class TestObjectiveOracle:
         staged = isinstance(sharp, str)
         if staged:
             # a restart's sharpness at that stage, over the drawing's smallest corner angle
-            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners, work)[0]
+            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)[0]
             sharp = 4.0 * 2.0 ** int(sharp.split()[1]) / abs(float(theta.min()))
         if jitter:
             # moves of up to a third of the shortest incident edge flip some faces
@@ -216,7 +216,7 @@ class TestObjectiveOracle:
         if name == "htilde216" and staged:
             # at stage 3 and later the softmax weights of more than 99% of
             # the corners are exactly 0, and exp is taken on the others only
-            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh.corners, work)[0]
+            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)[0]
             assert np.count_nonzero(z - logsumexp(z) < -745.1332191019412) > 0.99 * z.size
             assert selection == ("sparse", bool(jitter and weight))
 
@@ -371,7 +371,7 @@ class TestObjectiveOracle:
         mesh = Triangulation(g, emb)
         work = _Workspace.of(mesh)
         pinned = np.array(coords.T)
-        theta = optimize._corner_angles(pinned[0], pinned[1], mesh.corners, work)[0]
+        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)[0]
         span = abs(float(theta.min()))
         args = (mesh, pinned, 4.0 / span, 10.0, pinned[:, mesh.free], np.ones(mesh.free.size), work)
         y = np.zeros(2 * mesh.free.size)
@@ -930,14 +930,14 @@ class TestWorkers:
         # 2 workers: restart 1 (the extra seed, if any) and 3 in a child;
         # only restarts from a replay (0 and the jittered ones) need the plan
         log = tmp_path / "plans"
-        plan = optimize._ReplayPlan
+        plan = metrics._ReplayPlan
 
         def logged(*args):
             with open(log, "a") as fh:  # a forked child appends to the same file
                 fh.write(f"{os.getpid()}\n")
             return plan(*args)
 
-        monkeypatch.setattr(optimize, "_ReplayPlan", logged)
+        monkeypatch.setattr(metrics, "_ReplayPlan", logged)
         fam = build_frame(2)
         config = OptimizeConfig(restarts=restarts, max_iters=20, seed=42,
                                 extra_seeds=[layout_nested(fam)] if seeded else [])
