@@ -11,6 +11,14 @@ All copies of one sub-family at one level are glued by one ``glue_copies``
 call, into faces of the host as it stands before the call, through the
 copies' int64 vertex maps.  Rotations are never copied entry by entry:
 the copies' fans and rows go into the host's CSR arrays in one pass.
+
+Every builder also records the order it stacked its graph in, a
+``graphs.BuildSequence`` rooted at the outer face, as the graph's
+``certificate``: a frame's ring formula, the base K4's one step, and each
+glued copy's steps through its vertex map after the host's.  Verification
+and the replay plan check it exactly and then read the elimination's
+sequence off it (``graphs._certified``); a graph read from a file carries
+none and is eliminated.
 """
 
 from __future__ import annotations
@@ -20,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Embedding, LabeledGraph, StructureError, face_cycle_from, rotation_edges
+from .graphs import (
+    BuildSequence,
+    Embedding,
+    LabeledGraph,
+    StructureError,
+    face_cycle_from,
+    rotation_edges,
+)
 
 
 class ParameterError(ValueError):
@@ -83,7 +98,9 @@ def build_frame(d: int) -> Family:
     per ring k >= 2, the edges w u_k, w v_k, u_k v_k, u_k u_{k-1}, u_k v_{k-1},
     it carries the ring edges v_k v_{k-1}, so every bounded face is a
     triangle and the graph is maximal planar with maximum degree exactly 2d.
-    The edges are read off the rotation.
+    The edges are read off the rotation.  Its certificate stacks ring by
+    ring inward from the outer face (w, u_d, v_d): vertex k goes into
+    (w, k+1, k+2) for k = 2d-2 down to 1.
     """
     if d < 1:
         raise ParameterError(f"frame needs d >= 1, got {d}")
@@ -98,7 +115,9 @@ def build_frame(d: int) -> Family:
         rot.append([x for x in (V[k + 1], w, V[k - 1], U[k], U[k + 1]) if x is not None])
         labels[U[k]], labels[V[k]] = f"u{k}", f"v{k}"
     emb = Embedding.from_rows(rot, (w, u[-1], v[-1]))
-    g = LabeledGraph(2 * d + 1, rotation_edges(emb), labels)
+    k = np.arange(2 * d - 2, 0, -1, dtype=np.int64)
+    stacked = BuildSequence(emb.outer_face, k, np.stack([np.full_like(k, w), k + 1, k + 2], 1))
+    g = LabeledGraph(2 * d + 1, rotation_edges(emb), labels, stacked)
     return Family(g, emb, roles=FrameRoles(w, u, v))
 
 
@@ -151,7 +170,10 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     degree lands on which face vertex.  The copy's outer edges are the host
     face's; the interior copy vertices get fresh host indices in copy-index
     order, copy after copy.  Each copy's vertex map, a row of one
-    ``(copies, sub.n)`` matrix, is recorded on ``host.placements``.
+    ``(copies, sub.n)`` matrix, is recorded on ``host.placements``, and
+    its stacking order, the sub's certificate through that map, is
+    appended to the host graph's certificate (which is dropped when either
+    carries none).
 
     Each face must be a face of the host before the call, a different one
     per gluing; all are checked before the host changes.  One ``np.insert``
@@ -201,6 +223,12 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     host.graph.n = n0 + copies * inner.size
     host.placements.extend(CopyPlacement(sub, vmap) for vmap in vmaps)
     host.graph.edges = rotation_edges(emb)
+    cert, steps = host.graph.certificate, sub.graph.certificate
+    host.graph.certificate = None
+    if cert is not None and steps is not None:
+        xs = np.concatenate([cert.xs, vmaps[:, steps.xs].ravel()])
+        tris = np.concatenate([cert.tris, vmaps[:, steps.tris].reshape(-1, 3)])
+        host.graph.certificate = BuildSequence(cert.base, xs, tris)
 
 
 def vertex_count_G(c: int, d: int) -> int:
@@ -237,9 +265,11 @@ def build_G(c: int, d: int) -> Family:
 
 def _base_k4(names: tuple[str, str, str, str]) -> Family:
     """K4 with corners named, the fourth vertex interior, outer face
-    (n1, n3, n2) in clockwise trace order."""
+    (n1, n3, n2) in clockwise trace order; its certificate is that one
+    step."""
     emb = Embedding.from_rows([[2, 3, 1], [0, 3, 2], [1, 3, 0], [0, 2, 1]], (0, 2, 1))
-    return Family(LabeledGraph(4, rotation_edges(emb), dict(enumerate(names))), emb)
+    stacked = BuildSequence(emb.outer_face, np.array([3]), np.array([[0, 1, 2]]))
+    return Family(LabeledGraph(4, rotation_edges(emb), dict(enumerate(names)), stacked), emb)
 
 
 def build_H(c: int, d: int) -> Family:

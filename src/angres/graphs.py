@@ -33,6 +33,12 @@ not target a face, and each step's level, takes array operations over all
 steps at once.  ``verify_planar_3tree`` and ``layout``'s replay plan use it,
 each passing the messages and the error type it raises at the first bad step.
 
+The family builders record the order they stacked a graph in as its
+``certificate``.  Rooted at the triangle the caller keeps, a certificate
+that passes the same kernel and implies exactly the graph's edges
+(``_certified``) gives the elimination's own sequence by one heap over its
+known parents, without the elimination; any other graph is eliminated.
+
 The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
 ``metrics``) are read by one array tokenizer, ``Records``: each check runs
 over all records at once, and the earliest failing line is reported.
@@ -98,11 +104,16 @@ _NOT_XML = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 class LabeledGraph:
     """Simple undirected graph with optional role labels on vertices.  The
     constructor stores any ``edges`` pairs in the package's edge format (see
-    the module docstring).  ``==`` is identity, as ``edges`` is an array."""
+    the module docstring).  ``==`` is identity, as ``edges`` is an array.
+
+    ``certificate``, when set, is the build sequence the graph was stacked
+    by (the family builders record theirs); verification checks it exactly
+    before using it, so a stale or wrong one only costs the elimination."""
 
     n: int
     edges: np.ndarray = ()
     labels: dict[int, str] = field(default_factory=dict)
+    certificate: BuildSequence | None = None
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_VERTICES:
@@ -299,10 +310,89 @@ def verify_planar_3tree(
     bare base triangle bounds two), which certifies planarity.  When
     ``keep`` is given, those three mutually adjacent vertices are never
     eliminated, so the returned sequence is rooted at that triangle.
+
+    A built family records the order it was stacked in.  When ``keep`` is
+    given and that certificate, rooted at ``keep``, passes ``_certified``'s
+    exact check, the same sequence is read off it without the elimination.
     """
+    certified = _certified(graph, keep, 2)
+    if certified is not None:
+        return certified[0]
     seq = _eliminate(graph, keep)
     _check_build_sequence(seq, graph.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
     return seq
+
+
+def _certified(
+    graph: LabeledGraph, keep: tuple[int, int, int] | None, base_uses: int
+) -> tuple[BuildSequence, np.ndarray] | None:
+    """The elimination's build sequence of ``graph`` rooted at ``keep``, read
+    off the graph's certificate, and each of its steps' levels (as
+    ``_check_build_sequence`` returns them); None, to eliminate, unless
+    ``keep`` is given and the certificate is a build sequence of exactly
+    this graph rooted at it: based on three distinct vertices of ``keep`` as
+    a set, one int64 step per other vertex, passing
+    ``_check_build_sequence`` with ``base_uses``, and with its 3S + 3 edges,
+    sorted, equal to ``graph.edges``.  A certificate that fails only by
+    ``base_uses`` fails the elimination's sequence too, with its own error.
+
+    The certificate is trusted in nothing.  On a graph it builds, a vertex's
+    degree is 3 plus its children (the later vertices stacked onto it), so
+    the elimination pops a vertex exactly when its last child is gone, the
+    smallest such vertex first, and removes it from its parents, its step's
+    triangle.  One heap over the parents replays that; the base vertices are
+    never ready.  The steps come back in reverse, each triangle sorted and
+    the base as ``tuple(sorted(keep))``, as the elimination writes them.  A
+    step's level, one more than its triangle's deepest corner's, does not
+    depend on the order of the steps."""
+    cert, n = graph.certificate, graph.n
+    if cert is None or keep is None or set(cert.base) != set(keep):
+        return None
+    base = sorted(int(v) for v in keep)
+    xs, tris = cert.xs, cert.tris
+    if (
+        len(base) != 3
+        or not 0 <= base[0] < base[1] < base[2] < n
+        or xs.dtype != np.int64
+        or tris.dtype != np.int64
+        or xs.shape != (n - 3,)
+        or tris.shape != (n - 3, 3)
+    ):
+        return None
+    try:
+        level = _check_build_sequence(cert, n, base_uses, _PLANARITY_ERRORS, NotPlanar3TreeError)
+    except NotPlanar3TreeError:
+        return None
+    # every corner is now in range and no edge repeats in a valid sequence
+    a, b, c = base
+    x = np.concatenate([[a, a, b], np.repeat(xs, 3)])
+    y = np.concatenate([[b, c, c], tris.ravel()])
+    keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
+    if not np.array_equal(keys, graph.edges[:, 0] * n + graph.edges[:, 1]):
+        return None
+
+    # children left per vertex; a base vertex's count starts below zero, so
+    # it never reaches zero and is never ready
+    left = np.bincount(tris.ravel(), minlength=n)
+    left[base] = -1
+    parents = np.empty((3, n), dtype=np.int64)  # column v: vertex v's triangle
+    parents[:, xs] = tris.T
+    ready = np.flatnonzero(left == 0).tolist()
+    heapq.heapify(ready)
+    count, (pa, pb, pc) = left.tolist(), parents.tolist()
+    removed = []
+    while ready:
+        v = heapq.heappop(ready)
+        removed.append(v)
+        for p in (pa[v], pb[v], pc[v]):
+            count[p] -= 1
+            if not count[p]:
+                heapq.heappush(ready, p)
+    order = np.array(removed[::-1], dtype=np.int64)
+    step = np.empty(n, dtype=np.int64)
+    step[xs] = np.arange(xs.size)
+    seq = BuildSequence(tuple(base), order, np.sort(parents[:, order].T, axis=1))
+    return seq, level[step[order]]
 
 
 def _eliminate(graph: LabeledGraph, keep: tuple[int, int, int] | None) -> BuildSequence:

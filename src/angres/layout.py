@@ -27,6 +27,7 @@ from .graphs import (
     Embedding,
     LabeledGraph,
     StructureError,
+    _certified,
     _check_build_sequence,
     _eliminate,
 )
@@ -208,15 +209,21 @@ class _ReplayPlan:
 
     Built once per (graph, embedding, sequence), on the sequence's own
     arrays; without ``seq``, on the elimination's sequence rooted at the
-    embedding's outer face.  ``place`` then draws any number of centroid or
-    jittered replays."""
+    embedding's outer face.  That is read off the graph's recorded stacking
+    order, with its levels, when the order passes ``graphs._certified``'s
+    exact check, which is then the plan's only check (the bare base bounds
+    one face); otherwise the graph is eliminated.  ``place`` then draws any
+    number of centroid or jittered replays."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence | None = None):
+        level = None
         if seq is None:
-            seq = _eliminate(graph, emb.outer_face)
+            certified = _certified(graph, emb.outer_face, 1)
+            seq, level = certified or (_eliminate(graph, emb.outer_face), None)
         if set(seq.base) != set(emb.outer_face):
             raise StructureError("build sequence is not rooted at the embedding's outer face")
-        level = _check_build_sequence(seq, graph.n, 1, _REPLAY_ERRORS, StructureError)
+        if level is None:
+            level = _check_build_sequence(seq, graph.n, 1, _REPLAY_ERRORS, StructureError)
         placed = np.zeros(graph.n, dtype=bool)
         placed[list(seq.base)] = True
         placed[seq.xs] = True

@@ -125,7 +125,8 @@ class Triangulation:
 
     @functools.cached_property
     def replay(self) -> _ReplayPlan:
-        """The elimination's build sequence rooted at the outer face, checked
+        """The elimination's build sequence rooted at the outer face (read
+        off the graph's checked stacking order when it carries one), checked
         and grouped by level (``layout._ReplayPlan``); reading it raises the
         sequence's error when the graph is no planar 3-tree.  A forked
         process that reads it first builds its own."""
@@ -177,16 +178,21 @@ class Triangulation:
             rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
         return rows
 
-    def resolution(self, coords: np.ndarray) -> float:
+    def resolution(self, coords: np.ndarray, x=None, y=None) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of
         a float drawing that ``violations`` passes.  Each internal corner
         (a, b, c) gives the gap atan2(b->a) - atan2(b->c), plus 2 pi where
         that is negative: ``angular_resolution``'s float expression for the
         same two consecutive edges.  These are all gaps of a valid drawing
-        but the three outer ones, which exceed pi, so no sort is needed."""
-        x, y = np.empty(self.corners.shape), np.empty(self.corners.shape)
-        (e1x, _, e2x), (e1y, _, e2y) = self.sides(coords[:, 0], coords[:, 1], x, y)
-        gap = np.arctan2(e1y, e1x) - np.arctan2(e2y, e2x)
+        but the three outer ones, which exceed pi, so no sort is needed.
+
+        ``x`` and ``y`` are (3, 3F) float buffers that ``sides`` fills and
+        the gaps then overwrite, such as a restart's workspace's; without
+        them two are allocated."""
+        if x is None:
+            x, y = np.empty(self.corners.shape), np.empty(self.corners.shape)
+        (e1x, bx, e2x), (e1y, by, e2y) = self.sides(coords[:, 0], coords[:, 1], x, y)
+        gap = np.subtract(np.arctan2(e1y, e1x, out=bx), np.arctan2(e2y, e2x, out=by), out=bx)
         gap[gap < 0] += 2.0 * math.pi
         return float(gap.min())
 

@@ -44,11 +44,13 @@ violations) passes, and is then measured by ``Triangulation.resolution`` on
 the same corners.
 
 Each restart owns one ``_Workspace``, allocated once from the mesh's
-vertex, free-vertex and corner counts and handed to every objective call
-through ``minimize``'s ``args``.  A call writes each full-size temporary
-there with ``out=``, by the ufunc that would have allocated it, so every
-value is bit for bit the same; per call only the gradient, the bincount
-sums and the arrays of the live corners and flipped faces are allocated.
+vertex, free-vertex and corner counts, handed to every objective call
+through ``minimize``'s ``args`` and lent to ``Triangulation.resolution``
+to measure the start and the result.  A call writes each full-size
+temporary there with ``out=``, by the ufunc that would have allocated it,
+so every value is bit for bit the same; per call only the gradient, the
+bincount sums and the arrays of the live corners and flipped faces are
+allocated.
 Allocated per call, the full-size temporaries went back to the kernel
 between calls, as glibc trims its heap, and were faulted in again.
 
@@ -491,7 +493,7 @@ def minimize(fun, x0, args, maxiter):
     return LbfgsbResult(x=x, fun=f, nit=nit, nfev=nfev, message=message)
 
 
-def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str, int, int]]]:
+def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tuple[str, int, int]]]:
     """Sharpness/penalty continuation from one starting drawing, its outer
     triangle pinned.
 
@@ -502,10 +504,10 @@ def _run_restart(start, mesh, config) -> tuple[np.ndarray, float, list[tuple[str
     stage's ``res.fun``, but after an ``ABNORMAL`` line-search exit that is
     the last rejected trial point, not the objective at ``res.x``; so the
     reported objective is evaluated once more at the returned variables,
-    with the last stage's sharpness and weight."""
+    with the last stage's sharpness and weight.  ``work`` is the restart's
+    ``_Workspace``."""
     free = mesh.free
     pinned = np.array(start.T)
-    work = _Workspace.of(mesh)
     # every edge of a triangulation is a side (a, b) of an internal corner;
     # hypot and the minimum do not depend on the side's direction or order
     (e1x, _, _), (e1y, _, _) = mesh.sides(*pinned, work.x, work.y)
@@ -562,13 +564,14 @@ def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
         # invalid start (deep replays collapse below double precision);
         # nothing worth optimizing from
         return None, RestartTrace(r, math.inf, math.nan, math.nan)
+    work = _Workspace.of(mesh)
     if mesh.free.size:
-        drawing, value, stages = _run_restart(start, mesh, config)
+        drawing, value, stages = _run_restart(start, mesh, config, work)
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
-    resolution = mesh.resolution(drawing) if mesh.valid(drawing) else -math.inf
+    resolution = mesh.resolution(drawing, work.x, work.y) if mesh.valid(drawing) else -math.inf
     # a restart never reports worse than its (valid) starting drawing
-    start_res = mesh.resolution(start)
+    start_res = mesh.resolution(start, work.x, work.y)
     if start_res > resolution:
         drawing, resolution = start.copy(), start_res
     return drawing, RestartTrace(r, value, resolution, start_res, stages)

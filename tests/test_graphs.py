@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angres import graphs, layout
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     MAX_VERTICES,
@@ -24,7 +25,8 @@ from angres.graphs import (
     write_embedding,
     write_graph,
 )
-from angres.graphs import _PLANARITY_ERRORS, _check_build_sequence
+from angres.graphs import _PLANARITY_ERRORS, _certified, _check_build_sequence
+from angres.metrics import Triangulation
 from elimination_oracle import verify_planar_3tree as reference_verify
 from face_oracle import internal_triangles as reference_triangles
 from face_oracle import rotation_rows
@@ -692,6 +694,159 @@ class TestSequenceKernel:
         for x, (a, b, c) in step_list(seq):
             level[x] = 1 + max(level[a], level[b], level[c])
         assert got.tolist() == [level[x] for x in seq.xs.tolist()]
+
+
+CERTIFIED_CASES = [("frame", None, d) for d in (1, 2, 3, 6)] + [
+    (name, c, d) for name in ("g", "h", "htilde") for c in (1, 2, 3) for d in (1, 2, 3)
+]
+
+
+def uncertified(graph):
+    """``graph``'s vertices, edges and labels, without its certificate."""
+    return LabeledGraph(graph.n, graph.edges, graph.labels)
+
+
+def stacked_graph(seq):
+    """The graph that the build sequence ``seq`` stacks: its base triangle
+    and each step's three edges."""
+    a, b, c = seq.base
+    pairs = [(a, b), (a, c), (b, c)] + [(x, t) for x, tri in step_list(seq) for t in tri]
+    return LabeledGraph(len(seq.xs) + 3, pairs)
+
+
+def placements(mesh):
+    """The bytes of a mesh's centroid replay and of its jittered replays at
+    ``rng([42, r])`` for r = 2..4, the starts of restarts 0 and 2..4."""
+    rngs = [None] + [np.random.default_rng([42, r]) for r in (2, 3, 4)]
+    return [mesh.replay.place(rng=rng).tobytes() for rng in rngs]
+
+
+class TestCertificate:
+    """The builders' stacking orders, read off without the elimination, give
+    the elimination's sequence bit for bit; any certificate that fails the
+    exact check leaves the elimination's result or error."""
+
+    @pytest.mark.parametrize("name, c, d", CERTIFIED_CASES)
+    def test_builders_record_an_exact_certificate(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        g, emb = fam.graph, fam.embedding
+        cert = g.certificate
+        assert set(cert.base) == set(emb.outer_face)
+        _check_build_sequence(cert, g.n, 1, _PLANARITY_ERRORS, NotPlanar3TreeError)
+        assert len(cert.xs) == g.n - 3
+        assert np.array_equal(stacked_graph(cert).edges, g.edges)
+        assert _certified(g, emb.outer_face, 1) is not None
+
+    @pytest.mark.parametrize("name, c, d", CERTIFIED_CASES)
+    def test_verification_and_replay_equal_the_elimination(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        g, emb = fam.graph, fam.embedding
+        keep = emb.outer_face
+        got = verify_outcome(verify_planar_3tree, g, keep)
+        assert got[0] == "BuildSequence"
+        assert got == verify_outcome(verify_planar_3tree, uncertified(g), keep)
+        assert got == verify_outcome(reference_verify, g, keep)
+        assert placements(Triangulation(g, emb)) == placements(Triangulation(uncertified(g), emb))
+
+    def test_built_families_skip_the_elimination(self, monkeypatch):
+        def refused(graph, keep):
+            raise AssertionError("eliminated a certified graph")
+
+        monkeypatch.setattr(graphs, "_eliminate", refused)
+        monkeypatch.setattr(layout, "_eliminate", refused)
+        fam = build_family(FamilySpec("htilde", 2, 3))
+        verify_planar_3tree(fam.graph, fam.embedding.outer_face)
+        Triangulation(fam.graph, fam.embedding).replay.place()
+        with pytest.raises(AssertionError, match="eliminated"):
+            verify_planar_3tree(fam.graph)
+
+    def assert_eliminated(self, g, keep):
+        """``g`` verifies, or fails, as it does without its certificate and
+        as the oracle's elimination does, and its certificate is not used."""
+        assert _certified(g, keep, 2) is None
+        got = verify_outcome(verify_planar_3tree, g, keep)
+        assert got == verify_outcome(verify_planar_3tree, uncertified(g), keep)
+        assert got == verify_outcome(reference_verify, g, keep)
+        return got
+
+    def test_edge_flips_leave_the_certificate_stale(self):
+        fam = build_family(FamilySpec("htilde", 2, 2))
+        g, emb = fam.graph, fam.embedding
+        faces = internal_triangles(g, emb).tolist()
+        edges = set(map(tuple, g.edges.tolist()))
+        verdicts = set()
+        for (a, b, c), (p, q, r) in zip(faces, faces[1:]):
+            shared = {a, b, c} & {p, q, r}
+            if len(shared) != 2:
+                continue
+            (x,), (y,) = {a, b, c} - shared, {p, q, r} - shared
+            if (min(x, y), max(x, y)) in edges:
+                continue
+            flipped = (edges - {tuple(sorted(shared))}) | {(min(x, y), max(x, y))}
+            stale = LabeledGraph(g.n, sorted(flipped), g.labels, g.certificate)
+            verdicts.add(self.assert_eliminated(stale, emb.outer_face)[0])
+        assert verdicts == {"BuildSequence", "NotPlanar3TreeError"}
+
+    def test_changed_vertex_count_leaves_the_certificate_stale(self):
+        fam = build_family(FamilySpec("h", 2, 2))
+        g, emb = fam.graph, fam.embedding
+        keep = emb.outer_face
+        isolated = LabeledGraph(g.n + 1, g.edges, g.labels, g.certificate)
+        assert "E=" in self.assert_eliminated(isolated, keep)[1]
+        # one more vertex stacked into a face: a planar 3-tree the old
+        # certificate no longer covers
+        face = internal_triangles(g, emb)[0].tolist()
+        grown = np.vstack([g.edges, [(t, g.n) for t in face]])
+        stacked = LabeledGraph(g.n + 1, grown, g.labels, g.certificate)
+        assert self.assert_eliminated(stacked, keep)[0] == "BuildSequence"
+
+    def test_altered_triangle_is_rejected(self):
+        fam = build_family(FamilySpec("g", 2, 3))
+        g, emb = fam.graph, fam.embedding
+        cert = g.certificate
+        for k in (0, len(cert.xs) // 2, len(cert.xs) - 1):
+            tris = cert.tris.copy()
+            tris[k, 0] = next(v for v in range(g.n) if v not in tris[k] and v != cert.xs[k])
+            g.certificate = type(cert)(cert.base, cert.xs, tris)
+            assert self.assert_eliminated(g, emb.outer_face)[0] == "BuildSequence"
+
+    def test_other_roots_are_eliminated(self):
+        fam = build_family(FamilySpec("htilde", 2, 2))
+        g, emb = fam.graph, fam.embedding
+        inner = tuple(internal_triangles(g, emb)[5].tolist())
+        for keep in (None, inner):
+            assert self.assert_eliminated(g, keep)[0] == "BuildSequence"
+        assert verify_outcome(verify_planar_3tree, g, (0, 0, 1)) == verify_outcome(
+            reference_verify, g, (0, 0, 1)
+        )
+
+    def test_a_graph_read_back_carries_none(self):
+        fam = build_family(FamilySpec("htilde", 2, 3))
+        g, keep = fam.graph, fam.embedding.outer_face
+        back = read_graph(write_graph(g))
+        assert back.certificate is None
+        assert verify_outcome(verify_planar_3tree, back, keep) == verify_outcome(
+            verify_planar_3tree, g, keep
+        )
+
+    @given(st.integers(0, 10_000), st.integers(0, 30), st.sampled_from([1, 2]),
+           st.sampled_from(MUTATIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_random_certificates(self, seed, steps, base_uses, kind):
+        """A random stacking as the certificate of the graph it stacks, with
+        one defect of each kind: the certificate is read off exactly when it
+        passes the check, and the result never differs from the
+        elimination's."""
+        rng = random.Random(seed)
+        n, seq = grown_sequence(rng, steps, base_uses)
+        g = stacked_graph(seq)
+        g.certificate = mutate(rng, n, seq, kind, base_uses)[1]
+        for keep in (None, seq.base, seq.base[::-1]):
+            got = verify_outcome(verify_planar_3tree, g, keep)
+            assert got == verify_outcome(verify_planar_3tree, uncertified(g), keep)
+            assert got == verify_outcome(reference_verify, g, keep)
+        if kind == "none":
+            assert _certified(g, seq.base, 2) is not None
 
 
 class TestSerialization:

@@ -665,8 +665,8 @@ class TestMaximize:
 
     def test_checks_the_build_sequence_once(self, monkeypatch):
         # the compiled Triangulation proves the pair a plane triangulation,
-        # so the elimination's sequence goes straight to the replay plan,
-        # whose bounded-face check (base_uses=1) is the only one
+        # so the family's certificate, checked once with the replay plan's
+        # bounded-face rule (base_uses=1), gives the plan its sequence
         calls = []
         check = graphs._check_build_sequence
 
@@ -679,8 +679,7 @@ class TestMaximize:
         fam = build_Htilde(1, 2)
         maximize_resolution(fam.graph, fam.embedding, OptimizeConfig(restarts=2, max_iters=10))
         assert calls == [1]
-        # so does a seed drawing without a sequence: the elimination's goes
-        # straight to the replay plan
+        # so does a seed drawing without a sequence
         layout_seed_any(fam.graph, fam.embedding)
         assert calls == [1, 1]
 
