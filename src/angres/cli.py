@@ -29,6 +29,7 @@ from .metrics import Triangulation, angular_resolution, read_drawing, write_draw
 from .optimize import (
     OptimizeConfig,
     OptimizeFailure,
+    WorkerFailure,
     fit_exponent,
     maximize_resolution,
     read_sweep_csv,
@@ -291,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, WorkerFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,9 +16,10 @@ Every builder also records the order it stacked its graph in, a
 ``graphs.BuildSequence`` rooted at the outer face, as the graph's
 ``certificate``: a frame's ring formula, the base K4's one step, and each
 glued copy's steps through its vertex map after the host's.  Verification
-and the replay plan check it exactly and then read the elimination's
-sequence off it (``graphs._certified``); a graph read from a file carries
-none and is eliminated.
+and the replay plan check it exactly (``graphs._certified``) and then use
+it in place of the elimination, listed by level, then by vertex, as the
+elimination's sequence is (``graphs._rooted_sequence``); a graph read from
+a file carries none and is eliminated.
 """
 
 from __future__ import annotations

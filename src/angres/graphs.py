@@ -36,8 +36,8 @@ each passing the messages and the error type it raises at the first bad step.
 The family builders record the order they stacked a graph in as its
 ``certificate``.  Rooted at the triangle the caller keeps, a certificate
 that passes the same kernel and implies exactly the graph's edges
-(``_certified``) gives the elimination's own sequence by one heap over its
-known parents, without the elimination; any other graph is eliminated.
+(``_certified``) stands in for the elimination; any other graph is
+eliminated.  ``_rooted_sequence`` lists either by level, then by vertex.
 
 The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
 ``metrics``) are read by one array tokenizer, ``Records``: each check runs
@@ -301,7 +301,8 @@ class BuildSequence:
 def verify_planar_3tree(
     graph: LabeledGraph, keep: tuple[int, int, int] | None = None
 ) -> BuildSequence:
-    """Verify that ``graph`` is a planar 3-tree; return its build sequence.
+    """Verify that ``graph`` is a planar 3-tree; return its build sequence,
+    its steps listed by level, then by vertex (``_rooted_sequence``).
 
     Runs greedy simplicial elimination (remove a degree-3 vertex whose
     neighborhood is a triangle, smallest vertex first) and then checks the
@@ -313,21 +314,35 @@ def verify_planar_3tree(
 
     A built family records the order it was stacked in.  When ``keep`` is
     given and that certificate, rooted at ``keep``, passes ``_certified``'s
-    exact check, the same sequence is read off it without the elimination.
+    exact check, it stands in for the elimination, with the same result.
     """
-    certified = _certified(graph, keep, 2)
-    if certified is not None:
-        return certified[0]
-    seq = _eliminate(graph, keep)
-    _check_build_sequence(seq, graph.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
-    return seq
+    return _rooted_sequence(graph, keep, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)[0]
+
+
+def _rooted_sequence(
+    graph: LabeledGraph, keep: tuple[int, int, int] | None, base_uses: int, errors, error
+) -> tuple[BuildSequence, np.ndarray]:
+    """The build sequence of ``graph`` rooted at ``keep`` (at the
+    elimination's last triangle when ``keep`` is None) and its steps'
+    levels: the certificate when ``_certified`` passes it, else the
+    elimination's sequence, which ``_check_build_sequence`` checks with
+    ``base_uses``, ``errors`` and ``error``.  Rooted at one triangle, each
+    vertex's triangle and level are fixed and only the steps' order is
+    free, so both are listed by level, then by vertex, each triangle and the
+    base sorted: the same bytes either way."""
+    level, seq = _certified(graph, keep, base_uses), graph.certificate
+    if level is None:
+        seq = _eliminate(graph, keep)
+        level = _check_build_sequence(seq, graph.n, base_uses, errors, error)
+    order = np.lexsort((seq.xs, level))
+    base = tuple(sorted(int(v) for v in seq.base))
+    return BuildSequence(base, seq.xs[order], np.sort(seq.tris[order], axis=1)), level[order]
 
 
 def _certified(
     graph: LabeledGraph, keep: tuple[int, int, int] | None, base_uses: int
-) -> tuple[BuildSequence, np.ndarray] | None:
-    """The elimination's build sequence of ``graph`` rooted at ``keep``, read
-    off the graph's certificate, and each of its steps' levels (as
+) -> np.ndarray | None:
+    """The levels of the steps of ``graph``'s certificate (as
     ``_check_build_sequence`` returns them); None, to eliminate, unless
     ``keep`` is given and the certificate is a build sequence of exactly
     this graph rooted at it: based on three distinct vertices of ``keep`` as
@@ -335,16 +350,7 @@ def _certified(
     ``_check_build_sequence`` with ``base_uses``, and with its 3S + 3 edges,
     sorted, equal to ``graph.edges``.  A certificate that fails only by
     ``base_uses`` fails the elimination's sequence too, with its own error.
-
-    The certificate is trusted in nothing.  On a graph it builds, a vertex's
-    degree is 3 plus its children (the later vertices stacked onto it), so
-    the elimination pops a vertex exactly when its last child is gone, the
-    smallest such vertex first, and removes it from its parents, its step's
-    triangle.  One heap over the parents replays that; the base vertices are
-    never ready.  The steps come back in reverse, each triangle sorted and
-    the base as ``tuple(sorted(keep))``, as the elimination writes them.  A
-    step's level, one more than its triangle's deepest corner's, does not
-    depend on the order of the steps."""
+    The certificate is trusted in nothing."""
     cert, n = graph.certificate, graph.n
     if cert is None or keep is None or set(cert.base) != set(keep):
         return None
@@ -370,29 +376,7 @@ def _certified(
     keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
     if not np.array_equal(keys, graph.edges[:, 0] * n + graph.edges[:, 1]):
         return None
-
-    # children left per vertex; a base vertex's count starts below zero, so
-    # it never reaches zero and is never ready
-    left = np.bincount(tris.ravel(), minlength=n)
-    left[base] = -1
-    parents = np.empty((3, n), dtype=np.int64)  # column v: vertex v's triangle
-    parents[:, xs] = tris.T
-    ready = np.flatnonzero(left == 0).tolist()
-    heapq.heapify(ready)
-    count, (pa, pb, pc) = left.tolist(), parents.tolist()
-    removed = []
-    while ready:
-        v = heapq.heappop(ready)
-        removed.append(v)
-        for p in (pa[v], pb[v], pc[v]):
-            count[p] -= 1
-            if not count[p]:
-                heapq.heappush(ready, p)
-    order = np.array(removed[::-1], dtype=np.int64)
-    step = np.empty(n, dtype=np.int64)
-    step[xs] = np.arange(xs.size)
-    seq = BuildSequence(tuple(base), order, np.sort(parents[:, order].T, axis=1))
-    return seq, level[step[order]]
+    return level
 
 
 def _eliminate(graph: LabeledGraph, keep: tuple[int, int, int] | None) -> BuildSequence:

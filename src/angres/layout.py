@@ -27,9 +27,8 @@ from .graphs import (
     Embedding,
     LabeledGraph,
     StructureError,
-    _certified,
     _check_build_sequence,
-    _eliminate,
+    _rooted_sequence,
 )
 
 # The fan's root angle and the radius ratio between its rings.
@@ -208,27 +207,24 @@ class _ReplayPlan:
     """A build sequence checked for replay, with its steps grouped by level.
 
     Built once per (graph, embedding, sequence), on the sequence's own
-    arrays; without ``seq``, on the elimination's sequence rooted at the
-    embedding's outer face.  That is read off the graph's recorded stacking
-    order, with its levels, when the order passes ``graphs._certified``'s
-    exact check, which is then the plan's only check (the bare base bounds
-    one face); otherwise the graph is eliminated.  ``place`` then draws any
-    number of centroid or jittered replays."""
+    arrays and in its own order.  Without ``seq`` it takes
+    ``graphs._rooted_sequence`` rooted at the embedding's outer face, the
+    certificate or the elimination listed by level, then by vertex, and the
+    levels that come with it.  ``place`` then draws any number of centroid
+    or jittered replays."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding, seq: BuildSequence | None = None):
-        level = None
         if seq is None:
-            certified = _certified(graph, emb.outer_face, 1)
-            seq, level = certified or (_eliminate(graph, emb.outer_face), None)
-        if set(seq.base) != set(emb.outer_face):
-            raise StructureError("build sequence is not rooted at the embedding's outer face")
-        if level is None:
+            seq, level = _rooted_sequence(graph, emb.outer_face, 1, _REPLAY_ERRORS, StructureError)
+        else:
+            if set(seq.base) != set(emb.outer_face):
+                raise StructureError("build sequence is not rooted at the embedding's outer face")
             level = _check_build_sequence(seq, graph.n, 1, _REPLAY_ERRORS, StructureError)
-        placed = np.zeros(graph.n, dtype=bool)
-        placed[list(seq.base)] = True
-        placed[seq.xs] = True
-        if not placed.all():
-            raise StructureError(f"replay: vertex {int(np.argmin(placed))} is never placed")
+            placed = np.zeros(graph.n, dtype=bool)
+            placed[list(seq.base)] = True
+            placed[seq.xs] = True
+            if not placed.all():
+                raise StructureError(f"replay: vertex {int(np.argmin(placed))} is never placed")
         self.n = graph.n
         self.outer_face = emb.outer_face
         self.xs, self.tris = seq.xs, seq.tris
@@ -260,7 +256,8 @@ def layout_seed_any(
 ) -> np.ndarray:
     """Centroid-replay drawing of a planar 3-tree: the embedding's outer face
     at ``outer_triangle_coords()``, then each vertex of ``seq`` (by default
-    the elimination's sequence rooted at that face) at the centroid of its
+    the sequence ``verify_planar_3tree`` returns rooted at that face; a
+    sequence passed in is replayed in its own order) at the centroid of its
     triangle.  Raises StructureError when the graph is no 3-tree, or at the
     first step that ``graphs._check_build_sequence`` rejects (its triangle
     is not a bounded face, or its vertex is out of range or already placed),

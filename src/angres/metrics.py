@@ -125,9 +125,10 @@ class Triangulation:
 
     @functools.cached_property
     def replay(self) -> _ReplayPlan:
-        """The elimination's build sequence rooted at the outer face (read
-        off the graph's checked stacking order when it carries one), checked
-        and grouped by level (``layout._ReplayPlan``); reading it raises the
+        """The graph's build sequence rooted at the outer face, its checked
+        stacking order when it carries one and else the elimination's,
+        listed by level, then by vertex (``graphs._rooted_sequence``) and
+        grouped by level (``layout._ReplayPlan``); reading it raises the
         sequence's error when the graph is no planar 3-tree.  A forked
         process that reads it first builds its own."""
         return _ReplayPlan(self.graph, self.emb)

@@ -167,6 +167,10 @@ class OptimizeFailure(RuntimeError):
         self.traces = traces
 
 
+class WorkerFailure(RuntimeError):
+    """A forked worker exited without sending its share's result."""
+
+
 @dataclass
 class OptimizeConfig:
     restarts: int = 16
@@ -609,13 +613,15 @@ def _fork_share(share, args):
 
 
 def _collect(pid, fh, share):
-    """The ``_run_share`` result a forked child sent, once it has exited."""
+    """The ``_run_share`` result a forked child sent, once it has exited;
+    WorkerFailure, naming its share, when it exited with another code
+    than 0."""
     data = fh.read()
     fh.close()
     _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise RuntimeError(f"the worker of restarts {list(share)} exited with code {code}")
+        raise WorkerFailure(f"the worker of restarts {list(share)} exited with code {code}")
     return pickle.loads(data)
 
 

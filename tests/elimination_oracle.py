@@ -1,8 +1,9 @@
 """Reference implementation of ``angres.graphs.verify_planar_3tree``: the
 smallest-first simplicial elimination on one Python set of neighbours per
 vertex, probing each vertex's triangle whenever it may have become
-simplicial.  Used to check the array version sequence for sequence and
-error for error."""
+simplicial.  Listed as the package lists a rooted sequence
+(``verify_canonically``), it checks the array version sequence for sequence
+and error for error."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from angres.graphs import (
     _check_build_sequence,
     _PLANARITY_ERRORS,
 )
-from planarity_oracle import sequence
+from planarity_oracle import sequence, step_list
 
 
 def verify_planar_3tree(
@@ -92,3 +93,19 @@ def verify_planar_3tree(
     seq = sequence(base_vs, removed[::-1])
     _check_build_sequence(seq, n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
     return seq
+
+
+def verify_canonically(
+    graph: LabeledGraph, keep: tuple[int, int, int] | None = None
+) -> BuildSequence:
+    """The oracle's elimination listed as the package lists a rooted build
+    sequence: its steps by level, then by vertex, each triangle sorted and
+    the base sorted.  A step's level, one more than its triangle's deepest
+    corner's (the base is 0), is computed step by step."""
+    seq = verify_planar_3tree(graph, keep)
+    level = dict.fromkeys(seq.base, 0)
+    steps = []
+    for x, tri in step_list(seq):
+        level[x] = 1 + max(level[t] for t in tri)
+        steps.append((level[x], x, tuple(sorted(tri))))
+    return sequence(tuple(sorted(seq.base)), [(x, tri) for _, x, tri in sorted(steps)])

@@ -27,7 +27,14 @@ from angres.graphs import (
 )
 from angres.layout import layout_frame_fan, layout_nested
 from angres.metrics import Triangulation, angular_resolution, read_drawing, write_drawing
-from angres.optimize import CSV_COLUMNS, SweepRecord, read_sweep_csv, sweep_csv_text
+from angres.optimize import (
+    CSV_COLUMNS,
+    OptimizeConfig,
+    SweepRecord,
+    maximize_resolution,
+    read_sweep_csv,
+    sweep_csv_text,
+)
 from angres.svg import export_svg
 
 
@@ -406,6 +413,64 @@ class TestOptimizeCli:
         assert err.splitlines() == [
             "optimize failed: outer face (0, 5, 6, 1) not found among traced faces"
         ]
+
+
+    def test_a_file_graph_optimizes_like_the_built_family(self, tmp_path, capsys):
+        """gen's files carry no certificate, so the graph read back is
+        eliminated; its restarts, jittered restarts 1-3 among them, must run
+        as on the built family, which lists its certificate."""
+        gp, ep, dp = tmp_path / "h.graph", tmp_path / "h.emb", tmp_path / "h.opt"
+        assert run(capsys, "gen", "--family", "htilde", "--c", "2", "--d", "4", "-o", str(gp))[0] == 0
+        code, _, _ = run(
+            capsys,
+            "optimize", str(gp), str(ep),
+            "--restarts", "4", "--max-iter", "200", "--seed", "42",
+            "-o", str(dp),
+        )
+        assert code == 0
+        fam = build_family(FamilySpec("htilde", 2, 4))
+        cfg = OptimizeConfig(restarts=4, max_iters=200, seed=42)
+        built = maximize_resolution(fam.graph, fam.embedding, cfg)
+        assert dp.read_text() == write_drawing(built.coords)
+        back = read_graph(gp.read_text())
+        assert back.certificate is None
+        traces = maximize_resolution(back, read_embedding(ep.read_text()), cfg).traces
+        assert repr(traces) == repr(built.traces)
+
+
+class TestDeadWorker:
+    """A forked worker that exits without sending its result ends a command
+    in one stderr line and exit code 1, and writes no output file."""
+
+    WANT = ["error: the worker of restarts [1] exited with code 3"]
+
+    @pytest.fixture(autouse=True)
+    def dying_worker(self, monkeypatch):
+        restart, parent = optimize._restart, os.getpid()
+
+        def dies_in_a_worker(r, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return restart(r, *args)
+
+        monkeypatch.setattr(optimize, "_restart", dies_in_a_worker)
+        monkeypatch.setattr(optimize, "_worker_count", lambda: 2)
+
+    def test_optimize(self, tmp_path, capsys):
+        gp, out = tmp_path / "f2.graph", tmp_path / "f2.opt"
+        assert run(capsys, "gen", "--family", "frame", "--d", "2", "-o", str(gp))[0] == 0
+        code, _, err = run(
+            capsys, "optimize", str(gp), str(tmp_path / "f2.emb"), "--restarts", "2", "-o", str(out)
+        )
+        assert (code, err.splitlines()) == (1, self.WANT)
+        assert not out.exists()
+
+    def test_sweep(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.txt", tmp_path / "out.csv"
+        spec.write_text("frame - 2\n")
+        code, _, err = run(capsys, "sweep", "--spec", str(spec), "--restarts", "2", "-o", str(out))
+        assert (code, err.splitlines()) == (1, self.WANT)
+        assert not out.exists()
 
 
 class TestSweepFit:

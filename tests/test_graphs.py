@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres import graphs, layout
+from angres import graphs
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     MAX_VERTICES,
+    BuildSequence,
     Embedding,
     LabeledGraph,
     NotPlanar3TreeError,
@@ -27,7 +28,7 @@ from angres.graphs import (
 )
 from angres.graphs import _PLANARITY_ERRORS, _certified, _check_build_sequence
 from angres.metrics import Triangulation
-from elimination_oracle import verify_planar_3tree as reference_verify
+from elimination_oracle import verify_canonically as reference_verify
 from face_oracle import internal_triangles as reference_triangles
 from face_oracle import rotation_rows
 from family_oracle import ORACLE_CASES
@@ -505,8 +506,8 @@ def verify_outcome(fn, graph, keep=None):
 
 class TestEliminationAgainstOracle:
     """The elimination on index arrays against the set-based loop in
-    elimination_oracle: the same sequence, step order included, and the
-    same errors."""
+    elimination_oracle: the same sequence, listed by level, then by vertex,
+    and the same errors."""
 
     @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
     def test_families(self, name, c, d):
@@ -696,7 +697,7 @@ class TestSequenceKernel:
         assert got.tolist() == [level[x] for x in seq.xs.tolist()]
 
 
-CERTIFIED_CASES = [("frame", None, d) for d in (1, 2, 3, 6)] + [
+CERTIFIED_CASES = [("frame", None, d) for d in (1, 2, 3, 4, 6)] + [
     (name, c, d) for name in ("g", "h", "htilde") for c in (1, 2, 3) for d in (1, 2, 3)
 ]
 
@@ -722,7 +723,7 @@ def placements(mesh):
 
 
 class TestCertificate:
-    """The builders' stacking orders, read off without the elimination, give
+    """The builders' stacking orders, listed without the elimination, give
     the elimination's sequence bit for bit; any certificate that fails the
     exact check leaves the elimination's result or error."""
 
@@ -748,12 +749,43 @@ class TestCertificate:
         assert got == verify_outcome(reference_verify, g, keep)
         assert placements(Triangulation(g, emb)) == placements(Triangulation(uncertified(g), emb))
 
+    @pytest.mark.parametrize("name, c, d", CERTIFIED_CASES)
+    def test_listing_order_does_not_matter(self, name, c, d):
+        """The certificate re-listed in random parent-first orders, each
+        triangle's corners and the base shuffled, verifies and replays as
+        the graph without it, jittered replays included."""
+        fam = build_family(FamilySpec(name, c, d))
+        g, emb = fam.graph, fam.embedding
+        keep, cert = emb.outer_face, g.certificate
+        want = verify_outcome(verify_planar_3tree, uncertified(g), keep)
+        drawn = placements(Triangulation(uncertified(g), emb))
+        level = _check_build_sequence(cert, g.n, 1, _PLANARITY_ERRORS, NotPlanar3TreeError)
+        rng = np.random.default_rng([c or 0, d])
+        for _ in range(3):
+            order = np.lexsort((rng.random(level.size), level))
+            base = tuple(rng.permutation(cert.base).tolist())
+            g.certificate = BuildSequence(base, cert.xs[order], rng.permuted(cert.tris[order], axis=1))
+            assert _certified(g, keep, 2) is not None
+            assert verify_outcome(verify_planar_3tree, g, keep) == want
+            assert placements(Triangulation(g, emb)) == drawn
+
+    @pytest.mark.parametrize("name, c, d", [("g", 2, 3), ("htilde", 2, 2), ("frame", None, 4)])
+    def test_verification_lists_steps_by_level_then_vertex(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        g, keep = fam.graph, fam.embedding.outer_face
+        for graph, root in ((g, keep), (uncertified(g), keep), (g, None)):
+            seq = verify_planar_3tree(graph, root)
+            level = _check_build_sequence(seq, g.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
+            assert (np.diff(level) >= 0).all()
+            assert (np.diff(seq.xs)[np.diff(level) == 0] > 0).all()
+            assert (np.diff(seq.tris, axis=1) > 0).all()
+            assert list(seq.base) == sorted(seq.base)
+
     def test_built_families_skip_the_elimination(self, monkeypatch):
         def refused(graph, keep):
             raise AssertionError("eliminated a certified graph")
 
         monkeypatch.setattr(graphs, "_eliminate", refused)
-        monkeypatch.setattr(layout, "_eliminate", refused)
         fam = build_family(FamilySpec("htilde", 2, 3))
         verify_planar_3tree(fam.graph, fam.embedding.outer_face)
         Triangulation(fam.graph, fam.embedding).replay.place()
@@ -834,7 +866,7 @@ class TestCertificate:
     @settings(max_examples=200, deadline=None)
     def test_random_certificates(self, seed, steps, base_uses, kind):
         """A random stacking as the certificate of the graph it stacks, with
-        one defect of each kind: the certificate is read off exactly when it
+        one defect of each kind: the certificate is used exactly when it
         passes the check, and the result never differs from the
         elimination's."""
         rng = random.Random(seed)
