@@ -124,6 +124,15 @@ class Triangulation:
         return corners
 
     @functools.cached_property
+    def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, faces): the internal faces at vertex v, as row numbers of
+        ``faces``, are ``faces[start[v]:start[v + 1]]``, ascending; built on
+        first read, like ``corners``."""
+        flat = self.faces.ravel()
+        order = np.argsort(flat, kind="stable")
+        return np.searchsorted(flat[order], np.arange(self.n + 1)), order // 3
+
+    @functools.cached_property
     def replay(self) -> _ReplayPlan:
         """The graph's build sequence rooted at the outer face, its checked
         stacking order when it carries one and else the elimination's,
@@ -164,7 +173,7 @@ class Triangulation:
         coords = _drawing_array(coords, self.n)
         return bool(np.isfinite(coords).all()) and next(self._flipped(coords), None) is None
 
-    def sides(self, px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray):
+    def sides(self, px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray, cols=None):
         """Write the sides of every internal corner (a, b, c), from the x and
         y coordinate arrays ``px`` and ``py``, into the (3, 3F) float arrays
         ``x`` and ``y``, and return their rows (e1, b, e2), e1 = a - b and
@@ -172,10 +181,13 @@ class Triangulation:
         coordinate's a, b and c columns are gathered by one ``np.take``
         (``mode="wrap"``, a no-op on a valid index, writes ``out`` directly
         where ``"raise"`` buffers it), and e1 and e2 overwrite the a and c
-        rows, so every value is the subtraction of the gathered points."""
+        rows, so every value is the subtraction of the gathered points.
+        With ``cols``, an array of corner numbers, only those corners are
+        written, in that order, into (3, cols.size) arrays ``x`` and ``y``."""
+        index = self.corners if cols is None else np.take(self.corners, cols, axis=1)
         rows = []
         for p, out in ((px, x), (py, y)):
-            a, b, c = np.take(p, self.corners, out=out, mode="wrap")
+            a, b, c = np.take(p, index, out=out, mode="wrap")
             rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
         return rows
 

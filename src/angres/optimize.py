@@ -54,6 +54,23 @@ allocated.
 Allocated per call, the full-size temporaries went back to the kernel
 between calls, as glibc trims its heap, and were faulted in again.
 
+On a mesh of at least ``KEEP_FLOOR`` = 2**14 corners the workspace also
+keeps the corner geometry of the last drawing a call computed (the drawing,
+each corner's sides and its angle), keyed by the restart's frame (mesh,
+pinned drawing, origin and scale, by identity) and by the bits of the
+variables.  L-BFGS-B leaves every coordinate outside its gradient
+history's support unchanged to the bit, so a deep call computes again only
+the faces at a vertex whose variables changed a bit, found through
+``Triangulation.vertex_faces``; a call at unchanged variables computes
+none.  Each such corner takes the same subtractions, products and
+``np.arctan2`` as the full pass, so every value is the same bit for bit.
+A cold workspace, a new frame, or moved vertices whose faces are more than
+half of all take the full pass, and so does every call on a smaller mesh:
+on sweep-shallow's rows, at most 3,051 corners, finding the moved vertices
+cost more than it saved.  Anything else that writes the workspace's corner
+rows (each restart's scale pass and its two measurements) drops the kept
+geometry.
+
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
 splits them over W = min(cores, restarts) worker shares, restart r in share
@@ -83,6 +100,7 @@ import importlib.machinery
 import importlib.util
 import io
 import math
+import operator
 import os
 import pickle
 import signal
@@ -230,40 +248,159 @@ class OptimizeResult:
     traces: list[RestartTrace]
 
 
+# Meshes with fewer corners than this take the full angle pass on every
+# call and keep no geometry between calls.  On sweep-shallow's rows, at most
+# 3,051 corners, finding the moved vertices cost more than it saved: their
+# nine restarts, run one after another, took 2.23-2.25 s with no floor
+# against 2.04-2.10 s with it (median of 5, three alternating runs).
+KEEP_FLOOR = 2**14
+
+
 class _Workspace:
     """The full-size temporaries of one restart's objective calls, allocated
     once and overwritten by each call (see the module docstring): the (2, n)
     rows of the drawing, a free-vertex row, the (3, 3F) x and y columns
     gathered at the corners, the corner angles, the soft-min's shifted
-    lanes, ``exp`` values and two masks, and the (2, F) face rows."""
+    lanes (``theta``, which ``z`` overwrites), ``exp`` values and two masks,
+    and the (2, F) face rows.
+
+    On a mesh of at least ``KEEP_FLOOR`` corners the workspace also keeps
+    the geometry of the last drawing ``_angles_at`` computed: ``P``, the
+    x and y rows as (e1x, g, e2x) and (e1y, h, e2y), and ``angle``.  It is
+    keyed by ``frame``, the (mesh, pinned, origin, scale) of that drawing
+    compared by identity, and by ``held``, the bits of its variables ``y``
+    as uint64, so a flip between +0.0 and -0.0 or a nan of other bits counts
+    as a move.  ``frame`` is None while nothing is kept: on a new workspace,
+    below the floor, and after ``_corner_angles``, ``sides`` or
+    ``resolution`` writes the x and y rows for another drawing.  The frame's
+    arrays must not change in place while it is kept (``_run_restart``
+    builds them once per restart).  ``hit``, a face mask, is all False
+    between calls."""
 
     def __init__(self, n: int, free: int, corners: int):
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
         self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
+        self.rows = (*self.x, *self.y)  # views made once: unpacking makes new ones
         self.theta, self.shifted, self.exp = (np.empty(corners) for _ in range(3))
+        # below the floor nothing is kept, and z overwrites the angles in place
+        self.keeps = corners >= KEEP_FLOOR
+        self.angle = np.empty(corners) if self.keeps else self.theta
         self.tied, self.live = np.empty(corners, bool), np.empty(corners, bool)
         self.face = np.empty((2, corners // 3))
+        self.frame = None
+        self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
+        self.hit = np.zeros(corners // 3, bool)
 
     @classmethod
     def of(cls, mesh: Triangulation) -> "_Workspace":
-        return cls(mesh.n, mesh.free.size, mesh.corners.shape[1])
+        """The workspace of ``mesh``'s sizes; above the floor, the mesh's
+        ``vertex_faces`` is built here, outside any objective call."""
+        work = cls(mesh.n, mesh.free.size, mesh.corners.shape[1])
+        if work.keeps:
+            mesh.vertex_faces
+        return work
+
+    def sides(self, mesh: Triangulation, px: np.ndarray, py: np.ndarray):
+        """``mesh.sides`` of the drawing (px, py) into the x and y rows."""
+        self.frame = None
+        return mesh.sides(px, py, self.x, self.y)
+
+    def resolution(self, mesh: Triangulation, coords: np.ndarray) -> float:
+        """``mesh.resolution(coords)``, its buffers the x and y rows."""
+        self.frame = None
+        return mesh.resolution(coords, self.x, self.y)
 
 
 def _corner_angles(px: np.ndarray, py: np.ndarray, mesh: Triangulation, work: _Workspace):
-    """Signed angle of every internal corner (a, b, c) of ``mesh``, from the
-    x and y coordinate arrays, with the intermediates of its gradient:
-    (theta, e1x, e1y, e2x, e2y, g, h), e1 = a - b, e2 = c - b.
+    """``work.angle`` holding the signed angle of every internal corner
+    (a, b, c) of ``mesh`` in the drawing of the x and y coordinate arrays
+    ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
+    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``)."""
+    work.frame = None
+    _geometry(*mesh.sides(px, py, work.x, work.y), work.theta, work.angle)
+    return work.angle
 
-    All seven are views of ``work``, valid until its next use.
-    ``mesh.sides`` writes the rows (e1, b, e2) of ``work.x`` and ``work.y``;
-    g and h overwrite the b rows, and theta goes to ``work.theta``, each by
-    the ufunc of the allocating form, so every value is the same bit for
-    bit."""
-    (e1x, bx, e2x), (e1y, by, e2y) = mesh.sides(px, py, work.x, work.y)
+
+def _geometry(x, y, scratch, angle) -> None:
+    """From the side rows ``x`` = (e1x, bx, e2x) and ``y`` = (e1y, by, e2y)
+    of some corners, e1 = a - b and e2 = c - b, write g = e2 x e1 over bx, h
+    = e1 . e2 over by and the corners' signed angles ``arctan2(g, h)`` to
+    ``angle``, each by the ufunc of the allocating form, so every value is
+    the same bit for bit; ``scratch`` is a buffer of their length."""
+    (e1x, bx, e2x), (e1y, by, e2y) = x, y
     g = np.subtract(np.multiply(e2x, e1y, out=bx), np.multiply(e2y, e1x, out=by), out=bx)
-    h = np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=work.theta), out=by)
-    return np.arctan2(g, h, out=work.theta), e1x, e1y, e2x, e2y, g, h
+    h = np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=scratch), out=by)
+    np.arctan2(g, h, out=angle)
+
+
+def _angles_at(y, mesh, pinned, origin, scale, work) -> np.ndarray:
+    """``work.angle`` holding the corner angles of the drawing at the
+    variables ``y`` (``_objective`` says how they place the free vertices),
+    with ``work.P`` that drawing and the x and y rows as ``_corner_angles``
+    leaves them.
+
+    Where ``work`` keeps the geometry of a drawing in this frame (see
+    ``_Workspace``), only the faces at a free vertex whose variables
+    changed a bit are computed again, and at an unchanged ``y`` nothing is;
+    each of their corners takes the subtractions, products and
+    ``np.arctan2`` of the full pass, so every value is the same bit for
+    bit.  The full pass runs instead when the moved vertices' faces, each
+    counted once per moved vertex, are more than half the faces: on
+    htilde(2,16) and (3,8) the faces of random vertices took as long as
+    the full pass at about 37% of the faces, and 1.5-1.8 times as long at
+    56%."""
+    free, P = mesh.free, work.P
+    frame = work.frame  # always None below the floor
+    if frame is not None and all(map(operator.is_, (mesh, pinned, origin, scale), frame)):
+        bits = y.view(np.uint64)
+        moved = np.not_equal(bits, work.held, out=work.moved)
+        k = np.flatnonzero(moved.view(np.uint16))  # a free vertex either of whose variables moved
+        v = free[k]
+        start, faces = mesh.vertex_faces
+        lo, count = start[v], start[v + 1] - start[v]
+        if 2 * int(count.sum()) <= len(mesh.faces):
+            if k.size:
+                at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+                _move(k, faces[at], y, mesh, origin, scale, work)
+                held = work.held.reshape(-1, 2)
+                held[k] = bits.reshape(-1, 2)[k]
+            return work.angle
+    np.copyto(P, pinned)
+    row = work.free_row
+    P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
+    P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
+    angle = _corner_angles(*P, mesh, work)
+    if work.keeps:
+        work.frame = (mesh, pinned, origin, scale)
+        np.copyto(work.held, y.view(np.uint64))
+    return angle
+
+
+def _move(k, touched, y, mesh, origin, scale, work) -> None:
+    """Place the free vertices ``free[k]`` at ``y`` in ``work.P`` and compute
+    every corner of their faces, ``touched`` with repeats, again
+    (``_angles_at``)."""
+    P, v = work.P, mesh.free[k]
+    P[0, v] = origin[0, k] + scale[k] * y[2 * k]
+    P[1, v] = origin[1, k] + scale[k] * y[2 * k + 1]
+    # each face once, ascending, by a mask kept all False; face f holds
+    # corners 3f, 3f + 1 and 3f + 2
+    hit = work.hit
+    hit[touched] = True
+    f = np.flatnonzero(hit)
+    hit[f] = False
+    cols = np.empty((f.size, 3), np.int64)
+    np.multiply(f, 3, out=cols[:, 0])
+    np.add(cols[:, 0], 1, out=cols[:, 1])
+    np.add(cols[:, 0], 2, out=cols[:, 2])
+    cols = cols.ravel()
+    sx, sy = mesh.sides(*P, np.empty((3, cols.size)), np.empty((3, cols.size)), cols)
+    angle = np.empty(cols.size)
+    _geometry(sx, sy, np.empty(cols.size), angle)
+    work.angle[cols] = angle
+    for kept, new in zip(work.rows, (*sx, *sy)):  # row by row: faster than [:, cols]
+        kept[cols] = new
 
 
 def _lse(a: np.ndarray, work: _Workspace):
@@ -340,26 +477,25 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     overflows), so unless ``wide`` the penalty pass is skipped, about nine
     NumPy calls, and the value gains ``weight * 0.0``, what their sum gave.
     The live corners' columns are two ``np.take``s of ``work.x`` and
-    ``work.y``, left by ``_corner_angles`` as (e1x, g, e2x), (e1y, h, e2y).
+    ``work.y``, left by ``_angles_at`` as (e1x, g, e2x), (e1y, h, e2y).
 
     Every full-size temporary, per vertex, corner or face, is a view of
     ``work``, a ``_Workspace`` of this mesh's sizes owned by the caller
     (one per restart in ``_run_restart``), written with ``out=`` by the
-    ufunc of the allocating form; the angles' row then holds ``z`` and
-    ``z - lse`` in place.  A call reads nothing in ``work`` that it did not
-    write, so calls on one workspace are independent.  It allocates only
-    the arrays of the live corners and flipped faces (every corner and
+    ufunc of the allocating form; ``work.theta`` holds ``z`` and then
+    ``z - lse`` in place.  Of what ``work`` held before, a call reads only
+    the geometry ``_angles_at`` keeps, bit for bit what its full pass
+    writes, so every call gives what it gives on a new workspace.  Besides
+    the arrays of the faces ``_angles_at`` computes again, it allocates
+    only the arrays of the live corners and flipped faces (every corner and
     face when ``wide``), the bincount sums and the gradient it returns,
     which the caller may keep: ``minimize`` holds it across ``setulb``
     calls.  The module docstring says what that saves."""
-    free, corners = mesh.free, mesh.corners
-    P, row = work.P, work.free_row
-    np.copyto(P, pinned)
-    P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
-    P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
-    theta, e1x, e1y, e2x, e2y, g, h = _corner_angles(*P, mesh, work)
+    free, corners, P = mesh.free, mesh.corners, work.P
+    angle = _angles_at(y, mesh, pinned, origin, scale, work)
+    e1x, g, e2x, e1y, h, e2y = work.rows
 
-    z = np.multiply(-sharp, theta, out=theta)
+    z = np.multiply(-sharp, angle, out=work.theta)
     lse = _lse(z, work)
     value = lse / sharp  # minus the soft-min -lse / sharp
 
@@ -509,12 +645,16 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
     the last rejected trial point, not the objective at ``res.x``; so the
     reported objective is evaluated once more at the returned variables,
     with the last stage's sharpness and weight.  ``work`` is the restart's
-    ``_Workspace``."""
+    ``_Workspace``, and the frame (mesh, ``pinned``, ``origin``, ``scale``)
+    of every call on it is built once here, so on a mesh above
+    ``KEEP_FLOOR`` each call computes again only the faces that moved.
+    Each stage's span from stage 1 on, the stage's first evaluation and the
+    closing one are all taken at variables the workspace already holds."""
     free = mesh.free
     pinned = np.array(start.T)
     # every edge of a triangulation is a side (a, b) of an internal corner;
     # hypot and the minimum do not depend on the side's direction or order
-    (e1x, _, _), (e1y, _, _) = mesh.sides(*pinned, work.x, work.y)
+    (e1x, _, _), (e1y, _, _) = work.sides(mesh, *pinned)
     dist = np.hypot(e1x, e1y)
     near = np.full(mesh.n, np.inf)
     i, j = mesh.corners[:2]
@@ -522,7 +662,6 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
     np.minimum.at(near, j, dist)
     origin = pinned[:, free]
     scale = np.maximum(near[free], 1e-300)
-    P = pinned.copy()
     y = np.zeros(2 * free.size)
     iters_left = config.max_iters
     weight = config.penalty_init
@@ -531,7 +670,13 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
     stalled = 0
     stages = []
     while iters_left > 0 and stalled < 2:
-        span = max(abs(float(_corner_angles(*P, mesh, work)[0].min())), 1e-8)
+        # stage 0's at the start drawing itself, whose -0.0 coordinates
+        # origin + scale * 0.0 would turn into +0.0
+        if stage:
+            angle = _angles_at(y, mesh, pinned, origin, scale, work)
+        else:
+            angle = _corner_angles(*pinned, mesh, work)
+        span = max(abs(float(angle.min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         with _quiet():
@@ -543,14 +688,12 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
         improved = float(res.fun) < value - TOL
         value = float(res.fun)
         iters_left -= max(res.nit, 1)
-        P[0, free] = origin[0] + scale * y[0::2]
-        P[1, free] = origin[1] + scale * y[1::2]
         weight *= PENALTY_GROWTH
         stage += 1
         stalled = 0 if improved else stalled + 1
     with _quiet():
         value = float(_objective(y, mesh, pinned, *final, origin, scale, work)[0])
-    return np.array(P.T), value, stages
+    return np.array(work.P.T), value, stages  # the call left the drawing at y in work.P
 
 
 def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
@@ -573,9 +716,9 @@ def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
         drawing, value, stages = _run_restart(start, mesh, config, work)
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
-    resolution = mesh.resolution(drawing, work.x, work.y) if mesh.valid(drawing) else -math.inf
+    resolution = work.resolution(mesh, drawing) if mesh.valid(drawing) else -math.inf
     # a restart never reports worse than its (valid) starting drawing
-    start_res = mesh.resolution(start, work.x, work.y)
+    start_res = work.resolution(mesh, start)
     if start_res > resolution:
         drawing, resolution = start.copy(), start_res
     return drawing, RestartTrace(r, value, resolution, start_res, stages)

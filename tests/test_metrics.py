@@ -386,6 +386,10 @@ class TestTriangulation:
         assert np.array_equal(mesh.corners[:, 0::3], idx[::3].T)
         assert mesh.free.dtype == np.int64
         assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
+        # each vertex's internal faces, ascending
+        start, faces = mesh.vertex_faces
+        listed = [(v, int(f)) for v in range(g.n) for f in faces[start[v] : start[v + 1]]]
+        assert listed == sorted((v, f) for f, t in enumerate(mesh.faces.tolist()) for v in t)
 
     def test_validation_leaves_the_corner_index_unbuilt(self):
         fam = build_Htilde(1, 2)

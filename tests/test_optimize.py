@@ -190,7 +190,7 @@ class TestObjectiveOracle:
         staged = isinstance(sharp, str)
         if staged:
             # a restart's sharpness at that stage, over the drawing's smallest corner angle
-            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)[0]
+            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)
             sharp = 4.0 * 2.0 ** int(sharp.split()[1]) / abs(float(theta.min()))
         if jitter:
             # moves of up to a third of the shortest incident edge flip some faces
@@ -216,7 +216,7 @@ class TestObjectiveOracle:
         if name == "htilde216" and staged:
             # at stage 3 and later the softmax weights of more than 99% of
             # the corners are exactly 0, and exp is taken on the others only
-            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)[0]
+            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)
             assert np.count_nonzero(z - logsumexp(z) < -745.1332191019412) > 0.99 * z.size
             assert selection == ("sparse", bool(jitter and weight))
 
@@ -371,7 +371,7 @@ class TestObjectiveOracle:
         mesh = Triangulation(g, emb)
         work = _Workspace.of(mesh)
         pinned = np.array(coords.T)
-        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)[0]
+        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)
         span = abs(float(theta.min()))
         args = (mesh, pinned, 4.0 / span, 10.0, pinned[:, mesh.free], np.ones(mesh.free.size), work)
         y = np.zeros(2 * mesh.free.size)
@@ -466,6 +466,241 @@ class TestObjectiveOracle:
                 with _quiet():
                     got = _lse(a, _Workspace(0, 0, a.size))
                 assert _bits(got) == _bits(logsumexp(a))
+
+
+def _nan_bits(value) -> bytes:
+    """``_bits`` with every nan made the same (see the oracle tests)."""
+    value = np.asarray(value, dtype=np.float64)
+    return _bits(np.where(np.isnan(value), np.nan, value))
+
+
+def _mirrored(g, emb) -> Embedding:
+    """``emb`` seen from the other side: every rotation and the outer face
+    reversed."""
+    return Embedding.from_rows([emb.row(v)[::-1].tolist() for v in range(g.n)], emb.outer_face[::-1])
+
+
+class TestKeptGeometry:
+    """On a mesh of at least ``KEEP_FLOOR`` corners a workspace keeps the
+    corner geometry of its last drawing, and a call computes again only the
+    faces at the vertices whose variables moved: each call's value,
+    gradient and kept geometry equal a cold workspace's bit for bit."""
+
+    @staticmethod
+    def _frame():
+        """(mesh, pinned, origin, scale, y) of a point of htilde(2,16)'s
+        rescaled variables, as ``_run_restart`` builds them."""
+        g, emb, coords = _oracle_case("htilde216")
+        mesh = Triangulation(g, emb)
+        assert mesh.corners.shape[1] >= optimize.KEEP_FLOOR
+        rng = np.random.default_rng(3)
+        pinned = np.array(coords.T)
+        scale = rng.uniform(0.5, 2.0, mesh.free.size) * 1e-3
+        return mesh, pinned, pinned[:, mesh.free], scale, rng.normal(0.0, 1.0, 2 * mesh.free.size)
+
+    @staticmethod
+    def _paths(monkeypatch, work) -> list:
+        """Record each geometry pass on ``work``: ("full",) or ("moved", the
+        free-vertex numbers k)."""
+        passes = []
+        full, move = optimize._corner_angles, optimize._move
+
+        def recorded_full(*args):
+            if args[-1] is work:
+                passes.append(("full",))
+            return full(*args)
+
+        def recorded_move(k, *args):
+            if args[-1] is work:
+                passes.append(("moved", k.tolist()))
+            return move(k, *args)
+
+        monkeypatch.setattr(optimize, "_corner_angles", recorded_full)
+        monkeypatch.setattr(optimize, "_move", recorded_move)
+        return passes
+
+    @staticmethod
+    def _call(work, y, mesh, pinned, origin, scale, sharp=1e3, weight=10.0, same=_bits):
+        """``_objective`` on ``work``, checked against the oracle and against
+        a cold workspace: value, gradient and the geometry both keep."""
+        cold = _Workspace.of(mesh)
+        idx = mesh.corners.T
+        with _quiet():
+            got = _objective(y, mesh, pinned, sharp, weight, origin, scale, work)
+            want = _objective(y, mesh, pinned, sharp, weight, origin, scale, cold)
+            oracle = objective_oracle.objective(
+                y, mesh.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
+            )
+        for a, b in ((got, want), (got, oracle)):
+            assert same(a[0]) == same(b[0]) and same(a[1]) == same(b[1])
+        for a, b in ((work.P, cold.P), (work.x, cold.x), (work.y, cold.y), (work.angle, cold.angle)):
+            assert same(a) == same(b)
+        return got
+
+    def test_only_the_highest_degree_vertex_moves(self, monkeypatch):
+        mesh, pinned, origin, scale, y = self._frame()
+        start, _ = mesh.vertex_faces
+        top = int(np.argmax(np.diff(start)[mesh.free]))
+        moved = y.copy()
+        moved[2 * top] += 0.5
+        moved[2 * top + 1] -= 0.25
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        for point in (y, moved, y, moved):
+            self._call(work, point, mesh, pinned, origin, scale)
+        assert passes == [("full",)] + [("moved", [top])] * 3
+
+    def test_a_signed_zero_flip_is_a_move(self, monkeypatch):
+        # a degree-3 vertex v placed on a neighbour u at the origin: v at
+        # origin -0.0 plus scale * y, which is +0.0 or -0.0 as y is; the
+        # sides between u and v then differ only in the sign of their
+        # zeros, which can turn an angle at u by pi.  The first such (v, u)
+        # whose objective value moves
+        mesh, pinned, _, scale, _ = self._frame()
+        start, faces = mesh.vertex_faces
+        plus = np.zeros(2 * mesh.free.size)  # the drawing itself, v on u
+        for k, v in enumerate(mesh.free):
+            if start[v + 1] - start[v] != 3:
+                continue
+            for u in sorted(set(mesh.faces[faces[start[v] : start[v + 1]]].ravel()) - {v}):
+                at = pinned - pinned[:, [u]]  # u at +0.0, +0.0
+                origin = at[:, mesh.free]
+                origin[:, k] = -0.0
+                minus = plus.copy()
+                minus[2 * k : 2 * k + 2] = -0.0
+                with _quiet():
+                    cold = [_objective(p, mesh, at, 5.0, 10.0, origin, scale, _Workspace.of(mesh))[0]
+                            for p in (plus, minus)]
+                if _bits(cold[0]) != _bits(cold[1]):
+                    break
+            else:
+                continue
+            break
+        assert _bits(cold[0]) != _bits(cold[1])
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        for point in (plus, minus, plus):
+            self._call(work, point, mesh, at, origin, scale, sharp=5.0)
+        assert passes == [("full",)] + [("moved", [k])] * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e150])
+    def test_a_wide_or_nan_entry(self, monkeypatch, bad):
+        # one coordinate beyond 1e100 or nan keeps every corner and face,
+        # and the next call brings the vertex back
+        mesh, pinned, origin, scale, y = self._frame()
+        wide = y.copy()
+        wide[7] = bad
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        for point in (y, wide, y):
+            self._call(work, point, mesh, pinned, origin, scale, same=_nan_bits)
+        assert passes == [("full",)] + [("moved", [3])] * 2
+
+    def test_an_unchanged_point_computes_nothing(self, monkeypatch):
+        mesh, pinned, origin, scale, y = self._frame()
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        first = self._call(work, y, mesh, pinned, origin, scale)
+        # the same bits in another array, at another sharpness and weight
+        again = self._call(work, y.copy(), mesh, pinned, origin, scale)
+        other = self._call(work, y, mesh, pinned, origin, scale, 1e7, 100.0)
+        assert passes == [("full",)]
+        assert _bits(first[0]) == _bits(again[0]) and _bits(first[1]) == _bits(again[1])
+        assert _bits(first[0]) != _bits(other[0])
+
+    @pytest.mark.parametrize("field", ["mesh", "pinned", "origin", "scale"])
+    def test_a_new_frame_takes_the_full_pass(self, monkeypatch, field):
+        # the same variables in a frame that differs in one field: the
+        # mirrored embedding (every face reversed), an outer vertex moved,
+        # another origin or another scale
+        mesh, pinned, origin, scale, y = self._frame()
+        frame = {"mesh": mesh, "pinned": pinned, "origin": origin, "scale": scale}
+        other = dict(frame)
+        if field == "mesh":
+            other["mesh"] = Triangulation(mesh.graph, _mirrored(mesh.graph, mesh.emb))
+            assert other["mesh"].corners.shape == mesh.corners.shape
+        elif field == "pinned":
+            other["pinned"] = pinned.copy()
+            other["pinned"][:, mesh.emb.outer_face[0]] += 1.0
+        else:
+            other[field] = frame[field] * 1.5
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        for f in (frame, other, frame):
+            self._call(work, y, f["mesh"], f["pinned"], f["origin"], f["scale"])
+        assert passes == [("full",)] * 3
+
+    @pytest.mark.parametrize("writer", ["sides", "resolution"])
+    def test_other_writers_of_the_rows_drop_the_geometry(self, monkeypatch, writer):
+        # a restart's scale pass and its measurements write the x and y rows
+        # for another drawing; the next call at the same point recomputes
+        mesh, pinned, origin, scale, y = self._frame()
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        self._call(work, y, mesh, pinned, origin, scale)
+        if writer == "sides":
+            work.sides(mesh, *pinned)
+        else:
+            assert work.resolution(mesh, np.array(pinned.T)) > 0.0
+        self._call(work, y, mesh, pinned, origin, scale)
+        assert passes == [("full",)] * 2
+
+    def test_moved_call_allocates_less_than_a_corner_array(self, monkeypatch):
+        """A call that computes again the faces of one vertex, at a deep
+        stage's sharpness where few corners are live, allocates less than
+        one array of 3F floats at its peak."""
+        mesh, pinned, origin, scale, _ = self._frame()
+        work = _Workspace.of(mesh)
+        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)
+        sharp = 4.0 * 2.0**3 / abs(float(theta.min()))
+        y = np.zeros(2 * mesh.free.size)  # the nested drawing itself
+        moved = y.copy()
+        moved[0] = 1e-6
+        passes = self._paths(monkeypatch, work)
+        with _quiet():
+            _objective(y, mesh, pinned, sharp, 10.0, origin, scale, work)
+            tracemalloc.start()
+            try:
+                _objective(moved, mesh, pinned, sharp, 10.0, origin, scale, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert passes == [("full",), ("moved", [0])]
+        assert peak < 8 * mesh.corners.shape[1]
+
+    @pytest.mark.parametrize("c, d", [(2, 16), (3, 8)])
+    def test_nested_restarts_match_a_cold_workspace(self, monkeypatch, c, d):
+        """Every objective call of sweep-deep's nested restart of each deep
+        row (3 restarts, seed 42, ``max_iters=3000``, ``penalty_init=10``)
+        against a cold workspace, most of them computing only moved faces;
+        the stages and the closing objective are the ones CI pins."""
+        fam = build_Htilde(c, d)
+        mesh = Triangulation(fam.graph, fam.embedding)
+        objective = optimize._objective
+
+        def checked_objective(y, mesh, pinned, sharp, weight, origin, scale, work):
+            got = objective(y, mesh, pinned, sharp, weight, origin, scale, work)
+            cold = _Workspace.of(mesh)
+            want = objective(y, mesh, pinned, sharp, weight, origin, scale, cold)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+            for a, b in ((work.P, cold.P), (work.x, cold.x), (work.y, cold.y), (work.angle, cold.angle)):
+                assert _bits(a) == _bits(b)
+            return got
+
+        work = _Workspace.of(mesh)
+        passes = self._paths(monkeypatch, work)
+        monkeypatch.setattr(optimize, "_objective", checked_objective)
+        config = OptimizeConfig(restarts=3, seed=42, max_iters=3000, penalty_init=10.0)
+        _, value, stages = optimize._run_restart(layout_nested(fam), mesh, config, work)
+        assert sum(p[0] == "moved" for p in passes) > 2 * sum(p[0] == "full" for p in passes)
+        abnormal = ("ABNORMAL: ", 0, 21)
+        converged = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+        want = {
+            (2, 16): ("-1.1380420241256636e-06", [abnormal] * 5),
+            (3, 8): ("-1.1284434541224455e-07", [(converged, 3, 7), (converged, 1, 7)]
+                     + [(converged, 1, 5)] * 4),
+        }
+        assert (repr(value), stages) == want[c, d]
 
 
 class TestMinimize:
