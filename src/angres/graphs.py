@@ -19,7 +19,8 @@ system, so the family builders write rotations alone and read each edge
 array off one with ``rotation_edges``.
 
 One NumPy kernel (``_half_edges``) checks the rotation against the edges
-and builds the face-successor permutation ``nxt`` over the half-edges;
+and pairs each half-edge with its twin by one sort of undirected edge keys,
+then builds the face-successor permutation ``nxt`` over the half-edges;
 ``internal_triangles``, the package's one face reader, reads a
 triangulation's faces from ``nxt`` with array operations alone.
 
@@ -51,6 +52,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -194,10 +196,13 @@ def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.nda
 
     Half-edge ``h = offset[v] + k`` runs from ``v`` to ``dst[h] = nbr[h]``;
     ``src[h]`` is ``v`` and ``nxt[h]`` is the next half-edge of its face,
-    ``offset[dst] + (position of src in row dst + 1) % deg[dst]``.  The
-    twin positions come from one sorted lookup of ``src * n + dst`` keys.
-    Raises StructureError, naming the smallest such vertex, when some
-    vertex's rotation does not list its incident edges exactly once each.
+    ``offset[dst] + (position of src in row dst + 1) % deg[dst]``.  One sort
+    of the undirected keys ``min(src, dst) * n + max(src, dst)`` both checks
+    the rotation and pairs each half-edge with its twin: the rotation lists
+    every vertex's incident edges exactly once each when its entries are in
+    range and the sorted keys come in equal pairs, equal to the edges' own
+    keys, of two half-edges with different sources.  Raises StructureError,
+    naming the smallest such vertex, when some vertex's rotation does not.
     """
     n = graph.n
     offset, dst = emb.offset, emb.nbr
@@ -205,11 +210,34 @@ def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.nda
         raise StructureError(f"rotation covers {len(offset) - 1} vertices, graph has {n}")
     deg = np.diff(offset)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-
     ends = graph.edges
-    bad = deg != np.bincount(ends.ravel(), minlength=n)
     # range-check before forming keys: an entry outside 0..n-1 could
     # otherwise alias the key of a real edge
+    if dst.size != 2 * len(ends) or not ((dst >= 0) & (dst < n)).all():
+        _rotation_fault(graph, emb, src)
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    order = np.argsort(keys)
+    first, second = order[0::2], order[1::2]
+    edge_keys = ends[:, 0] * n + ends[:, 1]
+    if not (
+        np.array_equal(keys[first], edge_keys)
+        and np.array_equal(keys[second], edge_keys)
+        and (src[first] != src[second]).all()
+    ):
+        _rotation_fault(graph, emb, src)
+    twin = np.empty_like(order)
+    twin[first], twin[second] = second, first
+    start = offset[dst]
+    return src, start + (twin - start + 1) % deg[dst]
+
+
+def _rotation_fault(graph: LabeledGraph, emb: Embedding, src: np.ndarray) -> NoReturn:
+    """Raise the StructureError for a rotation that fails ``_half_edges``'
+    check, naming the smallest vertex whose row does not list its incident
+    edges exactly once each: a degree that is not the vertex's edge count,
+    an entry out of range, a repeated entry or one that is no edge."""
+    n, dst, ends = graph.n, emb.nbr, graph.edges
+    bad = np.diff(emb.offset) != np.bincount(ends.ravel(), minlength=n)
     in_range = (dst >= 0) & (dst < n)
     bad[src[~in_range]] = True
     keys = np.where(in_range, src * n + dst, -1)
@@ -221,13 +249,8 @@ def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.nda
     if edge_keys.size:  # without edges, any rotation entry fails the degree test
         at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
         bad[src[edge_keys[at] != keys]] = True
-    if bad.any():
-        v = int(np.argmax(bad))
-        raise StructureError(f"rotation at vertex {v} does not match its incident edges")
-
-    twin = order[np.searchsorted(sorted_keys, dst * n + src)]
-    start = offset[dst]
-    return src, start + (twin - start + 1) % deg[dst]
+    v = int(np.argmax(bad))
+    raise StructureError(f"rotation at vertex {v} does not match its incident edges")
 
 
 def face_cycle_from(emb: Embedding, u: int, v: int) -> tuple[int, ...]:

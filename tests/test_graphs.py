@@ -343,6 +343,9 @@ class TestFaceKernel:
             lambda: build_Htilde(1, 5),
             lambda: build_Htilde(2, 4),
             lambda: build_Htilde(3, 2),
+            # the sizes the one-sort twin pairing is timed on
+            lambda: build_Htilde(2, 32),
+            lambda: build_Htilde(3, 8),
         ],
     )
     def test_families_match_the_loop(self, build):
@@ -364,6 +367,20 @@ class TestFaceKernel:
     def test_bad_rotation_entries_match_the_loop(self, v, rot):
         g, emb = k4()
         assert_matches_loop(g, with_rotation(emb, v, rot), rejected=True)
+
+    def test_edges_listed_twice_from_one_end_are_rejected(self):
+        # every edge key comes twice, as in a valid rotation, but each pair
+        # of half-edges leaves the same vertex: 0 -> 1 twice, 1 -> 0 never
+        g, emb = k4()
+        rows = [[1, 1, 2], [2, 2, 3], [0, 3, 3], [0, 0, 1]]
+        assert_matches_loop(g, Embedding.from_rows(rows, emb.outer_face), rejected=True)
+
+    def test_out_of_range_entry_standing_in_for_a_moved_one_is_rejected(self):
+        # 0 -> 6 has the undirected key 0 * 4 + 6 of edge (1, 2), and 1 -> 2
+        # is gone: every edge key comes twice, from two different vertices
+        g, emb = k4()
+        rows = [[2, 3, 1, 6], [0, 3], [1, 3, 0], [0, 2, 1]]
+        assert_matches_loop(g, Embedding.from_rows(rows, emb.outer_face), rejected=True)
 
     def test_first_bad_vertex_is_named(self):
         g, emb = k4()

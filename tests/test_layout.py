@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from angres.families import (
     FamilySpec,
     ParameterError,
+    _base_k4,
     build_family,
     build_frame,
     build_G,
     build_H,
     build_Htilde,
+    glue_copies,
 )
 from angres.graphs import Embedding, LabeledGraph, StructureError, verify_planar_3tree
 from angres.layout import (
@@ -145,6 +148,17 @@ class TestNested:
         coords = layout_nested(fam)
         assert validate_drawing(fam.graph, fam.embedding, coords) == []
         assert angular_resolution(fam.graph, coords).resolution > 0.0
+
+    def test_corner_no_copy_places_is_rejected(self):
+        # labels that make a copy's ring vertex the base K4's interior one
+        # leave that K4's real interior corner unplaced for good
+        fam = _base_k4(("t1", "t2", "t3", "t4"))
+        sub = build_frame(2)
+        glue_copies(fam, sub, [((0, 1, 3), 0, sub.roles.root, False)])
+        fam.graph.labels = {0: "t1", 1: "t2", 2: "t3", fam.graph.n - 1: "x"}
+        message = "layout: a glued copy's corners are never placed"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            layout_nested(fam)
 
     def test_deep_G_valid(self):
         fam = build_G(3, 6)
@@ -311,3 +325,59 @@ class TestNestedAgainstOracle:
         fam = build_family(FamilySpec(name, c, d))
         ref = oracle_family(name, c, d)
         assert layout_nested(fam).tobytes() == nested_oracle.layout_nested(ref).tobytes()
+
+    def test_four_fan_levels(self):
+        # htilde(4,4): frames nested four deep below the H copies
+        fam = build_Htilde(4, 4)
+        coords = layout_nested(fam)
+        assert fam.graph.n == 18_655
+        want = nested_oracle.layout_nested(oracle_family("htilde", 4, 4))
+        assert coords.tobytes() == want.tobytes()
+        assert validate_drawing(fam.graph, fam.embedding, coords) == []
+
+    def test_degenerate_host_draws_nan_quietly(self):
+        # htilde(7,2) has a host whose two far corners coincide: its rings
+        # divide 0 by 0, and the drawing keeps those nan positions
+        fam = build_Htilde(7, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords = layout_nested(fam)
+        with np.errstate(invalid="ignore"):
+            want = nested_oracle.layout_nested(oracle_family("htilde", 7, 2))
+        assert np.isnan(coords).any()
+        assert np.array_equal(coords, want, equal_nan=True)
+        assert coords.tobytes() == want.tobytes()
+
+    def test_one_sub_family_at_two_fan_depths(self):
+        # one frame(5) object glued under a frame (one fan level down) and
+        # under a base K4 (none), both one level below the top K4: the batch
+        # groups copies by sub-family and fan depth together, as the two
+        # depths' radial spans give its four rings different ratios
+        sub = build_frame(5)
+        framed = build_frame(3)
+        w, v = framed.roles.root, framed.roles.v
+        glue_copies(framed, sub, [((w, v[0], v[1]), v[1], sub.roles.root, True)])
+        based = _base_k4(("b1", "b2", "b3", "b4"))
+        glue_copies(based, sub, [((0, 1, 3), 0, sub.roles.root, False)])
+        top = _base_k4(("t1", "t2", "t3", "t4"))
+        glue_copies(top, framed, [((0, 1, 3), 0, framed.roles.root, False)])
+        glue_copies(top, based, [((0, 2, 3), 0, 0, False)])
+        placed_twice = [p for p in (*framed.placements, *based.placements) if p.sub is sub]
+        assert len(placed_twice) == 2
+        assert layout_nested(top).tobytes() == nested_oracle.layout_nested(top).tobytes()
+
+    @pytest.mark.parametrize("first", [lambda: build_frame(2), lambda: build_G(2, 2)],
+                             ids=["frame", "nested-frame"])
+    def test_copy_glued_into_a_face_of_an_earlier_copy(self, first):
+        # the second copy's corner is the first copy's last vertex: a ring of
+        # its fan, or for G(2,2) a ring of the frame nested inside it, so the
+        # second copy waits until that level is placed
+        host = build_frame(2)
+        sub = first()
+        root, (v0, v1) = host.roles.root, host.roles.v
+        glue_copies(host, sub, [((root, v0, v1), v1, sub.roles.root, True)])
+        last = host.graph.n - 1
+        face = tuple(host.embedding.row(last)[:2].tolist()) + (last,)
+        later = build_frame(2)
+        glue_copies(host, later, [(face, last, later.roles.root, False)])
+        assert layout_nested(host).tobytes() == nested_oracle.layout_nested(host).tobytes()
