@@ -292,8 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, WorkerFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, WorkerFailure, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

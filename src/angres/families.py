@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
+    MAX_VERTICES,
     BuildSequence,
     Embedding,
     LabeledGraph,
@@ -59,6 +60,17 @@ class FamilySpec:
                 raise ParameterError("frame takes no c parameter")
         elif self.c is None or self.c < 1:
             raise ParameterError(f"c must be >= 1, got {self.c}")
+        if self.vertex_count() > MAX_VERTICES:
+            args = self.d if self.c is None else f"{self.c},{self.d}"
+            raise ParameterError(f"{self.family}({args}) has more than {MAX_VERTICES} vertices")
+
+    def vertex_count(self) -> int:
+        """Exact up to ``MAX_VERTICES``, which G passes within 32 levels
+        unless d = 1 (N = 5), as its N - 3 more than doubles per level."""
+        n = 2 * self.d + 1 if self.c is None else vertex_count_G(min(self.c, 32), self.d)
+        for _ in range({"h": 1, "htilde": 2}.get(self.family, 0)):  # 3 copies glued into K4
+            n = 3 * (n - 3) + 4
+        return n
 
 
 @dataclass

@@ -5,12 +5,11 @@ and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
 verdict, stopping at the first flipped face) read one array of oriented
 faces through one generator.  Its ``sides`` is the one gather of corner
-sides, read by ``resolution`` (the smallest internal corner, on a valid
-drawing the smallest angle between consecutive edges) and by the
-optimizer's angles and scales, and its ``replay`` is the plan every replay
-seed is placed from.  ``angular_resolution``'s sorted edge walk measures
-drawings without an embedding.  Angle identities are numeric with a 1e-9
-tolerance.
+sides, read by the optimizer's angles, and its ``replay`` is the plan every
+replay seed is placed from.  Its ``resolution``, on the embedding's
+rotation, and ``angular_resolution``'s sorted edge walk, for drawings
+without an embedding, take one gap step (``_gaps``) between neighbours in a
+rotation.  Angle identities are numeric with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -84,6 +83,24 @@ def _drawing_array(coords, n: int) -> np.ndarray:
     return coords
 
 
+def _rotation(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, nxt) of half-edges listed vertex by vertex, ``deg[v]`` of them
+    at vertex v: ``src[h]`` is h's vertex and ``nxt[h]`` the next half-edge
+    of its row, the row's first after its last."""
+    start = np.concatenate([[0], np.cumsum(deg)])
+    nxt = np.arange(1, start[-1] + 1)
+    nxt[start[1:][deg > 0] - 1] = start[:-1][deg > 0]
+    return np.repeat(np.arange(deg.size), deg), nxt
+
+
+def _gaps(ang: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Each half-edge's clockwise gap to ``nxt``, ang - ang[nxt], plus 2 pi
+    where negative: in a rotation sorted clockwise, only at the branch cut."""
+    gap = ang - ang[nxt]
+    gap[gap < 0] += 2.0 * math.pi
+    return gap
+
+
 def _non_finite(coords: np.ndarray) -> str:
     """A message naming the first vertex with a non-finite coordinate, or ""."""
     finite = np.isfinite(coords).all(axis=1)
@@ -103,7 +120,8 @@ class Triangulation:
     b->a to ray b->c, corner 3t + i being corner i of face t, which is
     (t[i-1], t[i], t[i+1]).  Its view ``corners[:, 0::3]``, each face's
     corner 0 (t[2], t[0], t[1]), lists every face once in its own order.
-    ``replay``, built on first read in each process, is the replay plan."""
+    In ``rotation`` corner (a, b, c) is half-edge b->a and its successor
+    b->c.  ``replay``, built on first read per process, is the replay plan."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.graph, self.emb = graph, emb
@@ -122,6 +140,11 @@ class Triangulation:
         for column, perm in zip(corners.reshape(3, f, 3), ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
             column[:] = self.faces[:, perm]
         return corners
+
+    @functools.cached_property
+    def rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_rotation`` of the embedding's clockwise rows; h ends at ``emb.nbr[h]``."""
+        return _rotation(np.diff(self.emb.offset))
 
     @functools.cached_property
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,23 +214,14 @@ class Triangulation:
             rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
         return rows
 
-    def resolution(self, coords: np.ndarray, x=None, y=None) -> float:
+    def resolution(self, coords: np.ndarray) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of
-        a float drawing that ``violations`` passes.  Each internal corner
-        (a, b, c) gives the gap atan2(b->a) - atan2(b->c), plus 2 pi where
-        that is negative: ``angular_resolution``'s float expression for the
-        same two consecutive edges.  These are all gaps of a valid drawing
-        but the three outer ones, which exceed pi, so no sort is needed.
-
-        ``x`` and ``y`` are (3, 3F) float buffers that ``sides`` fills and
-        the gaps then overwrite, such as a restart's workspace's; without
-        them two are allocated."""
-        if x is None:
-            x, y = np.empty(self.corners.shape), np.empty(self.corners.shape)
-        (e1x, bx, e2x), (e1y, by, e2y) = self.sides(coords[:, 0], coords[:, 1], x, y)
-        gap = np.subtract(np.arctan2(e1y, e1x, out=bx), np.arctan2(e2y, e2x, out=by), out=bx)
-        gap[gap < 0] += 2.0 * math.pi
-        return float(gap.min())
+        a float drawing that ``violations`` passes: its rows are clockwise,
+        so ``_gaps`` of one ``arctan2`` per half-edge are that walk's without
+        its sort, the internal corners' below pi and the outer three above."""
+        src, nxt = self.rotation
+        dx, dy = (p[self.emb.nbr] - p[src] for p in coords.T)
+        return float(_gaps(np.arctan2(dy, dx), nxt).min())
 
 
 def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> list[Violation]:
@@ -240,35 +254,30 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     """Smallest angle between two edges meeting at a vertex, over the drawing.
 
     Each vertex's edges are ordered clockwise by angle (ties by neighbor);
-    the gaps run between consecutive edges, the last one wrapping around by
-    2 pi.  The witness is the last gap, in vertex then clockwise order, that
-    is smaller than every earlier gap by more than TOL, so a later gap within
-    TOL of the minimum does not take the witness over.  The drawing must be
-    (n, 2) and finite, else a StructureError names the shape or the first
-    non-finite vertex; ``Triangulation.resolution`` measures validated ones.
+    the gaps (``_gaps``) run between consecutive edges, the last one
+    wrapping around to the first.  The witness is the last gap, in vertex
+    then clockwise order, that is smaller than every earlier gap by more
+    than TOL, so a later gap within TOL of the minimum does not take the
+    witness over.  The drawing must be (n, 2) and finite, else a
+    StructureError names the shape or the first non-finite vertex;
+    ``Triangulation.resolution`` measures validated ones.
     """
     coords = _drawing_array(coords, graph.n)
     if non_finite := _non_finite(coords):
         raise StructureError(non_finite)
-    n, m = graph.n, len(graph.edges)
     ends = graph.edges
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
-    deg = np.bincount(src, minlength=n)
+    deg = np.bincount(src, minlength=graph.n)
     vec = coords[dst] - coords[src]
     zero = (vec == 0).all(axis=1) & (deg[src] >= 2)
     if zero.any():
         raise StructureError(f"zero-length edge at vertex {int(src[zero].min())}")
     ang = np.arctan2(vec[:, 1], vec[:, 0])
     perm = np.lexsort((dst, -ang, src))
-    src, dst, ang = src[perm], dst[perm], ang[perm]
-    start = np.concatenate([[0], np.cumsum(deg)])
-    # clockwise successor of each edge: the next one, or the vertex's first
-    last = start[1:][deg > 0] - 1
-    nxt = np.arange(1, 2 * m + 1)
-    nxt[last] = start[:-1][deg > 0]
-    diff = ang - ang[nxt]
-    diff[last] += 2.0 * math.pi
+    src, nxt = _rotation(deg)  # the sorted edges' rows
+    # a vertex whose edges all point one way wraps by 0, already its minimum
+    dst, diff = dst[perm], _gaps(ang[perm], nxt)
     counted = np.repeat(deg >= 2, deg)
     vals = diff[counted]
     # running minimum before each gap; finite coordinates give finite gaps

@@ -3,14 +3,14 @@
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
 ``metrics.Triangulation``: the oriented faces, one (3, 3F) corner index
 over them, the free (non-outer) vertices, the one gather of corner sides
-(``Triangulation.sides``) that the objective's angles, each restart's
-scales and every measurement read, and the replay plan
-(``Triangulation.replay``).  Each process that runs restarts builds that
-plan at most once, when its first restart from a replay needs it: restart
-0's centroid or a jittered start.  A restart from an extra seed needs none.
-The calling process, whose share holds restart 0, builds its plan right
-after forking the workers (see below), so their restarts start at once, and
-a graph that is no 3-tree still raises from ``maximize_resolution`` at once.
+that the objective's angles read (``Triangulation.sides``), the half-edge
+rows that the scales and measurements read (``rotation``) and the replay
+plan (``Triangulation.replay``).  Each process that runs restarts builds
+that plan at most once, when its first restart from a replay needs it:
+restart 0's centroid or a jittered start.  A restart from an extra seed
+needs none.  The calling process, whose share holds restart 0, builds its
+plan right after forking the workers (see below), so their restarts start
+at once, and a graph that is no 3-tree still raises at once.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -40,17 +40,15 @@ whose outer triangle is clockwise, internal faces that are all
 counterclockwise prove that the drawing realizes the embedding, so a start
 or a result counts only after the compiled ``Triangulation.valid``
 (``validate_drawing``'s exact orientation verdict, without its list of
-violations) passes, and is then measured by ``Triangulation.resolution`` on
-the same corners.
+violations) passes, and is then measured by ``Triangulation.resolution``
+from the embedding's rotation.
 
 Each restart owns one ``_Workspace``, allocated once from the mesh's
-vertex, free-vertex and corner counts, handed to every objective call
-through ``minimize``'s ``args`` and lent to ``Triangulation.resolution``
-to measure the start and the result.  A call writes each full-size
-temporary there with ``out=``, by the ufunc that would have allocated it,
-so every value is bit for bit the same; per call only the gradient, the
-bincount sums and the arrays of the live corners and flipped faces are
-allocated.
+vertex, free-vertex and corner counts and handed to every objective call
+through ``minimize``'s ``args``.  A call writes each full-size temporary
+there with ``out=``, by the ufunc that would have allocated it, so every
+value is bit for bit the same; per call only the gradient, the bincount
+sums and the arrays of the live corners and flipped faces are allocated.
 Allocated per call, the full-size temporaries went back to the kernel
 between calls, as glibc trims its heap, and were faulted in again.
 
@@ -67,9 +65,7 @@ none.  Each such corner takes the same subtractions, products and
 A cold workspace, a new frame, or moved vertices whose faces are more than
 half of all take the full pass, and so does every call on a smaller mesh:
 on sweep-shallow's rows, at most 3,051 corners, finding the moved vertices
-cost more than it saved.  Anything else that writes the workspace's corner
-rows (each restart's scale pass and its two measurements) drops the kept
-geometry.
+cost more than it saved.
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -271,11 +267,10 @@ class _Workspace:
     compared by identity, and by ``held``, the bits of its variables ``y``
     as uint64, so a flip between +0.0 and -0.0 or a nan of other bits counts
     as a move.  ``frame`` is None while nothing is kept: on a new workspace,
-    below the floor, and after ``_corner_angles``, ``sides`` or
-    ``resolution`` writes the x and y rows for another drawing.  The frame's
-    arrays must not change in place while it is kept (``_run_restart``
-    builds them once per restart).  ``hit``, a face mask, is all False
-    between calls."""
+    below the floor, and after ``_corner_angles`` writes the x and y rows
+    for another drawing.  The frame's arrays must not change in place while
+    it is kept (``_run_restart`` builds them once per restart).  ``hit``, a
+    face mask, is all False between calls."""
 
     def __init__(self, n: int, free: int, corners: int):
         self.P = np.empty((2, n))
@@ -300,16 +295,6 @@ class _Workspace:
         if work.keeps:
             mesh.vertex_faces
         return work
-
-    def sides(self, mesh: Triangulation, px: np.ndarray, py: np.ndarray):
-        """``mesh.sides`` of the drawing (px, py) into the x and y rows."""
-        self.frame = None
-        return mesh.sides(px, py, self.x, self.y)
-
-    def resolution(self, mesh: Triangulation, coords: np.ndarray) -> float:
-        """``mesh.resolution(coords)``, its buffers the x and y rows."""
-        self.frame = None
-        return mesh.resolution(coords, self.x, self.y)
 
 
 def _corner_angles(px: np.ndarray, py: np.ndarray, mesh: Triangulation, work: _Workspace):
@@ -652,14 +637,9 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
     closing one are all taken at variables the workspace already holds."""
     free = mesh.free
     pinned = np.array(start.T)
-    # every edge of a triangulation is a side (a, b) of an internal corner;
-    # hypot and the minimum do not depend on the side's direction or order
-    (e1x, _, _), (e1y, _, _) = work.sides(mesh, *pinned)
-    dist = np.hypot(e1x, e1y)
-    near = np.full(mesh.n, np.inf)
-    i, j = mesh.corners[:2]
-    np.minimum.at(near, i, dist)
-    np.minimum.at(near, j, dist)
+    # each row's shortest edge; all rows, as a frame lists outer rows last
+    dx, dy = (p[mesh.emb.nbr] - p[mesh.rotation[0]] for p in pinned)
+    near = np.minimum.reduceat(np.hypot(dx, dy), mesh.emb.offset[:-1])
     origin = pinned[:, free]
     scale = np.maximum(near[free], 1e-300)
     y = np.zeros(2 * free.size)
@@ -711,14 +691,13 @@ def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
         # invalid start (deep replays collapse below double precision);
         # nothing worth optimizing from
         return None, RestartTrace(r, math.inf, math.nan, math.nan)
-    work = _Workspace.of(mesh)
     if mesh.free.size:
-        drawing, value, stages = _run_restart(start, mesh, config, work)
+        drawing, value, stages = _run_restart(start, mesh, config, _Workspace.of(mesh))
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
-    resolution = work.resolution(mesh, drawing) if mesh.valid(drawing) else -math.inf
+    resolution = mesh.resolution(drawing) if mesh.valid(drawing) else -math.inf
     # a restart never reports worse than its (valid) starting drawing
-    start_res = work.resolution(mesh, start)
+    start_res = mesh.resolution(start)
     if start_res > resolution:
         drawing, resolution = start.copy(), start_res
     return drawing, RestartTrace(r, value, resolution, start_res, stages)
@@ -855,9 +834,9 @@ def maximize_resolution(
     validate_drawing's check count; ties go to the lowest restart index.
     The pair is compiled once into a ``Triangulation``, whose ``valid``
     gives that check's verdict on every start and result, and which
-    measures each valid one per corner (``Triangulation.resolution``, equal
-    to ``angular_resolution``'s value bit for bit without its edge walk and
-    sort); each trace records its start's resolution.
+    measures each valid one by its rotation (``Triangulation.resolution``,
+    ``angular_resolution``'s value bit for bit without its sort); each trace
+    records its start's resolution.
 
     The restarts run in W = min(cores, restarts) worker shares, restart r
     in share r mod W: share 0 in the calling process and each other in a

@@ -264,6 +264,39 @@ class TestLayoutMeasure:
                                     f"got d={rings}: its radius RING_RATIO**d overflows"]
         assert not dp.exists()
 
+    @pytest.mark.parametrize("command,family,c,d", [("gen", "g", 40, 3), ("layout", "htilde", 30, 2)])
+    def test_family_past_max_vertices_refused_before_build(
+        self, tmp_path, capsys, monkeypatch, command, family, c, d
+    ):
+        # g(40,3) has about 2.4e24 vertices: refused from its spec, so
+        # nothing is built and no file written
+        def build(spec):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(cli, "build_family", build)
+        out = tmp_path / "x.out"
+        code, _, err = run(capsys, command, "--family", family, "--c", str(c), "--d", str(d),
+                           "-o", str(out))
+        assert code == 1
+        assert err.splitlines() == [f"error: {family}({c},{d}) has more than 3037000499 vertices"]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args,line", [
+        ((), "error: MemoryError"),
+        (("Unable to allocate 8.00 EiB for an array",),
+         "error: Unable to allocate 8.00 EiB for an array"),
+    ])
+    def test_out_of_memory_one_line_error(self, tmp_path, capsys, monkeypatch, args, line):
+        def build(spec):
+            raise MemoryError(*args)
+
+        monkeypatch.setattr(cli, "build_family", build)
+        out = tmp_path / "g.graph"
+        code, _, err = run(capsys, "gen", "--family", "g", "--c", "2", "--d", "3", "-o", str(out))
+        assert code == 1
+        assert err.splitlines() == [line]
+        assert os.listdir(tmp_path) == []
+
     def test_layout_deep_family_is_nested(self, tmp_path, capsys):
         dp = tmp_path / "ht.drawing"
         code, _, _ = run(
@@ -619,9 +652,11 @@ GOOD_SPEC_LINE = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")).map(
         lambda t: "#" + t
     ),
-    st.tuples(st.sampled_from(["g", "h", "htilde"]), st.integers(1, 9), st.integers(1, 64)).map(
-        lambda t: "%s %d %d # ok" % t
-    ),
+    # the specs FamilySpec takes: past c=3 most of these have more than
+    # MAX_VERTICES vertices
+    st.tuples(st.sampled_from(["g", "h", "htilde"]), st.integers(1, 9), st.integers(1, 64))
+    .filter(lambda t: not _spec_fails(*t))
+    .map(lambda t: "%s %d %d # ok" % t),
     st.integers(1, 64).map(lambda d: f"frame none {d}"),
 )
 

@@ -18,6 +18,7 @@ from angres.families import (
     vertex_count_G,
 )
 from angres.graphs import (
+    MAX_VERTICES,
     StructureError,
     internal_triangles,
     max_degree,
@@ -280,6 +281,38 @@ class TestSpecAndMapping:
             FamilySpec("htilde", None, 3)
         with pytest.raises(ParameterError):
             FamilySpec("nope", 1, 3)
+
+    @pytest.mark.parametrize("name,c,d", [
+        ("frame", None, 1), ("frame", None, 9), ("g", 1, 4), ("g", 3, 3), ("g", 9, 1), ("h", 1, 2),
+        ("h", 2, 4), ("htilde", 1, 1), ("htilde", 2, 3), ("htilde", 3, 2),
+    ])
+    def test_vertex_count_is_the_built_count(self, name, c, d):
+        spec = FamilySpec(name, c, d)
+        assert spec.vertex_count() == build_family(spec).graph.n
+
+    @pytest.mark.parametrize("name,c,d,n", [
+        # 2d + 1 = MAX_VERTICES, built by no test
+        ("frame", None, (MAX_VERTICES - 1) // 2, MAX_VERTICES),
+        ("g", 10**12, 1, 5),  # G^(c)_1 is the 2-frame for every c, counted at once
+        ("g", 2, 4000, 63_992_003),
+        ("htilde", 2, 5000, 899_910_007),
+    ])
+    def test_largest_specs_taken_without_building(self, name, c, d, n):
+        assert FamilySpec(name, c, d).vertex_count() == n
+
+    @pytest.mark.parametrize("name,c,d,args", [
+        ("frame", None, (MAX_VERTICES + 1) // 2, (MAX_VERTICES + 1) // 2),
+        ("g", 40, 3, "40,3"),  # about 2.4e24 vertices
+        ("g", 10**12, 2, f"{10**12},2"),
+        ("h", 3, 1000, "3,1000"),
+        ("htilde", 30, 2, "30,2"),
+        ("htilde", 3, 5000, "3,5000"),
+    ])
+    def test_spec_past_max_vertices(self, name, c, d, args):
+        # refused from the parameters alone, before anything is built
+        want = f"^{name}\\({args}\\) has more than {MAX_VERTICES} vertices$"
+        with pytest.raises(ParameterError, match=want):
+            FamilySpec(name, c, d)
 
     def test_build_family_dispatch(self):
         assert build_family(FamilySpec("frame", None, 3)).graph.n == 7

@@ -91,10 +91,10 @@ class TestFrameFan:
 
     @pytest.mark.parametrize("spec,rings", [
         (FamilySpec("g", 2, MAX_FAN_RINGS), MAX_FAN_RINGS + 1),
-        (FamilySpec("g", 5, 4000), 4001),
+        (FamilySpec("g", 2, 4000), 4001),
         (FamilySpec("g", 2, MAX_FAN_RINGS - 1), None),
         (FamilySpec("h", 2, 5000), None),
-        (FamilySpec("htilde", 3, 5000), None),
+        (FamilySpec("htilde", 2, 5000), None),
     ])
     def test_spec_check_builds_nothing(self, spec, rings):
         # h and htilde have no top fan; g's top frame has d + 1 rings

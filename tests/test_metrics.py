@@ -300,6 +300,9 @@ class TestAngularResolution:
         st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=21),
         st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=7, max_size=7),
     )
+    # vertex 1's three edges all point one way: its wrap gap is 0, as are
+    # its others, so neither the value nor the witness moves
+    @example(4, {(1, 0), (1, 2), (1, 3), (0, 2)}, [(0, 0), (-2, 0), (1, 0), (2, 0)] + [(0, 0)] * 3)
     @settings(max_examples=200, deadline=None)
     def test_matches_loop_oracle_on_grid_graphs(self, n, pairs, points):
         # grid points give collinear edges (equal angles, zero gaps), ties
@@ -429,18 +432,41 @@ class TestCornerResolution:
             lambda: build_Htilde(3, 2),
             # the deep row whose nested start and result every sweep measures
             lambda: build_Htilde(2, 16),
+            lambda: build_Htilde(2, 32),
+            lambda: build_Htilde(3, 8),
+            lambda: build_G(2, 8),
+            lambda: build_H(3, 4),
+            lambda: build_frame(64),
         ],
     )
     def test_nested_drawings(self, build):
         fam = build()
         self.assert_matches(fam.graph, fam.embedding, layout_nested(fam))
 
-    @pytest.mark.parametrize("build", [lambda: build_frame(3), lambda: build_Htilde(1, 4)])
+    @pytest.mark.parametrize(
+        "build", [lambda: build_frame(3), lambda: build_Htilde(1, 4), lambda: build_G(2, 4)]
+    )
     def test_optimized_drawings(self, build):
         fam = build()
         config = OptimizeConfig(restarts=3, max_iters=200, seed=3)
         result = maximize_resolution(fam.graph, fam.embedding, config)
         self.assert_matches(fam.graph, fam.embedding, result.coords)
+
+    @pytest.mark.parametrize("build", [lambda: build_frame(5), lambda: build_G(2, 3),
+                                       lambda: build_Htilde(2, 2)])
+    def test_each_corner_is_a_half_edge_and_its_row_successor(self, build):
+        # at b, the internal corner (a, b, c) is b->a followed by b->c; the
+        # other half-edge pairs are the three outer corners
+        fam = build()
+        mesh = Triangulation(fam.graph, fam.embedding)
+        src, nxt = mesh.rotation
+        dst = fam.embedding.nbr
+        pairs = set(zip(dst.tolist(), src.tolist(), dst[nxt].tolist()))
+        corners = set(map(tuple, mesh.corners.T.tolist()))
+        outer = fam.embedding.outer_face
+        outer_corners = {(outer[i - 1], outer[i], outer[(i + 1) % 3]) for i in range(3)}
+        assert corners | outer_corners == pairs and not corners & outer_corners
+        assert len(src) == len(pairs) == mesh.corners.shape[1] + 3
 
     @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

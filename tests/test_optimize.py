@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import math
 import os
@@ -630,21 +631,6 @@ class TestKeptGeometry:
             self._call(work, y, f["mesh"], f["pinned"], f["origin"], f["scale"])
         assert passes == [("full",)] * 3
 
-    @pytest.mark.parametrize("writer", ["sides", "resolution"])
-    def test_other_writers_of_the_rows_drop_the_geometry(self, monkeypatch, writer):
-        # a restart's scale pass and its measurements write the x and y rows
-        # for another drawing; the next call at the same point recomputes
-        mesh, pinned, origin, scale, y = self._frame()
-        work = _Workspace.of(mesh)
-        passes = self._paths(monkeypatch, work)
-        self._call(work, y, mesh, pinned, origin, scale)
-        if writer == "sides":
-            work.sides(mesh, *pinned)
-        else:
-            assert work.resolution(mesh, np.array(pinned.T)) > 0.0
-        self._call(work, y, mesh, pinned, origin, scale)
-        assert passes == [("full",)] * 2
-
     def test_moved_call_allocates_less_than_a_corner_array(self, monkeypatch):
         """A call that computes again the faces of one vertex, at a deep
         stage's sharpness where few corners are live, allocates less than
@@ -880,6 +866,25 @@ class TestMaximize:
         assert not traces[2].valid and math.isnan(traces[2].start_resolution)
         for t in (traces[0], traces[1], traces[3]):
             assert t.valid and t.resolution >= t.start_resolution > 0.0
+
+    @pytest.mark.parametrize("extra,pin", [
+        (None, "94f139cacf9357195b6b55bdc0c9627eefa993652ac48ead05a6b4591be93df4"),
+        ([42, 31], "57195c6bdb744026fbdf7833e9d2e60f3f57767aa146553626a742b02b129476"),
+    ], ids=["plain", "replay-42-31"])
+    def test_frame_result_pinned(self, extra, pin):
+        """Everything ``maximize_resolution`` reports on frame(8), 2 restarts
+        at seed 42 with ``max_iters=300``, as recorded when the restarts took
+        their scales from the corner sides.  The frame lists its outer u_8
+        and v_8 last; with the replay of ``rng([42, 31])`` as extra seed an
+        edge in their rows is shorter than every edge at v_7, the last free
+        vertex, so a scale pass that reduced only at the free rows' starts
+        would move restart 1."""
+        fam = build_frame(8)
+        mesh = Triangulation(fam.graph, fam.embedding)
+        seeds = [] if extra is None else [mesh.replay.place(rng=np.random.default_rng(extra))]
+        config = OptimizeConfig(restarts=2, seed=42, max_iters=300, extra_seeds=seeds)
+        result = maximize_resolution(fam.graph, fam.embedding, config)
+        assert hashlib.sha256(repr(_result_bytes(result)).encode()).hexdigest() == pin
 
     def test_restart_optimizes_its_own_start(self):
         """The nested drawing of G(2,8) places the outer triangle elsewhere
