@@ -88,7 +88,7 @@ def _canonical_edges(pairs, n: int) -> np.ndarray:
     if not isinstance(pairs, np.ndarray):
         pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     bad = (lo < 0) | (lo == hi) | (hi >= n)
     if bad.any():
         raise StructureError(_pair_error(*ends[np.argmax(bad)].tolist(), n))
@@ -225,10 +225,12 @@ def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.nda
         and (src[first] != src[second]).all()
     ):
         _rotation_fault(graph, emb, src)
-    twin = np.empty_like(order)
-    twin[first], twin[second] = second, first
-    start = offset[dst]
-    return src, start + (twin - start + 1) % deg[dst]
+    nxt = np.empty_like(order)
+    nxt[first], nxt[second] = second, first
+    nxt += 1  # the twin's successor in row dst, wrapping at the row's end
+    wrap = nxt == offset[dst + 1]
+    nxt[wrap] = offset[dst[wrap]]
+    return src, nxt
 
 
 def _rotation_fault(graph: LabeledGraph, emb: Embedding, src: np.ndarray) -> NoReturn:
@@ -279,9 +281,10 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     face is a triangle exactly when ``nxt`` applied three times is the
     identity; each face is read at its smallest half-edge ``h`` as
     ``src[h], src[nxt[h]], src[nxt[nxt[h]]]`` (so rows come in the order of
-    each face's smallest half-edge) and rotated to start at its smallest
-    vertex.  Raises StructureError unless every face is a triangle, Euler's
-    formula holds and the embedding's outer face is among the traced faces.
+    each face's smallest half-edge), which starts at its smallest vertex:
+    ``src`` ascends with ``h`` and a triangle's three vertices are distinct.
+    Raises StructureError unless every face is a triangle, Euler's formula
+    holds and the embedding's outer face is among the traced faces.
     """
     src, nxt = _half_edges(graph, emb)
     nxt2 = nxt[nxt]
@@ -293,9 +296,7 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
         face = canonical_cycle(face_cycle_from(emb, int(src[first]), int(src[nxt[first]])))
         raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
     lead = np.flatnonzero((h < nxt) & (h < nxt2))
-    verts = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
-    shift = np.argmin(verts, axis=1)[:, None] + np.arange(3)
-    faces = np.take_along_axis(verts, shift % 3, axis=1)
+    faces = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
     if not euler_check(graph, faces):
         raise StructureError(
             f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
@@ -357,9 +358,22 @@ def _rooted_sequence(
     if level is None:
         seq = _eliminate(graph, keep)
         level = _check_build_sequence(seq, graph.n, base_uses, errors, error)
-    order = np.lexsort((seq.xs, level))
+    order = np.argsort(level * graph.n + seq.xs)  # unique keys: each x is inserted once
     base = tuple(sorted(int(v) for v in seq.base))
-    return BuildSequence(base, seq.xs[order], np.sort(seq.tris[order], axis=1)), level[order]
+    return BuildSequence(base, seq.xs[order], _sorted_rows(seq.tris[order])), level[order]
+
+
+def _sorted_rows(tris: np.ndarray) -> np.ndarray:
+    """``np.sort(tris, axis=1)`` of an (S, 3) array, by a three-comparator
+    network on its columns."""
+    a, b, c = tris.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    out = np.empty_like(tris)
+    np.maximum(hi, c, out=out[:, 2])
+    np.minimum(hi, c, out=hi)
+    np.minimum(lo, hi, out=out[:, 0])
+    np.maximum(lo, hi, out=out[:, 1])
+    return out
 
 
 def _certified(
@@ -518,16 +532,25 @@ def _check_build_sequence(
     first[n] = count
     corners = np.where((tris >= 0) & (tris < n), tris, n)
     born = first[corners]
-    newest = born.argmax(axis=1)
-    parent = born[step, newest]
-    y = corners[step, newest]
-    older = corners[step[:, None], (newest[:, None] + [1, 2]) % 3]
-    host = corners[np.where((parent >= 0) & (parent < step), parent, 0)]
-    on_host = older[:, :, None] == host[:, None, :]
-    left_out = 3 - on_host.argmax(axis=2).sum(axis=1)
+    # column by column: the newest corner y is the first latest-born one, as
+    # argmax picks it, and the other two follow it cyclically
+    b0, b1, b2 = born.T
+    c0, c1, c2 = corners.T
+    at0 = (b0 >= b1) & (b0 >= b2)
+    at1 = ~at0 & (b1 >= b2)
+    parent = np.maximum(np.maximum(b0, b1), b2)
+    y = np.where(at0, c0, np.where(at1, c1, c2))
+    host = corners[np.where((parent >= 0) & (parent < step), parent, 0)].T
+    on_host, left_out = True, 3
+    for other in (np.where(at0, c1, np.where(at1, c2, c0)), np.where(at0, c2, np.where(at1, c0, c1))):
+        # its first column on the host triangle (0 if none), as argmax
+        hit = [other == column for column in host]
+        on_host = on_host & (hit[0] | hit[1] | hit[2])
+        left_out = left_out - np.where(hit[0], 0, np.where(hit[1], 1, 2 * hit[2]))
     on_base = parent == -1
-    distinct = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
-    face = distinct & (parent < step) & (on_base | on_host.any(axis=2).all(axis=1))
+    t0, t1, t2 = tris.T
+    distinct = (t0 != t1) & (t1 != t2) & (t0 != t2)
+    face = distinct & (parent < step) & (on_base | on_host)
     key = np.where(on_base, -1, 3 * y + left_out)
     # a face is used up once its key has been taken as often as allowed
     takers = np.flatnonzero(face)
@@ -538,11 +561,11 @@ def _check_build_sequence(
     rank = np.arange(taken.size) - np.maximum.accumulate(np.where(group, np.arange(taken.size), 0))
     face[takers[rank >= np.where(taken == -1, base_uses, 1)]] = False
 
-    fails = np.stack([~face, ~x_in, first[np.where(x_in, xs, n)] < step])
-    failing = np.flatnonzero(fails.any(axis=0))
+    fails = (~face, ~x_in, first[np.where(x_in, xs, n)] < step)
+    failing = np.flatnonzero(fails[0] | fails[1] | fails[2])
     if failing.size:
         bad = int(failing[0])
-        reason = ("face", "range", "placed")[int(np.argmax(fails[:, bad]))]
+        reason = next(r for r, f in zip(("face", "range", "placed"), fails) if f[bad])
         x, tri = int(xs[bad]), tuple(tris[bad].tolist())
         raise error(errors[reason].format(x=x, tri=tri, n=n))
 

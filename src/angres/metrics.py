@@ -7,9 +7,12 @@ verdict, stopping at the first flipped face) read one array of oriented
 faces through one generator.  Its ``sides`` is the one gather of corner
 sides, read by the optimizer's angles, and its ``replay`` is the plan every
 replay seed is placed from.  Its ``resolution``, on the embedding's
-rotation, and ``angular_resolution``'s sorted edge walk, for drawings
-without an embedding, take one gap step (``_gaps``) between neighbours in a
-rotation.  Angle identities are numeric with a 1e-9 tolerance.
+rotation, and ``angular_resolution``, for drawings without an embedding,
+whose rotation is one stable sort of integer keys (vertex, then dense rank
+of the angle, ``_rotation_order``), take one gap step (``_gaps``) between
+neighbours in a rotation, of one ``arctan2`` per half-edge
+(``_half_edge_vectors``).  Angle identities are numeric with a 1e-9
+tolerance.
 """
 
 from __future__ import annotations
@@ -93,6 +96,48 @@ def _rotation(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(deg.size), deg), nxt
 
 
+def _half_edge_vectors(coords: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """(vx, vy), the vector of each half-edge ``src -> dst`` of the finite
+    drawing ``coords``.  A difference of finite coordinates overflows only
+    where a column's spread does; such a drawing is measured at half scale,
+    ``0.5 * coords``, whose differences stay finite (halving is exact but on
+    coordinates below 2**-1021), and any other drawing as it is."""
+    x, y = coords[:, 0], coords[:, 1]
+    with np.errstate(over="ignore"):
+        if coords.size and any(np.isinf(p.max() - p.min()) for p in (x, y)):
+            x, y = 0.5 * x, 0.5 * y
+    vx = x[dst]
+    vx -= x[src]
+    vy = y[dst]
+    vy -= y[src]
+    return vx, vy
+
+
+def _rotation_order(src: np.ndarray, ang: np.ndarray, n: int) -> np.ndarray:
+    """The order of the h half-edges by vertex ``src`` (below ``n``), then
+    clockwise (by descending angle ``ang``, -0.0 equal to 0.0), ties kept
+    in list order: ``np.lexsort((np.arange(h), -ang, src))``.  It is one
+    stable argsort of the keys ``src * h + rank``, ``rank`` being the dense
+    rank of ``ang``, descending, among all half-edges, from one argsort of
+    ``ang``.  Keys stay below ``n * h``, which a StructureError refuses
+    past int64."""
+    h = ang.size
+    if n * h > np.iinfo(np.int64).max:
+        raise StructureError(f"{h} half-edges on {n} vertices overflow the rotation's sort key")
+    desc = np.argsort(ang)[::-1]
+    ranked = ang[desc]
+    key = np.zeros(h, dtype=np.int64)
+    np.not_equal(ranked[1:], ranked[:-1], out=key[1:])
+    del ranked
+    np.cumsum(key, out=key)
+    rank = np.empty_like(key)
+    rank[desc] = key
+    np.multiply(src, h, out=key)
+    key += rank
+    del rank
+    return np.argsort(key, kind="stable")
+
+
 def _gaps(ang: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Each half-edge's clockwise gap to ``nxt``, ang - ang[nxt], plus 2 pi
     where negative: in a rotation sorted clockwise, only at the branch cut."""
@@ -103,7 +148,7 @@ def _gaps(ang: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
 def _non_finite(coords: np.ndarray) -> str:
     """A message naming the first vertex with a non-finite coordinate, or ""."""
-    finite = np.isfinite(coords).all(axis=1)
+    finite = np.isfinite(coords[:, 0]) & np.isfinite(coords[:, 1])
     return "" if finite.all() else f"non-finite coordinates at vertex {int(np.argmin(finite))}"
 
 
@@ -217,11 +262,12 @@ class Triangulation:
     def resolution(self, coords: np.ndarray) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of
         a float drawing that ``violations`` passes: its rows are clockwise,
-        so ``_gaps`` of one ``arctan2`` per half-edge are that walk's without
-        its sort, the internal corners' below pi and the outer three above."""
+        so ``_gaps`` of the same half-edge angles (``_half_edge_vectors``)
+        are that function's without its sort, the internal corners' below pi
+        and the outer three above."""
         src, nxt = self.rotation
-        dx, dy = (p[self.emb.nbr] - p[src] for p in coords.T)
-        return float(_gaps(np.arctan2(dy, dx), nxt).min())
+        vx, vy = _half_edge_vectors(coords, src, self.emb.nbr)
+        return float(_gaps(np.arctan2(vy, vx, out=vy), nxt).min())
 
 
 def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> list[Violation]:
@@ -253,28 +299,36 @@ class AngleReport:
 def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     """Smallest angle between two edges meeting at a vertex, over the drawing.
 
-    Each vertex's edges are ordered clockwise by angle (ties by neighbor);
+    Each vertex's edges are ordered clockwise by angle, ties by neighbour,
+    by one stable sort of integer keys (``_rotation_order``: vertex, then
+    the angle's dense rank) over half-edges listed by ascending neighbour;
     the gaps (``_gaps``) run between consecutive edges, the last one
     wrapping around to the first.  The witness is the last gap, in vertex
     then clockwise order, that is smaller than every earlier gap by more
     than TOL, so a later gap within TOL of the minimum does not take the
     witness over.  The drawing must be (n, 2) and finite, else a
-    StructureError names the shape or the first non-finite vertex;
-    ``Triangulation.resolution`` measures validated ones.
+    StructureError names the shape or the first non-finite vertex; one
+    whose coordinate differences overflow is measured at half scale
+    (``_half_edge_vectors``).  ``Triangulation.resolution`` measures
+    validated ones.
     """
     coords = _drawing_array(coords, graph.n)
     if non_finite := _non_finite(coords):
         raise StructureError(non_finite)
+    # edges (i, j), i < j, come sorted, so listing every j -> i before every
+    # i -> j lists each vertex's half-edges by ascending neighbour
     ends = graph.edges
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    src = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = np.concatenate([ends[:, 0], ends[:, 1]])
     deg = np.bincount(src, minlength=graph.n)
-    vec = coords[dst] - coords[src]
-    zero = (vec == 0).all(axis=1) & (deg[src] >= 2)
-    if zero.any():
+    vx, vy = _half_edge_vectors(coords, src, dst)
+    zero = np.flatnonzero((vx == 0) & (vy == 0))
+    zero = zero[deg[src[zero]] >= 2]
+    if zero.size:
         raise StructureError(f"zero-length edge at vertex {int(src[zero].min())}")
-    ang = np.arctan2(vec[:, 1], vec[:, 0])
-    perm = np.lexsort((dst, -ang, src))
+    ang = np.arctan2(vy, vx, out=vy)
+    del vx
+    perm = _rotation_order(src, ang, graph.n)
     src, nxt = _rotation(deg)  # the sorted edges' rows
     # a vertex whose edges all point one way wraps by 0, already its minimum
     dst, diff = dst[perm], _gaps(ang[perm], nxt)

@@ -378,7 +378,7 @@ class TestLayoutMeasure:
     @pytest.mark.parametrize("family, c, d", SWITCHED)
     def test_layout_and_measure_print_the_edge_walk_value(self, tmp_path, capsys, family, c, d):
         # both validate and measure through the compiled pair; the value is
-        # the sorted edge walk's to the last bit
+        # angular_resolution's to the last bit
         fam = build_family(FamilySpec(family, c, d))
         flags = ["--family", family, "--d", str(d)] + ([] if c is None else ["--c", str(c)])
         gp, dp = tmp_path / "f.graph", tmp_path / "f.drawing"

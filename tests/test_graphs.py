@@ -26,7 +26,13 @@ from angres.graphs import (
     write_embedding,
     write_graph,
 )
-from angres.graphs import _PLANARITY_ERRORS, _certified, _check_build_sequence
+from angres.graphs import (
+    _PLANARITY_ERRORS,
+    _certified,
+    _check_build_sequence,
+    _rooted_sequence,
+    _sorted_rows,
+)
 from angres.metrics import Triangulation
 from elimination_oracle import verify_canonically as reference_verify
 from face_oracle import internal_triangles as reference_triangles
@@ -785,6 +791,34 @@ class TestCertificate:
             assert _certified(g, keep, 2) is not None
             assert verify_outcome(verify_planar_3tree, g, keep) == want
             assert placements(Triangulation(g, emb)) == drawn
+
+    @pytest.mark.parametrize("name, c, d", [("g", 2, 3), ("htilde", 2, 4), ("frame", None, 6)])
+    def test_rooted_sequence_is_the_two_key_lexsort(self, name, c, d):
+        """On a certificate whose steps are shuffled (parent first) and
+        whose triangles' corners are too, ``_rooted_sequence``'s one
+        argsort of level * n + x and its sorting network give the order of
+        ``np.lexsort((xs, level))`` and ``np.sort(tris, axis=1)``."""
+        fam = build_family(FamilySpec(name, c, d))
+        g, keep, cert = fam.graph, fam.embedding.outer_face, fam.graph.certificate
+        level = _check_build_sequence(cert, g.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
+        rng = np.random.default_rng([c or 0, d, 7])
+        for _ in range(3):
+            shuffle = np.lexsort((rng.random(level.size), level))
+            g.certificate = shuffled = BuildSequence(
+                cert.base, cert.xs[shuffle], rng.permuted(cert.tris[shuffle], axis=1)
+            )
+            seq, got = _rooted_sequence(g, keep, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
+            assert _certified(g, keep, 2) is not None
+            order = np.lexsort((shuffled.xs, level[shuffle]))
+            assert np.array_equal(got, level[shuffle][order])
+            assert np.array_equal(seq.xs, shuffled.xs[order])
+            assert np.array_equal(seq.tris, np.sort(shuffled.tris[order], axis=1))
+
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_rows_is_the_row_sort(self, rows):
+        tris = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        assert np.array_equal(_sorted_rows(tris), np.sort(tris, axis=1))
 
     @pytest.mark.parametrize("name, c, d", [("g", 2, 3), ("htilde", 2, 2), ("frame", None, 4)])
     def test_verification_lists_steps_by_level_then_vertex(self, name, c, d):

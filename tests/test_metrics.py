@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from angres.graphs import internal_triangles, verify_planar_3tree
 from angres.layout import APEX_ANGLE, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
     Triangulation,
+    _rotation_order,
     Violation,
     angular_resolution,
     claim_quantities,
@@ -316,6 +318,129 @@ class TestAngularResolution:
                 angular_resolution(g, coords)
         else:
             assert angular_resolution(g, coords) == want
+
+
+def listed_half_edges(g, coords):
+    """``angular_resolution``'s half-edges (src, dst) and their angles, each
+    vertex's listed by ascending neighbour."""
+    ends = g.edges
+    src = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = np.concatenate([ends[:, 0], ends[:, 1]])
+    vx, vy = (coords[dst] - coords[src]).T
+    return src, dst, np.arctan2(vy, vx)
+
+
+# stars at vertex 0: (points of vertices 0..k, the witness it must report)
+_STAR_CASES = {
+    # 1, 2 and 4 on one ray: the tie-break by neighbour puts 1 before 2, so
+    # the first zero gap, 1 -> 2, is the witness (4 before 2 would give 2, 4)
+    "equal angles": ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (3.0, 0.0)], (0, (1, 2))),
+    # angles +0.0, -0.0 and +0.0 tie as equal; told apart, 1 and 3 would
+    # come first and give the witness (1, 3)
+    "signed zeros": ([(0.0, 0.0), (1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, -1.0)], (0, (1, 2))),
+    # atan2(-0.0, -1) = -pi and atan2(+0.0, -1) = pi sit on both sides of
+    # the branch cut: 2 comes first, 1 last, and the wrap gap 1 -> 2 is 0
+    "branch cut": ([(0.0, 0.0), (-1.0, -0.0), (-2.0, 0.0), (0.0, 1.0)], (0, (1, 2))),
+}
+
+
+class TestRotationOrder:
+    """``angular_resolution``'s rotation, one stable sort of integer keys,
+    against the three-key lexsort it replaced, and its report against the
+    loop oracle."""
+
+    @pytest.mark.parametrize("case", sorted(_STAR_CASES))
+    def test_stars(self, case):
+        points, witness = _STAR_CASES[case]
+        g = LabeledGraph(len(points), [(0, v) for v in range(1, len(points))])
+        coords = np.array(points)
+        src, dst, ang = listed_half_edges(g, coords)
+        perm = _rotation_order(src, ang, g.n)
+        want = np.lexsort((dst, -ang, src))
+        assert np.array_equal(src[perm], src[want]) and np.array_equal(dst[perm], dst[want])
+        rep = angular_resolution(g, coords)
+        assert rep == reference_resolution(g, coords)
+        assert rep.witness == witness
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+        [0.0, -0.0, math.pi, -math.pi, 1.0, -1.0, 2.5, math.nextafter(1.0, 2.0)]
+    )), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort_with_list_order_ties(self, rows):
+        src = np.array([v for v, _ in rows], dtype=np.int64)
+        ang = np.array([a for _, a in rows], dtype=float)
+        perm = _rotation_order(src, ang, 5)
+        assert perm.tolist() == np.lexsort((np.arange(src.size), -ang, src)).tolist()
+
+    @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
+    def test_matches_lexsort_on_families(self, name):
+        fam = _RESOLUTION_FAMILIES[name]()
+        coords = layout_nested(fam)
+        src, dst, ang = listed_half_edges(fam.graph, coords)
+        perm = _rotation_order(src, ang, fam.graph.n)
+        want = np.lexsort((dst, -ang, src))
+        assert np.array_equal(src[perm], src[want]) and np.array_equal(dst[perm], dst[want])
+
+    def test_key_past_int64_refused(self):
+        # 2 half-edges on 2**62 vertices: keys up to 2**63 would wrap
+        with pytest.raises(StructureError, match=r"^2 half-edges on 4611686018427387904 vertices"):
+            _rotation_order(np.zeros(2, dtype=np.int64), np.zeros(2), 2**62)
+
+
+class TestResolutionPins:
+    """The nested drawings' resolutions and witnesses on the two large rows,
+    as recorded before the rotation became one integer sort, and
+    ``Triangulation.resolution`` equal to each."""
+
+    @pytest.mark.parametrize("c, d, value, witness", [
+        (2, 32, 3.1628455676724343e-07, (0, (4040, 4164))),
+        (3, 8, 5.430732619160494e-08, (3384, (3412, 3620))),
+    ])
+    def test_nested(self, c, d, value, witness):
+        fam = build_Htilde(c, d)
+        coords = layout_nested(fam)
+        rep = angular_resolution(fam.graph, coords)
+        assert (repr(float(rep.resolution)), rep.witness) == (repr(value), witness)
+        assert repr(Triangulation(fam.graph, fam.embedding).resolution(coords)) == repr(value)
+
+
+class TestOverflowingDifferences:
+    """A finite drawing whose coordinate differences overflow is measured at
+    half scale, without a warning; any other drawing as it is."""
+
+    # clockwise, so the outer face (0, 1, 2) of ``triangle_drawing`` holds
+    POINTS = [(1e308, 0.0), (0.0, -1e308), (-1e308, 5e307)]
+
+    def test_triangle(self):
+        g, emb, _ = triangle_drawing()
+        coords = np.array(self.POINTS)
+        mesh = Triangulation(g, emb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mesh.violations(coords) == []
+            rep = angular_resolution(g, coords)
+            small = angular_resolution(g, coords * 2.0**-600)
+            assert mesh.resolution(coords) == rep.resolution
+        # overflowed differences read pi / 4 = 0.7853981633974483
+        assert repr(float(rep.resolution)) == "0.7378150601204649"
+        assert rep == small and rep.witness == (2, (0, 1))
+
+    @pytest.mark.parametrize("name", ["htilde24", "g12", "frame3"])
+    def test_spread_past_the_largest_double(self, name):
+        fam = _RESOLUTION_FAMILIES[name]()
+        g, emb = fam.graph, fam.embedding
+        coords = layout_nested(fam)
+        coords -= (coords.max(axis=0) + coords.min(axis=0)) / 2
+        big = np.ldexp(coords, 1024 - math.frexp(np.abs(coords).max())[1])
+        with np.errstate(over="ignore"):
+            assert np.isinf(big[g.edges[:, 0]] - big[g.edges[:, 1]]).any()
+        mesh = Triangulation(g, emb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = angular_resolution(g, big)
+            assert rep == angular_resolution(g, big / 2)
+            assert mesh.resolution(big) == mesh.resolution(big / 2) == rep.resolution
+        assert rep.resolution == pytest.approx(angular_resolution(g, coords).resolution, rel=1e-9)
 
 
 @st.composite
