@@ -138,6 +138,8 @@ class LabeledGraph:
                     f"label on vertex {v} holds U+{ord(bad.group()):04X}, "
                     "a control, surrogate or noncharacter code point"
                 )
+            if name.split() != [name]:  # ``read_graph`` reads a label as one token
+                raise StructureError(f"label on vertex {v} is empty or holds a space: {name!r}")
         names = list(self.labels.values())
         if len(names) != len(set(names)):
             raise StructureError("duplicate vertex labels")
@@ -728,6 +730,7 @@ class Records:
 
 
 def write_graph(graph: LabeledGraph) -> str:
+    graph.validate()  # so that ``read_graph`` reads the text back
     edges = "e %d %d\n" * len(graph.edges) % tuple(graph.edges.ravel().tolist())
     labels = "".join(f"l {v} {graph.labels[v]}\n" for v in sorted(graph.labels))
     return f"graph {graph.n}\n" + edges + labels

@@ -43,28 +43,28 @@ or a result counts only after the compiled ``Triangulation.valid``
 violations) passes, and is then measured by ``Triangulation.resolution``
 from the embedding's rotation.
 
-Each restart owns one ``_Workspace``, allocated once from the mesh's
-vertex, free-vertex and corner counts and handed to every objective call
-through ``minimize``'s ``args``.  A call writes each full-size temporary
-there with ``out=``, by the ufunc that would have allocated it, so every
-value is bit for bit the same; per call only the gradient, the bincount
-sums and the arrays of the live corners and flipped faces are allocated.
-Allocated per call, the full-size temporaries went back to the kernel
-between calls, as glibc trims its heap, and were faulted in again.
+Each restart owns one ``_Workspace``, built once from its frame (the mesh,
+a copy of its start drawing and the per-vertex scales) and handed to every
+objective call through ``minimize``'s ``args``; its full-size temporaries
+are allocated there once, from the mesh's sizes.  A call writes each one
+with ``out=``, by the ufunc that would have allocated it, so every value is
+bit for bit the same; per call only the gradient, the bincount sums and
+the arrays of the live corners and flipped faces are allocated.  Allocated
+per call, the full-size temporaries went back to the kernel between calls,
+as glibc trims its heap, and were faulted in again.
 
 On a mesh of at least ``KEEP_FLOOR`` = 2**14 corners the workspace also
 keeps the corner geometry of the last drawing a call computed (the drawing,
-each corner's sides and its angle), keyed by the restart's frame (mesh,
-pinned drawing, origin and scale, by identity) and by the bits of the
-variables.  L-BFGS-B leaves every coordinate outside its gradient
-history's support unchanged to the bit, so a deep call computes again only
-the faces at a vertex whose variables changed a bit, found through
+each corner's sides and its angle), keyed by the bits of the variables.
+L-BFGS-B leaves every coordinate outside its gradient history's support
+unchanged to the bit, so a deep call computes again only the faces at a
+vertex whose variables changed a bit, found through
 ``Triangulation.vertex_faces``; a call at unchanged variables computes
 none.  Each such corner takes the same subtractions, products and
 ``np.arctan2`` as the full pass, so every value is the same bit for bit.
-A cold workspace, a new frame, or moved vertices whose faces are more than
-half of all take the full pass, and so does every call on a smaller mesh:
-on sweep-shallow's rows, at most 3,051 corners, finding the moved vertices
+A cold workspace, or moved vertices whose faces are more than half of all,
+take the full pass, and so does every call on a smaller mesh: on
+sweep-shallow's rows, at most 3,051 corners, finding the moved vertices
 cost more than it saved.
 
 The restarts are independent: each has its own start, its own
@@ -96,7 +96,6 @@ import importlib.machinery
 import importlib.util
 import io
 import math
-import operator
 import os
 import pickle
 import signal
@@ -197,6 +196,10 @@ class OptimizeConfig:
     extra_seeds: list[np.ndarray] = field(default_factory=list)
 
     def validate(self) -> None:
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):  # range() and numpy's rng take no float
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -253,26 +256,32 @@ KEEP_FLOOR = 2**14
 
 
 class _Workspace:
-    """The full-size temporaries of one restart's objective calls, allocated
-    once and overwritten by each call (see the module docstring): the (2, n)
-    rows of the drawing, a free-vertex row, the (3, 3F) x and y columns
-    gathered at the corners, the corner angles, the soft-min's shifted
-    lanes (``theta``, which ``z`` overwrites), ``exp`` values and two masks,
-    and the (2, F) face rows.
+    """One restart's frame and the full-size temporaries of its objective
+    calls, allocated once and overwritten by each call (see the module
+    docstring).  The frame is the mesh and copies, taken here, of the (2, n)
+    x and y rows ``pinned`` of the drawing whose free vertices the variables
+    replace, their free columns ``origin`` and one ``scale`` per free
+    vertex.  The temporaries are the (2, n) rows of the drawing, a
+    free-vertex row, the (3, 3F) x and y columns gathered at the corners,
+    the corner angles, the soft-min's shifted lanes (``theta``, which ``z``
+    overwrites), ``exp`` values and two masks, and the (2, F) face rows.
 
     On a mesh of at least ``KEEP_FLOOR`` corners the workspace also keeps
     the geometry of the last drawing ``_angles_at`` computed: ``P``, the
     x and y rows as (e1x, g, e2x) and (e1y, h, e2y), and ``angle``.  It is
-    keyed by ``frame``, the (mesh, pinned, origin, scale) of that drawing
-    compared by identity, and by ``held``, the bits of its variables ``y``
-    as uint64, so a flip between +0.0 and -0.0 or a nan of other bits counts
-    as a move.  ``frame`` is None while nothing is kept: on a new workspace,
-    below the floor, and after ``_corner_angles`` writes the x and y rows
-    for another drawing.  The frame's arrays must not change in place while
-    it is kept (``_run_restart`` builds them once per restart).  ``hit``, a
-    face mask, is all False between calls."""
+    keyed by ``held``, the bits of its variables ``y`` as uint64, so a flip
+    between +0.0 and -0.0 or a nan of other bits counts as a move.
+    ``kept`` is False while nothing is kept: on a new workspace, below the
+    floor, and after ``_corner_angles`` writes the x and y rows for another
+    drawing.  ``hit``, a face mask, is all False between calls.  Above the
+    floor the mesh's ``vertex_faces`` is built here, outside any call."""
 
-    def __init__(self, n: int, free: int, corners: int):
+    def __init__(self, mesh: Triangulation, pinned, scale):
+        n, free, corners = mesh.n, mesh.free.size, mesh.corners.shape[1]
+        self.mesh = mesh
+        self.pinned = np.array(pinned, dtype=float)
+        self.origin = self.pinned[:, mesh.free]
+        self.scale = np.full(free, scale, dtype=float)
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
         self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
@@ -283,27 +292,20 @@ class _Workspace:
         self.angle = np.empty(corners) if self.keeps else self.theta
         self.tied, self.live = np.empty(corners, bool), np.empty(corners, bool)
         self.face = np.empty((2, corners // 3))
-        self.frame = None
+        self.kept = False
         self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
         self.hit = np.zeros(corners // 3, bool)
-
-    @classmethod
-    def of(cls, mesh: Triangulation) -> "_Workspace":
-        """The workspace of ``mesh``'s sizes; above the floor, the mesh's
-        ``vertex_faces`` is built here, outside any objective call."""
-        work = cls(mesh.n, mesh.free.size, mesh.corners.shape[1])
-        if work.keeps:
+        if self.keeps:
             mesh.vertex_faces
-        return work
 
 
-def _corner_angles(px: np.ndarray, py: np.ndarray, mesh: Triangulation, work: _Workspace):
+def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
     """``work.angle`` holding the signed angle of every internal corner
-    (a, b, c) of ``mesh`` in the drawing of the x and y coordinate arrays
-    ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
+    (a, b, c) of ``work.mesh`` in the drawing of the x and y coordinate
+    arrays ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
     (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``)."""
-    work.frame = None
-    _geometry(*mesh.sides(px, py, work.x, work.y), work.theta, work.angle)
+    work.kept = False
+    _geometry(*work.mesh.sides(px, py, work.x, work.y), work.theta, work.angle)
     return work.angle
 
 
@@ -319,25 +321,24 @@ def _geometry(x, y, scratch, angle) -> None:
     np.arctan2(g, h, out=angle)
 
 
-def _angles_at(y, mesh, pinned, origin, scale, work) -> np.ndarray:
+def _angles_at(y, work) -> np.ndarray:
     """``work.angle`` holding the corner angles of the drawing at the
     variables ``y`` (``_objective`` says how they place the free vertices),
     with ``work.P`` that drawing and the x and y rows as ``_corner_angles``
     leaves them.
 
-    Where ``work`` keeps the geometry of a drawing in this frame (see
-    ``_Workspace``), only the faces at a free vertex whose variables
-    changed a bit are computed again, and at an unchanged ``y`` nothing is;
-    each of their corners takes the subtractions, products and
-    ``np.arctan2`` of the full pass, so every value is the same bit for
-    bit.  The full pass runs instead when the moved vertices' faces, each
-    counted once per moved vertex, are more than half the faces: on
-    htilde(2,16) and (3,8) the faces of random vertices took as long as
-    the full pass at about 37% of the faces, and 1.5-1.8 times as long at
-    56%."""
-    free, P = mesh.free, work.P
-    frame = work.frame  # always None below the floor
-    if frame is not None and all(map(operator.is_, (mesh, pinned, origin, scale), frame)):
+    Where ``work`` keeps the geometry of a drawing (see ``_Workspace``),
+    only the faces at a free vertex whose variables changed a bit are
+    computed again, and at an unchanged ``y`` nothing is; each of their
+    corners takes the subtractions, products and ``np.arctan2`` of the full
+    pass, so every value is the same bit for bit.  The full pass runs
+    instead when the moved vertices' faces, each counted once per moved
+    vertex, are more than half the faces: on htilde(2,16) and (3,8) the
+    faces of random vertices took as long as the full pass at about 37% of
+    the faces, and 1.5-1.8 times as long at 56%."""
+    mesh, P = work.mesh, work.P
+    free = mesh.free
+    if work.kept:  # never below the floor
         bits = y.view(np.uint64)
         moved = np.not_equal(bits, work.held, out=work.moved)
         k = np.flatnonzero(moved.view(np.uint16))  # a free vertex either of whose variables moved
@@ -347,26 +348,27 @@ def _angles_at(y, mesh, pinned, origin, scale, work) -> np.ndarray:
         if 2 * int(count.sum()) <= len(mesh.faces):
             if k.size:
                 at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-                _move(k, faces[at], y, mesh, origin, scale, work)
+                _move(k, faces[at], y, work)
                 held = work.held.reshape(-1, 2)
                 held[k] = bits.reshape(-1, 2)[k]
             return work.angle
-    np.copyto(P, pinned)
-    row = work.free_row
+    np.copyto(P, work.pinned)
+    row, origin, scale = work.free_row, work.origin, work.scale
     P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
     P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
-    angle = _corner_angles(*P, mesh, work)
+    angle = _corner_angles(*P, work)
     if work.keeps:
-        work.frame = (mesh, pinned, origin, scale)
+        work.kept = True
         np.copyto(work.held, y.view(np.uint64))
     return angle
 
 
-def _move(k, touched, y, mesh, origin, scale, work) -> None:
+def _move(k, touched, y, work) -> None:
     """Place the free vertices ``free[k]`` at ``y`` in ``work.P`` and compute
     every corner of their faces, ``touched`` with repeats, again
     (``_angles_at``)."""
-    P, v = work.P, mesh.free[k]
+    mesh, P, origin, scale = work.mesh, work.P, work.origin, work.scale
+    v = mesh.free[k]
     P[0, v] = origin[0, k] + scale[k] * y[2 * k]
     P[1, v] = origin[1, k] + scale[k] * y[2 * k + 1]
     # each face once, ascending, by a mask kept all False; face f holds
@@ -384,8 +386,8 @@ def _move(k, touched, y, mesh, origin, scale, work) -> None:
     angle = np.empty(cols.size)
     _geometry(sx, sy, np.empty(cols.size), angle)
     work.angle[cols] = angle
-    for kept, new in zip(work.rows, (*sx, *sy)):  # row by row: faster than [:, cols]
-        kept[cols] = new
+    for row, new in zip(work.rows, (*sx, *sy)):  # row by row: faster than [:, cols]
+        row[cols] = new
 
 
 def _lse(a: np.ndarray, work: _Workspace):
@@ -426,16 +428,16 @@ def _lse(a: np.ndarray, work: _Workspace):
     return out
 
 
-def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
+def _objective(y, sharp, weight, work):
     """Negative soft-min of corner angles plus orientation penalty; returns
     (value, gradient over the variables ``y``).  Callers run it in
     ``_quiet``'s floating-point state.
 
-    ``pinned`` holds the (2, n) x and y rows of the drawing, whose free
-    vertices the variables replace.  They are per-vertex rescaled offsets,
-    x_v = origin_v + scale_v * y_v with ``origin`` in (2, free) rows, a
-    diagonal preconditioner that evens out the wildly different local
-    scales of nested-replay drawings.
+    ``work`` is the restart's ``_Workspace``, which holds the mesh and the
+    drawing whose free vertices the variables replace.  The variables are
+    per-vertex rescaled offsets, x_v = origin_v + scale_v * y_v with
+    ``work.origin`` in (2, free) rows, a diagonal preconditioner that evens
+    out the wildly different local scales of nested-replay drawings.
 
     The softmax weights ``wgt = exp(z - lse)`` and the factors ``coef =
     wgt / denom`` are computed only on the corners ``on``, where ``z - lse``
@@ -465,19 +467,20 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
     ``work.y``, left by ``_angles_at`` as (e1x, g, e2x), (e1y, h, e2y).
 
     Every full-size temporary, per vertex, corner or face, is a view of
-    ``work``, a ``_Workspace`` of this mesh's sizes owned by the caller
-    (one per restart in ``_run_restart``), written with ``out=`` by the
-    ufunc of the allocating form; ``work.theta`` holds ``z`` and then
-    ``z - lse`` in place.  Of what ``work`` held before, a call reads only
-    the geometry ``_angles_at`` keeps, bit for bit what its full pass
-    writes, so every call gives what it gives on a new workspace.  Besides
+    ``work``, owned by the caller (one per restart in ``_restart``),
+    written with ``out=`` by the ufunc of the allocating form;
+    ``work.theta`` holds ``z`` and then ``z - lse`` in place.  Of what
+    ``work`` held before, a call reads only its frame and the geometry
+    ``_angles_at`` keeps, bit for bit what its full pass writes, so every
+    call gives what it gives on a new workspace of the same frame.  Besides
     the arrays of the faces ``_angles_at`` computes again, it allocates
     only the arrays of the live corners and flipped faces (every corner and
     face when ``wide``), the bincount sums and the gradient it returns,
     which the caller may keep: ``minimize`` holds it across ``setulb``
     calls.  The module docstring says what that saves."""
-    free, corners, P = mesh.free, mesh.corners, work.P
-    angle = _angles_at(y, mesh, pinned, origin, scale, work)
+    mesh, P = work.mesh, work.P
+    free, corners = mesh.free, mesh.corners
+    angle = _angles_at(y, work)
     e1x, g, e2x, e1y, h, e2y = work.rows
 
     z = np.multiply(-sharp, angle, out=work.theta)
@@ -539,7 +542,7 @@ def _objective(y, mesh, pinned, sharp, weight, origin, scale, work):
         if face_terms is not None:
             np.multiply(face_terms, 0.5, out=wf)
             wf *= pc
-        np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], scale, out=packed)
+        np.multiply(np.bincount(index, weights=w, minlength=mesh.n)[free], work.scale, out=packed)
     return value, out
 
 
@@ -558,11 +561,9 @@ def objective_and_gradient(
     1.
     """
     mesh = Triangulation(graph, emb)
-    pinned = np.array(np.asarray(coords, dtype=float).T)
-    y = np.zeros(2 * mesh.free.size)
-    origin, work = pinned[:, mesh.free], _Workspace.of(mesh)
+    work = _Workspace(mesh, np.transpose(coords), 1.0)
     with _quiet():
-        return _objective(y, mesh, pinned, sharpness, penalty_weight, origin, 1.0, work)
+        return _objective(np.zeros(2 * mesh.free.size), sharpness, penalty_weight, work)
 
 
 def minimize(fun, x0, args, maxiter):
@@ -618,31 +619,21 @@ def minimize(fun, x0, args, maxiter):
     return LbfgsbResult(x=x, fun=f, nit=nit, nfev=nfev, message=message)
 
 
-def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tuple[str, int, int]]]:
-    """Sharpness/penalty continuation from one starting drawing, its outer
-    triangle pinned.
+def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, int]]]:
+    """Sharpness/penalty continuation from the drawing ``work.pinned``, its
+    outer triangle pinned, over the variables of ``work``'s frame.
 
-    Variables are per-vertex rescaled offsets from the start (scale = the
-    shortest incident edge in the starting drawing); stages keep running,
-    doubling sharpness and growing the penalty, until the iteration budget
-    is spent or the objective stops improving.  The stall test reads each
-    stage's ``res.fun``, but after an ``ABNORMAL`` line-search exit that is
-    the last rejected trial point, not the objective at ``res.x``; so the
-    reported objective is evaluated once more at the returned variables,
-    with the last stage's sharpness and weight.  ``work`` is the restart's
-    ``_Workspace``, and the frame (mesh, ``pinned``, ``origin``, ``scale``)
-    of every call on it is built once here, so on a mesh above
-    ``KEEP_FLOOR`` each call computes again only the faces that moved.
-    Each stage's span from stage 1 on, the stage's first evaluation and the
-    closing one are all taken at variables the workspace already holds."""
-    free = mesh.free
-    pinned = np.array(start.T)
-    # each row's shortest edge; all rows, as a frame lists outer rows last
-    dx, dy = (p[mesh.emb.nbr] - p[mesh.rotation[0]] for p in pinned)
-    near = np.minimum.reduceat(np.hypot(dx, dy), mesh.emb.offset[:-1])
-    origin = pinned[:, free]
-    scale = np.maximum(near[free], 1e-300)
-    y = np.zeros(2 * free.size)
+    Stages keep running, doubling sharpness and growing the penalty, until
+    the iteration budget is spent or the objective stops improving.  The
+    stall test reads each stage's ``res.fun``, but after an ``ABNORMAL``
+    line-search exit that is the last rejected trial point, not the
+    objective at ``res.x``; so the reported objective is evaluated once
+    more at the returned variables, with the last stage's sharpness and
+    weight.  On a mesh above ``KEEP_FLOOR`` each call on ``work`` computes
+    again only the faces that moved: each stage's span from stage 1 on, the
+    stage's first evaluation and the closing one are all taken at variables
+    the workspace already holds."""
+    y = np.zeros(2 * work.mesh.free.size)
     iters_left = config.max_iters
     weight = config.penalty_init
     value = math.inf
@@ -653,15 +644,14 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
         # stage 0's at the start drawing itself, whose -0.0 coordinates
         # origin + scale * 0.0 would turn into +0.0
         if stage:
-            angle = _angles_at(y, mesh, pinned, origin, scale, work)
+            angle = _angles_at(y, work)
         else:
-            angle = _corner_angles(*pinned, mesh, work)
+            angle = _corner_angles(*work.pinned, work)
         span = max(abs(float(angle.min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         with _quiet():
-            args = (mesh, pinned, sharp, weight, origin, scale, work)
-            res = minimize(_objective, y, args, min(budget, iters_left))
+            res = minimize(_objective, y, (sharp, weight, work), min(budget, iters_left))
         y = res.x
         stages.append((str(res.message), int(res.nit), int(res.nfev)))
         final = (sharp, weight)
@@ -672,7 +662,7 @@ def _run_restart(start, mesh, config, work) -> tuple[np.ndarray, float, list[tup
         stage += 1
         stalled = 0 if improved else stalled + 1
     with _quiet():
-        value = float(_objective(y, mesh, pinned, *final, origin, scale, work)[0])
+        value = float(_objective(y, *final, work)[0])
     return np.array(work.P.T), value, stages  # the call left the drawing at y in work.P
 
 
@@ -692,7 +682,12 @@ def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
         # nothing worth optimizing from
         return None, RestartTrace(r, math.inf, math.nan, math.nan)
     if mesh.free.size:
-        drawing, value, stages = _run_restart(start, mesh, config, _Workspace.of(mesh))
+        pinned = start.T
+        # the scales, each row's shortest edge; all rows, as frame(d) lists outer rows last
+        vectors = (p[mesh.emb.nbr] - p[mesh.rotation[0]] for p in pinned)  # freed once read
+        near = np.minimum.reduceat(np.hypot(*vectors), mesh.emb.offset[:-1])
+        scale = np.maximum(near[mesh.free], 1e-300)
+        drawing, value, stages = _run_restart(_Workspace(mesh, pinned, scale), config)
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
     resolution = mesh.resolution(drawing) if mesh.valid(drawing) else -math.inf

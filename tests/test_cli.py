@@ -838,23 +838,39 @@ class TestExportSvg:
         texts = ElementTree.fromstring(doc.encode()).iter("{http://www.w3.org/2000/svg}text")
         assert "a&b<c" in [t.text for t in texts]
 
-    @pytest.mark.parametrize("label", ["a\x01b", "a\x1bb", "a\ufffeb", "a\uffffb"])
+    @pytest.mark.parametrize(
+        "label",
+        ["a\x01b", "a\x1bb", "a\ufffeb", "a\uffffb", "", "a b", "a\xa0b", "a\u2000b"],
+    )
     def test_label_xml_cannot_hold_is_rejected(self, tmp_path, capsys, label):
+        # neither can a .graph file hold a label that is empty or holds a
+        # code point str.split() splits at: its 'l' record has 1 or 3 fields
         fam, coords = layout_frame_fan(2)
         (w,) = [v for v, name in fam.graph.labels.items() if name == "w"]
+        text = write_graph(fam.graph).replace(f"l {w} w\n", f"l {w} {label}\n")
         fam.graph.labels[w] = label
-        want = (
-            f"label on vertex {w} holds U+{ord(label[1]):04X}, "
-            "a control, surrogate or noncharacter code point"
-        )
+        if label.split() == [label]:
+            want = (
+                f"label on vertex {w} holds U+{ord(label[1]):04X}, "
+                "a control, surrogate or noncharacter code point"
+            )
+        else:
+            want = f"label on vertex {w} is empty or holds a space: {label!r}"
         with pytest.raises(StructureError) as exc:
             export_svg(fam.graph, fam.embedding, coords)
         assert str(exc.value) == want
+        with pytest.raises(StructureError) as exc:
+            write_graph(fam.graph)
+        assert str(exc.value) == want
         gp = tmp_path / "f2.graph"
-        gp.write_text(write_graph(fam.graph))
+        gp.write_text(text)
         with pytest.raises(StructureError) as exc:
             read_graph(gp.read_text())
-        assert str(exc.value) == want
+        read = str(exc.value)
+        if label.split() == [label]:
+            assert read == want
+        else:
+            assert re.fullmatch(r"line \d+: 'l' record needs 2 fields, got [13]", read), read
         dp = tmp_path / "f2.drawing"
         dp.write_text(write_drawing(coords))
         ep = tmp_path / "f2.emb"
@@ -862,10 +878,12 @@ class TestExportSvg:
         code, _, err = run(
             capsys, "export-svg", str(gp), str(ep), str(dp), "-o", str(tmp_path / "x.svg")
         )
-        assert (code, err) == (1, f"error: {want}\n")
+        assert (code, err) == (1, f"error: {read}\n")
 
-    @pytest.mark.parametrize("label", ["a\x7fb", "\u03b1\u03b2"])
+    @pytest.mark.parametrize("label", ["a\x7fb", "\u03b1\u03b2", "a\u200bb", "a\xadb", "\U0001f600"])
     def test_label_xml_holds_is_kept(self, label):
+        # none of these is a space to str.split(): zero-width space, soft
+        # hyphen and an astral code point included
         fam, coords = layout_frame_fan(2)
         (w,) = [v for v, name in fam.graph.labels.items() if name == "w"]
         fam.graph.labels[w] = label

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ class TestLabeledGraph:
     def test_label_on_unknown_vertex(self):
         with pytest.raises(StructureError, match="^label on unknown vertex 5$"):
             LabeledGraph(3, [], {0: "a", 5: "b"}).validate()
+
+    @pytest.mark.parametrize("label", ["a\u3000", " a"])
+    def test_label_with_an_outer_space(self, label):
+        # read back, its 'l' record would name another label
+        assert read_graph(f"graph 3\nl 0 {label}\n").labels == {0: "a"}
+        want = f"^label on vertex 0 is empty or holds a space: {re.escape(repr(label))}$"
+        with pytest.raises(StructureError, match=want):
+            write_graph(LabeledGraph(3, [], {0: label}))
 
     def test_duplicate_labels(self):
         with pytest.raises(StructureError, match="^duplicate vertex labels$"):

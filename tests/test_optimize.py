@@ -4,11 +4,13 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,18 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             OptimizeConfig(restarts=2, seed=-1).validate()
+
+    @pytest.mark.parametrize(
+        "name, value", [("restarts", 2.0), ("max_iters", 10.5), ("seed", 1.5), ("seed", "1")]
+    )
+    def test_non_integer_count(self, name, value):
+        # a float passes the range checks, then fails inside range() or numpy
+        want = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=want):
+            OptimizeConfig(**{name: value}).validate()
+
+    def test_numpy_integer_counts(self):
+        OptimizeConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3)).validate()
 
     def test_extra_seed_of_wrong_shape(self):
         g, emb = triangle()
@@ -161,6 +175,12 @@ def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
     return "dense", bool(faces.size)
 
 
+def _lse_buffers(size: int) -> SimpleNamespace:
+    """The four buffers of ``size`` lanes that ``_lse`` writes, without a mesh."""
+    tied, live = np.empty(size, bool), np.empty(size, bool)
+    return SimpleNamespace(tied=tied, shifted=np.empty(size), live=live, exp=np.empty(size))
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_case(name: str):
     fam = {
@@ -186,12 +206,12 @@ class TestObjectiveOracle:
         rng = np.random.default_rng(len(name))
         idx = objective_oracle.internal_corner_index(g, emb)
         mesh = Triangulation(g, emb)
-        work = _Workspace.of(mesh)
+        work = _Workspace(mesh, coords.T, 1.0)
         free = mesh.free
         staged = isinstance(sharp, str)
         if staged:
             # a restart's sharpness at that stage, over the drawing's smallest corner angle
-            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)
+            theta = optimize._corner_angles(coords[:, 0], coords[:, 1], work)
             sharp = 4.0 * 2.0 ** int(sharp.split()[1]) / abs(float(theta.min()))
         if jitter:
             # moves of up to a third of the shortest incident edge flip some faces
@@ -217,7 +237,7 @@ class TestObjectiveOracle:
         if name == "htilde216" and staged:
             # at stage 3 and later the softmax weights of more than 99% of
             # the corners are exactly 0, and exp is taken on the others only
-            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], mesh, work)
+            z = -sharp * optimize._corner_angles(coords[:, 0], coords[:, 1], work)
             assert np.count_nonzero(z - logsumexp(z) < -745.1332191019412) > 0.99 * z.size
             assert selection == ("sparse", bool(jitter and weight))
 
@@ -228,7 +248,7 @@ class TestObjectiveOracle:
         want = objective_oracle.objective(
             y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
         )
-        got = _objective(y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale, work)
+        got = _objective(y, sharp, weight, _Workspace(mesh, coords.T, scale))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
     @pytest.mark.parametrize("name", ["g12", "htilde24", "htilde216"])
@@ -298,30 +318,22 @@ class TestObjectiveOracle:
 
     @staticmethod
     def _scaled_call(name, work, sharp, weight, seed, bad=None):
-        """The (value, gradient) of one ``_objective`` call on ``work`` at a
-        random point of the rescaled variables of case ``name``, checked
-        against the oracle bit for bit; ``bad`` replaces the first free
-        vertex's y coordinate."""
+        """The (value, gradient) of one ``_objective`` call on ``work``, the
+        workspace of case ``name``, at a random point of its rescaled
+        variables, checked against the oracle bit for bit; ``bad`` replaces
+        the first free vertex's y variable."""
         g, emb, coords = _oracle_case(name)
-        mesh = Triangulation(g, emb)
-        free = mesh.free
+        free = work.mesh.free
         idx = objective_oracle.internal_corner_index(g, emb)
-        rng = np.random.default_rng(seed)
-        origin = coords[free].copy()
+        y = np.random.default_rng(seed).normal(0.0, 1.0, 2 * free.size)
         if bad is not None:
-            origin[0, 1] = bad
-        scale = rng.uniform(0.5, 2.0, free.size) * 1e-3
-        y = rng.normal(0.0, 1.0, 2 * free.size)
-        if bad is not None:
-            y[1] = 0.0  # origin + scale * 0.0 is origin, nan and 1e150 included
+            y[1] = bad  # origin + scale * bad is beyond 1e100, or nan
         with np.errstate(over="ignore", invalid="ignore"):
             want = objective_oracle.objective(
-                y, g.n, free, idx, idx[::3], sharp, weight, coords, origin, scale
+                y, g.n, free, idx, idx[::3], sharp, weight, coords, coords[free], work.scale
             )
         with _quiet():
-            got = _objective(
-                y, mesh, np.array(coords.T), sharp, weight, np.array(origin.T), scale, work
-            )
+            got = _objective(y, sharp, weight, work)
         if bad is not None and math.isnan(bad):  # nans by position, as above
             got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
@@ -329,8 +341,11 @@ class TestObjectiveOracle:
 
     @staticmethod
     def _workspace(name):
-        g, emb, _ = _oracle_case(name)
-        return _Workspace.of(Triangulation(g, emb))
+        """The workspace of case ``name``'s drawing at random scales."""
+        g, emb, coords = _oracle_case(name)
+        mesh = Triangulation(g, emb)
+        scale = np.random.default_rng(len(name)).uniform(0.5, 2.0, mesh.free.size) * 1e-3
+        return _Workspace(mesh, coords.T, scale)
 
     def test_workspaces_of_two_meshes_alternate(self):
         # a restart owns its workspace: calls on two meshes of different
@@ -370,11 +385,10 @@ class TestObjectiveOracle:
         peaked at 10.7."""
         g, emb, coords = _oracle_case("htilde216")
         mesh = Triangulation(g, emb)
-        work = _Workspace.of(mesh)
-        pinned = np.array(coords.T)
-        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)
+        work = _Workspace(mesh, coords.T, 1.0)
+        theta = optimize._corner_angles(*work.pinned, work)
         span = abs(float(theta.min()))
-        args = (mesh, pinned, 4.0 / span, 10.0, pinned[:, mesh.free], np.ones(mesh.free.size), work)
+        args = (4.0 / span, 10.0, work)
         y = np.zeros(2 * mesh.free.size)
         with _quiet():
             _objective(y, *args)
@@ -400,8 +414,9 @@ class TestObjectiveOracle:
             g, emb = fam.graph, fam.embedding
             idx = objective_oracle.internal_corner_index(g, emb)
 
-            def checked_objective(y, mesh, pinned, sharp, weight, origin, scale, work):
-                got = objective(y, mesh, pinned, sharp, weight, origin, scale, work)
+            def checked_objective(y, sharp, weight, work):
+                got = objective(y, sharp, weight, work)
+                mesh, pinned, origin, scale = work.mesh, work.pinned, work.origin, work.scale
                 want = objective_oracle.objective(
                     y, g.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
                 )
@@ -455,7 +470,7 @@ class TestObjectiveOracle:
         with np.errstate(over="ignore"):  # scipy's a - max(a) overflows on [1e308, -1e308]
             want = logsumexp(a)
         with _quiet():
-            got = _lse(a, _Workspace(0, 0, a.size))
+            got = _lse(a, _lse_buffers(a.size))
         assert _bits(got) == _bits(want)
 
     def test_logsumexp_matches_scipy_on_random_inputs(self):
@@ -465,7 +480,7 @@ class TestObjectiveOracle:
                 a = rng.normal(0.0, spread, size)
                 a[rng.integers(size, size=size // 3)] = a.max()  # tied maxima
                 with _quiet():
-                    got = _lse(a, _Workspace(0, 0, a.size))
+                    got = _lse(a, _lse_buffers(a.size))
                 assert _bits(got) == _bits(logsumexp(a))
 
 
@@ -473,12 +488,6 @@ def _nan_bits(value) -> bytes:
     """``_bits`` with every nan made the same (see the oracle tests)."""
     value = np.asarray(value, dtype=np.float64)
     return _bits(np.where(np.isnan(value), np.nan, value))
-
-
-def _mirrored(g, emb) -> Embedding:
-    """``emb`` seen from the other side: every rotation and the outer face
-    reversed."""
-    return Embedding.from_rows([emb.row(v)[::-1].tolist() for v in range(g.n)], emb.outer_face[::-1])
 
 
 class TestKeptGeometry:
@@ -489,15 +498,14 @@ class TestKeptGeometry:
 
     @staticmethod
     def _frame():
-        """(mesh, pinned, origin, scale, y) of a point of htilde(2,16)'s
-        rescaled variables, as ``_run_restart`` builds them."""
+        """(mesh, pinned, scale, y): the frame of a workspace on htilde(2,16)
+        at random scales and a point of its rescaled variables."""
         g, emb, coords = _oracle_case("htilde216")
         mesh = Triangulation(g, emb)
         assert mesh.corners.shape[1] >= optimize.KEEP_FLOOR
         rng = np.random.default_rng(3)
-        pinned = np.array(coords.T)
         scale = rng.uniform(0.5, 2.0, mesh.free.size) * 1e-3
-        return mesh, pinned, pinned[:, mesh.free], scale, rng.normal(0.0, 1.0, 2 * mesh.free.size)
+        return mesh, np.array(coords.T), scale, rng.normal(0.0, 1.0, 2 * mesh.free.size)
 
     @staticmethod
     def _paths(monkeypatch, work) -> list:
@@ -521,16 +529,19 @@ class TestKeptGeometry:
         return passes
 
     @staticmethod
-    def _call(work, y, mesh, pinned, origin, scale, sharp=1e3, weight=10.0, same=_bits):
+    def _call(work, y, sharp=1e3, weight=10.0, same=_bits):
         """``_objective`` on ``work``, checked against the oracle and against
-        a cold workspace: value, gradient and the geometry both keep."""
-        cold = _Workspace.of(mesh)
+        a cold workspace of its frame: value, gradient and the geometry both
+        keep."""
+        mesh = work.mesh
+        cold = _Workspace(mesh, work.pinned, work.scale)
         idx = mesh.corners.T
         with _quiet():
-            got = _objective(y, mesh, pinned, sharp, weight, origin, scale, work)
-            want = _objective(y, mesh, pinned, sharp, weight, origin, scale, cold)
+            got = _objective(y, sharp, weight, work)
+            want = _objective(y, sharp, weight, cold)
             oracle = objective_oracle.objective(
-                y, mesh.n, mesh.free, idx, idx[::3], sharp, weight, pinned.T, origin.T, scale
+                y, mesh.n, mesh.free, idx, idx[::3], sharp, weight, work.pinned.T, work.origin.T,
+                work.scale,
             )
         for a, b in ((got, want), (got, oracle)):
             assert same(a[0]) == same(b[0]) and same(a[1]) == same(b[1])
@@ -539,16 +550,16 @@ class TestKeptGeometry:
         return got
 
     def test_only_the_highest_degree_vertex_moves(self, monkeypatch):
-        mesh, pinned, origin, scale, y = self._frame()
+        mesh, pinned, scale, y = self._frame()
         start, _ = mesh.vertex_faces
         top = int(np.argmax(np.diff(start)[mesh.free]))
         moved = y.copy()
         moved[2 * top] += 0.5
         moved[2 * top + 1] -= 0.25
-        work = _Workspace.of(mesh)
+        work = _Workspace(mesh, pinned, scale)
         passes = self._paths(monkeypatch, work)
         for point in (y, moved, y, moved):
-            self._call(work, point, mesh, pinned, origin, scale)
+            self._call(work, point)
         assert passes == [("full",)] + [("moved", [top])] * 3
 
     def test_a_signed_zero_flip_is_a_move(self, monkeypatch):
@@ -557,7 +568,7 @@ class TestKeptGeometry:
         # sides between u and v then differ only in the sign of their
         # zeros, which can turn an angle at u by pi.  The first such (v, u)
         # whose objective value moves
-        mesh, pinned, _, scale, _ = self._frame()
+        mesh, pinned, scale, _ = self._frame()
         start, faces = mesh.vertex_faces
         plus = np.zeros(2 * mesh.free.size)  # the drawing itself, v on u
         for k, v in enumerate(mesh.free):
@@ -565,12 +576,11 @@ class TestKeptGeometry:
                 continue
             for u in sorted(set(mesh.faces[faces[start[v] : start[v + 1]]].ravel()) - {v}):
                 at = pinned - pinned[:, [u]]  # u at +0.0, +0.0
-                origin = at[:, mesh.free]
-                origin[:, k] = -0.0
+                at[:, v] = -0.0
                 minus = plus.copy()
                 minus[2 * k : 2 * k + 2] = -0.0
                 with _quiet():
-                    cold = [_objective(p, mesh, at, 5.0, 10.0, origin, scale, _Workspace.of(mesh))[0]
+                    cold = [_objective(p, 5.0, 10.0, _Workspace(mesh, at, scale))[0]
                             for p in (plus, minus)]
                 if _bits(cold[0]) != _bits(cold[1]):
                     break
@@ -578,76 +588,76 @@ class TestKeptGeometry:
                 continue
             break
         assert _bits(cold[0]) != _bits(cold[1])
-        work = _Workspace.of(mesh)
+        work = _Workspace(mesh, at, scale)
         passes = self._paths(monkeypatch, work)
         for point in (plus, minus, plus):
-            self._call(work, point, mesh, at, origin, scale, sharp=5.0)
+            self._call(work, point, sharp=5.0)
         assert passes == [("full",)] + [("moved", [k])] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, 1e150])
     def test_a_wide_or_nan_entry(self, monkeypatch, bad):
         # one coordinate beyond 1e100 or nan keeps every corner and face,
         # and the next call brings the vertex back
-        mesh, pinned, origin, scale, y = self._frame()
+        mesh, pinned, scale, y = self._frame()
         wide = y.copy()
         wide[7] = bad
-        work = _Workspace.of(mesh)
+        work = _Workspace(mesh, pinned, scale)
         passes = self._paths(monkeypatch, work)
         for point in (y, wide, y):
-            self._call(work, point, mesh, pinned, origin, scale, same=_nan_bits)
+            self._call(work, point, same=_nan_bits)
         assert passes == [("full",)] + [("moved", [3])] * 2
 
     def test_an_unchanged_point_computes_nothing(self, monkeypatch):
-        mesh, pinned, origin, scale, y = self._frame()
-        work = _Workspace.of(mesh)
+        mesh, pinned, scale, y = self._frame()
+        work = _Workspace(mesh, pinned, scale)
         passes = self._paths(monkeypatch, work)
-        first = self._call(work, y, mesh, pinned, origin, scale)
+        first = self._call(work, y)
         # the same bits in another array, at another sharpness and weight
-        again = self._call(work, y.copy(), mesh, pinned, origin, scale)
-        other = self._call(work, y, mesh, pinned, origin, scale, 1e7, 100.0)
+        again = self._call(work, y.copy())
+        other = self._call(work, y, 1e7, 100.0)
         assert passes == [("full",)]
         assert _bits(first[0]) == _bits(again[0]) and _bits(first[1]) == _bits(again[1])
         assert _bits(first[0]) != _bits(other[0])
 
-    @pytest.mark.parametrize("field", ["mesh", "pinned", "origin", "scale"])
-    def test_a_new_frame_takes_the_full_pass(self, monkeypatch, field):
-        # the same variables in a frame that differs in one field: the
-        # mirrored embedding (every face reversed), an outer vertex moved,
-        # another origin or another scale
-        mesh, pinned, origin, scale, y = self._frame()
-        frame = {"mesh": mesh, "pinned": pinned, "origin": origin, "scale": scale}
-        other = dict(frame)
-        if field == "mesh":
-            other["mesh"] = Triangulation(mesh.graph, _mirrored(mesh.graph, mesh.emb))
-            assert other["mesh"].corners.shape == mesh.corners.shape
-        elif field == "pinned":
-            other["pinned"] = pinned.copy()
-            other["pinned"][:, mesh.emb.outer_face[0]] += 1.0
+    @pytest.mark.parametrize("field", ["pinned", "scale"])
+    def test_the_callers_frame_arrays_may_change(self, monkeypatch, field):
+        # the workspace holds copies: the caller's arrays, changed in place
+        # after it is built, change no later call, full or moved
+        mesh, pinned, scale, y = self._frame()
+        work = _Workspace(mesh, pinned, scale)
+        same = _Workspace(mesh, pinned.copy(), scale.copy())
+        if field == "pinned":
+            pinned += 1.0  # the outer vertices, which every full pass copies, included
         else:
-            other[field] = frame[field] * 1.5
-        work = _Workspace.of(mesh)
+            scale *= 1.5
+        moved = y.copy()
+        moved[:2] += 0.5
         passes = self._paths(monkeypatch, work)
-        for f in (frame, other, frame):
-            self._call(work, y, f["mesh"], f["pinned"], f["origin"], f["scale"])
-        assert passes == [("full",)] * 3
+        for point in (y, moved, -y):
+            with _quiet():
+                got, want = _objective(point, 1e3, 10.0, work), _objective(point, 1e3, 10.0, same)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+            for name in ("P", "x", "y", "angle"):
+                assert _bits(getattr(work, name)) == _bits(getattr(same, name))
+        assert passes == [("full",), ("moved", [0]), ("full",)]
 
     def test_moved_call_allocates_less_than_a_corner_array(self, monkeypatch):
         """A call that computes again the faces of one vertex, at a deep
         stage's sharpness where few corners are live, allocates less than
         one array of 3F floats at its peak."""
-        mesh, pinned, origin, scale, _ = self._frame()
-        work = _Workspace.of(mesh)
-        theta = optimize._corner_angles(pinned[0], pinned[1], mesh, work)
+        mesh, pinned, scale, _ = self._frame()
+        work = _Workspace(mesh, pinned, scale)
+        theta = optimize._corner_angles(*work.pinned, work)
         sharp = 4.0 * 2.0**3 / abs(float(theta.min()))
         y = np.zeros(2 * mesh.free.size)  # the nested drawing itself
         moved = y.copy()
         moved[0] = 1e-6
         passes = self._paths(monkeypatch, work)
         with _quiet():
-            _objective(y, mesh, pinned, sharp, 10.0, origin, scale, work)
+            _objective(y, sharp, 10.0, work)
             tracemalloc.start()
             try:
-                _objective(moved, mesh, pinned, sharp, 10.0, origin, scale, work)
+                _objective(moved, sharp, 10.0, work)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -662,22 +672,28 @@ class TestKeptGeometry:
         the stages and the closing objective are the ones CI pins."""
         fam = build_Htilde(c, d)
         mesh = Triangulation(fam.graph, fam.embedding)
-        objective = optimize._objective
+        objective, run = optimize._objective, optimize._run_restart
 
-        def checked_objective(y, mesh, pinned, sharp, weight, origin, scale, work):
-            got = objective(y, mesh, pinned, sharp, weight, origin, scale, work)
-            cold = _Workspace.of(mesh)
-            want = objective(y, mesh, pinned, sharp, weight, origin, scale, cold)
+        def checked_objective(y, sharp, weight, work):
+            got = objective(y, sharp, weight, work)
+            cold = _Workspace(mesh, work.pinned, work.scale)
+            want = objective(y, sharp, weight, cold)
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
             for a, b in ((work.P, cold.P), (work.x, cold.x), (work.y, cold.y), (work.angle, cold.angle)):
                 assert _bits(a) == _bits(b)
             return got
 
-        work = _Workspace.of(mesh)
-        passes = self._paths(monkeypatch, work)
+        def recorded_run(work, config):
+            paths.append(self._paths(monkeypatch, work))
+            return run(work, config)
+
+        paths = []
+        monkeypatch.setattr(optimize, "_run_restart", recorded_run)
         monkeypatch.setattr(optimize, "_objective", checked_objective)
         config = OptimizeConfig(restarts=3, seed=42, max_iters=3000, penalty_init=10.0)
-        _, value, stages = optimize._run_restart(layout_nested(fam), mesh, config, work)
+        _, trace = optimize._restart(1, mesh, [layout_nested(fam)], config)
+        (passes,) = paths
+        value, stages = trace.final_objective, trace.stages
         assert sum(p[0] == "moved" for p in passes) > 2 * sum(p[0] == "full" for p in passes)
         abnormal = ("ABNORMAL: ", 0, 21)
         converged = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
