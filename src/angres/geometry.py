@@ -13,6 +13,7 @@ equals 1 for every genuine interior point, which pins the convention down.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,9 @@ def _batch_angle(ax, ay, bx, by, cx, cy):
 # Rows per evaluation chunk, chosen by timing 2^13..2^15 on a 2-core x86-64
 # with 2 MiB of L2 per core: a chunk's temporaries (128 KiB at full length,
 # most of them far shorter) stay near one core's cache, and the few dozen
-# NumPy calls per chunk stay cheap next to the arithmetic.
+# NumPy calls per chunk stay cheap next to the arithmetic.  A chunk is also
+# the unit of memory: its samples, 9 * 8 bytes a row (1.2 MB at 2^14), are
+# drawn only when it is sent to a worker and freed when it lands.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -183,6 +186,22 @@ def _fuzz_rows(P: np.ndarray, w: np.ndarray):
     return lhs <= rhs, lhs / rhs, np.abs(sp - 1.0), np.abs(a1 + a2 + b1 + b2 + c1 + c2 - math.pi)
 
 
+def _stream_at(state: dict, ahead: int) -> np.random.Generator:
+    """A generator ``ahead`` 64-bit draws past the PCG64 ``state``; PCG64
+    jumps there exactly, without drawing what it skips."""
+    bits = np.random.PCG64(0)  # the seed is overwritten by ``state``
+    bits.state = state
+    return np.random.Generator(bits.advance(ahead))
+
+
+def _fuzz_chunk(state: dict, lo: int, w: np.ndarray):
+    """``_fuzz_rows`` on rows ``lo`` .. ``lo + len(w)`` of a batch whose
+    uniforms start at the PCG64 ``state``: one double is one draw, so the
+    chunk's uniforms start ``6 * lo`` draws in."""
+    P = _stream_at(state, 6 * lo).random((w.shape[0], 6))
+    return _fuzz_rows(P, w)
+
+
 def lemma_fuzz(n: int, seed: int) -> FuzzReport:
     """Randomized check of the bound and the sine-product identity.
 
@@ -190,14 +209,26 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
     angle(BAC) <= pi/2, a2 >= a1, and all sub-angles >= ``MIN_SUBANGLE``.
     Returns counts over exactly ``n`` accepted configurations.
 
-    Each batch is drawn on the calling thread, then evaluated in chunks of
-    ``_CHUNK_ROWS`` rows spread over every core the process may run on, each
-    chunk in a copy of the caller's context (so ``np.errstate`` holds there).
-    The chunks' accepted rows are joined in order, cut to the rows still
-    needed and reduced as the batch lands (a count and three maxima), so
-    memory stays bounded by one batch whatever ``n`` is, and the report does
-    not depend on the chunk size or the number of cores.
+    The samples are those of ``rng = np.random.default_rng(seed)`` drawing,
+    per batch of ``m`` rows, ``rng.random((m, 6))`` and then
+    ``rng.dirichlet((1, 1, 1), size=m)``, but each batch streams in chunks of
+    ``_CHUNK_ROWS`` rows spread over every core the process may run on.  The
+    calling thread draws a chunk's Dirichlet rows, which take a variable
+    number of draws, from a generator started ``6 * m`` draws into the
+    batch; the worker draws the chunk's uniforms from its own copy of the
+    stream, jumped to the chunk's first row, and evaluates the chunk in a
+    copy of the caller's context (so ``np.errstate`` holds there).  At most
+    one chunk more than there are workers is in flight.  Chunks land in
+    order and are cut to the rows still needed and reduced at once (a
+    count and three maxima); once ``n`` rows have landed no further chunk is
+    sent.  So memory is bounded by the chunks in flight whatever ``n`` is,
+    and the report depends on neither the chunk size nor the number of
+    cores.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, seed = int(n), int(seed)  # PCG64.advance takes no numpy integer product
     if n <= 0:
         raise ValueError("n must be positive")
     if seed < 0:
@@ -205,8 +236,9 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = np.random.default_rng(seed)
-    pool = ThreadPoolExecutor(_worker_count())
+    state = np.random.default_rng(seed).bit_generator.state
+    workers = _worker_count()
+    pool = ThreadPoolExecutor(workers)
     holds = 0
     worst = []
     sp_err = []
@@ -214,30 +246,33 @@ def lemma_fuzz(n: int, seed: int) -> FuzzReport:
     total = 0
     try:
         while total < n:
-            # a bounded batch keeps peak memory flat; one 4n-row batch is
-            # about 1 GB at n = 1e6
+            # a bounded batch size keeps the sampled stream that of the
+            # batch-drawing loop; the batch itself is never held
             m = min(max(4 * (n - total), 1024), 1 << 18)
-            P = rng.random((m, 6))
-            w = rng.dirichlet((1.0, 1.0, 1.0), size=m)
-            chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, m, _CHUNK_ROWS)]
-            futures = [
-                pool.submit(contextvars.copy_context().run, _fuzz_rows, P[s], w[s]) for s in chunks
-            ]
-            parts = [f.result() for f in futures]
-            hold, ratio, sp, sums = (np.concatenate(col)[: n - total] for col in zip(*parts))
-            # the batch dies here, not when the next one replaces it: with
-            # two batches alive at once, the peak varied by about 12 MB with
-            # where earlier allocations had left live blocks in the heap
-            del P, w, futures, parts
-            if hold.size == 0:
-                continue
-            holds += int(hold.sum())
-            worst.append(ratio.max())
-            sp_err.append(sp.max())
-            sum_err.append(sums.max())
-            total += hold.size
-    finally:  # joins the workers, so a later fork sees one thread
-        pool.shutdown(cancel_futures=True)
+            dirichlet = _stream_at(state, 6 * m)
+            in_flight = deque()
+            lo = 0
+            while total < n and (lo < m or in_flight):
+                while lo < m and len(in_flight) <= workers:
+                    w = dirichlet.dirichlet((1.0, 1.0, 1.0), size=min(_CHUNK_ROWS, m - lo))
+                    run = contextvars.copy_context().run
+                    in_flight.append(pool.submit(run, _fuzz_chunk, state, lo, w))
+                    lo += w.shape[0]
+                hold, ratio, sp, sums = (col[: n - total] for col in in_flight.popleft().result())
+                if hold.size == 0:
+                    continue
+                holds += int(hold.sum())
+                worst.append(ratio.max())
+                sp_err.append(sp.max())
+                sum_err.append(sums.max())
+                total += hold.size
+            # the next batch starts where this one's Dirichlet rows ended
+            state = dirichlet.bit_generator.state
+    finally:
+        # joins the workers, so a later fork sees one thread; a chunk sent
+        # before the last rows landed still runs, so which chunks run does
+        # not depend on timing, and only an error cancels the queued ones
+        pool.shutdown(cancel_futures=total < n)
     return FuzzReport(
         n=total,
         bound_holds=holds,

@@ -96,6 +96,7 @@ import importlib.machinery
 import importlib.util
 import io
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -198,8 +199,11 @@ class OptimizeConfig:
     def validate(self) -> None:
         for name in ("restarts", "max_iters", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):  # range() and numpy's rng take no float
+            # range() and numpy's rng take no float, and a bool is no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.penalty_init, bool) or not isinstance(self.penalty_init, numbers.Real):
+            raise ValueError(f"penalty_init must be a real number, got {self.penalty_init!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:

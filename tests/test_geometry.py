@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -187,6 +188,22 @@ class TestFuzz:
             tracemalloc.stop()
         assert peak < 1.6 * batch
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fuzz_holds_only_the_chunks_in_flight(self, monkeypatch, workers):
+        # at most workers + 1 chunks are in flight, each drawing its samples
+        # when it is sent; with the whole batch drawn first the peak was
+        # 22-23 chunks' samples
+        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+        chunk = geometry._CHUNK_ROWS * 9 * 8
+        lemma_fuzz(1, 0)  # the thread pool's modules load outside the trace
+        tracemalloc.start()
+        try:
+            lemma_fuzz(300_000, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * workers + 2) * chunk
+
     def test_fuzz_chunks_run_in_callers_context(self, monkeypatch):
         seen = []
 
@@ -232,6 +249,20 @@ class TestFuzz:
     def test_fuzz_rejects_bad_n(self):
         with pytest.raises(ValueError):
             lemma_fuzz(0, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, n, seed",
+        [("n", 10.5, 1), ("n", True, 1), ("n", "10", 1), ("seed", 10, 1.5), ("seed", 10, False)],
+    )
+    def test_fuzz_rejects_non_integer(self, name, n, seed):
+        # a float n failed deep in slicing, a float seed in numpy's
+        # SeedSequence, and True ran as n = 1
+        value = {"n": n, "seed": seed}[name]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            lemma_fuzz(n, seed)
+
+    def test_fuzz_takes_numpy_integers(self):
+        assert lemma_fuzz(np.int64(500), np.uint8(3)) == lemma_fuzz(500, 3)
 
     def test_fuzz_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):

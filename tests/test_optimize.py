@@ -82,6 +82,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=want):
             OptimizeConfig(**{name: value}).validate()
 
+    @pytest.mark.parametrize("name", ["restarts", "max_iters", "seed"])
+    def test_bool_count(self, name):
+        # True passed as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            OptimizeConfig(**{name: True}).validate()
+
+    @pytest.mark.parametrize("value", ["1", True, None, 1j])
+    def test_non_real_penalty_init(self, value):
+        # "1" failed in the range check with a TypeError, True passed as 1.0
+        want = f"^penalty_init must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=want):
+            OptimizeConfig(penalty_init=value).validate()
+
+    def test_numpy_penalty_init(self):
+        OptimizeConfig(penalty_init=np.float32(2.0)).validate()
+        OptimizeConfig(penalty_init=3).validate()
+
     def test_numpy_integer_counts(self):
         OptimizeConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3)).validate()
 
@@ -795,6 +812,7 @@ assert cli.main(["gen", "--family", "htilde", "--c", "1", "--d", "2",
                  "-o", os.path.join(out, "h.graph")]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
 assert loaded == ["scipy.optimize._lbfgsb"], loaded
+assert "concurrent.futures" not in sys.modules  # lemma_fuzz imports it when run
 """,
     "angres-first": "import angres.optimize, scipy.optimize\n" + SHARED_LBFGSB,
     "scipy-first": "import scipy.optimize, angres.optimize\n" + SHARED_LBFGSB,
