@@ -40,14 +40,14 @@ from .svg import InvalidDrawingError, export_svg
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as is (no newline translation) through a
-    temp file in the same directory, renamed over ``path`` once complete.
-    An OSError names ``path``, not the temp file's random name."""
+    """Write ``text`` to ``path`` as is (UTF-8, no newline translation)
+    through a temp file in the same directory, renamed over ``path`` once
+    complete.  An OSError names ``path``, not the temp file's random name."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -59,8 +59,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _read(path: str, reader):
-    """``reader`` applied to the text of the file at ``path``."""
-    with open(path) as fh:
+    """``reader`` applied to the text of the UTF-8 file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
         return reader(fh.read())
 
 
@@ -149,7 +149,7 @@ def _parse_spec_file(path: str) -> list[FamilySpec]:
     """One FamilySpec per ``family c d`` line ('-' or 'none' for no c);
     ``#`` starts a comment.  A bad line raises an error naming it."""
     specs = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split("#", 1)[0].split()
             if not parts:

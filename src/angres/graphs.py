@@ -42,7 +42,12 @@ eliminated.  ``_rooted_sequence`` lists either by level, then by vertex.
 
 The text formats (``.graph`` and ``.emb`` here, ``.drawing`` in
 ``metrics``) are read by one array tokenizer, ``Records``: each check runs
-over all records at once, and the earliest failing line is reported.
+over all records at once, and the earliest failing line is reported.  It
+classifies the text's code points a chunk at a time and holds int32 (or
+int64) columns of token and record positions, never a Python object per
+token; number columns are parsed by ``np.fromstring`` from the tokens'
+code points, and only a token its grammar refuses goes through ``int`` or
+``float``.  The writers format a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -591,10 +596,61 @@ _SPACE = (
 )
 _BREAK = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 # the class of each code point up to the last space, and of the one after it,
-# which stands for every later one: 0 in a token, 1 a space, 2 a line break
+# which stands for every later one (``np.take(..., mode="clip")``): 0 in a
+# token, 1 a space, 2 a line break
 _CLASS = np.zeros(ord(_SPACE[-1]) + 2, dtype=np.uint8)
 _CLASS[[ord(c) for c in _SPACE]] = 1
 _CLASS[[ord(c) for c in _BREAK]] = 2
+
+
+# Code points per chunk that ``Records`` classifies, and per window whose
+# tokens ``Records.numbers`` parses: besides the text's codes, no array a
+# reader builds per code point covers more than one chunk and one token.
+_CHUNK = 1 << 16
+_MAX_DIGITS = 18  # an int of at most this many digits fits int64
+# Rows per block that a writer formats at once: a writer holds one block's
+# values as Python objects, never the whole file's.
+_ROWS = 1 << 12
+
+
+def _accepted(c: np.ndarray, first: np.ndarray, kind: type) -> np.ndarray:
+    """Which tokens of ``c``, side by side from each ``first`` and each
+    followed by one space, the fast parse takes: for int an optional ``-``
+    and 1 to ``_MAX_DIGITS`` ASCII digits; for float an optional ``-``,
+    digits, optionally ``.`` and digits, and optionally ``e`` or ``E``, an
+    optional sign and digits.  ``int()`` and ``float()`` read each of these
+    as ``np.fromstring`` does."""
+    digit = (c - 48) < 10  # wraps below "0"
+    space = c == 32
+    if kind is int:
+        other = ~(digit | space)
+        lead = c[first] == 45  # "-"
+        other[first[lead]] = False
+        digits = np.diff(first, append=c.size) - 1 - lead
+        return ~np.logical_or.reduceat(other, first) & (digits >= 1) & (digits <= _MAX_DIGITS)
+    sign = (c == 45) | (c == 43)
+    dot = c == 46
+    mark = (c | 32) == 101  # "e" or "E"
+    # whether the next or the previous code point is a digit, and so on;
+    # a space (or the start of ``c``) is none of these
+    next_digit = np.append(digit[1:], False)
+    prev_digit = np.insert(digit[:-1], 0, False)
+    good = (
+        digit
+        | space
+        | ((c == 45) & np.insert(space[:-1], 0, True) | sign & np.insert(mark[:-1], 0, False))
+        & next_digit
+        | dot & prev_digit & next_digit
+        | mark & prev_digit & (next_digit | np.append(sign[1:], False))
+    )
+    ok = ~np.logical_or.reduceat(~good, first)
+    # of the dots and marks of one token, only a dot then a mark may follow
+    # each other
+    at = np.flatnonzero(dot | mark)
+    token = np.searchsorted(first, at, side="right") - 1
+    after_dot = dot[at[:-1]] & mark[at[1:]]
+    ok[token[1:][(token[1:] == token[:-1]) & ~after_dot]] = False
+    return ok
 
 
 class Records:
@@ -603,93 +659,159 @@ class Records:
 
     A record is the whitespace-separated tokens of one line, a tag and then
     its fields; blank lines and lines whose first token starts with ``#``
-    hold none.  ``text.split()`` gives every token, and one pass over the
-    code points gives each token's line.  A reader runs each check over all
-    records at once and reports the records that fail it with ``fault``, in
-    the order a line-by-line reader checks one record; ``raise_first`` then
-    raises the fault that reader would meet first: the one on the earliest
-    line, and of one line's faults the one reported first.
+    hold none.  The text's code points are classified ``_CHUNK`` at a time
+    into each token's span, ``begin .. end - 1``, and each record's tag
+    (``start``, an index into those), field count and line; no token is
+    held as a Python object.  ``numbers`` parses a column of fields into an
+    int64 or float64 array, and ``word`` gives one token's text, for a
+    message or a label.
+
+    A reader runs each check over all records at once and reports the
+    records that fail it with ``fault``, in the order a line-by-line reader
+    checks one record; ``raise_first`` then raises the fault that reader
+    would meet first: the one on the earliest line, and of one line's
+    faults the one reported first.
     """
 
     def __init__(self, text: str):
-        self.tokens = np.array(text.split(), dtype=object)
+        self.text = text
+        # the text's code points, uint8 when it is ASCII
         if text.isascii():
             codes = np.frombuffer(text.encode(), dtype=np.uint8)
-        else:  # a code point past the table reads as the table's last
+        else:
             codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-            codes = np.minimum(codes, _CLASS.size - 1)
-        kind = _CLASS[codes]
-        space = kind > 0
-        begins = np.flatnonzero(~space & np.insert(space[:-1], 0, True))  # each token's
-        breaks = np.flatnonzero(kind == 2)
-        crlf = (np.diff(breaks) == 1) & (codes[breaks[:-1]] == 13) & (codes[breaks[1:]] == 10)
-        breaks = np.delete(breaks, np.flatnonzero(crlf) + 1)
-        # line i + 1 holds tokens cut[i] .. cut[i + 1] - 1
-        cut = np.concatenate([[0], np.searchsorted(begins, breaks), [begins.size]])
-        lines = np.flatnonzero(np.diff(cut))
-        heads = cut[lines]
-        kept = codes[begins[heads]] != ord("#")
-        self.start = heads[kept]  # each record's tag, an index into ``tokens``
-        self.size = (cut[lines + 1] - heads - 1)[kept]  # its field count
-        self.line = (lines + 1)[kept]  # its line number, ascending
-        self.tag = self.tokens[self.start]
+        self.codes = codes
+        # positions, counts and line numbers: int32 unless the text is longer
+        index = np.int32 if codes.size < 2**31 else np.int64
+        begins, ends, heads, lines = ([np.zeros(0, dtype=index)] for _ in range(4))
+        found = 0  # tokens before the chunk
+        line = 1  # the line the chunk starts on
+        last = 0  # the line of the last token before the chunk, 0 for none
+        space_before = True  # whether the chunk follows a space, or starts the text
+        for a in range(0, codes.size, _CHUNK):
+            c = codes[a : a + _CHUNK]
+            kind = np.take(_CLASS, c, mode="clip")
+            space = kind > 0
+            # where a token begins or ends, the two alternating: a begin
+            # comes first unless the chunk starts inside a token
+            flip = np.empty(c.size, dtype=bool)
+            flip[0] = space[0] != space_before
+            np.not_equal(space[1:], space[:-1], out=flip[1:])
+            edge = np.flatnonzero(flip).astype(index)
+            edge += a
+            begin = edge[not space_before :: 2]
+            begins.append(begin)
+            ends.append(edge[space_before::2])
+            breaks = np.flatnonzero(kind == 2).astype(index)
+            breaks += a
+            # "\r\n" is one line end: drop each "\n" that follows a "\r"
+            crlf = (codes[breaks] == 10) & (breaks > 0) & (codes[np.maximum(breaks - 1, 0)] == 13)
+            breaks = breaks[~crlf]
+            on = line + np.searchsorted(breaks, begin)  # each token's line
+            new = on != np.insert(on[:-1], 0, last)  # the first token of its line
+            heads.append((np.flatnonzero(new) + found).astype(index))
+            lines.append(on[new].astype(index))
+            found += begin.size
+            line += breaks.size
+            last = on[-1] if on.size else last
+            space_before = bool(space[-1])
+        if not space_before:
+            ends.append(np.array([codes.size], dtype=index))
+        self.begin, self.end, heads, lines = map(np.concatenate, (begins, ends, heads, lines))
+        kept = codes[self.begin[heads]] != ord("#")
+        self.start = heads[kept]  # each record's tag, an index into ``begin``
+        self.size = (np.diff(heads, append=index(found)) - 1)[kept]  # its field count
+        self.line = lines[kept]  # its line number, ascending
         self._first = None  # (line, message, k) of the first fault reported
+
+    def word(self, k: int) -> str:
+        """The text of token ``k``."""
+        return self.text[self.begin[k] : self.end[k]]
+
+    def tagged(self, tag: str) -> np.ndarray:
+        """Whether each record's tag is ``tag``."""
+        first = self.begin[self.start]
+        hit = self.end[self.start] - first == len(tag)
+        for j, char in enumerate(tag):
+            hit[hit] = self.codes[first[hit] + j] == ord(char)
+        return hit
 
     def select(self, arity: dict[str, int], exact: bool = True) -> dict[str, np.ndarray]:
         """For each tag of ``arity``, the indices of its records with
         ``arity[tag]`` fields, or at least that many unless ``exact``.
         Reports each record with another tag or field count."""
         tags = list(arity)
-        which = np.full(self.tag.size, len(tags))
+        which = np.full(self.start.size, len(tags))
         for i, tag in enumerate(tags):
-            which[self.tag == tag] = i
+            which[self.tagged(tag)] = i
         need = np.array([*arity.values(), 0])[which]
         fits = (self.size == need) if exact else (self.size >= need)
-        self.fault(self.line, which == len(tags), lambda k: f"unknown record {self.tag[k]!r}")
+        name = lambda k: self.word(self.start[k])
+        self.fault(self.line, which == len(tags), lambda k: f"unknown record {name(k)!r}")
         self.fault(
             self.line,
             ~fits,
-            lambda k: f"{self.tag[k]!r} record needs {need[k]} fields, got {self.size[k]}",
+            lambda k: f"{name(k)!r} record needs {need[k]} fields, got {self.size[k]}",
         )
         return {tag: np.flatnonzero(fits & (which == i)) for i, tag in enumerate(tags)}
 
-    def fields(self, which: np.ndarray, columns: list[int] | None = None):
-        """The fields of the records ``which``, record by record, as an
-        object array: those at ``columns`` (0 is the first field), or all;
-        and the line of each."""
+    def fields(self, which: np.ndarray, columns: list[int] | None = None) -> np.ndarray:
+        """The fields of the records ``which``, record by record, as token
+        indices: those at ``columns`` (0 is the first field), or all."""
+        index = self.start.dtype
         if columns is None:
             size = self.size[which]
-            ends = np.cumsum(size)
-            at = np.arange(ends[-1] if ends.size else 0)
+            ends = np.cumsum(size, dtype=index)
+            at = np.arange(ends[-1] if ends.size else 0, dtype=index)
             at += np.repeat(self.start[which] + 1 - (ends - size), size)
         else:
-            size = np.full(which.size, len(columns))
-            at = (self.start[which][:, None] + 1 + np.array(columns, dtype=np.int64)).ravel()
-        return self.tokens[at], np.repeat(self.line[which], size)
+            at = (self.start[which][:, None] + 1 + np.array(columns, dtype=index)).ravel()
+        return at
 
-    def numbers(self, tokens: np.ndarray, lines: np.ndarray, kind: type) -> np.ndarray:
-        """``tokens``, on ``lines``, as ``kind`` (int or float) in an int64
-        or float64 array; an int beyond int64 reads as -1.  Reports each
-        token that does not parse, worded by the error of ``kind``; it
-        reads as 0.  Only a column that fails to convert whole is parsed
-        again token by token, to find those tokens."""
+    def numbers(self, at: np.ndarray, kind: type) -> np.ndarray:
+        """Tokens ``at`` (ascending) as ``kind`` (int or float) in an int64
+        or float64 array; an int beyond int64 reads as -1.  The tokens
+        ``_accepted`` takes are parsed from their code points a window at a
+        time; each other one goes through ``kind``, and is reported, worded
+        by the error of ``kind``, when it does not parse; it reads as 0."""
         dtype = np.int64 if kind is int else np.float64
-        try:
-            return tokens.astype(dtype)
-        except (ValueError, OverflowError):
-            pass
-        values = np.zeros(tokens.size, dtype=dtype)
+        values = np.zeros(at.size, dtype=dtype)
+        # the tokens of ``at`` that begin in each window of _CHUNK code points
+        windows = np.arange(0, self.codes.size + _CHUNK, _CHUNK, dtype=self.begin.dtype)
+        windows = np.searchsorted(self.begin, windows)
+        cuts = np.searchsorted(at, windows)
+        # repeats dropped without np.unique, whose first plain call imports numpy.ma
+        cuts = cuts[np.diff(cuts, prepend=-1) > 0].tolist()
+        refused = []
+        for i, j in zip(cuts, cuts[1:]):
+            # the window's tokens side by side, each followed by a space
+            begin = self.begin[at[i:j]]
+            width = self.end[at[i:j]] - begin + 1
+            stop = np.cumsum(width)
+            first = stop - width
+            # (the space after a token that ends the text lies past it:
+            # clipped, then set)
+            c = self.codes.take(np.repeat(begin - first, width) + np.arange(stop[-1]), mode="clip")
+            c[stop - 1] = 32
+            ok = _accepted(c, first, kind)
+            if not ok.all():
+                c[np.repeat(~ok, width)] = 32
+            if ok.any():
+                buf = c.astype(np.uint8).tobytes()
+                values[i:j][ok] = np.fromstring(buf, dtype, int(ok.sum()), sep=" ")
+            refused.append(np.flatnonzero(~ok) + i)
         why: dict[int, str] = {}
-        for k, token in enumerate(tokens.tolist()):
+        for k in np.concatenate([np.zeros(0, dtype=np.int64), *refused]).tolist():
             try:
-                value = kind(token)
+                value = kind(self.word(at[k]))
             except ValueError as exc:
                 why[k] = str(exc)
             else:
                 values[k] = value if kind is float or -(2**63) <= value < 2**63 else -1
-        bad = np.zeros(tokens.size, dtype=bool)
-        bad[list(why)] = True
-        self.fault(lines, bad, why.__getitem__)
+        bad = np.array(list(why), dtype=np.int64)
+        # each bad token's line, that of the record it is in
+        lines = self.line[np.searchsorted(self.start, at[bad], side="right") - 1]
+        self.fault(lines, np.ones(bad.size, dtype=bool), lambda k: why[bad[k]])
         return values
 
     def fault(self, lines: np.ndarray, bad: np.ndarray, message) -> None:
@@ -701,12 +823,11 @@ class Records:
                 self._first = (int(lines[k]), message, k)
 
     def repeated(self, lines: np.ndarray, keys: np.ndarray, message) -> None:
-        """Report each record on ``lines`` whose key (a row of ``keys``,
-        or one entry) equals an earlier record's."""
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in line order
-        later = order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1)]
+        """Report each record on ``lines`` whose key equals an earlier
+        record's."""
+        order = np.argsort(keys, kind="stable")  # equal keys stay in line order
+        keys = keys[order]
+        later = order[1:][keys[1:] == keys[:-1]]
         bad = np.zeros(lines.size, dtype=bool)
         bad[later] = True
         self.fault(lines, bad, message)
@@ -731,9 +852,12 @@ class Records:
 
 def write_graph(graph: LabeledGraph) -> str:
     graph.validate()  # so that ``read_graph`` reads the text back
-    edges = "e %d %d\n" * len(graph.edges) % tuple(graph.edges.ravel().tolist())
+    edges = [
+        "e %d %d\n" * len(block) % tuple(block.ravel().tolist())
+        for block in np.split(graph.edges, range(_ROWS, len(graph.edges), _ROWS))
+    ]
     labels = "".join(f"l {v} {graph.labels[v]}\n" for v in sorted(graph.labels))
-    return f"graph {graph.n}\n" + edges + labels
+    return "".join([f"graph {graph.n}\n", *edges, labels])
 
 
 def parse_numbers(lineno: int, fields: list[str], kind: type) -> list:
@@ -759,53 +883,79 @@ def read_graph(text: str) -> LabeledGraph:
     """The graph of a ``graph``/``e``/``l`` text.  Each bad record, a
     repeated ``e`` record in either orientation among them, raises a
     StructureError naming its line; of several, the earliest line's."""
-    rec = Records(text)
-    picked = rec.select({"graph": 1, "e": 2, "l": 2})
-    heads = np.flatnonzero(rec.tag == "graph")
-    first = heads[0] if heads.size else rec.tag.size
-    rec.fault(rec.line[heads], np.arange(heads.size) > 0, lambda k: "repeated 'graph' header")
-    counts, lines = rec.fields(heads[:1][rec.size[heads[:1]] == 1], [0])
-    count = rec.numbers(counts, lines, int)
-    rec.fault(lines, (count < 0) | (count > MAX_VERTICES), lambda k: _count_error(int(counts[k])))
-    n = max(int(count[0]), 0) if count.size else 0
-    rec.fault(
-        rec.line[:first],
-        np.ones(first, dtype=bool),
-        lambda k: f"{rec.tag[k]!r} record before the 'graph' header",
-    )
-
-    ends, lines = rec.fields(picked["e"])
-    i, j = rec.numbers(ends, lines, int).reshape(-1, 2).T
-    lines = lines[::2]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    rec.fault(
-        lines,
-        (lo < 0) | (lo == hi) | (hi >= n),
-        lambda k: _pair_error(int(ends[2 * k]), int(ends[2 * k + 1]), n),
-    )
-    pairs = np.stack([lo, hi], axis=1)
-    rec.repeated(lines, pairs, lambda k: f"repeated 'e' record for edge ({lo[k]}, {hi[k]})")
-
-    labeled, lines = rec.fields(picked["l"], [0])
-    v = rec.numbers(labeled, lines, int)
-    rec.fault(lines, (v < 0) | (v >= n), lambda k: f"label on unknown vertex {int(labeled[k])}")
-    rec.repeated(lines, v, lambda k: f"repeated 'l' record for vertex {v[k]}")
-    rec.raise_first()
-    if not heads.size:
-        raise StructureError("missing 'graph <V>' header")
-    names = rec.fields(picked["l"], [1])[0]
-    graph = LabeledGraph(n, pairs, dict(zip(v.tolist(), names.tolist())))
+    graph = LabeledGraph(*_graph_records(text))
     graph.validate()
     return graph
 
 
+def _graph_records(text: str) -> tuple[int, np.ndarray, dict[int, str]]:
+    """``read_graph``'s vertex count, edge pairs and labels.  Its records
+    are let go before the graph is built from them."""
+    rec = Records(text)
+    word = rec.word
+    picked = rec.select({"graph": 1, "e": 2, "l": 2})
+    heads = np.flatnonzero(rec.tagged("graph"))
+    first = heads[0] if heads.size else rec.start.size
+    rec.fault(rec.line[heads], np.arange(heads.size) > 0, lambda k: "repeated 'graph' header")
+    head = heads[:1][rec.size[heads[:1]] == 1]  # the first header, with its one field
+    counts = rec.fields(head, [0])
+    count = rec.numbers(counts, int)
+    rec.fault(
+        rec.line[head],
+        (count < 0) | (count > MAX_VERTICES),
+        lambda k: _count_error(int(word(counts[k]))),
+    )
+    n = max(int(count[0]), 0) if count.size else 0
+    rec.fault(
+        rec.line[:first],
+        np.ones(first, dtype=bool),
+        lambda k: f"{word(rec.start[k])!r} record before the 'graph' header",
+    )
+
+    ends = rec.fields(picked["e"])
+    pairs = rec.numbers(ends, int).reshape(-1, 2)
+    lines = rec.line[picked["e"]]
+    lo = pairs.min(axis=1)  # each pair ordered in place
+    np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
+    pairs[:, 0] = lo
+    lo, hi = pairs.T
+    rec.fault(
+        lines,
+        (lo < 0) | (lo == hi) | (hi >= n),
+        lambda k: _pair_error(int(word(ends[2 * k])), int(word(ends[2 * k + 1])), n),
+    )
+    # an edge's key; a pair out of range may share one, but it fails above
+    # on its own line
+    rec.repeated(lines, lo * n + hi, lambda k: f"repeated 'e' record for edge ({lo[k]}, {hi[k]})")
+
+    labeled = rec.fields(picked["l"], [0])
+    v = rec.numbers(labeled, int)
+    lines = rec.line[picked["l"]]
+    rec.fault(
+        lines, (v < 0) | (v >= n), lambda k: f"label on unknown vertex {int(word(labeled[k]))}"
+    )
+    rec.repeated(lines, v, lambda k: f"repeated 'l' record for vertex {v[k]}")
+    rec.raise_first()
+    if not heads.size:
+        raise StructureError("missing 'graph <V>' header")
+    names = rec.fields(picked["l"], [1])
+    return n, pairs, dict(zip(v.tolist(), map(word, names.tolist())))
+
+
 def write_embedding(emb: Embedding) -> str:
-    deg = np.diff(emb.offset).tolist()
-    rows = {k: "rot %d " + " ".join(["%d"] * k) + "\n" for k in set(deg)}
-    # each vertex, then its row
-    words = np.insert(emb.nbr, emb.offset[:-1], np.arange(len(deg)))
-    text = "".join(map(rows.__getitem__, deg)) % tuple(words.tolist())
-    return text + "outer " + " ".join(str(v) for v in emb.outer_face) + "\n"
+    deg = np.diff(emb.offset)
+    # the degrees there are, without np.unique (see ``Records.numbers``)
+    degrees = np.flatnonzero(np.bincount(deg)).tolist()
+    rows = {k: "rot %d " + " ".join(["%d"] * k) + "\n" for k in degrees}
+    blocks = []
+    for a in range(0, deg.size, _ROWS):
+        b = min(a + _ROWS, deg.size)
+        lo, hi = emb.offset[a], emb.offset[b]
+        # each vertex, then its row
+        words = np.insert(emb.nbr[lo:hi], emb.offset[a:b] - lo, np.arange(a, b))
+        blocks.append("".join(map(rows.__getitem__, deg[a:b].tolist())) % tuple(words.tolist()))
+    outer = "outer " + " ".join(str(v) for v in emb.outer_face) + "\n"
+    return "".join([*blocks, outer])
 
 
 def read_embedding(text: str) -> Embedding:
@@ -813,27 +963,40 @@ def read_embedding(text: str) -> Embedding:
     StructureError naming its line; of several, the earliest line's.  An
     entry beyond int64 reads as -1, so it fails the check against the
     edges."""
+    v, entries, head, face = _embedding_records(text)
+    at = Records.by_vertex(v, "embedding has no 'rot' record")
+    count = np.diff(head, append=entries.size)[at] - 1
+    offset = np.zeros(v.size + 1, dtype=np.int64)
+    np.cumsum(count, out=offset[1:])
+    nbr = entries[np.repeat(head[at] + 1 - offset[:-1], count) + np.arange(offset[-1])]
+    return Embedding(offset, nbr, face)
+
+
+def _embedding_records(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``read_embedding``'s row vertices, the entries of its rows (each
+    row's vertex, then its neighbours), where each row starts in them, and
+    the outer face.  Its records are let go before the rows are gathered."""
     rec = Records(text)
     picked = rec.select({"rot": 1, "outer": 3}, exact=False)
     rows, outers = picked["rot"], picked["outer"]
-    tokens, lines = rec.fields(rows)
-    entries = rec.numbers(tokens, lines, int)
-    rec.numbers(*rec.fields(outers), int)
+    tokens = rec.fields(rows)
+    entries = rec.numbers(tokens, int)
+    face = rec.fields(outers)
+    outer = rec.numbers(face, int)
     size = rec.size[rows]
     head = np.cumsum(size) - size  # each row's vertex, an index into entries
     v = entries[head]
     lines = rec.line[rows]
     rec.fault(
-        lines, v < 0, lambda k: f"'rot' record for vertex {int(tokens[head[k]])} out of range"
+        lines,
+        v < 0,
+        lambda k: f"'rot' record for vertex {int(rec.word(tokens[head[k]]))} out of range",
     )
     rec.repeated(lines, v, lambda k: f"repeated 'rot' record for vertex {v[k]}")
     rec.fault(rec.line[outers], np.arange(outers.size) > 0, lambda k: "repeated 'outer' record")
     rec.raise_first()
     if not outers.size:
         raise StructureError("missing 'outer' line")
-    at = rec.by_vertex(v, "embedding has no 'rot' record")
-    count = size[at] - 1
-    offset = np.zeros(v.size + 1, dtype=np.int64)
-    np.cumsum(count, out=offset[1:])
-    nbr = entries[np.repeat(head[at] + 1 - offset[:-1], count) + np.arange(offset[-1])]
-    return Embedding(offset, nbr, tuple(int(u) for u in rec.fields(outers[:1])[0]))
+    # the first 'outer' record's entries, one beyond int64 as it was written
+    face, outer = face[: rec.size[outers[0]]].tolist(), outer.tolist()
+    return v, entries, head, tuple(int(rec.word(k)) if u == -1 else u for k, u in zip(face, outer))

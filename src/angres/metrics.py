@@ -31,6 +31,7 @@ from .graphs import (
     LabeledGraph,
     Records,
     StructureError,
+    _ROWS,
     internal_triangles,
 )
 from .layout import _ReplayPlan
@@ -432,8 +433,12 @@ def telescoping_product(prof: FrameProfile) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def write_drawing(coords: np.ndarray) -> str:
-    rows = np.asarray(coords, dtype=float).tolist()
-    return "\n".join([f"p {i} {x!r} {y!r}" for i, (x, y) in enumerate(rows)]) + "\n"
+    coords = np.asarray(coords, dtype=float)
+    blocks = []
+    for a in range(0, len(coords), _ROWS):
+        rows = enumerate(coords[a : a + _ROWS].tolist(), a)
+        blocks.append("".join([f"p {i} {x!r} {y!r}\n" for i, (x, y) in rows]))
+    return "".join(blocks) or "\n"
 
 
 def read_drawing(text: str) -> np.ndarray:
@@ -443,10 +448,13 @@ def read_drawing(text: str) -> np.ndarray:
     naming the first vertex skipped."""
     rec = Records(text)
     points = rec.select({"p": 3})["p"]
-    tokens, lines = rec.fields(points, [0])
-    v = rec.numbers(tokens, lines, int)
-    rec.fault(lines, v < 0, lambda k: f"'p' record for vertex {int(tokens[k])} out of range")
+    tokens = rec.fields(points, [0])
+    v = rec.numbers(tokens, int)
+    lines = rec.line[points]
+    rec.fault(
+        lines, v < 0, lambda k: f"'p' record for vertex {int(rec.word(tokens[k]))} out of range"
+    )
     rec.repeated(lines, v, lambda k: f"repeated 'p' record for vertex {v[k]}")
-    xy = rec.numbers(*rec.fields(points, [1, 2]), float).reshape(-1, 2)
+    xy = rec.numbers(rec.fields(points, [1, 2]), float).reshape(-1, 2)
     rec.raise_first()
     return xy[rec.by_vertex(v, "drawing has no 'p' record")]

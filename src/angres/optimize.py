@@ -947,7 +947,7 @@ def sweep_csv_text(records: list[SweepRecord]) -> str:
 
 
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(sweep_csv_text(records))
 
 
@@ -964,7 +964,7 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
     ``CSV_COLUMNS``, in any order.  A missing column or a row that does not
     parse raises a one-line StructureError, starting ``line N:`` for a row."""
     out = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         try:
             header = next(rows, [])

@@ -3,6 +3,8 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from xml.etree import ElementTree
@@ -125,6 +127,37 @@ class TestGen:
         assert (code, err) == (1, "error: frame takes no c parameter\n")
         assert not out.exists()
 
+
+
+def test_text_files_are_utf8_in_any_locale(tmp_path):
+    """Under the C locale with Python's UTF-8 mode off, ``measure`` reads a
+    graph whose label is not ASCII, and ``export-svg`` writes it, as they
+    do in UTF-8 mode: the same output and the same SVG bytes."""
+    fam = build_family(FamilySpec("frame", None, 2))
+    graph = LabeledGraph(fam.graph.n, fam.graph.edges, {0: "café", 1: "u<1>"})
+    (tmp_path / "f.graph").write_text(write_graph(graph), encoding="utf-8")
+    (tmp_path / "f.emb").write_text(write_embedding(fam.embedding), encoding="utf-8")
+    (tmp_path / "f.drawing").write_text(write_drawing(layout_nested(fam)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = []
+    for mode in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "C"}):
+        outputs = []
+        for args in (
+            ["measure", "f.graph", "f.drawing"],
+            ["export-svg", "f.graph", "f.emb", "f.drawing", "-o", "f.svg"],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "angres.cli", *args], cwd=tmp_path, env={**env, **mode},
+                capture_output=True,
+            )
+            outputs.append((done.returncode, done.stdout, done.stderr))
+        seen.append((outputs, (tmp_path / "f.svg").read_bytes()))
+    assert seen[0] == seen[1]
+    outputs, svg = seen[0]
+    assert [code for code, _, _ in outputs] == [0, 0]
+    assert "café".encode() in svg and b"u&lt;1&gt;" in svg
 
 # (graph, drawing, embedding, spec file) texts; None keeps a valid default,
 # and a spec text runs ``sweep`` instead of ``measure``
