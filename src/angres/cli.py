@@ -25,7 +25,7 @@ from .graphs import (
     write_graph,
 )
 from .layout import check_fan_spec, layout_nested
-from .metrics import Triangulation, angular_resolution, read_drawing, write_drawing
+from .metrics import Triangulation, drawn_embedding, read_drawing, write_drawing
 from .optimize import (
     OptimizeConfig,
     OptimizeFailure,
@@ -113,17 +113,14 @@ def _cmd_measure(args) -> int:
     graph = _read(args.graph, read_graph)
     coords = _read(args.drawing, read_drawing)
     emb_file = args.emb or (_emb_path(args.graph) if os.path.exists(_emb_path(args.graph)) else None)
-    if emb_file:
-        mesh = Triangulation(graph, _read(emb_file, read_embedding))
-        viols = mesh.violations(coords)
-        if viols:
-            print(f"invalid drawing: {viols[0]}", file=sys.stderr)
-            return 1
-        resolution = mesh.resolution(coords)
-    else:
-        resolution = float(angular_resolution(graph, coords).resolution)
-    print(f"validated: {'yes' if emb_file else 'no'}")
-    print(f"resolution {resolution!r}")
+    emb = _read(emb_file, read_embedding) if emb_file else drawn_embedding(graph, coords)
+    mesh = Triangulation(graph, emb)
+    viols = mesh.violations(coords)
+    if viols:
+        print(f"invalid drawing: {viols[0]}", file=sys.stderr)
+        return 1
+    print("validated: yes")
+    print(f"resolution {mesh.resolution(coords)!r}")
     return 0
 
 

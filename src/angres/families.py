@@ -25,6 +25,7 @@ a file carries none and is eliminated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in ("frame", "g", "h", "htilde"):
             raise ParameterError(f"unknown family {self.family!r}")
+        for name in ("c", "d") if self.c is not None else ("d",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers would wrap in vertex_count
         if self.d < 1:
             raise ParameterError(f"d must be >= 1, got {self.d}")
         if self.family == "frame":
@@ -328,9 +334,21 @@ def build_family(spec: FamilySpec) -> Family:
 
 def epsilon_to_c(eps: float) -> tuple[int, float]:
     """Map a target exponent eps to the smallest c >= 2 whose realized
-    exponent 1/(2*3^(c-2)) is <= eps (c = max(2, 2 - floor(log_3(2 eps))))."""
+    exponent 1/(2*3^(c-2)) is <= eps (c = max(2, 2 - floor(log_3(2 eps)))),
+    c = 2 for every eps >= 1/2.  A ParameterError refuses an eps that is not
+    a positive real number, or one whose exponent underflows a double."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ParameterError(f"eps must be a real number, got {eps!r}")
     if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    t = math.log(2.0 * eps) / math.log(3.0)
-    c = max(2, 2 - math.floor(t + 1e-12))
-    return c, 1.0 / (2.0 * 3.0 ** (c - 2))
+    if eps >= 0.5:  # 2 * eps may overflow
+        return 2, 0.5
+    try:
+        t = math.log(2.0 * eps) / math.log(3.0)
+        c = max(2, 2 - math.floor(t + 1e-12))
+        expo = 1.0 / (2.0 * 3.0 ** (c - 2))
+    except (ValueError, OverflowError):  # 2 * eps underflows or 3 ** (c - 2) overflows
+        expo = 0.0
+    if expo == 0.0:
+        raise ParameterError(f"eps {eps!r} is below 1/(2*3^645), the least exponent a double holds")
+    return c, expo

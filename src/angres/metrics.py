@@ -6,13 +6,12 @@ and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 verdict, stopping at the first flipped face) read one array of oriented
 faces through one generator.  Its ``sides`` is the one gather of corner
 sides, read by the optimizer's angles, and its ``replay`` is the plan every
-replay seed is placed from.  Its ``resolution``, on the embedding's
-rotation, and ``angular_resolution``, for drawings without an embedding,
-whose rotation is one stable sort of integer keys (vertex, then dense rank
-of the angle, ``_rotation_order``), take one gap step (``_gaps``) between
-neighbours in a rotation, of one ``arctan2`` per half-edge
-(``_half_edge_vectors``).  Angle identities are numeric with a 1e-9
-tolerance.
+replay seed is placed from.  Its ``resolution`` measures a validated
+drawing on the embedding's rotation or on ``drawn_embedding``, the one the
+drawing realizes by one stable sort of integer keys (``_rotation_order``),
+which ``angular_resolution`` measures unvalidated; both take one gap step
+(``_gaps``) between row neighbours, of one ``arctan2`` per half-edge
+(``_half_edge_vectors``).  Angle identities are numeric, 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -290,29 +289,16 @@ def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) ->
 
 @dataclass
 class AngleReport:
-    """Smallest angle between consecutive edges at a vertex, and the vertex
-    and edge pair achieving it."""
+    """Smallest angle between consecutive edges at a vertex."""
 
     resolution: float
-    witness: tuple[int, tuple[int, int]]
 
 
-def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
-    """Smallest angle between two edges meeting at a vertex, over the drawing.
-
-    Each vertex's edges are ordered clockwise by angle, ties by neighbour,
-    by one stable sort of integer keys (``_rotation_order``: vertex, then
-    the angle's dense rank) over half-edges listed by ascending neighbour;
-    the gaps (``_gaps``) run between consecutive edges, the last one
-    wrapping around to the first.  The witness is the last gap, in vertex
-    then clockwise order, that is smaller than every earlier gap by more
-    than TOL, so a later gap within TOL of the minimum does not take the
-    witness over.  The drawing must be (n, 2) and finite, else a
-    StructureError names the shape or the first non-finite vertex; one
-    whose coordinate differences overflow is measured at half scale
-    (``_half_edge_vectors``).  ``Triangulation.resolution`` measures
-    validated ones.
-    """
+def _drawn_rotation(graph: LabeledGraph, coords: np.ndarray):
+    """(deg, dst, gaps): each vertex's ``deg[v]`` half-edges, their ends and
+    ``_gaps`` in rows sorted clockwise (``_rotation_order``), ties by
+    ascending neighbour.  A StructureError refuses a drawing that is not
+    (n, 2) and finite or has a zero-length edge at a vertex of degree >= 2."""
     coords = _drawing_array(coords, graph.n)
     if non_finite := _non_finite(coords):
         raise StructureError(non_finite)
@@ -330,20 +316,37 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     ang = np.arctan2(vy, vx, out=vy)
     del vx
     perm = _rotation_order(src, ang, graph.n)
-    src, nxt = _rotation(deg)  # the sorted edges' rows
+    return deg, dst[perm], _gaps(ang[perm], _rotation(deg)[1])
+
+
+def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
+    """Smallest angle between two edges meeting at a vertex, over the
+    unvalidated drawing: the least ``_gaps`` of ``_drawn_rotation`` at
+    vertices of degree 2 or more, inf without one."""
+    deg, _, gaps = _drawn_rotation(graph, coords)
     # a vertex whose edges all point one way wraps by 0, already its minimum
-    dst, diff = dst[perm], _gaps(ang[perm], nxt)
-    counted = np.repeat(deg >= 2, deg)
-    vals = diff[counted]
-    # running minimum before each gap; finite coordinates give finite gaps
-    run = np.minimum.accumulate(np.concatenate([[math.inf], vals]))
-    record = np.flatnonzero(vals < run[:-1] - TOL)
-    witness = (-1, (-1, -1))
-    if record.size:
-        k = np.flatnonzero(counted)[record[-1]]
-        pair = (int(dst[k]), int(dst[nxt[k]]))
-        witness = (int(src[k]), (min(pair), max(pair)))
-    return AngleReport(run[-1], witness)
+    gaps = gaps[np.repeat(deg >= 2, deg)]
+    least = gaps.min(initial=math.inf)
+    if least == 0:  # the last zero gap's sign; a vectorized min's varies with its order
+        least = gaps[gaps == 0][-1]
+    return AngleReport(least)
+
+
+def drawn_embedding(graph: LabeledGraph, coords: np.ndarray) -> Embedding:
+    """The rotation system the drawing realizes, outer face (p, v, u): p the
+    lowest, then leftmost, vertex, u -> v its widest gap.  Only a plane
+    drawing of a triangulation passes ``Triangulation`` and ``violations``
+    on it.  A StructureError refuses n < 3 or a p of degree below 2."""
+    if graph.n < 3:
+        raise StructureError(f"a drawn embedding needs 3 or more vertices, got {graph.n}")
+    deg, dst, gaps = _drawn_rotation(graph, coords)
+    p = int(np.lexsort(np.asarray(coords, dtype=float).T)[0])  # by y, then x
+    if deg[p] < 2:
+        raise StructureError(f"lowest vertex {p} has degree {deg[p]}, below 2")
+    offset = np.concatenate([[0], np.cumsum(deg)])
+    row = slice(offset[p], offset[p + 1])
+    ring, k = dst[row].tolist(), int(np.argmax(gaps[row]))
+    return Embedding(offset, dst, (p, ring[(k + 1) % len(ring)], ring[k]))
 
 
 @dataclass

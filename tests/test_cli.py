@@ -199,8 +199,11 @@ WRONG_SIZE = [
 ]
 
 # layout/measure cases (family, c, d): a bare triangle (one internal face),
-# a frame, and two glued families
-SWITCHED = [("frame", None, 1), ("frame", None, 6), ("g", 2, 3), ("htilde", 2, 4)]
+# a frame, two glued families and the two large rows
+SWITCHED = [
+    ("frame", None, 1), ("frame", None, 6), ("g", 2, 3), ("htilde", 2, 4), ("htilde", 2, 32),
+    ("htilde", 3, 8),
+]
 
 
 class TestLayoutMeasure:
@@ -238,13 +241,14 @@ class TestLayoutMeasure:
         assert code == 0
         assert stdout.splitlines()[-2:-1] == ["validated: yes"]
 
-    def test_measure_says_validated_no_without_an_embedding(self, tmp_path, capsys):
+    def test_measure_says_validated_yes_without_an_embedding(self, tmp_path, capsys):
+        # the drawing's own embedding is derived and proven
         gp, dp = tmp_path / "t.graph", tmp_path / "t.drawing"
         gp.write_text("graph 3\ne 0 1\ne 1 2\ne 0 2\n")
         dp.write_text("p 0 0.0 1.0\np 1 0.8 -0.5\np 2 -0.8 -0.5\n")
         code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
         assert code == 0
-        assert stdout.splitlines()[-2:-1] == ["validated: no"]
+        assert stdout.splitlines()[-2:-1] == ["validated: yes"]
 
     def test_measure_invalid_drawing_exit_1(self, tmp_path, capsys):
         gp = tmp_path / "f2.graph"
@@ -410,8 +414,9 @@ class TestLayoutMeasure:
 
     @pytest.mark.parametrize("family, c, d", SWITCHED)
     def test_layout_and_measure_print_the_edge_walk_value(self, tmp_path, capsys, family, c, d):
-        # both validate and measure through the compiled pair; the value is
-        # angular_resolution's to the last bit
+        # both validate and measure through the compiled pair, measure with
+        # the .emb and with the embedding it derives from the drawing; the
+        # value is angular_resolution's to the last bit
         fam = build_family(FamilySpec(family, c, d))
         flags = ["--family", family, "--d", str(d)] + ([] if c is None else ["--c", str(c)])
         gp, dp = tmp_path / "f.graph", tmp_path / "f.drawing"
@@ -423,23 +428,56 @@ class TestLayoutMeasure:
         code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
         assert code == 0
         assert stdout.splitlines()[-2:] == ["validated: yes", want]
-
-    def test_measure_without_embedding_walks_the_edges(self, tmp_path, capsys):
-        # a mirrored (invalid) drawing, where the corner minimum and the
-        # edge walk differ
-        fam, coords = layout_frame_fan(2)
-        bad = coords * [-1.0, 1.0]
-        mesh = Triangulation(fam.graph, fam.embedding)
-        assert mesh.violations(bad)
-        walk = float(angular_resolution(fam.graph, bad).resolution)
-        assert mesh.resolution(bad) != walk
-        gp, dp = tmp_path / "f2.graph", tmp_path / "f2.drawing"
-        assert run(capsys, "gen", "--family", "frame", "--d", "2", "-o", str(gp))[0] == 0
-        (tmp_path / "f2.emb").unlink()
-        dp.write_text(write_drawing(bad))
+        (tmp_path / "f.emb").unlink()
         code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
         assert code == 0
-        assert stdout.splitlines()[-2:] == ["validated: no", f"resolution {walk!r}"]
+        assert stdout.splitlines()[-2:] == ["validated: yes", want]
+
+    def test_measure_without_embedding_proves_the_mirrored_drawing(self, tmp_path, capsys):
+        # the mirror image of a valid drawing is a plane drawing of the
+        # mirrored rotation: proven without the .emb, flipped against it
+        fam, coords = layout_frame_fan(2)
+        mirrored = coords * [-1.0, 1.0]
+        walk = float(angular_resolution(fam.graph, mirrored).resolution)
+        gp, dp = tmp_path / "f2.graph", tmp_path / "f2.drawing"
+        assert run(capsys, "gen", "--family", "frame", "--d", "2", "-o", str(gp))[0] == 0
+        dp.write_text(write_drawing(mirrored))
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert err.splitlines() == ["invalid drawing: flipped-face: outer face (0, 3, 4) not clockwise"]
+        (tmp_path / "f2.emb").unlink()
+        code, stdout, _ = run(capsys, "measure", str(gp), str(dp))
+        assert code == 0
+        assert stdout.splitlines()[-2:] == ["validated: yes", f"resolution {walk!r}"]
+
+    @pytest.mark.parametrize("case", ["crossing", "collinear", "4-cycle", "no vertices"])
+    def test_measure_without_embedding_refuses_what_it_cannot_prove(self, tmp_path, capsys, case):
+        # a drawing whose edges cross, one whose rotation is a plane
+        # embedding but has a collinear face, and graphs that are no
+        # triangulation end in one stderr line
+        gp, dp = tmp_path / "x.graph", tmp_path / "x.drawing"
+        if case == "collinear":
+            fam, _ = layout_frame_fan(2)
+            gp.write_text(write_graph(fam.graph))
+            dp.write_text(write_drawing(np.array([[-3, -4], [-1, -4], [0, -4], [0, 0], [4, -5]])))
+            want = "invalid drawing: flipped-face: internal face (0, 2, 1) not counterclockwise"
+        elif case == "crossing":
+            fam, coords = layout_frame_fan(2)
+            coords[0] = [50.0, 50.0]  # the root dragged out of the fan
+            gp.write_text(write_graph(fam.graph))
+            dp.write_text(write_drawing(coords))
+            want = "error: face of length 4 starting (0, 2, 1) is not a triangle"
+        elif case == "4-cycle":
+            gp.write_text("graph 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
+            dp.write_text("p 0 0 0\np 1 1 0\np 2 1 1\np 3 0 1\n")
+            want = "error: face of length 4 starting (0, 3, 2) is not a triangle"
+        else:
+            gp.write_text("graph 0\n")
+            dp.write_text("\n")
+            want = "error: a drawn embedding needs 3 or more vertices, got 0"
+        code, _, err = run(capsys, "measure", str(gp), str(dp))
+        assert code == 1
+        assert err.splitlines() == [want]
 
 
 class TestOptimizeCli:

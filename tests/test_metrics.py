@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
 from angres.geometry import angle_at
-from angres.graphs import internal_triangles, verify_planar_3tree
+from angres.graphs import canonical_cycle, internal_triangles, verify_planar_3tree
 from angres.layout import APEX_ANGLE, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
     Triangulation,
     _rotation_order,
     Violation,
     angular_resolution,
+    drawn_embedding,
     claim_quantities,
     frame_profile,
     read_drawing,
@@ -258,13 +259,12 @@ class TestAngularResolution:
         rep = angular_resolution(g, coords)
         assert rep.resolution == pytest.approx(math.pi / 3)
 
-    def test_witness_matches_minimum(self):
+    def test_matches_the_smallest_corner_angle(self):
         fam, coords = layout_frame_fan(4)
         rep = angular_resolution(fam.graph, coords)
-        v, (a, b) = rep.witness
-        edges = fam.graph.edges.tolist()
-        assert [min(v, a), max(v, a)] in edges and [min(v, b), max(v, b)] in edges
-        assert angle_at(coords[a], coords[v], coords[b]) == pytest.approx(rep.resolution)
+        corners = Triangulation(fam.graph, fam.embedding).corners.T.tolist()
+        smallest = min(angle_at(coords[a], coords[b], coords[c]) for a, b, c in corners)
+        assert smallest == pytest.approx(rep.resolution)
 
     def test_zero_length_edge_raises(self):
         g, _, coords = triangle_drawing()
@@ -282,6 +282,19 @@ class TestAngularResolution:
         coords[5, 1] = value
         with pytest.raises(StructureError, match=r"^non-finite coordinates at vertex 3$"):
             angular_resolution(fam.graph, coords)
+
+    @pytest.mark.parametrize("edges, points, sign", [
+        # vertex 0's edges to 1, 2 and 3 on one ray give the gaps 0.0, -0.0
+        ([(0, 1), (0, 2), (0, 3), (0, 4)],
+         [(0.0, 0.0), (1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, -1.0)], -1.0),
+        # zero gaps -0.0 and then 0.0
+        ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4)],
+         [(0.1, -0.0), (-0.1, 0.0), (-0.1, -0.1), (-0.1, -0.2), (0.2, 0.0)], 1.0),
+    ])
+    def test_zero_resolution_has_the_last_zero_gaps_sign(self, edges, points, sign):
+        # in vertex, then clockwise, order, whatever order a vectorized min takes
+        rep = angular_resolution(LabeledGraph(len(points), edges), np.array(points))
+        assert rep.resolution == 0.0 and math.copysign(1.0, rep.resolution) == sign
 
     @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
     @pytest.mark.parametrize("drawing", ["nested", "centroid", "jitter"])
@@ -303,7 +316,7 @@ class TestAngularResolution:
         st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=7, max_size=7),
     )
     # vertex 1's three edges all point one way: its wrap gap is 0, as are
-    # its others, so neither the value nor the witness moves
+    # its others, so the value does not move
     @example(4, {(1, 0), (1, 2), (1, 3), (0, 2)}, [(0, 0), (-2, 0), (1, 0), (2, 0)] + [(0, 0)] * 3)
     @settings(max_examples=200, deadline=None)
     def test_matches_loop_oracle_on_grid_graphs(self, n, pairs, points):
@@ -330,17 +343,15 @@ def listed_half_edges(g, coords):
     return src, dst, np.arctan2(vy, vx)
 
 
-# stars at vertex 0: (points of vertices 0..k, the witness it must report)
+# stars at vertex 0: the points of vertices 0..k
 _STAR_CASES = {
-    # 1, 2 and 4 on one ray: the tie-break by neighbour puts 1 before 2, so
-    # the first zero gap, 1 -> 2, is the witness (4 before 2 would give 2, 4)
-    "equal angles": ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (3.0, 0.0)], (0, (1, 2))),
-    # angles +0.0, -0.0 and +0.0 tie as equal; told apart, 1 and 3 would
-    # come first and give the witness (1, 3)
-    "signed zeros": ([(0.0, 0.0), (1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, -1.0)], (0, (1, 2))),
+    # 1, 2 and 4 on one ray: the tie-break by neighbour puts 1 before 2
+    "equal angles": [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (3.0, 0.0)],
+    # angles +0.0, -0.0 and +0.0 tie as equal, kept in neighbour order
+    "signed zeros": [(0.0, 0.0), (1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, -1.0)],
     # atan2(-0.0, -1) = -pi and atan2(+0.0, -1) = pi sit on both sides of
     # the branch cut: 2 comes first, 1 last, and the wrap gap 1 -> 2 is 0
-    "branch cut": ([(0.0, 0.0), (-1.0, -0.0), (-2.0, 0.0), (0.0, 1.0)], (0, (1, 2))),
+    "branch cut": [(0.0, 0.0), (-1.0, -0.0), (-2.0, 0.0), (0.0, 1.0)],
 }
 
 
@@ -351,7 +362,7 @@ class TestRotationOrder:
 
     @pytest.mark.parametrize("case", sorted(_STAR_CASES))
     def test_stars(self, case):
-        points, witness = _STAR_CASES[case]
+        points = _STAR_CASES[case]
         g = LabeledGraph(len(points), [(0, v) for v in range(1, len(points))])
         coords = np.array(points)
         src, dst, ang = listed_half_edges(g, coords)
@@ -359,8 +370,7 @@ class TestRotationOrder:
         want = np.lexsort((dst, -ang, src))
         assert np.array_equal(src[perm], src[want]) and np.array_equal(dst[perm], dst[want])
         rep = angular_resolution(g, coords)
-        assert rep == reference_resolution(g, coords)
-        assert rep.witness == witness
+        assert rep == reference_resolution(g, coords) and rep.resolution == 0.0
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
         [0.0, -0.0, math.pi, -math.pi, 1.0, -1.0, 2.5, math.nextafter(1.0, 2.0)]
@@ -388,19 +398,19 @@ class TestRotationOrder:
 
 
 class TestResolutionPins:
-    """The nested drawings' resolutions and witnesses on the two large rows,
-    as recorded before the rotation became one integer sort, and
+    """The nested drawings' resolutions on the two large rows, as recorded
+    before the rotation became one integer sort, and
     ``Triangulation.resolution`` equal to each."""
 
-    @pytest.mark.parametrize("c, d, value, witness", [
-        (2, 32, 3.1628455676724343e-07, (0, (4040, 4164))),
-        (3, 8, 5.430732619160494e-08, (3384, (3412, 3620))),
+    @pytest.mark.parametrize("c, d, value", [
+        (2, 32, 3.1628455676724343e-07),
+        (3, 8, 5.430732619160494e-08),
     ])
-    def test_nested(self, c, d, value, witness):
+    def test_nested(self, c, d, value):
         fam = build_Htilde(c, d)
         coords = layout_nested(fam)
         rep = angular_resolution(fam.graph, coords)
-        assert (repr(float(rep.resolution)), rep.witness) == (repr(value), witness)
+        assert repr(float(rep.resolution)) == repr(value)
         assert repr(Triangulation(fam.graph, fam.embedding).resolution(coords)) == repr(value)
 
 
@@ -423,7 +433,7 @@ class TestOverflowingDifferences:
             assert mesh.resolution(coords) == rep.resolution
         # overflowed differences read pi / 4 = 0.7853981633974483
         assert repr(float(rep.resolution)) == "0.7378150601204649"
-        assert rep == small and rep.witness == (2, (0, 1))
+        assert rep == small
 
     @pytest.mark.parametrize("name", ["htilde24", "g12", "frame3"])
     def test_spread_past_the_largest_double(self, name):
@@ -602,6 +612,64 @@ class TestCornerResolution:
         coords += rng.normal(0.0, 1e-3, coords.shape)
         assume(not Triangulation(g, emb).violations(coords))
         self.assert_matches(g, emb, coords)
+
+
+# the depths of gate-small's 40 fans, frame and htilde(1, d), each of which
+# it validates and measures on every pass
+_GATE_DS = list(range(1, 17)) + [24, 32, 48, 64]
+
+
+class TestDrawnEmbedding:
+    """``drawn_embedding`` of a valid drawing is the family's embedding: its
+    outer cycle and its face set, which ``violations`` proves, and whose
+    ``Triangulation.resolution`` is ``angular_resolution``'s bit for bit."""
+
+    @staticmethod
+    def assert_drawn(fam, coords):
+        g, emb = fam.graph, fam.embedding
+        drawn = drawn_embedding(g, coords)
+        mesh = Triangulation(g, drawn)
+        assert canonical_cycle(drawn.outer_face) == canonical_cycle(emb.outer_face)
+        assert sorted(mesh.faces.tolist()) == sorted(internal_triangles(g, emb).tolist())
+        assert mesh.violations(coords) == []
+        want = angular_resolution(g, coords).resolution
+        assert np.float64(mesh.resolution(coords)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_RESOLUTION_FAMILIES))
+    def test_nested_drawings(self, name):
+        fam = _RESOLUTION_FAMILIES[name]()
+        self.assert_drawn(fam, layout_nested(fam))
+
+    @pytest.mark.parametrize("d", _GATE_DS)
+    def test_gate_small_fans(self, d):
+        self.assert_drawn(*layout_frame_fan(d))
+        fam = build_Htilde(1, d)
+        self.assert_drawn(fam, layout_nested(fam))
+
+    def test_mirrored_drawing_gives_the_mirrored_embedding(self):
+        # every row and the outer cycle reversed
+        fam, coords = layout_frame_fan(3)
+        drawn = drawn_embedding(fam.graph, coords * [-1.0, 1.0])
+        emb = fam.embedding
+        assert canonical_cycle(drawn.outer_face) == canonical_cycle(emb.outer_face[::-1])
+        for v in range(fam.graph.n):
+            row, want = drawn.row(v).tolist(), emb.row(v).tolist()[::-1]
+            assert row in [want[k:] + want[:k] for k in range(len(want))]
+
+    @pytest.mark.parametrize("n, edges, points, want", [
+        (2, [(0, 1)], [(0, 0), (1, 0)], "a drawn embedding needs 3 or more vertices, got 2"),
+        # the lowest vertex, 0, ends one edge only or none
+        (3, [(0, 1), (1, 2)], [(0, -1), (0, 0), (1, 1)], "lowest vertex 0 has degree 1, below 2"),
+        (4, [(1, 2), (2, 3), (1, 3)], [(0, -1), (0, 0), (1, 1), (0, 1)],
+         "lowest vertex 0 has degree 0, below 2"),
+        (3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (math.nan, 0), (1, 1)],
+         "non-finite coordinates at vertex 1"),
+        (3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (0, 0), (1, 1)], "zero-length edge at vertex 0"),
+        (3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 1)], r"drawing covers \(2, 2\), expected \(3, 2\)"),
+    ])
+    def test_refusals(self, n, edges, points, want):
+        with pytest.raises(StructureError, match=f"^{want}$"):
+            drawn_embedding(LabeledGraph(n, edges), np.array(points, dtype=float))
 
 
 def _jittered_fan(d: int, seed: int):
