@@ -86,14 +86,14 @@ def _drawing_array(coords, n: int) -> np.ndarray:
     return coords
 
 
-def _rotation(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(src, nxt) of half-edges listed vertex by vertex, ``deg[v]`` of them
-    at vertex v: ``src[h]`` is h's vertex and ``nxt[h]`` the next half-edge
-    of its row, the row's first after its last."""
+def _successors(deg: np.ndarray) -> np.ndarray:
+    """``nxt`` of half-edges listed vertex by vertex, ``deg[v]`` of them at
+    vertex v: ``nxt[h]`` is the next half-edge of h's row, the row's first
+    after its last."""
     start = np.concatenate([[0], np.cumsum(deg)])
     nxt = np.arange(1, start[-1] + 1)
     nxt[start[1:][deg > 0] - 1] = start[:-1][deg > 0]
-    return np.repeat(np.arange(deg.size), deg), nxt
+    return nxt
 
 
 def _half_edge_vectors(coords: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -188,8 +188,10 @@ class Triangulation:
 
     @functools.cached_property
     def rotation(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_rotation`` of the embedding's clockwise rows; h ends at ``emb.nbr[h]``."""
-        return _rotation(np.diff(self.emb.offset))
+        """(src, nxt) of the embedding's clockwise rows: half-edge h runs
+        from ``src[h]`` to ``emb.nbr[h]``, and ``nxt`` is ``_successors``."""
+        deg = np.diff(self.emb.offset)
+        return np.repeat(np.arange(deg.size), deg), _successors(deg)
 
     @functools.cached_property
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +297,12 @@ class AngleReport:
 
 
 def _drawn_rotation(graph: LabeledGraph, coords: np.ndarray):
-    """(deg, dst, gaps): each vertex's ``deg[v]`` half-edges, their ends and
-    ``_gaps`` in rows sorted clockwise (``_rotation_order``), ties by
-    ascending neighbour.  A StructureError refuses a drawing that is not
-    (n, 2) and finite or has a zero-length edge at a vertex of degree >= 2."""
+    """(deg, dst, perm, gaps): each vertex's ``deg[v]`` half-edges ``src ->
+    dst``, listed by vertex, then by ascending neighbour; ``perm``, their
+    order in rows sorted clockwise (``_rotation_order``), ties kept; and
+    their ``_gaps`` in that order, so ``dst[perm]`` are the rows' ends.  A
+    StructureError refuses a drawing that is not (n, 2) and finite or has a
+    zero-length edge at a vertex of degree >= 2."""
     coords = _drawing_array(coords, graph.n)
     if non_finite := _non_finite(coords):
         raise StructureError(non_finite)
@@ -316,14 +320,15 @@ def _drawn_rotation(graph: LabeledGraph, coords: np.ndarray):
     ang = np.arctan2(vy, vx, out=vy)
     del vx
     perm = _rotation_order(src, ang, graph.n)
-    return deg, dst[perm], _gaps(ang[perm], _rotation(deg)[1])
+    del src
+    return deg, dst, perm, _gaps(ang[perm], _successors(deg))
 
 
 def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     """Smallest angle between two edges meeting at a vertex, over the
     unvalidated drawing: the least ``_gaps`` of ``_drawn_rotation`` at
     vertices of degree 2 or more, inf without one."""
-    deg, _, gaps = _drawn_rotation(graph, coords)
+    deg, _, _, gaps = _drawn_rotation(graph, coords)
     # a vertex whose edges all point one way wraps by 0, already its minimum
     gaps = gaps[np.repeat(deg >= 2, deg)]
     least = gaps.min(initial=math.inf)
@@ -339,7 +344,8 @@ def drawn_embedding(graph: LabeledGraph, coords: np.ndarray) -> Embedding:
     on it.  A StructureError refuses n < 3 or a p of degree below 2."""
     if graph.n < 3:
         raise StructureError(f"a drawn embedding needs 3 or more vertices, got {graph.n}")
-    deg, dst, gaps = _drawn_rotation(graph, coords)
+    deg, dst, perm, gaps = _drawn_rotation(graph, coords)
+    dst = dst[perm]
     p = int(np.lexsort(np.asarray(coords, dtype=float).T)[0])  # by y, then x
     if deg[p] < 2:
         raise StructureError(f"lowest vertex {p} has degree {deg[p]}, below 2")

@@ -16,7 +16,9 @@ Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
 capped at stage 12, over the smallest corner angle) plus an orientation
 penalty ``weight * sum(min(area, 0)**2)`` whose weight starts at
-``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.
+``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.  Stages
+stop once the iteration budget is spent or two in a row made no progress;
+a stage that took no step makes none.
 The soft-min's weights and their gradient factors are computed only on the
 corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
 -746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
@@ -249,6 +251,13 @@ class OptimizeResult:
     coords: np.ndarray
     resolution: float
     traces: list[RestartTrace]
+
+    @property
+    def winner(self) -> int:
+        """The restart whose drawing is reported: the lowest index whose
+        resolution equals the reported one, as ``maximize_resolution``
+        breaks ties."""
+        return next(t.index for t in self.traces if t.resolution == self.resolution)
 
 
 # Meshes with fewer corners than this take the full angle pass on every
@@ -628,15 +637,17 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
     outer triangle pinned, over the variables of ``work``'s frame.
 
     Stages keep running, doubling sharpness and growing the penalty, until
-    the iteration budget is spent or the objective stops improving.  The
-    stall test reads each stage's ``res.fun``, but after an ``ABNORMAL``
-    line-search exit that is the last rejected trial point, not the
-    objective at ``res.x``; so the reported objective is evaluated once
-    more at the returned variables, with the last stage's sharpness and
-    weight.  On a mesh above ``KEEP_FLOOR`` each call on ``work`` computes
-    again only the faces that moved: each stage's span from stage 1 on, the
-    stage's first evaluation and the closing one are all taken at variables
-    the workspace already holds."""
+    the iteration budget is spent or two stages in a row made no progress.
+    A stage makes progress when it took a step (``res.nit > 0``) and its
+    ``res.fun`` is more than ``TOL`` below the previous stage's; a stage
+    that took none left the variables where they were, whatever ``res.fun``
+    reads.  After an ``ABNORMAL`` line-search exit ``res.fun`` is the last
+    rejected trial point, not the objective at ``res.x``; so the reported
+    objective is evaluated once more at the returned variables, with the
+    last stage's sharpness and weight.  On a mesh above ``KEEP_FLOOR`` each
+    call on ``work`` computes again only the faces that moved: each stage's
+    span from stage 1 on, the stage's first evaluation and the closing one
+    are all taken at variables the workspace already holds."""
     y = np.zeros(2 * work.mesh.free.size)
     iters_left = config.max_iters
     weight = config.penalty_init
@@ -659,7 +670,7 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
         y = res.x
         stages.append((str(res.message), int(res.nit), int(res.nfev)))
         final = (sharp, weight)
-        improved = float(res.fun) < value - TOL
+        improved = res.nit > 0 and float(res.fun) < value - TOL
         value = float(res.fun)
         iters_left -= max(res.nit, 1)
         weight *= PENALTY_GROWTH
@@ -830,7 +841,8 @@ def maximize_resolution(
     Restarts whose starting drawing is degenerate or invalid are recorded
     as failed without running; a restart that does run never reports worse
     than its starting drawing.  Only restarts whose reported drawing passes
-    validate_drawing's check count; ties go to the lowest restart index.
+    validate_drawing's check count; ties go to the lowest restart index,
+    which ``OptimizeResult.winner`` names.
     The pair is compiled once into a ``Triangulation``, whose ``valid``
     gives that check's verdict on every start and result, and which
     measures each valid one by its rotation (``Triangulation.resolution``,

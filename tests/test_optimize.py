@@ -686,12 +686,16 @@ class TestKeptGeometry:
         """Every objective call of sweep-deep's nested restart of each deep
         row (3 restarts, seed 42, ``max_iters=3000``, ``penalty_init=10``)
         against a cold workspace, most of them computing only moved faces;
-        the stages and the closing objective are the ones CI pins."""
+        the stages and the closing objective are the ones CI pins, and the
+        calls are the stages' evaluations plus the closing one.  On
+        htilde(2,16) two stages that take no step end the restart."""
         fam = build_Htilde(c, d)
         mesh = Triangulation(fam.graph, fam.embedding)
         objective, run = optimize._objective, optimize._run_restart
+        calls = []
 
         def checked_objective(y, sharp, weight, work):
+            calls.append(None)
             got = objective(y, sharp, weight, work)
             cold = _Workspace(mesh, work.pinned, work.scale)
             want = objective(y, sharp, weight, cold)
@@ -715,11 +719,47 @@ class TestKeptGeometry:
         abnormal = ("ABNORMAL: ", 0, 21)
         converged = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
         want = {
-            (2, 16): ("-1.1380420241256636e-06", [abnormal] * 5),
+            (2, 16): ("-6.34248835641624e-07", [abnormal] * 2, 42 + 1),
             (3, 8): ("-1.1284434541224455e-07", [(converged, 3, 7), (converged, 1, 7)]
-                     + [(converged, 1, 5)] * 4),
+                     + [(converged, 1, 5)] * 4, 34 + 1),
         }
-        assert (repr(value), stages) == want[c, d]
+        assert (repr(value), stages, len(calls)) == want[c, d]
+
+
+class TestStallRule:
+    """``_run_restart`` ends its stages after two in a row without progress,
+    and a stage that took no step (``nit`` 0) makes none, whatever its
+    ``res.fun`` reads: ``minimize`` is scripted to return each stage's
+    (fun, nit) at unmoved variables."""
+
+    @pytest.mark.parametrize(
+        "script, ran",
+        [
+            # from value inf at stage 0 too; a test of res.fun alone runs 4 stages
+            ([(5.0, 0), (4.0, 0), (4.0, 3), (4.0, 3)], 2),
+            # a zero-step stage below the last value keeps the count (res.fun alone: 5)
+            ([(5.0, 3), (5.0, 3), (1.0, 0), (1.0, 3), (1.0, 3)], 3),
+            # a stage that steps and drops resets it
+            ([(5.0, 0), (4.0, 2), (4.0, 2), (4.0, 2)], 4),
+            ([(5.0, 2), (4.0, 2), (4.0, 0), (3.0, 2), (3.0, 0), (2.0, 0), (1.0, 2)], 6),
+        ],
+    )
+    def test_stages_run(self, monkeypatch, script, ran):
+        fam = build_Htilde(1, 2)
+        work = _Workspace(Triangulation(fam.graph, fam.embedding), layout_nested(fam).T, 1.0)
+        asked = []
+
+        def scripted(fun, x0, args, maxiter):
+            fx, nit = script[len(asked)]
+            asked.append(args[1])  # the stage's penalty weight
+            return optimize.LbfgsbResult(np.array(x0), fx, nit, nit + 1, f"stage {len(asked)}")
+
+        monkeypatch.setattr(optimize, "minimize", scripted)
+        config = OptimizeConfig(max_iters=3000, penalty_init=10.0)
+        _, value, stages = optimize._run_restart(work, config)
+        assert stages == [(f"stage {k + 1}", nit, nit + 1) for k, (_, nit) in enumerate(script[:ran])]
+        assert asked == [10.0**k for k in range(1, ran + 1)]
+        assert math.isfinite(value)  # the closing objective at the unmoved drawing
 
 
 class TestMinimize:
@@ -984,6 +1024,22 @@ class TestMaximize:
             assert time.perf_counter() - t0 < 30
             assert str(got.value) == str(want.value)
             _assert_no_child()
+
+    @pytest.mark.parametrize("c, d, winner", [(1, 2, 0), (2, 16, 1)])
+    def test_winner_of_two_restart_rows(self, c, d, winner):
+        """The two-restart rows CI pins (seed 42, ``max_iters=3000``,
+        ``penalty_init=10``, the nested drawing as restart 1): the centroid
+        replay wins htilde(1,2), and the nested drawing htilde(2,16), whose
+        centroid replay collapses."""
+        fam = build_Htilde(c, d)
+        config = OptimizeConfig(
+            restarts=2, max_iters=3000, seed=42, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
+        )
+        assert maximize_resolution(fam.graph, fam.embedding, config).winner == winner
+
+    def test_winner_is_the_lowest_of_tied_restarts(self):
+        traces = [optimize.RestartTrace(r, 0.0, res, res) for r, res in enumerate([math.nan, 0.5, 0.5])]
+        assert optimize.OptimizeResult(np.zeros((3, 2)), 0.5, traces).winner == 1
 
     def test_deep_trace_records_abnormal_stages(self):
         """On htilde(2,16) every stage of the nested start exits ABNORMAL
