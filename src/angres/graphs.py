@@ -293,6 +293,13 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     Raises StructureError unless every face is a triangle, Euler's formula
     holds and the embedding's outer face is among the traced faces.
     """
+    return _face_walk(graph, emb)[0]
+
+
+def _face_walk(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """``(faces, face_of)``: ``internal_triangles(graph, emb)`` and, for each
+    half-edge ``h = offset[v] + k``, the row of ``faces`` of the face it
+    bounds, which holds ``v``; -1 on the outer face's three half-edges."""
     src, nxt = _half_edges(graph, emb)
     nxt2 = nxt[nxt]
     h = np.arange(nxt.size)
@@ -303,7 +310,9 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
         face = canonical_cycle(face_cycle_from(emb, int(src[first]), int(src[nxt[first]])))
         raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
     lead = np.flatnonzero((h < nxt) & (h < nxt2))
-    faces = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
+    walk = np.stack([lead, nxt[lead], nxt2[lead]], axis=1)
+    del lead, nxt2
+    faces = src[walk]
     if not euler_check(graph, faces):
         raise StructureError(
             f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
@@ -314,7 +323,11 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
         hit = (faces[:, 0] == outer[0]) & (faces[:, 1] == outer[1]) & (faces[:, 2] == outer[2])
     if not hit.any():
         raise StructureError(f"outer face {outer} not found among traced faces")
-    return faces[~hit]
+    row = np.cumsum(~hit) - 1
+    row[hit] = -1
+    face_of = h  # every half-edge bounds one face: each entry is written
+    face_of[walk] = row[:, None]
+    return faces[~hit], face_of
 
 
 @dataclass(eq=False)

@@ -4,8 +4,9 @@ A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
 verdict, stopping at the first flipped face) read one array of oriented
-faces through one generator.  Its ``sides`` is the one gather of corner
-sides, read by the optimizer's angles, and its ``replay`` is the plan every
+faces through one generator.  Its ``sides`` is the gather of corner sides
+that the optimizer's full pass reads, its ``vertex_faces`` the faces at
+each vertex, read off the face walk, and its ``replay`` is the plan every
 replay seed is placed from.  Its ``resolution`` measures a validated
 drawing on the embedding's rotation or on ``drawn_embedding``, the one the
 drawing realizes by one stable sort of integer keys (``_rotation_order``),
@@ -31,7 +32,7 @@ from .graphs import (
     Records,
     StructureError,
     _ROWS,
-    internal_triangles,
+    _face_walk,
 )
 from .layout import _ReplayPlan
 
@@ -60,11 +61,14 @@ _UNDERFLOW_MARGIN = 1e-300
 
 def _float_orientations(coords: np.ndarray, tri: np.ndarray):
     """The float orientation determinant of each triangle of ``tri`` and
-    whether it clears Shewchuk's bound, so that its sign is exact."""
-    a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
+    whether it clears Shewchuk's bound, so that its sign is exact.  Each
+    vertex's x and y are read by 1-D ``take``s of the two columns."""
+    x, y = coords[:, 0], coords[:, 1]
+    a, b, c = tri.T
+    cx, cy = x.take(c), y.take(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-        right = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+        left = (x.take(a) - cx) * (y.take(b) - cy)
+        right = (y.take(a) - cy) * (x.take(b) - cx)
         det = left - right
         certain = np.abs(det) > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_MARGIN
     return det, certain
@@ -172,7 +176,8 @@ class Triangulation:
         self.graph, self.emb = graph, emb
         self.n = graph.n
         outer = np.asarray([emb.outer_face[::-1]], dtype=np.int64)
-        self.oriented = np.concatenate([outer, internal_triangles(graph, emb)])
+        faces, self._face_of = _face_walk(graph, emb)  # kept for vertex_faces
+        self.oriented = np.concatenate([outer, faces])
         self.faces = self.oriented[1:]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
@@ -196,11 +201,14 @@ class Triangulation:
     @functools.cached_property
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, faces): the internal faces at vertex v, as row numbers of
-        ``faces``, are ``faces[start[v]:start[v + 1]]``, ascending; built on
-        first read, like ``corners``."""
-        flat = self.faces.ravel()
-        order = np.argsort(flat, kind="stable")
-        return np.searchsorted(flat[order], np.arange(self.n + 1)), order // 3
+        ``faces``, are ``faces[start[v]:start[v + 1]]``, one per half-edge
+        of v's row in rotation order, read off the face walk's half-edge ->
+        face map (``graphs._face_walk``); built on first read, like
+        ``corners``."""
+        internal = self._face_of >= 0
+        outer_before = np.concatenate([[0], np.cumsum(~internal)])
+        offset = self.emb.offset
+        return offset - outer_before[offset], self._face_of[internal]
 
     @functools.cached_property
     def replay(self) -> _ReplayPlan:

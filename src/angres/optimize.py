@@ -2,8 +2,8 @@
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
 ``metrics.Triangulation``: the oriented faces, one (3, 3F) corner index
-over them, the free (non-outer) vertices, the one gather of corner sides
-that the objective's angles read (``Triangulation.sides``), the half-edge
+over them, the free (non-outer) vertices, the gather of corner sides that
+the objective's full pass reads (``Triangulation.sides``), the half-edge
 rows that the scales and measurements read (``rotation``) and the replay
 plan (``Triangulation.replay``).  Each process that runs restarts builds
 that plan at most once, when its first restart from a replay needs it:
@@ -24,7 +24,8 @@ corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
 -746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
 ``exp`` takes a slow path on every lane that underflows.  The gradient is
 one ``np.bincount`` scatter per coordinate over the live terms only: those
-corners, whose columns one ``np.take`` per coordinate reads, and the faces
+corners, whose columns one ``np.take`` per coordinate reads (a deep call
+computes them again, see below), and the faces
 whose penalty factor is nonzero, at their corner-0 columns.  The penalty
 pass runs only when some face's area is below zero or nan, or when every
 corner and face is scattered, as a coordinate is non-finite or beyond
@@ -56,18 +57,28 @@ per call, the full-size temporaries went back to the kernel between calls,
 as glibc trims its heap, and were faulted in again.
 
 On a mesh of at least ``KEEP_FLOOR`` = 2**14 corners the workspace also
-keeps the corner geometry of the last drawing a call computed (the drawing,
-each corner's sides and its angle), keyed by the bits of the variables.
-L-BFGS-B leaves every coordinate outside its gradient history's support
-unchanged to the bit, so a deep call computes again only the faces at a
-vertex whose variables changed a bit, found through
+keeps the geometry of the last drawing a call computed, keyed by the bits
+of the variables: the drawing, each corner's angle and each face's doubled
+area.  L-BFGS-B leaves every coordinate outside its gradient history's
+support unchanged to the bit, so a deep call computes again only the faces
+at a vertex whose variables changed a bit, found through
 ``Triangulation.vertex_faces``; a call at unchanged variables computes
 none.  Each such corner takes the same subtractions, products and
 ``np.arctan2`` as the full pass, so every value is the same bit for bit.
-A cold workspace, or moved vertices whose faces are more than half of all,
-take the full pass, and so does every call on a smaller mesh: on
-sweep-shallow's rows, at most 3,051 corners, finding the moved vertices
-cost more than it saved.
+The soft-min then runs over a pool of candidate corners, those whose angle
+is within 2 * |EXP_FLOOR| / sharp of the smallest when the pool was built,
+which the moved faces keep up to date: every other corner's ``exp`` is
++0.0, and it is no maximum.  Its ``exp`` values are written at their places
+in an array of zeros and summed by one dense ``sum``, numpy's pairwise sum
+of the same array, in which each zero lane adds an exact +0.0 (Higham 1993,
+"The accuracy of floating point summation"), so the sum keeps every bit.
+The gradient and the penalty take the sides of the live corners and the
+flipped faces again from the drawing.  A cold restart takes one full pass,
+at its start drawing, kept for its first variables; moved vertices whose
+faces are more than half of all, a wide or nan coordinate, or a soft-min
+that is not finite take the full pass and the dense code, and so does
+every call on a smaller mesh: on sweep-shallow's rows, at most 3,051
+corners, finding the moved vertices cost more than it saved.
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -275,19 +286,28 @@ class _Workspace:
     x and y rows ``pinned`` of the drawing whose free vertices the variables
     replace, their free columns ``origin`` and one ``scale`` per free
     vertex.  The temporaries are the (2, n) rows of the drawing, a
-    free-vertex row, the (3, 3F) x and y columns gathered at the corners,
+    free-vertex row, the (3, 3F) x and y sides gathered at the corners,
     the corner angles, the soft-min's shifted lanes (``theta``, which ``z``
-    overwrites), ``exp`` values and two masks, and the (2, F) face rows.
+    overwrites), ``exp`` values, all +0.0 between calls, two masks, and the
+    (2, F) face rows.
 
     On a mesh of at least ``KEEP_FLOOR`` corners the workspace also keeps
-    the geometry of the last drawing ``_angles_at`` computed: ``P``, the
-    x and y rows as (e1x, g, e2x) and (e1y, h, e2y), and ``angle``.  It is
-    keyed by ``held``, the bits of its variables ``y`` as uint64, so a flip
-    between +0.0 and -0.0 or a nan of other bits counts as a move.
-    ``kept`` is False while nothing is kept: on a new workspace, below the
-    floor, and after ``_corner_angles`` writes the x and y rows for another
-    drawing.  ``hit``, a face mask, is all False between calls.  Above the
-    floor the mesh's ``vertex_faces`` is built here, outside any call."""
+    the geometry of the last drawing ``_angles_at`` computed: the drawing
+    ``P``, each corner's ``angle`` and each face's doubled area ``area``,
+    the g of its corner 2; the x and y sides are then scratch of the full
+    pass, which the dense code reads in the same call.  It is keyed by
+    ``held``, the bits of its variables ``y`` as uint64, so a flip between
+    +0.0 and -0.0 or a nan of other bits counts as a move.  ``kept`` is
+    False while nothing is kept: on a new workspace, below the floor, and
+    after ``_corner_angles`` computes another drawing.  ``hit``, a face
+    mask, is all False between calls.  Above the floor the mesh's
+    ``vertex_faces`` is built here, outside any call.
+
+    The candidate soft-min (``_kept_softmin``) reads ``pool``, ascending,
+    the corners whose angle is at most ``bound``, which the mask
+    ``candidate`` marks, built for the sharpness ``pool_sharp``, with
+    ``z_bound`` = fl(-pool_sharp * bound); ``pool_sharp`` is None while the
+    pool is stale, after a full pass."""
 
     def __init__(self, mesh: Triangulation, pinned, scale):
         n, free, corners = mesh.n, mesh.free.size, mesh.corners.shape[1]
@@ -298,8 +318,8 @@ class _Workspace:
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
         self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
-        self.rows = (*self.x, *self.y)  # views made once: unpacking makes new ones
-        self.theta, self.shifted, self.exp = (np.empty(corners) for _ in range(3))
+        self.theta, self.shifted = np.empty(corners), np.empty(corners)
+        self.exp = np.zeros(corners)
         # below the floor nothing is kept, and z overwrites the angles in place
         self.keeps = corners >= KEEP_FLOOR
         self.angle = np.empty(corners) if self.keeps else self.theta
@@ -308,7 +328,9 @@ class _Workspace:
         self.kept = False
         self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
         self.hit = np.zeros(corners // 3, bool)
+        self.pool_sharp = None
         if self.keeps:
+            self.area, self.candidate = np.empty(corners // 3), np.empty(corners, bool)
             mesh.vertex_faces
 
 
@@ -316,94 +338,168 @@ def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
     """``work.angle`` holding the signed angle of every internal corner
     (a, b, c) of ``work.mesh`` in the drawing of the x and y coordinate
     arrays ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
-    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``)."""
+    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``) and,
+    above ``KEEP_FLOOR``, ``work.area`` the faces' doubled areas.  This is
+    the full pass: it drops what the workspace kept and its pool."""
     work.kept = False
-    _geometry(*work.mesh.sides(px, py, work.x, work.y), work.theta, work.angle)
+    work.pool_sharp = None
+    (_, g, _), (_, h, _) = _geometry(*work.mesh.sides(px, py, work.x, work.y), work.theta)
+    np.arctan2(g, h, out=work.angle)
+    if work.keeps:
+        np.copyto(work.area, g[2::3])
     return work.angle
 
 
-def _geometry(x, y, scratch, angle) -> None:
+def _geometry(x, y, scratch):
     """From the side rows ``x`` = (e1x, bx, e2x) and ``y`` = (e1y, by, e2y)
-    of some corners, e1 = a - b and e2 = c - b, write g = e2 x e1 over bx, h
-    = e1 . e2 over by and the corners' signed angles ``arctan2(g, h)`` to
-    ``angle``, each by the ufunc of the allocating form, so every value is
-    the same bit for bit; ``scratch`` is a buffer of their length."""
+    of some corners, e1 = a - b and e2 = c - b, write g = e2 x e1 over bx and
+    h = e1 . e2 over by, each by the ufunc of the allocating form, so every
+    value is the same bit for bit; the corners' signed angles are
+    ``arctan2(g, h)``.  ``scratch`` is a buffer of their length.  Returns
+    the rows ``x`` and ``y``."""
     (e1x, bx, e2x), (e1y, by, e2y) = x, y
-    g = np.subtract(np.multiply(e2x, e1y, out=bx), np.multiply(e2y, e1x, out=by), out=bx)
-    h = np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=scratch), out=by)
-    np.arctan2(g, h, out=angle)
+    np.subtract(np.multiply(e2x, e1y, out=bx), np.multiply(e2y, e1x, out=by), out=bx)
+    np.add(np.multiply(e1x, e2x, out=by), np.multiply(e1y, e2y, out=scratch), out=by)
+    return x, y
 
 
-def _angles_at(y, work) -> np.ndarray:
-    """``work.angle`` holding the corner angles of the drawing at the
-    variables ``y`` (``_objective`` says how they place the free vertices),
-    with ``work.P`` that drawing and the x and y rows as ``_corner_angles``
-    leaves them.
+def _wide(P) -> bool:
+    """Whether a coordinate of the drawing ``P`` is beyond 1e100 in magnitude
+    or nan (a nan fails both tests)."""
+    return not (P.max() <= 1e100 and P.min() >= -1e100)
+
+
+def _place(y, work) -> None:
+    """Write the drawing at the variables ``y`` to ``work.P`` (``_objective``
+    says how they place the free vertices)."""
+    P, free = work.P, work.mesh.free
+    np.copyto(P, work.pinned)
+    row, origin, scale = work.free_row, work.origin, work.scale
+    P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
+    P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
+
+
+def _angles_at(y, work) -> bool:
+    """Make ``work.angle`` hold the corner angles of the drawing at the
+    variables ``y``, with ``work.P`` that drawing; returns whether it is wide
+    (``_wide``).  A full pass leaves the x and y rows as ``_corner_angles``
+    does.
 
     Where ``work`` keeps the geometry of a drawing (see ``_Workspace``),
     only the faces at a free vertex whose variables changed a bit are
     computed again, and at an unchanged ``y`` nothing is; each of their
     corners takes the subtractions, products and ``np.arctan2`` of the full
     pass, so every value is the same bit for bit.  The full pass runs
-    instead when the moved vertices' faces, each counted once per moved
+    instead when the drawing is wide, so that the dense code reads every
+    side, and when the moved vertices' faces, each counted once per moved
     vertex, are more than half the faces: on htilde(2,16) and (3,8) the
     faces of random vertices took as long as the full pass at about 37% of
     the faces, and 1.5-1.8 times as long at 56%."""
     mesh, P = work.mesh, work.P
-    free = mesh.free
     if work.kept:  # never below the floor
         bits = y.view(np.uint64)
         moved = np.not_equal(bits, work.held, out=work.moved)
-        k = np.flatnonzero(moved.view(np.uint16))  # a free vertex either of whose variables moved
-        v = free[k]
+        k = np.flatnonzero(np.logical_or(moved[0::2], moved[1::2]))  # either variable of a free vertex
+        v = mesh.free[k]
         start, faces = mesh.vertex_faces
         lo, count = start[v], start[v + 1] - start[v]
         if 2 * int(count.sum()) <= len(mesh.faces):
             if k.size:
-                at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-                _move(k, faces[at], y, work)
-                held = work.held.reshape(-1, 2)
-                held[k] = bits.reshape(-1, 2)[k]
-            return work.angle
-    np.copyto(P, work.pinned)
-    row, origin, scale = work.free_row, work.origin, work.scale
-    P[0, free] = np.add(origin[0], np.multiply(scale, y[0::2], out=row), out=row)
-    P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
-    angle = _corner_angles(*P, work)
+                (px, py), (ox, oy), scale = P, work.origin, work.scale[k]
+                px[v] = ox[k] + scale * y[2 * k]
+                py[v] = oy[k] + scale * y[2 * k + 1]
+            if not _wide(P):
+                if k.size:
+                    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+                    _move(k, faces[at], work)
+                    np.copyto(work.held, bits)
+                return False
+    _place(y, work)
+    _corner_angles(*P, work)
     if work.keeps:
         work.kept = True
         np.copyto(work.held, y.view(np.uint64))
+    return _wide(P)
+
+
+def _start_angles(work) -> np.ndarray:
+    """Stage 0's corner angles, at the start drawing ``work.pinned`` itself,
+    whose -0.0 coordinates ``origin + scale * 0.0`` would turn into +0.0.
+    Above ``KEEP_FLOOR``, when the variables y = 0 place every coordinate
+    bit for bit as it is, the geometry is kept for them, so the stage's
+    first call computes nothing again and a cold restart takes one full
+    pass."""
+    angle = _corner_angles(*work.pinned, work)
+    if work.keeps:
+        y = np.zeros(2 * work.mesh.free.size)
+        _place(y, work)
+        if np.array_equal(work.P.view(np.uint64), work.pinned.view(np.uint64)):
+            work.kept = True
+            np.copyto(work.held, y.view(np.uint64))
     return angle
 
 
-def _move(k, touched, y, work) -> None:
-    """Place the free vertices ``free[k]`` at ``y`` in ``work.P`` and compute
-    every corner of their faces, ``touched`` with repeats, again
-    (``_angles_at``)."""
-    mesh, P, origin, scale = work.mesh, work.P, work.origin, work.scale
-    v = mesh.free[k]
-    P[0, v] = origin[0, k] + scale[k] * y[2 * k]
-    P[1, v] = origin[1, k] + scale[k] * y[2 * k + 1]
-    # each face once, ascending, by a mask kept all False; face f holds
-    # corners 3f, 3f + 1 and 3f + 2
-    hit = work.hit
-    hit[touched] = True
-    f = np.flatnonzero(hit)
-    hit[f] = False
+def _face_corners(f):
+    """The corners 3f, 3f + 1 and 3f + 2 of the faces ``f``, face by face."""
     cols = np.empty((f.size, 3), np.int64)
     np.multiply(f, 3, out=cols[:, 0])
     np.add(cols[:, 0], 1, out=cols[:, 1])
     np.add(cols[:, 0], 2, out=cols[:, 2])
-    cols = cols.ravel()
-    sx, sy = mesh.sides(*P, np.empty((3, cols.size)), np.empty((3, cols.size)), cols)
-    angle = np.empty(cols.size)
-    _geometry(sx, sy, np.empty(cols.size), angle)
+    return cols.ravel()
+
+
+def _sides_at(cols, work):
+    """The sides of the corners ``cols`` in ``work.P``, with g and h in their
+    b rows (``_geometry``): the full pass's values bit for bit."""
+    n = cols.size
+    sides = work.mesh.sides(*work.P, np.empty((3, n)), np.empty((3, n)), cols)
+    return _geometry(*sides, np.empty(n))
+
+
+def _face_sides(cols, work):
+    """``_sides_at(cols, work)`` of the corners ``cols`` = ``_face_corners``
+    of some faces.  Corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1]),
+    so its a and c are the b of its face's corners i - 1 and i + 1: each
+    coordinate is gathered once per vertex, and each side is the same
+    subtraction of the same two coordinates."""
+    b = work.mesh.faces.ravel().take(cols)  # corner 3f + i's b is t[i] of face f
+    rows = []
+    for p in work.P:
+        e1, mid, e2 = out = np.empty((3, cols.size // 3, 3))
+        np.take(p, b, out=mid.reshape(-1), mode="wrap")
+        for i in range(3):
+            np.subtract(mid[:, i - 1], mid[:, i], out=e1[:, i])
+            np.subtract(mid[:, i - 2], mid[:, i], out=e2[:, i])
+        rows.append(out.reshape(3, -1))
+    return _geometry(*rows, np.empty(cols.size))
+
+
+def _move(k, touched, work) -> None:
+    """Compute every corner of the faces of the free vertices ``free[k]``,
+    ``touched`` with repeats, again in ``work.P``, where ``_angles_at`` has
+    placed them: their angles, their faces' doubled areas and, while the
+    pool is built, their marks in it."""
+    # each face once, ascending, by a mask kept all False
+    hit = work.hit
+    hit[touched] = True
+    f = np.flatnonzero(hit)
+    hit[f] = False
+    cols = _face_corners(f)
+    (_, g, _), (_, h, _) = _face_sides(cols, work)
+    angle = np.arctan2(g, h)
     work.angle[cols] = angle
-    for row, new in zip(work.rows, (*sx, *sy)):  # row by row: faster than [:, cols]
-        row[cols] = new
+    work.area[f] = g[2::3]
+    if work.pool_sharp is not None:
+        candidate = work.candidate
+        now, was = angle <= work.bound, candidate[cols]
+        changed = now != was
+        if changed.any():
+            candidate[cols] = now
+            pool = work.pool
+            work.pool = np.sort(np.concatenate([pool[candidate[pool]], cols[now & changed]]))
 
 
-def _lse(a: np.ndarray, work: _Workspace):
+def _lse(a: np.ndarray, work: _Workspace, lanes=None):
     """``scipy.special.logsumexp(a)`` of a non-empty 1-D float array, bit for
     bit: scipy 1.17.1's algorithm without its array-API dispatch.  The tied
     maxima are taken out of the sum, and a non-finite result falls back to
@@ -413,32 +509,93 @@ def _lse(a: np.ndarray, work: _Workspace):
     ``exp`` of the shifted array is taken only on the lanes at or above
     ``EXP_FLOOR`` that are not tied maxima (a tie's shifted value is
     exactly 0), skipping numpy's slow path on the lanes that underflow.
-    The others hold +0.0 in place, ``exp``'s exact value there and scipy's
-    at its ties, set to -inf, so the pairwise sum adds the same array in
-    the same order.  With a finite maximum no lane is nan.  A non-finite
-    one (a nan, or an infinite lane) makes every shifted lane nan or -inf,
-    and the result is then not finite here nor in scipy, though the two
-    sums may differ, so both take the fallback.
+    The others hold +0.0 in ``work.exp``, ``exp``'s exact value there and
+    scipy's at its ties, set to -inf, so the pairwise sum adds the same
+    array in the same order.  With a finite maximum no lane is nan.  A
+    non-finite one (a nan, or an infinite lane) makes every shifted lane
+    nan or -inf, and the result is then not finite here nor in scipy,
+    though the two sums may differ, so both take the fallback.
 
-    The shifted lanes, their ``exp`` values and both masks are written to
-    ``work``'s corner rows, whose length must be ``a.size``; ``a`` may be
+    With ``lanes``, ``a`` holds only the lanes ``lanes`` of a longer array
+    whose others are not above ``max(a) + EXP_FLOOR``, so that their ``exp``
+    is +0.0 and none is a maximum (``_kept_softmin``): the lanes' ``exp``
+    values are written at their places in ``work.exp`` and summed by the
+    same one dense ``e.sum()``.  A lane left out adds an exact +0.0 at its
+    place in numpy's pairwise sum, as it did, so the sum keeps every bit.
+    Its result is returned as it is, the fallback left to the caller.
+
+    ``work.exp``, all +0.0 on entry, is zeroed again after the sum.  Without
+    ``lanes`` the shifted lanes and both masks are written to ``work``'s
+    corner rows, whose length must be ``a.size``; ``a`` may be
     ``work.theta``, which is only read.  The fallback, reached only on
     non-finite input, allocates."""
+    dense = lanes is None
     a_max = a.max()
-    tied = np.equal(a, a_max, out=work.tied)
+    tied = np.equal(a, a_max, out=work.tied if dense else None)
     m = float(np.count_nonzero(tied))
-    shifted = np.subtract(a, a_max, out=work.shifted)
-    live = np.bitwise_xor(np.greater_equal(shifted, EXP_FLOOR, out=work.live), tied, out=work.live)
+    shifted = np.subtract(a, a_max, out=work.shifted if dense else None)
+    live = np.greater_equal(shifted, EXP_FLOOR, out=work.live if dense else None)
+    live ^= tied
     e = work.exp
-    e.fill(0.0)
-    np.exp(shifted, out=e, where=live)
-    s = e.sum()
+    if dense:
+        np.exp(shifted, out=e, where=live)
+        s = e.sum()
+        e.fill(0.0)
+    else:
+        at = lanes[live]
+        e[at] = np.exp(shifted[live])
+        s = e.sum()
+        e[at] = 0.0
     if s != 0:
         s = s / m
     out = np.log1p(s) + np.log(m) + a_max
-    if not math.isfinite(out):
+    if dense and not math.isfinite(out):
         out = np.log(np.exp(a).sum())
     return out
+
+
+def _build_pool(sharp, work) -> None:
+    """Mark the pool of ``_kept_softmin`` at ``sharp``: the corners whose
+    angle is at most T = -(a_max + 2 * EXP_FLOOR) / sharp, a_max =
+    fl(-sharp * min angle) being the largest lane of z = -sharp * angle."""
+    a_max = -sharp * float(work.angle.min())
+    bound = -(a_max + 2.0 * EXP_FLOOR) / sharp
+    work.pool = np.flatnonzero(np.less_equal(work.angle, bound, out=work.candidate))
+    work.bound, work.z_bound, work.pool_sharp = bound, -sharp * bound, sharp
+
+
+def _kept_softmin(sharp, work):
+    """The soft-min of a deep call, at ``sharp`` > 0 on a drawing that is not
+    wide, over the pool's lanes only: (lse, the live corners ``on``, their
+    z - lse), each what the dense code gives bit for bit; None when the
+    soft-min is not finite.
+
+    A corner outside the pool has an angle above T, so its z = fl(-sharp *
+    angle) is at most ``z_bound`` = fl(-sharp * T), rounding being
+    monotone.  While ``z_bound - a_max`` is below ``EXP_FLOOR``, a_max the
+    pool's largest lane, every such z is below a_max, so a_max is the
+    array's maximum and its ties are all in the pool, and z - a_max and z -
+    lse, lse >= a_max, are below ``EXP_FLOOR``: its ``exp`` is +0.0 in
+    ``_lse`` and the corner is not live.  A new sharpness rebuilds the pool
+    (``_build_pool``), and so does a call whose smallest angle rose so far
+    that the test fails; if it still fails, as when a_max is so large that
+    2 * EXP_FLOOR is lost in its rounding, the dense code runs."""
+    fresh = work.pool_sharp != sharp
+    while True:
+        if fresh:
+            _build_pool(sharp, work)
+        z = np.multiply(-sharp, work.angle[work.pool])
+        if z.size and work.z_bound - z.max() < EXP_FLOOR:
+            break
+        if fresh:
+            return None
+        fresh = True
+    lse = _lse(z, work, work.pool)
+    if not math.isfinite(lse):
+        return None
+    x = np.subtract(z, lse, out=z)
+    on = np.greater_equal(x, EXP_FLOOR)
+    return lse, work.pool[on], x[on]
 
 
 def _objective(y, sharp, weight, work):
@@ -476,8 +633,18 @@ def _objective(y, sharp, weight, work):
     every face's square and ``pc`` is a signed zero (nan if ``2 * weight``
     overflows), so unless ``wide`` the penalty pass is skipped, about nine
     NumPy calls, and the value gains ``weight * 0.0``, what their sum gave.
-    The live corners' columns are two ``np.take``s of ``work.x`` and
-    ``work.y``, left by ``_angles_at`` as (e1x, g, e2x), (e1y, h, e2y).
+
+    Below ``KEEP_FLOOR`` the dense code runs: the soft-min over every
+    corner, and the live corners' columns two ``np.take``s of ``work.x`` and
+    ``work.y``, left by the full pass as (e1x, g, e2x), (e1y, h, e2y).  A
+    deep call that is not wide reads only what its workspace keeps and what
+    moved: the soft-min over the pool (``_kept_softmin``) and the sides of
+    the live corners, computed again from ``work.P`` by the full pass's
+    subtractions and products.  A wide call, or one whose soft-min is not
+    finite, takes a full pass and the dense code.  The penalty reads the
+    faces' doubled areas, corner 2's g, from the rows the dense code reads
+    or from ``work.area``, and the flipped faces' sides likewise, or
+    computes them again from ``work.P`` (``_face_sides``).
 
     Every full-size temporary, per vertex, corner or face, is a view of
     ``work``, owned by the caller (one per restart in ``_restart``),
@@ -486,29 +653,38 @@ def _objective(y, sharp, weight, work):
     ``work`` held before, a call reads only its frame and the geometry
     ``_angles_at`` keeps, bit for bit what its full pass writes, so every
     call gives what it gives on a new workspace of the same frame.  Besides
-    the arrays of the faces ``_angles_at`` computes again, it allocates
-    only the arrays of the live corners and flipped faces (every corner and
-    face when ``wide``), the bincount sums and the gradient it returns,
-    which the caller may keep: ``minimize`` holds it across ``setulb``
-    calls.  The module docstring says what that saves."""
+    the arrays of the faces ``_angles_at`` computes again and of the pool,
+    it allocates only the arrays of the live corners and flipped faces
+    (every corner and face when ``wide``), the bincount sums and the
+    gradient it returns, which the caller may keep: ``minimize`` holds it
+    across ``setulb`` calls.  The module docstring says what that saves."""
     mesh, P = work.mesh, work.P
     free, corners = mesh.free, mesh.corners
-    angle = _angles_at(y, work)
-    e1x, g, e2x, e1y, h, e2y = work.rows
-
-    z = np.multiply(-sharp, angle, out=work.theta)
-    lse = _lse(z, work)
-    value = lse / sharp  # minus the soft-min -lse / sharp
+    wide = _angles_at(y, work)
 
     # d(softmin)/d(theta_i) = wgt_i, the softmax weight exp(z_i - lse); the
     # weights sum to 1, and the objective is -softmin.  coef = wgt / denom
     # is taken on the corners whose weight can be nonzero, nan included;
     # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0.  Every
     # corner and face is kept when a coordinate is non-finite or beyond 1e100
-    x = np.subtract(z, lse, out=z)
-    wide = not (P.max() <= 1e100 and P.min() >= -1e100)  # a nan fails both
-    below = np.less(x, EXP_FLOOR, out=work.live)
-    on = np.arange(x.size) if wide else np.invert(below, out=below).nonzero()[0]
+    soft = _kept_softmin(sharp, work) if work.keeps and not wide and sharp > 0 else None
+    if soft is not None:
+        lse, on, x = soft
+        (e1x, g, e2x), (e1y, h, e2y) = _sides_at(on, work)
+        area2 = work.area
+    else:
+        if work.keeps and not wide:  # a soft-min that is not finite, or sharp not above 0
+            _corner_angles(*P, work)
+            work.kept = True
+        z = np.multiply(-sharp, work.angle, out=work.theta)
+        lse = _lse(z, work)
+        x = np.subtract(z, lse, out=z)
+        below = np.less(x, EXP_FLOOR, out=work.live)
+        on = np.arange(x.size) if wide else np.invert(below, out=below).nonzero()[0]
+        x = x[on]
+        (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
+        area2 = work.x[1, 2::3]
+    value = lse / sharp  # minus the soft-min -lse / sharp
     # the scatter index: the a, b and c columns of the live corners, then
     # those of the selected faces' corner 0, their penalty vertices
     index = np.take(corners, on, axis=1).ravel()
@@ -522,20 +698,24 @@ def _objective(y, sharp, weight, work):
     # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
     # corners 0, 1 and 2.  A float's nonzero() is its != 0 test, true on nan
     fy = fx = None  # the selected faces' columns of the x and y gradient, if any
-    if wide or not (math.isfinite(2.0 * weight) and g[2::3].min() >= 0.0):
+    if wide or not (math.isfinite(2.0 * weight) and area2.min() >= 0.0):
         area, square = work.face
-        neg = np.minimum(np.multiply(0.5, g[2::3], out=area), 0.0, out=area)
+        neg = np.minimum(np.multiply(0.5, area2, out=area), 0.0, out=area)
         value += weight * float(np.sum(np.multiply(neg, neg, out=square)))
         pc = np.multiply(2.0 * weight, neg, out=square)
         faces = np.arange(pc.size) if wide else pc.nonzero()[0]
         if faces.size:
-            fy, fx = e1y.reshape(-1, 3)[faces].T[[1, 2, 0]], e2x.reshape(-1, 3)[faces].T
+            if soft is None:
+                sides_y, sides_x = work.y[0].reshape(-1, 3)[faces], work.x[2].reshape(-1, 3)[faces]
+            else:
+                (_, _, sides_x), (sides_y, _, _) = _face_sides(_face_corners(faces), work)
+                sides_y, sides_x = sides_y.reshape(-1, 3), sides_x.reshape(-1, 3)
+            fy, fx = sides_y.T[[1, 2, 0]], sides_x.T
             pc = pc[faces]
             index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
     else:
         value += weight * 0.0  # the sum of squares is +0.0
-    (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
-    coef = np.exp(x[on]) / np.maximum(g * g + h * h, 1e-300)
+    coef = np.exp(x) / np.maximum(g * g + h * h, 1e-300)
 
     # per coordinate, the scatter weights in index order: -dA, -dB = dA + dC
     # and -dC for the corners, then the penalty terms of the three face columns
@@ -645,9 +825,11 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
     rejected trial point, not the objective at ``res.x``; so the reported
     objective is evaluated once more at the returned variables, with the
     last stage's sharpness and weight.  On a mesh above ``KEEP_FLOOR`` each
-    call on ``work`` computes again only the faces that moved: each stage's
-    span from stage 1 on, the stage's first evaluation and the closing one
-    are all taken at variables the workspace already holds."""
+    call on ``work`` computes again only the faces that moved: stage 0's
+    full pass at the start drawing is kept for y = 0 (``_start_angles``),
+    and each stage's span from stage 1 on, the stage's first evaluation and
+    the closing one are all taken at variables the workspace already
+    holds."""
     y = np.zeros(2 * work.mesh.free.size)
     iters_left = config.max_iters
     weight = config.penalty_init
@@ -656,12 +838,11 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
     stalled = 0
     stages = []
     while iters_left > 0 and stalled < 2:
-        # stage 0's at the start drawing itself, whose -0.0 coordinates
-        # origin + scale * 0.0 would turn into +0.0
         if stage:
-            angle = _angles_at(y, work)
+            _angles_at(y, work)
+            angle = work.angle
         else:
-            angle = _corner_angles(*work.pinned, work)
+            angle = _start_angles(work)
         span = max(abs(float(angle.min())), 1e-8)
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)

@@ -17,6 +17,9 @@ from angres.graphs import canonical_cycle, internal_triangles, verify_planar_3tr
 from angres.layout import APEX_ANGLE, layout_frame_fan, layout_nested, layout_seed_any
 from angres.metrics import (
     Triangulation,
+    _ORIENT_BOUND,
+    _UNDERFLOW_MARGIN,
+    _float_orientations,
     _rotation_order,
     Violation,
     angular_resolution,
@@ -226,7 +229,47 @@ _RESOLUTION_FAMILIES = {
 }
 
 
+def _row_orientations(coords, tri):
+    """``_float_orientations`` as it read the three vertices' rows of the
+    drawing, (F, 2) gathers: the reference its 1-D ``take``s match."""
+    a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+        right = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+        det = left - right
+        certain = np.abs(det) > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_MARGIN
+    return det, certain
+
+
 class TestOrientationSigns:
+    @pytest.mark.parametrize("case", ["nested", "collapsed", "1e308"])
+    def test_float_orientations_match_the_row_gathers(self, case):
+        # the same determinant and verdict bytes on nested drawings, the
+        # collapsed replays of a deep row and the overflowing triangle
+        if case == "1e308":
+            g, emb, _ = triangle_drawing()
+            drawings = [np.array(TestOverflowingDifferences.POINTS)]
+            drawings.append(drawings[0][::-1].copy())
+        elif case == "nested":
+            fams = [build_Htilde(2, 16), build_G(2, 8), build_frame(5)]
+            drawings = [layout_nested(fam) for fam in fams]
+        else:
+            fam = build_Htilde(2, 16)
+            seq = verify_planar_3tree(fam.graph, keep=fam.embedding.outer_face)
+            rngs = (None, *(np.random.default_rng([42, r]) for r in range(2, 5)))
+            drawings = [replay(fam.graph, fam.embedding, seq, rng=rng) for rng in rngs]
+        for k, coords in enumerate(drawings):
+            if case == "nested":
+                g, emb = fams[k].graph, fams[k].embedding
+            elif case == "collapsed":
+                g, emb = fam.graph, fam.embedding
+            tri = Triangulation(g, emb).oriented
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _float_orientations(coords, tri)
+            want = _row_orientations(coords, tri)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_near_collinear_triples_match_exact_arithmetic(self):
         # a sits within a few ulps of the line through b and c; the naive
         # float determinant reads many of these as collinear and flips some
@@ -524,10 +567,20 @@ class TestTriangulation:
         assert np.array_equal(mesh.corners[:, 0::3], idx[::3].T)
         assert mesh.free.dtype == np.int64
         assert mesh.free.tolist() == [v for v in range(g.n) if v not in emb.outer_face]
-        # each vertex's internal faces, ascending
+        # row v is exactly the internal faces at v, one per half-edge of
+        # v's rotation row but the outer face's: at a free vertex, the face
+        # at position k holds v's k-th neighbour
         start, faces = mesh.vertex_faces
-        listed = [(v, int(f)) for v in range(g.n) for f in faces[start[v] : start[v + 1]]]
-        assert listed == sorted((v, f) for f, t in enumerate(mesh.faces.tolist()) for v in t)
+        at = {v: [] for v in range(g.n)}
+        for f, t in enumerate(mesh.faces.tolist()):
+            for v in t:
+                at[v].append(f)
+        for v in range(g.n):
+            row = faces[start[v] : start[v + 1]].tolist()
+            assert sorted(row) == at[v]
+            if v in mesh.free:
+                nbrs = emb.nbr[emb.offset[v] : emb.offset[v + 1]]
+                assert all(u in mesh.faces[f] for f, u in zip(row, nbrs))
 
     def test_validation_leaves_the_corner_index_unbuilt(self):
         fam = build_Htilde(1, 2)

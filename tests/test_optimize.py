@@ -193,9 +193,10 @@ def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
 
 
 def _lse_buffers(size: int) -> SimpleNamespace:
-    """The four buffers of ``size`` lanes that ``_lse`` writes, without a mesh."""
+    """The four buffers of ``size`` lanes that ``_lse`` writes, without a
+    mesh, ``exp`` all +0.0 as a workspace holds it between calls."""
     tied, live = np.empty(size, bool), np.empty(size, bool)
-    return SimpleNamespace(tied=tied, shifted=np.empty(size), live=live, exp=np.empty(size))
+    return SimpleNamespace(tied=tied, shifted=np.empty(size), live=live, exp=np.zeros(size))
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,9 +510,10 @@ def _nan_bits(value) -> bytes:
 
 class TestKeptGeometry:
     """On a mesh of at least ``KEEP_FLOOR`` corners a workspace keeps the
-    corner geometry of its last drawing, and a call computes again only the
-    faces at the vertices whose variables moved: each call's value,
-    gradient and kept geometry equal a cold workspace's bit for bit."""
+    geometry of its last drawing (the drawing ``P``, each corner's angle and
+    each face's doubled area), and a call computes again only the faces at
+    the vertices whose variables moved: each call's value, gradient and
+    kept geometry equal a cold workspace's bit for bit."""
 
     @staticmethod
     def _frame():
@@ -562,8 +564,8 @@ class TestKeptGeometry:
             )
         for a, b in ((got, want), (got, oracle)):
             assert same(a[0]) == same(b[0]) and same(a[1]) == same(b[1])
-        for a, b in ((work.P, cold.P), (work.x, cold.x), (work.y, cold.y), (work.angle, cold.angle)):
-            assert same(a) == same(b)
+        for name in ("P", "angle", "area"):
+            assert same(getattr(work, name)) == same(getattr(cold, name))
         return got
 
     def test_only_the_highest_degree_vertex_moves(self, monkeypatch):
@@ -613,8 +615,9 @@ class TestKeptGeometry:
 
     @pytest.mark.parametrize("bad", [np.nan, 1e150])
     def test_a_wide_or_nan_entry(self, monkeypatch, bad):
-        # one coordinate beyond 1e100 or nan keeps every corner and face,
-        # and the next call brings the vertex back
+        # one coordinate beyond 1e100 or nan takes the full pass, as the
+        # dense code keeps every corner and face, and the next call brings
+        # the vertex back
         mesh, pinned, scale, y = self._frame()
         wide = y.copy()
         wide[7] = bad
@@ -622,7 +625,7 @@ class TestKeptGeometry:
         passes = self._paths(monkeypatch, work)
         for point in (y, wide, y):
             self._call(work, point, same=_nan_bits)
-        assert passes == [("full",)] + [("moved", [3])] * 2
+        assert passes == [("full",), ("full",), ("moved", [3])]
 
     def test_an_unchanged_point_computes_nothing(self, monkeypatch):
         mesh, pinned, scale, y = self._frame()
@@ -654,7 +657,7 @@ class TestKeptGeometry:
             with _quiet():
                 got, want = _objective(point, 1e3, 10.0, work), _objective(point, 1e3, 10.0, same)
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
-            for name in ("P", "x", "y", "angle"):
+            for name in ("P", "angle", "area"):
                 assert _bits(getattr(work, name)) == _bits(getattr(same, name))
         assert passes == [("full",), ("moved", [0]), ("full",)]
 
@@ -681,6 +684,20 @@ class TestKeptGeometry:
         assert passes == [("full",), ("moved", [0])]
         assert peak < 8 * mesh.corners.shape[1]
 
+    @pytest.mark.parametrize("zero, kept", [(0.0, True), (-0.0, False)])
+    def test_the_start_pass_is_kept_for_y_zero(self, monkeypatch, zero, kept):
+        # stage 0's full pass at the start drawing serves y = 0 unless a
+        # free coordinate is -0.0, which origin + scale * 0.0 makes +0.0
+        mesh, pinned, scale, _ = self._frame()
+        pinned = pinned - pinned[:, [mesh.free[0]]]
+        pinned[0, mesh.free[0]] = zero
+        work = _Workspace(mesh, pinned, scale)
+        passes = self._paths(monkeypatch, work)
+        optimize._start_angles(work)
+        assert work.kept is kept
+        self._call(work, np.zeros(2 * mesh.free.size))
+        assert passes == [("full",)] * (2 - kept)
+
     @pytest.mark.parametrize("c, d", [(2, 16), (3, 8)])
     def test_nested_restarts_match_a_cold_workspace(self, monkeypatch, c, d):
         """Every objective call of sweep-deep's nested restart of each deep
@@ -700,8 +717,8 @@ class TestKeptGeometry:
             cold = _Workspace(mesh, work.pinned, work.scale)
             want = objective(y, sharp, weight, cold)
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
-            for a, b in ((work.P, cold.P), (work.x, cold.x), (work.y, cold.y), (work.angle, cold.angle)):
-                assert _bits(a) == _bits(b)
+            for name in ("P", "angle", "area"):
+                assert _bits(getattr(work, name)) == _bits(getattr(cold, name))
             return got
 
         def recorded_run(work, config):
@@ -715,7 +732,9 @@ class TestKeptGeometry:
         _, trace = optimize._restart(1, mesh, [layout_nested(fam)], config)
         (passes,) = paths
         value, stages = trace.final_objective, trace.stages
-        assert sum(p[0] == "moved" for p in passes) > 2 * sum(p[0] == "full" for p in passes)
+        # stage 0's full pass at the start drawing is kept for y = 0: one per restart
+        assert [p for p in passes if p[0] == "full"] == [("full",)]
+        assert sum(p[0] == "moved" for p in passes) > 2
         abnormal = ("ABNORMAL: ", 0, 21)
         converged = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
         want = {
@@ -724,6 +743,158 @@ class TestKeptGeometry:
                      + [(converged, 1, 5)] * 4, 34 + 1),
         }
         assert (repr(value), stages, len(calls)) == want[c, d]
+
+
+class TestCandidatePool:
+    """A deep call's soft-min over its pool of candidate corners
+    (``optimize._kept_softmin``), each call checked by
+    ``TestKeptGeometry._call`` against the oracle and a cold workspace, bit
+    for bit: through rebuilds of the pool, flipped faces, a wide or nan
+    coordinate, tied maxima and subnormal live lanes."""
+
+    @staticmethod
+    def _events(monkeypatch, work) -> list:
+        """Record, on ``work``, each full pass ("full"), each pool built
+        ("pool", sharpness) and each soft-min, over the pool ("kept") or
+        over every corner ("dense")."""
+        events = []
+        full, build, lse = optimize._corner_angles, optimize._build_pool, optimize._lse
+
+        def recorded_full(*args):
+            if args[-1] is work:
+                events.append("full")
+            return full(*args)
+
+        def recorded_build(sharp, on):
+            if on is work:
+                events.append(("pool", sharp))
+            return build(sharp, on)
+
+        def recorded_lse(a, on, lanes=None):
+            if on is work:
+                events.append("dense" if lanes is None else "kept")
+            return lse(a, on, lanes)
+
+        monkeypatch.setattr(optimize, "_corner_angles", recorded_full)
+        monkeypatch.setattr(optimize, "_build_pool", recorded_build)
+        monkeypatch.setattr(optimize, "_lse", recorded_lse)
+        return events
+
+    @staticmethod
+    def _angles(work, y) -> np.ndarray:
+        """The corner angles at ``y`` in a cold workspace of ``work``'s frame."""
+        cold = _Workspace(work.mesh, work.pinned, work.scale)
+        optimize._angles_at(y, cold)
+        return cold.angle
+
+    @pytest.mark.parametrize("spread, empty", [(1000.0, False), (3000.0, True)])
+    def test_a_rise_of_the_smallest_angle_rebuilds_the_pool(self, monkeypatch, spread, empty):
+        # vertices 0 and 5 moved flip faces, vertex 0's the deepest; bringing
+        # vertex 0 back raises the smallest angle by rise.  At sharpness
+        # spread / rise the bound T = min + 1492 / sharp is 1.49 or 0.50
+        # rises above the first smallest angle, so the new smallest is in
+        # the pool or the pool is empty; either way it rose by more than
+        # 746 / sharp, and the pool is built again
+        mesh, pinned, scale, _ = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        both = np.zeros(2 * mesh.free.size)
+        both[0] = both[10] = 1.0
+        back = both.copy()
+        back[0] = 0.0
+        low, high = (float(self._angles(work, y).min()) for y in (both, back))
+        sharp = spread / (high - low)
+        events = self._events(monkeypatch, work)
+        TestKeptGeometry._call(work, both, sharp)
+        assert (high <= work.bound) != empty and high - low > 746.0 / sharp
+        TestKeptGeometry._call(work, back, sharp)
+        assert events == ["full", ("pool", sharp), "kept", ("pool", sharp), "kept"]
+        assert work.pool.size and high <= work.bound
+
+    def test_a_new_sharpness_rebuilds_the_pool(self, monkeypatch):
+        # a restart's stages: the same point at a doubled sharpness, then
+        # moved points; a pool is built once per sharpness
+        mesh, pinned, scale, _ = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        y = np.zeros(2 * mesh.free.size)
+        span = abs(float(self._angles(work, y).min()))
+        events = self._events(monkeypatch, work)
+        for stage, moved in ((0, None), (0, 7), (1, None), (1, 9), (2, 9)):
+            if moved is not None:
+                y = y.copy()
+                y[moved] += 1e-3
+            TestKeptGeometry._call(work, y, 4.0 * 2.0**stage / span)
+        s0, s1, s2 = (4.0 * 2.0**stage / span for stage in range(3))
+        assert events == [
+            "full", ("pool", s0), "kept", "kept", ("pool", s1), "kept", "kept", ("pool", s2), "kept"
+        ]
+
+    def test_flipped_faces(self, monkeypatch):
+        # the frame's random point flips thousands of faces: their penalty
+        # terms take the sides of the flipped faces only
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        events = self._events(monkeypatch, work)
+        moved = y.copy()
+        moved[40:60] *= 1.5
+        for point in (y, moved, y):
+            TestKeptGeometry._call(work, point, 1e3, 10.0)
+            assert (work.area < 0).sum() > 1000
+        assert events == ["full", ("pool", 1e3), "kept", "kept", "kept"]
+
+    @pytest.mark.parametrize("bad", [1e150, np.nan])
+    def test_a_wide_or_nan_coordinate_after_a_kept_call(self, monkeypatch, bad):
+        # the dense fallback's full pass leaves the pool stale: the next
+        # kept call builds it again
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        wide = y.copy()
+        wide[7] = bad
+        events = self._events(monkeypatch, work)
+        for point in (y, y.copy(), wide, y):
+            TestKeptGeometry._call(work, point, 1e7, 10.0, same=_nan_bits)
+        pool = [("pool", 1e7), "kept"]
+        assert events == ["full", *pool, "kept", "full", "dense", *pool]
+
+    def test_a_tie_at_the_maximum(self, monkeypatch):
+        # htilde(2,16)'s nested drawing with a degree-3 vertex on a
+        # neighbour: six corners of angle +-0.0 tie for the smallest, the
+        # largest lane of z; then the vertex moves off and back
+        mesh, pinned, scale, _ = TestKeptGeometry._frame()
+        start, faces = mesh.vertex_faces
+        k = next(k for k, v in enumerate(mesh.free) if start[v + 1] - start[v] == 3)
+        v = mesh.free[k]
+        u = min(set(mesh.faces[faces[start[v] : start[v + 1]]].ravel()) - {v})
+        at = pinned.copy()
+        at[:, v] = at[:, u]
+        work = _Workspace(mesh, at, scale)
+        y = np.zeros(2 * mesh.free.size)
+        angle = self._angles(work, y)
+        assert np.count_nonzero(angle == angle.min()) == 6
+        off = y.copy()
+        off[2 * k] = 1e-3
+        events = self._events(monkeypatch, work)
+        for point in (y, off, y):
+            TestKeptGeometry._call(work, point, 1e3)
+        assert events == ["full", ("pool", 1e3), "kept", "kept", "kept"]
+
+    def test_subnormal_live_lanes(self, monkeypatch):
+        # at a sharpness that puts a corner's shifted lane near -725, its
+        # exp and its gradient factor are subnormal doubles
+        mesh, pinned, scale, _ = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        y = np.zeros(2 * mesh.free.size)
+        angle = self._angles(work, y)
+        gap = np.unique(angle)[50] - angle.min()
+        sharp = 725.0 / gap
+        z = -sharp * angle
+        shifted = z - z.max()
+        assert ((shifted > -745.1) & (shifted < -708.4)).any()
+        events = self._events(monkeypatch, work)
+        moved = y.copy()
+        moved[3] = 1e-9
+        for point in (y, moved):
+            TestKeptGeometry._call(work, point, sharp)
+        assert events == ["full", ("pool", sharp), "kept", "kept"]
 
 
 class TestStallRule:
