@@ -4,13 +4,13 @@ A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
 verdict, stopping at the first flipped face) read one array of oriented
-faces through one generator.  Its ``sides`` is the gather of corner sides
-that the optimizer's full pass reads, its ``vertex_faces`` the faces at
-each vertex, read off the face walk, and its ``replay`` is the plan every
-replay seed is placed from.  Its ``resolution`` measures a validated
-drawing on the embedding's rotation or on ``drawn_embedding``, the one the
-drawing realizes by one stable sort of integer keys (``_rotation_order``),
-which ``angular_resolution`` measures unvalidated; both take one gap step
+faces through one generator.  Its ``corners`` index the internal corners
+whose sides the optimizer gathers, its ``vertex_faces`` the faces at each
+vertex, read off the face walk, and its ``replay`` is the plan every replay
+seed is placed from.  Its ``resolution`` measures a validated drawing on
+the embedding's rotation or on ``drawn_embedding``, the one the drawing
+realizes by one stable sort of integer keys (``_rotation_order``), which
+``angular_resolution`` measures unvalidated; both take one gap step
 (``_gaps``) between row neighbours, of one ``arctan2`` per half-edge
 (``_half_edge_vectors``).  Angle identities are numeric, 1e-9 tolerance.
 """
@@ -250,24 +250,6 @@ class Triangulation:
         face without building the list."""
         coords = _drawing_array(coords, self.n)
         return bool(np.isfinite(coords).all()) and next(self._flipped(coords), None) is None
-
-    def sides(self, px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray, cols=None):
-        """Write the sides of every internal corner (a, b, c), from the x and
-        y coordinate arrays ``px`` and ``py``, into the (3, 3F) float arrays
-        ``x`` and ``y``, and return their rows (e1, b, e2), e1 = a - b and
-        e2 = c - b, as views: ((e1x, bx, e2x), (e1y, by, e2y)).  Each
-        coordinate's a, b and c columns are gathered by one ``np.take``
-        (``mode="wrap"``, a no-op on a valid index, writes ``out`` directly
-        where ``"raise"`` buffers it), and e1 and e2 overwrite the a and c
-        rows, so every value is the subtraction of the gathered points.
-        With ``cols``, an array of corner numbers, only those corners are
-        written, in that order, into (3, cols.size) arrays ``x`` and ``y``."""
-        index = self.corners if cols is None else np.take(self.corners, cols, axis=1)
-        rows = []
-        for p, out in ((px, x), (py, y)):
-            a, b, c = np.take(p, index, out=out, mode="wrap")
-            rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
-        return rows
 
     def resolution(self, coords: np.ndarray) -> float:
         """``angular_resolution(graph, coords).resolution``, bit for bit, of

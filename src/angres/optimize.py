@@ -2,15 +2,15 @@
 
 ``maximize_resolution`` compiles its (graph, embedding) pair once into a
 ``metrics.Triangulation``: the oriented faces, one (3, 3F) corner index
-over them, the free (non-outer) vertices, the gather of corner sides that
-the objective's full pass reads (``Triangulation.sides``), the half-edge
-rows that the scales and measurements read (``rotation``) and the replay
-plan (``Triangulation.replay``).  Each process that runs restarts builds
-that plan at most once, when its first restart from a replay needs it:
-restart 0's centroid or a jittered start.  A restart from an extra seed
-needs none.  The calling process, whose share holds restart 0, builds its
-plan right after forking the workers (see below), so their restarts start
-at once, and a graph that is no 3-tree still raises at once.
+over them, by which the objective gathers the corners' sides (``_sides``),
+the free (non-outer) vertices, the half-edge rows that the scales and
+measurements read (``rotation``) and the replay plan
+(``Triangulation.replay``).  Each process that runs restarts builds that
+plan at most once, when its first restart from a replay needs it: restart
+0's centroid or a jittered start.  A restart from an extra seed needs
+none.  The calling process, whose share holds restart 0, builds its plan
+right after forking the workers (see below), so their restarts start at
+once, and a graph that is no 3-tree still raises at once.
 
 Each restart minimizes minus a soft-min of the signed corner angles of all
 internal faces (log-sum-exp; at each stage the sharpness is 4 * 2**stage,
@@ -19,18 +19,16 @@ penalty ``weight * sum(min(area, 0)**2)`` whose weight starts at
 ``penalty_init`` and grows ``PENALTY_GROWTH``-fold every stage.  Stages
 stop once the iteration budget is spent or two in a row made no progress;
 a stage that took no step makes none.
-The soft-min's weights and their gradient factors are computed only on the
-corners whose weight can be nonzero, those at or above ``EXP_FLOOR`` =
--746: below -745.1332191019412 ``exp`` is exactly +0.0, and numpy's
-``exp`` takes a slow path on every lane that underflows.  The gradient is
-one ``np.bincount`` scatter per coordinate over the live terms only: those
-corners, whose columns one ``np.take`` per coordinate reads (a deep call
-computes them again, see below), and the faces
-whose penalty factor is nonzero, at their corner-0 columns.  The penalty
-pass runs only when some face's area is below zero or nan, or when every
-corner and face is scattered, as a coordinate is non-finite or beyond
-1e100 in magnitude.  This is bit for bit the computation over every term
-(``_lse`` and ``_objective`` say why).
+The soft-min, one ``_lse`` body and one ``_softmin`` tail on every path,
+takes ``exp`` only on the corners whose weight can be nonzero, those at or
+above ``EXP_FLOOR`` = -746: below -745.1332191019412 ``exp`` is exactly
++0.0, and numpy's ``exp`` takes a slow path on every lane that underflows.
+The gradient is one ``np.bincount`` scatter per coordinate over the live
+terms only, those corners and the faces whose penalty factor is nonzero,
+and the penalty pass runs only when some face's area is below zero or nan
+or a coordinate is non-finite or beyond 1e100 in magnitude.  Both are bit
+for bit the computation over every term; ``_lse`` and ``_objective`` say
+why.
 Each stage runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) by driving the
 reverse-communication routine ``setulb`` in ``minimize``: scipy 1.17.1's
 ``minimize(method="L-BFGS-B", jac=True)`` loop with the same settings,
@@ -51,34 +49,24 @@ a copy of its start drawing and the per-vertex scales) and handed to every
 objective call through ``minimize``'s ``args``; its full-size temporaries
 are allocated there once, from the mesh's sizes.  A call writes each one
 with ``out=``, by the ufunc that would have allocated it, so every value is
-bit for bit the same; per call only the gradient, the bincount sums and
-the arrays of the live corners and flipped faces are allocated.  Allocated
-per call, the full-size temporaries went back to the kernel between calls,
-as glibc trims its heap, and were faulted in again.
+bit for bit the same; per call only the gradient, the bincount sums, the
+soft-min's lanes and the arrays of the live corners and flipped faces are
+allocated.  Allocated per call, the full-size temporaries went back to the
+kernel between calls, as glibc trims its heap, and were faulted in again.
 
 On a mesh of at least ``KEEP_FLOOR`` = 2**14 corners the workspace also
 keeps the geometry of the last drawing a call computed, keyed by the bits
 of the variables: the drawing, each corner's angle and each face's doubled
 area.  L-BFGS-B leaves every coordinate outside its gradient history's
 support unchanged to the bit, so a deep call computes again only the faces
-at a vertex whose variables changed a bit, found through
-``Triangulation.vertex_faces``; a call at unchanged variables computes
-none.  Each such corner takes the same subtractions, products and
-``np.arctan2`` as the full pass, so every value is the same bit for bit.
-The soft-min then runs over a pool of candidate corners, those whose angle
-is within 2 * |EXP_FLOOR| / sharp of the smallest when the pool was built,
-which the moved faces keep up to date: every other corner's ``exp`` is
-+0.0, and it is no maximum.  Its ``exp`` values are written at their places
-in an array of zeros and summed by one dense ``sum``, numpy's pairwise sum
-of the same array, in which each zero lane adds an exact +0.0 (Higham 1993,
-"The accuracy of floating point summation"), so the sum keeps every bit.
-The gradient and the penalty take the sides of the live corners and the
-flipped faces again from the drawing.  A cold restart takes one full pass,
-at its start drawing, kept for its first variables; moved vertices whose
-faces are more than half of all, a wide or nan coordinate, or a soft-min
-that is not finite take the full pass and the dense code, and so does
-every call on a smaller mesh: on sweep-shallow's rows, at most 3,051
-corners, finding the moved vertices cost more than it saved.
+at a vertex whose variables changed a bit (``_angles_at``) and takes its
+soft-min over a pool of candidate corners, which those faces keep up to
+date (``_kept_softmin``).  A cold restart takes one full pass, at its start
+drawing, kept for its first variables; moved vertices whose faces are more
+than half of all, a wide or nan coordinate, or a soft-min that is not
+finite take the full pass and the dense code, and so does every call on a
+smaller mesh: on sweep-shallow's rows, at most 3,051 corners, finding the
+moved vertices cost more than it saved.
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -124,7 +112,7 @@ from .families import FamilySpec, build_family
 from .geometry import _worker_count
 from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
 from .layout import check_fan_spec, layout_nested
-from .metrics import Triangulation
+from .metrics import Triangulation, _drawing_array
 
 
 def _load_lbfgsb():
@@ -285,11 +273,12 @@ class _Workspace:
     docstring).  The frame is the mesh and copies, taken here, of the (2, n)
     x and y rows ``pinned`` of the drawing whose free vertices the variables
     replace, their free columns ``origin`` and one ``scale`` per free
-    vertex.  The temporaries are the (2, n) rows of the drawing, a
-    free-vertex row, the (3, 3F) x and y sides gathered at the corners,
-    the corner angles, the soft-min's shifted lanes (``theta``, which ``z``
-    overwrites), ``exp`` values, all +0.0 between calls, two masks, and the
-    (2, F) face rows.
+    vertex.  The temporaries are the (2, n) rows of the drawing ``P``, a
+    free-vertex row, the (3, 3F) x and y sides gathered at the corners
+    (``_sides``), the soft-min's lanes ``theta``, ``exp`` values, all +0.0
+    between calls (``_lse``), and the (2, F) face rows.  Below the floor
+    the corner angles ``angle`` are ``theta`` itself, which z overwrites,
+    and the faces' doubled areas ``area`` a view of corner 2's g row of x.
 
     On a mesh of at least ``KEEP_FLOOR`` corners the workspace also keeps
     the geometry of the last drawing ``_angles_at`` computed: the drawing
@@ -318,19 +307,17 @@ class _Workspace:
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
         self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
-        self.theta, self.shifted = np.empty(corners), np.empty(corners)
-        self.exp = np.zeros(corners)
-        # below the floor nothing is kept, and z overwrites the angles in place
+        self.theta, self.exp = np.empty(corners), np.zeros(corners)
         self.keeps = corners >= KEEP_FLOOR
         self.angle = np.empty(corners) if self.keeps else self.theta
-        self.tied, self.live = np.empty(corners, bool), np.empty(corners, bool)
+        self.area = np.empty(corners // 3) if self.keeps else self.x[1, 2::3]
         self.face = np.empty((2, corners // 3))
         self.kept = False
         self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
         self.hit = np.zeros(corners // 3, bool)
         self.pool_sharp = None
         if self.keeps:
-            self.area, self.candidate = np.empty(corners // 3), np.empty(corners, bool)
+            self.candidate = np.empty(corners, bool)
             mesh.vertex_faces
 
 
@@ -338,16 +325,34 @@ def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
     """``work.angle`` holding the signed angle of every internal corner
     (a, b, c) of ``work.mesh`` in the drawing of the x and y coordinate
     arrays ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
-    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``) and,
-    above ``KEEP_FLOOR``, ``work.area`` the faces' doubled areas.  This is
-    the full pass: it drops what the workspace kept and its pool."""
+    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``) and
+    ``work.area`` the faces' doubled areas, corner 2's g.  This is the full
+    pass: it drops what the workspace kept and its pool."""
     work.kept = False
     work.pool_sharp = None
-    (_, g, _), (_, h, _) = _geometry(*work.mesh.sides(px, py, work.x, work.y), work.theta)
+    sides = _sides(px, py, work.x, work.y, work.mesh.corners)
+    (_, g, _), (_, h, _) = _geometry(*sides, work.theta)
     np.arctan2(g, h, out=work.angle)
     if work.keeps:
         np.copyto(work.area, g[2::3])
     return work.angle
+
+
+def _sides(px, py, x, y, index):
+    """Write the sides of the corners (a, b, c) whose a, b and c columns are
+    the rows of the (3, k) ``index``, from the x and y coordinate arrays
+    ``px`` and ``py``, into the (3, k) float arrays ``x`` and ``y``, and
+    return their rows (e1, b, e2), e1 = a - b and e2 = c - b, as views:
+    ((e1x, bx, e2x), (e1y, by, e2y)).  Each coordinate's a, b and c columns
+    are gathered by one ``np.take`` (``mode="wrap"``, a no-op on a valid
+    index, writes ``out`` directly where ``"raise"`` buffers it), and e1 and
+    e2 overwrite the a and c rows, so every value is the subtraction of the
+    gathered points."""
+    rows = []
+    for p, out in ((px, x), (py, y)):
+        a, b, c = np.take(p, index, out=out, mode="wrap")
+        rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
+    return rows
 
 
 def _geometry(x, y, scratch):
@@ -452,8 +457,8 @@ def _sides_at(cols, work):
     """The sides of the corners ``cols`` in ``work.P``, with g and h in their
     b rows (``_geometry``): the full pass's values bit for bit."""
     n = cols.size
-    sides = work.mesh.sides(*work.P, np.empty((3, n)), np.empty((3, n)), cols)
-    return _geometry(*sides, np.empty(n))
+    index = np.take(work.mesh.corners, cols, axis=1)
+    return _geometry(*_sides(*work.P, np.empty((3, n)), np.empty((3, n)), index), np.empty(n))
 
 
 def _face_sides(cols, work):
@@ -506,52 +511,57 @@ def _lse(a: np.ndarray, work: _Workspace, lanes=None):
     ``log(sum(exp(a)))``.  It runs in the caller's floating-point state,
     ``_quiet``'s in the objective.
 
-    ``exp`` of the shifted array is taken only on the lanes at or above
-    ``EXP_FLOOR`` that are not tied maxima (a tie's shifted value is
-    exactly 0), skipping numpy's slow path on the lanes that underflow.
-    The others hold +0.0 in ``work.exp``, ``exp``'s exact value there and
-    scipy's at its ties, set to -inf, so the pairwise sum adds the same
-    array in the same order.  With a finite maximum no lane is nan.  A
-    non-finite one (a nan, or an infinite lane) makes every shifted lane
-    nan or -inf, and the result is then not finite here nor in scipy,
-    though the two sums may differ, so both take the fallback.
+    ``exp`` of the shifted array is taken only on the live lanes, those at
+    or above ``EXP_FLOOR`` that are not tied maxima (a tie's shifted value
+    is exactly 0), skipping numpy's slow path on the lanes that underflow.
+    Their values are written at their places in ``work.exp``, all +0.0 on
+    entry and zeroed again after the sum, and summed by one dense
+    ``e.sum()``.  Every other lane holds +0.0, ``exp``'s exact value there
+    and scipy's at its ties, set to -inf, so numpy's pairwise sum adds the
+    same array in the same order, each zero lane an exact +0.0 (Higham 1993,
+    "The accuracy of floating point summation").  With a finite maximum no
+    lane is nan.  A non-finite one (a nan, or an infinite lane) makes every
+    shifted lane nan or -inf, and the result is then not finite here nor in
+    scipy, though the two sums may differ, so both take the fallback, which
+    allocates.
 
-    With ``lanes``, ``a`` holds only the lanes ``lanes`` of a longer array
-    whose others are not above ``max(a) + EXP_FLOOR``, so that their ``exp``
-    is +0.0 and none is a maximum (``_kept_softmin``): the lanes' ``exp``
-    values are written at their places in ``work.exp`` and summed by the
-    same one dense ``e.sum()``.  A lane left out adds an exact +0.0 at its
-    place in numpy's pairwise sum, as it did, so the sum keeps every bit.
-    Its result is returned as it is, the fallback left to the caller.
-
-    ``work.exp``, all +0.0 on entry, is zeroed again after the sum.  Without
-    ``lanes`` the shifted lanes and both masks are written to ``work``'s
-    corner rows, whose length must be ``a.size``; ``a`` may be
-    ``work.theta``, which is only read.  The fallback, reached only on
-    non-finite input, allocates."""
-    dense = lanes is None
+    With ``lanes``, ``a`` holds only the lanes ``lanes`` of a longer array,
+    of ``work.exp``'s length, whose others are not above ``max(a) +
+    EXP_FLOOR``: their ``exp`` is +0.0 and none is a maximum
+    (``_kept_softmin``), so the same sum is scipy's over that array.  A
+    non-finite result is then returned as it is, the fallback left to the
+    caller."""
     a_max = a.max()
-    tied = np.equal(a, a_max, out=work.tied if dense else None)
+    tied = a == a_max
     m = float(np.count_nonzero(tied))
-    shifted = np.subtract(a, a_max, out=work.shifted if dense else None)
-    live = np.greater_equal(shifted, EXP_FLOOR, out=work.live if dense else None)
+    shifted = a - a_max
+    live = shifted >= EXP_FLOOR
     live ^= tied
+    at = live if lanes is None else lanes[live]
     e = work.exp
-    if dense:
-        np.exp(shifted, out=e, where=live)
-        s = e.sum()
-        e.fill(0.0)
-    else:
-        at = lanes[live]
-        e[at] = np.exp(shifted[live])
-        s = e.sum()
-        e[at] = 0.0
+    e[at] = np.exp(shifted[live])
+    s = e.sum()
+    e[at] = 0.0
     if s != 0:
         s = s / m
     out = np.log1p(s) + np.log(m) + a_max
-    if dense and not math.isfinite(out):
+    if lanes is None and not math.isfinite(out):
         out = np.log(np.exp(a).sum())
     return out
+
+
+def _softmin(z, work, lanes=None, wide=False):
+    """The soft-min of the lanes ``z`` = -sharp * angle, of every corner or
+    of the corners ``lanes`` (``_lse``): (lse, the corners ``on`` whose z -
+    lse is not below ``EXP_FLOOR``, nan included, or every corner when
+    ``wide``, and their z - lse, which overwrites ``z``); None when, with
+    ``lanes``, lse is not finite."""
+    lse = _lse(z, work, lanes)
+    if lanes is not None and not math.isfinite(lse):
+        return None
+    x = np.subtract(z, lse, out=z)
+    on = np.arange(x.size) if wide else np.flatnonzero(~(x < EXP_FLOOR))
+    return lse, on if lanes is None else lanes[on], x[on]
 
 
 def _build_pool(sharp, work) -> None:
@@ -590,12 +600,7 @@ def _kept_softmin(sharp, work):
         if fresh:
             return None
         fresh = True
-    lse = _lse(z, work, work.pool)
-    if not math.isfinite(lse):
-        return None
-    x = np.subtract(z, lse, out=z)
-    on = np.greater_equal(x, EXP_FLOOR)
-    return lse, work.pool[on], x[on]
+    return _softmin(z, work, work.pool)
 
 
 def _objective(y, sharp, weight, work):
@@ -634,17 +639,15 @@ def _objective(y, sharp, weight, work):
     overflows), so unless ``wide`` the penalty pass is skipped, about nine
     NumPy calls, and the value gains ``weight * 0.0``, what their sum gave.
 
-    Below ``KEEP_FLOOR`` the dense code runs: the soft-min over every
-    corner, and the live corners' columns two ``np.take``s of ``work.x`` and
-    ``work.y``, left by the full pass as (e1x, g, e2x), (e1y, h, e2y).  A
-    deep call that is not wide reads only what its workspace keeps and what
-    moved: the soft-min over the pool (``_kept_softmin``) and the sides of
-    the live corners, computed again from ``work.P`` by the full pass's
-    subtractions and products.  A wide call, or one whose soft-min is not
-    finite, takes a full pass and the dense code.  The penalty reads the
-    faces' doubled areas, corner 2's g, from the rows the dense code reads
-    or from ``work.area``, and the flipped faces' sides likewise, or
-    computes them again from ``work.P`` (``_face_sides``).
+    The soft-min is ``_softmin``'s over every corner, below ``KEEP_FLOOR``
+    and on a wide call, or over the pool on a deep call (``_kept_softmin``),
+    whose soft-min, when it is not finite, takes a full pass and the dense
+    code.  The dense code reads the live corners' sides by two ``np.take``s
+    of the full pass's rows ``work.x`` and ``work.y``, (e1x, g, e2x) and
+    (e1y, h, e2y); a deep call computes them again from ``work.P``
+    (``_sides_at``).  On both, the penalty reads the faces' doubled areas
+    from ``work.area`` and the flipped faces' sides from ``work.P``
+    (``_face_sides``).
 
     Every full-size temporary, per vertex, corner or face, is a view of
     ``work``, owned by the caller (one per restart in ``_restart``),
@@ -654,10 +657,11 @@ def _objective(y, sharp, weight, work):
     ``_angles_at`` keeps, bit for bit what its full pass writes, so every
     call gives what it gives on a new workspace of the same frame.  Besides
     the arrays of the faces ``_angles_at`` computes again and of the pool,
-    it allocates only the arrays of the live corners and flipped faces
-    (every corner and face when ``wide``), the bincount sums and the
-    gradient it returns, which the caller may keep: ``minimize`` holds it
-    across ``setulb`` calls.  The module docstring says what that saves."""
+    it allocates only the soft-min's lanes (``_lse``), the arrays of the
+    live corners and flipped faces (every corner and face when ``wide``),
+    the bincount sums and the gradient it returns, which the caller may
+    keep: ``minimize`` holds it across ``setulb`` calls.  The module
+    docstring says what that saves."""
     mesh, P = work.mesh, work.P
     free, corners = mesh.free, mesh.corners
     wide = _angles_at(y, work)
@@ -671,19 +675,12 @@ def _objective(y, sharp, weight, work):
     if soft is not None:
         lse, on, x = soft
         (e1x, g, e2x), (e1y, h, e2y) = _sides_at(on, work)
-        area2 = work.area
     else:
         if work.keeps and not wide:  # a soft-min that is not finite, or sharp not above 0
             _corner_angles(*P, work)
             work.kept = True
-        z = np.multiply(-sharp, work.angle, out=work.theta)
-        lse = _lse(z, work)
-        x = np.subtract(z, lse, out=z)
-        below = np.less(x, EXP_FLOOR, out=work.live)
-        on = np.arange(x.size) if wide else np.invert(below, out=below).nonzero()[0]
-        x = x[on]
+        lse, on, x = _softmin(np.multiply(-sharp, work.angle, out=work.theta), work, wide=wide)
         (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
-        area2 = work.x[1, 2::3]
     value = lse / sharp  # minus the soft-min -lse / sharp
     # the scatter index: the a, b and c columns of the live corners, then
     # those of the selected faces' corner 0, their penalty vertices
@@ -698,19 +695,15 @@ def _objective(y, sharp, weight, work):
     # and 0; x(t1) - x(t0), x(t2) - x(t1) and x(t0) - x(t2) are e2x at
     # corners 0, 1 and 2.  A float's nonzero() is its != 0 test, true on nan
     fy = fx = None  # the selected faces' columns of the x and y gradient, if any
-    if wide or not (math.isfinite(2.0 * weight) and area2.min() >= 0.0):
+    if wide or not (math.isfinite(2.0 * weight) and work.area.min() >= 0.0):
         area, square = work.face
-        neg = np.minimum(np.multiply(0.5, area2, out=area), 0.0, out=area)
+        neg = np.minimum(np.multiply(0.5, work.area, out=area), 0.0, out=area)
         value += weight * float(np.sum(np.multiply(neg, neg, out=square)))
         pc = np.multiply(2.0 * weight, neg, out=square)
         faces = np.arange(pc.size) if wide else pc.nonzero()[0]
         if faces.size:
-            if soft is None:
-                sides_y, sides_x = work.y[0].reshape(-1, 3)[faces], work.x[2].reshape(-1, 3)[faces]
-            else:
-                (_, _, sides_x), (sides_y, _, _) = _face_sides(_face_corners(faces), work)
-                sides_y, sides_x = sides_y.reshape(-1, 3), sides_x.reshape(-1, 3)
-            fy, fx = sides_y.T[[1, 2, 0]], sides_x.T
+            (_, _, sides_x), (sides_y, _, _) = _face_sides(_face_corners(faces), work)
+            fy, fx = sides_y.reshape(-1, 3).T[[1, 2, 0]], sides_x.reshape(-1, 3).T
             pc = pc[faces]
             index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
     else:
@@ -751,10 +744,10 @@ def objective_and_gradient(
     Exposed for finite-difference cross-checks; the gradient covers the free
     (non outer-face) vertices, flattened as (x0, y0, x1, y1, ...).  It is
     the restarts' objective at their origin, the drawing itself, with scale
-    1.
+    1.  A drawing that is not (n, 2) raises a StructureError.
     """
     mesh = Triangulation(graph, emb)
-    work = _Workspace(mesh, np.transpose(coords), 1.0)
+    work = _Workspace(mesh, _drawing_array(coords, mesh.n).T, 1.0)
     with _quiet():
         return _objective(np.zeros(2 * mesh.free.size), sharpness, penalty_weight, work)
 
@@ -1185,7 +1178,7 @@ class ExponentFit:
 def fit_exponent(records: list[SweepRecord], family: str, c: int | None) -> ExponentFit:
     """Least-squares fit of log(best resolution) against log(d) over the
     records matching (family, c) whose resolution is not nan; there must be
-    at least 3 of them, with at least 2 distinct d."""
+    at least 3 of them, with at least 2 distinct d, each at least 1."""
     pts = [
         r
         for r in records
@@ -1197,6 +1190,8 @@ def fit_exponent(records: list[SweepRecord], family: str, c: int | None) -> Expo
         raise ValueError(f"need >= 2 distinct d for {family} c={c}, got d={pts[0].d} only")
     if not all(0 < r.best_resolution < math.inf for r in pts):
         raise ValueError("all resolutions must be positive and finite for a log-log fit")
+    if not all(r.d >= 1 for r in pts):
+        raise ValueError(f"all d must be >= 1 for a log-log fit, got d={min(r.d for r in pts)}")
     x = np.log([r.d for r in pts])
     y = np.log([r.best_resolution for r in pts])
     slope, intercept = np.polyfit(x, y, 1)

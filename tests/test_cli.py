@@ -620,6 +620,17 @@ class TestSweepFit:
         assert code == 1
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_fit_d_below_1_one_line_error(self, tmp_path, capsys, d):
+        # log(d) is -inf or nan there, on which the least-squares SVD fails
+        rows = [SweepRecord("frame", None, k, 7, 15, 6, 0.1 * 2.0**-k, 2, 2, 1, 0.5)
+                for k in (2, 3, d)]
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(sweep_csv_text(rows), newline="")
+        code, _, err = run(capsys, "fit", "--csv", str(csv_path), "--family", "frame")
+        assert code == 1
+        assert err.splitlines() == [f"error: all d must be >= 1 for a log-log fit, got d={d}"]
+
     @pytest.mark.parametrize("restarts", ["2", "3"])
     def test_sweep_negative_seed(self, tmp_path, capsys, monkeypatch, restarts):
         # rejected before any row is built, whether or not a jittered

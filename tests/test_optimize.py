@@ -147,6 +147,19 @@ class TestGradient:
                 assert grad[k] == pytest.approx(num, rel=1e-5, abs=1e-9)
                 k += 1
 
+    @pytest.mark.parametrize("cut", ["rows", "column", "widened"])
+    def test_refuses_a_drawing_that_is_not_n_by_2(self, cut):
+        g, emb, coords = _oracle_case("htilde12")
+        assert coords.shape == (43, 2)
+        bad = {
+            "rows": coords[:-1],
+            "column": coords[:, :1],
+            "widened": np.c_[coords, np.zeros(43)],
+        }[cut]
+        want = rf"^drawing covers \({bad.shape[0]}, {bad.shape[1]}\), expected \(43, 2\)$"
+        with pytest.raises(StructureError, match=want):
+            objective_and_gradient(g, emb, bad, 5.0)
+
 
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
@@ -193,10 +206,41 @@ def _selection(index, corners, P, idx, weight) -> tuple[str, bool]:
 
 
 def _lse_buffers(size: int) -> SimpleNamespace:
-    """The four buffers of ``size`` lanes that ``_lse`` writes, without a
-    mesh, ``exp`` all +0.0 as a workspace holds it between calls."""
-    tied, live = np.empty(size, bool), np.empty(size, bool)
-    return SimpleNamespace(tied=tied, shifted=np.empty(size), live=live, exp=np.zeros(size))
+    """The one buffer of ``size`` lanes that ``_lse`` writes, without a mesh:
+    ``exp``, all +0.0 as a workspace holds it between calls."""
+    return SimpleNamespace(exp=np.zeros(size))
+
+
+def _embedded(a: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(longer, lanes): ``a`` at the lanes ``lanes`` of a longer array whose
+    other lanes are -inf or at most max(a) + EXP_FLOOR, each exp of which,
+    shifted by max(a), is +0.0, as ``_lse``'s lanes form assumes; where
+    max(a) + EXP_FLOOR rounds back to max(a), only -inf."""
+    top = a.max()
+    low = top + optimize.EXP_FLOOR
+    size = 3 * a.size + 5
+    lanes = np.sort(rng.choice(size, a.size, replace=False))
+    longer = np.full(size, -np.inf)
+    if low - top <= optimize.EXP_FLOOR:
+        others = np.ones(size, bool)
+        others[lanes] = False
+        k = np.flatnonzero(others)[::2]
+        longer[k] = low - rng.uniform(0.0, 1e3, k.size) * rng.integers(0, 2, k.size)
+    longer[lanes] = a
+    return longer, lanes
+
+
+def _with_floors(*names):
+    """(name, floor) cases: each mesh with ``KEEP_FLOOR`` as it is (None)
+    and, unless it already keeps its geometry, at 0, so that the area and
+    penalty sides of the kept path are checked on it too."""
+    return [(n, f) for n in names for f in ((None,) if n == "htilde216" else (None, 0))]
+
+
+def _set_floor(monkeypatch, floor) -> None:
+    """Set ``optimize.KEEP_FLOOR`` to ``floor`` for one test, unless None."""
+    if floor is not None:
+        monkeypatch.setattr(optimize, "KEEP_FLOOR", floor)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,11 +259,14 @@ class TestObjectiveOracle:
     """The bincount objective against the six-``np.add.at`` reference in
     ``tests/objective_oracle.py``: value and gradient equal bit for bit."""
 
-    @pytest.mark.parametrize("name", ["frame4", "g12", "htilde12", "htilde24", "htilde216"])
+    @pytest.mark.parametrize(
+        "name, floor", _with_floors("frame4", "g12", "htilde12", "htilde24", "htilde216")
+    )
     @pytest.mark.parametrize("sharp", [5.0, 1e3, 1e7, "stage 3", "stage 12"])
     @pytest.mark.parametrize("weight", [0.0, 10.0])
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
-    def test_bit_identical(self, monkeypatch, name, sharp, weight, jitter):
+    def test_bit_identical(self, monkeypatch, name, floor, sharp, weight, jitter):
+        _set_floor(monkeypatch, floor)
         g, emb, coords = _oracle_case(name)
         rng = np.random.default_rng(len(name))
         idx = objective_oracle.internal_corner_index(g, emb)
@@ -269,15 +316,18 @@ class TestObjectiveOracle:
         got = _objective(y, sharp, weight, _Workspace(mesh, coords.T, scale))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
-    @pytest.mark.parametrize("name", ["g12", "htilde24", "htilde216"])
+    @pytest.mark.parametrize("name, floor", _with_floors("g12", "htilde24", "htilde216"))
     @pytest.mark.parametrize("bad", [1e150, 1e200, np.nan])
     @pytest.mark.parametrize("sharp", [5.0, 1e7])
     @pytest.mark.parametrize("weight", [0.0, 10.0])
-    def test_bit_identical_with_a_wide_or_nan_coordinate(self, monkeypatch, name, bad, sharp, weight):
+    def test_bit_identical_with_a_wide_or_nan_coordinate(
+        self, monkeypatch, name, floor, bad, sharp, weight
+    ):
         # beyond 1e100 a corner's factors overflow and its dropped term would
         # be 0 * inf = nan, not zero; a nan spreads to every weight and makes
         # the soft-min nan.  Both keep every term, and a nan soft-min takes
         # exp on every corner.
+        _set_floor(monkeypatch, floor)
         g, emb, coords = _oracle_case(name)
         mesh = Triangulation(g, emb)
         coords = coords.copy()
@@ -299,14 +349,16 @@ class TestObjectiveOracle:
             got, want = (tuple(np.where(np.isnan(v), np.nan, v) for v in r) for r in (got, want))
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
+    @pytest.mark.parametrize("floor", [None, 0])
     @pytest.mark.parametrize("case", ["zero area", "nan", "weight overflow"])
     @pytest.mark.parametrize("sharp", [5.0, 1e7])
-    def test_bit_identical_at_zero_area_faces(self, monkeypatch, case, sharp):
+    def test_bit_identical_at_zero_area_faces(self, monkeypatch, case, sharp, floor):
         # htilde(1,2)'s nested drawing with a degree-3 vertex moved onto each
         # of its neighbours: two faces of area +0.0 or -0.0 and none below,
         # so no face is selected and the penalty pass is skipped.  A nan
         # coordinate, or a weight whose double overflows (inf * 0.0 is nan),
         # selects every face
+        _set_floor(monkeypatch, floor)
         g, emb, coords = _oracle_case("htilde12")
         mesh = Triangulation(g, emb)
         idx = objective_oracle.internal_corner_index(g, emb)
@@ -490,9 +542,22 @@ class TestObjectiveOracle:
         with _quiet():
             got = _lse(a, _lse_buffers(a.size))
         assert _bits(got) == _bits(want)
+        if math.isfinite(want):
+            self._check_lanes(a, np.random.default_rng(a.size))
+
+    @staticmethod
+    def _check_lanes(a, rng) -> None:
+        """``_lse``'s lanes form of ``a`` embedded in a longer array
+        (``_embedded``) against scipy's logsumexp of that array, bit for bit."""
+        longer, lanes = _embedded(a, rng)
+        with np.errstate(over="ignore"):
+            want = logsumexp(longer)
+        with _quiet():
+            got = _lse(longer[lanes], _lse_buffers(longer.size), lanes)
+        assert _bits(got) == _bits(want)
 
     def test_logsumexp_matches_scipy_on_random_inputs(self):
-        rng = np.random.default_rng(0)
+        rng, embed = np.random.default_rng(0), np.random.default_rng(1)
         for size in [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 4099]:
             for spread in [1e-3, 1.0, 1e3, 1e7]:
                 a = rng.normal(0.0, spread, size)
@@ -500,6 +565,7 @@ class TestObjectiveOracle:
                 with _quiet():
                     got = _lse(a, _lse_buffers(a.size))
                 assert _bits(got) == _bits(logsumexp(a))
+                self._check_lanes(a, embed)
 
 
 def _nan_bits(value) -> bytes:
