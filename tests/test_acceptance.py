@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from angres.families import (
     FamilySpec,
@@ -256,7 +257,10 @@ def test_criterion_5_optimizer_sanity(tmp_path, capsys):
     assert ok
 
 
-def test_criterion_6_empirical_trend(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def criterion_6_sweep():
+    """Criterion 6's grid, swept once for the trend and the row pins: its
+    records and the seconds the sweep took."""
     t0 = time.perf_counter()
     cfg = OptimizeConfig(restarts=16, seed=42, max_iters=3000, penalty_init=10.0)
     specs = (
@@ -265,6 +269,12 @@ def test_criterion_6_empirical_trend(tmp_path, capsys):
         + [FamilySpec("htilde", 3, d) for d in (4, 8)]
     )
     records = sweep(specs, cfg)
+    return records, time.perf_counter() - t0
+
+
+def test_criterion_6_empirical_trend(tmp_path, capsys, criterion_6_sweep):
+    t0 = time.perf_counter()
+    records, swept = criterion_6_sweep
     write_sweep_csv(records, str(tmp_path / "trend.csv"))
     best = {(r.c, r.d): r.best_resolution for r in records}
     notes = []
@@ -282,7 +292,7 @@ def test_criterion_6_empirical_trend(tmp_path, capsys):
     for d in (4, 8):
         if not best[(3, d)] <= best[(2, d)]:
             notes.append(f"c=3 !<= c=2 at d={d}")
-    elapsed = time.perf_counter() - t0
+    elapsed = swept + time.perf_counter() - t0
     ok = not notes
     report(
         capsys,
@@ -293,6 +303,17 @@ def test_criterion_6_empirical_trend(tmp_path, capsys):
         + (f"; failed: {notes}" if notes else ""),
     )
     assert ok
+
+
+def test_criterion_6_rows(criterion_6_sweep, pins):
+    # every row's best resolution, digit for digit, and its valid restarts,
+    # so a change that moves a reported row fails here until its pin is
+    # updated on purpose
+    records, _ = criterion_6_sweep
+    got = {
+        f"htilde {r.c} {r.d}": [repr(float(r.best_resolution)), r.valid_restarts] for r in records
+    }
+    assert got == pins["criterion_6_rows"]
 
 
 def test_criterion_7_epsilon_mapping(capsys):

@@ -479,6 +479,28 @@ class TestLayoutMeasure:
         assert code == 1
         assert err.splitlines() == [want]
 
+    def test_crlf_round_trip(self, tmp_path, python_dev, pins):
+        """The text readers take CRLF line ends as LF ones: a large family's
+        three files, converted to CRLF, measure to the LF resolution, which
+        ``angres layout`` must print too, as both go through
+        ``Triangulation.resolution``.  The graph measured with no embedding
+        beside it is compiled with the embedding its drawing realizes
+        (``drawn_embedding``, from the rank-key sort), must be proven and
+        must print the same value."""
+        want = f"resolution {pins['nested_resolution']['htilde 3 8']}"
+        spec = ["--family", "htilde", "--c", "3", "--d", "8"]
+        python_dev("-m", "angres.cli", "gen", *spec, "-o", tmp_path / "h.graph")
+        out = python_dev("-m", "angres.cli", "layout", *spec, "-o", tmp_path / "h.drawing")
+        assert want in out.splitlines()
+        for name in ("h.graph", "h.emb", "h.drawing"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        (tmp_path / "bare").mkdir()
+        (tmp_path / "bare" / "h.graph").write_bytes((tmp_path / "h.graph").read_bytes())
+        for graph in ("h.graph", "bare/h.graph"):
+            out = python_dev("-m", "angres.cli", "measure", graph, "h.drawing", cwd=tmp_path)
+            assert "validated: yes" in out.splitlines() and want in out.splitlines()
+
 
 class TestOptimizeCli:
     def test_optimize_frame(self, tmp_path, capsys):
@@ -496,7 +518,7 @@ class TestOptimizeCli:
         coords = read_drawing(dp.read_text())
         assert coords.shape == (5, 2)
 
-    def test_no_free_vertex(self, tmp_path, capsys):
+    def test_no_free_vertex(self, tmp_path, capsys, pins):
         # K3 is its own outer face, and every restart reports its start
         g = LabeledGraph(3, [(0, 1), (1, 2), (0, 2)])
         emb = Embedding.from_rows([[1, 2], [2, 0], [0, 1]], (0, 2, 1))
@@ -505,7 +527,7 @@ class TestOptimizeCli:
         ep.write_text(write_embedding(emb))
         code, stdout, _ = run(capsys, "optimize", str(gp), str(ep), "--restarts", "3", "-o", str(dp))
         assert code == 0
-        assert stdout.splitlines()[-1] == "resolution 1.0471975511965974"
+        assert stdout.splitlines()[-1] == f"resolution {pins['k3_resolution']}"
         assert read_drawing(dp.read_text()).shape == (3, 2)
 
     def test_outer_record_not_a_triangle(self, tmp_path, capsys):
@@ -883,6 +905,13 @@ class TestLemmaFuzzCli:
             f"max sine-product error {report.max_sine_product_error:.3e}",
             f"max angle-sum error {report.max_angle_sum_error:.3e}",
         ]
+
+    def test_criterion_1_report(self, python_dev, pins):
+        # criterion 1's case, 10^6 samples over every core the process may
+        # run on, digit for digit
+        out = python_dev("-m", "angres.cli", "lemma-fuzz", "--n", "1000000", "--seed", "20240817")
+        for line in pins["lemma_fuzz_report"]:
+            assert line in out.splitlines()
 
 
 class TestExportSvg:

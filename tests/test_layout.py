@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestHtilde1:
             coords = layout_nested(fam)
             vals[d] = angular_resolution(fam.graph, coords).resolution * d
         assert max(vals.values()) / min(vals.values()) < 2.0
+
+
+def test_fan_floor_calibration(python_dev, pins):
+    """The calibration script imports ``layout_nested`` and ``Triangulation``;
+    a short range checks it still runs and still finds the minima the frozen
+    floors in ``angres.layout`` were set from."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_fan_floor.py"
+    out = python_dev(script, "--frame-dmax", "8", "--htilde-dmax", "4")
+    for line in pins["fan_floor_calibration"]:
+        assert line in out
+    assert "INVALID" not in out
 
 
 class TestNested:
