@@ -3,16 +3,17 @@
 A drawing is an (n, 2) float array of vertex coordinates paired with a graph
 and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
-verdict, stopping at the first flipped face) read one array of oriented
-faces through one generator.  Its ``corners`` index the internal corners
-whose sides the optimizer gathers, its ``vertex_faces`` the faces at each
-vertex, read off the face walk, and its ``replay`` is the plan every replay
-seed is placed from.  Its ``resolution`` measures a validated drawing on
+verdict, stopping at the first block of faces with a flipped one) read one
+array of oriented faces through one generator.  Its ``corners`` index the
+internal corners whose sides the optimizer gathers, its ``vertex_faces``
+the faces at each vertex, read off the face walk, and its ``replay`` is the
+plan every replay seed is placed from.  Its ``resolution`` measures a validated drawing on
 the embedding's rotation or on ``drawn_embedding``, the one the drawing
 realizes by one stable sort of integer keys (``_rotation_order``), which
 ``angular_resolution`` measures unvalidated; both take one gap step
 (``_gaps``) between row neighbours, of one ``arctan2`` per half-edge
-(``_half_edge_vectors``).  Angle identities are numeric, 1e-9 tolerance.
+(``_half_edge_vectors``), ``resolution`` by blocks of rows.  Angle
+identities are numeric, 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ from .graphs import (
 from .layout import _ReplayPlan
 
 TOL = 1e-9
+# The one-shot passes over a drawing run this many faces (``_flipped``) or
+# vertex rows (``Triangulation.row_blocks``) at a time, so that their
+# temporaries stay in cache and come back from the heap, where full-size
+# ones were fresh pages, faulted in on every call.
+FACE_BLOCK = 2**12
+ROW_BLOCK = 2**12
 
 
 @dataclass
@@ -62,13 +69,13 @@ _UNDERFLOW_MARGIN = 1e-300
 def _float_orientations(coords: np.ndarray, tri: np.ndarray):
     """The float orientation determinant of each triangle of ``tri`` and
     whether it clears Shewchuk's bound, so that its sign is exact.  Each
-    vertex's x and y are read by 1-D ``take``s of the two columns."""
-    x, y = coords[:, 0], coords[:, 1]
-    a, b, c = tri.T
-    cx, cy = x.take(c), y.take(c)
+    column of the drawing is gathered once at the (k, 3) rows of ``tri``,
+    whose columns a, b and c are then read as views.  (``np.take`` would
+    copy a strided column, and a strided index, before gathering.)"""
+    (ax, bx, cx), (ay, by, cy) = coords[:, 0][tri].T, coords[:, 1][tri].T
     with np.errstate(over="ignore", invalid="ignore"):
-        left = (x.take(a) - cx) * (y.take(b) - cy)
-        right = (y.take(a) - cy) * (x.take(b) - cx)
+        left = (ax - cx) * (by - cy)
+        right = (ay - cy) * (bx - cx)
         det = left - right
         certain = np.abs(det) > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_MARGIN
     return det, certain
@@ -100,16 +107,25 @@ def _successors(deg: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _half_edge_vectors(coords: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """(vx, vy), the vector of each half-edge ``src -> dst`` of the finite
-    drawing ``coords``.  A difference of finite coordinates overflows only
-    where a column's spread does; such a drawing is measured at half scale,
-    ``0.5 * coords``, whose differences stay finite (halving is exact but on
-    coordinates below 2**-1021), and any other drawing as it is."""
+def _measured(coords: np.ndarray):
+    """The x and y columns at which the finite drawing ``coords`` is
+    measured.  A difference of finite coordinates overflows only where a
+    column's spread does; such a drawing is measured at half scale, ``0.5 *
+    coords``, whose differences stay finite (halving is exact but on
+    coordinates below 2**-1021), and any other drawing as it is.  The test
+    is over the whole drawing, so every half-edge is measured at one
+    scale."""
     x, y = coords[:, 0], coords[:, 1]
     with np.errstate(over="ignore"):
         if coords.size and any(np.isinf(p.max() - p.min()) for p in (x, y)):
             x, y = 0.5 * x, 0.5 * y
+    return x, y
+
+
+def _half_edge_vectors(columns, src: np.ndarray, dst: np.ndarray):
+    """(vx, vy), the vector of each half-edge ``src -> dst`` of a drawing
+    whose x and y columns, as ``_measured`` gives them, are ``columns``."""
+    x, y = columns
     vx = x[dst]
     vx -= x[src]
     vy = y[dst]
@@ -169,8 +185,9 @@ class Triangulation:
     b->a to ray b->c, corner 3t + i being corner i of face t, which is
     (t[i-1], t[i], t[i+1]).  Its view ``corners[:, 0::3]``, each face's
     corner 0 (t[2], t[0], t[1]), lists every face once in its own order.
-    In ``rotation`` corner (a, b, c) is half-edge b->a and its successor
-    b->c.  ``replay``, built on first read per process, is the replay plan."""
+    In the embedding's rows (``row_blocks``) corner (a, b, c) is half-edge
+    b->a and its successor b->c.  ``replay``, built on first read per
+    process, is the replay plan."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.graph, self.emb = graph, emb
@@ -188,27 +205,19 @@ class Triangulation:
         f = len(self.faces)
         corners = np.empty((3, 3 * f), dtype=np.int64)
         for column, perm in zip(corners.reshape(3, f, 3), ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
-            column[:] = self.faces[:, perm]
+            np.take(self.faces, perm, axis=1, out=column, mode="wrap")  # "raise" would buffer out
         return corners
-
-    @functools.cached_property
-    def rotation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, nxt) of the embedding's clockwise rows: half-edge h runs
-        from ``src[h]`` to ``emb.nbr[h]``, and ``nxt`` is ``_successors``."""
-        deg = np.diff(self.emb.offset)
-        return np.repeat(np.arange(deg.size), deg), _successors(deg)
 
     @functools.cached_property
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, faces): the internal faces at vertex v, as row numbers of
         ``faces``, are ``faces[start[v]:start[v + 1]]``, one per half-edge
         of v's row in rotation order, read off the face walk's half-edge ->
-        face map (``graphs._face_walk``); built on first read, like
-        ``corners``."""
-        internal = self._face_of >= 0
-        outer_before = np.concatenate([[0], np.cumsum(~internal)])
+        face map (``graphs._face_walk``), without the outer face's three
+        half-edges; built on first read, like ``corners``."""
+        outer = np.flatnonzero(self._face_of < 0)
         offset = self.emb.offset
-        return offset - outer_before[offset], self._face_of[internal]
+        return offset - np.searchsorted(outer, offset), np.delete(self._face_of, outer)
 
     @functools.cached_property
     def replay(self) -> _ReplayPlan:
@@ -220,16 +229,33 @@ class Triangulation:
         process that reads it first builds its own."""
         return _ReplayPlan(self.graph, self.emb)
 
+    def row_blocks(self):
+        """The embedding's clockwise rows, ``ROW_BLOCK`` vertices at a time:
+        per block, (rows, half_edges, src, nxt), the slices of its vertices
+        and of their half-edges in ``emb.nbr``, and for each of those
+        half-edges its source vertex and the index, within the block, of its
+        row successor (``_successors``)."""
+        offset = self.emb.offset
+        for v in range(0, self.n, ROW_BLOCK):
+            end = min(v + ROW_BLOCK, self.n)
+            deg = np.diff(offset[v : end + 1])
+            rows, half_edges = slice(v, end), slice(int(offset[v]), int(offset[end]))
+            yield rows, half_edges, np.repeat(np.arange(v, end), deg), _successors(deg)
+
     def _flipped(self, coords: np.ndarray):
         """The row of ``oriented`` of each face that is not counterclockwise
         in the finite drawing ``coords``, in row order.  The float
         determinant decides every face that clears Shewchuk's error bound;
         ``fractions.Fraction`` arithmetic decides the rest, collinear
-        counting as flipped."""
-        det, certain = _float_orientations(coords, self.oriented)
-        for k in np.flatnonzero(~certain | (det < 0)):
-            if certain[k] or _exact_sign(coords, self.oriented[k]) <= 0:
-                yield int(k)
+        counting as flipped.  The determinants are taken ``FACE_BLOCK``
+        faces at a time, and a block's flipped faces are yielded before the
+        next block's are computed."""
+        for lo in range(0, len(self.oriented), FACE_BLOCK):
+            tri = self.oriented[lo : lo + FACE_BLOCK]
+            det, certain = _float_orientations(coords, tri)
+            for k in np.flatnonzero(~certain | (det < 0)):
+                if certain[k] or _exact_sign(coords, tri[k]) <= 0:
+                    yield lo + int(k)
 
     def violations(self, coords: np.ndarray) -> list[Violation]:
         """``validate_drawing`` of an (n, 2) drawing of this pair."""
@@ -256,10 +282,15 @@ class Triangulation:
         a float drawing that ``violations`` passes: its rows are clockwise,
         so ``_gaps`` of the same half-edge angles (``_half_edge_vectors``)
         are that function's without its sort, the internal corners' below pi
-        and the outer three above."""
-        src, nxt = self.rotation
-        vx, vy = _half_edge_vectors(coords, src, self.emb.nbr)
-        return float(_gaps(np.arctan2(vy, vx, out=vy), nxt).min())
+        and the outer three above.  Rows are measured by blocks
+        (``row_blocks``), each half-edge by the same ufuncs, at the one
+        scale ``_measured`` gives the whole drawing."""
+        columns = _measured(coords)
+        least = []
+        for _, h, src, nxt in self.row_blocks():
+            vx, vy = _half_edge_vectors(columns, src, self.emb.nbr[h])
+            least.append(_gaps(np.arctan2(vy, vx, out=vy), nxt).min())
+        return float(np.min(least))
 
 
 def validate_drawing(graph: LabeledGraph, emb: Embedding, coords: np.ndarray) -> list[Violation]:
@@ -302,7 +333,7 @@ def _drawn_rotation(graph: LabeledGraph, coords: np.ndarray):
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     deg = np.bincount(src, minlength=graph.n)
-    vx, vy = _half_edge_vectors(coords, src, dst)
+    vx, vy = _half_edge_vectors(_measured(coords), src, dst)
     zero = np.flatnonzero((vx == 0) & (vy == 0))
     zero = zero[deg[src[zero]] >= 2]
     if zero.size:

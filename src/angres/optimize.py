@@ -4,7 +4,7 @@
 ``metrics.Triangulation``: the oriented faces, one (3, 3F) corner index
 over them, by which the objective gathers the corners' sides (``_sides``),
 the free (non-outer) vertices, the half-edge rows that the scales and
-measurements read (``rotation``) and the replay plan
+measurements read (``row_blocks``) and the replay plan
 (``Triangulation.replay``).  Each process that runs restarts builds that
 plan at most once, when its first restart from a replay needs it: restart
 0's centroid or a jittered start.  A restart from an extra seed needs
@@ -46,13 +46,17 @@ from the embedding's rotation.
 
 Each restart owns one ``_Workspace``, built once from its frame (the mesh,
 a copy of its start drawing and the per-vertex scales) and handed to every
-objective call through ``minimize``'s ``args``; its full-size temporaries
-are allocated there once, from the mesh's sizes.  A call writes each one
-with ``out=``, by the ufunc that would have allocated it, so every value is
-bit for bit the same; per call only the gradient, the bincount sums, the
-soft-min's lanes and the arrays of the live corners and flipped faces are
-allocated.  Allocated per call, the full-size temporaries went back to the
-kernel between calls, as glibc trims its heap, and were faulted in again.
+objective call through ``minimize``'s ``args``, and one ``setulb``
+workspace ``wa``, which all its stages share: ``setulb`` writes each entry
+before reading it, so ``wa`` is never cleared (12.2 MB on htilde(3,8),
+faulted in page by page when each stage took a fresh one).  The objective's
+temporaries are allocated in the workspace once, from the mesh's sizes.  A
+call writes each one with ``out=``, by the ufunc that would have allocated
+it, so every value is bit for bit the same; per call only the gradient,
+the bincount sums, the soft-min's lanes and the arrays of the live corners
+and flipped faces are allocated.  Allocated per call, the full-size
+temporaries went back to the kernel between calls, as glibc trims its
+heap, and were faulted in again.
 
 On a mesh of at least ``KEEP_FLOOR`` = 2**14 corners the workspace also
 keeps the geometry of the last drawing a call computed, keyed by the bits
@@ -61,12 +65,20 @@ area.  L-BFGS-B leaves every coordinate outside its gradient history's
 support unchanged to the bit, so a deep call computes again only the faces
 at a vertex whose variables changed a bit (``_angles_at``) and takes its
 soft-min over a pool of candidate corners, which those faces keep up to
-date (``_kept_softmin``).  A cold restart takes one full pass, at its start
-drawing, kept for its first variables; moved vertices whose faces are more
-than half of all, a wide or nan coordinate, or a soft-min that is not
-finite take the full pass and the dense code, and so does every call on a
-smaller mesh: on sweep-shallow's rows, at most 3,051 corners, finding the
-moved vertices cost more than it saved.
+date (``_kept_softmin``).  The trials of one line search move the same
+vertices, so the plan of their faces (``_moved_faces``) is built once and
+taken again while the moved set repeats.  A cold restart takes one full
+pass, at its start drawing, kept for its first variables; moved vertices
+whose faces are more than half of all or a wide or nan coordinate take the
+full pass and the dense code, a soft-min that is not finite the dense code,
+and every call on a smaller mesh both: on sweep-shallow's rows, at most
+3,051 corners, finding the moved vertices cost more than it saved.  On
+these meshes the one-shot passes run in cache-sized blocks, so that their
+temporaries come back from the heap instead of being faulted in afresh:
+the full angle pass ``CORNER_BLOCK`` corners at a time, through one
+scratch, the scales by blocks of rows, and the checks and measurements of
+``Triangulation`` likewise; the dense code computes its live corners'
+sides again from the drawing (``_sides_at``).
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -265,32 +277,59 @@ class OptimizeResult:
 # nine restarts, run one after another, took 2.23-2.25 s with no floor
 # against 2.04-2.10 s with it (median of 5, three alternating runs).
 KEEP_FLOOR = 2**14
+# Above the floor the full angle pass runs over this many corners at a time,
+# a multiple of 3, so that each block holds whole faces, through one scratch
+# of (3, CORNER_BLOCK) x and y sides that stays in cache.
+CORNER_BLOCK = 3 * 2**13
+
+
+@dataclass
+class _Plan:
+    """What a call that moves the free vertices ``free[k]`` computes again
+    (``_moved_faces``): the vertices ``v``, their origins ``ox``, ``oy`` and
+    scales, their faces ``f``, each once, ascending, those faces' corners
+    ``cols`` (``_face_corners``) and the faces' vertices ``b``, face by face,
+    which ``_face_sides`` reads."""
+
+    k: np.ndarray
+    v: np.ndarray
+    ox: np.ndarray
+    oy: np.ndarray
+    scale: np.ndarray
+    f: np.ndarray
+    cols: np.ndarray
+    b: np.ndarray
 
 
 class _Workspace:
-    """One restart's frame and the full-size temporaries of its objective
-    calls, allocated once and overwritten by each call (see the module
-    docstring).  The frame is the mesh and copies, taken here, of the (2, n)
-    x and y rows ``pinned`` of the drawing whose free vertices the variables
-    replace, their free columns ``origin`` and one ``scale`` per free
-    vertex.  The temporaries are the (2, n) rows of the drawing ``P``, a
-    free-vertex row, the (3, 3F) x and y sides gathered at the corners
-    (``_sides``), the soft-min's lanes ``theta``, ``exp`` values, all +0.0
-    between calls (``_lse``), and the (2, F) face rows.  Below the floor
-    the corner angles ``angle`` are ``theta`` itself, which z overwrites,
-    and the faces' doubled areas ``area`` a view of corner 2's g row of x.
+    """One restart's frame and the temporaries of its objective calls,
+    allocated once and overwritten by each call (see the module docstring).
+    The frame is the mesh and copies, taken here, of the (2, n) x and y rows
+    ``pinned`` of the drawing whose free vertices the variables replace,
+    their free columns ``origin`` and one ``scale`` per free vertex.  The
+    temporaries are the (2, n) rows of the drawing ``P``, a free-vertex
+    row, the soft-min's ``exp`` values, all +0.0 between calls (``_lse``),
+    the (2, F) face rows and the scratch of the full angle pass: the (3,
+    block) x and y sides it gathers (``_sides``) and a row ``theta`` of the
+    block's length.  Below ``KEEP_FLOOR`` the block is every corner, the
+    dense code reads the full pass's x and y rows, the soft-min's lanes are
+    ``theta``, the corner angles ``angle`` are ``theta`` itself, which z
+    overwrites, and the faces' doubled areas ``area`` a view of corner 2's
+    g row of x.
 
-    On a mesh of at least ``KEEP_FLOOR`` corners the workspace also keeps
-    the geometry of the last drawing ``_angles_at`` computed: the drawing
-    ``P``, each corner's ``angle`` and each face's doubled area ``area``,
-    the g of its corner 2; the x and y sides are then scratch of the full
-    pass, which the dense code reads in the same call.  It is keyed by
-    ``held``, the bits of its variables ``y`` as uint64, so a flip between
-    +0.0 and -0.0 or a nan of other bits counts as a move.  ``kept`` is
-    False while nothing is kept: on a new workspace, below the floor, and
-    after ``_corner_angles`` computes another drawing.  ``hit``, a face
-    mask, is all False between calls.  Above the floor the mesh's
-    ``vertex_faces`` is built here, outside any call.
+    On a mesh of at least ``KEEP_FLOOR`` corners the full pass runs in
+    blocks of ``CORNER_BLOCK`` corners, so the workspace holds no full-size
+    x, y or theta row, and it keeps the geometry of the last drawing
+    ``_angles_at`` computed: the drawing ``P``, each corner's ``angle`` and
+    each face's doubled area ``area``, the g of its corner 2.  It is keyed
+    by ``held``, the bits of its variables ``y`` as uint64, so a flip
+    between +0.0 and -0.0 or a nan of other bits counts as a move.
+    ``kept`` is False while nothing is kept: on a new workspace, below the
+    floor, and after ``_corner_angles`` computes another drawing.  ``plan``
+    is the ``_Plan`` of the last moved set, or None, which the next call
+    that moves the same free vertices reuses; ``hit``, a face mask, is all
+    False between calls.  Above the floor the mesh's ``vertex_faces`` is
+    built here, outside any call.
 
     The candidate soft-min (``_kept_softmin``) reads ``pool``, ascending,
     the corners whose angle is at most ``bound``, which the mask
@@ -306,14 +345,16 @@ class _Workspace:
         self.scale = np.full(free, scale, dtype=float)
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
-        self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
-        self.theta, self.exp = np.empty(corners), np.zeros(corners)
         self.keeps = corners >= KEEP_FLOOR
+        self.block = min(corners, CORNER_BLOCK) if self.keeps else corners
+        self.x, self.y = np.empty((3, self.block)), np.empty((3, self.block))
+        self.theta, self.exp = np.empty(self.block), np.zeros(corners)
         self.angle = np.empty(corners) if self.keeps else self.theta
         self.area = np.empty(corners // 3) if self.keeps else self.x[1, 2::3]
         self.face = np.empty((2, corners // 3))
         self.kept = False
         self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
+        self.plan = None
         self.hit = np.zeros(corners // 3, bool)
         self.pool_sharp = None
         if self.keeps:
@@ -324,33 +365,51 @@ class _Workspace:
 def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
     """``work.angle`` holding the signed angle of every internal corner
     (a, b, c) of ``work.mesh`` in the drawing of the x and y coordinate
-    arrays ``px`` and ``py``, with ``work.x`` and ``work.y`` holding the rows
-    (e1x, g, e2x) and (e1y, h, e2y) of its gradient (``_geometry``) and
-    ``work.area`` the faces' doubled areas, corner 2's g.  This is the full
-    pass: it drops what the workspace kept and its pool."""
+    arrays ``px`` and ``py``, and ``work.area`` the faces' doubled areas,
+    corner 2's g.  Below ``KEEP_FLOOR`` ``work.x`` and ``work.y`` are left
+    holding the rows (e1x, g, e2x) and (e1y, h, e2y) of every corner
+    (``_geometry``), which the dense code reads; above it the pass runs
+    block by block through them, each corner by the same ufuncs, so every
+    value is the same bit for bit.  This is the full pass: it drops what
+    the workspace kept and its pool."""
     work.kept = False
     work.pool_sharp = None
-    sides = _sides(px, py, work.x, work.y, work.mesh.corners)
-    (_, g, _), (_, h, _) = _geometry(*sides, work.theta)
-    np.arctan2(g, h, out=work.angle)
-    if work.keeps:
-        np.copyto(work.area, g[2::3])
+    corners, block = work.mesh.corners, work.block
+    for lo in range(0, corners.shape[1], block):
+        index = corners[:, lo : lo + block]
+        size = index.shape[1]
+        if size < block:  # the last block: contiguous views of the scratch's head
+            x, y = (s.reshape(-1)[: 3 * size].reshape(3, size) for s in (work.x, work.y))
+        else:
+            x, y = work.x, work.y
+        # a block's rows are not contiguous, so one np.take over them would copy them
+        sides = _sides(px, py, x, y, index if size == corners.shape[1] else tuple(index))
+        (_, g, _), (_, h, _) = _geometry(*sides, work.theta[:size])
+        np.arctan2(g, h, out=work.angle[lo : lo + size])
+        if work.keeps:
+            np.copyto(work.area[lo // 3 : (lo + size) // 3], g[2::3])
     return work.angle
 
 
 def _sides(px, py, x, y, index):
     """Write the sides of the corners (a, b, c) whose a, b and c columns are
-    the rows of the (3, k) ``index``, from the x and y coordinate arrays
-    ``px`` and ``py``, into the (3, k) float arrays ``x`` and ``y``, and
-    return their rows (e1, b, e2), e1 = a - b and e2 = c - b, as views:
-    ((e1x, bx, e2x), (e1y, by, e2y)).  Each coordinate's a, b and c columns
-    are gathered by one ``np.take`` (``mode="wrap"``, a no-op on a valid
-    index, writes ``out`` directly where ``"raise"`` buffers it), and e1 and
-    e2 overwrite the a and c rows, so every value is the subtraction of the
+    the rows of the (3, k) ``index``, or the three rows themselves, from the
+    x and y coordinate arrays ``px`` and ``py``, into the (3, k) float
+    arrays ``x`` and ``y``, and return their rows (e1, b, e2), e1 = a - b
+    and e2 = c - b, as views: ((e1x, bx, e2x), (e1y, by, e2y)).  Each
+    coordinate's a, b and c columns are gathered by one ``np.take`` over
+    the array, or one per row (``mode="wrap"``, a no-op on a valid index,
+    writes ``out`` directly where ``"raise"`` buffers it), and e1 and e2
+    overwrite the a and c rows, so every value is the subtraction of the
     gathered points."""
     rows = []
     for p, out in ((px, x), (py, y)):
-        a, b, c = np.take(p, index, out=out, mode="wrap")
+        if isinstance(index, tuple):
+            for i, o in zip(index, out):
+                np.take(p, i, out=o, mode="wrap")
+        else:
+            np.take(p, index, out=out, mode="wrap")
+        a, b, c = out
         rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
     return rows
 
@@ -384,6 +443,29 @@ def _place(y, work) -> None:
     P[1, free] = np.add(origin[1], np.multiply(scale, y[1::2], out=row), out=row)
 
 
+def _moved_faces(k, work) -> _Plan | None:
+    """The ``_Plan`` of a call that moves the free vertices ``free[k]``, or
+    None when their faces, each counted once per moved vertex, are more than
+    half the faces: on htilde(2,16) and (3,8) the faces of random vertices
+    took as long as the full pass at about 37% of the faces, and 1.5-1.8
+    times as long at 56%."""
+    mesh = work.mesh
+    v = mesh.free[k]
+    start, faces = mesh.vertex_faces
+    lo, count = start[v], start[v + 1] - start[v]
+    total = int(count.sum())
+    if 2 * total > len(mesh.faces):
+        return None
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
+    # each face once, ascending, by a mask kept all False
+    hit = work.hit
+    hit[faces[at]] = True
+    f = np.flatnonzero(hit)
+    hit[f] = False
+    (ox, oy), scale = work.origin[:, k], work.scale[k]
+    return _Plan(k, v, ox, oy, scale, f, _face_corners(f), mesh.faces[f].ravel())
+
+
 def _angles_at(y, work) -> bool:
     """Make ``work.angle`` hold the corner angles of the drawing at the
     variables ``y``, with ``work.P`` that drawing; returns whether it is wide
@@ -394,31 +476,32 @@ def _angles_at(y, work) -> bool:
     only the faces at a free vertex whose variables changed a bit are
     computed again, and at an unchanged ``y`` nothing is; each of their
     corners takes the subtractions, products and ``np.arctan2`` of the full
-    pass, so every value is the same bit for bit.  The full pass runs
-    instead when the drawing is wide, so that the dense code reads every
-    side, and when the moved vertices' faces, each counted once per moved
-    vertex, are more than half the faces: on htilde(2,16) and (3,8) the
-    faces of random vertices took as long as the full pass at about 37% of
-    the faces, and 1.5-1.8 times as long at 56%."""
-    mesh, P = work.mesh, work.P
+    pass, so every value is the same bit for bit.  The trials of one
+    L-BFGS-B line search move the same vertices, so the ``_Plan`` of the
+    last moved set is kept and taken again when the next call moves exactly
+    the same free vertices.  The full pass runs instead when the drawing is
+    wide, so that the dense code reads every side, and when the moved
+    vertices' faces are too many (``_moved_faces``)."""
+    P = work.P
     if work.kept:  # never below the floor
         bits = y.view(np.uint64)
         moved = np.not_equal(bits, work.held, out=work.moved)
         k = np.flatnonzero(np.logical_or(moved[0::2], moved[1::2]))  # either variable of a free vertex
-        v = mesh.free[k]
-        start, faces = mesh.vertex_faces
-        lo, count = start[v], start[v + 1] - start[v]
-        if 2 * int(count.sum()) <= len(mesh.faces):
-            if k.size:
-                (px, py), (ox, oy), scale = P, work.origin, work.scale[k]
-                px[v] = ox[k] + scale * y[2 * k]
-                py[v] = oy[k] + scale * y[2 * k + 1]
+        if not k.size:
             if not _wide(P):
-                if k.size:
-                    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-                    _move(k, faces[at], work)
-                    np.copyto(work.held, bits)
                 return False
+        else:
+            plan = work.plan
+            if plan is None or not np.array_equal(k, plan.k):
+                plan = work.plan = _moved_faces(k, work)
+            if plan is not None:
+                (px, py), kx = P, 2 * k
+                px[plan.v] = plan.ox + plan.scale * y[kx]
+                py[plan.v] = plan.oy + plan.scale * y[kx + 1]
+                if not _wide(P):
+                    _move(k, plan, work)
+                    np.copyto(work.held, bits)
+                    return False
     _place(y, work)
     _corner_angles(*P, work)
     if work.keeps:
@@ -461,36 +544,31 @@ def _sides_at(cols, work):
     return _geometry(*_sides(*work.P, np.empty((3, n)), np.empty((3, n)), index), np.empty(n))
 
 
-def _face_sides(cols, work):
-    """``_sides_at(cols, work)`` of the corners ``cols`` = ``_face_corners``
-    of some faces.  Corner i of face (t0, t1, t2) is (t[i-1], t[i], t[i+1]),
-    so its a and c are the b of its face's corners i - 1 and i + 1: each
-    coordinate is gathered once per vertex, and each side is the same
-    subtraction of the same two coordinates."""
-    b = work.mesh.faces.ravel().take(cols)  # corner 3f + i's b is t[i] of face f
+def _face_sides(b, work):
+    """``_sides_at`` of every corner of some faces, face by face, from
+    ``b``, their vertices ``faces[f].ravel()``.  Corner i of face (t0, t1,
+    t2) is (t[i-1], t[i], t[i+1]), so its b is t[i] and its a and c are the
+    b of its face's corners i - 1 and i + 1: each coordinate is gathered
+    once per vertex, and each side is the same subtraction of the same two
+    coordinates."""
     rows = []
     for p in work.P:
-        e1, mid, e2 = out = np.empty((3, cols.size // 3, 3))
+        e1, mid, e2 = out = np.empty((3, b.size // 3, 3))
         np.take(p, b, out=mid.reshape(-1), mode="wrap")
         for i in range(3):
             np.subtract(mid[:, i - 1], mid[:, i], out=e1[:, i])
             np.subtract(mid[:, i - 2], mid[:, i], out=e2[:, i])
         rows.append(out.reshape(3, -1))
-    return _geometry(*rows, np.empty(cols.size))
+    return _geometry(*rows, np.empty(b.size))
 
 
-def _move(k, touched, work) -> None:
+def _move(k, plan, work) -> None:
     """Compute every corner of the faces of the free vertices ``free[k]``,
-    ``touched`` with repeats, again in ``work.P``, where ``_angles_at`` has
+    the ``_Plan`` ``plan``, again in ``work.P``, where ``_angles_at`` has
     placed them: their angles, their faces' doubled areas and, while the
     pool is built, their marks in it."""
-    # each face once, ascending, by a mask kept all False
-    hit = work.hit
-    hit[touched] = True
-    f = np.flatnonzero(hit)
-    hit[f] = False
-    cols = _face_corners(f)
-    (_, g, _), (_, h, _) = _face_sides(cols, work)
+    f, cols = plan.f, plan.cols
+    (_, g, _), (_, h, _) = _face_sides(plan.b, work)
     angle = np.arctan2(g, h)
     work.angle[cols] = angle
     work.area[f] = g[2::3]
@@ -639,30 +717,31 @@ def _objective(y, sharp, weight, work):
     overflows), so unless ``wide`` the penalty pass is skipped, about nine
     NumPy calls, and the value gains ``weight * 0.0``, what their sum gave.
 
-    The soft-min is ``_softmin``'s over every corner, below ``KEEP_FLOOR``
-    and on a wide call, or over the pool on a deep call (``_kept_softmin``),
-    whose soft-min, when it is not finite, takes a full pass and the dense
-    code.  The dense code reads the live corners' sides by two ``np.take``s
-    of the full pass's rows ``work.x`` and ``work.y``, (e1x, g, e2x) and
-    (e1y, h, e2y); a deep call computes them again from ``work.P``
-    (``_sides_at``).  On both, the penalty reads the faces' doubled areas
-    from ``work.area`` and the flipped faces' sides from ``work.P``
-    (``_face_sides``).
+    The soft-min is over the pool on a deep call (``_kept_softmin``), and
+    ``_softmin``'s over every corner below ``KEEP_FLOOR``, on a wide call,
+    at a sharpness not above 0 and when the pool's soft-min is not finite.
+    Below the floor the live corners' sides are read by two ``np.take``s of
+    the full pass's rows ``work.x`` and ``work.y``, (e1x, g, e2x) and (e1y,
+    h, e2y); above it, where the full pass keeps no sides, they are
+    computed again from ``work.P`` (``_sides_at``).  On both, the penalty
+    reads the faces' doubled areas from ``work.area`` and the flipped
+    faces' sides from ``work.P`` (``_face_sides``).
 
     Every full-size temporary, per vertex, corner or face, is a view of
     ``work``, owned by the caller (one per restart in ``_restart``),
-    written with ``out=`` by the ufunc of the allocating form;
-    ``work.theta`` holds ``z`` and then ``z - lse`` in place.  Of what
+    written with ``out=`` by the ufunc of the allocating form; below the
+    floor ``work.theta`` holds ``z`` and then ``z - lse`` in place.  Of what
     ``work`` held before, a call reads only its frame and the geometry
     ``_angles_at`` keeps, bit for bit what its full pass writes, so every
     call gives what it gives on a new workspace of the same frame.  Besides
     the arrays of the faces ``_angles_at`` computes again and of the pool,
-    it allocates only the soft-min's lanes (``_lse``), the arrays of the
-    live corners and flipped faces (every corner and face when ``wide``),
+    it allocates only the soft-min's lanes (``_lse``; every corner's above
+    the floor when the dense code runs), the arrays of the live corners and
+    flipped faces (every corner and face when ``wide``),
     the bincount sums and the gradient it returns, which the caller may
     keep: ``minimize`` holds it across ``setulb`` calls.  The module
     docstring says what that saves."""
-    mesh, P = work.mesh, work.P
+    mesh = work.mesh
     free, corners = mesh.free, mesh.corners
     wide = _angles_at(y, work)
 
@@ -672,14 +751,13 @@ def _objective(y, sharp, weight, work):
     # denom = max(g*g + h*h, 1e-300), as coincident points give 0/0.  Every
     # corner and face is kept when a coordinate is non-finite or beyond 1e100
     soft = _kept_softmin(sharp, work) if work.keeps and not wide and sharp > 0 else None
-    if soft is not None:
-        lse, on, x = soft
+    if soft is None:  # below the floor, wide, a soft-min that is not finite, or sharp not above 0
+        z = np.multiply(-sharp, work.angle, out=None if work.keeps else work.theta)
+        soft = _softmin(z, work, wide=wide)
+    lse, on, x = soft
+    if work.keeps:
         (e1x, g, e2x), (e1y, h, e2y) = _sides_at(on, work)
     else:
-        if work.keeps and not wide:  # a soft-min that is not finite, or sharp not above 0
-            _corner_angles(*P, work)
-            work.kept = True
-        lse, on, x = _softmin(np.multiply(-sharp, work.angle, out=work.theta), work, wide=wide)
         (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
     value = lse / sharp  # minus the soft-min -lse / sharp
     # the scatter index: the a, b and c columns of the live corners, then
@@ -702,7 +780,7 @@ def _objective(y, sharp, weight, work):
         pc = np.multiply(2.0 * weight, neg, out=square)
         faces = np.arange(pc.size) if wide else pc.nonzero()[0]
         if faces.size:
-            (_, _, sides_x), (sides_y, _, _) = _face_sides(_face_corners(faces), work)
+            (_, _, sides_x), (sides_y, _, _) = _face_sides(mesh.faces[faces].ravel(), work)
             fy, fx = sides_y.reshape(-1, 3).T[[1, 2, 0]], sides_x.reshape(-1, 3).T
             pc = pc[faces]
             index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
@@ -752,7 +830,13 @@ def objective_and_gradient(
         return _objective(np.zeros(2 * mesh.free.size), sharpness, penalty_weight, work)
 
 
-def minimize(fun, x0, args, maxiter):
+def _wa_size(n: int, m: int = 10) -> int:
+    """The length of ``setulb``'s float workspace ``wa`` for ``n`` variables
+    and ``m`` corrections."""
+    return 2 * m * n + 5 * n + 11 * m * m + 8 * m
+
+
+def minimize(fun, x0, args, maxiter, wa=None):
     """Minimize ``fun(x, *args)``, which returns the value and its gradient,
     from ``x0`` by L-BFGS-B without bounds: scipy 1.17.1's
     ``minimize(fun, x0, args, method="L-BFGS-B", jac=True, options={"maxiter":
@@ -769,7 +853,16 @@ def minimize(fun, x0, args, maxiter):
     keep, and copies nothing else per evaluation.  It returns the local
     ``LbfgsbResult``, as ``scipy.optimize`` is never imported (see the
     module docstring).  The result's ``fun`` is the last value evaluated:
-    after an ``ABNORMAL`` exit, that of a rejected trial point, not of ``x``."""
+    after an ``ABNORMAL`` exit, that of a rejected trial point, not of ``x``.
+
+    ``wa`` is ``setulb``'s float workspace of ``_wa_size(x0.size)`` floats;
+    None allocates a zeroed one, as scipy does.  A caller that runs several
+    stages passes one array to all of them, as it stands: on a fresh start
+    ``setulb`` writes each entry of it before reading it, so a stale or
+    nan-filled ``wa`` gives scipy's result bit for bit, while the small
+    state arrays (``iwa``, ``task``, ``lsave``, ``isave``, ``dsave``) are
+    made afresh per call.  On htilde(3,8) ``wa`` is 12.2 MB, which a fresh
+    array per stage faulted in again page by page."""
     m, maxfun, maxls = 10, 15000, 20
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size
@@ -779,7 +872,8 @@ def minimize(fun, x0, args, maxiter):
     # setulb reads f and g only where it asked for them
     f, g = np.array(0.0), np.zeros(n)
     low, up, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    if wa is None:
+        wa = np.zeros(_wa_size(n, m))
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
@@ -822,8 +916,10 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
     full pass at the start drawing is kept for y = 0 (``_start_angles``),
     and each stage's span from stage 1 on, the stage's first evaluation and
     the closing one are all taken at variables the workspace already
-    holds."""
+    holds.  The stages share one ``setulb`` workspace (``minimize``'s
+    ``wa``), allocated here and never zeroed."""
     y = np.zeros(2 * work.mesh.free.size)
+    wa = np.empty(_wa_size(y.size))
     iters_left = config.max_iters
     weight = config.penalty_init
     value = math.inf
@@ -840,7 +936,7 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
         sharp = (4.0 * 2.0 ** min(stage, 12)) / span
         budget = max(iters_left // max(STAGES - stage, 2), 50)
         with _quiet():
-            res = minimize(_objective, y, (sharp, weight, work), min(budget, iters_left))
+            res = minimize(_objective, y, (sharp, weight, work), min(budget, iters_left), wa=wa)
         y = res.x
         stages.append((str(res.message), int(res.nit), int(res.nfev)))
         final = (sharp, weight)
@@ -853,6 +949,19 @@ def _run_restart(work, config) -> tuple[np.ndarray, float, list[tuple[str, int, 
     with _quiet():
         value = float(_objective(y, *final, work)[0])
     return np.array(work.P.T), value, stages  # the call left the drawing at y in work.P
+
+
+def _scales(mesh, pinned) -> np.ndarray:
+    """Each free vertex's scale in the drawing of the (2, n) rows
+    ``pinned``: the length of its row's shortest edge, at least 1e-300.
+    Every row is measured, as frame(d) lists outer rows last, by blocks of
+    rows (``Triangulation.row_blocks``)."""
+    nbr, offset = mesh.emb.nbr, mesh.emb.offset
+    near = np.empty(mesh.n)
+    for rows, h, src, _ in mesh.row_blocks():
+        length = np.hypot(*(p[nbr[h]] - p[src] for p in pinned))
+        near[rows] = np.minimum.reduceat(length, offset[rows] - h.start)
+    return np.maximum(near[mesh.free], 1e-300)
 
 
 def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
@@ -872,11 +981,8 @@ def _restart(r, mesh, seeds, config) -> tuple[np.ndarray | None, RestartTrace]:
         return None, RestartTrace(r, math.inf, math.nan, math.nan)
     if mesh.free.size:
         pinned = start.T
-        # the scales, each row's shortest edge; all rows, as frame(d) lists outer rows last
-        vectors = (p[mesh.emb.nbr] - p[mesh.rotation[0]] for p in pinned)  # freed once read
-        near = np.minimum.reduceat(np.hypot(*vectors), mesh.emb.offset[:-1])
-        scale = np.maximum(near[mesh.free], 1e-300)
-        drawing, value, stages = _run_restart(_Workspace(mesh, pinned, scale), config)
+        work = _Workspace(mesh, pinned, _scales(mesh, pinned))
+        drawing, value, stages = _run_restart(work, config)
     else:
         drawing, value, stages = start.copy(), 0.0, []  # only the outer triangle
     resolution = mesh.resolution(drawing) if mesh.valid(drawing) else -math.inf

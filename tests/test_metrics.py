@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from angres import metrics
 from angres.families import build_frame, build_G, build_H, build_Htilde
 from angres.graphs import Embedding, LabeledGraph, StructureError
 from angres.geometry import angle_at
@@ -231,7 +232,7 @@ _RESOLUTION_FAMILIES = {
 
 def _row_orientations(coords, tri):
     """``_float_orientations`` as it read the three vertices' rows of the
-    drawing, (F, 2) gathers: the reference its 1-D ``take``s match."""
+    drawing, (F, 2) gathers: the reference its column gathers match."""
     a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
         left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
@@ -455,6 +456,89 @@ class TestResolutionPins:
         assert repr(Triangulation(fam.graph, fam.embedding).resolution(coords)) == value
 
 
+class TestBlockedPasses:
+    """``Triangulation`` takes its orientation determinants ``FACE_BLOCK``
+    faces at a time and measures its rows by blocks (``row_blocks``).  On
+    htilde(2,16), 17,866 oriented faces (five blocks of 2**12) and 8,935
+    rows (three blocks of 2**12), and at other sizes, each pass equals the
+    pass over one block."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _case():
+        fam = build_Htilde(2, 16)
+        return fam.graph, fam.embedding, layout_nested(fam)
+
+    # the faces at the vertices of row 17500 are all in the last block of
+    # 2**12 faces (and of 2**14), from row 16384 on
+    @pytest.mark.parametrize("rows", [(5, 9000, 17500), (17500,)], ids=["spread", "last"])
+    @pytest.mark.parametrize("block", [None, 1000, 2**14])
+    def test_violations_and_valid(self, monkeypatch, rows, block):
+        # each face row in rows flipped by reflecting a free vertex of it
+        # through the midpoint of the face's other two
+        g, emb, coords = self._case()
+        mesh = Triangulation(g, emb)
+        coords = coords.copy()
+        for row in rows:
+            face = mesh.oriented[row].tolist()
+            v = next(u for u in face if u in set(mesh.free.tolist()))
+            a, b = (u for u in face if u != v)
+            coords[v] = coords[a] + coords[b] - coords[v]
+        if block is not None:
+            monkeypatch.setattr(metrics, "FACE_BLOCK", block)
+        size = metrics.FACE_BLOCK
+        calls, orientations = [], metrics._float_orientations
+
+        def counted(coords, tri):
+            calls.append(len(tri))
+            return orientations(coords, tri)
+
+        monkeypatch.setattr(metrics, "_float_orientations", counted)
+        flipped, violations = list(mesh._flipped(coords)), mesh.violations(coords)
+        del calls[:]
+        assert mesh.valid(coords) is False
+        # valid stops at the block of the first flipped face
+        assert len(calls) == flipped[0] // size + 1
+        monkeypatch.setattr(metrics, "FACE_BLOCK", len(mesh.oriented))
+        assert list(mesh._flipped(coords)) == flipped and mesh.violations(coords) == violations
+        assert set(rows) <= set(flipped) and len(violations) == len(flipped)
+        if len(rows) > 1:
+            assert len({row // size for row in flipped}) > 1  # flips in several blocks
+        else:
+            assert flipped[0] >= size  # valid reads more than one block
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_resolution(self, monkeypatch, scaled, block):
+        # scaled, the drawing's largest coordinate lies in [2**1023, 2**1024),
+        # where its spread overflows and the whole drawing is measured at
+        # half scale, though some blocks' own spreads do not overflow: the
+        # test is taken once, over the whole drawing
+        g, emb, coords = self._case()
+        mesh = Triangulation(g, emb)
+        if scaled:
+            coords = coords - (coords.max(axis=0) + coords.min(axis=0)) / 2
+            coords = np.ldexp(coords, 1024 - math.frexp(np.abs(coords).max())[1])
+        if block is not None:
+            monkeypatch.setattr(metrics, "ROW_BLOCK", block)
+        blocks = list(mesh.row_blocks())
+        assert len(blocks) == -(-g.n // metrics.ROW_BLOCK) > 2
+        if scaled and block is not None:
+            with np.errstate(over="ignore"):
+                spreads = [np.ptp(coords[rows], axis=0) for rows, *_ in blocks]
+            assert not all(np.isinf(s).any() for s in spreads)
+        scales, measured = [], metrics._measured
+        monkeypatch.setattr(metrics, "_measured", lambda c: scales.append(1) or measured(c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocked = mesh.resolution(coords)
+            assert len(scales) == 1  # one scale for the whole drawing
+            monkeypatch.setattr(metrics, "ROW_BLOCK", g.n)
+            whole = mesh.resolution(coords)
+            want = angular_resolution(g, coords).resolution
+        assert repr(blocked) == repr(whole) == repr(float(want))
+
+
 class TestOverflowingDifferences:
     """A finite drawing whose coordinate differences overflow is measured at
     half scale, without a warning; any other drawing as it is."""
@@ -645,7 +729,9 @@ class TestCornerResolution:
         # other half-edge pairs are the three outer corners
         fam = build()
         mesh = Triangulation(fam.graph, fam.embedding)
-        src, nxt = mesh.rotation
+        blocks = list(mesh.row_blocks())
+        src = np.concatenate([src for _, _, src, _ in blocks])
+        nxt = np.concatenate([nxt + h.start for _, h, _, nxt in blocks])
         dst = fam.embedding.nbr
         pairs = set(zip(dst.tolist(), src.tolist(), dst[nxt].tolist()))
         corners = set(map(tuple, mesh.corners.T.tolist()))

@@ -679,6 +679,36 @@ class TestKeptGeometry:
             self._call(work, point, sharp=5.0)
         assert passes == [("full",)] + [("moved", [k])] * 2
 
+    def test_a_moved_set_is_planned_once_while_it_repeats(self, monkeypatch):
+        # the trials of one line search move the same free vertices: the
+        # plan of their faces is built when the moved set changes, by its
+        # members, and taken again while it repeats, a flip of a signed
+        # zero included
+        mesh, pinned, scale, y = self._frame()
+        work = _Workspace(mesh, pinned, scale)
+        passes = self._paths(monkeypatch, work)
+        plans, plan = [], optimize._moved_faces
+        monkeypatch.setattr(
+            optimize, "_moved_faces", lambda k, on: plans.append(k.tolist()) or plan(k, on)
+        )
+        first, other = [2, 9], [3, 9]  # of one size
+        points = [y]
+        for ks, step in ((first, 0.1), (first, 0.2), (other, 0.1)):
+            point = points[-1].copy()
+            point[2 * np.array(ks)] += step
+            point[2 * np.array(ks) + 1] -= step / 2
+            points.append(point)
+        for zero in (0.0, -0.0):  # the first set at +0.0, then at -0.0
+            point = points[-1].copy()
+            point[[4, 5, 18, 19]] = zero
+            points.append(point)
+        for point in points:
+            self._call(work, point)
+        assert passes == [("full",)] + [("moved", first)] * 2 + [("moved", other)] + [
+            ("moved", first)
+        ] * 2
+        assert plans == [first, other, first]
+
     @pytest.mark.parametrize("bad", [np.nan, 1e150])
     def test_a_wide_or_nan_entry(self, monkeypatch, bad):
         # one coordinate beyond 1e100 or nan takes the full pass, as the
@@ -808,6 +838,60 @@ class TestKeptGeometry:
         assert len(calls) == calls_pinned
 
 
+class TestBlockedPasses:
+    """Above ``KEEP_FLOOR`` the full angle pass runs ``CORNER_BLOCK``
+    corners at a time through one scratch, and the scales by blocks of rows
+    (``Triangulation.row_blocks``).  On htilde(2,16), whose 53,595 corners
+    are two blocks and 4,443 more, and whose rows are three blocks, each
+    equals the pass over one block bit for bit."""
+
+    def test_full_pass(self, monkeypatch):
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        corners = mesh.corners.shape[1]
+        assert 2 * optimize.CORNER_BLOCK < corners < 3 * optimize.CORNER_BLOCK
+        blocked = _Workspace(mesh, pinned, scale)
+        monkeypatch.setattr(optimize, "CORNER_BLOCK", corners)
+        whole = _Workspace(mesh, pinned, scale)
+        assert blocked.x.shape == (3, 3 * 2**13) and whole.x.shape == (3, corners)
+        for work in (blocked, whole):
+            for scratch in (work.x, work.y, work.theta):
+                scratch.fill(np.nan)  # no scratch is read before it is written
+            optimize._angles_at(y, work)
+        P = blocked.P.T
+        theta, _, _, g, _ = objective_oracle.corner_angles(P, mesh.corners.T)
+        assert (blocked.area < 0).any()  # the random point flips faces
+        for name, want in (("angle", theta), ("area", g[2::3])):
+            assert _bits(getattr(blocked, name)) == _bits(getattr(whole, name)) == _bits(want)
+
+    def test_a_wide_drawing_takes_its_sides_from_sides_at(self, monkeypatch):
+        # the dense code on an infinite coordinate reads every corner's
+        # sides, computed again from the drawing, as the full pass keeps none
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        wide = y.copy()
+        wide[7] = np.inf
+        work = _Workspace(mesh, pinned, scale)
+        sizes, sides_at = [], optimize._sides_at
+
+        def recorded(cols, on):
+            if on is work:
+                sizes.append(cols.size)
+            return sides_at(cols, on)
+
+        monkeypatch.setattr(optimize, "_sides_at", recorded)
+        for point in (y, wide, y):
+            TestKeptGeometry._call(work, point, same=_nan_bits)
+        assert len(sizes) == 3 and sizes[1] == mesh.corners.shape[1] > max(sizes[0], sizes[2])
+
+    def test_scales(self, monkeypatch):
+        g, emb, coords = _oracle_case("htilde216")
+        mesh = Triangulation(g, emb)
+        assert len(list(mesh.row_blocks())) == 3
+        blocked = optimize._scales(mesh, coords.T)
+        monkeypatch.setattr(metrics, "ROW_BLOCK", mesh.n)
+        assert len(list(mesh.row_blocks())) == 1
+        assert _bits(blocked) == _bits(optimize._scales(mesh, coords.T))
+
+
 class TestCandidatePool:
     """A deep call's soft-min over its pool of candidate corners
     (``optimize._kept_softmin``), each call checked by
@@ -918,6 +1002,20 @@ class TestCandidatePool:
         pool = [("pool", 1e7), "kept"]
         assert events == ["full", *pool, "kept", "full", "dense", *pool]
 
+    def test_a_soft_min_the_pool_cannot_take(self, monkeypatch):
+        # at a sharpness whose largest lane loses 2 * EXP_FLOOR in its
+        # rounding, the pool's test fails even when it is fresh: the dense
+        # code runs on the kept angles, the live corners' sides computed
+        # again from the drawing, with no full pass
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        work = _Workspace(mesh, pinned, scale)
+        events = self._events(monkeypatch, work)
+        moved = y.copy()
+        moved[3] += 1e-3
+        for point in (y, moved):
+            TestKeptGeometry._call(work, point, 1e300)
+        assert events == ["full", ("pool", 1e300), "dense", ("pool", 1e300), "dense"]
+
     def test_a_tie_at_the_maximum(self, monkeypatch):
         # htilde(2,16)'s nested drawing with a degree-3 vertex on a
         # neighbour: six corners of angle +-0.0 tie for the smallest, the
@@ -981,11 +1079,12 @@ class TestStallRule:
     def test_stages_run(self, monkeypatch, script, ran):
         fam = build_Htilde(1, 2)
         work = _Workspace(Triangulation(fam.graph, fam.embedding), layout_nested(fam).T, 1.0)
-        asked = []
+        asked, workspaces = [], []
 
-        def scripted(fun, x0, args, maxiter):
+        def scripted(fun, x0, args, maxiter, wa=None):
             fx, nit = script[len(asked)]
             asked.append(args[1])  # the stage's penalty weight
+            workspaces.append(wa)
             return optimize.LbfgsbResult(np.array(x0), fx, nit, nit + 1, f"stage {len(asked)}")
 
         monkeypatch.setattr(optimize, "minimize", scripted)
@@ -994,6 +1093,9 @@ class TestStallRule:
         assert stages == [(f"stage {k + 1}", nit, nit + 1) for k, (_, nit) in enumerate(script[:ran])]
         assert asked == [10.0**k for k in range(1, ran + 1)]
         assert math.isfinite(value)  # the closing objective at the unmoved drawing
+        # one setulb workspace, shared by every stage of the restart
+        (wa,) = {id(wa): wa for wa in workspaces}.values()
+        assert wa.shape == (optimize._wa_size(2 * work.mesh.free.size),)
 
 
 class TestMinimize:
@@ -1040,8 +1142,11 @@ class TestMinimize:
         drive = optimize.minimize
         stages = []
 
-        def checked(fun, x0, args, maxiter):
-            got = drive(fun, x0, args, maxiter)
+        def checked(fun, x0, args, maxiter, wa=None):
+            # the restart's one wa, nan-filled: scipy's is zeroed afresh, and
+            # a stage that read an entry setulb had not written would differ
+            wa.fill(np.nan)
+            got = drive(fun, x0, args, maxiter, wa=wa)
             self.assert_same(got, lbfgsb_oracle.minimize(fun, x0, args, maxiter))
             stages.append((got.message, got.nit))
             return got
@@ -1651,6 +1756,17 @@ class TestPinnedSweeps:
         assert rows == [pins["sweep_rows"][line] for line in lines]
 
 
+def _nan_filled_wa(minimize):
+    """``minimize`` with the ``setulb`` workspace ``wa`` a restart passes
+    filled with nan before each stage."""
+
+    def poisoned(fun, x0, args, maxiter, wa=None):
+        wa.fill(np.nan)
+        return minimize(fun, x0, args, maxiter, wa=wa)
+
+    return poisoned
+
+
 class TestNestedRestartTraces:
     """sweep-deep's nested restart (restart 1; 3 restarts, seed 42,
     ``max_iters=3000``, ``penalty_init=10``) of each deep row, where most
@@ -1664,7 +1780,9 @@ class TestNestedRestartTraces:
     a restart that runs takes one, at its start, and a deep call that fell
     back to the full pass would add one each; its objective calls are its
     stages' evaluations plus the closing one.  The replays of these rows
-    collapse and never run."""
+    collapse and never run.  The restart's one ``setulb`` workspace is
+    filled with nan before each stage, so a stage that read an entry left
+    by the one before would move the pins."""
 
     @pytest.mark.parametrize("c, d", [(2, 16), (2, 32), (3, 8)])
     def test_trace(self, monkeypatch, pins, c, d):
@@ -1688,6 +1806,7 @@ class TestNestedRestartTraces:
         monkeypatch.setattr(optimize, "_restart", counted_restart)
         monkeypatch.setattr(optimize, "_objective", counted_objective)
         monkeypatch.setattr(optimize, "_corner_angles", counted_full)
+        monkeypatch.setattr(optimize, "minimize", _nan_filled_wa(optimize.minimize))
         fam = build_family(FamilySpec("htilde", c, d))
         cfg = OptimizeConfig(
             restarts=3, seed=42, max_iters=3000, penalty_init=10.0, extra_seeds=[layout_nested(fam)]
