@@ -73,12 +73,13 @@ whose faces are more than half of all or a wide or nan coordinate take the
 full pass and the dense code, a soft-min that is not finite the dense code,
 and every call on a smaller mesh both: on sweep-shallow's rows, at most
 3,051 corners, finding the moved vertices cost more than it saved.  On
-these meshes the one-shot passes run in cache-sized blocks, so that their
-temporaries come back from the heap instead of being faulted in afresh:
-the full angle pass ``CORNER_BLOCK`` corners at a time, through one
-scratch, the scales by blocks of rows, and the checks and measurements of
-``Triangulation`` likewise; the dense code computes its live corners'
-sides again from the drawing (``_sides_at``).
+these meshes whole faces are computed one way, face by face
+(``_face_sides``), the moved faces and the full angle pass alike, and the
+one-shot passes run in cache-sized blocks, so that their temporaries come
+back from the heap instead of being faulted in afresh: the full angle pass
+``metrics.FACE_BLOCK`` faces at a time, the scales by blocks of rows, and
+the checks and measurements of ``Triangulation`` likewise; the dense code
+computes its live corners' sides again from the drawing (``_sides_at``).
 
 The restarts are independent: each has its own start, its own
 ``rng([seed, r])`` and its own ``setulb`` state.  ``maximize_resolution``
@@ -120,6 +121,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import metrics
 from .families import FamilySpec, build_family
 from .geometry import _worker_count
 from .graphs import Embedding, LabeledGraph, StructureError, max_degree, parse_numbers
@@ -277,10 +279,6 @@ class OptimizeResult:
 # nine restarts, run one after another, took 2.23-2.25 s with no floor
 # against 2.04-2.10 s with it (median of 5, three alternating runs).
 KEEP_FLOOR = 2**14
-# Above the floor the full angle pass runs over this many corners at a time,
-# a multiple of 3, so that each block holds whole faces, through one scratch
-# of (3, CORNER_BLOCK) x and y sides that stays in cache.
-CORNER_BLOCK = 3 * 2**13
 
 
 @dataclass
@@ -309,27 +307,24 @@ class _Workspace:
     their free columns ``origin`` and one ``scale`` per free vertex.  The
     temporaries are the (2, n) rows of the drawing ``P``, a free-vertex
     row, the soft-min's ``exp`` values, all +0.0 between calls (``_lse``),
-    the (2, F) face rows and the scratch of the full angle pass: the (3,
-    block) x and y sides it gathers (``_sides``) and a row ``theta`` of the
-    block's length.  Below ``KEEP_FLOOR`` the block is every corner, the
-    dense code reads the full pass's x and y rows, the soft-min's lanes are
-    ``theta``, the corner angles ``angle`` are ``theta`` itself, which z
-    overwrites, and the faces' doubled areas ``area`` a view of corner 2's
-    g row of x.
+    and the (2, F) face rows.  Below ``KEEP_FLOOR`` they also hold the full
+    angle pass's (3, 3F) x and y sides (``_sides``), which the dense code
+    reads, and a corner row ``theta``: the soft-min's lanes and the corner
+    angles ``angle``, which z overwrites; the faces' doubled areas ``area``
+    are a view of corner 2's g row of x.
 
-    On a mesh of at least ``KEEP_FLOOR`` corners the full pass runs in
-    blocks of ``CORNER_BLOCK`` corners, so the workspace holds no full-size
-    x, y or theta row, and it keeps the geometry of the last drawing
-    ``_angles_at`` computed: the drawing ``P``, each corner's ``angle`` and
-    each face's doubled area ``area``, the g of its corner 2.  It is keyed
-    by ``held``, the bits of its variables ``y`` as uint64, so a flip
-    between +0.0 and -0.0 or a nan of other bits counts as a move.
-    ``kept`` is False while nothing is kept: on a new workspace, below the
-    floor, and after ``_corner_angles`` computes another drawing.  ``plan``
-    is the ``_Plan`` of the last moved set, or None, which the next call
-    that moves the same free vertices reuses; ``hit``, a face mask, is all
-    False between calls.  Above the floor the mesh's ``vertex_faces`` is
-    built here, outside any call.
+    On a mesh of at least ``KEEP_FLOOR`` corners the full pass runs face by
+    face (``_corner_angles``), so the workspace holds no x, y or theta, and
+    it keeps the geometry of the last drawing ``_angles_at`` computed: the
+    drawing ``P``, each corner's ``angle`` and each face's doubled area
+    ``area``, the g of its corner 2.  It is keyed by ``held``, the bits of
+    its variables ``y`` as uint64, so a flip between +0.0 and -0.0 or a nan
+    of other bits counts as a move.  ``kept`` is False while nothing is
+    kept: on a new workspace, below the floor, and after ``_corner_angles``
+    computes another drawing.  ``plan`` is the ``_Plan`` of the last moved
+    set, or None, which the next call that moves the same free vertices
+    reuses; ``hit``, a face mask, is all False between calls.  Above the
+    floor the mesh's ``vertex_faces`` is built here, outside any call.
 
     The candidate soft-min (``_kept_softmin``) reads ``pool``, ascending,
     the corners whose angle is at most ``bound``, which the mask
@@ -345,21 +340,21 @@ class _Workspace:
         self.scale = np.full(free, scale, dtype=float)
         self.P = np.empty((2, n))
         self.free_row = np.empty(free)
+        self.exp, self.face = np.zeros(corners), np.empty((2, corners // 3))
         self.keeps = corners >= KEEP_FLOOR
-        self.block = min(corners, CORNER_BLOCK) if self.keeps else corners
-        self.x, self.y = np.empty((3, self.block)), np.empty((3, self.block))
-        self.theta, self.exp = np.empty(self.block), np.zeros(corners)
-        self.angle = np.empty(corners) if self.keeps else self.theta
-        self.area = np.empty(corners // 3) if self.keeps else self.x[1, 2::3]
-        self.face = np.empty((2, corners // 3))
         self.kept = False
-        self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
-        self.plan = None
-        self.hit = np.zeros(corners // 3, bool)
         self.pool_sharp = None
         if self.keeps:
+            self.angle, self.area = np.empty(corners), np.empty(corners // 3)
+            self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
+            self.plan = None
+            self.hit = np.zeros(corners // 3, bool)
             self.candidate = np.empty(corners, bool)
             mesh.vertex_faces
+        else:
+            self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
+            self.theta = self.angle = np.empty(corners)
+            self.area = self.x[1, 2::3]
 
 
 def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
@@ -368,47 +363,38 @@ def _corner_angles(px: np.ndarray, py: np.ndarray, work: _Workspace):
     arrays ``px`` and ``py``, and ``work.area`` the faces' doubled areas,
     corner 2's g.  Below ``KEEP_FLOOR`` ``work.x`` and ``work.y`` are left
     holding the rows (e1x, g, e2x) and (e1y, h, e2y) of every corner
-    (``_geometry``), which the dense code reads; above it the pass runs
-    block by block through them, each corner by the same ufuncs, so every
-    value is the same bit for bit.  This is the full pass: it drops what
-    the workspace kept and its pool."""
+    (``_sides``, ``_geometry``), which the dense code reads; above it the
+    pass computes ``metrics.FACE_BLOCK`` faces at a time face by face
+    (``_faces_at``), by the same subtractions and ufuncs, so every value is
+    the same bit for bit.  This is the full pass: it drops what the
+    workspace kept and its pool."""
     work.kept = False
     work.pool_sharp = None
-    corners, block = work.mesh.corners, work.block
-    for lo in range(0, corners.shape[1], block):
-        index = corners[:, lo : lo + block]
-        size = index.shape[1]
-        if size < block:  # the last block: contiguous views of the scratch's head
-            x, y = (s.reshape(-1)[: 3 * size].reshape(3, size) for s in (work.x, work.y))
-        else:
-            x, y = work.x, work.y
-        # a block's rows are not contiguous, so one np.take over them would copy them
-        sides = _sides(px, py, x, y, index if size == corners.shape[1] else tuple(index))
-        (_, g, _), (_, h, _) = _geometry(*sides, work.theta[:size])
-        np.arctan2(g, h, out=work.angle[lo : lo + size])
-        if work.keeps:
-            np.copyto(work.area[lo // 3 : (lo + size) // 3], g[2::3])
+    if not work.keeps:
+        sides = _sides(px, py, work.x, work.y, work.mesh.corners)
+        (_, g, _), (_, h, _) = _geometry(*sides, work.theta)
+        return np.arctan2(g, h, out=work.angle)
+    faces, size = work.mesh.faces, metrics.FACE_BLOCK
+    for lo in range(0, len(faces), size):
+        block = faces[lo : lo + size]
+        hi = lo + len(block)
+        _faces_at(block.ravel(), (px, py), slice(3 * lo, 3 * hi), slice(lo, hi), work)
     return work.angle
 
 
 def _sides(px, py, x, y, index):
     """Write the sides of the corners (a, b, c) whose a, b and c columns are
-    the rows of the (3, k) ``index``, or the three rows themselves, from the
-    x and y coordinate arrays ``px`` and ``py``, into the (3, k) float
-    arrays ``x`` and ``y``, and return their rows (e1, b, e2), e1 = a - b
-    and e2 = c - b, as views: ((e1x, bx, e2x), (e1y, by, e2y)).  Each
-    coordinate's a, b and c columns are gathered by one ``np.take`` over
-    the array, or one per row (``mode="wrap"``, a no-op on a valid index,
-    writes ``out`` directly where ``"raise"`` buffers it), and e1 and e2
-    overwrite the a and c rows, so every value is the subtraction of the
+    the rows of the (3, k) ``index``, from the x and y coordinate arrays
+    ``px`` and ``py``, into the (3, k) float arrays ``x`` and ``y``, and
+    return their rows (e1, b, e2), e1 = a - b and e2 = c - b, as views:
+    ((e1x, bx, e2x), (e1y, by, e2y)).  Each coordinate's a, b and c columns
+    are gathered by one ``np.take`` (``mode="wrap"``, a no-op on a valid
+    index, writes ``out`` directly where ``"raise"`` buffers it), and e1 and
+    e2 overwrite the a and c rows, so every value is the subtraction of the
     gathered points."""
     rows = []
     for p, out in ((px, x), (py, y)):
-        if isinstance(index, tuple):
-            for i, o in zip(index, out):
-                np.take(p, i, out=o, mode="wrap")
-        else:
-            np.take(p, index, out=out, mode="wrap")
+        np.take(p, index, out=out, mode="wrap")
         a, b, c = out
         rows.append((np.subtract(a, b, out=a), b, np.subtract(c, b, out=c)))
     return rows
@@ -499,7 +485,7 @@ def _angles_at(y, work) -> bool:
                 px[plan.v] = plan.ox + plan.scale * y[kx]
                 py[plan.v] = plan.oy + plan.scale * y[kx + 1]
                 if not _wide(P):
-                    _move(k, plan, work)
+                    _move(plan, work)
                     np.copyto(work.held, bits)
                     return False
     _place(y, work)
@@ -544,15 +530,15 @@ def _sides_at(cols, work):
     return _geometry(*_sides(*work.P, np.empty((3, n)), np.empty((3, n)), index), np.empty(n))
 
 
-def _face_sides(b, work):
-    """``_sides_at`` of every corner of some faces, face by face, from
-    ``b``, their vertices ``faces[f].ravel()``.  Corner i of face (t0, t1,
-    t2) is (t[i-1], t[i], t[i+1]), so its b is t[i] and its a and c are the
-    b of its face's corners i - 1 and i + 1: each coordinate is gathered
-    once per vertex, and each side is the same subtraction of the same two
-    coordinates."""
+def _face_sides(b, P):
+    """``_sides_at`` of every corner of some faces, face by face, in the
+    drawing of the (2, n) rows ``P``, from ``b``, their vertices
+    ``faces[f].ravel()``.  Corner i of face (t0, t1, t2) is (t[i-1], t[i],
+    t[i+1]), so its b is t[i] and its a and c are the b of its face's
+    corners i - 1 and i + 1: each coordinate is gathered once per vertex,
+    and each side is the same subtraction of the same two coordinates."""
     rows = []
-    for p in work.P:
+    for p in P:
         e1, mid, e2 = out = np.empty((3, b.size // 3, 3))
         np.take(p, b, out=mid.reshape(-1), mode="wrap")
         for i in range(3):
@@ -562,16 +548,26 @@ def _face_sides(b, work):
     return _geometry(*rows, np.empty(b.size))
 
 
-def _move(k, plan, work) -> None:
-    """Compute every corner of the faces of the free vertices ``free[k]``,
-    the ``_Plan`` ``plan``, again in ``work.P``, where ``_angles_at`` has
-    placed them: their angles, their faces' doubled areas and, while the
-    pool is built, their marks in it."""
-    f, cols = plan.f, plan.cols
-    (_, g, _), (_, h, _) = _face_sides(plan.b, work)
+def _faces_at(b, P, cols, f, work) -> np.ndarray:
+    """Compute the faces ``f`` again in the drawing of the (2, n) rows
+    ``P``, from ``b``, their vertices face by face (``_face_sides``): their
+    corners' angles, returned and written to ``work.angle`` at their
+    corners ``cols``, and their doubled areas, corner 2's g, to
+    ``work.area``."""
+    (_, g, _), (_, h, _) = _face_sides(b, P)
     angle = np.arctan2(g, h)
     work.angle[cols] = angle
     work.area[f] = g[2::3]
+    return angle
+
+
+def _move(plan, work) -> None:
+    """Compute the faces of the moved free vertices, the ``_Plan``
+    ``plan``, again in ``work.P``, where ``_angles_at`` has placed them
+    (``_faces_at``), and, while the pool is built, their corners' marks in
+    it."""
+    cols = plan.cols
+    angle = _faces_at(plan.b, work.P, cols, plan.f, work)
     if work.pool_sharp is not None:
         candidate = work.candidate
         now, was = angle <= work.bound, candidate[cols]
@@ -780,7 +776,7 @@ def _objective(y, sharp, weight, work):
         pc = np.multiply(2.0 * weight, neg, out=square)
         faces = np.arange(pc.size) if wide else pc.nonzero()[0]
         if faces.size:
-            (_, _, sides_x), (sides_y, _, _) = _face_sides(mesh.faces[faces].ravel(), work)
+            (_, _, sides_x), (sides_y, _, _) = _face_sides(mesh.faces[faces].ravel(), work.P)
             fy, fx = sides_y.reshape(-1, 3).T[[1, 2, 0]], sides_x.reshape(-1, 3).T
             pc = pc[faces]
             index = np.concatenate([index, corners[:, 0::3][:, faces].ravel()])
@@ -836,7 +832,7 @@ def _wa_size(n: int, m: int = 10) -> int:
     return 2 * m * n + 5 * n + 11 * m * m + 8 * m
 
 
-def minimize(fun, x0, args, maxiter, wa=None):
+def minimize(fun, x0, args, maxiter, wa):
     """Minimize ``fun(x, *args)``, which returns the value and its gradient,
     from ``x0`` by L-BFGS-B without bounds: scipy 1.17.1's
     ``minimize(fun, x0, args, method="L-BFGS-B", jac=True, options={"maxiter":
@@ -855,9 +851,9 @@ def minimize(fun, x0, args, maxiter, wa=None):
     module docstring).  The result's ``fun`` is the last value evaluated:
     after an ``ABNORMAL`` exit, that of a rejected trial point, not of ``x``.
 
-    ``wa`` is ``setulb``'s float workspace of ``_wa_size(x0.size)`` floats;
-    None allocates a zeroed one, as scipy does.  A caller that runs several
-    stages passes one array to all of them, as it stands: on a fresh start
+    ``wa`` is ``setulb``'s float workspace of ``_wa_size(x0.size)`` floats,
+    which scipy allocates zeroed.  A caller that runs several stages passes
+    one array to all of them, as it stands: on a fresh start
     ``setulb`` writes each entry of it before reading it, so a stale or
     nan-filled ``wa`` gives scipy's result bit for bit, while the small
     state arrays (``iwa``, ``task``, ``lsave``, ``isave``, ``dsave``) are
@@ -872,8 +868,6 @@ def minimize(fun, x0, args, maxiter, wa=None):
     # setulb reads f and g only where it asked for them
     f, g = np.array(0.0), np.zeros(n)
     low, up, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-    if wa is None:
-        wa = np.zeros(_wa_size(n, m))
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from xml.etree import ElementTree
 
@@ -275,6 +276,20 @@ class TestLayoutMeasure:
         assert err.splitlines() == ["error: fan layout needs a top frame of d <= 1023 rings, "
                                     "got d=1100: its radius RING_RATIO**d overflows"]
         assert not dp.exists()
+
+    def test_layout_degenerate_host_one_line_error(self, tmp_path, capsys):
+        # htilde(7,2)'s nested drawing has a host with coinciding corners
+        # and so nan rings: its validation exits 1, and nothing warns
+        dp = tmp_path / "h.drawing"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "layout", "--family", "htilde", "--c", "7", "--d", "2",
+                               "-o", str(dp))
+        assert code == 1
+        assert err.splitlines() == [
+            "layout invalid: non-finite: non-finite coordinates at vertex 537"
+        ]
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("family,c,d,rings", [("frame", None, 1024, 1024), ("g", 2, 1023, 1024),
                                                   ("frame", None, 1023, None), ("g", 2, 1022, None)])

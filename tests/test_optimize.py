@@ -604,10 +604,10 @@ class TestKeptGeometry:
                 passes.append(("full",))
             return full(*args)
 
-        def recorded_move(k, *args):
-            if args[-1] is work:
-                passes.append(("moved", k.tolist()))
-            return move(k, *args)
+        def recorded_move(plan, on):
+            if on is work:
+                passes.append(("moved", plan.k.tolist()))
+            return move(plan, on)
 
         monkeypatch.setattr(optimize, "_corner_angles", recorded_full)
         monkeypatch.setattr(optimize, "_move", recorded_move)
@@ -839,29 +839,56 @@ class TestKeptGeometry:
 
 
 class TestBlockedPasses:
-    """Above ``KEEP_FLOOR`` the full angle pass runs ``CORNER_BLOCK``
-    corners at a time through one scratch, and the scales by blocks of rows
-    (``Triangulation.row_blocks``).  On htilde(2,16), whose 53,595 corners
-    are two blocks and 4,443 more, and whose rows are three blocks, each
-    equals the pass over one block bit for bit."""
+    """Above ``KEEP_FLOOR`` the full angle pass computes
+    ``metrics.FACE_BLOCK`` faces at a time, face by face, and the scales
+    run by blocks of rows (``Triangulation.row_blocks``).  On htilde(2,16),
+    whose 17,865 faces are four blocks and 1,481 more, and whose rows are
+    three blocks, each equals the pass over one block bit for bit."""
 
-    def test_full_pass(self, monkeypatch):
+    @staticmethod
+    def _full_pass(work, y):
+        """``work.angle`` and ``work.area`` after ``_angles_at`` at ``y``,
+        copied; both are nan-filled first, so an entry left unwritten shows."""
+        work.angle.fill(np.nan)
+        work.area.fill(np.nan)
+        optimize._angles_at(y, work)
+        return work.angle.copy(), work.area.copy()
+
+    @pytest.mark.parametrize("size", [None, 3573])  # as it is, or dividing F into five
+    def test_face_blocks(self, monkeypatch, size):
         mesh, pinned, scale, y = TestKeptGeometry._frame()
-        corners = mesh.corners.shape[1]
-        assert 2 * optimize.CORNER_BLOCK < corners < 3 * optimize.CORNER_BLOCK
-        blocked = _Workspace(mesh, pinned, scale)
-        monkeypatch.setattr(optimize, "CORNER_BLOCK", corners)
+        faces = len(mesh.faces)
+        assert faces == 4 * metrics.FACE_BLOCK + 1481
+        if size is not None:
+            assert faces % size == 0
+            monkeypatch.setattr(metrics, "FACE_BLOCK", size)
+        blocked = self._full_pass(_Workspace(mesh, pinned, scale), y)
+        monkeypatch.setattr(metrics, "FACE_BLOCK", faces)
         whole = _Workspace(mesh, pinned, scale)
-        assert blocked.x.shape == (3, 3 * 2**13) and whole.x.shape == (3, corners)
-        for work in (blocked, whole):
-            for scratch in (work.x, work.y, work.theta):
-                scratch.fill(np.nan)  # no scratch is read before it is written
-            optimize._angles_at(y, work)
-        P = blocked.P.T
-        theta, _, _, g, _ = objective_oracle.corner_angles(P, mesh.corners.T)
-        assert (blocked.area < 0).any()  # the random point flips faces
-        for name, want in (("angle", theta), ("area", g[2::3])):
-            assert _bits(getattr(blocked, name)) == _bits(getattr(whole, name)) == _bits(want)
+        assert not any(hasattr(whole, name) for name in ("x", "y", "theta"))
+        one = self._full_pass(whole, y)
+        theta, _, _, g, _ = objective_oracle.corner_angles(whole.P.T, mesh.corners.T)
+        assert (blocked[1] < 0).any()  # the random point flips faces
+        for got, single, want in zip(blocked, one, (theta, g[2::3])):
+            assert _bits(got) == _bits(single) == _bits(want)
+
+    def test_dense_rows_below_the_floor(self, monkeypatch):
+        # below the floor the full pass gathers every corner's sides into
+        # the workspace's (3, 3F) rows, which the dense code reads; no
+        # scratch is read before it is written
+        mesh, pinned, scale, y = TestKeptGeometry._frame()
+        _set_floor(monkeypatch, mesh.corners.shape[1] + 1)
+        work = _Workspace(mesh, pinned, scale)
+        for scratch in (work.x, work.y, work.theta):
+            scratch.fill(np.nan)
+        optimize._angles_at(y, work)
+        theta, e1, e2, g, h = objective_oracle.corner_angles(work.P.T, mesh.corners.T)
+        assert (work.area < 0).any()
+        for got, want in (
+            (work.angle, theta), (work.area, g[2::3]),
+            (work.x, (e1[:, 0], g, e2[:, 0])), (work.y, (e1[:, 1], h, e2[:, 1])),
+        ):
+            assert _bits(got) == _bits(np.asarray(want))
 
     def test_a_wide_drawing_takes_its_sides_from_sides_at(self, monkeypatch):
         # the dense code on an infinite coordinate reads every corner's
@@ -1081,7 +1108,7 @@ class TestStallRule:
         work = _Workspace(Triangulation(fam.graph, fam.embedding), layout_nested(fam).T, 1.0)
         asked, workspaces = [], []
 
-        def scripted(fun, x0, args, maxiter, wa=None):
+        def scripted(fun, x0, args, maxiter, wa):
             fx, nit = script[len(asked)]
             asked.append(args[1])  # the stage's penalty weight
             workspaces.append(wa)
@@ -1124,7 +1151,7 @@ class TestMinimize:
             return 0.5 * float(np.sum(a * r * r)), a * r
 
         x0 = np.zeros(12)
-        got = optimize.minimize(fun, x0, (a, c), maxiter)
+        got = optimize.minimize(fun, x0, (a, c), maxiter, np.zeros(optimize._wa_size(x0.size)))
         self.assert_same(got, lbfgsb_oracle.minimize(fun, x0, (a, c), maxiter))
         assert got.message == message and not x0.any()
 
@@ -1142,7 +1169,7 @@ class TestMinimize:
         drive = optimize.minimize
         stages = []
 
-        def checked(fun, x0, args, maxiter, wa=None):
+        def checked(fun, x0, args, maxiter, wa):
             # the restart's one wa, nan-filled: scipy's is zeroed afresh, and
             # a stage that read an entry setulb had not written would differ
             wa.fill(np.nan)
@@ -1760,7 +1787,7 @@ def _nan_filled_wa(minimize):
     """``minimize`` with the ``setulb`` workspace ``wa`` a restart passes
     filled with nan before each stage."""
 
-    def poisoned(fun, x0, args, maxiter, wa=None):
+    def poisoned(fun, x0, args, maxiter, wa):
         wa.fill(np.nan)
         return minimize(fun, x0, args, maxiter, wa=wa)
 
