@@ -22,7 +22,9 @@ One NumPy kernel (``_half_edges``) checks the rotation against the edges
 and pairs each half-edge with its twin by one sort of undirected edge keys,
 then builds the face-successor permutation ``nxt`` over the half-edges;
 ``internal_triangles``, the package's one face reader, reads a
-triangulation's faces from ``nxt`` with array operations alone.
+triangulation's faces from ``nxt`` with array operations alone and returns
+the faces alone, with no map from half-edges to faces: every face is a
+triangle, so the faces at a vertex are the rows that hold it.
 
 A planar 3-tree's build sequence is a base triangle and two int64 arrays,
 inserted vertices ``xs`` (S,) and their triangles ``tris`` (S, 3), written
@@ -293,13 +295,6 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     Raises StructureError unless every face is a triangle, Euler's formula
     holds and the embedding's outer face is among the traced faces.
     """
-    return _face_walk(graph, emb)[0]
-
-
-def _face_walk(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
-    """``(faces, face_of)``: ``internal_triangles(graph, emb)`` and, for each
-    half-edge ``h = offset[v] + k``, the row of ``faces`` of the face it
-    bounds, which holds ``v``; -1 on the outer face's three half-edges."""
     src, nxt = _half_edges(graph, emb)
     nxt2 = nxt[nxt]
     h = np.arange(nxt.size)
@@ -310,9 +305,7 @@ def _face_walk(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndar
         face = canonical_cycle(face_cycle_from(emb, int(src[first]), int(src[nxt[first]])))
         raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
     lead = np.flatnonzero((h < nxt) & (h < nxt2))
-    walk = np.stack([lead, nxt[lead], nxt2[lead]], axis=1)
-    del lead, nxt2
-    faces = src[walk]
+    faces = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
     if not euler_check(graph, faces):
         raise StructureError(
             f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
@@ -323,11 +316,7 @@ def _face_walk(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndar
         hit = (faces[:, 0] == outer[0]) & (faces[:, 1] == outer[1]) & (faces[:, 2] == outer[2])
     if not hit.any():
         raise StructureError(f"outer face {outer} not found among traced faces")
-    row = np.cumsum(~hit) - 1
-    row[hit] = -1
-    face_of = h  # every half-edge bounds one face: each entry is written
-    face_of[walk] = row[:, None]
-    return faces[~hit], face_of
+    return faces[~hit]
 
 
 @dataclass(eq=False)

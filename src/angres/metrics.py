@@ -5,10 +5,11 @@ and a triangulated embedding, compiled once into a ``Triangulation``.  Its
 ``violations`` (exact orientation signs, no epsilon) and ``valid`` (their
 verdict, stopping at the first block of faces with a flipped one) read one
 array of oriented faces through one generator.  Its ``corners`` index the
-internal corners whose sides the optimizer gathers, its ``vertex_faces``
-the faces at each vertex, read off the face walk, and its ``replay`` is the
-plan every replay seed is placed from.  Its ``resolution`` measures a validated drawing on
-the embedding's rotation or on ``drawn_embedding``, the one the drawing
+internal corners whose sides the optimizer gathers, and its ``replay`` is
+the plan every replay seed is placed from.  It keeps no array with one
+entry per half-edge: the faces at a vertex are the rows of ``faces`` that
+hold it.  Its ``resolution`` measures a validated drawing on the
+embedding's rotation or on ``drawn_embedding``, the one the drawing
 realizes by one stable sort of integer keys (``_rotation_order``), which
 ``angular_resolution`` measures unvalidated; both take one gap step
 (``_gaps``) between row neighbours, of one ``arctan2`` per half-edge
@@ -33,7 +34,7 @@ from .graphs import (
     Records,
     StructureError,
     _ROWS,
-    _face_walk,
+    internal_triangles,
 )
 from .layout import _ReplayPlan
 
@@ -193,8 +194,7 @@ class Triangulation:
         self.graph, self.emb = graph, emb
         self.n = graph.n
         outer = np.asarray([emb.outer_face[::-1]], dtype=np.int64)
-        faces, self._face_of = _face_walk(graph, emb)  # kept for vertex_faces
-        self.oriented = np.concatenate([outer, faces])
+        self.oriented = np.concatenate([outer, internal_triangles(graph, emb)])
         self.faces = self.oriented[1:]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
@@ -207,17 +207,6 @@ class Triangulation:
         for column, perm in zip(corners.reshape(3, f, 3), ([2, 0, 1], [0, 1, 2], [1, 2, 0])):
             np.take(self.faces, perm, axis=1, out=column, mode="wrap")  # "raise" would buffer out
         return corners
-
-    @functools.cached_property
-    def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(start, faces): the internal faces at vertex v, as row numbers of
-        ``faces``, are ``faces[start[v]:start[v + 1]]``, one per half-edge
-        of v's row in rotation order, read off the face walk's half-edge ->
-        face map (``graphs._face_walk``), without the outer face's three
-        half-edges; built on first read, like ``corners``."""
-        outer = np.flatnonzero(self._face_of < 0)
-        offset = self.emb.offset
-        return offset - np.searchsorted(outer, offset), np.delete(self._face_of, outer)
 
     @functools.cached_property
     def replay(self) -> _ReplayPlan:

@@ -65,7 +65,9 @@ area.  L-BFGS-B leaves every coordinate outside its gradient history's
 support unchanged to the bit, so a deep call computes again only the faces
 at a vertex whose variables changed a bit (``_angles_at``) and takes its
 soft-min over a pool of candidate corners, which those faces keep up to
-date (``_kept_softmin``).  The trials of one line search move the same
+date (``_kept_softmin``).  Those faces are the rows of the mesh's one
+face array that hold a moved vertex, found by a vertex mask; the mesh keeps
+no per-vertex face index.  The trials of one line search move the same
 vertices, so the plan of their faces (``_moved_faces``) is built once and
 taken again while the moved set repeats.  A cold restart takes one full
 pass, at its start drawing, kept for its first variables; moved vertices
@@ -285,9 +287,10 @@ KEEP_FLOOR = 2**14
 class _Plan:
     """What a call that moves the free vertices ``free[k]`` computes again
     (``_moved_faces``): the vertices ``v``, their origins ``ox``, ``oy`` and
-    scales, their faces ``f``, each once, ascending, those faces' corners
-    ``cols`` (``_face_corners``) and the faces' vertices ``b``, face by face,
-    which ``_face_sides`` reads."""
+    scales, their faces ``f``, the rows of ``mesh.faces`` that hold one of
+    them, each once, ascending, those faces' corners ``cols``
+    (``_face_corners``) and the faces' vertices ``b``, face by face, which
+    ``_face_sides`` reads."""
 
     k: np.ndarray
     v: np.ndarray
@@ -323,8 +326,7 @@ class _Workspace:
     kept: on a new workspace, below the floor, and after ``_corner_angles``
     computes another drawing.  ``plan`` is the ``_Plan`` of the last moved
     set, or None, which the next call that moves the same free vertices
-    reuses; ``hit``, a face mask, is all False between calls.  Above the
-    floor the mesh's ``vertex_faces`` is built here, outside any call.
+    reuses.
 
     The candidate soft-min (``_kept_softmin``) reads ``pool``, ascending,
     the corners whose angle is at most ``bound``, which the mask
@@ -348,9 +350,7 @@ class _Workspace:
             self.angle, self.area = np.empty(corners), np.empty(corners // 3)
             self.held, self.moved = np.empty(2 * free, np.uint64), np.empty(2 * free, bool)
             self.plan = None
-            self.hit = np.zeros(corners // 3, bool)
             self.candidate = np.empty(corners, bool)
-            mesh.vertex_faces
         else:
             self.x, self.y = np.empty((3, corners)), np.empty((3, corners))
             self.theta = self.angle = np.empty(corners)
@@ -434,22 +434,22 @@ def _moved_faces(k, work) -> _Plan | None:
     None when their faces, each counted once per moved vertex, are more than
     half the faces: on htilde(2,16) and (3,8) the faces of random vertices
     took as long as the full pass at about 37% of the faces, and 1.5-1.8
-    times as long at 56%."""
+    times as long at 56%.  Every face is a triangle, so a free vertex lies
+    on one internal face per entry of its rotation row, and that count is
+    its row's length.  The faces are the rows of ``mesh.faces`` that hold a
+    moved vertex, found by a vertex mask over its three columns, views that
+    copy nothing: each face once, ascending."""
     mesh = work.mesh
     v = mesh.free[k]
-    start, faces = mesh.vertex_faces
-    lo, count = start[v], start[v + 1] - start[v]
-    total = int(count.sum())
-    if 2 * total > len(mesh.faces):
+    offset = mesh.emb.offset
+    if 2 * int((offset[v + 1] - offset[v]).sum()) > len(mesh.faces):
         return None
-    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(total)
-    # each face once, ascending, by a mask kept all False
-    hit = work.hit
-    hit[faces[at]] = True
-    f = np.flatnonzero(hit)
-    hit[f] = False
+    mark = np.zeros(mesh.n, bool)
+    mark[v] = True
+    t = mesh.faces
+    f = np.flatnonzero(mark[t[:, 0]] | mark[t[:, 1]] | mark[t[:, 2]])
     (ox, oy), scale = work.origin[:, k], work.scale[k]
-    return _Plan(k, v, ox, oy, scale, f, _face_corners(f), mesh.faces[f].ravel())
+    return _Plan(k, v, ox, oy, scale, f, _face_corners(f), t[f].ravel())
 
 
 def _angles_at(y, work) -> bool:
@@ -522,11 +522,11 @@ def _face_corners(f):
     return cols.ravel()
 
 
-def _sides_at(cols, work):
-    """The sides of the corners ``cols`` in ``work.P``, with g and h in their
-    b rows (``_geometry``): the full pass's values bit for bit."""
-    n = cols.size
-    index = np.take(work.mesh.corners, cols, axis=1)
+def _sides_at(index, work):
+    """The sides in ``work.P`` of the corners whose a, b and c columns are
+    the rows of the (3, k) ``index``, with g and h in their b rows
+    (``_geometry``): the full pass's values bit for bit."""
+    n = index.shape[1]
     return _geometry(*_sides(*work.P, np.empty((3, n)), np.empty((3, n)), index), np.empty(n))
 
 
@@ -751,14 +751,15 @@ def _objective(y, sharp, weight, work):
         z = np.multiply(-sharp, work.angle, out=None if work.keeps else work.theta)
         soft = _softmin(z, work, wide=wide)
     lse, on, x = soft
-    if work.keeps:
-        (e1x, g, e2x), (e1y, h, e2y) = _sides_at(on, work)
-    else:
-        (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
-    value = lse / sharp  # minus the soft-min -lse / sharp
     # the scatter index: the a, b and c columns of the live corners, then
     # those of the selected faces' corner 0, their penalty vertices
-    index = np.take(corners, on, axis=1).ravel()
+    index = np.take(corners, on, axis=1)
+    if work.keeps:
+        (e1x, g, e2x), (e1y, h, e2y) = _sides_at(index, work)
+    else:
+        (e1x, g, e2x), (e1y, h, e2y) = np.take(work.x, on, axis=1), np.take(work.y, on, axis=1)
+    index = index.ravel()
+    value = lse / sharp  # minus the soft-min -lse / sharp
 
     # orientation penalty: sum of relu(-area)^2 over internal faces; face
     # (t0, t1, t2) holds corners 3f, 3f+1 and 3f+2, at t0, t1 and t2, and

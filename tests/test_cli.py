@@ -555,6 +555,40 @@ class TestOptimizeCli:
             "optimize failed: outer face (0, 5, 6, 1) not found among traced faces"
         ]
 
+    @pytest.mark.parametrize("cores", ["all", "one"])
+    def test_no_3tree_one_line_error(self, tmp_path, cores):
+        """A triangulation that is no planar 3-tree, the octahedron, has no
+        replay plan: ``angres optimize`` fails with one stderr line and no
+        output file, both when its restarts may run in forked workers and
+        when they all run in one process, confined to one core by
+        ``os.sched_setaffinity`` in the child.  It runs with warnings shown
+        and a RuntimeWarning an error."""
+        (tmp_path / "o.graph").write_text(
+            "graph 6\ne 0 1\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 4\ne 1 5\ne 2 3\ne 2 5\ne 3 4\n"
+            "e 3 5\ne 4 5\n"
+        )
+        (tmp_path / "o.emb").write_text(
+            "rot 0 2 3 4 1\nrot 1 0 4 5 2\nrot 2 1 5 3 0\nrot 3 4 0 2 5\nrot 4 0 3 5 1\n"
+            "rot 5 4 3 2 1\nouter 0 2 1\n"
+        )
+        one_core = (
+            "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from angres.cli import main; sys.exit(main())"
+        )
+        entry = ["-m", "angres.cli"] if cores == "all" else ["-c", one_core]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", *entry,
+             "optimize", "o.graph", "o.emb", "--restarts", "4", "-o", "o.opt"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("optimize failed: ") and done.stderr.count("\n") == 1
+        assert done.stderr.endswith("\n")
+        assert sorted(os.listdir(tmp_path)) == ["o.emb", "o.graph"]
+
 
     def test_a_file_graph_optimizes_like_the_built_family(self, tmp_path, capsys):
         """gen's files carry no certificate, so the graph read back is

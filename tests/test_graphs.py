@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angres import graphs
+from angres import cli, graphs
 from angres.families import FamilySpec, build_family, build_frame, build_G, build_H, build_Htilde
 from angres.graphs import (
     MAX_VERTICES,
@@ -747,6 +748,22 @@ def stacked_graph(seq):
     return LabeledGraph(len(seq.xs) + 3, pairs)
 
 
+def sequence_digest(seq):
+    """The sha256 of a build sequence's base repr and of its two arrays."""
+    parts = (repr(seq.base).encode(), seq.xs.tobytes(), seq.tris.tobytes())
+    return [hashlib.sha256(part).hexdigest() for part in parts]
+
+
+def assert_by_level_then_vertex(seq, n):
+    """``seq`` lists its steps by level, then by vertex, with each
+    triangle's corners and the base ascending."""
+    level = _check_build_sequence(seq, n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
+    assert (np.diff(level) >= 0).all()
+    assert (np.diff(seq.xs)[np.diff(level) == 0] > 0).all()
+    assert (np.diff(seq.tris, axis=1) > 0).all()
+    assert list(seq.base) == sorted(seq.base)
+
+
 def placements(mesh):
     """The bytes of a mesh's centroid replay and of its jittered replays at
     ``rng([42, r])`` for r = 2..4, the starts of restarts 0 and 2..4."""
@@ -834,12 +851,39 @@ class TestCertificate:
         fam = build_family(FamilySpec(name, c, d))
         g, keep = fam.graph, fam.embedding.outer_face
         for graph, root in ((g, keep), (uncertified(g), keep), (g, None)):
-            seq = verify_planar_3tree(graph, root)
-            level = _check_build_sequence(seq, g.n, 2, _PLANARITY_ERRORS, NotPlanar3TreeError)
-            assert (np.diff(level) >= 0).all()
-            assert (np.diff(seq.xs)[np.diff(level) == 0] > 0).all()
-            assert (np.diff(seq.tris, axis=1) > 0).all()
-            assert list(seq.base) == sorted(seq.base)
+            assert_by_level_then_vertex(verify_planar_3tree(graph, root), g.n)
+
+    def test_large_families_and_a_gen_round_trip(self, tmp_path):
+        """On htilde(3,16) (268k vertices), G(3,8) and htilde(3,8) the
+        sequence hashes the same with the certificate and with it dropped,
+        and so does G(3,8)'s jittered replay of restart 2.  htilde(3,8)
+        written by ``angres gen`` and read back carries none, is eliminated
+        and hashes as the built family.  htilde(3,16) and the graph read
+        back come listed by level, then by vertex."""
+        out = tmp_path / "h.graph"
+        assert cli.main(["gen", "--family", "htilde", "--c", "3", "--d", "8", "-o", str(out)]) == 0
+
+        def jittered(graph, emb):
+            place = Triangulation(graph, emb).replay.place
+            return place(rng=np.random.default_rng([42, 2])).tobytes()
+
+        for spec in (FamilySpec("htilde", 3, 16), FamilySpec("g", 3, 8), FamilySpec("htilde", 3, 8)):
+            fam = build_family(spec)
+            g, keep = fam.graph, fam.embedding.outer_face
+            plain = uncertified(g)
+            assert g.certificate is not None
+            seq = verify_planar_3tree(g, keep)
+            want = sequence_digest(seq)
+            assert sequence_digest(verify_planar_3tree(plain, keep)) == want, spec
+            if spec.family == "g":
+                assert jittered(g, fam.embedding) == jittered(plain, fam.embedding), spec
+            if spec.d == 16:
+                assert_by_level_then_vertex(seq, g.n)
+        back = read_graph(out.read_text())
+        assert back.certificate is None
+        seq = verify_planar_3tree(back, keep)
+        assert sequence_digest(seq) == want, "gen round trip"
+        assert_by_level_then_vertex(seq, back.n)
 
     def test_built_families_skip_the_elimination(self, monkeypatch):
         def refused(graph, keep):

@@ -636,8 +636,7 @@ class TestKeptGeometry:
 
     def test_only_the_highest_degree_vertex_moves(self, monkeypatch):
         mesh, pinned, scale, y = self._frame()
-        start, _ = mesh.vertex_faces
-        top = int(np.argmax(np.diff(start)[mesh.free]))
+        top = int(np.argmax(np.diff(mesh.emb.offset)[mesh.free]))
         moved = y.copy()
         moved[2 * top] += 0.5
         moved[2 * top + 1] -= 0.25
@@ -654,12 +653,12 @@ class TestKeptGeometry:
         # zeros, which can turn an angle at u by pi.  The first such (v, u)
         # whose objective value moves
         mesh, pinned, scale, _ = self._frame()
-        start, faces = mesh.vertex_faces
+        offset, nbr = mesh.emb.offset, mesh.emb.nbr
         plus = np.zeros(2 * mesh.free.size)  # the drawing itself, v on u
         for k, v in enumerate(mesh.free):
-            if start[v + 1] - start[v] != 3:
+            if offset[v + 1] - offset[v] != 3:
                 continue
-            for u in sorted(set(mesh.faces[faces[start[v] : start[v + 1]]].ravel()) - {v}):
+            for u in sorted(nbr[offset[v] : offset[v + 1]]):
                 at = pinned - pinned[:, [u]]  # u at +0.0, +0.0
                 at[:, v] = -0.0
                 minus = plus.copy()
@@ -838,6 +837,40 @@ class TestKeptGeometry:
         assert len(calls) == calls_pinned
 
 
+class TestMovedFaces:
+    """``optimize._moved_faces`` against a brute-force set oracle on
+    htilde(2,16) and htilde(3,8): the plan of a moved set is None exactly
+    when twice the moved vertices' face count, each face counted once per
+    moved vertex on it, exceeds the face count F, and otherwise lists the
+    faces that hold a moved vertex, each once, ascending, with their
+    corners and vertices face by face."""
+
+    @pytest.mark.parametrize("c, d", [(2, 16), (3, 8)])
+    def test_against_the_set_oracle(self, c, d):
+        fam = build_Htilde(c, d)
+        mesh = Triangulation(fam.graph, fam.embedding)
+        work = _Workspace(mesh, np.zeros((2, mesh.n)), 1.0)
+        faces = mesh.faces.tolist()
+        rng = np.random.default_rng([c, d])
+        order = rng.permutation(mesh.free.size)
+        count = np.bincount(mesh.faces.ravel(), minlength=mesh.n)[mesh.free[order]]
+        # the longest prefix of ``order`` whose faces are at most half of all
+        cut = int(np.argmax(2 * np.cumsum(count) > len(faces)))
+        assert cut > 1000
+        for size in (1, 10, 100, 1000, cut, cut + 1):
+            k = np.sort(order[:size])
+            plan = optimize._moved_faces(k, work)
+            if 2 * int(count[:size].sum()) > len(faces):
+                assert size == cut + 1 and plan is None
+                continue
+            moved = set(mesh.free[k].tolist())
+            want = [t for t, face in enumerate(faces) if moved.intersection(face)]
+            assert plan.f.tolist() == want
+            assert plan.cols.tolist() == [3 * t + i for t in want for i in range(3)]
+            assert plan.b.tolist() == [v for t in want for v in faces[t]]
+            assert plan.v.tolist() == mesh.free[k].tolist()
+
+
 class TestBlockedPasses:
     """Above ``KEEP_FLOOR`` the full angle pass computes
     ``metrics.FACE_BLOCK`` faces at a time, face by face, and the scales
@@ -899,10 +932,10 @@ class TestBlockedPasses:
         work = _Workspace(mesh, pinned, scale)
         sizes, sides_at = [], optimize._sides_at
 
-        def recorded(cols, on):
+        def recorded(index, on):
             if on is work:
-                sizes.append(cols.size)
-            return sides_at(cols, on)
+                sizes.append(index.shape[1])
+            return sides_at(index, on)
 
         monkeypatch.setattr(optimize, "_sides_at", recorded)
         for point in (y, wide, y):
@@ -1048,10 +1081,10 @@ class TestCandidatePool:
         # neighbour: six corners of angle +-0.0 tie for the smallest, the
         # largest lane of z; then the vertex moves off and back
         mesh, pinned, scale, _ = TestKeptGeometry._frame()
-        start, faces = mesh.vertex_faces
-        k = next(k for k, v in enumerate(mesh.free) if start[v + 1] - start[v] == 3)
+        offset, nbr = mesh.emb.offset, mesh.emb.nbr
+        k = next(k for k, v in enumerate(mesh.free) if offset[v + 1] - offset[v] == 3)
         v = mesh.free[k]
-        u = min(set(mesh.faces[faces[start[v] : start[v + 1]]].ravel()) - {v})
+        u = min(nbr[offset[v] : offset[v + 1]])
         at = pinned.copy()
         at[:, v] = at[:, u]
         work = _Workspace(mesh, at, scale)
