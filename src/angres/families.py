@@ -10,7 +10,8 @@ three boundary edges the copy shares with the face are not duplicated.
 All copies of one sub-family at one level are glued by one ``glue_copies``
 call, into faces of the host as it stands before the call, through the
 copies' int64 vertex maps.  Rotations are never copied entry by entry:
-the copies' fans and rows go into the host's CSR arrays in one pass.
+the copies' fans and rows go into the host's CSR arrays in one pass, each
+copy's straight into its slot of the new ``nbr``.
 
 Every builder also records the order it stacked its graph in, a
 ``graphs.BuildSequence`` rooted at the outer face, as the graph's
@@ -195,9 +196,14 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
     carries none).
 
     Each face must be a face of the host before the call, a different one
-    per gluing; all are checked before the host changes.  One ``np.insert``
-    puts all corner fans into the host's ``nbr``, and the copies' interior
-    rows are appended as one gather through the vertex maps.
+    per gluing; all are checked before the host changes.  The host's new
+    ``nbr`` is allocated once: one ``np.insert`` puts all corner fans into
+    the host's rows at its head, and each copy's interior rows, the sub's
+    plain or reversed rows read once, are gathered through its vertex map
+    into its slot.  The certificate is filled copy by copy the same way.
+    Besides the host and the sub it holds the sub's interior rows, once or,
+    with a mirror, twice, and the host's old edges are let go before the
+    new ones are read (``rotation_edges``).
     """
     emb, outer = host.embedding, sub.embedding.outer_face
     if len(outer) != 3:
@@ -226,27 +232,47 @@ def glue_copies(host: Family, sub: Family, gluings: list[Gluing]) -> None:
             fans.append(vmap[fan])
 
     at = np.repeat(np.array(fan_pos, dtype=np.int64), [fan.size for fan in fans])
-    spliced = np.insert(emb.nbr, at, np.concatenate(fans or [at]))
-    # the sub's interior rows, plain or each reversed, through each vmap
+    # the sub's interior half-edges, row by row, as each copy lists them
+    # through its vmap: plain, or each row reversed, where entry p of row v
+    # reads entry offset[v] + offset[v + 1] - 1 - p
     sub_off, sub_nbr = sub.embedding.offset, sub.embedding.nbr
-    row_of = np.repeat(np.arange(sub.graph.n), np.diff(sub_off))
-    flipped = sub_nbr[sub_off[row_of] + sub_off[row_of + 1] - 1 - np.arange(sub_nbr.size)]
-    mirrors = np.array([mirror for *_, mirror in gluings], dtype=bool)[:, None]
-    rows = np.where(mirrors, flipped[interior[row_of]], sub_nbr[interior[row_of]])
+    deg = np.diff(sub_off)
+    on = np.repeat(interior, deg)
+    plain, flipped = sub_nbr[on], None
+    if any(mirror for *_, mirror in gluings):
+        flip = np.repeat((sub_off[:-1] + sub_off[1:] - 1)[inner], deg[inner])
+        flip -= np.flatnonzero(on)
+        flipped = sub_nbr[flip]
+        del flip
+    del on
+    spliced = emb.nbr.size + at.size
+    nbr = np.empty(spliced + copies * plain.size, dtype=np.int64)
+    nbr[:spliced] = np.insert(emb.nbr, at, np.concatenate(fans or [at]))
+    for k, (vmap, (*_, mirror)) in enumerate(zip(vmaps, gluings)):
+        a = spliced + k * plain.size
+        nbr[a : a + plain.size] = vmap[flipped if mirror else plain]
+    del plain, flipped
 
     # an entry inserted before old index p, offset[v] < p <= offset[v + 1], joins row v
     grown = np.bincount(np.searchsorted(emb.offset, at) - 1, minlength=n0)
-    deg = np.concatenate([np.diff(emb.offset) + grown, np.tile(np.diff(sub_off)[inner], copies)])
-    emb.offset = np.concatenate([[0], np.cumsum(deg)])
-    emb.nbr = np.concatenate([spliced, np.take_along_axis(vmaps, rows, axis=1).ravel()])
-    host.graph.n = n0 + copies * inner.size
+    host.graph.n = n = n0 + copies * inner.size
+    offset = np.zeros(n + 1, dtype=np.int64)
+    offset[1 : n0 + 1] = np.diff(emb.offset) + grown
+    offset[n0 + 1 :].reshape(copies, inner.size)[:] = deg[inner]
+    np.cumsum(offset, out=offset)
+    emb.offset, emb.nbr = offset, nbr
     host.placements.extend(CopyPlacement(sub, vmap) for vmap in vmaps)
+    host.graph.edges = None  # let the host's old edges go first
     host.graph.edges = rotation_edges(emb)
     cert, steps = host.graph.certificate, sub.graph.certificate
     host.graph.certificate = None
     if cert is not None and steps is not None:
-        xs = np.concatenate([cert.xs, vmaps[:, steps.xs].ravel()])
-        tris = np.concatenate([cert.tris, vmaps[:, steps.tris].reshape(-1, 3)])
+        xs = np.empty(cert.xs.size + copies * steps.xs.size, dtype=np.int64)
+        tris = np.empty((xs.size, 3), dtype=np.int64)
+        xs[: cert.xs.size], tris[: cert.xs.size] = cert.xs, cert.tris
+        for k, vmap in enumerate(vmaps):
+            a = cert.xs.size + k * steps.xs.size
+            xs[a : a + steps.xs.size], tris[a : a + steps.xs.size] = vmap[steps.xs], vmap[steps.tris]
         host.graph.certificate = BuildSequence(cert.base, xs, tris)
 
 

@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * vertices are dense integer indices ``0 .. n-1``, with ``n`` at most
   ``MAX_VERTICES``, so that edge keys ``v * n + u`` fit int64;
 * a graph's edges are the rows ``(i, j)``, ``i < j``, of a sorted (m, 2)
-  int64 array without repeats; ``LabeledGraph`` builds it from any pairs;
+  int64 array without repeats; ``LabeledGraph`` builds it from any pairs,
+  and ``read_graph`` through it, by one sort of the keys ``i * n + j`` in
+  place (``_canonical_edges``, ``_key_edges``);
 * a rotation system lists, for every vertex, its neighbors in *clockwise*
   order, stored as two int64 CSR arrays: vertex ``v``'s row is
   ``nbr[offset[v]:offset[v+1]]``, and half-edge ``offset[v] + k`` runs from
@@ -16,7 +18,7 @@ Conventions used throughout the package:
 
 The edges of a plane graph are exactly the neighbour pairs of its rotation
 system, so the family builders write rotations alone and read each edge
-array off one with ``rotation_edges``.
+array off one with ``rotation_edges``, by the same one sort of keys.
 
 One NumPy kernel (``_half_edges``) checks the rotation against the edges
 and pairs each half-edge with its twin by one sort of undirected edge keys,
@@ -25,6 +27,12 @@ then builds the face-successor permutation ``nxt`` over the half-edges;
 triangulation's faces from ``nxt`` with array operations alone and returns
 the faces alone, with no map from half-edges to faces: every face is a
 triangle, so the faces at a vertex are the rows that hold it.
+
+The kernels that build, compile and check a graph hold at most a couple of
+temporaries the size of their output at once: they form keys in place,
+free what they no longer read before they allocate, and run the passes
+whose temporaries would otherwise be that large ``_BLOCK`` half-edges,
+edges or steps at a time.
 
 A planar 3-tree's build sequence is a base triangle and two int64 arrays,
 inserted vertices ``xs`` (S,) and their triangles ``tris`` (S, 3), written
@@ -91,17 +99,48 @@ def _canonical_edges(pairs, n: int) -> np.ndarray:
     """The edges ``pairs`` name (any iterable of pairs or an (m, 2) array, in
     any order and orientation, repeats allowed) as the sorted (m, 2) int64
     array of rows ``(i, j)``, ``i < j``, without repeats.  Raises a
-    StructureError for the first pair that is not an edge on ``n`` vertices."""
+    StructureError for the first pair that is not an edge on ``n`` vertices.
+    Besides the pairs and the edges it holds two int64 columns at once: each
+    pair's lower end, which becomes its key ``i * n + j``, and its upper
+    end (``_key_edges``)."""
     if not isinstance(pairs, np.ndarray):
         pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    bad = (lo < 0) | (lo == hi) | (hi >= n)
+    keys = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
+    bad = (keys < 0) | (keys == hi) | (hi >= n)
     if bad.any():
         raise StructureError(_pair_error(*ends[np.argmax(bad)].tolist(), n))
-    keys = np.sort(lo * n + hi)
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # every key is positive
-    return np.stack(np.divmod(keys, max(n, 1)), axis=1)
+    keys *= n
+    keys += hi
+    del hi
+    return _key_edges(keys, n)
+
+
+def _key_edges(keys: np.ndarray, n: int) -> np.ndarray:
+    """The edge array of ``keys``, an int64 array of edge keys ``i * n + j``,
+    ``0 <= i < j < n``, in any order, repeats allowed, which it sorts in
+    place: the keys without repeats split by one divmod into the rows of
+    the new (m, 2) array.  A repeat costs one copy of the keys."""
+    keys.sort()
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if not new.all():
+        keys = keys[new]
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, max(n, 1), out=(edges[:, 0], edges[:, 1]))
+    return edges
+
+
+# Steps, edges or half-edges per block of the passes whose temporaries would
+# otherwise be the size of the whole graph.
+_BLOCK = 1 << 12
+
+
+def _blocks(size: int):
+    """Slices of ``range(size)``, ``_BLOCK`` at a time."""
+    return (slice(a, min(a + _BLOCK, size)) for a in range(0, size, _BLOCK))
 
 
 # the code points no label may hold: XML 1.0 allows none of them in a
@@ -194,60 +233,97 @@ def rotation_edges(emb: Embedding) -> np.ndarray:
     """The edges of a rotation system over vertices ``0 .. n-1``, in the
     package's edge format: each pair ``(v, u)`` with ``v < u`` and ``u`` in
     row ``v``, read as one sort of ``v * n + u`` keys.  An entry of ``n`` or
-    more raises a StructureError."""
+    more raises a StructureError.  Besides the rotation and the edges it
+    holds one int64 entry per half-edge, each one's source and then its
+    key, and the keys of the pairs kept (``_key_edges``)."""
     n = len(emb.offset) - 1
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(emb.offset))
-    return _canonical_edges(np.stack([src, emb.nbr], axis=1)[src < emb.nbr], n)
+    nbr = emb.nbr
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(emb.offset))
+    far = nbr >= n
+    if far.any():
+        h = int(np.argmax(far))
+        raise StructureError(_pair_error(int(keys[h]), int(nbr[h]), n))
+    kept = keys < nbr
+    keys *= n
+    keys += nbr
+    keys = keys[kept]
+    del kept
+    return _key_edges(keys, n)
 
 
-def _half_edges(graph: LabeledGraph, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
-    """Half-edge arrays ``(src, nxt)`` of a rotation system.
+def _half_edges(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
+    """The face-successor permutation ``nxt`` of a rotation system's
+    half-edges.
 
-    Half-edge ``h = offset[v] + k`` runs from ``v`` to ``dst[h] = nbr[h]``;
-    ``src[h]`` is ``v`` and ``nxt[h]`` is the next half-edge of its face,
-    ``offset[dst] + (position of src in row dst + 1) % deg[dst]``.  One sort
-    of the undirected keys ``min(src, dst) * n + max(src, dst)`` both checks
+    Half-edge ``h = offset[v] + k`` runs from ``v`` to ``dst[h] = nbr[h]``,
+    and ``nxt[h]`` is the next half-edge of its face,
+    ``offset[dst] + (position of v in row dst + 1) % deg[dst]``.  One sort
+    of the undirected keys ``min(v, dst) * n + max(v, dst)`` both checks
     the rotation and pairs each half-edge with its twin: the rotation lists
     every vertex's incident edges exactly once each when its entries are in
     range and the sorted keys come in equal pairs, equal to the edges' own
-    keys, of two half-edges with different sources.  Raises StructureError,
+    keys, of two half-edges with different ends.  Raises StructureError,
     naming the smallest such vertex, when some vertex's rotation does not.
+
+    Besides the rotation it holds two int64 entries per half-edge at once:
+    the keys and their order, then the order and ``nxt``; the keys are
+    checked against the edges ``_BLOCK`` pairs at a time.
     """
     n = graph.n
     offset, dst = emb.offset, emb.nbr
     if len(offset) - 1 != n:
         raise StructureError(f"rotation covers {len(offset) - 1} vertices, graph has {n}")
-    deg = np.diff(offset)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
     ends = graph.edges
     # range-check before forming keys: an entry outside 0..n-1 could
     # otherwise alias the key of a real edge
     if dst.size != 2 * len(ends) or not ((dst >= 0) & (dst < n)).all():
-        _rotation_fault(graph, emb, src)
-    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+        _rotation_fault(graph, emb)
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(offset))  # each half-edge's source
+    lo = np.minimum(keys, dst)
+    np.maximum(keys, dst, out=keys)
+    lo *= n
+    keys += lo
+    del lo
     order = np.argsort(keys)
     first, second = order[0::2], order[1::2]
-    edge_keys = ends[:, 0] * n + ends[:, 1]
-    if not (
-        np.array_equal(keys[first], edge_keys)
-        and np.array_equal(keys[second], edge_keys)
-        and (src[first] != src[second]).all()
-    ):
-        _rotation_fault(graph, emb, src)
+    if not _twinned(keys, first, second, dst, ends, n):
+        _rotation_fault(graph, emb)
+    del keys
     nxt = np.empty_like(order)
-    nxt[first], nxt[second] = second, first
-    nxt += 1  # the twin's successor in row dst, wrapping at the row's end
-    wrap = nxt == offset[dst + 1]
+    nxt[first], nxt[second] = second, first  # each half-edge's twin, in row dst
+    del order, first, second
+    # the twin's successor in its row, wrapping at the row's end
+    last = np.zeros(nxt.size, dtype=bool)
+    last[offset[1:][np.diff(offset) > 0] - 1] = True
+    wrap = last[nxt]
+    nxt += 1
     nxt[wrap] = offset[dst[wrap]]
-    return src, nxt
+    return nxt
 
 
-def _rotation_fault(graph: LabeledGraph, emb: Embedding, src: np.ndarray) -> NoReturn:
+def _twinned(keys, first, second, dst, ends, n: int) -> bool:
+    """Whether the half-edges ``first`` and ``second`` have the keys of the
+    edges ``ends``, edge by edge, and different ends ``dst``, which for
+    equal keys means different sources; ``_BLOCK`` edges at a time."""
+    for b in _blocks(len(ends)):
+        want = ends[b, 0] * n + ends[b, 1]
+        f, s = first[b], second[b]
+        if not (
+            np.array_equal(keys[f], want)
+            and np.array_equal(keys[s], want)
+            and (dst[f] != dst[s]).all()
+        ):
+            return False
+    return True
+
+
+def _rotation_fault(graph: LabeledGraph, emb: Embedding) -> NoReturn:
     """Raise the StructureError for a rotation that fails ``_half_edges``'
     check, naming the smallest vertex whose row does not list its incident
     edges exactly once each: a degree that is not the vertex's edge count,
     an entry out of range, a repeated entry or one that is no edge."""
     n, dst, ends = graph.n, emb.nbr, graph.edges
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(emb.offset))
     bad = np.diff(emb.offset) != np.bincount(ends.ravel(), minlength=n)
     in_range = (dst >= 0) & (dst < n)
     bad[src[~in_range]] = True
@@ -286,37 +362,68 @@ def internal_triangles(graph: LabeledGraph, emb: Embedding) -> np.ndarray:
     """(F, 3) array of the bounded faces of a triangulated embedding, one
     counterclockwise (canonical) vertex cycle per row, in face-tracing order.
 
-    Works on the half-edge arrays of ``_half_edges`` without a walk: every
-    face is a triangle exactly when ``nxt`` applied three times is the
-    identity; each face is read at its smallest half-edge ``h`` as
-    ``src[h], src[nxt[h]], src[nxt[nxt[h]]]`` (so rows come in the order of
-    each face's smallest half-edge), which starts at its smallest vertex:
-    ``src`` ascends with ``h`` and a triangle's three vertices are distinct.
-    Raises StructureError unless every face is a triangle, Euler's formula
-    holds and the embedding's outer face is among the traced faces.
+    Works on ``_half_edges``' successor permutation ``nxt`` without a walk:
+    every face is a triangle exactly when ``nxt`` applied three times is
+    the identity; each face is read at its smallest half-edge ``h`` as the
+    ends ``dst[nxt[nxt[h]]], dst[h], dst[nxt[h]]`` of its three half-edges
+    (so rows come in the order of each face's smallest half-edge), which
+    starts at its smallest vertex: sources ascend with ``h`` and a
+    triangle's three vertices are distinct.  Raises StructureError unless
+    every face is a triangle, Euler's formula holds and the embedding's
+    outer face is among the traced faces.
     """
-    src, nxt = _half_edges(graph, emb)
-    nxt2 = nxt[nxt]
-    h = np.arange(nxt.size)
-    off = np.flatnonzero(nxt[nxt2] != h)
-    if off.size:
-        # the smallest half-edge off a triangle starts the first such face
-        first = int(off[0])
-        face = canonical_cycle(face_cycle_from(emb, int(src[first]), int(src[nxt[first]])))
-        raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
-    lead = np.flatnonzero((h < nxt) & (h < nxt2))
-    faces = src[np.stack([lead, nxt[lead], nxt2[lead]], axis=1)]
-    if not euler_check(graph, faces):
+    return _triangles(graph, emb, 0)
+
+
+def _triangles(graph: LabeledGraph, emb: Embedding, spare: int) -> np.ndarray:
+    """``internal_triangles`` below ``spare`` rows left unset, for the
+    caller to fill.  Besides the rotation and the rows it holds ``nxt`` and
+    one bool per half-edge, marking each face's smallest; both passes over
+    the half-edges run ``_BLOCK`` at a time."""
+    nxt = _half_edges(graph, emb)
+    dst = emb.nbr
+    lead = np.empty(nxt.size, dtype=bool)
+    for b in _blocks(nxt.size):
+        h = np.arange(b.start, b.stop)
+        n1 = nxt[b]
+        n2 = nxt[n1]
+        off = np.flatnonzero(nxt[n2] != h)
+        if off.size:
+            # the smallest half-edge off a triangle starts the first such face
+            first = b.start + int(off[0])
+            v = int(np.searchsorted(emb.offset, first, side="right")) - 1
+            face = canonical_cycle(face_cycle_from(emb, v, int(dst[first])))
+            raise StructureError(f"face of length {len(face)} starting {face[:3]} is not a triangle")
+        np.less(h, n1, out=lead[b])
+        lead[b] &= h < n2
+    count = int(np.count_nonzero(lead))
+    if graph.n - len(graph.edges) + count != 2:
         raise StructureError(
-            f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + len(faces)}, not 2"
+            f"not a plane embedding: V - E + F = {graph.n - len(graph.edges) + count}, not 2"
         )
+    # the outer face's row (a, b, c) is read at the one half-edge a -> b
+    # whose face is a triangle with c
     outer = canonical_cycle(tuple(emb.outer_face))
-    hit = np.zeros(len(faces), dtype=bool)
+    hit = np.zeros(0, dtype=np.int64)
     if len(outer) == 3:
-        hit = (faces[:, 0] == outer[0]) & (faces[:, 1] == outer[1]) & (faces[:, 2] == outer[2])
-    if not hit.any():
+        hit = np.flatnonzero(dst == outer[1])
+        n1 = nxt[hit]
+        hit = hit[lead[hit] & (dst[nxt[n1]] == outer[0]) & (dst[n1] == outer[2])]
+    if not hit.size:
         raise StructureError(f"outer face {outer} not found among traced faces")
-    return faces[~hit]
+    lead[hit] = False
+    faces = np.empty((spare + count - hit.size, 3), dtype=np.int64)
+    row = spare
+    for b in _blocks(nxt.size):
+        h = np.flatnonzero(lead[b])
+        h += b.start
+        n1 = nxt[h]
+        rows = faces[row : row + h.size]
+        rows[:, 0] = dst[nxt[n1]]
+        rows[:, 1] = dst[h]
+        rows[:, 2] = dst[n1]
+        row += h.size
+    return faces
 
 
 @dataclass(eq=False)
@@ -362,27 +469,36 @@ def _rooted_sequence(
     ``base_uses``, ``errors`` and ``error``.  Rooted at one triangle, each
     vertex's triangle and level are fixed and only the steps' order is
     free, so both are listed by level, then by vertex, each triangle and the
-    base sorted: the same bytes either way."""
+    base sorted: the same bytes either way.  Besides the sequence and its
+    levels it holds their order and the reordered copies, whose rows are
+    sorted in place."""
     level, seq = _certified(graph, keep, base_uses), graph.certificate
     if level is None:
         seq = _eliminate(graph, keep)
         level = _check_build_sequence(seq, graph.n, base_uses, errors, error)
-    order = np.argsort(level * graph.n + seq.xs)  # unique keys: each x is inserted once
+    key = level * graph.n
+    key += seq.xs
+    order = np.argsort(key)  # unique keys: each x is inserted once
+    del key
+    level = level[order]
     base = tuple(sorted(int(v) for v in seq.base))
-    return BuildSequence(base, seq.xs[order], _sorted_rows(seq.tris[order])), level[order]
+    xs, tris = seq.xs[order], seq.tris[order]
+    del order
+    _sort_rows(tris)
+    return BuildSequence(base, xs, tris), level
 
 
-def _sorted_rows(tris: np.ndarray) -> np.ndarray:
-    """``np.sort(tris, axis=1)`` of an (S, 3) array, by a three-comparator
-    network on its columns."""
+def _sort_rows(tris: np.ndarray) -> None:
+    """Sort each row of the (S, 3) array ``tris`` in place, as
+    ``np.sort(tris, axis=1)`` does, by a three-comparator network on its
+    columns; it holds two columns more."""
     a, b, c = tris.T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    out = np.empty_like(tris)
-    np.maximum(hi, c, out=out[:, 2])
-    np.minimum(hi, c, out=hi)
-    np.minimum(lo, hi, out=out[:, 0])
-    np.maximum(lo, hi, out=out[:, 1])
-    return out
+    np.minimum(hi, c, out=a)  # the middle of hi and c, for now
+    np.maximum(hi, c, out=c)
+    del hi
+    np.maximum(lo, a, out=b)
+    np.minimum(lo, a, out=a)
 
 
 def _certified(
@@ -396,7 +512,9 @@ def _certified(
     ``_check_build_sequence`` with ``base_uses``, and with its 3S + 3 edges,
     sorted, equal to ``graph.edges``.  A certificate that fails only by
     ``base_uses`` fails the elimination's sequence too, with its own error.
-    The certificate is trusted in nothing."""
+    The certificate is trusted in nothing.  Besides the check's arrays it
+    holds the certificate's 3S + 3 edge keys, sorted in place and compared
+    with the edges' ``_BLOCK`` at a time."""
     cert, n = graph.certificate, graph.n
     if cert is None or keep is None or set(cert.base) != set(keep):
         return None
@@ -417,11 +535,21 @@ def _certified(
         return None
     # every corner is now in range and no edge repeats in a valid sequence
     a, b, c = base
-    x = np.concatenate([[a, a, b], np.repeat(xs, 3)])
-    y = np.concatenate([[b, c, c], tris.ravel()])
-    keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
-    if not np.array_equal(keys, graph.edges[:, 0] * n + graph.edges[:, 1]):
+    keys = np.empty(3 * xs.size + 3, dtype=np.int64)
+    keys[:3] = a * n + b, a * n + c, b * n + c
+    for s in _blocks(xs.size):
+        x, t = xs[s, None], tris[s]
+        block = keys[3 + 3 * s.start : 3 + 3 * s.stop].reshape(-1, 3)
+        np.minimum(x, t, out=block)
+        block *= n
+        block += np.maximum(x, t)
+    keys.sort()
+    ends = graph.edges
+    if len(ends) != keys.size:
         return None
+    for s in _blocks(keys.size):
+        if not np.array_equal(keys[s], ends[s, 0] * n + ends[s, 1]):
+            return None
     return level
 
 
@@ -526,51 +654,69 @@ def _check_build_sequence(
     triangle, so a step's level is one more than the level of the step that
     inserted its newest corner.  Those parent steps form a forest, and its
     depths come from pointer doubling.
+
+    Besides the sequence it holds the first step of each vertex and each
+    step's parent, key and face test, and then the keys' sort; the test
+    runs ``_BLOCK`` steps at a time.
     """
     xs, tris = seq.xs, seq.tris
     count = xs.size
-    step = np.arange(count)
     x_in = (xs >= 0) & (xs < n)
     # the first step inserting each vertex: -1 for the base vertices, and
     # ``count`` for the rest and for the sentinel n standing in for every
     # vertex out of range
     first = np.full(n + 1, count)
-    inserted, at = np.unique(xs[x_in], return_index=True)
-    first[inserted] = np.flatnonzero(x_in)[at]
+    np.minimum.at(first, np.where(x_in, xs, n), np.arange(count))
     first[list(seq.base)] = -1
     first[n] = count
-    corners = np.where((tris >= 0) & (tris < n), tris, n)
-    born = first[corners]
-    # column by column: the newest corner y is the first latest-born one, as
-    # argmax picks it, and the other two follow it cyclically
-    b0, b1, b2 = born.T
-    c0, c1, c2 = corners.T
-    at0 = (b0 >= b1) & (b0 >= b2)
-    at1 = ~at0 & (b1 >= b2)
-    parent = np.maximum(np.maximum(b0, b1), b2)
-    y = np.where(at0, c0, np.where(at1, c1, c2))
-    host = corners[np.where((parent >= 0) & (parent < step), parent, 0)].T
-    on_host, left_out = True, 3
-    for other in (np.where(at0, c1, np.where(at1, c2, c0)), np.where(at0, c2, np.where(at1, c0, c1))):
-        # its first column on the host triangle (0 if none), as argmax
-        hit = [other == column for column in host]
-        on_host = on_host & (hit[0] | hit[1] | hit[2])
-        left_out = left_out - np.where(hit[0], 0, np.where(hit[1], 1, 2 * hit[2]))
-    on_base = parent == -1
-    t0, t1, t2 = tris.T
-    distinct = (t0 != t1) & (t1 != t2) & (t0 != t2)
-    face = distinct & (parent < step) & (on_base | on_host)
-    key = np.where(on_base, -1, 3 * y + left_out)
-    # a face is used up once its key has been taken as often as allowed
+    parent = np.empty(count, dtype=np.int64)
+    key = np.empty(count, dtype=np.int64)
+    face, placed = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
+    for b in _blocks(count):
+        step = np.arange(b.start, b.stop)
+        np.less(first[np.where(x_in[b], xs[b], n)], step, out=placed[b])
+        t = tris[b]
+        corners = np.where((t >= 0) & (t < n), t, n)
+        # column by column: the newest corner y is the first latest-born
+        # one, as argmax picks it, and the other two follow it cyclically
+        b0, b1, b2 = first[corners].T
+        c0, c1, c2 = corners.T
+        at0 = (b0 >= b1) & (b0 >= b2)
+        at1 = ~at0 & (b1 >= b2)
+        p = parent[b]
+        np.maximum(np.maximum(b0, b1), b2, out=p)
+        y = np.where(at0, c0, np.where(at1, c1, c2))
+        host = tris[np.where((p >= 0) & (p < step), p, 0)]
+        host = np.where((host >= 0) & (host < n), host, n).T
+        on_host, left_out = True, 3
+        for other in (np.where(at0, c1, np.where(at1, c2, c0)), np.where(at0, c2, np.where(at1, c0, c1))):
+            # its first column on the host triangle (0 if none), as argmax
+            hit = [other == column for column in host]
+            on_host = on_host & (hit[0] | hit[1] | hit[2])
+            left_out = left_out - np.where(hit[0], 0, np.where(hit[1], 1, 2 * hit[2]))
+        on_base = p == -1
+        t0, t1, t2 = t.T
+        distinct = (t0 != t1) & (t1 != t2) & (t0 != t2)
+        face[b] = distinct & (p < step) & (on_base | on_host)
+        key[b] = np.where(on_base, -1, 3 * y + left_out)
+    del first
+    # a face is used up once its key has been taken as often as allowed: the
+    # base's ``base_uses`` times, which sort first, and any other's once
     takers = np.flatnonzero(face)
-    takers = takers[np.argsort(key[takers], kind="stable")]
     taken = key[takers]
-    group = np.ones(taken.size, dtype=bool)
-    group[1:] = taken[1:] != taken[:-1]
-    rank = np.arange(taken.size) - np.maximum.accumulate(np.where(group, np.arange(taken.size), 0))
-    face[takers[rank >= np.where(taken == -1, base_uses, 1)]] = False
+    del key
+    order = np.argsort(taken, kind="stable")
+    taken = taken[order]
+    again = np.zeros(taken.size, dtype=bool)
+    np.equal(taken[1:], taken[:-1], out=again[1:])
+    bases = int(np.searchsorted(taken, 0))
+    del taken
+    again[:bases] = False
+    again[base_uses:bases] = True
+    face[takers[order[again]]] = False
+    del takers, order, again
 
-    fails = (~face, ~x_in, first[np.where(x_in, xs, n)] < step)
+    fails = (~face, ~x_in, placed)
     failing = np.flatnonzero(fails[0] | fails[1] | fails[2])
     if failing.size:
         bad = int(failing[0])
@@ -580,9 +726,12 @@ def _check_build_sequence(
 
     # every step passed, so each parent is -1 or an earlier step
     level = np.ones(count, dtype=np.int64)
-    while (below := np.flatnonzero(parent >= 0)).size:
-        level[below] += level[parent[below]]
-        parent[below] = parent[parent[below]]
+    below = np.flatnonzero(parent >= 0)
+    while below.size:
+        up = parent[below]
+        level[below] += level[up]
+        parent[below] = parent[up]
+        below = below[parent[below] >= 0]
     return level
 
 

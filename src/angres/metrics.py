@@ -13,7 +13,9 @@ embedding's rotation or on ``drawn_embedding``, the one the drawing
 realizes by one stable sort of integer keys (``_rotation_order``), which
 ``angular_resolution`` measures unvalidated; both take one gap step
 (``_gaps``) between row neighbours, of one ``arctan2`` per half-edge
-(``_half_edge_vectors``), ``resolution`` by blocks of rows.  Angle
+(``_half_edge_vectors``), by blocks of ``ROW_BLOCK`` rows: the drawn
+rotation's rows (``_drawn_rows``) come from the edges, the neighbours
+below a vertex by one stable sort of the edges by upper end.  Angle
 identities are numeric, 1e-9 tolerance.
 """
 
@@ -34,15 +36,15 @@ from .graphs import (
     Records,
     StructureError,
     _ROWS,
-    internal_triangles,
+    _triangles,
 )
 from .layout import _ReplayPlan
 
 TOL = 1e-9
 # The one-shot passes over a drawing run this many faces (``_flipped``) or
-# vertex rows (``Triangulation.row_blocks``) at a time, so that their
-# temporaries stay in cache and come back from the heap, where full-size
-# ones were fresh pages, faulted in on every call.
+# vertex rows (``Triangulation.row_blocks``, ``_drawn_rows``) at a time, so
+# that their temporaries stay in cache and come back from the heap, where
+# full-size ones were fresh pages, faulted in on every call.
 FACE_BLOCK = 2**12
 ROW_BLOCK = 2**12
 
@@ -178,23 +180,24 @@ class Triangulation:
     measure and seed any number of its drawings.
 
     ``oriented`` holds the outer face reversed, then the F internal faces of
-    ``internal_triangles``, so that every row is counterclockwise in a valid
-    drawing; ``faces`` is its view of the internal ones.  ``free`` lists the
-    vertices off the outer face, ascending.  ``corners``, built on first
-    read (validation never reads it), is the (3, 3F) corner index: the a, b
-    and c columns of the internal corners (a, b, c), angle at b from ray
-    b->a to ray b->c, corner 3t + i being corner i of face t, which is
-    (t[i-1], t[i], t[i+1]).  Its view ``corners[:, 0::3]``, each face's
-    corner 0 (t[2], t[0], t[1]), lists every face once in its own order.
-    In the embedding's rows (``row_blocks``) corner (a, b, c) is half-edge
-    b->a and its successor b->c.  ``replay``, built on first read per
-    process, is the replay plan."""
+    ``internal_triangles``, written below it in place, so that every row is
+    counterclockwise in a valid drawing; ``faces`` is its view of the
+    internal ones.  ``free`` lists the vertices off the outer face,
+    ascending.  ``corners``, built on first read (validation never reads
+    it), is the (3, 3F) corner index: the a, b and c columns of the
+    internal corners (a, b, c), angle at b from ray b->a to ray b->c,
+    corner 3t + i being corner i of face t, which is (t[i-1], t[i],
+    t[i+1]).  Its view ``corners[:, 0::3]``, each face's corner 0 (t[2],
+    t[0], t[1]), lists every face once in its own order.  In the
+    embedding's rows (``row_blocks``) corner (a, b, c) is half-edge b->a
+    and its successor b->c.  ``replay``, built on first read per process,
+    is the replay plan."""
 
     def __init__(self, graph: LabeledGraph, emb: Embedding):
         self.graph, self.emb = graph, emb
         self.n = graph.n
-        outer = np.asarray([emb.outer_face[::-1]], dtype=np.int64)
-        self.oriented = np.concatenate([outer, internal_triangles(graph, emb)])
+        self.oriented = _triangles(graph, emb, 1)
+        self.oriented[0] = emb.outer_face[::-1]
         self.faces = self.oriented[1:]
         off_outer = np.ones(graph.n, dtype=bool)
         off_outer[list(emb.outer_face)] = False
@@ -306,45 +309,72 @@ class AngleReport:
     resolution: float
 
 
-def _drawn_rotation(graph: LabeledGraph, coords: np.ndarray):
-    """(deg, dst, perm, gaps): each vertex's ``deg[v]`` half-edges ``src ->
-    dst``, listed by vertex, then by ascending neighbour; ``perm``, their
-    order in rows sorted clockwise (``_rotation_order``), ties kept; and
-    their ``_gaps`` in that order, so ``dst[perm]`` are the rows' ends.  A
-    StructureError refuses a drawing that is not (n, 2) and finite or has a
-    zero-length edge at a vertex of degree >= 2."""
+def _drawn_rows(graph: LabeledGraph, coords: np.ndarray):
+    """The rows of the rotation the drawing ``coords`` realizes,
+    ``ROW_BLOCK`` vertices at a time: per block, (deg, dst, gaps), each of
+    its vertices' ``deg[v]`` neighbours in clockwise order and their
+    ``_gaps`` (``_drawn_block``).  A StructureError refuses a drawing that
+    is not (n, 2) and finite or has a zero-length edge at a vertex of
+    degree >= 2, naming the smallest such vertex, from the first block that
+    has one.  Besides the graph and the drawing it holds one int64 per
+    edge, their order by upper end, and one block's arrays."""
     coords = _drawing_array(coords, graph.n)
     if non_finite := _non_finite(coords):
         raise StructureError(non_finite)
-    # edges (i, j), i < j, come sorted, so listing every j -> i before every
-    # i -> j lists each vertex's half-edges by ascending neighbour
-    ends = graph.edges
-    src = np.concatenate([ends[:, 1], ends[:, 0]])
-    dst = np.concatenate([ends[:, 0], ends[:, 1]])
-    deg = np.bincount(src, minlength=graph.n)
-    vx, vy = _half_edge_vectors(_measured(coords), src, dst)
+    n, ends = graph.n, graph.edges
+    columns = _measured(coords)
+    # vertex v's half-edges to lower neighbours u are the edges (u, v), in
+    # one stable sort by upper end; those to higher ones the edges (v, u)
+    # as they come: each side is one run of its order per block
+    starts = np.arange(0, n + ROW_BLOCK, ROW_BLOCK).clip(max=n)
+    below = np.zeros(starts.size, dtype=np.int64)
+    np.cumsum(np.bincount(ends[:, 1] // ROW_BLOCK, minlength=starts.size - 1), out=below[1:])
+    above = np.searchsorted(ends[:, 0], starts)
+    down = np.argsort(ends[:, 1], kind="stable")
+    for k in range(starts.size - 1):
+        lower = down[below[k] : below[k + 1]]
+        yield _drawn_block(columns, ends, lower, slice(above[k], above[k + 1]), starts[k : k + 2])
+
+
+def _drawn_block(columns, ends: np.ndarray, lower: np.ndarray, higher: slice, rows: np.ndarray):
+    """``_drawn_rows``' block of the vertices ``rows[0] .. rows[1] - 1``:
+    their half-edges to lower neighbours, the edges ``lower`` (u, v) by v,
+    then u, and to higher ones, the edges ``higher`` (v, u), in that
+    order, which lists each vertex's by ascending neighbour, ordered by
+    ``_rotation_order``, ties kept."""
+    v, count = int(rows[0]), int(rows[1] - rows[0])
+    src = np.concatenate([ends[lower, 1], ends[higher, 0]])
+    dst = np.concatenate([ends[lower, 0], ends[higher, 1]])
+    vx, vy = _half_edge_vectors(columns, src, dst)
+    src -= v
+    deg = np.bincount(src, minlength=count)
     zero = np.flatnonzero((vx == 0) & (vy == 0))
     zero = zero[deg[src[zero]] >= 2]
     if zero.size:
-        raise StructureError(f"zero-length edge at vertex {int(src[zero].min())}")
+        raise StructureError(f"zero-length edge at vertex {v + int(src[zero].min())}")
     ang = np.arctan2(vy, vx, out=vy)
     del vx
-    perm = _rotation_order(src, ang, graph.n)
-    del src
-    return deg, dst, perm, _gaps(ang[perm], _successors(deg))
+    perm = _rotation_order(src, ang, count)
+    return deg, dst[perm], _gaps(ang[perm], _successors(deg))
 
 
 def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
     """Smallest angle between two edges meeting at a vertex, over the
-    unvalidated drawing: the least ``_gaps`` of ``_drawn_rotation`` at
-    vertices of degree 2 or more, inf without one."""
-    deg, _, _, gaps = _drawn_rotation(graph, coords)
-    # a vertex whose edges all point one way wraps by 0, already its minimum
-    gaps = gaps[np.repeat(deg >= 2, deg)]
-    least = gaps.min(initial=math.inf)
-    if least == 0:  # the last zero gap's sign; a vectorized min's varies with its order
-        least = gaps[gaps == 0][-1]
-    return AngleReport(least)
+    unvalidated drawing: the least ``_gaps`` of ``_drawn_rows`` at
+    vertices of degree 2 or more, inf without one.  A zero takes the sign
+    of the last zero gap, in vertex, then clockwise, order; a vectorized
+    min's varies with its order.  It holds what ``_drawn_rows`` holds: one
+    int64 per edge and one block's arrays."""
+    least, last_zero = np.float64(math.inf), None
+    for deg, _, gaps in _drawn_rows(graph, coords):
+        # a vertex whose edges all point one way wraps by 0, already its minimum
+        gaps = gaps[np.repeat(deg >= 2, deg)]
+        low = gaps.min(initial=math.inf)
+        if low < least:
+            least = low
+        if low == 0:
+            last_zero = gaps[gaps == 0][-1]
+    return AngleReport(last_zero if least == 0 else least)
 
 
 def drawn_embedding(graph: LabeledGraph, coords: np.ndarray) -> Embedding:
@@ -354,14 +384,20 @@ def drawn_embedding(graph: LabeledGraph, coords: np.ndarray) -> Embedding:
     on it.  A StructureError refuses n < 3 or a p of degree below 2."""
     if graph.n < 3:
         raise StructureError(f"a drawn embedding needs 3 or more vertices, got {graph.n}")
-    deg, dst, perm, gaps = _drawn_rotation(graph, coords)
-    dst = dst[perm]
-    p = int(np.lexsort(np.asarray(coords, dtype=float).T)[0])  # by y, then x
-    if deg[p] < 2:
-        raise StructureError(f"lowest vertex {p} has degree {deg[p]}, below 2")
-    offset = np.concatenate([[0], np.cumsum(deg)])
-    row = slice(offset[p], offset[p + 1])
-    ring, k = dst[row].tolist(), int(np.argmax(gaps[row]))
+    p = int(np.lexsort(_drawing_array(coords, graph.n).T)[0])  # by y, then x
+    offset = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.edges.ravel(), minlength=graph.n), out=offset[1:])
+    dst = np.empty(offset[-1], dtype=np.int64)
+    v = 0
+    for deg, ends, gaps in _drawn_rows(graph, coords):
+        dst[offset[v] : offset[v + deg.size]] = ends
+        if v <= p < v + deg.size:
+            row = slice(offset[p] - offset[v], offset[p + 1] - offset[v])
+            ring, widest = ends[row].tolist(), gaps[row]
+        v += deg.size
+    if len(ring) < 2:
+        raise StructureError(f"lowest vertex {p} has degree {len(ring)}, below 2")
+    k = int(np.argmax(widest))
     return Embedding(offset, dst, (p, ring[(k + 1) % len(ring)], ring[k]))
 
 

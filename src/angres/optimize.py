@@ -1249,9 +1249,11 @@ def _csv_value(lineno: int, text: str, kind: str):
 def read_sweep_csv(path: str) -> list[SweepRecord]:
     """The records of a sweep CSV whose header names every column of
     ``CSV_COLUMNS``, in any order.  A missing column or a row that does not
-    parse raises a one-line StructureError, starting ``line N:`` for a row."""
+    parse raises a one-line StructureError, starting ``line N:`` for a row.
+    A leading UTF-8 byte-order mark, which spreadsheet tools write when they
+    save a CSV, is skipped."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = csv.reader(fh)
         try:
             header = next(rows, [])

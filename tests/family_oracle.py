@@ -289,6 +289,24 @@ def build_Htilde(c: int, d: int) -> Family:
     return fam
 
 
+def stacking(fam: Family) -> tuple[tuple[int, ...], list[tuple[int, tuple[int, int, int]]]]:
+    """The order the builders record as a family's certificate, step by
+    step as ``(x, tri)``, from the family's outer face: a frame's rings
+    inward, vertex k into (w, k+1, k+2) for k = 2d-2 down to 1, or the base
+    K4's one step, and then each glued copy's steps through its vertex map,
+    copy by copy."""
+    if fam.roles is not None:
+        w, d = fam.roles.root, len(fam.roles.u)
+        steps = [(k, (w, k + 1, k + 2)) for k in range(2 * d - 2, 0, -1)]
+    else:
+        steps = [(3, (0, 1, 2))]
+    for placement in fam.placements:
+        vmap = placement.vmap
+        for x, tri in stacking(placement.sub)[1]:
+            steps.append((vmap[x], tuple(vmap[t] for t in tri)))
+    return tuple(fam.embedding.outer_face), steps
+
+
 # (family, c, d) cases for the oracle comparisons: frames d = 1..24, g, h and
 # htilde over c <= 3 with small d, and the two large benchmark families
 ORACLE_CASES = (

@@ -1,6 +1,7 @@
 """Reference implementation of ``angres.layout.layout_seed_any``: the
 per-step replay loop, used to check the level-by-level kernel byte for byte,
-and ``replay``, the package's kernel called the same way."""
+``replay``, the package's kernel called the same way, and ``levels``, the
+replay plan's grouping of the steps by level, step by step."""
 
 from __future__ import annotations
 
@@ -62,3 +63,15 @@ def replay(
     if seq is None:
         seq = verify_planar_3tree(graph, keep=emb.outer_face)
     return _ReplayPlan(graph, emb, seq).place(rng)
+
+
+def levels(seq: BuildSequence) -> list[list[int]]:
+    """The steps of ``seq`` grouped by level, each group in step order: the
+    base's vertices are at level 0, and a step's vertex one level below the
+    deepest corner of its triangle."""
+    depth = dict.fromkeys(seq.base, 0)
+    groups: dict[int, list[int]] = {}
+    for k, (x, tri) in enumerate(step_list(seq)):
+        depth[x] = 1 + max(depth[t] for t in tri)
+        groups.setdefault(depth[x], []).append(k)
+    return [groups[level] for level in sorted(groups)]

@@ -1,5 +1,7 @@
 """Reference implementation of ``angres.metrics.angular_resolution``: the
-per-vertex loop, used to check the vectorized version report for report."""
+per-vertex loop, used to check the vectorized version report for report,
+sign included: a zero resolution takes the sign of the last zero gap, in
+vertex, then clockwise, order."""
 
 from __future__ import annotations
 
@@ -26,6 +28,10 @@ def angular_resolution(graph: LabeledGraph, coords: np.ndarray) -> AngleReport:
         ang = np.arctan2(vec[:, 1], vec[:, 0])
         a = sorted(ang, reverse=True)
         for i in range(len(a)):
-            j = (i + 1) % len(a)
-            best = min(best, a[i] - a[j] if j > 0 else a[i] - a[j] + 2.0 * math.pi)
-    return AngleReport(best)
+            gap = a[i] - a[(i + 1) % len(a)]
+            if gap < 0:  # at the branch cut, where edges point more than one way
+                gap += 2.0 * math.pi
+            if gap == 0:
+                zero = gap
+            best = min(best, gap)
+    return AngleReport(zero if best == 0 else best)

@@ -691,6 +691,18 @@ class TestSweepFit:
         assert code == 1
         assert err.splitlines() == [f"error: {message}"]
 
+    def test_fit_reads_a_byte_order_mark(self, tmp_path, capsys):
+        rows = [SweepRecord("frame", None, d, 2 * d + 1, 6 * d - 3, 2 * d, 1.0 / d, 2, 2, 1, 0.5)
+                for d in (2, 3, 4)]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(sweep_csv_text(rows), newline="")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        fits = [run(capsys, "fit", "--csv", str(p), "--family", "frame") for p in (plain, marked)]
+        assert fits[0][0] == fits[1][0] == 0
+        assert fits[1][1] == fits[0][1].replace(str(plain), str(marked))
+        slope, intercept, r2 = map(float, fits[1][1].strip().splitlines()[-1].split())
+        assert slope == pytest.approx(-1.0)
+
     @pytest.mark.parametrize("d", [0, -2])
     def test_fit_d_below_1_one_line_error(self, tmp_path, capsys, d):
         # log(d) is -inf or nan there, on which the least-squares SVD fails

@@ -31,7 +31,14 @@ from angres.graphs import (
 from angres.layout import layout_nested
 from angres.metrics import Triangulation, angular_resolution
 from angres.svg import export_svg
-from family_oracle import ORACLE_CASES, embedding_text, list_family, oracle_family, with_arrays
+from family_oracle import (
+    ORACLE_CASES,
+    embedding_text,
+    list_family,
+    oracle_family,
+    stacking,
+    with_arrays,
+)
 from family_oracle import build_frame as reference_frame
 from family_oracle import insert_copy as reference_insert_copy
 
@@ -132,10 +139,15 @@ class TestHAndHtilde:
 
 
 def assert_same_family(got, want):
-    """Equal fields, vertex maps and sub-families."""
+    """Equal fields, vertex maps and sub-families, and the certificate the
+    oracle's stacking order."""
     assert got.graph.n == want.graph.n
     assert got.graph.edges.dtype == np.int64
     assert np.array_equal(got.graph.edges, want.graph.edges)
+    base, steps = stacking(want)
+    cert = got.graph.certificate
+    assert cert.xs.dtype == cert.tris.dtype == np.int64 and cert.base == base
+    assert list(zip(cert.xs.tolist(), map(tuple, cert.tris.tolist()))) == steps
     assert got.graph.labels == want.graph.labels
     for name in ("offset", "nbr"):
         got_array, want_array = getattr(got.embedding, name), getattr(want.embedding, name)

@@ -33,9 +33,11 @@ from angres.graphs import (
     _certified,
     _check_build_sequence,
     _rooted_sequence,
-    _sorted_rows,
+    _sort_rows,
 )
 from angres.metrics import Triangulation
+from edges_oracle import canonical_edges as reference_canonical_edges
+from edges_oracle import rotation_edges as reference_rotation_edges
 from elimination_oracle import verify_canonically as reference_verify
 from face_oracle import internal_triangles as reference_triangles
 from face_oracle import rotation_rows
@@ -43,6 +45,7 @@ from family_oracle import ORACLE_CASES
 from planarity_oracle import _replay_planarity as reference_planarity
 from planarity_oracle import sequence, step_list
 from replay_oracle import layout_seed_any as reference_seed_any
+from replay_oracle import levels as reference_levels
 from replay_oracle import replay
 
 
@@ -209,6 +212,53 @@ class TestRotationEdges:
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(StructureError, match=r"^edge \(0, 5\) exceeds vertex count 2$"):
             rotation_edges(Embedding.from_rows([[5], []], ()))
+
+
+class TestEdgeKernelsAgainstOracle:
+    """``rotation_edges`` and ``_canonical_edges`` sort their keys in place;
+    they return the arrays, or raise the errors, of the formulation that
+    stacks every pair (edges_oracle) on random rotations and pair lists;
+    every family's edges are checked against the copy-by-copy builders in
+    tests/test_families.py."""
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, n + 3), max_size=6), min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_rotation_edges(self, rows):
+        # rows with repeats, self-loops, negative entries and entries >= n
+        emb = Embedding.from_rows(rows, ())
+        assert outcome(rotation_edges, emb) == outcome(reference_rotation_edges, emb)
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(-3, 11), st.integers(-3, 11)), max_size=30),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_edges(self, n, pairs, as_array):
+        given_pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+        got = outcome(graphs._canonical_edges, given_pairs, n)
+        assert got == outcome(reference_canonical_edges, given_pairs, n)
+
+
+class TestTriangulationAgainstOracles:
+    """On every family the oracle comparisons build, ``Triangulation``'s
+    faces are the per-half-edge loop's (face_oracle) and its replay plan
+    lists the elimination oracle's sequence, grouped by level as the
+    per-step loop of replay_oracle groups it."""
+
+    @pytest.mark.parametrize("name, c, d", ORACLE_CASES)
+    def test_faces_and_replay_levels(self, name, c, d):
+        fam = build_family(FamilySpec(name, c, d))
+        g, emb = fam.graph, fam.embedding
+        mesh = Triangulation(g, emb)
+        assert outcome(lambda: mesh.faces.copy()) == outcome(reference_triangles, g, emb)
+        assert mesh.oriented[0].tolist() == list(emb.outer_face[::-1])
+        seq = reference_verify(g, keep=emb.outer_face)
+        plan = mesh.replay
+        assert np.array_equal(plan.xs, seq.xs) and np.array_equal(plan.tris, seq.tris)
+        # without steps, the plan splits its empty order into one empty level
+        assert [level.tolist() for level in plan.levels if level.size] == reference_levels(seq)
 
 
 class TestEmbeddingFormat:
@@ -842,9 +892,11 @@ class TestCertificate:
 
     @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=30))
     @settings(max_examples=100, deadline=None)
-    def test_sorted_rows_is_the_row_sort(self, rows):
+    def test_sort_rows_is_the_row_sort(self, rows):
         tris = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        assert np.array_equal(_sorted_rows(tris), np.sort(tris, axis=1))
+        want = np.sort(tris, axis=1)
+        _sort_rows(tris)
+        assert np.array_equal(tris, want)
 
     @pytest.mark.parametrize("name, c, d", [("g", 2, 3), ("htilde", 2, 2), ("frame", None, 4)])
     def test_verification_lists_steps_by_level_then_vertex(self, name, c, d):

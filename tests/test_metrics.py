@@ -539,6 +539,124 @@ class TestBlockedPasses:
         assert repr(blocked) == repr(whole) == repr(float(want))
 
 
+def resolution_outcome(measure, g, coords):
+    """``repr`` of the resolution ``measure`` gives, sign included, or the
+    message of the StructureError it raises."""
+    try:
+        return repr(float(measure(g, coords).resolution))
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+
+
+# stars whose leaves lie on one ray from the centre, (dx, dy) of each leaf
+# by ascending vertex, and a last leaf below keeps the wrap gap apart: the
+# gaps at the centre, in clockwise order, are 0.0 and then -0.0 at "minus",
+# and 0.0 at "plus", where leaves listed by descending vertex would give -0.0
+_ZERO_STARS = {
+    "minus": [(1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, -1.0)],
+    "plus": [(1.0, 0.0), (2.0, -0.0), (0.0, -1.0)],
+}
+
+
+def zero_star_drawing(n, stars):
+    """A graph on ``n`` vertices and its drawing: for each ``(centre, kind,
+    side)`` of ``stars`` a star of ``_ZERO_STARS[kind]`` centred at vertex
+    ``centre``, its leaves the vertices right after the centre (side 1) or
+    right before it (side -1), so that they are its higher or its lower
+    neighbours.  Every other vertex is isolated, on a point of its own."""
+    coords = np.stack([np.arange(n) * 10.0, np.full(n, 100.0)], axis=1)
+    edges = []
+    for centre, kind, side in stars:
+        leaves = [centre + side * k for k in range(1, len(_ZERO_STARS[kind]) + 1)]
+        coords[centre] = (10.0 * centre, 0.0)
+        for leaf, (dx, dy) in zip(sorted(leaves), _ZERO_STARS[kind]):
+            coords[leaf] = (10.0 * centre + dx, dy)  # 0.0 + -0.0 would be 0.0
+            edges.append((centre, leaf))
+    return LabeledGraph(n, edges), coords
+
+
+class TestBlockedAngularResolution:
+    """``angular_resolution`` walks the rotation a drawing realizes
+    ``ROW_BLOCK`` vertices at a time (``metrics._drawn_rows``).  With the
+    block patched to 1, 7 and n, its value, sign included, or its error is
+    the one-block value's and the loop oracle's."""
+
+    @staticmethod
+    def _blocked(g, coords):
+        """The outcomes at blocks of 1, 7, n and the package's own size."""
+        got, size = [], metrics.ROW_BLOCK
+        try:
+            for block in (1, 7, max(g.n, 1), size):
+                metrics.ROW_BLOCK = block
+                got.append(resolution_outcome(angular_resolution, g, coords))
+        finally:
+            metrics.ROW_BLOCK = size
+        return got
+
+    @pytest.mark.parametrize("stars, sign", [
+        ([(0, "minus", 1), (10, "plus", 1)], "0.0"),
+        ([(0, "plus", 1), (10, "minus", 1)], "-0.0"),
+        ([(2, "minus", 1), (9, "plus", 1), (14, "minus", 1)], "-0.0"),
+        ([(4, "minus", -1), (13, "plus", -1)], "0.0"),
+        ([(3, "plus", -1), (21, "minus", -1)], "-0.0"),
+    ])
+    def test_the_last_zero_gap_gives_the_sign(self, stars, sign):
+        # zero gaps in several blocks of 1 and of 7; isolated vertices
+        # between the stars and after them fill whole blocks of their own
+        g, coords = zero_star_drawing(22, stars)
+        got = self._blocked(g, coords)
+        assert got == [sign] * 4
+        assert resolution_outcome(reference_resolution, g, coords) == sign
+
+    @pytest.mark.parametrize("first, second, named", [(2, 12, 2), (12, 2, 2), (5, 12, 12)])
+    def test_zero_length_edges_in_two_blocks(self, first, second, named):
+        # a path but for the lone edge (5, 6); each zero-length edge joins
+        # v to v + 1, on v's point, and only a vertex of degree 2 or more
+        # at one counts, so (5, 6) does not and the error names 12
+        n = 16
+        coords = np.stack([np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2], axis=1)
+        edges = [(v, v + 1) for v in range(n - 1) if v == 5 or not {v, v + 1} & {5, 6}]
+        for v in (first, second):
+            coords[v + 1] = coords[v]
+        g = LabeledGraph(n, edges)
+        want = f"StructureError: zero-length edge at vertex {named}"
+        assert self._blocked(g, coords) == [want] * 4
+        assert resolution_outcome(reference_resolution, g, coords) == want
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
+    def test_graphs_of_at_most_two_vertices(self, n, edges):
+        g, coords = LabeledGraph(n, edges), np.arange(2.0 * n).reshape(n, 2)
+        assert self._blocked(g, coords) == ["inf"] * 4
+        assert resolution_outcome(reference_resolution, g, coords) == "inf"
+
+    @given(
+        st.integers(1, 20).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+            st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n, max_size=n),
+        )),
+        st.sampled_from([-0.0, 0.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_graphs(self, case, zero):
+        # grid points give collinear edges (equal angles, zero gaps of
+        # either sign), zero-length edges and isolated vertices
+        n, pairs, points = case
+        g = LabeledGraph(n, [(i, j) for i, j in pairs if i != j])
+        coords = np.array(points, dtype=float) * 0.1
+        coords[coords == 0] = zero
+        got = self._blocked(g, coords)
+        assert got == [resolution_outcome(reference_resolution, g, coords)] * 4
+
+    @pytest.mark.parametrize("name", ["htilde24", "htilde32"])
+    def test_families(self, name):
+        fam = _RESOLUTION_FAMILIES[name]()
+        coords = layout_nested(fam)
+        got = self._blocked(fam.graph, coords)
+        assert got == [resolution_outcome(reference_resolution, fam.graph, coords)] * 4
+        assert got[0] == repr(Triangulation(fam.graph, fam.embedding).resolution(coords))
+
+
 class TestOverflowingDifferences:
     """A finite drawing whose coordinate differences overflow is measured at
     half scale, without a warning; any other drawing as it is."""

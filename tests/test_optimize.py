@@ -1915,6 +1915,13 @@ class TestSweepCsv:
                             "runtime_s": round(r.runtime_s, 3)}) for r in CSV_RECORDS]
         )
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet tools write one when they save a CSV again
+        path, marked = tmp_path / "r.csv", tmp_path / "bom.csv"
+        write_sweep_csv(CSV_RECORDS, str(path))
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert repr(read_sweep_csv(str(marked))) == repr(read_sweep_csv(str(path)))
+
     @pytest.mark.parametrize(
         "edit, message",
         [
